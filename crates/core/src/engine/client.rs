@@ -1,0 +1,417 @@
+//! The typed client surface: sessions, exactly-once writes, reads.
+
+use super::*;
+
+impl FastRaftEngine {
+    // ------------------------------------------------------------------
+    // The typed client surface (sessions, exactly-once writes, reads)
+    // ------------------------------------------------------------------
+
+    /// Submits a typed client request at this node (the gateway). Writes
+    /// ride the normal proposal machinery as `Payload::Write` and are
+    /// answered when the gateway applies their commit; reads are answered
+    /// from the commit floor (stale) or after a leader ReadIndex round
+    /// (linearizable). All answers surface as
+    /// [`Observation::ClientResponse`].
+    pub fn on_client_request(
+        &mut self,
+        req: ClientRequest,
+        gate: &mut dyn InsertGate,
+        out: &mut Actions<FastRaftMessage>,
+    ) {
+        let ClientRequest { session, seq, op } = req;
+        match op {
+            ClientOp::Write(data) => self.client_write(session, seq, data, gate, out),
+            ClientOp::Register => self.client_register(session, gate, out),
+            ClientOp::Read(consistency) => self.client_read(session, seq, consistency, gate, out),
+        }
+    }
+
+    /// Explicit session registration: a committed [`Payload::Register`]
+    /// consumes seq 1 of the session, so a later eviction can never leave a
+    /// re-appliable *data* write at the session's boundary (see
+    /// [`ClientOp::Register`]). Unlike classic Raft's leader-only door,
+    /// the registration entry travels the normal proposal path
+    /// ([`FastRaftMessage::ProposeAt`] forwards whole entries), so any
+    /// gateway can register.
+    fn client_register(
+        &mut self,
+        session: SessionId,
+        gate: &mut dyn InsertGate,
+        out: &mut Actions<FastRaftMessage>,
+    ) {
+        // Server-assigned id on request: derived from this gateway's node
+        // id and proposal counter, so concurrent registrations at different
+        // gateways cannot collide. A *retry* of an unassigned registration
+        // may open a second (unused) session; the TTL reclaims it.
+        let session = if session.is_unassigned() {
+            SessionId::assigned(self.id, self.next_seq)
+        } else {
+            session
+        };
+        if let Some(first_index) = self.sessions.duplicate_of(session, 1) {
+            self.respond_client(
+                self.id,
+                session,
+                1,
+                ClientOutcome::Registered {
+                    session,
+                    index: first_index,
+                },
+                out,
+            );
+            return;
+        }
+        if let Some(id) = self.client_writes.get(&(session, 1)) {
+            if self.pending_proposals.contains_key(id) {
+                out.set_timer(
+                    self.timers.map(TimerKind::ProposalRetry),
+                    self.timing.proposal_timeout,
+                );
+                return;
+            }
+        }
+        // No expired-retry door: re-registering an evicted session is
+        // harmless by construction — the registration carries no value, so
+        // re-applying it merely re-opens an empty dedup window.
+        self.client_pending.insert((session, 1), ClientOp::Register);
+        let id = self.propose_payload(Payload::Register { session }, gate, out);
+        self.client_writes.insert((session, 1), id);
+    }
+
+    fn client_write(
+        &mut self,
+        session: SessionId,
+        seq: u64,
+        data: Bytes,
+        gate: &mut dyn InsertGate,
+        out: &mut Actions<FastRaftMessage>,
+    ) {
+        // Applied already? Answer without proposing (retry-safe).
+        if let Some(first_index) = self.sessions.duplicate_of(session, seq) {
+            self.respond_client(
+                self.id,
+                session,
+                seq,
+                ClientOutcome::Duplicate { first_index },
+                out,
+            );
+            return;
+        }
+        if let Some(id) = self.client_writes.get(&(session, seq)) {
+            if self.pending_proposals.contains_key(id) {
+                // Already in flight: the proposal-retry machinery keeps
+                // pushing it; just make sure the timer is armed.
+                out.set_timer(
+                    self.timers.map(TimerKind::ProposalRetry),
+                    self.timing.proposal_timeout,
+                );
+                return;
+            }
+        }
+        // Stale write from an expired (evicted) session: terminal refusal
+        // only when this gateway happens to be the leader with a provably
+        // current applied table (see `applied_session_state_current`) — on
+        // any other gateway the table may simply lag the commit sequence
+        // and "expired" can be a false positive for a live session. Those
+        // fall through: the op is placed and routed onward, and the leader
+        // door or the authoritative apply-time check rules, relayed back
+        // through the normal ClientReply path.
+        if self.timing.session_ttl > 0
+            && self.sessions.is_expired_retry(session, seq)
+            && self.applied_session_state_current()
+        {
+            self.respond_client(self.id, session, seq, ClientOutcome::SessionExpired, out);
+            return;
+        }
+        self.client_pending
+            .insert((session, seq), ClientOp::Write(data.clone()));
+        let id = self.propose_payload(Payload::Write { session, seq, data }, gate, out);
+        self.client_writes.insert((session, seq), id);
+    }
+
+    fn client_read(
+        &mut self,
+        session: SessionId,
+        seq: u64,
+        consistency: Consistency,
+        gate: &mut dyn InsertGate,
+        out: &mut Actions<FastRaftMessage>,
+    ) {
+        match consistency {
+            // A single engine has one log: its local floor *is* the global
+            // floor at its scope, so both stale consistencies answer from
+            // `commit_index` immediately. (The C-Raft layer intercepts
+            // StaleGlobal above this point and answers from its
+            // global-commit floor instead.)
+            Consistency::StaleLocal | Consistency::StaleGlobal => {
+                // Served from this site's floor, no coordination.
+                out.observe(Observation::ClientResponse {
+                    session,
+                    seq,
+                    outcome: ClientOutcome::ReadOk {
+                        scope: self.scope,
+                        commit_floor: self.commit_index,
+                    },
+                });
+            }
+            Consistency::Linearizable => {
+                if self.role == Role::Leader {
+                    self.client_pending
+                        .insert((session, seq), ClientOp::Read(consistency));
+                    self.register_read(session, seq, self.id, gate, out);
+                } else if let Some(leader) = self.leader_hint {
+                    self.client_pending
+                        .insert((session, seq), ClientOp::Read(consistency));
+                    out.send(leader, FastRaftMessage::ClientRead { session, seq });
+                } else {
+                    // No leader known (election in progress): retry later.
+                    out.observe(Observation::ClientResponse {
+                        session,
+                        seq,
+                        outcome: ClientOutcome::Retry,
+                    });
+                }
+            }
+        }
+    }
+
+    /// `true` when this node's applied session table provably covers every
+    /// write the cluster has ever committed: it is the leader and an entry
+    /// of its own term has committed (the shared
+    /// [`wire::session_state_current`] condition). Only then is a
+    /// door-level `SessionTable::is_expired_retry` verdict exact;
+    /// elsewhere the table may simply lag and "expired" can be a false
+    /// positive for a perfectly live session.
+    pub(super) fn applied_session_state_current(&self) -> bool {
+        self.role == Role::Leader
+            // Pipelined apply: the table only covers the *applied* prefix;
+            // while the queue is non-empty the door verdict stays inexact
+            // (answers degrade to Retry, never a wrong terminal refusal).
+            && self.applied_index == self.commit_index
+            && session_state_current(&self.log, self.commit_index, self.current_term)
+    }
+
+    /// Answers a client request: as an observation when the gateway is this
+    /// node, as a [`FastRaftMessage::ClientReply`] otherwise.
+    pub(super) fn respond_client(
+        &mut self,
+        to: NodeId,
+        session: SessionId,
+        seq: u64,
+        outcome: ClientOutcome,
+        out: &mut Actions<FastRaftMessage>,
+    ) {
+        if to == self.id {
+            if let Some(id) = self.client_writes.remove(&(session, seq)) {
+                self.pending_proposals.remove(&id);
+            }
+            self.client_pending.remove(&(session, seq));
+            out.observe(Observation::ClientResponse {
+                session,
+                seq,
+                outcome,
+            });
+        } else {
+            out.send(
+                to,
+                FastRaftMessage::ClientReply {
+                    session,
+                    seq,
+                    outcome,
+                },
+            );
+        }
+    }
+
+    /// Gateway handling of a typed outcome arriving from another node.
+    pub(super) fn on_client_reply(
+        &mut self,
+        session: SessionId,
+        seq: u64,
+        outcome: ClientOutcome,
+        out: &mut Actions<FastRaftMessage>,
+    ) {
+        if let ClientOutcome::Redirect { leader_hint } = &outcome {
+            if let Some(hint) = leader_hint {
+                self.leader_hint = Some(*hint);
+            }
+            // A redirected write stays pending: the proposal machinery keeps
+            // retrying it (broadcast mode needs no hint at all). Redirected
+            // reads surface so the caller retries against the updated hint.
+            if self.client_writes.contains_key(&(session, seq)) {
+                return;
+            }
+        }
+        // The wire reply carries no op kind; the gateway knows it locally.
+        // A remote door answering a registration's (session, 1) with a
+        // commit/duplicate verdict is reporting the registration applied —
+        // surface it as `Registered`.
+        let outcome = match (&outcome, self.client_pending.get(&(session, seq))) {
+            (ClientOutcome::Committed { index }, Some(ClientOp::Register)) => {
+                ClientOutcome::Registered {
+                    session,
+                    index: *index,
+                }
+            }
+            (ClientOutcome::Duplicate { first_index }, Some(ClientOp::Register)) => {
+                ClientOutcome::Registered {
+                    session,
+                    index: *first_index,
+                }
+            }
+            _ => outcome,
+        };
+        if self.client_pending.contains_key(&(session, seq)) {
+            self.respond_client(self.id, session, seq, outcome, out);
+        }
+    }
+
+    /// Leader side of a linearizable read: capture the commit floor, then
+    /// confirm leadership with a heartbeat round before answering.
+    pub(super) fn register_read(
+        &mut self,
+        session: SessionId,
+        seq: u64,
+        reply_to: NodeId,
+        gate: &mut dyn InsertGate,
+        out: &mut Actions<FastRaftMessage>,
+    ) {
+        debug_assert_eq!(self.role, Role::Leader);
+        // A fresh leader's commit floor may lag entries committed by its
+        // predecessor until an entry of its own term commits (Raft §8):
+        // until then the floor must not be served. Exception: a provably
+        // empty history serves the trivially correct floor 0 — otherwise an
+        // empty system could never answer its first read. "Provably empty"
+        // means neither this leader's log nor any granted vote's recovered
+        // entries contain anything: a fast quorum that chose an entry
+        // intersects every classic quorum in a voter that would have
+        // shipped it, so emptiness here implies no write ever completed.
+        let provably_empty = self.commit_index.is_zero()
+            && self.last_leader_index.is_zero()
+            && self.log.is_empty()
+            && self.possible.max_index().is_zero();
+        if !provably_empty && self.log.term_at(self.commit_index) != self.current_term {
+            self.respond_client(reply_to, session, seq, ClientOutcome::Retry, out);
+            // Liveness nudge: a *quiescent* new leader — everything
+            // inherited already committed — never runs `maybe_term_noop`
+            // (that path only fires while commits lag), so without client
+            // writes no current-term entry would ever commit and reads
+            // would retry forever. Create the no-op on demand, only when a
+            // read actually needs it, so write-only runs keep their exact
+            // index layout.
+            if self.commit_index >= self.last_leader_index && self.leader_log_settled() {
+                let k = self.last_leader_index.next();
+                let noop = LogEntry::noop(self.current_term, self.fresh_id(out));
+                match gate.begin(k, &noop, GatePurpose::DecisionInsert) {
+                    GateVerdict::Proceed => {
+                        self.insert_leader_entry(k, noop, out);
+                        self.advance_commit_classic(out);
+                        self.dispatch_append_entries(out);
+                    }
+                    GateVerdict::Defer(token) => {
+                        // Park as a Decision continuation: its gate_ready
+                        // arm releases the `gated_decisions` reservation,
+                        // so a gated (C-Raft global) nudge cannot wedge
+                        // `leader_log_settled()`.
+                        self.gated_decisions.insert(k);
+                        self.pending_gates
+                            .insert(token, GateCont::Decision { index: k, entry: noop });
+                    }
+                }
+            }
+            return;
+        }
+        let floor = self.commit_index;
+        // Lease fast path: a classic quorum of live grants proves no rival
+        // can have been elected, so the current commit floor is
+        // linearizable to serve locally — zero messages, zero round trips
+        // (see `docs/CONSISTENCY.md`). At the C-Raft global level this is
+        // the recursive lease: the granters are the other clusters'
+        // leaders.
+        if self
+            .lease
+            .valid_at(self.local_now, &self.config, self.id, self.timing.max_clock_skew)
+        {
+            out.observe(Observation::LeaseRead {
+                session,
+                seq,
+                floor,
+            });
+            self.answer_read(reply_to, session, seq, floor, out);
+            return;
+        }
+        if self.config.classic_quorum() <= 1 {
+            // A single-voter configuration confirms itself.
+            out.observe(Observation::ReadIndexRead {
+                session,
+                seq,
+                floor,
+            });
+            self.answer_read(reply_to, session, seq, floor, out);
+            return;
+        }
+        // Retry idempotence (see `wire::ReadIndexQueue::is_pending`): the
+        // pending round answers the retry too; just re-probe for liveness
+        // in case the original heartbeats were lost.
+        if self.reads.is_pending(session, seq, reply_to) {
+            self.dispatch_append_entries(out);
+            return;
+        }
+        self.reads.register(session, seq, reply_to, floor);
+        // Confirm now rather than waiting out the heartbeat period.
+        self.dispatch_append_entries(out);
+    }
+
+    /// Counts a follower's heartbeat ack toward pending ReadIndex rounds.
+    pub(super) fn note_read_ack(&mut self, from: NodeId, probe: u64, out: &mut Actions<FastRaftMessage>) {
+        for r in self.reads.note_ack(from, probe, &self.config, self.id) {
+            out.observe(Observation::ReadIndexRead {
+                session: r.session,
+                seq: r.seq,
+                floor: r.floor,
+            });
+            self.answer_read(r.reply_to, r.session, r.seq, r.floor, out);
+        }
+    }
+
+    /// Fails every pending ReadIndex round with `Retry` (leadership lost or
+    /// re-confirmed under a different term).
+    pub(super) fn fail_pending_reads(&mut self, out: &mut Actions<FastRaftMessage>) {
+        for r in self.reads.drain() {
+            self.respond_client(r.reply_to, r.session, r.seq, ClientOutcome::Retry, out);
+        }
+    }
+
+    /// Answers any locally pending write the session table now covers (a
+    /// snapshot install can jump the commit floor across its application).
+    pub(super) fn sweep_client_pending(&mut self, out: &mut Actions<FastRaftMessage>) {
+        let done: Vec<(SessionId, u64, LogIndex, bool)> = self
+            .client_writes
+            .keys()
+            .filter_map(|&(s, q)| {
+                self.sessions.duplicate_of(s, q).map(|idx| {
+                    let reg = matches!(self.client_pending.get(&(s, q)), Some(ClientOp::Register));
+                    (s, q, idx, reg)
+                })
+            })
+            .collect();
+        for (session, seq, first_index, register) in done {
+            let outcome = if register {
+                ClientOutcome::Registered {
+                    session,
+                    index: first_index,
+                }
+            } else {
+                ClientOutcome::Duplicate { first_index }
+            };
+            self.respond_client(
+                self.id,
+                session,
+                seq,
+                outcome,
+                out,
+            );
+        }
+    }
+}

@@ -56,10 +56,11 @@ pub struct CRaftConfig {
     /// proposal never exceeds the link budget — except a single over-sized
     /// item, which ships alone (0 disables the byte cap). The budget counts
     /// item bytes only; the Batch/GlobalState/LogEntry wrappers add ~70
-    /// bytes on top, so a batch cut exactly at a `max_bytes_per_append`-
-    /// sized budget can still exceed one AppendEntries byte budget by the
-    /// wrapper overhead and ship via the budget's always-admit-first rule.
-    /// Set this a little below `max_bytes_per_append` when that matters.
+    /// bytes on top, so a batch cut exactly at a
+    /// [`wire::MAX_BYTES_PER_APPEND`]-sized budget can still exceed one
+    /// AppendEntries byte budget by the wrapper overhead and ship via the
+    /// budget's always-admit-first rule. Set this a little below that
+    /// constant when that matters.
     pub max_batch_bytes: usize,
     /// Flush a partial batch after this many milliseconds of inactivity
     /// (0 disables time-based flushing).
@@ -87,7 +88,7 @@ impl CRaftConfig {
             local_timing: Timing::lan(),
             global_timing: Timing::wan(),
             batch_size: 10,
-            max_batch_bytes: Timing::wan().max_bytes_per_append,
+            max_batch_bytes: wire::MAX_BYTES_PER_APPEND,
             batch_flush_ms: 1000,
             global_snapshot_threshold: Timing::wan().snapshot_threshold,
             global_proposal_mode: ProposalMode::LeaderForward,

@@ -21,81 +21,52 @@ impl FastRaftEngine {
     ) {
         let ClientRequest { session, seq, op } = req;
         match op {
-            ClientOp::Write(data) => self.client_write(session, seq, data, gate, out),
-            ClientOp::Register => self.client_register(session, gate, out),
             ClientOp::Read(consistency) => self.client_read(session, seq, consistency, gate, out),
-        }
-    }
-
-    /// Explicit session registration: a committed [`Payload::Register`]
-    /// consumes seq 1 of the session, so a later eviction can never leave a
-    /// re-appliable *data* write at the session's boundary (see
-    /// [`ClientOp::Register`]). Unlike classic Raft's leader-only door,
-    /// the registration entry travels the normal proposal path
-    /// ([`FastRaftMessage::ProposeAt`] forwards whole entries), so any
-    /// gateway can register.
-    fn client_register(
-        &mut self,
-        session: SessionId,
-        gate: &mut dyn InsertGate,
-        out: &mut Actions<FastRaftMessage>,
-    ) {
-        // Server-assigned id on request: derived from this gateway's node
-        // id and proposal counter, so concurrent registrations at different
-        // gateways cannot collide. A *retry* of an unassigned registration
-        // may open a second (unused) session; the TTL reclaims it.
-        let session = if session.is_unassigned() {
-            SessionId::assigned(self.id, self.next_seq)
-        } else {
-            session
-        };
-        if let Some(first_index) = self.sessions.duplicate_of(session, 1) {
-            self.respond_client(
-                self.id,
-                session,
-                1,
-                ClientOutcome::Registered {
-                    session,
-                    index: first_index,
-                },
-                out,
-            );
-            return;
-        }
-        if let Some(id) = self.client_writes.get(&(session, 1)) {
-            if self.pending_proposals.contains_key(id) {
-                out.set_timer(
-                    self.timers.map(TimerKind::ProposalRetry),
-                    self.timing.proposal_timeout,
-                );
-                return;
+            ClientOp::Register => {
+                // Server-assigned id on request: derived from this gateway's
+                // node id and proposal counter, so concurrent registrations
+                // at different gateways cannot collide. A *retry* of an
+                // unassigned registration may open a second (unused)
+                // session; the TTL reclaims it.
+                let session = if session.is_unassigned() {
+                    SessionId::assigned(self.id, self.ids.next_seq())
+                } else {
+                    session
+                };
+                self.client_write(session, 1, op, gate, out)
             }
+            ClientOp::Write(_) => self.client_write(session, seq, op, gate, out),
         }
-        // No expired-retry door: re-registering an evicted session is
-        // harmless by construction — the registration carries no value, so
-        // re-applying it merely re-opens an empty dedup window.
-        self.client_pending.insert((session, 1), ClientOp::Register);
-        let id = self.propose_payload(Payload::Register { session }, gate, out);
-        self.client_writes.insert((session, 1), id);
     }
 
+    /// Gateway door for a session write or an explicit session registration
+    /// (`op`). A committed [`Payload::Register`] consumes seq 1 of the
+    /// session, so a later eviction can never leave a re-appliable *data*
+    /// write at the session's boundary (see [`ClientOp::Register`]). Unlike
+    /// classic Raft's leader-only door, the registration entry travels the
+    /// normal proposal path ([`FastRaftMessage::ProposeAt`] forwards whole
+    /// entries), so any gateway can register.
     fn client_write(
         &mut self,
         session: SessionId,
         seq: u64,
-        data: Bytes,
+        op: ClientOp,
         gate: &mut dyn InsertGate,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        // Applied already? Answer without proposing (retry-safe).
-        if let Some(first_index) = self.sessions.duplicate_of(session, seq) {
-            self.respond_client(
-                self.id,
+        let payload = match &op {
+            ClientOp::Write(data) => Payload::Write {
                 session,
                 seq,
-                ClientOutcome::Duplicate { first_index },
-                out,
-            );
+                data: data.clone(),
+            },
+            _ => Payload::Register { session },
+        };
+        let register = matches!(op, ClientOp::Register);
+        // Applied already? Answer without proposing (retry-safe).
+        if let Some(first_index) = self.applied.sessions().duplicate_of(session, seq) {
+            let outcome = replica::covered_outcome(register, session, first_index);
+            self.respond_client(self.id, session, seq, outcome, out);
             return;
         }
         if let Some(id) = self.client_writes.get(&(session, seq)) {
@@ -116,17 +87,19 @@ impl FastRaftEngine {
         // and "expired" can be a false positive for a live session. Those
         // fall through: the op is placed and routed onward, and the leader
         // door or the authoritative apply-time check rules, relayed back
-        // through the normal ClientReply path.
-        if self.timing.session_ttl > 0
-            && self.sessions.is_expired_retry(session, seq)
+        // through the normal ClientReply path. Registrations have no such
+        // door: re-registering an evicted session is harmless by
+        // construction — the registration carries no value, so re-applying
+        // it merely re-opens an empty dedup window.
+        if !register
+            && self.applied.is_expired_retry(session, seq)
             && self.applied_session_state_current()
         {
             self.respond_client(self.id, session, seq, ClientOutcome::SessionExpired, out);
             return;
         }
-        self.client_pending
-            .insert((session, seq), ClientOp::Write(data.clone()));
-        let id = self.propose_payload(Payload::Write { session, seq, data }, gate, out);
+        self.client_pending.insert((session, seq), op);
+        let id = self.propose_payload(payload, gate, out);
         self.client_writes.insert((session, seq), id);
     }
 
@@ -157,12 +130,10 @@ impl FastRaftEngine {
             }
             Consistency::Linearizable => {
                 if self.role == Role::Leader {
-                    self.client_pending
-                        .insert((session, seq), ClientOp::Read(consistency));
+                    self.reads.track_local(session, seq);
                     self.register_read(session, seq, self.id, gate, out);
                 } else if let Some(leader) = self.leader_hint {
-                    self.client_pending
-                        .insert((session, seq), ClientOp::Read(consistency));
+                    self.reads.track_local(session, seq);
                     out.send(leader, FastRaftMessage::ClientRead { session, seq });
                 } else {
                     // No leader known (election in progress): retry later.
@@ -176,20 +147,13 @@ impl FastRaftEngine {
         }
     }
 
-    /// `true` when this node's applied session table provably covers every
-    /// write the cluster has ever committed: it is the leader and an entry
-    /// of its own term has committed (the shared
-    /// [`wire::session_state_current`] condition). Only then is a
-    /// door-level `SessionTable::is_expired_retry` verdict exact;
-    /// elsewhere the table may simply lag and "expired" can be a false
-    /// positive for a perfectly live session.
     pub(super) fn applied_session_state_current(&self) -> bool {
-        self.role == Role::Leader
-            // Pipelined apply: the table only covers the *applied* prefix;
-            // while the queue is non-empty the door verdict stays inexact
-            // (answers degrade to Retry, never a wrong terminal refusal).
-            && self.applied_index == self.commit_index
-            && session_state_current(&self.log, self.commit_index, self.current_term)
+        self.applied.applied_session_state_current(
+            self.role == Role::Leader,
+            &self.log,
+            self.commit_index,
+            self.current_term,
+        )
     }
 
     /// Answers a client request: as an observation when the gateway is this
@@ -207,21 +171,9 @@ impl FastRaftEngine {
                 self.pending_proposals.remove(&id);
             }
             self.client_pending.remove(&(session, seq));
-            out.observe(Observation::ClientResponse {
-                session,
-                seq,
-                outcome,
-            });
-        } else {
-            out.send(
-                to,
-                FastRaftMessage::ClientReply {
-                    session,
-                    seq,
-                    outcome,
-                },
-            );
+            self.reads.forget_local(session, seq);
         }
+        replica::reply(self.id, to, session, seq, outcome, out);
     }
 
     /// Gateway handling of a typed outcome arriving from another node.
@@ -262,7 +214,7 @@ impl FastRaftEngine {
             }
             _ => outcome,
         };
-        if self.client_pending.contains_key(&(session, seq)) {
+        if self.client_pending.contains_key(&(session, seq)) || self.reads.is_local(session, seq) {
             self.respond_client(self.id, session, seq, outcome, out);
         }
     }
@@ -302,7 +254,7 @@ impl FastRaftEngine {
             // index layout.
             if self.commit_index >= self.last_leader_index && self.leader_log_settled() {
                 let k = self.last_leader_index.next();
-                let noop = LogEntry::noop(self.current_term, self.fresh_id(out));
+                let noop = LogEntry::noop(self.current_term, self.ids.fresh_id(out));
                 match gate.begin(k, &noop, GatePurpose::DecisionInsert) {
                     GateVerdict::Proceed => {
                         self.insert_leader_entry(k, noop, out);
@@ -322,96 +274,13 @@ impl FastRaftEngine {
             }
             return;
         }
-        let floor = self.commit_index;
-        // Lease fast path: a classic quorum of live grants proves no rival
-        // can have been elected, so the current commit floor is
-        // linearizable to serve locally — zero messages, zero round trips
-        // (see `docs/CONSISTENCY.md`). At the C-Raft global level this is
-        // the recursive lease: the granters are the other clusters'
-        // leaders.
+        let (floor, applied) = (self.commit_index, self.applied.index());
         if self
-            .lease
-            .valid_at(self.local_now, &self.config, self.id, self.timing.max_clock_skew)
+            .reads
+            .register_read(session, seq, reply_to, floor, applied, &self.config, out)
         {
-            out.observe(Observation::LeaseRead {
-                session,
-                seq,
-                floor,
-            });
-            self.answer_read(reply_to, session, seq, floor, out);
-            return;
-        }
-        if self.config.classic_quorum() <= 1 {
-            // A single-voter configuration confirms itself.
-            out.observe(Observation::ReadIndexRead {
-                session,
-                seq,
-                floor,
-            });
-            self.answer_read(reply_to, session, seq, floor, out);
-            return;
-        }
-        // Retry idempotence (see `wire::ReadIndexQueue::is_pending`): the
-        // pending round answers the retry too; just re-probe for liveness
-        // in case the original heartbeats were lost.
-        if self.reads.is_pending(session, seq, reply_to) {
+            // Confirm now rather than waiting out the heartbeat period.
             self.dispatch_append_entries(out);
-            return;
-        }
-        self.reads.register(session, seq, reply_to, floor);
-        // Confirm now rather than waiting out the heartbeat period.
-        self.dispatch_append_entries(out);
-    }
-
-    /// Counts a follower's heartbeat ack toward pending ReadIndex rounds.
-    pub(super) fn note_read_ack(&mut self, from: NodeId, probe: u64, out: &mut Actions<FastRaftMessage>) {
-        for r in self.reads.note_ack(from, probe, &self.config, self.id) {
-            out.observe(Observation::ReadIndexRead {
-                session: r.session,
-                seq: r.seq,
-                floor: r.floor,
-            });
-            self.answer_read(r.reply_to, r.session, r.seq, r.floor, out);
-        }
-    }
-
-    /// Fails every pending ReadIndex round with `Retry` (leadership lost or
-    /// re-confirmed under a different term).
-    pub(super) fn fail_pending_reads(&mut self, out: &mut Actions<FastRaftMessage>) {
-        for r in self.reads.drain() {
-            self.respond_client(r.reply_to, r.session, r.seq, ClientOutcome::Retry, out);
-        }
-    }
-
-    /// Answers any locally pending write the session table now covers (a
-    /// snapshot install can jump the commit floor across its application).
-    pub(super) fn sweep_client_pending(&mut self, out: &mut Actions<FastRaftMessage>) {
-        let done: Vec<(SessionId, u64, LogIndex, bool)> = self
-            .client_writes
-            .keys()
-            .filter_map(|&(s, q)| {
-                self.sessions.duplicate_of(s, q).map(|idx| {
-                    let reg = matches!(self.client_pending.get(&(s, q)), Some(ClientOp::Register));
-                    (s, q, idx, reg)
-                })
-            })
-            .collect();
-        for (session, seq, first_index, register) in done {
-            let outcome = if register {
-                ClientOutcome::Registered {
-                    session,
-                    index: first_index,
-                }
-            } else {
-                ClientOutcome::Duplicate { first_index }
-            };
-            self.respond_client(
-                self.id,
-                session,
-                seq,
-                outcome,
-                out,
-            );
         }
     }
 }

@@ -86,7 +86,7 @@ impl FastRaftEngine {
             }
             self.update_fast_match(k, existing.id);
             if self.fast_quorum_at(k) {
-                self.commit_through(k, true, out);
+                self.commit_through(k, Some(true), out);
             } else {
                 break;
             }
@@ -109,7 +109,7 @@ impl FastRaftEngine {
                 None => {
                     // Every vote was nulled: any entry may be inserted
                     // (§IV-B); use a no-op.
-                    LogEntry::noop(self.current_term, self.fresh_id(out))
+                    LogEntry::noop(self.current_term, self.ids.fresh_id(out))
                 }
             };
             if trace_enabled() {
@@ -161,7 +161,7 @@ impl FastRaftEngine {
         if trace_enabled() {
             eprintln!("TERMNOOP {} k={}", self.id, k.as_u64());
         }
-        let noop = LogEntry::noop(self.current_term, self.fresh_id(out));
+        let noop = LogEntry::noop(self.current_term, self.ids.fresh_id(out));
         match gate.begin(k, &noop, GatePurpose::DecisionInsert) {
             GateVerdict::Proceed => {
                 self.insert_leader_entry(k, noop, out);
@@ -198,7 +198,7 @@ impl FastRaftEngine {
             && chosen.term == self.current_term
             && self.fast_quorum_at(k)
         {
-            self.commit_through(k, true, out);
+            self.commit_through(k, Some(true), out);
             return true;
         }
         false
@@ -240,28 +240,11 @@ impl FastRaftEngine {
         self.match_index.insert(self.id, self.last_leader_index);
     }
 
-    /// Mints a proposal id, extending the persisted sequence reservation
-    /// when the current block is exhausted. The reservation rides the same
-    /// write-ahead channel as log inserts — it is durable before any
-    /// message carrying the id leaves this site.
-    pub(super) fn fresh_id(&mut self, out: &mut Actions<FastRaftMessage>) -> EntryId {
-        if self.next_seq >= self.reserved_seqs {
-            self.reserved_seqs = self.next_seq + SEQ_RESERVE_BLOCK;
-            out.persist(PersistCmd::ReserveProposalSeqs {
-                scope: self.scope,
-                through: self.reserved_seqs,
-            });
-        }
-        let id = EntryId::new(self.id, self.next_seq);
-        self.next_seq += 1;
-        id
-    }
-
     /// Highest proposal-sequence ceiling this engine has persisted; used by
     /// embeddings that cache engine state across deactivation (C-Raft's
     /// global side) to carry the floor forward.
     pub fn reserved_seqs(&self) -> u64 {
-        self.reserved_seqs
+        self.ids.reserved_seqs()
     }
 
     fn update_fast_match(&mut self, k: LogIndex, chosen: EntryId) {
@@ -345,21 +328,8 @@ impl FastRaftEngine {
     /// log unblocks.
     fn fire_hole_repair(&mut self, k: LogIndex, out: &mut Actions<FastRaftMessage>) {
         out.observe(Observation::HoleRepairTriggered { index: k });
-        let entry = LogEntry {
-            term: self.current_term,
-            id: self.fresh_id(out),
-            payload: Payload::Noop,
-            approval: Approval::SelfApproved,
-        };
-        let peers: Vec<NodeId> = self.config.peers(self.id).collect();
-        out.send_many(
-            peers,
-            FastRaftMessage::ProposeAt {
-                index: k,
-                entry: entry.clone(),
-            },
-        );
+        let id = self.ids.fresh_id(out);
         let mut proceed = crate::gate::ProceedGate;
-        self.on_propose_at(self.id, k, entry, &mut proceed, out);
+        self.broadcast_proposal(id, Payload::Noop, k, &mut proceed, out);
     }
 }

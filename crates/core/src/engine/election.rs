@@ -14,12 +14,7 @@ impl FastRaftEngine {
         out: &mut Actions<FastRaftMessage>,
     ) {
         let was_leader = self.role == Role::Leader;
-        // Leadership (or the term it was confirmed under) is gone: any read
-        // still awaiting its ReadIndex confirmation must not be answered,
-        // and collected lease grants are void (they backed *this*
-        // leadership).
-        self.fail_pending_reads(out);
-        self.lease.clear();
+        self.reads.fail_pending_reads(out);
         if term > self.current_term {
             self.current_term = term;
             self.voted_for = None;
@@ -45,11 +40,7 @@ impl FastRaftEngine {
     }
 
     fn persist_term_vote(&self, out: &mut Actions<FastRaftMessage>) {
-        out.persist(PersistCmd::SetTermVote {
-            scope: self.scope,
-            term: self.current_term,
-            voted_for: self.voted_for,
-        });
+        replica::persist_term_vote(self.scope, self.current_term, self.voted_for, out);
     }
 
     pub(super) fn start_election(&mut self, out: &mut Actions<FastRaftMessage>) {
@@ -116,34 +107,10 @@ impl FastRaftEngine {
             });
             return;
         }
-        // Lease hold: the ack this engine last sent carried a promise not
-        // to elect anyone but its leader before `until` on this clock. The
-        // request is dropped *without* adopting the candidate's term — a
-        // partitioned candidate's term inflation must not depose a leader
-        // whose lease a quorum still backs. The hold provably expires
-        // before this node's own election timer can fire
-        // (`Timing::validate` pins lease + skew ≤ election_min).
-        if self.vote_hold.blocks(candidate, self.local_now) {
-            out.observe(Observation::MessageIgnored {
-                reason: "vote request during lease hold",
-            });
-            return;
-        }
-        // A leader whose own lease is live refuses too, again without
-        // adopting the term: a quorum is promising not to elect anyone
-        // else, so the candidate provably cannot win — stepping down would
-        // only forfeit the lease's availability for nothing.
-        if self.role == Role::Leader
-            && self.lease.valid_at(
-                self.local_now,
-                &self.config,
-                self.id,
-                self.timing.max_clock_skew,
-            )
+        if self
+            .reads
+            .refuses_vote(candidate, self.role == Role::Leader, &self.config, out)
         {
-            out.observe(Observation::MessageIgnored {
-                reason: "vote request at leader with live lease",
-            });
             return;
         }
         if term < self.current_term {
@@ -255,19 +222,7 @@ impl FastRaftEngine {
         out.observe(Observation::BecameLeader {
             term: self.current_term,
         });
-        // Arm the lease behind the new-leader barrier: any lease the
-        // deposed leader could still be serving under expires within
-        // `lease_duration + max_clock_skew` of this instant, so waiting
-        // that window out before serving lease reads makes the handover
-        // safe even against grants this node never saw. Inert while
-        // clockless or disabled.
-        self.lease.clear();
-        if !self.timing.lease_duration.is_zero() {
-            self.lease.enable_after(
-                self.local_now,
-                self.timing.lease_duration + self.timing.max_clock_skew,
-            );
-        }
+        self.reads.arm_lease();
         // §IV-A: nextIndex initialized to last committed entry + 1.
         let start = self.commit_index.next();
         self.next_index.clear();
@@ -303,7 +258,7 @@ impl FastRaftEngine {
     }
 
     pub(super) fn reset_election_timer(&mut self, out: &mut Actions<FastRaftMessage>) {
-        let timeout = self.timing.election_timeout(&mut self.rng);
-        out.set_timer(self.timers.map(TimerKind::Election), timeout);
+        let kind = self.timers.map(TimerKind::Election);
+        replica::reset_election_timer(&self.timing, &mut self.rng, kind, out);
     }
 }

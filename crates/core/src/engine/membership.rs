@@ -202,7 +202,7 @@ impl FastRaftEngine {
                 }
             };
             let k = self.last_leader_index.next();
-            let entry = LogEntry::config(self.current_term, self.fresh_id(out), new_config);
+            let entry = LogEntry::config(self.current_term, self.ids.fresh_id(out), new_config);
             self.insert_leader_entry(k, entry, out);
             self.pending_config = Some(k);
             self.pending_join_notify = notify;

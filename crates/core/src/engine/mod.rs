@@ -41,13 +41,12 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use bytes::Bytes;
 use des::{SimRng, SimTime};
+use raft::replica::{self, Applied, ProposalIds, ReadPath};
 use raft::{Role, Timing};
 use wire::{
-    fold_commit_digest, fold_session_digest, session_state_current, Actions, Approval, ClientOp,
-    ClientOutcome, ClientRequest, Configuration, Consistency, EntryId, EntryList, LeaseState,
-    LogEntry, LogIndex, LogScope,
-    NodeId, Observation, Payload, PersistCmd, ReadIndexQueue, SessionApply, SessionId,
-    SessionTable, Snapshot, Term, TimerKind, VoteHold, MAX_INSERT_WINDOW,
+    Actions, Approval, ClientOp, ClientOutcome, ClientRequest, Configuration, Consistency,
+    EntryId, EntryList, LogEntry, LogIndex, LogScope, NodeId, Observation, Payload, PersistCmd,
+    SessionId, SessionTable, Snapshot, Term, TimerKind, MAX_INSERT_WINDOW,
 };
 
 use crate::gate::{GatePurpose, GateToken, GateVerdict, InsertGate};
@@ -62,11 +61,6 @@ mod membership;
 mod propose;
 mod replicate;
 mod snapshot;
-
-/// Proposal-sequence numbers are reserved in stable storage in blocks of
-/// this size (one write-ahead command per block, not per proposal). A crash
-/// discards at most one partial block of unused ids.
-const SEQ_RESERVE_BLOCK: u64 = 64;
 
 /// Cached `ENGINE_TRACE` env check: protocol-step tracing to stderr for
 /// debugging runs (set the variable to any value to enable).
@@ -171,19 +165,6 @@ enum GateCont {
     LeaderAppend { index: LogIndex, entry: LogEntry },
 }
 
-/// A linearizable read already admitted at a commit floor the state machine
-/// has not caught up to yet (pipelined apply only): the floor is safe — it
-/// was captured under lease or ReadIndex confirmation — but answering before
-/// the apply queue reaches it would let the client observe state older than
-/// its admission point.
-#[derive(Clone, Debug)]
-struct PendingReadAnswer {
-    reply_to: NodeId,
-    session: SessionId,
-    seq: u64,
-    floor: LogIndex,
-}
-
 /// Accumulated acknowledgement for one gated AppendEntries message.
 #[derive(Clone, Debug)]
 struct AckState {
@@ -210,23 +191,12 @@ pub struct FastRaftEngine {
     current_term: Term,
     voted_for: Option<NodeId>,
     log: wire::SparseLog,
-    /// Latest snapshot covering the compacted log prefix, served to sites
-    /// whose `nextIndex` fell below `log.first_index()`.
-    snapshot: Option<Snapshot>,
 
     // ---- volatile ----
     commit_index: LogIndex,
-    /// Highest index applied to the state machine. Trails `commit_index`
-    /// only under [`Timing::pipelined_apply`], between a commit advancement
-    /// and the embedding's drain stage; equal to it at every step boundary
-    /// otherwise.
-    applied_index: LogIndex,
-    /// Linearizable reads admitted at a floor above `applied_index`,
-    /// answered when the apply queue catches up (pipelined apply only).
-    reads_awaiting_apply: Vec<PendingReadAnswer>,
-    /// Running digest of the committed sequence (the simulated state
-    /// machine); captured into snapshots as the state image.
-    state_digest: u64,
+    /// The applied image of `log` (deterministic across replicas): applied
+    /// index, digest, session table, cached snapshot.
+    applied: Applied,
     role: Role,
     leader_hint: Option<NodeId>,
     config: Configuration,
@@ -254,42 +224,17 @@ pub struct FastRaftEngine {
     /// one stall triggers at most one proactive no-op broadcast.
     last_proactive_repair: LogIndex,
 
-    // ---- applied client state (deterministic across replicas) ----
-    /// Per-session exactly-once dedup table; updated while applying
-    /// committed `Write`/`Batch` entries and carried inside snapshots.
-    sessions: SessionTable,
-
     // ---- gateway (client-facing) ----
-    /// In-flight client requests submitted at this node.
+    /// In-flight client writes and registrations submitted at this node.
     client_pending: BTreeMap<(SessionId, u64), ClientOp>,
     /// `(session, seq)` → proposal id for in-flight writes.
     client_writes: HashMap<(SessionId, u64), EntryId>,
 
-    // ---- leader read path (ReadIndex; shared machinery in wire::read) ----
-    reads: ReadIndexQueue,
-
-    // ---- leader lease (quorum-free reads; shared machinery in wire::lease) ----
-    /// This engine's local clock, stamped by the embedding before each
-    /// event (see [`wire::ConsensusProtocol::set_local_clock`]). Stays
-    /// [`SimTime::ZERO`] (clockless) in purely event-driven embeddings,
-    /// which keeps every lease path inert. At the C-Raft global level the
-    /// same machinery yields the recursive lease: the "followers" granting
-    /// are the other clusters' leaders.
-    local_now: SimTime,
-    /// Leader-side grant collection (valid ⇒ linearizable reads served
-    /// locally with zero messages).
-    lease: LeaseState,
-    /// Follower-side half of the promise: refuse rival candidates while a
-    /// grant this engine emitted is still live on its own clock.
-    vote_hold: VoteHold,
+    // ---- linearizable reads: ReadIndex, lease, vote hold, local clock ----
+    reads: ReadPath,
 
     // ---- proposer ----
-    next_seq: u64,
-    /// One past the highest sequence number covered by a persisted
-    /// [`PersistCmd::ReserveProposalSeqs`]; `next_seq` never reaches it
-    /// without first extending the reservation, so recovery can restart
-    /// the counter at the persisted floor and never re-mint an id.
-    reserved_seqs: u64,
+    ids: ProposalIds,
     pending_proposals: BTreeMap<EntryId, PendingProposal>,
 
     // ---- joiner ----
@@ -378,11 +323,8 @@ impl FastRaftEngine {
             current_term: Term::ZERO,
             voted_for: None,
             log: wire::SparseLog::new(),
-            snapshot: None,
             commit_index: LogIndex::ZERO,
-            applied_index: LogIndex::ZERO,
-            reads_awaiting_apply: Vec::new(),
-            state_digest: 0,
+            applied: Applied::new(scope, &timing),
             role: Role::Follower,
             leader_hint: None,
             config,
@@ -402,15 +344,10 @@ impl FastRaftEngine {
             reconfig_queue: VecDeque::new(),
             stalled_ticks: 0,
             last_proactive_repair: LogIndex::ZERO,
-            sessions: SessionTable::new(),
             client_pending: BTreeMap::new(),
             client_writes: HashMap::new(),
-            reads: ReadIndexQueue::new(),
-            local_now: SimTime::ZERO,
-            lease: LeaseState::new(),
-            vote_hold: VoteHold::new(),
-            next_seq: 0,
-            reserved_seqs: 0,
+            reads: ReadPath::new(id, scope, &timing),
+            ids: ProposalIds::new(id, scope),
             pending_proposals: BTreeMap::new(),
             join_contacts,
             silent_elections: 0,
@@ -450,8 +387,7 @@ impl FastRaftEngine {
         // Resume the proposal counter above every persisted reservation so
         // no pre-crash `EntryId` is ever minted again (peers would dedup a
         // reused id against the *old* entry and drop the new proposal).
-        e.next_seq = proposal_seq_floor;
-        e.reserved_seqs = proposal_seq_floor;
+        e.ids = ProposalIds::resume(id, scope, proposal_seq_floor);
         if let Some(snap) = &snapshot {
             // Idempotent for a log already compacted to the snapshot; for a
             // log rebuilt some other way (C-Raft's global reconstruction) it
@@ -459,15 +395,10 @@ impl FastRaftEngine {
             log.install_snapshot(snap.last_index, snap.last_term);
             e.config = snap.config.clone();
             e.config_index = snap.last_index;
-            e.sessions = snap.sessions.clone();
-            if let Some(digest) = snap.state_digest() {
-                e.state_digest = digest;
-            }
         }
         e.log = log;
-        e.snapshot = snapshot;
         e.commit_index = e.log.compacted_through();
-        e.applied_index = e.commit_index;
+        e.applied = Applied::recover(scope, &timing, snapshot, e.commit_index);
         e.verified = e.commit_index;
         if let Some((idx, cfg)) = e.log.latest_config() {
             e.config = cfg.clone();
@@ -500,7 +431,7 @@ impl FastRaftEngine {
     /// [`wire::ConsensusProtocol::set_local_clock`]). Never stamping it
     /// leaves the engine clockless and every lease path inert.
     pub fn set_local_clock(&mut self, now: SimTime) {
-        self.local_now = now;
+        self.reads.set_local_clock(now);
     }
 
     /// Current role at this level.
@@ -527,7 +458,7 @@ impl FastRaftEngine {
     /// [`FastRaftEngine::commit_index`] except transiently under
     /// [`Timing::pipelined_apply`], between commit and the drain stage.
     pub fn applied_index(&self) -> LogIndex {
-        self.applied_index
+        self.applied.index()
     }
 
     /// The log at this level.
@@ -537,13 +468,13 @@ impl FastRaftEngine {
 
     /// The latest snapshot covering the compacted prefix, if any.
     pub fn snapshot(&self) -> Option<&Snapshot> {
-        self.snapshot.as_ref()
+        self.applied.snapshot()
     }
 
     /// Running digest of the committed sequence (the simulated state
     /// machine's state).
     pub fn state_digest(&self) -> u64 {
-        self.state_digest
+        self.applied.digest()
     }
 
     /// The configuration currently obeyed.
@@ -585,7 +516,7 @@ impl FastRaftEngine {
 
     /// The per-session exactly-once dedup table (applied state).
     pub fn sessions(&self) -> &SessionTable {
-        &self.sessions
+        self.applied.sessions()
     }
 
     /// `true` while this node is still negotiating membership.

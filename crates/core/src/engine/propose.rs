@@ -15,7 +15,7 @@ impl FastRaftEngine {
         gate: &mut dyn InsertGate,
         out: &mut Actions<FastRaftMessage>,
     ) -> EntryId {
-        let id = self.fresh_id(out);
+        let id = self.ids.fresh_id(out);
         match self.proposal_mode {
             ProposalMode::Broadcast => {
                 let index = self.pick_proposal_index();
@@ -129,9 +129,9 @@ impl FastRaftEngine {
         // commits. Once current, the refusal is exact and terminal (any
         // same-pair placement still in the log under another proposal id
         // is skipped by the same apply-time check).
-        if self.timing.session_ttl > 0 && self.applied_session_state_current() {
+        if self.applied_session_state_current() {
             if let Some((session, seq)) = entry.payload.session_key() {
-                if self.sessions.is_expired_retry(session, seq) {
+                if self.applied.is_expired_retry(session, seq) {
                     self.respond_client(
                         entry.id.proposer,
                         session,
@@ -190,7 +190,7 @@ impl FastRaftEngine {
         let Some((session, seq)) = entry.payload.session_key() else {
             return false;
         };
-        if let Some(first_index) = self.sessions.duplicate_of(session, seq) {
+        if let Some(first_index) = self.applied.sessions().duplicate_of(session, seq) {
             self.respond_client(
                 entry.id.proposer,
                 session,
@@ -245,14 +245,15 @@ impl FastRaftEngine {
         self.log.last_index().max(self.commit_index).next()
     }
 
-    fn broadcast_proposal(
+    /// Sends proposal `id` to every peer as `ProposeAt { index }` and returns
+    /// the self-approved entry, for the proposer's own insert + vote.
+    fn send_propose_at(
         &mut self,
         id: EntryId,
         payload: Payload,
         index: LogIndex,
-        gate: &mut dyn InsertGate,
         out: &mut Actions<FastRaftMessage>,
-    ) {
+    ) -> LogEntry {
         let entry = LogEntry {
             term: self.current_term,
             id,
@@ -267,9 +268,45 @@ impl FastRaftEngine {
                 entry: entry.clone(),
             },
         );
+        entry
+    }
+
+    pub(super) fn broadcast_proposal(
+        &mut self,
+        id: EntryId,
+        payload: Payload,
+        index: LogIndex,
+        gate: &mut dyn InsertGate,
+        out: &mut Actions<FastRaftMessage>,
+    ) {
+        let entry = self.send_propose_at(id, payload, index, out);
         // The proposer is itself a site: run the follower insert+vote path
         // locally.
         self.on_propose_at(self.id, index, entry, gate, out);
+    }
+
+    /// Re-broadcasts pending proposal `id` at `index` and re-votes locally
+    /// (ungated: slot content was already gated when first inserted;
+    /// occupied slots vote without insert).
+    fn rebroadcast_proposal(
+        &mut self,
+        id: EntryId,
+        payload: Payload,
+        index: LogIndex,
+        out: &mut Actions<FastRaftMessage>,
+    ) {
+        if let Some(p) = self.pending_proposals.get_mut(&id) {
+            p.index = index;
+        }
+        let entry = self.send_propose_at(id, payload, index, out);
+        if self.log.get(index).is_none() {
+            // Rare on a retry: our slot was truncated. Reinsert through the
+            // normal path; a no-op gate race here simply re-runs the gate.
+            let mut proceed = crate::gate::ProceedGate;
+            self.on_propose_at(self.id, index, entry, &mut proceed, out);
+        } else {
+            self.send_vote_for_slot(index, out);
+        }
     }
 
     /// Event-driven re-targeting: when the log commits past a pending
@@ -293,50 +330,12 @@ impl FastRaftEngine {
             .collect();
         for (id, payload) in lost {
             let index = self.pick_proposal_index();
-            if let Some(p) = self.pending_proposals.get_mut(&id) {
-                p.index = index;
-            }
-            let entry = LogEntry {
-                term: self.current_term,
-                id,
-                payload,
-                approval: Approval::SelfApproved,
-            };
-            let peers: Vec<NodeId> = self.config.peers(self.id).collect();
-            out.send_many(
-                peers,
-                FastRaftMessage::ProposeAt {
-                    index,
-                    entry: entry.clone(),
-                },
-            );
-            if self.log.get(index).is_none() {
-                let mut proceed = crate::gate::ProceedGate;
-                self.on_propose_at(self.id, index, entry, &mut proceed, out);
-            } else {
-                self.send_vote_for_slot(index, out);
-            }
+            self.rebroadcast_proposal(id, payload, index, out);
         }
     }
 
     pub(super) fn retry_proposals(&mut self, out: &mut Actions<FastRaftMessage>) {
         if self.pending_proposals.is_empty() {
-            return;
-        }
-        if self.proposal_mode == ProposalMode::LeaderForward {
-            let pendings: Vec<(EntryId, Payload)> = self
-                .pending_proposals
-                .iter()
-                .map(|(id, p)| (*id, p.payload.clone()))
-                .collect();
-            for (id, payload) in pendings {
-                let mut proceed = crate::gate::ProceedGate;
-                self.forward_proposal(id, payload, &mut proceed, out);
-            }
-            out.set_timer(
-                self.timers.map(TimerKind::ProposalRetry),
-                self.timing.proposal_timeout,
-            );
             return;
         }
         let pendings: Vec<(EntryId, Payload, LogIndex)> = self
@@ -345,37 +344,16 @@ impl FastRaftEngine {
             .map(|(id, p)| (*id, p.payload.clone(), p.index))
             .collect();
         for (id, payload, old_index) in pendings {
+            if self.proposal_mode == ProposalMode::LeaderForward {
+                let mut proceed = crate::gate::ProceedGate;
+                self.forward_proposal(id, payload, &mut proceed, out);
+                continue;
+            }
             // If our entry still occupies its slot, re-gather votes for the
             // same index; if it was overwritten, re-target a fresh index.
             let keep = self.log.get(old_index).is_some_and(|e| e.id == id);
             let index = if keep { old_index } else { self.pick_proposal_index() };
-            if let Some(p) = self.pending_proposals.get_mut(&id) {
-                p.index = index;
-            }
-            let entry = LogEntry {
-                term: self.current_term,
-                id,
-                payload,
-                approval: Approval::SelfApproved,
-            };
-            let peers: Vec<NodeId> = self.config.peers(self.id).collect();
-            out.send_many(
-                peers,
-                FastRaftMessage::ProposeAt {
-                    index,
-                    entry: entry.clone(),
-                },
-            );
-            // Re-vote locally as well (ungated: slot content already gated
-            // when first inserted; occupied slots vote without insert).
-            if self.log.get(index).is_none() {
-                // Rare: our slot was truncated. Reinsert through the normal
-                // path; a no-op gate race here simply re-runs the gate.
-                let mut proceed = crate::gate::ProceedGate;
-                self.on_propose_at(self.id, index, entry, &mut proceed, out);
-            } else {
-                self.send_vote_for_slot(index, out);
-            }
+            self.rebroadcast_proposal(id, payload, index, out);
         }
         out.set_timer(
             self.timers.map(TimerKind::ProposalRetry),

@@ -292,7 +292,7 @@ impl FastRaftEngine {
         if leader_commit > self.commit_index {
             let target = leader_commit.min(match_index);
             if target > self.commit_index {
-                self.commit_through_follower(target, out);
+                self.commit_through(target, None, out);
             }
         }
         out.send(
@@ -305,22 +305,9 @@ impl FastRaftEngine {
                 // Grant stamped at reply time, not receive time: a gated
                 // (deferred) ack that resolves later simply carries a
                 // fresher promise.
-                lease_until: self.emit_lease_grant(from),
+                lease_until: self.reads.emit_lease_grant(from),
             },
         );
-    }
-
-    /// Follower-side lease grant riding an append ack: a promise not to
-    /// vote for anyone but `leader` before `now + lease_duration` on this
-    /// engine's clock, enforced locally via [`VoteHold`]. Returns
-    /// [`SimTime::ZERO`] (no grant) when clockless or leases are disabled.
-    fn emit_lease_grant(&mut self, leader: NodeId) -> SimTime {
-        if self.local_now == SimTime::ZERO || self.timing.lease_duration.is_zero() {
-            return SimTime::ZERO;
-        }
-        let until = self.local_now + self.timing.lease_duration;
-        self.vote_hold.note_grant(leader, until);
-        until
     }
 
     pub(super) fn finish_append_ack(&mut self, st: AckState, out: &mut Actions<FastRaftMessage>) {
@@ -358,21 +345,7 @@ impl FastRaftEngine {
         if self.role != Role::Leader || term < self.current_term {
             return;
         }
-        // Collect the follower's lease grant. A rejected grant means the
-        // granter's clock runs ahead beyond the modeled bound: the lease
-        // quietly degrades to the ReadIndex fallback rather than counting
-        // an unsound promise.
-        if !self.lease.record_grant(
-            from,
-            lease_until,
-            self.local_now,
-            self.timing.lease_duration,
-            self.timing.max_clock_skew,
-        ) {
-            out.observe(Observation::MessageIgnored {
-                reason: "lease grant beyond clock-skew bound",
-            });
-        }
+        self.reads.record_grant(from, lease_until, out);
         if success {
             // match_index is monotone (acked entries are persisted at the
             // follower), but nextIndex follows the ack exactly: a follower
@@ -386,9 +359,8 @@ impl FastRaftEngine {
             self.maybe_finish_join(from, out);
             self.advance_commit_classic(out);
             self.maybe_proactive_repair(match_index, out);
-            // A current-term ack confirms leadership for ReadIndex rounds
-            // registered at or before the echoed probe.
-            self.note_read_ack(from, probe, out);
+            self.reads
+                .note_read_ack(from, probe, self.applied.index(), &self.config, out);
         } else {
             // Stale-term rejection carries no hint; rewind to the commit
             // point so the next dispatch re-sends the suffix.
@@ -430,7 +402,7 @@ impl FastRaftEngine {
             k = k.prev();
         }
         if k > self.commit_index {
-            self.commit_through(k, false, out);
+            self.commit_through(k, Some(false), out);
         }
     }
 }

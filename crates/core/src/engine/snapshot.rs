@@ -7,85 +7,19 @@ impl FastRaftEngine {
     // Snapshots + log compaction
     // ------------------------------------------------------------------
 
-    /// Compacts the committed prefix into a snapshot once its retained
-    /// length exceeds [`Timing::snapshot_threshold`]. Every role compacts —
-    /// the committed prefix is immutable everywhere — so per-site log
-    /// residency stays bounded, not just the leader's. Compaction never
-    /// crosses a hole (the committed prefix is contiguous by construction,
-    /// and [`wire::SparseLog::compact_to`] clamps regardless).
+    /// Compacts the applied prefix into a snapshot once it outgrows
+    /// [`Timing::snapshot_threshold`] (see [`Applied::maybe_compact`]).
     pub(super) fn maybe_compact(&mut self, out: &mut Actions<FastRaftMessage>) {
-        let threshold = self.timing.snapshot_threshold;
-        if threshold == 0 {
-            return;
-        }
-        let horizon = self.log.compacted_through();
-        // Compaction is bounded by the *applied* prefix, not the committed
-        // one: the snapshot captures digest + session table, which are
-        // apply-time state. Inline, applied == committed here; pipelined,
-        // compaction simply runs at the drain stage.
-        let retained_decided = self.applied_index.as_u64().saturating_sub(horizon.as_u64());
-        if retained_decided <= threshold {
-            return;
-        }
-        let through = self.applied_index;
-        let snapshot = Snapshot {
-            scope: self.scope,
-            last_index: through,
-            last_term: self.log.term_at(through),
-            config: self.config_for_snapshot(through),
-            state: Snapshot::digest_state(self.state_digest),
-            sessions: self.sessions.clone(),
-        };
-        out.persist(PersistCmd::InstallSnapshot {
-            snapshot: snapshot.clone(),
-        });
-        let new_horizon = self.log.compact_to(through);
-        debug_assert_eq!(new_horizon, through, "committed prefix must be contiguous");
-        self.snapshot = Some(snapshot);
-        out.observe(Observation::LogCompacted {
-            scope: self.scope,
-            through,
-            retained: self.log.len(),
-        });
+        self.applied
+            .maybe_compact(&mut self.log, &self.config, self.config_index, out);
     }
 
-    /// The configuration in force at `through`: the current configuration
-    /// when its entry sits at or below the cut, otherwise the newest config
-    /// entry inside the retained prefix (falling back to the previous
-    /// snapshot's, then the current configuration).
-    fn config_for_snapshot(&self, through: LogIndex) -> Configuration {
-        if self.config_index <= through {
-            return self.config.clone();
-        }
-        let mut cfg = self.snapshot.as_ref().map(|s| s.config.clone());
-        for (_, e) in self.log.range(self.log.first_index(), through) {
-            if let Some(c) = e.as_config() {
-                cfg = Some(c.clone());
-            }
-        }
-        cfg.unwrap_or_else(|| self.config.clone())
-    }
-
-    /// The snapshot to serve laggards: the cached one (compaction refreshes
-    /// it), synthesized from the log's horizon if a recovery path lost it.
+    /// The snapshot to serve laggards (see [`Applied::current_snapshot`]).
     /// Public so the C-Raft layer can cache the global engine's snapshot
     /// across deactivation.
     pub fn current_snapshot(&self) -> Option<Snapshot> {
-        let horizon = self.log.compacted_through();
-        if horizon.is_zero() {
-            return None;
-        }
-        match &self.snapshot {
-            Some(s) if s.last_index == horizon => Some(s.clone()),
-            _ => Some(Snapshot {
-                scope: self.scope,
-                last_index: horizon,
-                last_term: self.log.compacted_term(),
-                config: self.config_for_snapshot(horizon),
-                state: Snapshot::digest_state(self.state_digest),
-                sessions: self.sessions.clone(),
-            }),
-        }
+        self.applied
+            .current_snapshot(&self.log, &self.config, self.config_index)
     }
 
     /// Laggard side of a snapshot transfer (§IV-D catch-up): replace the
@@ -165,31 +99,31 @@ impl FastRaftEngine {
         if self.config_index <= last_index || self.log.get(self.config_index).is_none() {
             self.adopt_config(snapshot.config.clone(), last_index, out);
         }
-        if let Some(digest) = snapshot.state_digest() {
-            self.state_digest = digest;
-        }
-        // Adopt the applied session state: the snapshot's table covers
-        // strictly more commits than ours (last_index > old commit). The
-        // apply pipeline fast-forwards with it — the snapshot state already
-        // subsumes any queued-but-undrained range, whose entries the
-        // install just discarded.
-        self.sessions = snapshot.sessions.clone();
+        // The snapshot's applied state covers strictly more commits than
+        // ours (last_index > old commit).
+        self.applied.adopt(snapshot);
         self.commit_index = last_index;
-        self.applied_index = last_index;
         self.verified = self.verified.max(last_index);
         if last_index > self.last_leader_index {
             self.last_leader_index = last_index;
         }
         self.possible.release_through(last_index);
-        self.snapshot = Some(snapshot);
         out.observe(Observation::SnapshotInstalled {
             scope: self.scope,
             last_index,
         });
         // Gateway sweep: writes submitted here whose application the
         // install fast-forwarded past must still be answered.
-        self.sweep_client_pending(out);
-        self.release_applied_reads(out);
+        for (session, seq, _, first_index) in self.applied.sweep_client_pending(&self.client_writes)
+        {
+            let register = matches!(
+                self.client_pending.get(&(session, seq)),
+                Some(ClientOp::Register)
+            );
+            let outcome = replica::covered_outcome(register, session, first_index);
+            self.respond_client(self.id, session, seq, outcome, out);
+        }
+        self.reads.release_applied_reads(last_index, out);
         self.retarget_lost_proposals(out);
         out.send(
             from,

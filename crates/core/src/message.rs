@@ -437,6 +437,16 @@ impl Message for FastRaftMessage {
     }
 }
 
+impl raft::replica::ClientReplyMessage for FastRaftMessage {
+    fn client_reply(session: SessionId, seq: u64, outcome: ClientOutcome) -> Self {
+        FastRaftMessage::ClientReply {
+            session,
+            seq,
+            outcome,
+        }
+    }
+}
+
 /// C-Raft traffic: Fast Raft messages tagged with the consensus level they
 /// belong to (§V-B: sites hold state for both levels).
 #[derive(Clone, Debug, PartialEq, Eq)]

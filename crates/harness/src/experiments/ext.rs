@@ -63,7 +63,7 @@ pub fn batch_sweep(seed: u64, batch_sizes: &[usize], secs: u64) -> BatchSweepRes
         let craft = CRaftScenario {
             clusters,
             batch_size,
-            max_batch_bytes: Timing::wan().max_bytes_per_append,
+            max_batch_bytes: wire::MAX_BYTES_PER_APPEND,
             global_snapshot_threshold: Timing::wan().snapshot_threshold,
             global_timing: Timing::wan(),
             global_proposal_mode: consensus_core::ProposalMode::LeaderForward,

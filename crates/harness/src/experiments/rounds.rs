@@ -42,7 +42,6 @@ pub fn run(seed: u64, commits: u64) -> RoundsResult {
         member_timeout_beats: 2000,
         hole_fill_ticks: 500,
         max_entries_per_append: 128,
-        max_bytes_per_append: 64 * 1024,
         snapshot_threshold: 1024,
         session_ttl: 0,
         // Leases disabled: this experiment measures write commit hops and

@@ -336,7 +336,7 @@ impl CRaftScenario {
         CRaftScenario {
             clusters,
             batch_size: 10,
-            max_batch_bytes: Timing::wan().max_bytes_per_append,
+            max_batch_bytes: wire::MAX_BYTES_PER_APPEND,
             global_snapshot_threshold: Timing::wan().snapshot_threshold,
             global_timing: Timing::wan(),
             global_proposal_mode: consensus_core::ProposalMode::LeaderForward,

@@ -65,7 +65,7 @@ fn craft_commits_globally() {
         &CRaftScenario {
             clusters: 2,
             batch_size: 3,
-            max_batch_bytes: Timing::wan().max_bytes_per_append,
+            max_batch_bytes: wire::MAX_BYTES_PER_APPEND,
             global_snapshot_threshold: Timing::wan().snapshot_threshold,
             global_timing: Timing::wan(),
             global_proposal_mode: consensus_core::ProposalMode::LeaderForward,

@@ -38,6 +38,7 @@
 
 mod message;
 mod node;
+pub mod replica;
 pub mod testkit;
 mod timing;
 

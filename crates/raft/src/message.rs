@@ -337,6 +337,16 @@ impl Message for RaftMessage {
     }
 }
 
+impl crate::replica::ClientReplyMessage for RaftMessage {
+    fn client_reply(session: SessionId, seq: u64, outcome: ClientOutcome) -> Self {
+        RaftMessage::ClientReply {
+            session,
+            seq,
+            outcome,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

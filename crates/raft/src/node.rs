@@ -23,19 +23,14 @@ use bytes::Bytes;
 use des::{SimRng, SimTime};
 use storage::StableState;
 use wire::{
-    fold_commit_digest, fold_session_digest, session_state_current, Actions, ClientOp,
-    ClientOutcome, ClientRequest,
-    Configuration, Consistency, ConsensusProtocol, EntryId, EntryList, LeaseState, LogEntry,
-    LogIndex, LogScope, NodeId, Observation, Payload, PersistCmd, ReadIndexQueue, SessionApply,
-    SessionId, SessionTable, Snapshot, SparseLog, Term, TimerKind, VoteHold, MAX_INSERT_WINDOW,
+    Actions, ClientOp, ClientOutcome, ClientRequest, Configuration, Consistency,
+    ConsensusProtocol, EntryId, EntryList, LogEntry, LogIndex, LogScope, NodeId, Observation,
+    Payload, PersistCmd, SessionId, SessionTable, Snapshot, SparseLog, Term, TimerKind,
+    MAX_INSERT_WINDOW,
 };
 
+use crate::replica::{self, Applied, ProposalIds, ReadPath};
 use crate::{RaftMessage, Timing};
-
-/// Proposal-sequence numbers are reserved in stable storage in blocks of
-/// this size (one write-ahead command per block, not per proposal). A crash
-/// discards at most one partial block of unused ids.
-const SEQ_RESERVE_BLOCK: u64 = 64;
 
 /// The role a site currently plays (§III-A).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,19 +58,6 @@ impl std::fmt::Display for NotLeader {
 
 impl std::error::Error for NotLeader {}
 
-/// A linearizable read already admitted at a commit floor the state machine
-/// has not caught up to yet (pipelined apply only): the floor is safe — it
-/// was captured under lease or ReadIndex confirmation — but answering before
-/// the apply queue reaches it would let the client observe state older than
-/// its admission point.
-#[derive(Clone, Debug)]
-struct PendingReadAnswer {
-    reply_to: NodeId,
-    session: SessionId,
-    seq: u64,
-    floor: LogIndex,
-}
-
 /// A session-tagged client write traveling through the gateway's retry
 /// machinery until its commit is observed.
 #[derive(Clone, Debug)]
@@ -100,23 +82,12 @@ pub struct RaftNode {
     current_term: Term,
     voted_for: Option<NodeId>,
     log: SparseLog,
-    /// Latest snapshot covering the compacted log prefix, served to
-    /// followers whose `nextIndex` fell below `log.first_index()`.
-    snapshot: Option<Snapshot>,
 
     // ---- volatile state ----
     commit_index: LogIndex,
-    /// Highest index applied to the state machine. Trails `commit_index`
-    /// only under [`Timing::pipelined_apply`], between a commit advancement
-    /// and the embedding's drain stage; equal to it at every step boundary
-    /// otherwise.
-    applied_index: LogIndex,
-    /// Linearizable reads admitted at a floor above `applied_index`,
-    /// answered when the apply queue catches up (pipelined apply only).
-    reads_awaiting_apply: Vec<PendingReadAnswer>,
-    /// Running digest of the committed sequence (the simulated state
-    /// machine); captured into snapshots as the state image.
-    state_digest: u64,
+    /// The applied image of `log` (deterministic across replicas): applied
+    /// index, digest, session table, cached snapshot.
+    applied: Applied,
     role: Role,
     leader_hint: Option<NodeId>,
     /// Last configuration *inserted* into the log (§III-A).
@@ -132,41 +103,16 @@ pub struct RaftNode {
     /// Catch-up (non-voting) members being prepared to join.
     learners: BTreeSet<NodeId>,
 
-    // ---- applied client state (deterministic across replicas) ----
-    /// Per-session exactly-once dedup table; updated while applying
-    /// committed `Payload::Write` entries and carried inside snapshots.
-    sessions: SessionTable,
-
     // ---- gateway (client-facing) state ----
-    next_seq: u64,
-    /// One past the highest sequence number covered by a persisted
-    /// [`PersistCmd::ReserveProposalSeqs`]; `next_seq` never reaches it
-    /// without first extending the reservation, so recovery restarts the
-    /// counter above every id this site may ever have sent.
-    reserved_seqs: u64,
+    ids: ProposalIds,
     /// In-flight session writes submitted at this node, by proposal id.
     pending: BTreeMap<EntryId, PendingWrite>,
     /// `(session, seq)` → proposal id for in-flight writes (client retry
     /// idempotence at the gateway).
     client_writes: HashMap<(SessionId, u64), EntryId>,
-    /// In-flight linearizable reads submitted at this node.
-    client_reads: BTreeSet<(SessionId, u64)>,
 
-    // ---- leader read path (ReadIndex; shared machinery in wire::read) ----
-    reads: ReadIndexQueue,
-
-    // ---- leader lease (quorum-free reads; shared machinery in wire::lease) ----
-    /// This node's local clock, stamped by the embedding before each event
-    /// via [`ConsensusProtocol::set_local_clock`]. Stays [`SimTime::ZERO`]
-    /// (clockless) in purely event-driven embeddings, which keeps every
-    /// lease path inert.
-    local_now: SimTime,
-    /// Leader-side grant collection (valid ⇒ linearizable reads served
-    /// locally with zero messages).
-    lease: LeaseState,
-    /// Follower-side half of the promise: refuse rival candidates while a
-    /// grant this node emitted is still live on its own clock.
-    vote_hold: VoteHold,
+    // ---- linearizable reads: ReadIndex, lease, vote hold, local clock ----
+    reads: ReadPath,
 
     // ---- leader bookkeeping ----
     /// Where each known proposal id sits in our log (dedup + notification).
@@ -195,11 +141,8 @@ impl RaftNode {
             current_term: Term::ZERO,
             voted_for: None,
             log: SparseLog::new(),
-            snapshot: None,
             commit_index: LogIndex::ZERO,
-            applied_index: LogIndex::ZERO,
-            reads_awaiting_apply: Vec::new(),
-            state_digest: 0,
+            applied: Applied::new(LogScope::Global, &timing),
             role: Role::Follower,
             leader_hint: None,
             config: bootstrap,
@@ -208,16 +151,10 @@ impl RaftNode {
             next_index: BTreeMap::new(),
             match_index: BTreeMap::new(),
             learners: BTreeSet::new(),
-            sessions: SessionTable::new(),
-            next_seq: 0,
-            reserved_seqs: 0,
+            ids: ProposalIds::new(id, LogScope::Global),
             pending: BTreeMap::new(),
             client_writes: HashMap::new(),
-            client_reads: BTreeSet::new(),
-            reads: ReadIndexQueue::new(),
-            local_now: SimTime::ZERO,
-            lease: LeaseState::new(),
-            vote_hold: VoteHold::new(),
+            reads: ReadPath::new(id, LogScope::Global, &timing),
             id_index: HashMap::new(),
         }
     }
@@ -239,17 +176,17 @@ impl RaftNode {
         // Snapshot-aware recovery: the snapshot's prefix is known committed
         // and already applied, so the commit index resumes at the compaction
         // horizon instead of replaying (now unavailable) history.
-        node.snapshot = stable.global.snapshot.clone();
         node.commit_index = node.log.compacted_through();
-        node.applied_index = node.commit_index;
-        if let Some(snap) = &node.snapshot {
+        if let Some(snap) = &stable.global.snapshot {
             node.config = snap.config.clone();
             node.config_index = snap.last_index;
-            node.sessions = snap.sessions.clone();
-            if let Some(digest) = snap.state_digest() {
-                node.state_digest = digest;
-            }
         }
+        node.applied = Applied::recover(
+            LogScope::Global,
+            &timing,
+            stable.global.snapshot.clone(),
+            node.commit_index,
+        );
         if let Some((idx, cfg)) = node.log.latest_config() {
             node.config = cfg.clone();
             node.config_index = idx;
@@ -260,8 +197,7 @@ impl RaftNode {
         // Resume the proposal counter above every persisted reservation:
         // re-minting a pre-crash id would hit the peers' id-dedup and
         // silently answer the *old* entry's commit for the new proposal.
-        node.next_seq = stable.global.proposal_seq_floor;
-        node.reserved_seqs = stable.global.proposal_seq_floor;
+        node.ids = ProposalIds::resume(id, LogScope::Global, stable.global.proposal_seq_floor);
         node
     }
 
@@ -284,7 +220,7 @@ impl RaftNode {
     /// [`RaftNode::commit_index`] except transiently under
     /// [`Timing::pipelined_apply`], between commit and the drain stage.
     pub fn applied_index(&self) -> LogIndex {
-        self.applied_index
+        self.applied.index()
     }
 
     /// The replicated log (read-only).
@@ -294,13 +230,13 @@ impl RaftNode {
 
     /// The latest snapshot covering the compacted prefix, if any.
     pub fn snapshot(&self) -> Option<&Snapshot> {
-        self.snapshot.as_ref()
+        self.applied.snapshot()
     }
 
     /// Running digest of the committed sequence (the simulated state
     /// machine's state).
     pub fn state_digest(&self) -> u64 {
-        self.state_digest
+        self.applied.digest()
     }
 
     /// The configuration this node currently obeys.
@@ -320,7 +256,7 @@ impl RaftNode {
 
     /// The per-session exactly-once dedup table (applied state).
     pub fn sessions(&self) -> &SessionTable {
-        &self.sessions
+        self.applied.sessions()
     }
 
     // ------------------------------------------------------------------
@@ -371,7 +307,7 @@ impl RaftNode {
             self.config.diff_is_single_change(&new_config),
             "configuration change must add or remove at most one site"
         );
-        let id = self.fresh_id(out);
+        let id = self.ids.fresh_id(out);
         let entry = LogEntry::config(self.current_term, id, new_config);
         self.leader_append(entry, out);
         Ok(id)
@@ -381,30 +317,8 @@ impl RaftNode {
     // Internals
     // ------------------------------------------------------------------
 
-    /// Mints a proposal id, extending the persisted sequence reservation
-    /// when the current block runs out. The reservation is write-ahead —
-    /// durable before any message carrying the id leaves this site — so a
-    /// recovered node (see [`RaftNode::recover`]) never re-mints an id a
-    /// peer might still hold in its dedup index.
-    fn fresh_id(&mut self, out: &mut Actions<RaftMessage>) -> EntryId {
-        if self.next_seq >= self.reserved_seqs {
-            self.reserved_seqs = self.next_seq + SEQ_RESERVE_BLOCK;
-            out.persist(PersistCmd::ReserveProposalSeqs {
-                scope: LogScope::Global,
-                through: self.reserved_seqs,
-            });
-        }
-        let id = EntryId::new(self.id, self.next_seq);
-        self.next_seq += 1;
-        id
-    }
-
     fn persist_term_vote(&self, out: &mut Actions<RaftMessage>) {
-        out.persist(PersistCmd::SetTermVote {
-            scope: LogScope::Global,
-            term: self.current_term,
-            voted_for: self.voted_for,
-        });
+        replica::persist_term_vote(LogScope::Global, self.current_term, self.voted_for, out);
     }
 
     fn insert_entry(&mut self, index: LogIndex, entry: LogEntry, out: &mut Actions<RaftMessage>) {
@@ -465,12 +379,7 @@ impl RaftNode {
         out: &mut Actions<RaftMessage>,
     ) {
         let was_leader = self.role == Role::Leader;
-        // Leadership (or the term it was confirmed under) is gone: any read
-        // still awaiting its ReadIndex confirmation must not be answered,
-        // and collected lease grants are void (they promised a quorum for
-        // *this* leadership).
-        self.fail_pending_reads(out);
-        self.lease.clear();
+        self.reads.fail_pending_reads(out);
         if term > self.current_term {
             self.current_term = term;
             self.voted_for = None;
@@ -491,8 +400,7 @@ impl RaftNode {
     }
 
     fn reset_election_timer(&mut self, out: &mut Actions<RaftMessage>) {
-        let timeout = self.timing.election_timeout(&mut self.rng);
-        out.set_timer(TimerKind::Election, timeout);
+        replica::reset_election_timer(&self.timing, &mut self.rng, TimerKind::Election, out);
     }
 
     fn start_election(&mut self, out: &mut Actions<RaftMessage>) {
@@ -547,19 +455,7 @@ impl RaftNode {
         out.observe(Observation::BecameLeader {
             term: self.current_term,
         });
-        // Arm the lease behind the new-leader barrier: a lease the deposed
-        // leader could still be serving under expires within
-        // `lease_duration + max_clock_skew` of this instant (its newest
-        // grant predates this election win), so waiting that window out
-        // before serving lease reads makes the handover safe even against
-        // grants this node never saw. Inert while clockless or disabled.
-        self.lease.clear();
-        if !self.timing.lease_duration.is_zero() {
-            self.lease.enable_after(
-                self.local_now,
-                self.timing.lease_duration + self.timing.max_clock_skew,
-            );
-        }
+        self.reads.arm_lease();
         let start = self.log.last_index().next();
         self.next_index.clear();
         self.match_index.clear();
@@ -569,7 +465,7 @@ impl RaftNode {
         }
         // Standard practice (Raft dissertation §6.4): commit a no-op of the
         // new term so earlier-term entries become committable.
-        let id = self.fresh_id(out);
+        let id = self.ids.fresh_id(out);
         let noop = LogEntry::noop(self.current_term, id);
         self.leader_append(noop, out);
         out.cancel_timer(TimerKind::Election);
@@ -603,7 +499,10 @@ impl RaftNode {
             // compacted prefix as a snapshot instead (its ack moves
             // nextIndex above the horizon and replication resumes normally).
             if next < self.log.first_index() {
-                if let Some(snapshot) = self.current_snapshot() {
+                if let Some(snapshot) =
+                    self.applied
+                        .current_snapshot(&self.log, &self.config, self.config_index)
+                {
                     for peer in peers {
                         out.send(
                             peer,
@@ -638,27 +537,6 @@ impl RaftNode {
                     },
                 );
             }
-        }
-    }
-
-    /// The snapshot to serve laggards: the cached one (always current —
-    /// compaction refreshes it), synthesized from the log's horizon if a
-    /// recovery somehow lost it.
-    fn current_snapshot(&self) -> Option<Snapshot> {
-        let horizon = self.log.compacted_through();
-        if horizon.is_zero() {
-            return None;
-        }
-        match &self.snapshot {
-            Some(s) if s.last_index == horizon => Some(s.clone()),
-            _ => Some(Snapshot {
-                scope: LogScope::Global,
-                last_index: horizon,
-                last_term: self.log.compacted_term(),
-                config: self.config_for_snapshot(horizon),
-                state: Snapshot::digest_state(self.state_digest),
-                sessions: self.sessions.clone(),
-            }),
         }
     }
 
@@ -708,157 +586,26 @@ impl RaftNode {
     /// apply, proposer/gateway notifications, commit records, compaction,
     /// and the release of reads whose floor the state machine just reached.
     fn apply_to_commit(&mut self, out: &mut Actions<RaftMessage>) {
-        while self.applied_index < self.commit_index {
-            let k = self.applied_index.next();
+        while self.applied.index() < self.commit_index {
+            let k = self.applied.index().next();
             if let Some(entry) = self.log.get(k).cloned() {
-                self.state_digest = fold_commit_digest(self.state_digest, k, entry.id);
+                self.applied.fold_commit(k, entry.id);
                 if entry.payload.is_config() {
                     out.observe(Observation::ConfigCommitted {
                         members: entry.as_config().map(Configuration::len).unwrap_or(0),
                     });
                 }
                 self.apply_committed_entry(k, &entry, out);
-                self.evict_idle_sessions(k, out);
+                self.applied.evict_idle_sessions(k, out);
                 out.commit(LogScope::Global, k, entry);
             }
-            self.applied_index = k;
+            self.applied.mark_applied(k);
         }
-        self.maybe_compact(out);
-        self.release_applied_reads(out);
-    }
-
-    /// Answers queued linearizable reads whose admission floor the applied
-    /// state now covers (pipelined apply only; a no-op inline, where reads
-    /// are never queued).
-    fn release_applied_reads(&mut self, out: &mut Actions<RaftMessage>) {
-        if self.reads_awaiting_apply.is_empty() {
-            return;
-        }
-        let applied = self.applied_index;
-        let ready: Vec<PendingReadAnswer> = {
-            let (ready, waiting) = std::mem::take(&mut self.reads_awaiting_apply)
-                .into_iter()
-                .partition(|r| r.floor <= applied);
-            self.reads_awaiting_apply = waiting;
-            ready
-        };
-        for r in ready {
-            self.respond_client(
-                r.reply_to,
-                r.session,
-                r.seq,
-                ClientOutcome::ReadOk {
-                    scope: LogScope::Global,
-                    commit_floor: r.floor,
-                },
-                out,
-            );
-        }
-    }
-
-    /// Emits a linearizable read's answer — immediately when the applied
-    /// state already covers the admission floor (always true inline), queued
-    /// behind the apply pipeline otherwise, so the client can never observe
-    /// state older than the floor its read was admitted at.
-    fn answer_read(
-        &mut self,
-        reply_to: NodeId,
-        session: SessionId,
-        seq: u64,
-        floor: LogIndex,
-        out: &mut Actions<RaftMessage>,
-    ) {
-        if floor <= self.applied_index {
-            self.respond_client(
-                reply_to,
-                session,
-                seq,
-                ClientOutcome::ReadOk {
-                    scope: LogScope::Global,
-                    commit_floor: floor,
-                },
-                out,
-            );
-        } else {
-            self.reads_awaiting_apply.push(PendingReadAnswer {
-                reply_to,
-                session,
-                seq,
-                floor,
-            });
-        }
-    }
-
-    /// Deterministic session expiry (per committed index, in committed log
-    /// distance): every replica applies the identical eviction sequence, so
-    /// the digest fold keeps snapshots convergent.
-    fn evict_idle_sessions(&mut self, at: LogIndex, out: &mut Actions<RaftMessage>) {
-        for session in self.sessions.evict_idle(at, self.timing.session_ttl) {
-            self.state_digest = wire::fold_session_evicted(self.state_digest, session);
-            out.observe(Observation::SessionEvicted {
-                scope: LogScope::Global,
-                session,
-                at,
-            });
-        }
-    }
-
-    /// Compacts the committed prefix into a snapshot once its retained
-    /// length exceeds [`Timing::snapshot_threshold`]. Every role compacts —
-    /// the committed prefix is immutable everywhere — so per-site log
-    /// residency stays bounded, not just the leader's.
-    fn maybe_compact(&mut self, out: &mut Actions<RaftMessage>) {
-        let threshold = self.timing.snapshot_threshold;
-        if threshold == 0 {
-            return;
-        }
-        let horizon = self.log.compacted_through();
-        // Compaction is bounded by the *applied* prefix, not the committed
-        // one: the snapshot captures digest + session table, which are
-        // apply-time state. Inline, applied == committed here; pipelined,
-        // compaction simply runs at the drain stage.
-        let retained_decided = self.applied_index.as_u64().saturating_sub(horizon.as_u64());
-        if retained_decided <= threshold {
-            return;
-        }
-        // Classic Raft logs are dense, so the whole decided prefix is
-        // contiguous; compact_to would clamp at a hole regardless.
-        let through = self.applied_index;
-        let snapshot = Snapshot {
-            scope: LogScope::Global,
-            last_index: through,
-            last_term: self.log.term_at(through),
-            config: self.config_for_snapshot(through),
-            state: Snapshot::digest_state(self.state_digest),
-            sessions: self.sessions.clone(),
-        };
-        out.persist(PersistCmd::InstallSnapshot {
-            snapshot: snapshot.clone(),
-        });
-        self.log.compact_to(through);
-        self.snapshot = Some(snapshot);
-        out.observe(Observation::LogCompacted {
-            scope: LogScope::Global,
-            through,
-            retained: self.log.len(),
-        });
-    }
-
-    /// The configuration in force at `through`: the current configuration
-    /// when its entry sits at or below the cut, otherwise the newest config
-    /// entry inside the retained prefix (falling back to the previous
-    /// snapshot's, then the bootstrap configuration).
-    fn config_for_snapshot(&self, through: LogIndex) -> Configuration {
-        if self.config_index <= through {
-            return self.config.clone();
-        }
-        let mut cfg = self.snapshot.as_ref().map(|s| s.config.clone());
-        for (_, e) in self.log.range(self.log.first_index(), through) {
-            if let Some(c) = e.as_config() {
-                cfg = Some(c.clone());
-            }
-        }
-        cfg.unwrap_or_else(|| self.config.clone())
+        // Classic Raft logs are dense, so the whole applied prefix is
+        // contiguous and compactable.
+        self.applied
+            .maybe_compact(&mut self.log, &self.config, self.config_index, out);
+        self.reads.release_applied_reads(self.applied.index(), out);
     }
 
     /// Applies one committed entry to the (simulated) state machine: the
@@ -869,83 +616,23 @@ impl RaftNode {
         entry: &LogEntry,
         out: &mut Actions<RaftMessage>,
     ) {
-        let (session, seq, is_register) = match &entry.payload {
-            Payload::Write { session, seq, .. } => (*session, *seq, false),
-            Payload::Register { session } => (*session, 1, true),
-            _ => {
-                if entry.id.proposer == self.id {
-                    self.pending.remove(&entry.id);
-                }
-                return;
-            }
-        };
-        // Apply-time expiry check — authoritative (the table covers every
-        // commit below `index`): a committed duplicate placement that
-        // outlived its session's eviction must not re-apply. Identical on
-        // every replica, no digest fold; the proposer/gateway is still
-        // notified through the normal path below. A registration is exempt:
-        // it carries no value, so re-applying one past an eviction merely
-        // re-opens an empty session — exactly the property that lets
-        // registered sessions close the seq-1 boundary window.
-        let outcome = if !is_register
-            && self.timing.session_ttl > 0
-            && self.sessions.is_expired_retry(session, seq)
-        {
-            ClientOutcome::SessionExpired
-        } else {
-            // Exactly-once apply: the dedup table is part of applied state,
-            // so every replica — including one that recovered from a
-            // snapshot + suffix — makes the same first-application decision.
-            match self.sessions.apply(session, seq, index) {
-                SessionApply::Applied => {
-                    self.state_digest = fold_session_digest(self.state_digest, session, seq);
-                    out.observe(Observation::SessionApplied {
-                        scope: LogScope::Global,
-                        session,
-                        seq,
-                        index,
-                    });
-                    if is_register {
-                        ClientOutcome::Registered { session, index }
-                    } else {
-                        ClientOutcome::Committed { index }
-                    }
-                }
-                SessionApply::Duplicate { first_index } => {
-                    out.observe(Observation::SessionDuplicate {
-                        scope: LogScope::Global,
-                        session,
-                        seq,
-                        first_index,
-                    });
-                    if is_register {
-                        ClientOutcome::Registered {
-                            session,
-                            index: first_index,
-                        }
-                    } else {
-                        ClientOutcome::Duplicate { first_index }
-                    }
-                }
-            }
-        };
         if entry.id.proposer == self.id {
             self.pending.remove(&entry.id);
         }
+        let Some((session, seq)) = entry.payload.session_key() else {
+            return;
+        };
+        let register = matches!(entry.payload, Payload::Register { .. });
+        let outcome = self
+            .applied
+            .apply_client_write(session, seq, register, index, out);
         if self.client_writes.contains_key(&(session, seq)) {
             // The gateway observes its own commit: answer the client here.
             self.respond_client(self.id, session, seq, outcome, out);
         } else if self.role == Role::Leader && entry.id.proposer != self.id {
             // "The leader then notifies the proposer" — covers gateways that
             // lag behind the commit (they ignore non-pending replies).
-            out.send(
-                entry.id.proposer,
-                RaftMessage::ClientReply {
-                    session,
-                    seq,
-                    outcome,
-                },
-            );
+            self.respond_client(entry.id.proposer, session, seq, outcome, out);
         }
     }
 
@@ -963,76 +650,53 @@ impl RaftNode {
             if let Some(id) = self.client_writes.remove(&(session, seq)) {
                 self.pending.remove(&id);
             }
-            self.client_reads.remove(&(session, seq));
-            out.observe(Observation::ClientResponse {
-                session,
-                seq,
-                outcome,
-            });
-        } else {
-            out.send(
-                to,
-                RaftMessage::ClientReply {
-                    session,
-                    seq,
-                    outcome,
-                },
-            );
+            self.reads.forget_local(session, seq);
         }
+        replica::reply(self.id, to, session, seq, outcome, out);
     }
 
-    /// `true` when this node's applied session table provably covers every
-    /// write the cluster has ever committed: it is the leader and an entry
-    /// of its own term has committed (the shared
-    /// [`wire::session_state_current`] condition). Only then is a
-    /// door-level [`SessionTable::is_expired_retry`] verdict exact; on any
-    /// other node (or a fresh leader before its first own-term commit) the
-    /// table may simply lag and "expired" can be a false positive for a
-    /// perfectly live session.
     fn applied_session_state_current(&self) -> bool {
-        self.role == Role::Leader
-            // Pipelined apply: the table only covers the *applied* prefix;
-            // while the queue is non-empty the door verdict stays inexact
-            // (answers degrade to Retry, never a wrong terminal refusal).
-            && self.applied_index == self.commit_index
-            && session_state_current(&self.log, self.commit_index, self.current_term)
+        self.applied.applied_session_state_current(
+            self.role == Role::Leader,
+            &self.log,
+            self.commit_index,
+            self.current_term,
+        )
     }
 
+    /// Leader door for a session write or an explicit session registration
+    /// (the committed [`Payload::Register`] consumes seq 1 of the session, so
+    /// a later eviction can never leave a re-appliable *data* write at the
+    /// session's boundary; see [`ClientOp::Register`]). Non-leaders redirect.
     fn on_propose(
         &mut self,
         from: NodeId,
         id: EntryId,
-        session: SessionId,
-        seq: u64,
-        data: Bytes,
+        w: PendingWrite,
         out: &mut Actions<RaftMessage>,
     ) {
+        let PendingWrite {
+            session,
+            seq,
+            data,
+            register,
+        } = w;
         if self.role != Role::Leader {
             if from != self.id {
-                out.send(
-                    from,
-                    RaftMessage::ClientReply {
-                        session,
-                        seq,
-                        outcome: ClientOutcome::Redirect {
-                            leader_hint: self.leader_hint,
-                        },
-                    },
-                );
+                let outcome = ClientOutcome::Redirect {
+                    leader_hint: self.leader_hint,
+                };
+                self.respond_client(from, session, seq, outcome, out);
             }
             return;
         }
         // Session dedup at the door: a seq the applied state already covers
         // is answered without touching the log — this is what survives
         // compaction and leader restarts (the table rides in the snapshot).
-        if let Some(first_index) = self.sessions.duplicate_of(session, seq) {
-            self.respond_client(
-                from,
-                session,
-                seq,
-                ClientOutcome::Duplicate { first_index },
-                out,
-            );
+        // For a registration this is the idempotent re-register.
+        if let Some(first_index) = self.applied.sessions().duplicate_of(session, seq) {
+            let outcome = replica::covered_outcome(register, session, first_index);
+            self.respond_client(from, session, seq, outcome, out);
             return;
         }
         if self.id_index.contains_key(&id) {
@@ -1053,7 +717,10 @@ impl RaftNode {
         // terminal (re-sending the same seq would loop forever), and any
         // same-pair placement still in the log under a different proposal
         // id is skipped by the authoritative apply-time check.
-        if self.timing.session_ttl > 0 && self.sessions.is_expired_retry(session, seq) {
+        // Registrations have no such door: re-registering an evicted
+        // session is harmless by construction — the registration carries
+        // no value, so re-applying it merely re-opens an empty dedup window.
+        if !register && self.applied.is_expired_retry(session, seq) {
             let outcome = if self.applied_session_state_current() {
                 ClientOutcome::SessionExpired
             } else {
@@ -1065,40 +732,13 @@ impl RaftNode {
         // In-flight duplicate under a *different* proposal id (the gateway
         // restarted and re-submitted the same session seq): let it through —
         // apply-time dedup keeps the second commit a no-op.
-        let entry = LogEntry::write(self.current_term, id, session, seq, data);
+        let entry = if register {
+            LogEntry::register(self.current_term, id, session)
+        } else {
+            LogEntry::write(self.current_term, id, session, seq, data)
+        };
         self.leader_append(entry, out);
         // Dispatch stays heartbeat-gated; the entry travels on the next tick.
-    }
-
-    /// Leader door for an explicit session registration: the committed
-    /// [`Payload::Register`] consumes seq 1 of the session, so a later
-    /// eviction can never leave a re-appliable *data* write at the
-    /// session's boundary (see [`ClientOp::Register`]).
-    fn leader_register(&mut self, id: EntryId, session: SessionId, out: &mut Actions<RaftMessage>) {
-        debug_assert_eq!(self.role, Role::Leader);
-        // Idempotent re-register: seq 1 already applied for this session.
-        if let Some(first_index) = self.sessions.duplicate_of(session, 1) {
-            self.respond_client(
-                self.id,
-                session,
-                1,
-                ClientOutcome::Registered {
-                    session,
-                    index: first_index,
-                },
-                out,
-            );
-            return;
-        }
-        if self.id_index.contains_key(&id) {
-            // Already replicating (gateway retry).
-            return;
-        }
-        // No expired-retry door: re-registering an evicted session is
-        // harmless by construction — the registration carries no value, so
-        // re-applying it merely re-opens an empty dedup window.
-        let entry = LogEntry::register(self.current_term, id, session);
-        self.leader_append(entry, out);
     }
 
     // ------------------------------------------------------------------
@@ -1122,76 +762,14 @@ impl RaftNode {
             self.respond_client(reply_to, session, seq, ClientOutcome::Retry, out);
             return;
         }
-        let floor = self.commit_index;
-        // Lease fast path: a classic quorum of live grants proves no rival
-        // can have been elected, so the current commit floor is linearizable
-        // to serve locally — zero messages, zero round trips (see
-        // `docs/CONSISTENCY.md` for the safety argument).
+        let (floor, applied) = (self.commit_index, self.applied.index());
         if self
-            .lease
-            .valid_at(self.local_now, &self.config, self.id, self.timing.max_clock_skew)
+            .reads
+            .register_read(session, seq, reply_to, floor, applied, &self.config, out)
         {
-            out.observe(Observation::LeaseRead {
-                session,
-                seq,
-                floor,
-            });
-            self.answer_read(reply_to, session, seq, floor, out);
-            return;
-        }
-        if self.config.classic_quorum() <= 1 {
-            // A single-voter configuration confirms itself.
-            out.observe(Observation::ReadIndexRead {
-                session,
-                seq,
-                floor,
-            });
-            self.answer_read(reply_to, session, seq, floor, out);
-            return;
-        }
-        // Retry idempotence (see `wire::ReadIndexQueue::is_pending`): the
-        // pending round answers the retry too; just re-probe for liveness.
-        if self.reads.is_pending(session, seq, reply_to) {
+            // Confirm now rather than waiting out the heartbeat period.
             self.dispatch_append_entries(out);
-            return;
         }
-        self.reads.register(session, seq, reply_to, floor);
-        // Confirm now rather than waiting out the heartbeat period.
-        self.dispatch_append_entries(out);
-    }
-
-    /// Counts a follower's heartbeat ack toward pending ReadIndex rounds.
-    fn note_read_ack(&mut self, from: NodeId, probe: u64, out: &mut Actions<RaftMessage>) {
-        for r in self.reads.note_ack(from, probe, &self.config, self.id) {
-            out.observe(Observation::ReadIndexRead {
-                session: r.session,
-                seq: r.seq,
-                floor: r.floor,
-            });
-            self.answer_read(r.reply_to, r.session, r.seq, r.floor, out);
-        }
-    }
-
-    /// Fails every pending ReadIndex round with `Retry` (leadership lost or
-    /// re-confirmed under a different term).
-    fn fail_pending_reads(&mut self, out: &mut Actions<RaftMessage>) {
-        for r in self.reads.drain() {
-            self.respond_client(r.reply_to, r.session, r.seq, ClientOutcome::Retry, out);
-        }
-    }
-
-    /// Follower-side lease grant riding a successful append ack: a promise
-    /// not to vote for anyone but `leader` before `now + lease_duration` on
-    /// this node's clock, enforced locally via [`VoteHold`]. Returns
-    /// [`SimTime::ZERO`] (no grant) when this node is clockless or leases
-    /// are disabled.
-    fn emit_lease_grant(&mut self, leader: NodeId) -> SimTime {
-        if self.local_now == SimTime::ZERO || self.timing.lease_duration.is_zero() {
-            return SimTime::ZERO;
-        }
-        let until = self.local_now + self.timing.lease_duration;
-        self.vote_hold.note_grant(leader, until);
-        until
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1243,7 +821,7 @@ impl RaftNode {
                     // term (checked above), so the vote-hold grant is sound —
                     // it keeps a briefly log-diverged follower from voiding
                     // its leader's lease mid-repair.
-                    lease_until: self.emit_lease_grant(leader),
+                    lease_until: self.reads.emit_lease_grant(leader),
                 },
             );
             return;
@@ -1286,7 +864,7 @@ impl RaftNode {
                 success: true,
                 match_index: last_new,
                 probe,
-                lease_until: self.emit_lease_grant(leader),
+                lease_until: self.reads.emit_lease_grant(leader),
             },
         );
     }
@@ -1309,21 +887,7 @@ impl RaftNode {
         if self.role != Role::Leader || term < self.current_term {
             return;
         }
-        // Collect the follower's lease grant (success or not — the promise
-        // is about voting, not log state). A rejected grant means the
-        // granter's clock runs ahead beyond the modeled bound: the lease
-        // quietly degrades to the ReadIndex fallback rather than counting it.
-        if !self.lease.record_grant(
-            from,
-            lease_until,
-            self.local_now,
-            self.timing.lease_duration,
-            self.timing.max_clock_skew,
-        ) {
-            out.observe(Observation::MessageIgnored {
-                reason: "lease grant beyond clock-skew bound",
-            });
-        }
+        self.reads.record_grant(from, lease_until, out);
         if success {
             let m = self.match_index.entry(from).or_insert(LogIndex::ZERO);
             if match_index > *m {
@@ -1331,9 +895,8 @@ impl RaftNode {
             }
             self.next_index.insert(from, match_index.next());
             self.advance_commit(out);
-            // A current-term ack confirms leadership for ReadIndex rounds
-            // registered at or before the echoed probe.
-            self.note_read_ack(from, probe, out);
+            self.reads
+                .note_read_ack(from, probe, self.applied.index(), &self.config, out);
         } else {
             // Back off using the follower's hint (its commit index).
             self.next_index.insert(from, match_index.next());
@@ -1399,26 +962,23 @@ impl RaftNode {
             self.config = snapshot.config.clone();
             self.config_index = last_index;
         }
-        if let Some(digest) = snapshot.state_digest() {
-            self.state_digest = digest;
-        }
-        // Adopt the applied session state: the snapshot's table covers
-        // strictly more commits than ours (last_index > old commit). The
-        // apply pipeline fast-forwards with it — the snapshot state already
-        // subsumes any queued-but-undrained range, whose entries the
-        // install just discarded.
-        self.sessions = snapshot.sessions.clone();
+        // The snapshot's applied state covers strictly more commits than
+        // ours (last_index > old commit).
+        self.applied.adopt(snapshot);
         self.commit_index = last_index;
-        self.applied_index = last_index;
-        self.snapshot = Some(snapshot);
         out.observe(Observation::SnapshotInstalled {
             scope: LogScope::Global,
             last_index,
         });
         // Gateway sweep: writes submitted here whose application the
         // install fast-forwarded past must still be answered.
-        self.sweep_client_pending(out);
-        self.release_applied_reads(out);
+        for (session, seq, id, first_index) in self.applied.sweep_client_pending(&self.client_writes)
+        {
+            let register = self.pending.get(&id).is_some_and(|w| w.register);
+            let outcome = replica::covered_outcome(register, session, first_index);
+            self.respond_client(self.id, session, seq, outcome, out);
+        }
+        self.reads.release_applied_reads(last_index, out);
         out.send(
             from,
             RaftMessage::InstallSnapshotReply {
@@ -1426,32 +986,6 @@ impl RaftNode {
                 last_index,
             },
         );
-    }
-
-    /// Answers any locally pending write the session table now covers (a
-    /// snapshot install can jump the commit floor across its application).
-    fn sweep_client_pending(&mut self, out: &mut Actions<RaftMessage>) {
-        let done: Vec<(SessionId, u64, LogIndex, bool)> = self
-            .client_writes
-            .iter()
-            .filter_map(|(&(s, q), id)| {
-                self.sessions.duplicate_of(s, q).map(|idx| {
-                    let reg = self.pending.get(id).is_some_and(|w| w.register);
-                    (s, q, idx, reg)
-                })
-            })
-            .collect();
-        for (session, seq, first_index, register) in done {
-            let outcome = if register {
-                ClientOutcome::Registered {
-                    session,
-                    index: first_index,
-                }
-            } else {
-                ClientOutcome::Duplicate { first_index }
-            };
-            self.respond_client(self.id, session, seq, outcome, out);
-        }
     }
 
     fn on_install_snapshot_reply(
@@ -1491,32 +1025,10 @@ impl RaftNode {
             });
             return;
         }
-        // Lease hold: the ack this node last sent carried a promise not to
-        // elect anyone but its leader before `until` on this clock. The
-        // request is dropped *without* adopting the candidate's term — a
-        // partitioned candidate's term inflation must not depose a leader
-        // whose lease a quorum still backs. The hold provably expires
-        // before this node's own election timer can fire
-        // (`Timing::validate` pins lease + skew ≤ election_min), so a dead
-        // leader still gets replaced.
-        if self.vote_hold.blocks(candidate, self.local_now) {
-            out.observe(Observation::MessageIgnored {
-                reason: "vote request during lease hold",
-            });
-            return;
-        }
-        // A leader whose own lease is live refuses too, again without
-        // adopting the term: a quorum is promising not to elect anyone
-        // else, so the candidate provably cannot win — stepping down would
-        // only forfeit the lease's availability for nothing.
-        if self.role == Role::Leader
-            && self
-                .lease
-                .valid_at(self.local_now, &self.config, self.id, self.timing.max_clock_skew)
+        if self
+            .reads
+            .refuses_vote(candidate, self.role == Role::Leader, &self.config, out)
         {
-            out.observe(Observation::MessageIgnored {
-                reason: "vote request at leader with live lease",
-            });
             return;
         }
         if term < self.current_term {
@@ -1588,49 +1100,82 @@ impl RaftNode {
     /// leader, to the hinted leader otherwise, to every peer when no hint
     /// exists (non-leaders answer with a redirect).
     fn route_write(&mut self, id: EntryId, w: PendingWrite, out: &mut Actions<RaftMessage>) {
+        if self.role == Role::Leader {
+            self.on_propose(self.id, id, w, out);
+            return;
+        }
         if w.register {
             // Registration is leader-only: the Propose message carries no op
             // kind, so a non-leader gateway surfaces a redirect and the
             // client re-targets the hinted leader itself.
-            if self.role == Role::Leader {
-                self.leader_register(id, w.session, out);
-            } else {
-                self.respond_client(
-                    self.id,
-                    w.session,
-                    w.seq,
-                    ClientOutcome::Redirect {
-                        leader_hint: self.leader_hint,
-                    },
-                    out,
-                );
-            }
+            let outcome = ClientOutcome::Redirect {
+                leader_hint: self.leader_hint,
+            };
+            self.respond_client(self.id, w.session, w.seq, outcome, out);
             return;
         }
-        if self.role == Role::Leader {
-            self.on_propose(self.id, id, w.session, w.seq, w.data, out);
-        } else if let Some(leader) = self.leader_hint {
-            out.send(
-                leader,
-                RaftMessage::Propose {
-                    id,
-                    session: w.session,
-                    seq: w.seq,
-                    data: w.data,
-                },
-            );
+        let msg = RaftMessage::Propose {
+            id,
+            session: w.session,
+            seq: w.seq,
+            data: w.data,
+        };
+        if let Some(leader) = self.leader_hint {
+            out.send(leader, msg);
         } else {
             let peers: Vec<NodeId> = self.config.peers(self.id).collect();
-            out.send_many(
-                peers,
-                RaftMessage::Propose {
-                    id,
-                    session: w.session,
-                    seq: w.seq,
-                    data: w.data,
-                },
-            );
+            out.send_many(peers, msg);
         }
+    }
+
+    /// Gateway door for a session write (or, with `register`, an explicit
+    /// session registration, which consumes seq 1): answer from applied
+    /// state when possible, otherwise place it in the retry machinery.
+    fn submit_write(
+        &mut self,
+        session: SessionId,
+        seq: u64,
+        data: Bytes,
+        register: bool,
+        out: &mut Actions<RaftMessage>,
+    ) {
+        // Applied already? Answer without proposing (retry-safe).
+        if let Some(first_index) = self.applied.sessions().duplicate_of(session, seq) {
+            let outcome = replica::covered_outcome(register, session, first_index);
+            self.respond_client(self.id, session, seq, outcome, out);
+            return;
+        }
+        if self.client_writes.contains_key(&(session, seq)) {
+            // Already in flight: the retry timer keeps pushing it.
+            out.set_timer(TimerKind::ProposalRetry, self.timing.proposal_timeout);
+            return;
+        }
+        // Stale write from an expired session: the terminal refusal is only
+        // exact when this gateway happens to be the leader with a provably
+        // current applied table (see `on_propose`). Any other gateway's
+        // table may simply lag the commit sequence, so it must not refuse —
+        // the write is placed and routed to the leader, whose door (or the
+        // authoritative apply-time check) rules, relayed back via
+        // ClientReply. Registrations have no such door: re-registering an
+        // evicted session merely re-opens an empty dedup window.
+        if !register
+            && self.applied.is_expired_retry(session, seq)
+            && self.applied_session_state_current()
+        {
+            self.respond_client(self.id, session, seq, ClientOutcome::SessionExpired, out);
+            return;
+        }
+        let id = self.ids.fresh_id(out);
+        let w = PendingWrite {
+            session,
+            seq,
+            data,
+            register,
+        };
+        self.pending.insert(id, w.clone());
+        self.client_writes.insert((session, seq), id);
+        self.route_write(id, w, out);
+        out.set_timer(TimerKind::ProposalRetry, self.timing.proposal_timeout);
     }
 
     /// Gateway handling of a typed outcome arriving from another node.
@@ -1655,7 +1200,7 @@ impl RaftNode {
             }
             // A redirected read surfaces to the caller, who retries against
             // the (now updated) hint.
-            if self.client_reads.remove(&(session, seq)) {
+            if self.reads.forget_local(session, seq) {
                 out.observe(Observation::ClientResponse {
                     session,
                     seq,
@@ -1665,7 +1210,7 @@ impl RaftNode {
             return;
         }
         let was_write = self.client_writes.contains_key(&(session, seq));
-        let was_read = self.client_reads.contains(&(session, seq));
+        let was_read = self.reads.is_local(session, seq);
         if was_write || was_read {
             self.respond_client(self.id, session, seq, outcome, out);
         }
@@ -1680,7 +1225,7 @@ impl ConsensusProtocol for RaftNode {
     }
 
     fn set_local_clock(&mut self, now: SimTime) {
-        self.local_now = now;
+        self.reads.set_local_clock(now);
     }
 
     fn on_message(&mut self, from: NodeId, msg: RaftMessage, out: &mut Actions<RaftMessage>) {
@@ -1706,7 +1251,15 @@ impl ConsensusProtocol for RaftNode {
                 session,
                 seq,
                 data,
-            } => self.on_propose(from, id, session, seq, data, out),
+            } => {
+                let w = PendingWrite {
+                    session,
+                    seq,
+                    data,
+                    register: false,
+                };
+                self.on_propose(from, id, w, out)
+            }
             RaftMessage::ClientRead { session, seq } => {
                 if self.role == Role::Leader {
                     self.register_read(session, seq, from, out);
@@ -1793,55 +1346,7 @@ impl ConsensusProtocol for RaftNode {
     fn on_client_request(&mut self, req: ClientRequest, out: &mut Actions<RaftMessage>) {
         let ClientRequest { session, seq, op } = req;
         match op {
-            ClientOp::Write(data) => {
-                // Applied already? Answer without proposing (retry-safe).
-                if let Some(first_index) = self.sessions.duplicate_of(session, seq) {
-                    self.respond_client(
-                        self.id,
-                        session,
-                        seq,
-                        ClientOutcome::Duplicate { first_index },
-                        out,
-                    );
-                    return;
-                }
-                if self.client_writes.contains_key(&(session, seq)) {
-                    // Already in flight: the retry timer keeps pushing it.
-                    out.set_timer(TimerKind::ProposalRetry, self.timing.proposal_timeout);
-                    return;
-                }
-                // Stale write from an expired session: the terminal refusal
-                // is only exact when this gateway happens to be the leader
-                // with a provably current applied table (see `on_propose`).
-                // Any other gateway's table may simply lag the commit
-                // sequence, so it must not refuse — the write is placed and
-                // routed to the leader, whose door (or the authoritative
-                // apply-time check) rules, relayed back via ClientReply.
-                if self.timing.session_ttl > 0
-                    && self.sessions.is_expired_retry(session, seq)
-                    && self.applied_session_state_current()
-                {
-                    self.respond_client(
-                        self.id,
-                        session,
-                        seq,
-                        ClientOutcome::SessionExpired,
-                        out,
-                    );
-                    return;
-                }
-                let id = self.fresh_id(out);
-                let w = PendingWrite {
-                    session,
-                    seq,
-                    data,
-                    register: false,
-                };
-                self.pending.insert(id, w.clone());
-                self.client_writes.insert((session, seq), id);
-                self.route_write(id, w, out);
-                out.set_timer(TimerKind::ProposalRetry, self.timing.proposal_timeout);
-            }
+            ClientOp::Write(data) => self.submit_write(session, seq, data, false, out),
             ClientOp::Register => {
                 // Server-assigned id on request: derived from this gateway's
                 // node id and proposal counter, so concurrent registrations
@@ -1849,38 +1354,11 @@ impl ConsensusProtocol for RaftNode {
                 // unassigned registration may open a second (unused)
                 // session; the TTL reclaims it.
                 let session = if session.is_unassigned() {
-                    SessionId::assigned(self.id, self.next_seq)
+                    SessionId::assigned(self.id, self.ids.next_seq())
                 } else {
                     session
                 };
-                if let Some(first_index) = self.sessions.duplicate_of(session, 1) {
-                    self.respond_client(
-                        self.id,
-                        session,
-                        1,
-                        ClientOutcome::Registered {
-                            session,
-                            index: first_index,
-                        },
-                        out,
-                    );
-                    return;
-                }
-                if self.client_writes.contains_key(&(session, 1)) {
-                    out.set_timer(TimerKind::ProposalRetry, self.timing.proposal_timeout);
-                    return;
-                }
-                let id = self.fresh_id(out);
-                let w = PendingWrite {
-                    session,
-                    seq: 1,
-                    data: Bytes::new(),
-                    register: true,
-                };
-                self.pending.insert(id, w.clone());
-                self.client_writes.insert((session, 1), id);
-                self.route_write(id, w, out);
-                out.set_timer(TimerKind::ProposalRetry, self.timing.proposal_timeout);
+                self.submit_write(session, 1, Bytes::new(), true, out);
             }
             // A single-level deployment has one log: the local and global
             // commit floors coincide, so both stale consistencies answer
@@ -1898,10 +1376,10 @@ impl ConsensusProtocol for RaftNode {
             }
             ClientOp::Read(Consistency::Linearizable) => {
                 if self.role == Role::Leader {
-                    self.client_reads.insert((session, seq));
+                    self.reads.track_local(session, seq);
                     self.register_read(session, seq, self.id, out);
                 } else if let Some(leader) = self.leader_hint {
-                    self.client_reads.insert((session, seq));
+                    self.reads.track_local(session, seq);
                     out.send(leader, RaftMessage::ClientRead { session, seq });
                 } else {
                     // No leader known: tell the caller to retry after a
@@ -1921,7 +1399,7 @@ impl ConsensusProtocol for RaftNode {
     }
 
     fn pending_applies(&self) -> u64 {
-        self.commit_index.as_u64() - self.applied_index.as_u64()
+        self.applied.pending_applies(self.commit_index)
     }
 
     fn drain_applies(&mut self, out: &mut Actions<RaftMessage>) {

@@ -37,11 +37,6 @@ pub struct Timing {
     pub hole_fill_ticks: u32,
     /// Maximum entries carried by one AppendEntries message.
     pub max_entries_per_append: usize,
-    /// Maximum encoded payload bytes carried by one AppendEntries message.
-    /// Models a per-dispatch link budget: wide-area bandwidth is bounded by
-    /// bytes, not entry count. A single over-sized entry still ships alone
-    /// (see [`wire::AppendBudget`]), so replication always makes progress.
-    pub max_bytes_per_append: usize,
     /// Snapshot/compaction threshold: once the committed-but-retained prefix
     /// of a log exceeds this many entries, the site compacts it into a
     /// [`wire::Snapshot`] and truncates the prefix, bounding per-site log
@@ -130,7 +125,6 @@ impl Timing {
             member_timeout_beats: 5,
             hole_fill_ticks: 8,
             max_entries_per_append: 128,
-            max_bytes_per_append: 64 * 1024,
             snapshot_threshold: 1024,
             session_ttl: 0,
             lease_duration: SimDuration::from_millis(300),
@@ -153,7 +147,6 @@ impl Timing {
             member_timeout_beats: 5,
             hole_fill_ticks: 8,
             max_entries_per_append: 128,
-            max_bytes_per_append: 64 * 1024,
             snapshot_threshold: 1024,
             session_ttl: 0,
             lease_duration: SimDuration::from_millis(1500),
@@ -196,10 +189,6 @@ impl Timing {
             self.max_entries_per_append > 0,
             "append batch size must be positive"
         );
-        assert!(
-            self.max_bytes_per_append > 0,
-            "append byte budget must be positive"
-        );
         if !self.lease_duration.is_zero() {
             // A follower's vote-hold must expire no later than its own
             // election timer can fire after the *last* heartbeat it acked;
@@ -225,9 +214,10 @@ impl Timing {
         );
     }
 
-    /// The replication budget for one AppendEntries dispatch.
+    /// The replication budget for one AppendEntries dispatch: this many
+    /// entries, [`wire::MAX_BYTES_PER_APPEND`] bytes.
     pub fn append_budget(&self) -> wire::AppendBudget {
-        wire::AppendBudget::new(self.max_entries_per_append, self.max_bytes_per_append)
+        wire::AppendBudget::new(self.max_entries_per_append, wire::MAX_BYTES_PER_APPEND)
     }
 }
 

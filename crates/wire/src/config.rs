@@ -174,6 +174,13 @@ impl AppendBudget {
     }
 }
 
+/// Encoded payload bytes one AppendEntries dispatch may carry (64 KiB): the
+/// byte half of every [`AppendBudget`] the protocols build. Models a
+/// per-dispatch link budget — wide-area bandwidth is bounded by bytes, not
+/// entry count. A single over-sized entry still ships alone, so replication
+/// always makes progress.
+pub const MAX_BYTES_PER_APPEND: usize = 64 * 1024;
+
 impl FromIterator<NodeId> for Configuration {
     fn from_iter<I: IntoIterator<Item = NodeId>>(iter: I) -> Self {
         Configuration::new(iter)

@@ -53,7 +53,7 @@ pub use client::{
     SessionId, SessionSlot, SessionTable,
 };
 pub use codec::{DecodeError, Decoder, Encoder, Wire};
-pub use config::{AppendBudget, Configuration};
+pub use config::{AppendBudget, Configuration, MAX_BYTES_PER_APPEND};
 pub use entry::{Approval, Batch, BatchItem, EntryList, GlobalState, LogEntry, Payload};
 pub use envelope::{GroupFrame, ShardEnvelope};
 pub use ids::{ClusterId, EntryId, GroupId, LogIndex, NodeId, Term};

@@ -21,7 +21,7 @@ use hierarchical_consensus::bench::{
 };
 use hierarchical_consensus::protocols::{ProposalMode, Timing};
 use hierarchical_consensus::sim::SimDuration;
-use hierarchical_consensus::types::{Consistency, NodeId};
+use hierarchical_consensus::types::{Consistency, NodeId, MAX_BYTES_PER_APPEND};
 
 fn main() {
     let scenario = Scenario {
@@ -48,7 +48,7 @@ fn main() {
     let craft = CRaftScenario {
         clusters: 3,
         batch_size: 10,
-        max_batch_bytes: Timing::wan().max_bytes_per_append,
+        max_batch_bytes: MAX_BYTES_PER_APPEND,
         global_snapshot_threshold: Timing::wan().snapshot_threshold,
         global_timing: Timing::wan(),
         global_proposal_mode: ProposalMode::LeaderForward,

@@ -63,7 +63,7 @@ pub mod types {
         ClientOutcome, ClientRequest, ClusterId, Commit, Configuration, Consistency,
         ConsensusProtocol, DecodeError, Decoder, Encoder, EntryId, GlobalState, LogEntry,
         LogIndex, LogScope, Message, NodeId, Observation, Payload, PersistCmd, SessionId,
-        SessionTable, SparseLog, Term, TimerCmd, TimerKind, Wire,
+        SessionTable, SparseLog, Term, TimerCmd, TimerKind, Wire, MAX_BYTES_PER_APPEND,
     };
 }
 

@@ -7,7 +7,7 @@ use hierarchical_consensus::bench::{
 };
 use hierarchical_consensus::protocols::{ProposalMode, Timing};
 use hierarchical_consensus::sim::{SimDuration, SimRng, SimTime};
-use hierarchical_consensus::types::NodeId;
+use hierarchical_consensus::types::{NodeId, MAX_BYTES_PER_APPEND};
 
 fn base(seed: u64, loss: f64) -> Scenario {
     let mut s = Scenario::fig3_base(seed, loss);
@@ -121,7 +121,7 @@ fn craft_safety_with_cluster_leader_crash() {
     let craft = CRaftScenario {
         clusters: 3,
         batch_size: 5,
-        max_batch_bytes: Timing::wan().max_bytes_per_append,
+        max_batch_bytes: MAX_BYTES_PER_APPEND,
         global_snapshot_threshold: Timing::wan().snapshot_threshold,
         global_timing: Timing::wan(),
         global_proposal_mode: ProposalMode::LeaderForward,

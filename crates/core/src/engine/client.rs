@@ -54,14 +54,6 @@ impl FastRaftEngine {
         gate: &mut dyn InsertGate,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        let payload = match &op {
-            ClientOp::Write(data) => Payload::Write {
-                session,
-                seq,
-                data: data.clone(),
-            },
-            _ => Payload::Register { session },
-        };
         let register = matches!(op, ClientOp::Register);
         // Applied already? Answer without proposing (retry-safe).
         if let Some(first_index) = self.applied.sessions().duplicate_of(session, seq) {
@@ -98,6 +90,14 @@ impl FastRaftEngine {
             self.respond_client(self.id, session, seq, ClientOutcome::SessionExpired, out);
             return;
         }
+        let payload = match &op {
+            ClientOp::Write(data) => Payload::Write {
+                session,
+                seq,
+                data: data.clone(),
+            },
+            _ => Payload::Register { session },
+        };
         self.client_pending.insert((session, seq), op);
         let id = self.propose_payload(payload, gate, out);
         self.client_writes.insert((session, seq), id);

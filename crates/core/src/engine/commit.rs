@@ -103,9 +103,14 @@ impl FastRaftEngine {
                 }
             }
             Payload::Write { .. } | Payload::Register { .. } => {
-                let (session, seq) = entry.payload.session_key().expect("write has a session key");
+                let (session, seq) = entry
+                    .payload
+                    .session_key()
+                    .expect("write has a session key");
                 let register = matches!(entry.payload, Payload::Register { .. });
-                let outcome = self.applied.apply_client_write(session, seq, register, k, out);
+                let outcome = self
+                    .applied
+                    .apply_client_write(session, seq, register, k, out);
                 if entry.id.proposer == self.id {
                     self.pending_proposals.remove(&entry.id);
                 }

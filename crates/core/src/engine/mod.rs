@@ -44,9 +44,9 @@ use des::{SimRng, SimTime};
 use raft::replica::{self, Applied, ProposalIds, ReadPath};
 use raft::{Role, Timing};
 use wire::{
-    Actions, Approval, ClientOp, ClientOutcome, ClientRequest, Configuration, Consistency,
-    EntryId, EntryList, LogEntry, LogIndex, LogScope, NodeId, Observation, Payload, PersistCmd,
-    SessionId, SessionTable, Snapshot, Term, TimerKind, MAX_INSERT_WINDOW,
+    Actions, Approval, ClientOp, ClientOutcome, ClientRequest, Configuration, Consistency, EntryId,
+    EntryList, LogEntry, LogIndex, LogScope, NodeId, Observation, Payload, PersistCmd, SessionId,
+    SessionTable, Snapshot, Term, TimerKind, MAX_INSERT_WINDOW,
 };
 
 use crate::gate::{GatePurpose, GateToken, GateVerdict, InsertGate};

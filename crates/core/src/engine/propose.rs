@@ -206,7 +206,7 @@ impl FastRaftEngine {
         // quorum is placing. Expiry is enforced where it is exact — the
         // single-door checks (`client_write`, `leader_accept_forwarded`),
         // gated on `applied_session_state_current`, and authoritatively at
-        // apply time (`emit_commit_effects`).
+        // apply time (`Applied::apply_client_write`).
         false
     }
 

@@ -9,6 +9,11 @@
 //! runs it over the simulated network, and [`testkit::Lockstep`] drives it
 //! synchronously in tests.
 //!
+//! [`replica`] holds what every Raft-family engine carries identically —
+//! applied state and snapshots, the read/lease path, proposal id minting —
+//! written once; `consensus-core`'s Fast Raft engine composes the same
+//! structs.
+//!
 //! ## Timing model
 //!
 //! Matching the paper's evaluation: AppendEntries dispatch is gated on the

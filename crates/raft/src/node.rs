@@ -23,10 +23,9 @@ use bytes::Bytes;
 use des::{SimRng, SimTime};
 use storage::StableState;
 use wire::{
-    Actions, ClientOp, ClientOutcome, ClientRequest, Configuration, Consistency,
-    ConsensusProtocol, EntryId, EntryList, LogEntry, LogIndex, LogScope, NodeId, Observation,
-    Payload, PersistCmd, SessionId, SessionTable, Snapshot, SparseLog, Term, TimerKind,
-    MAX_INSERT_WINDOW,
+    Actions, ClientOp, ClientOutcome, ClientRequest, Configuration, ConsensusProtocol, Consistency,
+    EntryId, EntryList, LogEntry, LogIndex, LogScope, NodeId, Observation, Payload, PersistCmd,
+    SessionId, SessionTable, Snapshot, SparseLog, Term, TimerKind, MAX_INSERT_WINDOW,
 };
 
 use crate::replica::{self, Applied, ProposalIds, ReadPath};
@@ -668,19 +667,17 @@ impl RaftNode {
     /// (the committed [`Payload::Register`] consumes seq 1 of the session, so
     /// a later eviction can never leave a re-appliable *data* write at the
     /// session's boundary; see [`ClientOp::Register`]). Non-leaders redirect.
+    #[allow(clippy::too_many_arguments)]
     fn on_propose(
         &mut self,
         from: NodeId,
         id: EntryId,
-        w: PendingWrite,
+        session: SessionId,
+        seq: u64,
+        data: Bytes,
+        register: bool,
         out: &mut Actions<RaftMessage>,
     ) {
-        let PendingWrite {
-            session,
-            seq,
-            data,
-            register,
-        } = w;
         if self.role != Role::Leader {
             if from != self.id {
                 let outcome = ClientOutcome::Redirect {
@@ -972,7 +969,8 @@ impl RaftNode {
         });
         // Gateway sweep: writes submitted here whose application the
         // install fast-forwarded past must still be answered.
-        for (session, seq, id, first_index) in self.applied.sweep_client_pending(&self.client_writes)
+        for (session, seq, id, first_index) in
+            self.applied.sweep_client_pending(&self.client_writes)
         {
             let register = self.pending.get(&id).is_some_and(|w| w.register);
             let outcome = replica::covered_outcome(register, session, first_index);
@@ -1101,7 +1099,7 @@ impl RaftNode {
     /// exists (non-leaders answer with a redirect).
     fn route_write(&mut self, id: EntryId, w: PendingWrite, out: &mut Actions<RaftMessage>) {
         if self.role == Role::Leader {
-            self.on_propose(self.id, id, w, out);
+            self.on_propose(self.id, id, w.session, w.seq, w.data, w.register, out);
             return;
         }
         if w.register {
@@ -1194,24 +1192,13 @@ impl RaftNode {
             // resubmits it against the updated hint. Re-routing here
             // synchronously would ping-pong at network RTT against a
             // deposed leader that still hints itself (and broadcast-storm
-            // while no hint exists).
+            // while no hint exists). A redirected read surfaces to the
+            // caller, who retries against the (now updated) hint.
             if self.client_writes.contains_key(&(session, seq)) {
                 return;
             }
-            // A redirected read surfaces to the caller, who retries against
-            // the (now updated) hint.
-            if self.reads.forget_local(session, seq) {
-                out.observe(Observation::ClientResponse {
-                    session,
-                    seq,
-                    outcome,
-                });
-            }
-            return;
         }
-        let was_write = self.client_writes.contains_key(&(session, seq));
-        let was_read = self.reads.is_local(session, seq);
-        if was_write || was_read {
+        if self.client_writes.contains_key(&(session, seq)) || self.reads.is_local(session, seq) {
             self.respond_client(self.id, session, seq, outcome, out);
         }
     }
@@ -1251,15 +1238,7 @@ impl ConsensusProtocol for RaftNode {
                 session,
                 seq,
                 data,
-            } => {
-                let w = PendingWrite {
-                    session,
-                    seq,
-                    data,
-                    register: false,
-                };
-                self.on_propose(from, id, w, out)
-            }
+            } => self.on_propose(from, id, session, seq, data, false, out),
             RaftMessage::ClientRead { session, seq } => {
                 if self.role == Role::Leader {
                     self.register_read(session, seq, from, out);

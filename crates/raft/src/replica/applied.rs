@@ -341,7 +341,7 @@ impl Applied {
     /// or below the cut, otherwise the newest config entry inside the
     /// retained prefix (falling back to the previous snapshot's, then the
     /// current configuration).
-    pub fn config_for_snapshot(
+    fn config_for_snapshot(
         &self,
         log: &SparseLog,
         config: &Configuration,

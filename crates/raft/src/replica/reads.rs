@@ -101,10 +101,9 @@ impl ReadPath {
         self.local_reads.contains(&(session, seq))
     }
 
-    /// Drops the in-flight note of a read answered through the gateway's
-    /// own reply path; `true` if there was one.
-    pub fn forget_local(&mut self, session: SessionId, seq: u64) -> bool {
-        self.local_reads.remove(&(session, seq))
+    /// Drops the in-flight note of a read once it is answered here.
+    pub fn forget_local(&mut self, session: SessionId, seq: u64) {
+        self.local_reads.remove(&(session, seq));
     }
 
     fn respond<M: ClientReplyMessage>(
@@ -116,7 +115,7 @@ impl ReadPath {
         out: &mut Actions<M>,
     ) {
         if to == self.me {
-            self.local_reads.remove(&(session, seq));
+            self.forget_local(session, seq);
         }
         reply(self.me, to, session, seq, outcome, out);
     }

@@ -82,9 +82,15 @@ fn compaction_snapshot_adopt_roundtrips_digest_sessions_and_config_at_cut() {
     let snap = applied
         .current_snapshot(&log, &new_cfg, LogIndex(8))
         .expect("compacted");
-    assert_eq!(&snap, persisted[0], "the served snapshot is the persisted one");
+    assert_eq!(
+        &snap, persisted[0],
+        "the served snapshot is the persisted one"
+    );
     assert_eq!(snap.last_index, LogIndex(6));
-    assert_eq!(snap.config, old_cfg, "config in force at the cut, not above it");
+    assert_eq!(
+        snap.config, old_cfg,
+        "config in force at the cut, not above it"
+    );
     assert_eq!(snap.state_digest(), Some(applied.digest()));
     assert_eq!(log.compacted_through(), LogIndex(6));
     assert!(out.observations.iter().any(|o| matches!(
@@ -145,13 +151,19 @@ fn read_admitted_above_applied_index_is_released_exactly_at_its_floor_in_admissi
             })
             .collect()
     };
-    assert!(local(&out).is_empty(), "nothing may be served below its floor");
+    assert!(
+        local(&out).is_empty(),
+        "nothing may be served below its floor"
+    );
     reads.release_applied_reads(LogIndex(3), &mut out);
     assert!(local(&out).is_empty() && out.sends.is_empty());
     reads.release_applied_reads(LogIndex(4), &mut out);
     assert_eq!(local(&out), vec![(2, LogIndex(4))]);
     assert!(out.sends.is_empty());
-    assert!(!reads.is_local(s, 2), "a locally answered read is forgotten");
+    assert!(
+        !reads.is_local(s, 2),
+        "a locally answered read is forgotten"
+    );
     assert!(reads.is_local(s, 1) && reads.is_local(s, 4));
 
     out.clear();
@@ -198,7 +210,10 @@ fn duplicate_write_outliving_its_sessions_eviction_expires_while_register_reappl
         applied.apply_client_write(busy, k - 2, false, LogIndex(k), &mut out);
         applied.evict_idle_sessions(LogIndex(k), &mut out);
     }
-    assert!(applied.sessions().get(idle).is_none(), "idle session evicted");
+    assert!(
+        applied.sessions().get(idle).is_none(),
+        "idle session evicted"
+    );
     assert!(applied.is_expired_retry(idle, 2));
 
     // A second placement of (idle, 2) still in the log commits now: refused
@@ -253,7 +268,10 @@ fn proposal_ids_stay_below_the_persisted_reservation_and_resume_at_the_floor() {
         let id = ids.fresh_id(&mut out);
         assert_eq!(id, EntryId::new(NodeId(3), expect));
         let ceiling = *reserved(&out).last().expect("reserved before minting");
-        assert!(id.seq < ceiling, "id {id} at or above the reservation {ceiling}");
+        assert!(
+            id.seq < ceiling,
+            "id {id} at or above the reservation {ceiling}"
+        );
         assert_eq!(ceiling, ids.reserved_seqs());
     }
     assert_eq!(reserved(&out), vec![64, 128, 192], "one write per block");
@@ -297,7 +315,10 @@ fn snapshot_install_answers_covered_gateway_writes_in_session_order() {
         );
         let mut out = Out::new();
         for s in sessions {
-            gateway.on_client_request(ClientRequest::write(s, 1, Bytes::from_static(b"w")), &mut out);
+            gateway.on_client_request(
+                ClientRequest::write(s, 1, Bytes::from_static(b"w")),
+                &mut out,
+            );
         }
         assert_eq!(gateway.pending_proposals(), 4);
         out.clear();

@@ -147,6 +147,12 @@ pub struct CRaftNode {
     /// Designated initial leaders race their first election quickly so the
     /// bootstrap global configuration (which names them) actually forms.
     boost_first_election: bool,
+    /// Cleared effect buffers for the inner engines, capacity retained. The
+    /// node is the engines' embedding: each inner step takes a buffer, a
+    /// `forward_*` function drains it into the outer one, and it comes back
+    /// here — nested steps (a gate request proposing locally from inside a
+    /// global step) just take another.
+    free_actions: Vec<Actions<FastRaftMessage>>,
 }
 
 impl CRaftNode {
@@ -197,6 +203,7 @@ impl CRaftNode {
             global_read_waiters: HashMap::new(),
             cfg,
             boost_first_election,
+            free_actions: Vec::new(),
         }
     }
 
@@ -246,6 +253,7 @@ impl CRaftNode {
             global_read_waiters: HashMap::new(),
             cfg,
             boost_first_election: false,
+            free_actions: Vec::new(),
         }
     }
 
@@ -387,7 +395,7 @@ impl CRaftNode {
             self.global_seq_floor,
         );
         engine.set_proposal_mode(self.cfg.global_proposal_mode);
-        let mut ea: Actions<FastRaftMessage> = Actions::new();
+        let mut ea = self.take_actions();
         engine.bootstrap(&mut ea);
         // Invariant probe (ROADMAP snapshot item b): a flapping leader that
         // deactivated and reactivated before eviction, while local
@@ -433,7 +441,8 @@ impl CRaftNode {
         let drained = side.gate.drain();
         debug_assert!(drained.is_empty());
         self.global = Some(side);
-        self.forward_global_actions(ea, out);
+        self.forward_global_actions(&mut ea, out);
+        self.give_actions(ea);
 
         // Re-batch locally committed data entries not yet covered by any
         // batch (the predecessor may have crashed mid-stream). Items keep
@@ -558,25 +567,61 @@ impl CRaftNode {
     fn propose_batch(&mut self, items: Vec<BatchItem>, out: &mut Actions<CRaftMessage>) {
         let batch = wire::Batch::new(self.cfg.cluster, self.batch_seq, items);
         self.batch_seq += 1;
-        let Some(side) = self.global.as_mut() else {
-            return;
-        };
-        let mut ea: Actions<FastRaftMessage> = Actions::new();
-        side.engine
-            .propose_payload(Payload::Batch(batch), &mut side.gate, &mut ea);
-        self.forward_global_actions(ea, out);
+        self.step_global(out, |engine, gate, ea| {
+            engine.propose_payload(Payload::Batch(batch), gate, ea);
+        });
     }
 
     // ------------------------------------------------------------------
     // Action plumbing
     // ------------------------------------------------------------------
 
-    /// Processes effects produced by the **local** engine: reacts to
-    /// leadership changes, batches local data commits, resumes gated global
-    /// inserts, and wraps messages.
+    /// An empty effect buffer for one inner-engine step.
+    fn take_actions(&mut self) -> Actions<FastRaftMessage> {
+        self.free_actions.pop().unwrap_or_default()
+    }
+
+    /// Takes back a buffer whose effects have been forwarded.
+    fn give_actions(&mut self, mut ea: Actions<FastRaftMessage>) {
+        ea.clear();
+        self.free_actions.push(ea);
+    }
+
+    /// Runs one step of the **local** engine and forwards its effects.
+    fn step_local(
+        &mut self,
+        out: &mut Actions<CRaftMessage>,
+        step: impl FnOnce(&mut FastRaftEngine, &mut ProceedGate, &mut Actions<FastRaftMessage>),
+    ) {
+        let mut ea = self.take_actions();
+        step(&mut self.local, &mut self.local_gate, &mut ea);
+        self.forward_local_actions(&mut ea, out);
+        self.give_actions(ea);
+    }
+
+    /// Runs one step of the **global** engine, if this site has one, and
+    /// forwards its effects.
+    fn step_global(
+        &mut self,
+        out: &mut Actions<CRaftMessage>,
+        step: impl FnOnce(&mut FastRaftEngine, &mut GateRecorder, &mut Actions<FastRaftMessage>),
+    ) {
+        let Some(side) = self.global.as_mut() else {
+            return;
+        };
+        // `take_actions`, spelled out: `side` holds a borrow of `self.global`.
+        let mut ea = self.free_actions.pop().unwrap_or_default();
+        step(&mut side.engine, &mut side.gate, &mut ea);
+        self.forward_global_actions(&mut ea, out);
+        self.give_actions(ea);
+    }
+
+    /// Processes effects produced by the **local** engine, draining `ea`:
+    /// reacts to leadership changes, batches local data commits, resumes
+    /// gated global inserts, and wraps messages.
     fn forward_local_actions(
         &mut self,
-        mut ea: Actions<FastRaftMessage>,
+        ea: &mut Actions<FastRaftMessage>,
         out: &mut Actions<CRaftMessage>,
     ) {
         let mut became_leader = false;
@@ -588,7 +633,6 @@ impl CRaftNode {
                 _ => {}
             }
         }
-        let commits = std::mem::take(&mut ea.commits);
         // Wrap and emit the raw effects first so message order stays causal.
         let gc = self.global_commit_seen();
         for (to, mut msg) in ea.sends.drain(..) {
@@ -610,7 +654,7 @@ impl CRaftNode {
             self.deactivate_global(out);
         }
 
-        for commit in commits {
+        for commit in ea.commits.drain(..) {
             debug_assert_eq!(commit.scope, LogScope::Local);
             self.on_local_commit(&commit.entry, commit.index, out);
             out.commits.push(commit);
@@ -634,23 +678,23 @@ impl CRaftNode {
             Payload::GlobalState(gs) => {
                 self.global_commit_seen = self.global_commit_seen.max(gs.global_commit);
                 // Resume the gated global insert this entry replicated.
-                if let Some(side) = self.global.as_mut() {
-                    if let Some(token) = side.waiting.remove(&entry.id) {
-                        let mut ea: Actions<FastRaftMessage> = Actions::new();
-                        side.engine.gate_ready(token, &mut side.gate, &mut ea);
-                        self.forward_global_actions(ea, out);
-                    }
+                let token = self
+                    .global
+                    .as_mut()
+                    .and_then(|side| side.waiting.remove(&entry.id));
+                if let Some(token) = token {
+                    self.step_global(out, |engine, gate, ea| engine.gate_ready(token, gate, ea));
                 }
             }
             _ => {}
         }
     }
 
-    /// Processes effects produced by the **global** engine: turns gate
-    /// requests into local global-state proposals, wraps messages.
+    /// Processes effects produced by the **global** engine, draining `ea`:
+    /// turns gate requests into local global-state proposals, wraps messages.
     fn forward_global_actions(
         &mut self,
-        mut ea: Actions<FastRaftMessage>,
+        ea: &mut Actions<FastRaftMessage>,
         out: &mut Actions<CRaftMessage>,
     ) {
         for (to, msg) in ea.sends.drain(..) {
@@ -698,14 +742,15 @@ impl CRaftNode {
                 entry: std::sync::Arc::new(req.entry.clone()),
                 global_commit: gc,
             };
-            let mut la: Actions<FastRaftMessage> = Actions::new();
+            let mut la = self.take_actions();
             let local_id =
                 self.local
                     .propose_payload(Payload::GlobalState(gs), &mut self.local_gate, &mut la);
             if let Some(side) = self.global.as_mut() {
                 side.waiting.insert(local_id, req.token);
             }
-            self.forward_local_actions(la, out);
+            self.forward_local_actions(&mut la, out);
+            self.give_actions(la);
         }
     }
 
@@ -732,15 +777,10 @@ impl CRaftNode {
             return;
         }
         self.global_read_waiters.insert((session, seq), waiter);
-        let mut ea: Actions<FastRaftMessage> = Actions::new();
-        if let Some(side) = self.global.as_mut() {
-            side.engine.on_client_request(
-                ClientRequest::read(session, seq, Consistency::Linearizable),
-                &mut side.gate,
-                &mut ea,
-            );
-        }
-        self.forward_global_actions(ea, out);
+        self.step_global(out, |engine, gate, ea| {
+            let read = ClientRequest::read(session, seq, Consistency::Linearizable);
+            engine.on_client_request(read, gate, ea);
+        });
     }
 
     /// Answers a gateway waiting on a global read: locally (observation)
@@ -814,20 +854,16 @@ impl wire::ConsensusProtocol for CRaftNode {
                 if let FastRaftMessage::AppendEntries { global_commit, .. } = &m {
                     self.global_commit_seen = self.global_commit_seen.max(*global_commit);
                 }
-                let mut ea: Actions<FastRaftMessage> = Actions::new();
-                self.local.on_message(from, m, &mut self.local_gate, &mut ea);
-                self.forward_local_actions(ea, out);
+                self.step_local(out, |engine, gate, ea| engine.on_message(from, m, gate, ea));
             }
             CRaftMessage::Global(m) => {
-                let Some(side) = self.global.as_mut() else {
+                if self.global.is_none() {
                     out.observe(Observation::MessageIgnored {
                         reason: "global traffic at non-leader",
                     });
                     return;
-                };
-                let mut ea: Actions<FastRaftMessage> = Actions::new();
-                side.engine.on_message(from, m, &mut side.gate, &mut ea);
-                self.forward_global_actions(ea, out);
+                }
+                self.step_global(out, |engine, gate, ea| engine.on_message(from, m, gate, ea));
             }
         }
     }
@@ -838,18 +874,11 @@ impl wire::ConsensusProtocol for CRaftNode {
             return;
         }
         if let Some(base) = TimerProfile::Base.unmap(kind) {
-            let mut ea: Actions<FastRaftMessage> = Actions::new();
-            self.local.on_timer(base, &mut self.local_gate, &mut ea);
-            self.forward_local_actions(ea, out);
+            self.step_local(out, |engine, gate, ea| engine.on_timer(base, gate, ea));
             return;
         }
         if let Some(base) = TimerProfile::Global.unmap(kind) {
-            let Some(side) = self.global.as_mut() else {
-                return;
-            };
-            let mut ea: Actions<FastRaftMessage> = Actions::new();
-            side.engine.on_timer(base, &mut side.gate, &mut ea);
-            self.forward_global_actions(ea, out);
+            self.step_global(out, |engine, gate, ea| engine.on_timer(base, gate, ea));
         }
     }
 
@@ -879,18 +908,13 @@ impl wire::ConsensusProtocol for CRaftNode {
             // Writes (acked at local commit, §V-A), stale-local reads,
             // registrations, and read forwarding all ride the local engine.
             _ => {
-                let mut ea: Actions<FastRaftMessage> = Actions::new();
-                self.local
-                    .on_client_request(req, &mut self.local_gate, &mut ea);
-                self.forward_local_actions(ea, out);
+                self.step_local(out, |engine, gate, ea| engine.on_client_request(req, gate, ea));
             }
         }
     }
 
     fn bootstrap(&mut self, out: &mut Actions<CRaftMessage>) {
-        let mut ea: Actions<FastRaftMessage> = Actions::new();
-        self.local.bootstrap(&mut ea);
-        self.forward_local_actions(ea, out);
+        self.step_local(out, |engine, _, ea| engine.bootstrap(ea));
         if self.boost_first_election {
             // Overrides the randomized election timeout armed above (same
             // kind replaces): the designated leader stands first.
@@ -915,14 +939,8 @@ impl wire::ConsensusProtocol for CRaftNode {
         // (forward_local_actions consumes the commit records), so draining
         // local before global keeps the intra-step ordering of the inline
         // path.
-        let mut ea: Actions<FastRaftMessage> = Actions::new();
-        self.local.drain_applies(&mut ea);
-        self.forward_local_actions(ea, out);
-        if let Some(side) = self.global.as_mut() {
-            let mut ea: Actions<FastRaftMessage> = Actions::new();
-            side.engine.drain_applies(&mut ea);
-            self.forward_global_actions(ea, out);
-        }
+        self.step_local(out, |engine, _, ea| engine.drain_applies(ea));
+        self.step_global(out, |engine, _, ea| engine.drain_applies(ea));
     }
 }
 

@@ -128,9 +128,7 @@ impl FastRaftEngine {
                 // two batches (successor re-batching, a batch retry racing
                 // compaction + restart) takes effect only once; each item's
                 // session rides the table, which travels in snapshots.
-                let items: Vec<(SessionId, u64)> =
-                    b.items.iter().filter_map(|item| item.key).collect();
-                for (session, seq) in items {
+                for (session, seq) in b.items.iter().filter_map(|item| item.key) {
                     // Deliberately NO apply-time expiry skip here, unlike
                     // the Write arm: "untracked session at seq > 1" does
                     // not imply "duplicate of an evicted session" for

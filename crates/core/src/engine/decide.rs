@@ -248,7 +248,7 @@ impl FastRaftEngine {
     }
 
     fn update_fast_match(&mut self, k: LogIndex, chosen: EntryId) {
-        for voter in self.possible.voters_for(k, chosen) {
+        for &voter in self.possible.voters_for(k, chosen) {
             let fm = self.fast_match.entry(voter).or_insert(LogIndex::ZERO);
             if k > *fm {
                 *fm = k;

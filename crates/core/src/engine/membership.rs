@@ -9,8 +9,7 @@ impl FastRaftEngine {
         if let Some(leader) = self.leader_hint {
             out.send(leader, msg);
         } else {
-            let peers: Vec<NodeId> = self.config.peers(self.id).collect();
-            out.send_many(peers, msg);
+            out.send_many(self.config.peers(self.id), msg);
         }
     }
 
@@ -37,9 +36,8 @@ impl FastRaftEngine {
     }
 
     pub(super) fn note_missed_beats(&mut self, out: &mut Actions<FastRaftMessage>) {
-        let peers: Vec<NodeId> = self.config.peers(self.id).collect();
         let mut suspects = Vec::new();
-        for peer in peers {
+        for peer in self.config.peers(self.id) {
             let missed = self.missed_beats.entry(peer).or_insert(0);
             *missed += 1;
             if *missed >= self.timing.member_timeout_beats {

@@ -256,6 +256,12 @@ pub struct FastRaftEngine {
     gated_decisions: BTreeSet<LogIndex>,
     acks: HashMap<u64, AckState>,
     next_ack_id: u64,
+
+    // ---- scratch (empty between steps, capacity retained) ----
+    /// `(nextIndex, follower)` pairs of one AppendEntries dispatch.
+    append_scratch: Vec<(LogIndex, NodeId)>,
+    /// Pending proposals being re-sent by one retry or re-target pass.
+    proposal_scratch: Vec<(EntryId, Payload, LogIndex)>,
 }
 
 impl FastRaftEngine {
@@ -358,6 +364,8 @@ impl FastRaftEngine {
             gated_decisions: BTreeSet::new(),
             acks: HashMap::new(),
             next_ack_id: 0,
+            append_scratch: Vec::new(),
+            proposal_scratch: Vec::new(),
         }
     }
 

@@ -71,9 +71,8 @@ impl FastRaftEngine {
                 },
             );
         } else {
-            let peers: Vec<NodeId> = self.config.peers(self.id).collect();
             out.send_many(
-                peers,
+                self.config.peers(self.id),
                 FastRaftMessage::ProposeAt {
                     index: LogIndex::ZERO,
                     entry,
@@ -260,9 +259,8 @@ impl FastRaftEngine {
             payload,
             approval: Approval::SelfApproved,
         };
-        let peers: Vec<NodeId> = self.config.peers(self.id).collect();
         out.send_many(
-            peers,
+            self.config.peers(self.id),
             FastRaftMessage::ProposeAt {
                 index,
                 entry: entry.clone(),
@@ -318,32 +316,35 @@ impl FastRaftEngine {
         if self.pending_proposals.is_empty() {
             return;
         }
-        let lost: Vec<(EntryId, Payload)> = self
-            .pending_proposals
-            .iter()
-            .filter(|(id, p)| {
-                !p.index.is_zero()
-                    && p.index <= self.commit_index
-                    && self.log.get(p.index).is_none_or(|e| e.id != **id)
-            })
-            .map(|(id, p)| (*id, p.payload.clone()))
-            .collect();
-        for (id, payload) in lost {
+        let mut lost = std::mem::take(&mut self.proposal_scratch);
+        lost.extend(
+            self.pending_proposals
+                .iter()
+                .filter(|(id, p)| {
+                    !p.index.is_zero()
+                        && p.index <= self.commit_index
+                        && self.log.get(p.index).is_none_or(|e| e.id != **id)
+                })
+                .map(|(id, p)| (*id, p.payload.clone(), p.index)),
+        );
+        for (id, payload, _) in lost.drain(..) {
             let index = self.pick_proposal_index();
             self.rebroadcast_proposal(id, payload, index, out);
         }
+        self.proposal_scratch = lost;
     }
 
     pub(super) fn retry_proposals(&mut self, out: &mut Actions<FastRaftMessage>) {
         if self.pending_proposals.is_empty() {
             return;
         }
-        let pendings: Vec<(EntryId, Payload, LogIndex)> = self
-            .pending_proposals
-            .iter()
-            .map(|(id, p)| (*id, p.payload.clone(), p.index))
-            .collect();
-        for (id, payload, old_index) in pendings {
+        let mut pendings = std::mem::take(&mut self.proposal_scratch);
+        pendings.extend(
+            self.pending_proposals
+                .iter()
+                .map(|(id, p)| (*id, p.payload.clone(), p.index)),
+        );
+        for (id, payload, old_index) in pendings.drain(..) {
             if self.proposal_mode == ProposalMode::LeaderForward {
                 let mut proceed = crate::gate::ProceedGate;
                 self.forward_proposal(id, payload, &mut proceed, out);
@@ -355,6 +356,7 @@ impl FastRaftEngine {
             let index = if keep { old_index } else { self.pick_proposal_index() };
             self.rebroadcast_proposal(id, payload, index, out);
         }
+        self.proposal_scratch = pendings;
         out.set_timer(
             self.timers.map(TimerKind::ProposalRetry),
             self.timing.proposal_timeout,

@@ -12,19 +12,19 @@ impl FastRaftEngine {
         // Group followers by nextIndex: one budgeted batch is assembled per
         // distinct resume point, and the Arc-shared EntryList handle is
         // cloned per recipient — the fan-out shares a single allocation.
-        let mut groups: BTreeMap<LogIndex, Vec<NodeId>> = BTreeMap::new();
-        for peer in self
+        let mut groups = std::mem::take(&mut self.append_scratch);
+        let followers = self
             .config
             .peers(self.id)
-            .chain(self.learners.iter().copied().filter(|l| *l != self.id))
-        {
-            let next = *self
-                .next_index
-                .get(&peer)
-                .unwrap_or(&self.commit_index.next());
-            groups.entry(next).or_default().push(peer);
-        }
-        for (next, peers) in groups {
+            .chain(self.learners.iter().copied().filter(|l| *l != self.id));
+        replica::group_by_next_index(
+            &mut groups,
+            followers,
+            &self.next_index,
+            self.commit_index.next(),
+        );
+        for peers in groups.chunk_by(|a, b| a.0 == b.0) {
+            let next = peers[0].0;
             // A site whose resume point fell below the first retained index
             // cannot be served from the log anymore (it was absent past the
             // compaction horizon, or is a fresh joiner): transfer the
@@ -32,7 +32,7 @@ impl FastRaftEngine {
             // the horizon and replication resumes normally.
             if next < self.log.first_index() {
                 if let Some(snapshot) = self.current_snapshot() {
-                    for peer in peers {
+                    for &(_, peer) in peers {
                         out.send(
                             peer,
                             FastRaftMessage::InstallSnapshot {
@@ -57,7 +57,7 @@ impl FastRaftEngine {
             } else {
                 EntryList::empty()
             };
-            for peer in peers {
+            for &(_, peer) in peers {
                 out.send(
                     peer,
                     FastRaftMessage::AppendEntries {
@@ -72,6 +72,7 @@ impl FastRaftEngine {
                 );
             }
         }
+        self.append_scratch = groups;
     }
 
     /// §IV-B "When a follower receives AppendEntries message".
@@ -154,7 +155,11 @@ impl FastRaftEngine {
         // allocation.
         let insert_bound =
             self.log.last_index().as_u64().max(self.commit_index.as_u64()) + MAX_INSERT_WINDOW;
-        let mut to_insert = Vec::new();
+        // One id per append that wrote anything, shared by its gated inserts.
+        let mut ack_id = None;
+        let mut remaining = 0usize;
+        // The lowest deferred index above the anchor, if any insert deferred.
+        let mut first_deferred: Option<LogIndex> = None;
         for (idx, entry) in entries.iter() {
             let idx = *idx;
             // Entries at or below the commit index are already decided (and
@@ -178,40 +183,39 @@ impl FastRaftEngine {
                         || existing.term != entry.term
                 }
             };
-            if needs_write {
-                to_insert.push((idx, entry.with_approval(Approval::LeaderApproved)));
+            if !needs_write {
+                continue;
             }
-        }
-        if to_insert.is_empty() {
-            self.verified = new_match;
-            self.complete_append(from, new_match, leader_commit, probe, out);
-            return;
-        }
-        let ack_id = self.next_ack_id;
-        self.next_ack_id += 1;
-        let mut remaining = 0usize;
-        let mut deferred = BTreeSet::new();
-        let mut immediate = Vec::new();
-        for (idx, entry) in to_insert {
+            let ack = *ack_id.get_or_insert_with(|| {
+                self.next_ack_id += 1;
+                self.next_ack_id - 1
+            });
+            // A write at one index changes no other index's `needs_write`,
+            // so each insert lands (or parks) as the scan reaches it.
+            let entry = entry.with_approval(Approval::LeaderApproved);
             match gate.begin(idx, &entry, GatePurpose::AppendInsert) {
-                GateVerdict::Proceed => immediate.push((idx, entry)),
+                GateVerdict::Proceed => self.apply_append_insert(idx, entry, out),
                 GateVerdict::Defer(token) => {
                     remaining += 1;
-                    deferred.insert(idx);
+                    if idx > anchor && first_deferred.is_none_or(|d| idx < d) {
+                        first_deferred = Some(idx);
+                    }
                     self.pending_gates.insert(
                         token,
                         GateCont::Append {
                             index: idx,
                             entry,
-                            ack: ack_id,
+                            ack,
                         },
                     );
                 }
             }
         }
-        for (idx, entry) in immediate {
-            self.apply_append_insert(idx, entry, out);
-        }
+        let Some(ack_id) = ack_id else {
+            self.verified = new_match;
+            self.complete_append(from, new_match, leader_commit, probe, out);
+            return;
+        };
         // `verified` may only cover entries that actually landed: a deferred
         // insert is not in the log (nor persisted) yet, so it must not be
         // acked — not by this append's (deferred) ack, and not by a later
@@ -220,11 +224,7 @@ impl FastRaftEngine {
         // classic quorum and a crash of this site could lose a committed
         // entry. The full `new_match` is acked by `finish_append_ack` once
         // the last gate of the batch resolves.
-        let mut landed = anchor;
-        while landed < new_match && !deferred.contains(&landed.next()) {
-            landed = landed.next();
-        }
-        self.verified = landed;
+        self.verified = first_deferred.map_or(new_match, |d| new_match.min(d.prev()));
         if remaining == 0 {
             self.complete_append(from, new_match, leader_commit, probe, out);
         } else {

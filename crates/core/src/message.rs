@@ -602,7 +602,7 @@ mod tests {
                 last_term: Term(3),
                 config: wire::Configuration::new([NodeId(1), NodeId(2), NodeId(3)]),
                 state: Snapshot::digest_state(99),
-                sessions: wire::SessionTable::new(),
+                sessions: Default::default(),
             },
         });
         roundtrip_fast(&FastRaftMessage::InstallSnapshotReply {

@@ -160,7 +160,7 @@ fn gapped_leader_repairs_via_global_snapshot_install() {
                     last_term: Term(1),
                     config: Configuration::new([NodeId(0), NodeId(3)]),
                     state: Snapshot::digest_state(9),
-                    sessions: SessionTable::new(),
+                    sessions: SessionTable::new().into(),
                 },
             }),
             out,

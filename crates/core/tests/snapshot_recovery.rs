@@ -67,7 +67,7 @@ fn build_states(scope: LogScope, n: u64, k: u64) -> (StableState, StableState, u
             last_term: entry(k).term,
             config: Configuration::new([NodeId(0), NodeId(1), NodeId(2)]),
             state: Snapshot::digest_state(digest),
-            sessions: wire::SessionTable::new(),
+            sessions: Default::default(),
         },
     });
     (full, compacted, digest)

@@ -170,13 +170,24 @@ struct Slot<P> {
 }
 
 /// One client operation in flight at its gateway.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct OutstandingOp {
     session: SessionId,
     seq: u64,
     op: ClientOp,
     /// Set for the end-of-run linearizable read.
     is_final: bool,
+}
+
+impl OutstandingOp {
+    /// The request to (re)submit at the gateway.
+    fn request(&self) -> ClientRequest {
+        ClientRequest {
+            session: self.session,
+            seq: self.seq,
+            op: self.op.clone(),
+        }
+    }
 }
 
 /// Factory rebuilding a node from persisted state after a crash.
@@ -217,6 +228,12 @@ pub struct Runner<P: ConsensusProtocol> {
     /// Scratch buffer for duplicate-copy delays from
     /// [`Network::judge_chaos`]; reused across sends.
     chaos_extras: Vec<SimDuration>,
+    /// Cleared [`Actions`] buffers awaiting reuse, capacity retained. A
+    /// step pops one (or makes a fresh one while the list is empty) and
+    /// returns it cleared; the re-entrant `process_actions →
+    /// handle_response → issue_op → with_node` chain simply holds a second
+    /// buffer while the first is still draining.
+    free_actions: Vec<Actions<P::Message>>,
     final_done: u64,
     completed: u64,
 }
@@ -269,6 +286,7 @@ impl<P: ConsensusProtocol> Runner<P> {
             drains_scheduled: HashSet::new(),
             stall_rng,
             chaos_extras: Vec::new(),
+            free_actions: Vec::new(),
             final_done: 0,
             completed: 0,
         };
@@ -414,7 +432,7 @@ impl<P: ConsensusProtocol> Runner<P> {
             .get(&id)
             .map_or(now, |&o| now.saturating_add(o));
         slot.node.set_local_clock(local);
-        let mut out = Actions::new();
+        let mut out = self.free_actions.pop().unwrap_or_default();
         f(&mut slot.node, &mut out);
         // Pipelined apply: the handler may have advanced the commit index
         // past the applied index. Drain as a separate zero-delay stage (one
@@ -422,14 +440,18 @@ impl<P: ConsensusProtocol> Runner<P> {
         // effects are released. Inline mode never leaves a queue behind, so
         // no event is ever scheduled and traces stay byte-identical.
         let wants_drain = slot.node.pending_applies() > 0;
-        self.process_actions(id, out);
+        self.process_actions(id, &mut out);
+        out.clear();
+        self.free_actions.push(out);
         if wants_drain && self.drains_scheduled.insert(id) {
             self.sim
                 .schedule_after(SimDuration::ZERO, SimEvent::ApplyDrain { node: id });
         }
     }
 
-    fn process_actions(&mut self, from: NodeId, mut out: Actions<P::Message>) {
+    /// Performs one step's effects, draining `out` (every `Vec` keeps its
+    /// capacity for the next step).
+    fn process_actions(&mut self, from: NodeId, out: &mut Actions<P::Message>) {
         // Write-ahead: persistence lands before any message is released.
         // Group commit: every command a step emitted shares one fsync
         // boundary; the unbatched twin pays one boundary per command.
@@ -442,6 +464,7 @@ impl<P: ConsensusProtocol> Runner<P> {
         } else {
             let batch = PersistBatch::from_cmds(std::mem::take(&mut out.persists));
             self.disk.apply_batch(from, &batch);
+            out.persists = batch.into_cmds();
             1
         };
         if fsync_boundaries > 0 {
@@ -463,7 +486,7 @@ impl<P: ConsensusProtocol> Runner<P> {
             }
         }
 
-        for cmd in out.timers {
+        for cmd in out.timers.drain(..) {
             match cmd {
                 wire::TimerCmd::Set { kind, after } => {
                     let id = self
@@ -489,7 +512,7 @@ impl<P: ConsensusProtocol> Runner<P> {
 
         let mut sent_msgs = 0u64;
         let mut sent_bytes = 0u64;
-        for (to, msg) in out.sends {
+        for (to, msg) in out.sends.drain(..) {
             let size = msg.wire_size();
             sent_msgs += 1;
             sent_bytes += size as u64;
@@ -524,7 +547,7 @@ impl<P: ConsensusProtocol> Runner<P> {
         }
 
         let now = self.sim.now();
-        for commit in out.commits {
+        for commit in out.commits.drain(..) {
             self.safety
                 .record(from, commit.scope, commit.index, commit.entry.id);
             if commit.scope == LogScope::Global {
@@ -539,9 +562,11 @@ impl<P: ConsensusProtocol> Runner<P> {
             }
         }
 
-        let mut responses: Vec<(SessionId, u64, ClientOutcome)> = Vec::new();
+        // A gateway has one outstanding op, so a step answers at most one;
+        // a repeated answer within the step is a duplicate of the first.
+        let mut response: Option<(SessionId, u64, ClientOutcome)> = None;
         let trace = harness_trace_enabled();
-        for obs in out.observations {
+        for obs in out.observations.drain(..) {
             if trace {
                 eprintln!("[{:.3}s] {} {:?}", self.sim.now().as_secs_f64(), from, obs);
             }
@@ -557,8 +582,8 @@ impl<P: ConsensusProtocol> Runner<P> {
                         .outstanding
                         .get(&from)
                         .is_some_and(|o| o.session == session && o.seq == seq);
-                    if is_current {
-                        responses.push((session, seq, outcome));
+                    if is_current && response.is_none() {
+                        response = Some((session, seq, outcome));
                     }
                 }
                 // NOTE: Observation::SessionDuplicate fires at *every*
@@ -581,7 +606,7 @@ impl<P: ConsensusProtocol> Runner<P> {
                 _ => {}
             }
         }
-        for (session, seq, outcome) in responses {
+        if let Some((session, seq, outcome)) = response {
             self.handle_response(from, session, seq, outcome);
         }
     }
@@ -595,14 +620,15 @@ impl<P: ConsensusProtocol> Runner<P> {
         outcome: ClientOutcome,
     ) {
         let now = self.sim.now();
-        let Some(op) = self.outstanding.get(&node).cloned() else {
+        let Some(op) = self.outstanding.get(&node) else {
             return;
         };
+        let lin_read = matches!(op.op, ClientOp::Read(Consistency::Linearizable));
         match outcome {
             ClientOutcome::Committed { index } => {
                 self.safety.write_completed(self.cfg.ack_scope, index);
                 self.metrics.op_completed((session, seq), now, false);
-                self.finish_op(node, &op);
+                self.finish_op(node);
             }
             ClientOutcome::Duplicate { first_index } => {
                 // The write took effect on an earlier attempt: done, and
@@ -612,18 +638,18 @@ impl<P: ConsensusProtocol> Runner<P> {
                     self.safety.write_completed(self.cfg.ack_scope, first_index);
                 }
                 self.metrics.op_completed((session, seq), now, false);
-                self.finish_op(node, &op);
+                self.finish_op(node);
             }
             ClientOutcome::ReadOk {
                 scope,
                 commit_floor,
             } => {
-                if matches!(op.op, ClientOp::Read(Consistency::Linearizable)) {
+                if lin_read {
                     self.safety
                         .read_completed(session, seq, scope, commit_floor);
                 }
                 self.metrics.op_completed((session, seq), now, true);
-                self.finish_op(node, &op);
+                self.finish_op(node);
             }
             ClientOutcome::Redirect { .. } | ClientOutcome::Retry => {
                 // Not done: retry the same (session, seq) after a short
@@ -639,7 +665,7 @@ impl<P: ConsensusProtocol> Runner<P> {
                 // Explicit session registration applied (issued as each
                 // client's first op under `Workload::register_sessions`).
                 self.metrics.op_completed((session, seq), now, false);
-                self.finish_op(node, &op);
+                self.finish_op(node);
             }
             ClientOutcome::SessionExpired => {
                 // Terminal: the session idled past the TTL and its dedup
@@ -651,13 +677,15 @@ impl<P: ConsensusProtocol> Runner<P> {
                 // disabled, so this arm is exercised by unit tests only).
                 self.metrics.sessions_expired += 1;
                 self.metrics.op_completed((session, seq), now, false);
-                self.finish_op(node, &op);
+                self.finish_op(node);
             }
         }
     }
 
-    fn finish_op(&mut self, node: NodeId, op: &OutstandingOp) {
-        self.outstanding.remove(&node);
+    fn finish_op(&mut self, node: NodeId) {
+        let Some(op) = self.outstanding.remove(&node) else {
+            return;
+        };
         self.completed += 1;
         if op.is_final {
             self.final_done += 1;
@@ -671,14 +699,15 @@ impl<P: ConsensusProtocol> Runner<P> {
     /// Client-side timeout/backoff firing: resubmit the outstanding op if
     /// `seq` is still the one in flight.
     fn client_retry(&mut self, node: NodeId, seq: u64) {
-        let Some(op) = self.outstanding.get(&node).cloned() else {
+        let Some(op) = self.outstanding.get(&node) else {
             return;
         };
         if op.seq != seq || !self.slots.get(&node).is_some_and(|s| s.up) {
             return;
         }
+        let req = op.request();
         self.metrics.client_retries += 1;
-        self.submit(node, &op);
+        self.submit(node, req);
     }
 
     /// Issues the next operation of `node`'s closed loop.
@@ -737,8 +766,9 @@ impl<P: ConsensusProtocol> Runner<P> {
         if matches!(op.op, ClientOp::Read(Consistency::Linearizable)) {
             self.safety.read_started(op.session, op.seq);
         }
-        self.outstanding.insert(node, op.clone());
-        self.submit(node, &op);
+        let req = op.request();
+        self.outstanding.insert(node, op);
+        self.submit(node, req);
     }
 
     fn bump_seq(&mut self, node: NodeId) -> u64 {
@@ -748,15 +778,10 @@ impl<P: ConsensusProtocol> Runner<P> {
     }
 
     /// Hands the request to the gateway node and arms the client timeout.
-    fn submit(&mut self, node: NodeId, op: &OutstandingOp) {
-        let req = ClientRequest {
-            session: op.session,
-            seq: op.seq,
-            op: op.op.clone(),
-        };
+    fn submit(&mut self, node: NodeId, req: ClientRequest) {
+        let seq = req.seq;
         self.with_node(node, |n, out| n.on_client_request(req, out));
         let timeout = self.workload.client_timeout;
-        let seq = op.seq;
         self.sim
             .schedule_after(timeout, SimEvent::ClientRetry { node, seq });
     }

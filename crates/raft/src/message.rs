@@ -429,7 +429,7 @@ mod tests {
                 last_term: Term(4),
                 config: wire::Configuration::new([NodeId(1), NodeId(2)]),
                 state: Snapshot::digest_state(42),
-                sessions: wire::SessionTable::new(),
+                sessions: Default::default(),
             },
         });
         roundtrip(&RaftMessage::InstallSnapshotReply {

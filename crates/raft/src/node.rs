@@ -116,6 +116,9 @@ pub struct RaftNode {
     // ---- leader bookkeeping ----
     /// Where each known proposal id sits in our log (dedup + notification).
     id_index: HashMap<EntryId, LogIndex>,
+    /// Scratch for one AppendEntries dispatch's `(nextIndex, follower)`
+    /// pairs: empty between steps, capacity retained.
+    append_scratch: Vec<(LogIndex, NodeId)>,
 }
 
 impl RaftNode {
@@ -155,6 +158,7 @@ impl RaftNode {
             client_writes: HashMap::new(),
             reads: ReadPath::new(id, LogScope::Global, &timing),
             id_index: HashMap::new(),
+            append_scratch: Vec::new(),
         }
     }
 
@@ -480,19 +484,19 @@ impl RaftNode {
         // Group followers by nextIndex: one budgeted batch is assembled per
         // distinct resume point and the Arc-shared EntryList handle is
         // cloned per recipient, so the fan-out shares a single allocation.
-        let mut groups: BTreeMap<LogIndex, Vec<NodeId>> = BTreeMap::new();
-        for peer in self
+        let mut groups = std::mem::take(&mut self.append_scratch);
+        let followers = self
             .config
             .peers(self.id)
-            .chain(self.learners.iter().copied().filter(|l| *l != self.id))
-        {
-            let next = *self
-                .next_index
-                .get(&peer)
-                .unwrap_or(&self.commit_index.next());
-            groups.entry(next).or_default().push(peer);
-        }
-        for (next, peers) in groups {
+            .chain(self.learners.iter().copied().filter(|l| *l != self.id));
+        replica::group_by_next_index(
+            &mut groups,
+            followers,
+            &self.next_index,
+            self.commit_index.next(),
+        );
+        for peers in groups.chunk_by(|a, b| a.0 == b.0) {
+            let next = peers[0].0;
             // A follower whose resume point fell below the first retained
             // index cannot be served from the log anymore: transfer the
             // compacted prefix as a snapshot instead (its ack moves
@@ -502,7 +506,7 @@ impl RaftNode {
                     self.applied
                         .current_snapshot(&self.log, &self.config, self.config_index)
                 {
-                    for peer in peers {
+                    for &(_, peer) in peers {
                         out.send(
                             peer,
                             RaftMessage::InstallSnapshot {
@@ -522,7 +526,7 @@ impl RaftNode {
             } else {
                 EntryList::empty()
             };
-            for peer in peers {
+            for &(_, peer) in peers {
                 out.send(
                     peer,
                     RaftMessage::AppendEntries {
@@ -537,6 +541,7 @@ impl RaftNode {
                 );
             }
         }
+        self.append_scratch = groups;
     }
 
     /// Leader-side commit rule: the highest `k` with a classic quorum of

@@ -1,6 +1,7 @@
 //! Applied state: what a replica derives by applying the committed sequence.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use wire::{
     fold_commit_digest, fold_session_digest, fold_session_evicted, session_state_current, Actions,
@@ -35,7 +36,9 @@ pub struct Applied {
     state_digest: u64,
     /// Per-session exactly-once dedup table; updated while applying
     /// committed session-tagged entries and carried inside snapshots.
-    sessions: SessionTable,
+    /// Copy-on-write: a snapshot shares the table as of its cut, and the
+    /// next apply after one copies it once.
+    sessions: Arc<SessionTable>,
     /// Latest snapshot covering the compacted log prefix, served to sites
     /// whose `nextIndex` fell below the log's first retained index.
     snapshot: Option<Snapshot>,
@@ -50,7 +53,7 @@ impl Applied {
             session_ttl: timing.session_ttl,
             applied_index: LogIndex::ZERO,
             state_digest: 0,
-            sessions: SessionTable::new(),
+            sessions: Arc::default(),
             snapshot: None,
         }
     }
@@ -161,7 +164,7 @@ impl Applied {
         index: LogIndex,
         out: &mut Actions<M>,
     ) -> SessionApply {
-        let applied = self.sessions.apply(session, seq, index);
+        let applied = Arc::make_mut(&mut self.sessions).apply(session, seq, index);
         match applied {
             SessionApply::Applied => {
                 self.state_digest = fold_session_digest(self.state_digest, session, seq);
@@ -223,7 +226,10 @@ impl Applied {
     /// applies the identical eviction sequence regardless of how its
     /// commits were batched, and the digest fold keeps snapshots convergent.
     pub fn evict_idle_sessions<M>(&mut self, at: LogIndex, out: &mut Actions<M>) {
-        for session in self.sessions.evict_idle(at, self.session_ttl) {
+        if self.session_ttl == 0 {
+            return; // Expiry disabled: leave a snapshot-shared table shared.
+        }
+        for session in Arc::make_mut(&mut self.sessions).evict_idle(at, self.session_ttl) {
             self.state_digest = fold_session_evicted(self.state_digest, session);
             out.observe(Observation::SessionEvicted {
                 scope: self.scope,

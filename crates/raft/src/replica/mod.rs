@@ -29,6 +29,8 @@ mod applied;
 mod ids;
 mod reads;
 
+use std::collections::BTreeMap;
+
 use des::SimRng;
 use wire::{
     Actions, ClientOutcome, LogIndex, LogScope, NodeId, Observation, PersistCmd, SessionId, Term,
@@ -94,6 +96,28 @@ pub fn reset_election_timer<M>(
     out: &mut Actions<M>,
 ) {
     out.set_timer(kind, timing.election_timeout(rng));
+}
+
+/// Fills `groups` (emptied first) with one `(nextIndex, follower)` pair per
+/// follower, ascending by nextIndex and — within one resume point — in the
+/// order `followers` yields them: a leader assembles one budgeted batch per
+/// run of equal nextIndex (`chunk_by`) and sends it to the run's followers.
+/// A follower without a `next_index` entry resumes at `default_next`.
+/// `groups` is the caller's scratch, so a dispatch allocates nothing once
+/// it has held the membership.
+pub fn group_by_next_index(
+    groups: &mut Vec<(LogIndex, NodeId)>,
+    followers: impl Iterator<Item = NodeId>,
+    next_index: &BTreeMap<NodeId, LogIndex>,
+    default_next: LogIndex,
+) {
+    groups.clear();
+    for follower in followers {
+        let next = next_index.get(&follower).copied().unwrap_or(default_next);
+        // After every pair with an equal or lower resume point: stable.
+        let at = groups.partition_point(|&(n, _)| n <= next);
+        groups.insert(at, (next, follower));
+    }
 }
 
 /// The answer owed to a gateway write (or registration) the applied session

@@ -304,7 +304,7 @@ fn snapshot_install_answers_covered_gateway_writes_in_session_order() {
         last_term: Term(1),
         config: members.clone(),
         state: Snapshot::digest_state(0xfeed),
-        sessions: table,
+        sessions: table.into(),
     };
     for fresh in 0..32 {
         let mut gateway = RaftNode::new(

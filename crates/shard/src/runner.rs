@@ -57,8 +57,8 @@ use simnet::{Network, Verdict};
 use storage::StableState;
 use wire::{
     Actions, ClientOp, ClientOutcome, ClientRequest, Configuration, ConsensusProtocol, EntryId,
-    GroupId, LogIndex, LogScope, NodeId, Observation, Payload, SessionId, ShardEnvelope, TimerCmd,
-    TimerKind,
+    GroupFrame, GroupId, LogIndex, LogScope, NodeId, Observation, Payload, SessionId,
+    ShardEnvelope, TimerCmd, TimerKind,
 };
 
 use crate::router::{ReconfigOp, ShardRouter};
@@ -295,8 +295,15 @@ pub struct ShardRunner<P: ShardNode> {
     reconfig_script: Vec<ReconfigOp>,
     admin_queue: VecDeque<usize>,
     next_tag: u64,
-    /// Per-dispatch send coalescing buffer, keyed `(from, to)`.
-    out_buf: BTreeMap<(u64, u64), ShardEnvelope<P::Message>>,
+    /// Per-dispatch send coalescing table, dense `procs × procs` at
+    /// `from * procs + to`: walking it front to back is ascending
+    /// `(from, to)`, the order `net_rng` is drawn in.
+    out_buf: Vec<ShardEnvelope<P::Message>>,
+    /// Emptied frame vectors of delivered (or dropped) envelopes, capacity
+    /// retained, for the next flush to put back into `out_buf`.
+    free_frames: Vec<Vec<GroupFrame<P::Message>>>,
+    /// Cleared [`Actions`] buffers awaiting reuse, capacity retained.
+    free_actions: Vec<Actions<P::Message>>,
     resp_queue: VecDeque<(u64, u32, SessionId, u64, ClientOutcome)>,
     pending_reconfigs: VecDeque<(u64, ReconfigOp)>,
     /// Commit-agreement ledger: first-seen entry id per committed slot.
@@ -372,7 +379,11 @@ impl<P: ShardNode> ShardRunner<P> {
             reconfig_script: reconfigs.iter().map(|&(_, op)| op).collect(),
             admin_queue: VecDeque::new(),
             next_tag: 0,
-            out_buf: BTreeMap::new(),
+            out_buf: (0..cfg.procs * cfg.procs)
+                .map(|_| ShardEnvelope::new())
+                .collect(),
+            free_frames: Vec::new(),
+            free_actions: Vec::new(),
             resp_queue: VecDeque::new(),
             pending_reconfigs: VecDeque::new(),
             commit_log: HashMap::new(),
@@ -486,7 +497,8 @@ impl<P: ShardNode> ShardRunner<P> {
     fn dispatch(&mut self, ev: Ev<P::Message>) {
         match ev {
             Ev::Frame { from, to, env } => {
-                for (group, msg) in env.into_frames() {
+                let mut frames = env.frames;
+                for GroupFrame { group, msg } in frames.drain(..) {
                     let g = group.as_u32();
                     if let Some(ctl) = self.groups.get_mut(&g) {
                         ctl.inflight = ctl.inflight.saturating_sub(1);
@@ -494,6 +506,7 @@ impl<P: ShardNode> ShardRunner<P> {
                     self.wake_if_parked(g);
                     self.step_engine(to.as_u64(), g, |e, out| e.on_message(from, msg, out));
                 }
+                self.free_frames.push(frames);
             }
             Ev::Wheel => {
                 self.wheel_armed = None;
@@ -580,32 +593,34 @@ impl<P: ShardNode> ShardRunner<P> {
         let Some(eng) = self.engines.get_mut(&(group, proc)) else {
             return;
         };
-        let mut out = Actions::new();
+        let mut out = self.free_actions.pop().unwrap_or_default();
         eng.set_local_clock(now);
         f(eng, &mut out);
         while eng.pending_applies() > 0 {
             eng.drain_applies(&mut out);
         }
-        self.process_actions(proc, group, now, out);
+        self.process_actions(proc, group, now, &mut out);
+        out.clear();
+        self.free_actions.push(out);
     }
 
-    fn process_actions(&mut self, proc: u64, group: u32, now: SimTime, out: Actions<P::Message>) {
-        let Actions {
-            sends,
-            timers,
-            commits,
-            persists,
-            observations,
-        } = out;
-
-        if !persists.is_empty() {
+    /// Performs one step's effects, draining `out` (every `Vec` keeps its
+    /// capacity for the next step).
+    fn process_actions(
+        &mut self,
+        proc: u64,
+        group: u32,
+        now: SimTime,
+        out: &mut Actions<P::Message>,
+    ) {
+        if !out.persists.is_empty() {
             self.disks
                 .get_mut(&(group, proc))
                 .expect("disk exists for every engine")
-                .apply_all(persists.iter());
+                .apply_all(out.persists.iter());
         }
 
-        for t in timers {
+        for t in out.timers.drain(..) {
             match t {
                 TimerCmd::Set { kind, after } => {
                     self.wheel.schedule(timer_key(proc, group, kind), now + after);
@@ -619,14 +634,13 @@ impl<P: ShardNode> ShardRunner<P> {
             }
         }
 
-        for (to, msg) in sends {
-            self.out_buf
-                .entry((proc, to.as_u64()))
-                .or_default()
-                .push(GroupId(group), msg);
+        for (to, msg) in out.sends.drain(..) {
+            let to = to.as_u64();
+            assert!(to < self.procs, "groups replicate across procs 0..procs");
+            self.out_buf[(proc * self.procs + to) as usize].push(GroupId(group), msg);
         }
 
-        for c in commits {
+        for c in out.commits.drain(..) {
             match self.commit_log.entry((group, c.scope, c.index)) {
                 std::collections::hash_map::Entry::Occupied(e) => {
                     if *e.get() != c.entry.id {
@@ -651,7 +665,7 @@ impl<P: ShardNode> ShardRunner<P> {
             }
         }
 
-        for o in observations {
+        for o in out.observations.drain(..) {
             match o {
                 Observation::ElectionStarted { .. } => self.metrics.elections += 1,
                 Observation::BecameLeader { .. } => self.metrics.leader_changes += 1,
@@ -666,13 +680,15 @@ impl<P: ShardNode> ShardRunner<P> {
     }
 
     fn flush_frames(&mut self) {
-        if self.out_buf.is_empty() {
-            return;
-        }
         let now = self.sim.now();
         let in_window = self.in_window(now);
-        let buf = std::mem::take(&mut self.out_buf);
-        for ((from, to), env) in buf {
+        for slot in 0..self.out_buf.len() {
+            if self.out_buf[slot].is_empty() {
+                continue;
+            }
+            let spare = self.free_frames.pop().unwrap_or_default();
+            let env = std::mem::replace(&mut self.out_buf[slot], ShardEnvelope::from_frames(spare));
+            let (from, to) = (slot as u64 / self.procs, slot as u64 % self.procs);
             let bytes = wire::Message::wire_size(&env);
             match self
                 .net
@@ -697,7 +713,11 @@ impl<P: ShardNode> ShardRunner<P> {
                         },
                     );
                 }
-                Verdict::Drop { .. } => {}
+                Verdict::Drop { .. } => {
+                    let mut frames = env.frames;
+                    frames.clear();
+                    self.free_frames.push(frames);
+                }
             }
         }
     }

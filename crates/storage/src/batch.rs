@@ -60,6 +60,12 @@ impl PersistBatch {
         PersistBatch { cmds }
     }
 
+    /// Hands the command vector back, so a caller that built the batch
+    /// with [`PersistBatch::from_cmds`] can clear it and reuse its capacity.
+    pub fn into_cmds(self) -> Vec<PersistCmd> {
+        self.cmds
+    }
+
     /// Appends a command to the batch.
     pub fn push(&mut self, cmd: PersistCmd) {
         self.cmds.push(cmd);

@@ -273,7 +273,7 @@ mod tests {
             last_term: Term(1),
             config: wire::Configuration::new([NodeId(1)]),
             state: Snapshot::digest_state(7),
-            sessions: wire::SessionTable::new(),
+            sessions: Default::default(),
         };
         s.apply(&PersistCmd::InstallSnapshot {
             snapshot: snap.clone(),

@@ -417,7 +417,14 @@ impl SessionTable {
                 first_index: slot.first_index_of(seq),
             };
         }
-        slot.above.insert(seq, index);
+        if seq == slot.floor_seq + 1 {
+            // In order (the common case): the floor moves directly, without
+            // a detour through `above` and its tree node.
+            slot.floor_seq = seq;
+            slot.floor_index = index;
+        } else {
+            slot.above.insert(seq, index);
+        }
         // Advance the floor across the now-contiguous run so the window
         // stays bounded by the session's in-flight depth.
         while let Some(idx) = slot.above.remove(&(slot.floor_seq + 1)) {

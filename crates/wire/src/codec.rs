@@ -685,7 +685,7 @@ impl Wire for Snapshot {
             last_term: Term::decode(d)?,
             config: Configuration::decode(d)?,
             state: Bytes::decode(d)?,
-            sessions: SessionTable::decode(d)?,
+            sessions: SessionTable::decode(d)?.into(),
         })
     }
     fn encoded_len(&self) -> usize {
@@ -901,7 +901,7 @@ mod tests {
             last_term: Term(4),
             config: Configuration::new([NodeId(1), NodeId(2), NodeId(3)]),
             state: Snapshot::digest_state(0x1234_5678_9ABC_DEF0),
-            sessions,
+            sessions: sessions.into(),
         });
         roundtrip(&Snapshot {
             scope: LogScope::Local,
@@ -909,7 +909,7 @@ mod tests {
             last_term: Term(1),
             config: Configuration::new([NodeId(7)]),
             state: Bytes::new(),
-            sessions: SessionTable::new(),
+            sessions: Default::default(),
         });
     }
 
@@ -925,7 +925,7 @@ mod tests {
             last_term: Term(2),
             config: Configuration::new([NodeId(1)]),
             state: Bytes::new(),
-            sessions: SessionTable::new(),
+            sessions: Default::default(),
         };
         let mut bytes = snap.to_bytes().to_vec();
         for foreign in [0u8, 1, crate::SNAPSHOT_FORMAT_VERSION + 1] {

@@ -325,7 +325,9 @@ impl fmt::Display for LogEntry {
 /// ```
 #[derive(Clone)]
 pub struct EntryList {
-    seg: Arc<Vec<(LogIndex, LogEntry)>>,
+    /// The backing allocation; `None` for the empty list, so a pure
+    /// heartbeat carries (and decodes to) no allocation at all.
+    seg: Option<Arc<Vec<(LogIndex, LogEntry)>>>,
     start: usize,
     len: usize,
 }
@@ -336,7 +338,7 @@ impl EntryList {
     pub fn from_vec(entries: Vec<(LogIndex, LogEntry)>) -> Self {
         let len = entries.len();
         EntryList {
-            seg: Arc::new(entries),
+            seg: (len > 0).then(|| Arc::new(entries)),
             start: 0,
             len,
         }
@@ -347,12 +349,20 @@ impl EntryList {
     /// collection path. Crate-internal so every public list is known valid.
     pub(crate) fn view(seg: Arc<Vec<(LogIndex, LogEntry)>>, start: usize, len: usize) -> Self {
         debug_assert!(start.checked_add(len).is_some_and(|end| end <= seg.len()));
-        EntryList { seg, start, len }
+        EntryList {
+            seg: Some(seg),
+            start,
+            len,
+        }
     }
 
     /// The empty list (pure heartbeat).
     pub fn empty() -> Self {
-        EntryList::from_vec(Vec::new())
+        EntryList {
+            seg: None,
+            start: 0,
+            len: 0,
+        }
     }
 
     /// Number of entries.
@@ -372,7 +382,10 @@ impl EntryList {
 
     /// The entries as a slice.
     pub fn as_slice(&self) -> &[(LogIndex, LogEntry)] {
-        &self.seg[self.start..self.start + self.len]
+        match &self.seg {
+            Some(seg) => &seg[self.start..self.start + self.len],
+            None => &[],
+        }
     }
 }
 

@@ -10,6 +10,8 @@
 //! `nextIndex` falls below the leader's first retained index; recovery
 //! rebuilds a node from snapshot + retained log suffix.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 
 use crate::{Configuration, EntryId, LogIndex, LogScope, SessionId, SessionTable, Term};
@@ -105,8 +107,10 @@ pub struct Snapshot {
     /// across the compaction boundary could be applied twice at distinct
     /// indices (the restarted leader's in-log dedup ids were compacted
     /// away). Carrying the table in the snapshot fixes that by
-    /// construction.
-    pub sessions: SessionTable,
+    /// construction. Shared, not copied: one snapshot is cloned into the
+    /// cache, the persist command, stable storage and every transfer, and
+    /// its table never changes.
+    pub sessions: Arc<SessionTable>,
 }
 
 impl Snapshot {
@@ -135,7 +139,7 @@ mod tests {
             last_term: Term(3),
             config: Configuration::new([NodeId(1), NodeId(2)]),
             state: Snapshot::digest_state(0xDEAD_BEEF_1234_5678),
-            sessions: SessionTable::new(),
+            sessions: Arc::default(),
         };
         assert_eq!(s.state_digest(), Some(0xDEAD_BEEF_1234_5678));
     }
@@ -188,7 +192,7 @@ mod tests {
             last_term: Term(1),
             config: Configuration::new([NodeId(1)]),
             state: Bytes::from_static(b"not a digest"),
-            sessions: SessionTable::new(),
+            sessions: Arc::default(),
         };
         assert_eq!(s.state_digest(), None);
     }

@@ -21,7 +21,13 @@ impl FastRaftEngine {
     ) {
         let ClientRequest { session, seq, op } = req;
         match op {
-            ClientOp::Read(consistency) => self.client_read(session, seq, consistency, gate, out),
+            // (The C-Raft layer intercepts StaleGlobal above this point and
+            // answers from its global-commit floor instead.)
+            ClientOp::Read(consistency) => {
+                if self.core.client_read(session, seq, consistency, out) {
+                    self.register_read(session, seq, self.core.id, gate, out);
+                }
+            }
             ClientOp::Register => {
                 // Server-assigned id on request: derived from this gateway's
                 // node id and proposal counter, so concurrent registrations
@@ -29,7 +35,7 @@ impl FastRaftEngine {
                 // unassigned registration may open a second (unused)
                 // session; the TTL reclaims it.
                 let session = if session.is_unassigned() {
-                    SessionId::assigned(self.id, self.ids.next_seq())
+                    SessionId::assigned(self.core.id, self.core.ids.next_seq())
                 } else {
                     session
                 };
@@ -56,18 +62,18 @@ impl FastRaftEngine {
     ) {
         let register = matches!(op, ClientOp::Register);
         // Applied already? Answer without proposing (retry-safe).
-        if let Some(first_index) = self.applied.sessions().duplicate_of(session, seq) {
+        if let Some(first_index) = self.core.applied.sessions().duplicate_of(session, seq) {
             let outcome = replica::covered_outcome(register, session, first_index);
-            self.respond_client(self.id, session, seq, outcome, out);
+            self.respond_client(self.core.id, session, seq, outcome, out);
             return;
         }
-        if let Some(id) = self.client_writes.get(&(session, seq)) {
+        if let Some(id) = self.core.client_writes.get(&(session, seq)) {
             if self.pending_proposals.contains_key(id) {
                 // Already in flight: the proposal-retry machinery keeps
                 // pushing it; just make sure the timer is armed.
                 out.set_timer(
                     self.timers.map(TimerKind::ProposalRetry),
-                    self.timing.proposal_timeout,
+                    self.core.timing.proposal_timeout,
                 );
                 return;
             }
@@ -84,10 +90,16 @@ impl FastRaftEngine {
         // construction — the registration carries no value, so re-applying
         // it merely re-opens an empty dedup window.
         if !register
-            && self.applied.is_expired_retry(session, seq)
-            && self.applied_session_state_current()
+            && self.core.applied.is_expired_retry(session, seq)
+            && self.core.applied_session_state_current()
         {
-            self.respond_client(self.id, session, seq, ClientOutcome::SessionExpired, out);
+            self.respond_client(
+                self.core.id,
+                session,
+                seq,
+                ClientOutcome::SessionExpired,
+                out,
+            );
             return;
         }
         let payload = match &op {
@@ -100,64 +112,11 @@ impl FastRaftEngine {
         };
         self.client_pending.insert((session, seq), op);
         let id = self.propose_payload(payload, gate, out);
-        self.client_writes.insert((session, seq), id);
+        self.core.client_writes.insert((session, seq), id);
     }
 
-    fn client_read(
-        &mut self,
-        session: SessionId,
-        seq: u64,
-        consistency: Consistency,
-        gate: &mut dyn InsertGate,
-        out: &mut Actions<FastRaftMessage>,
-    ) {
-        match consistency {
-            // A single engine has one log: its local floor *is* the global
-            // floor at its scope, so both stale consistencies answer from
-            // `commit_index` immediately. (The C-Raft layer intercepts
-            // StaleGlobal above this point and answers from its
-            // global-commit floor instead.)
-            Consistency::StaleLocal | Consistency::StaleGlobal => {
-                // Served from this site's floor, no coordination.
-                out.observe(Observation::ClientResponse {
-                    session,
-                    seq,
-                    outcome: ClientOutcome::ReadOk {
-                        scope: self.scope,
-                        commit_floor: self.commit_index,
-                    },
-                });
-            }
-            Consistency::Linearizable => {
-                if self.role == Role::Leader {
-                    self.reads.track_local(session, seq);
-                    self.register_read(session, seq, self.id, gate, out);
-                } else if let Some(leader) = self.leader_hint {
-                    self.reads.track_local(session, seq);
-                    out.send(leader, FastRaftMessage::ClientRead { session, seq });
-                } else {
-                    // No leader known (election in progress): retry later.
-                    out.observe(Observation::ClientResponse {
-                        session,
-                        seq,
-                        outcome: ClientOutcome::Retry,
-                    });
-                }
-            }
-        }
-    }
-
-    pub(super) fn applied_session_state_current(&self) -> bool {
-        self.applied.applied_session_state_current(
-            self.role == Role::Leader,
-            &self.log,
-            self.commit_index,
-            self.current_term,
-        )
-    }
-
-    /// Answers a client request: as an observation when the gateway is this
-    /// node, as a [`FastRaftMessage::ClientReply`] otherwise.
+    /// Answers a client request (see [`Replica::respond_client`]); a request
+    /// answered at its own gateway leaves the gateway and proposer tables.
     pub(super) fn respond_client(
         &mut self,
         to: NodeId,
@@ -166,14 +125,12 @@ impl FastRaftEngine {
         outcome: ClientOutcome,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        if to == self.id {
-            if let Some(id) = self.client_writes.remove(&(session, seq)) {
-                self.pending_proposals.remove(&id);
-            }
-            self.client_pending.remove(&(session, seq));
-            self.reads.forget_local(session, seq);
+        if let Some(id) = self.core.respond_client(to, session, seq, outcome, out) {
+            self.pending_proposals.remove(&id);
         }
-        replica::reply(self.id, to, session, seq, outcome, out);
+        if to == self.core.id {
+            self.client_pending.remove(&(session, seq));
+        }
     }
 
     /// Gateway handling of a typed outcome arriving from another node.
@@ -184,16 +141,10 @@ impl FastRaftEngine {
         outcome: ClientOutcome,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        if let ClientOutcome::Redirect { leader_hint } = &outcome {
-            if let Some(hint) = leader_hint {
-                self.leader_hint = Some(*hint);
-            }
-            // A redirected write stays pending: the proposal machinery keeps
-            // retrying it (broadcast mode needs no hint at all). Redirected
-            // reads surface so the caller retries against the updated hint.
-            if self.client_writes.contains_key(&(session, seq)) {
-                return;
-            }
+        // A redirected write stays pending: the proposal machinery keeps
+        // retrying it (broadcast mode needs no hint at all).
+        if self.core.absorbs_redirect(session, seq, &outcome) {
+            return;
         }
         // The wire reply carries no op kind; the gateway knows it locally.
         // A remote door answering a registration's (session, 1) with a
@@ -214,8 +165,10 @@ impl FastRaftEngine {
             }
             _ => outcome,
         };
-        if self.client_pending.contains_key(&(session, seq)) || self.reads.is_local(session, seq) {
-            self.respond_client(self.id, session, seq, outcome, out);
+        if self.client_pending.contains_key(&(session, seq))
+            || self.core.reads.is_local(session, seq)
+        {
+            self.respond_client(self.core.id, session, seq, outcome, out);
         }
     }
 
@@ -229,7 +182,7 @@ impl FastRaftEngine {
         gate: &mut dyn InsertGate,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        debug_assert_eq!(self.role, Role::Leader);
+        debug_assert_eq!(self.core.role, Role::Leader);
         // A fresh leader's commit floor may lag entries committed by its
         // predecessor until an entry of its own term commits (Raft §8):
         // until then the floor must not be served. Exception: a provably
@@ -239,11 +192,12 @@ impl FastRaftEngine {
         // entries contain anything: a fast quorum that chose an entry
         // intersects every classic quorum in a voter that would have
         // shipped it, so emptiness here implies no write ever completed.
-        let provably_empty = self.commit_index.is_zero()
+        let provably_empty = self.core.commit_index.is_zero()
             && self.last_leader_index.is_zero()
-            && self.log.is_empty()
+            && self.core.log.is_empty()
             && self.possible.max_index().is_zero();
-        if !provably_empty && self.log.term_at(self.commit_index) != self.current_term {
+        let floor_term = self.core.log.term_at(self.core.commit_index);
+        if !provably_empty && floor_term != self.core.current_term {
             self.respond_client(reply_to, session, seq, ClientOutcome::Retry, out);
             // Liveness nudge: a *quiescent* new leader — everything
             // inherited already committed — never runs `maybe_term_noop`
@@ -252,14 +206,15 @@ impl FastRaftEngine {
             // would retry forever. Create the no-op on demand, only when a
             // read actually needs it, so write-only runs keep their exact
             // index layout.
-            if self.commit_index >= self.last_leader_index && self.leader_log_settled() {
+            if self.core.commit_index >= self.last_leader_index && self.leader_log_settled() {
                 let k = self.last_leader_index.next();
-                let noop = LogEntry::noop(self.current_term, self.ids.fresh_id(out));
+                let noop = LogEntry::noop(self.core.current_term, self.core.ids.fresh_id(out));
                 match gate.begin(k, &noop, GatePurpose::DecisionInsert) {
                     GateVerdict::Proceed => {
                         self.insert_leader_entry(k, noop, out);
                         self.advance_commit_classic(out);
-                        self.dispatch_append_entries(out);
+                        self.core
+                            .dispatch_append_entries(self.last_leader_index, out);
                     }
                     GateVerdict::Defer(token) => {
                         // Park as a Decision continuation: its gate_ready
@@ -274,13 +229,10 @@ impl FastRaftEngine {
             }
             return;
         }
-        let (floor, applied) = (self.commit_index, self.applied.index());
-        if self
-            .reads
-            .register_read(session, seq, reply_to, floor, applied, &self.config, out)
-        {
+        if self.core.register_read(session, seq, reply_to, out) {
             // Confirm now rather than waiting out the heartbeat period.
-            self.dispatch_append_entries(out);
+            self.core
+                .dispatch_append_entries(self.last_leader_index, out);
         }
     }
 }

@@ -23,12 +23,12 @@ impl FastRaftEngine {
         fast: Option<bool>,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        let old = self.commit_index;
+        let old = self.core.commit_index;
         if new_commit <= old {
             return;
         }
-        self.commit_index = new_commit;
-        let inline = !self.timing.pipelined_apply;
+        self.core.commit_index = new_commit;
+        let inline = !self.core.timing.pipelined_apply;
         let mut k = old.next();
         while k <= new_commit {
             match fast {
@@ -44,7 +44,7 @@ impl FastRaftEngine {
         self.possible.release_through(new_commit);
         self.retarget_lost_proposals(out);
         if inline {
-            self.maybe_compact(out);
+            self.core.maybe_compact(out);
         }
     }
 
@@ -54,28 +54,30 @@ impl FastRaftEngine {
     /// gateway notifications, commit records, compaction, and the release
     /// of reads whose floor the state machine just reached.
     pub fn drain_applies(&mut self, out: &mut Actions<FastRaftMessage>) {
-        while self.applied.index() < self.commit_index {
-            self.emit_commit_effects(self.applied.index().next(), out);
+        while self.core.applied.index() < self.core.commit_index {
+            self.emit_commit_effects(self.core.applied.index().next(), out);
         }
-        self.maybe_compact(out);
-        self.reads.release_applied_reads(self.applied.index(), out);
+        self.core.maybe_compact(out);
+        self.core
+            .reads
+            .release_applied_reads(self.core.applied.index(), out);
     }
 
     /// Number of committed-but-unapplied indices queued for pipelined
     /// apply; always zero at step boundaries in inline mode.
     pub fn pending_applies(&self) -> u64 {
-        self.applied.pending_applies(self.commit_index)
+        self.core.applied.pending_applies(self.core.commit_index)
     }
 
     /// Applies committed index `k`: digest, session table, proposer and
     /// gateway notifications, membership effects, expiry, commit record.
     fn emit_commit_effects(&mut self, k: LogIndex, out: &mut Actions<FastRaftMessage>) {
-        let Some(entry) = self.log.get(k).cloned() else {
+        let Some(entry) = self.core.log.get(k).cloned() else {
             debug_assert!(false, "committing a hole at {k}");
-            self.applied.mark_applied(k);
+            self.core.applied.mark_applied(k);
             return;
         };
-        self.applied.fold_commit(k, entry.id);
+        self.core.applied.fold_commit(k, entry.id);
         match &entry.payload {
             Payload::Config(cfg) => {
                 out.observe(Observation::ConfigCommitted {
@@ -84,12 +86,12 @@ impl FastRaftEngine {
                 if self.pending_config == Some(k) {
                     self.pending_config = None;
                     if let Some(joiner) = self.pending_join_notify.take() {
-                        self.learners.remove(&joiner);
+                        self.core.learners.remove(&joiner);
                         out.send(
                             joiner,
                             FastRaftMessage::JoinReply {
                                 accepted: true,
-                                leader_hint: Some(self.id),
+                                leader_hint: Some(self.core.id),
                             },
                         );
                         out.observe(Observation::JoinAccepted { node: joiner });
@@ -98,7 +100,7 @@ impl FastRaftEngine {
                 }
                 // A committed config naming us while we were joining
                 // finalizes membership.
-                if cfg.contains(self.id) && self.join_contacts.is_some() {
+                if cfg.contains(self.core.id) && self.join_contacts.is_some() {
                     self.finish_joining(out);
                 }
             }
@@ -109,15 +111,16 @@ impl FastRaftEngine {
                     .expect("write has a session key");
                 let register = matches!(entry.payload, Payload::Register { .. });
                 let outcome = self
+                    .core
                     .applied
                     .apply_client_write(session, seq, register, k, out);
-                if entry.id.proposer == self.id {
+                if entry.id.proposer == self.core.id {
                     self.pending_proposals.remove(&entry.id);
                 }
                 if self.client_pending.contains_key(&(session, seq)) {
                     // The gateway observes its own commit: answer here.
-                    self.respond_client(self.id, session, seq, outcome, out);
-                } else if self.role == Role::Leader && entry.id.proposer != self.id {
+                    self.respond_client(self.core.id, session, seq, outcome, out);
+                } else if self.core.role == Role::Leader && entry.id.proposer != self.core.id {
                     // Covers gateways lagging behind the commit (they
                     // ignore non-pending replies).
                     self.respond_client(entry.id.proposer, session, seq, outcome, out);
@@ -143,7 +146,7 @@ impl FastRaftEngine {
                     // a duplicate item placement outliving a global
                     // eviction re-applies, which only loses dedup, never
                     // data.
-                    self.applied.apply_session_item(session, seq, k, out);
+                    self.core.applied.apply_session_item(session, seq, k, out);
                 }
                 self.notify_proposer(k, entry.id, out);
             }
@@ -151,34 +154,34 @@ impl FastRaftEngine {
             Payload::Noop | Payload::GlobalState(_) => {
                 // Internal entries; GlobalState commits are consumed by the
                 // C-Raft layer through the Actions::commits channel.
-                if entry.id.proposer == self.id {
+                if entry.id.proposer == self.core.id {
                     self.pending_proposals.remove(&entry.id);
                 }
             }
         }
-        self.applied.evict_idle_sessions(k, out);
-        self.applied.mark_applied(k);
-        out.commit(self.scope, k, entry);
+        self.core.applied.evict_idle_sessions(k, out);
+        self.core.applied.mark_applied(k);
+        out.commit(self.core.scope, k, entry);
     }
 
     /// Tells the proposer of a committed payload-level proposal (data or a
     /// global batch): an observation here, a `ProposeReply` from the leader.
     fn notify_proposer(&mut self, k: LogIndex, id: EntryId, out: &mut Actions<FastRaftMessage>) {
-        if id.proposer == self.id {
+        if id.proposer == self.core.id {
             if self.pending_proposals.remove(&id).is_some() {
                 out.observe(Observation::ProposalCommitted {
                     id,
                     index: k,
-                    scope: self.scope,
+                    scope: self.core.scope,
                 });
             }
-        } else if self.role == Role::Leader {
+        } else if self.core.role == Role::Leader {
             out.send(
                 id.proposer,
                 FastRaftMessage::ProposeReply {
                     id,
                     committed: true,
-                    leader_hint: Some(self.id),
+                    leader_hint: Some(self.core.id),
                 },
             );
         }

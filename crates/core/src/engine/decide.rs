@@ -15,7 +15,7 @@ impl FastRaftEngine {
     /// risking stomping a chosen-but-not-yet-re-decided slot (§IV-C).
     pub(super) fn leader_log_settled(&self) -> bool {
         self.possible.max_index() <= self.last_leader_index
-            && self.log.last_index() <= self.last_leader_index
+            && self.core.log.last_index() <= self.last_leader_index
             && self.gated_decisions.is_empty()
     }
 
@@ -26,8 +26,8 @@ impl FastRaftEngine {
         // One slice pass over the contiguous run above the commit point —
         // the run iterator stops at the first hole by construction, so only
         // the approval needs checking per slot.
-        let mut k = self.commit_index.next();
-        for (i, e) in self.log.contiguous_from(k) {
+        let mut k = self.core.commit_index.next();
+        for (i, e) in self.core.log.contiguous_from(k) {
             if e.approval != Approval::LeaderApproved {
                 break;
             }
@@ -54,8 +54,8 @@ impl FastRaftEngine {
     /// have its decision loop re-fill the slot — two different entries
     /// committed at one index.
     pub(super) fn leader_coverage(&self) -> LogIndex {
-        let mut k = self.commit_index;
-        for (i, e) in self.log.contiguous_from(k.next()) {
+        let mut k = self.core.commit_index;
+        for (i, e) in self.core.log.contiguous_from(k.next()) {
             if e.approval != Approval::LeaderApproved {
                 break;
             }
@@ -69,18 +69,18 @@ impl FastRaftEngine {
         gate: &mut dyn InsertGate,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        if self.role != Role::Leader {
+        if self.core.role != Role::Leader {
             return;
         }
         // Fast-track check at the head of the log: the fast track may only
         // commit commitIndex + 1 (§IV-B), and only for a current-term entry.
         loop {
-            let k = self.commit_index.next();
-            let Some(existing) = self.log.get(k).cloned() else {
+            let k = self.core.commit_index.next();
+            let Some(existing) = self.core.log.get(k).cloned() else {
                 break;
             };
             if existing.approval != Approval::LeaderApproved
-                || existing.term != self.current_term
+                || existing.term != self.core.current_term
             {
                 break;
             }
@@ -101,7 +101,7 @@ impl FastRaftEngine {
             if self.gated_decisions.contains(&k) {
                 break; // An insert for k is still replicating locally.
             }
-            if self.possible.voters_at(k) < self.config.classic_quorum() {
+            if self.possible.voters_at(k) < self.core.config.classic_quorum() {
                 break;
             }
             let chosen = match self.possible.most_voted(k) {
@@ -109,19 +109,19 @@ impl FastRaftEngine {
                 None => {
                     // Every vote was nulled: any entry may be inserted
                     // (§IV-B); use a no-op.
-                    LogEntry::noop(self.current_term, self.ids.fresh_id(out))
+                    LogEntry::noop(self.core.current_term, self.core.ids.fresh_id(out))
                 }
             };
             if trace_enabled() {
                 eprintln!(
                     "DECIDE {}@{:?} k={} chose {} voters={} votes_for_chosen={}",
-                    self.id, self.scope, k.as_u64(), chosen.id,
+                    self.core.id, self.core.scope, k.as_u64(), chosen.id,
                     self.possible.voters_at(k),
                     self.possible.votes_for(k, chosen.id)
                 );
             }
             let chosen = chosen
-                .with_term(self.current_term)
+                .with_term(self.core.current_term)
                 .with_approval(Approval::LeaderApproved);
             match gate.begin(k, &chosen, GatePurpose::DecisionInsert) {
                 GateVerdict::Proceed => {
@@ -145,9 +145,9 @@ impl FastRaftEngine {
     /// system is quiet (no votes pending beyond the log), that point is
     /// exactly `lastLeaderIndex + 1`.
     fn maybe_term_noop(&mut self, gate: &mut dyn InsertGate, out: &mut Actions<FastRaftMessage>) {
-        if self.role != Role::Leader
-            || self.commit_index >= self.last_leader_index
-            || self.log.term_at(self.last_leader_index) == self.current_term
+        if self.core.role != Role::Leader
+            || self.core.commit_index >= self.last_leader_index
+            || self.core.log.term_at(self.last_leader_index) == self.core.current_term
             || !self.gated_decisions.is_empty()
         {
             return;
@@ -159,9 +159,9 @@ impl FastRaftEngine {
         }
         let k = self.last_leader_index.next();
         if trace_enabled() {
-            eprintln!("TERMNOOP {} k={}", self.id, k.as_u64());
+            eprintln!("TERMNOOP {} k={}", self.core.id, k.as_u64());
         }
-        let noop = LogEntry::noop(self.current_term, self.ids.fresh_id(out));
+        let noop = LogEntry::noop(self.core.current_term, self.core.ids.fresh_id(out));
         match gate.begin(k, &noop, GatePurpose::DecisionInsert) {
             GateVerdict::Proceed => {
                 self.insert_leader_entry(k, noop, out);
@@ -182,7 +182,7 @@ impl FastRaftEngine {
         chosen: LogEntry,
         out: &mut Actions<FastRaftMessage>,
     ) -> bool {
-        if k != self.decision_point() || self.role != Role::Leader {
+        if k != self.decision_point() || self.core.role != Role::Leader {
             // Stale continuation (the slot was decided another way or
             // leadership was lost while the gate replicated). Drop it; the
             // current machinery re-decides.
@@ -194,8 +194,8 @@ impl FastRaftEngine {
         // The fast track only ever commits the index right above the commit
         // point (§IV-B "the fast track can only be taken here if the last
         // index was committed").
-        if k == self.commit_index.next()
-            && chosen.term == self.current_term
+        if k == self.core.commit_index.next()
+            && chosen.term == self.core.current_term
             && self.fast_quorum_at(k)
         {
             self.commit_through(k, Some(true), out);
@@ -211,40 +211,18 @@ impl FastRaftEngine {
         out: &mut Actions<FastRaftMessage>,
     ) {
         if trace_enabled() {
-            eprintln!("INSERT_LEADER {} k={} id={}", self.id, index.as_u64(), entry.id);
+            eprintln!("INSERT_LEADER {} k={} id={}", self.core.id, index.as_u64(), entry.id);
         }
         debug_assert_eq!(entry.approval, Approval::LeaderApproved);
-        // A decision overwriting a self-approved occupant must drop the
-        // loser's id mapping: once the slot is compacted, the mapping alone
-        // would answer the loser's retries as committed.
-        if let Some(old) = self.log.get(index) {
-            if old.id != entry.id {
-                self.id_index.remove(&old.id);
-            }
-        }
-        self.id_index.insert(entry.id, index);
-        if let Some(cfg) = entry.as_config() {
-            if index >= self.config_index {
-                self.adopt_config(cfg.clone(), index, out);
-            }
-        }
-        out.persist(PersistCmd::Insert {
-            scope: self.scope,
-            index,
-            entry: entry.clone(),
-        });
-        self.log.insert(index, entry);
-        if index > self.last_leader_index {
-            self.last_leader_index = index;
-        }
-        self.match_index.insert(self.id, self.last_leader_index);
+        self.insert_approved(index, entry, out);
+        self.core.match_index.insert(self.core.id, self.last_leader_index);
     }
 
     /// Highest proposal-sequence ceiling this engine has persisted; used by
     /// embeddings that cache engine state across deactivation (C-Raft's
     /// global side) to carry the floor forward.
     pub fn reserved_seqs(&self) -> u64 {
-        self.ids.reserved_seqs()
+        self.core.ids.reserved_seqs()
     }
 
     fn update_fast_match(&mut self, k: LogIndex, chosen: EntryId) {
@@ -255,7 +233,7 @@ impl FastRaftEngine {
             }
         }
         // The leader holds the entry itself.
-        let fm = self.fast_match.entry(self.id).or_insert(LogIndex::ZERO);
+        let fm = self.fast_match.entry(self.core.id).or_insert(LogIndex::ZERO);
         if k > *fm {
             *fm = k;
         }
@@ -263,33 +241,35 @@ impl FastRaftEngine {
 
     fn fast_quorum_at(&self, k: LogIndex) -> bool {
         let count = self
+            .core
             .config
             .iter()
             .filter(|m| self.fast_match.get(m).copied().unwrap_or(LogIndex::ZERO) >= k)
             .count();
-        count >= self.config.fast_quorum()
+        count >= self.core.config.fast_quorum()
     }
 
     /// Liveness guard: re-propose a no-op at the blocked index after
     /// `hole_fill_ticks` stalled decision ticks (see module docs).
     pub(super) fn maybe_fill_hole(&mut self, out: &mut Actions<FastRaftMessage>) {
         let k = self.decision_point();
-        let work_above = self.log.last_index() >= k || self.possible.max_index() >= k;
+        let work_above = self.core.log.last_index() >= k || self.possible.max_index() >= k;
         let blocked = work_above
-            && self.log.get(k).is_none_or(|e| e.approval == Approval::SelfApproved)
-            && self.possible.voters_at(k) < self.config.classic_quorum()
+            && self.core.log.get(k).is_none_or(|e| e.approval == Approval::SelfApproved)
+            && self.possible.voters_at(k) < self.core.config.classic_quorum()
             && !self.gated_decisions.contains(&k);
         if !blocked {
             self.stalled_ticks = 0;
             return;
         }
         self.stalled_ticks += 1;
-        if self.stalled_ticks < self.timing.hole_fill_ticks {
+        if self.stalled_ticks < self.core.timing.hole_fill_ticks {
             return;
         }
         self.stalled_ticks = 0;
         if trace_enabled() {
-            eprintln!("HOLEFILL {} k={} voters={}", self.id, k.as_u64(), self.possible.voters_at(k));
+            let voters = self.possible.voters_at(k);
+            eprintln!("HOLEFILL {} k={} voters={voters}", self.core.id, k.as_u64());
         }
         self.fire_hole_repair(k, out);
     }
@@ -310,14 +290,14 @@ impl FastRaftEngine {
             || self.last_leader_index <= k
             || k <= self.last_proactive_repair
             || self.gated_decisions.contains(&k)
-            || self.log.get(k).is_some_and(|e| e.approval == Approval::LeaderApproved)
-            || self.possible.voters_at(k) >= self.config.classic_quorum()
+            || self.core.log.get(k).is_some_and(|e| e.approval == Approval::LeaderApproved)
+            || self.possible.voters_at(k) >= self.core.config.classic_quorum()
         {
             return;
         }
         self.last_proactive_repair = k;
         if trace_enabled() {
-            eprintln!("PROACTIVE_HOLEFILL {} k={}", self.id, k.as_u64());
+            eprintln!("PROACTIVE_HOLEFILL {} k={}", self.core.id, k.as_u64());
         }
         self.fire_hole_repair(k, out);
     }
@@ -328,7 +308,7 @@ impl FastRaftEngine {
     /// log unblocks.
     fn fire_hole_repair(&mut self, k: LogIndex, out: &mut Actions<FastRaftMessage>) {
         out.observe(Observation::HoleRepairTriggered { index: k });
-        let id = self.ids.fresh_id(out);
+        let id = self.core.ids.fresh_id(out);
         let mut proceed = crate::gate::ProceedGate;
         self.broadcast_proposal(id, Payload::Noop, k, &mut proceed, out);
     }

@@ -13,42 +13,42 @@ impl FastRaftEngine {
         leader: Option<NodeId>,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        let was_leader = self.role == Role::Leader;
-        self.reads.fail_pending_reads(out);
-        if term > self.current_term {
-            self.current_term = term;
-            self.voted_for = None;
-            self.persist_term_vote(out);
-            self.verified = self.commit_index;
+        if term > self.core.current_term {
+            self.verified = self.core.commit_index;
         }
-        self.role = Role::Follower;
-        if leader.is_some() {
-            self.leader_hint = leader;
-        }
-        self.election_votes.clear();
         self.recovery_votes.clear();
-        if was_leader {
-            out.cancel_timer(self.timers.map(TimerKind::Heartbeat));
+        if self.core.become_follower(term, leader, out) {
             out.cancel_timer(self.timers.map(TimerKind::LeaderTick));
         }
         if self.join_contacts.is_none() {
-            self.reset_election_timer(out);
+            self.core.reset_election_timer(out);
         }
-        out.observe(Observation::BecameFollower {
-            term: self.current_term,
-        });
     }
 
-    fn persist_term_vote(&self, out: &mut Actions<FastRaftMessage>) {
-        replica::persist_term_vote(self.scope, self.current_term, self.voted_for, out);
+    /// Accepts `leader` as the valid leader of `term` (at least ours).
+    pub(super) fn follow_leader(
+        &mut self,
+        term: Term,
+        leader: NodeId,
+        out: &mut Actions<FastRaftMessage>,
+    ) {
+        let leader_changed = self.core.leader_hint != Some(leader) || term > self.core.current_term;
+        self.silent_elections = 0;
+        if term > self.core.current_term || self.core.role != Role::Follower {
+            self.become_follower(term, Some(leader), out);
+        } else {
+            self.core.leader_hint = Some(leader);
+            self.core.reset_election_timer(out);
+        }
+        if leader_changed {
+            // Entries verified against a previous leader may diverge above
+            // the commit point; re-verify against the new leader.
+            self.verified = self.core.commit_index;
+        }
     }
 
     pub(super) fn start_election(&mut self, out: &mut Actions<FastRaftMessage>) {
-        if !self.config.contains(self.id) {
-            out.observe(Observation::MessageIgnored {
-                reason: "election by non-member suppressed",
-            });
-            self.reset_election_timer(out);
+        if !self.core.start_election(out) {
             return;
         }
         // Elections without an intervening leader contact suggest we may
@@ -59,35 +59,26 @@ impl FastRaftEngine {
         // any authenticated leader contact.
         self.silent_elections += 1;
         if self.silent_elections >= 3 {
-            let peers: Vec<NodeId> = self.config.peers(self.id).collect();
-            out.send_many(peers, FastRaftMessage::JoinRequest { node: self.id });
+            let peers: Vec<NodeId> = self.core.config.peers(self.core.id).collect();
+            out.send_many(peers, FastRaftMessage::JoinRequest { node: self.core.id });
         }
-        self.role = Role::Candidate;
-        self.current_term = self.current_term.next();
-        self.voted_for = Some(self.id);
-        self.persist_term_vote(out);
-        self.election_votes.clear();
-        self.election_votes.insert(self.id);
-        self.recovery_votes.clear();
         // Our own self-approved entries participate in recovery.
+        self.recovery_votes.clear();
         self.recovery_votes
-            .push((self.id, self.log.self_approved()));
-        out.observe(Observation::ElectionStarted {
-            term: self.current_term,
-        });
+            .push((self.core.id, self.core.log.self_approved()));
         // Advertise the dense leader-approved prefix, not `lastLeaderIndex`:
         // coverage is what acked matchIndexes certified, so it is what the
-        // up-to-dateness comparison must protect (see `leader_coverage`).
+        // up-to-dateness comparison must protect (see `leader_coverage` and
+        // docs/DEVIATIONS.md).
         let coverage = self.leader_coverage();
         let msg = FastRaftMessage::RequestVote {
-            term: self.current_term,
-            candidate: self.id,
+            term: self.core.current_term,
+            candidate: self.core.id,
             last_leader_index: coverage,
-            last_leader_term: self.log.term_at(coverage),
+            last_leader_term: self.core.log.term_at(coverage),
         };
-        let peers: Vec<NodeId> = self.config.peers(self.id).collect();
+        let peers: Vec<NodeId> = self.core.config.peers(self.core.id).collect();
         out.send_many(peers, msg);
-        self.reset_election_timer(out);
         self.maybe_win(out);
     }
 
@@ -101,30 +92,10 @@ impl FastRaftEngine {
         cand_last_leader_term: Term,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        if !self.config.contains(candidate) {
-            out.observe(Observation::MessageIgnored {
-                reason: "vote request from non-member",
-            });
+        let Some(current) = self.core.screen_vote_request(term, candidate, out) else {
             return;
-        }
-        if self
-            .reads
-            .refuses_vote(candidate, self.role == Role::Leader, &self.config, out)
-        {
-            return;
-        }
-        if term < self.current_term {
-            out.send(
-                from,
-                FastRaftMessage::RequestVoteReply {
-                    term: self.current_term,
-                    granted: false,
-                    self_approved: Vec::new(),
-                },
-            );
-            return;
-        }
-        if term > self.current_term {
+        };
+        if term > self.core.current_term {
             self.become_follower(term, None, out);
         }
         // Up-to-dateness over leader-approved entries only (§IV-C), compared
@@ -133,23 +104,18 @@ impl FastRaftEngine {
         // order, and granting on that inflated index would hand leadership
         // to a candidate missing a committed entry (see `leader_coverage`).
         let my_coverage = self.leader_coverage();
-        let my_term = self.log.term_at(my_coverage);
-        let up_to_date =
-            (cand_last_leader_term, cand_last_leader_index) >= (my_term, my_coverage);
-        let can_vote = self.voted_for.is_none() || self.voted_for == Some(candidate);
-        let granted = up_to_date && can_vote;
+        let my_term = self.core.log.term_at(my_coverage);
+        let up_to_date = (cand_last_leader_term, cand_last_leader_index) >= (my_term, my_coverage);
+        let granted = current && self.core.grant_vote(candidate, up_to_date, out);
         let self_approved = if granted {
-            self.voted_for = Some(candidate);
-            self.persist_term_vote(out);
-            self.reset_election_timer(out);
-            self.log.self_approved()
+            self.core.log.self_approved()
         } else {
             Vec::new()
         };
         out.send(
             from,
             FastRaftMessage::RequestVoteReply {
-                term: self.current_term,
+                term: self.core.current_term,
                 granted,
                 self_approved,
             },
@@ -165,33 +131,22 @@ impl FastRaftEngine {
         gate: &mut dyn InsertGate,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        if term > self.current_term {
-            self.become_follower(term, None, out);
-            return;
-        }
-        if self.role != Role::Candidate || term < self.current_term || !granted {
-            return;
-        }
-        self.election_votes.insert(from);
-        self.recovery_votes.push((from, self_approved));
-        self.maybe_win(out);
-        if self.role == Role::Leader {
-            // Run recovery + first decision pass immediately.
-            self.run_decision_loop(gate, out);
+        match self.core.on_vote_reply(from, term, granted) {
+            Reply::NewerTerm => self.become_follower(term, None, out),
+            Reply::Counted => {
+                self.recovery_votes.push((from, self_approved));
+                self.maybe_win(out);
+                if self.core.role == Role::Leader {
+                    // Run recovery + first decision pass immediately.
+                    self.run_decision_loop(gate, out);
+                }
+            }
+            Reply::Dropped | Reply::Rejected => {}
         }
     }
 
     fn maybe_win(&mut self, out: &mut Actions<FastRaftMessage>) {
-        if self.role != Role::Candidate {
-            return;
-        }
-        let quorum = self.config.classic_quorum();
-        let valid = self
-            .election_votes
-            .iter()
-            .filter(|v| self.config.contains(**v))
-            .count();
-        if valid >= quorum {
+        if self.core.won_election() {
             self.become_leader(out);
         }
     }
@@ -205,9 +160,9 @@ impl FastRaftEngine {
         // gap region is protected by §IV-B slot voting and commits never
         // cross it) but worth surfacing: the new leader serves the gap via
         // hole repair + quorum re-votes instead of its own entries.
-        if let Some((horizon, first_retained)) = self.log.front_gap() {
+        if let Some((horizon, first_retained)) = self.core.log.front_gap() {
             debug_assert_eq!(
-                self.scope,
+                self.core.scope,
                 LogScope::Global,
                 "front-gapped log outside the C-Raft global reconstruction path"
             );
@@ -216,49 +171,30 @@ impl FastRaftEngine {
                 first_retained,
             });
         }
-        self.role = Role::Leader;
         self.silent_elections = 0;
-        self.leader_hint = Some(self.id);
-        out.observe(Observation::BecameLeader {
-            term: self.current_term,
-        });
-        self.reads.arm_lease();
         // §IV-A: nextIndex initialized to last committed entry + 1.
-        let start = self.commit_index.next();
-        self.next_index.clear();
-        self.match_index.clear();
+        self.core.become_leader(self.core.commit_index.next(), out);
         self.fast_match.clear();
         self.missed_beats.clear();
-        for peer in self.config.iter() {
-            self.next_index.insert(peer, start);
-            self.match_index.insert(peer, LogIndex::ZERO);
-        }
-        self.match_index.insert(self.id, self.last_leader_index);
+        self.core.match_index.insert(self.core.id, self.last_leader_index);
         self.assign_cursor = self.last_leader_index;
-        self.last_proactive_repair = self.commit_index;
+        self.last_proactive_repair = self.core.commit_index;
         // Recovery (§IV-C): replay every voter's self-approved entries into
         // possibleEntries so chosen entries are re-chosen.
         let recovered: usize = self.recovery_votes.iter().map(|(_, v)| v.len()).sum();
         let votes = std::mem::take(&mut self.recovery_votes);
         for (voter, entries) in votes {
             for (idx, entry) in entries {
-                if idx > self.commit_index {
+                if idx > self.core.commit_index {
                     self.possible.record_vote(idx, entry, voter);
                 }
             }
         }
         out.observe(Observation::RecoveryCompleted { entries: recovered });
-        out.cancel_timer(self.timers.map(TimerKind::Election));
-        self.dispatch_append_entries(out);
-        out.set_timer(self.timers.map(TimerKind::Heartbeat), self.timing.heartbeat);
+        self.core.start_heartbeats(self.last_leader_index, out);
         out.set_timer(
             self.timers.map(TimerKind::LeaderTick),
-            self.timing.decision_tick,
+            self.core.timing.decision_tick,
         );
-    }
-
-    pub(super) fn reset_election_timer(&mut self, out: &mut Actions<FastRaftMessage>) {
-        let kind = self.timers.map(TimerKind::Election);
-        replica::reset_election_timer(&self.timing, &mut self.rng, kind, out);
     }
 }

@@ -35,18 +35,20 @@
 //! `hole_fill_ticks` stalled decision ticks. Sites already holding an entry
 //! at the index keep it and re-vote for it, so the decision rule still picks
 //! any possibly-chosen entry — safety is untouched while the log unblocks.
-//! This guard is implied but not spelled out by the paper; see DESIGN.md.
+//! This guard is implied but not spelled out by the paper; see
+//! `docs/DEVIATIONS.md`, row 1.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use bytes::Bytes;
 use des::{SimRng, SimTime};
-use raft::replica::{self, Applied, ProposalIds, ReadPath};
+use raft::replica::{self, Replica, Reply};
 use raft::{Role, Timing};
+use storage::ScopeState;
 use wire::{
-    Actions, Approval, ClientOp, ClientOutcome, ClientRequest, Configuration, Consistency, EntryId,
-    EntryList, LogEntry, LogIndex, LogScope, NodeId, Observation, Payload, PersistCmd, SessionId,
-    SessionTable, Snapshot, Term, TimerKind, MAX_INSERT_WINDOW,
+    Actions, Approval, ClientOp, ClientOutcome, ClientRequest, Configuration, EntryId, EntryList,
+    LogEntry, LogIndex, LogScope, NodeId, Observation, Payload, SessionId, SessionTable, Snapshot,
+    Term, TimerKind,
 };
 
 use crate::gate::{GatePurpose, GateToken, GateVerdict, InsertGate};
@@ -129,7 +131,7 @@ pub enum ProposalMode {
     /// Forward to the leader, which assigns the next index and replicates
     /// on the classic track. One extra round, but contention-free —
     /// C-Raft's global level uses this so concurrent per-cluster batches
-    /// do not collide (see DESIGN.md "Known deviations").
+    /// do not collide (see `docs/DEVIATIONS.md`, row 2).
     LeaderForward,
 }
 
@@ -181,27 +183,11 @@ struct AckState {
 /// One consensus level of Fast Raft: a sans-IO state machine.
 #[derive(Debug)]
 pub struct FastRaftEngine {
-    id: NodeId,
-    scope: LogScope,
+    /// Everything a Raft-family engine carries: term, vote, log, applied
+    /// image, role, configuration, replication cursors, read path.
+    core: Replica,
     timers: TimerProfile,
-    timing: Timing,
-    rng: SimRng,
 
-    // ---- persistent ----
-    current_term: Term,
-    voted_for: Option<NodeId>,
-    log: wire::SparseLog,
-
-    // ---- volatile ----
-    commit_index: LogIndex,
-    /// The applied image of `log` (deterministic across replicas): applied
-    /// index, digest, session table, cached snapshot.
-    applied: Applied,
-    role: Role,
-    leader_hint: Option<NodeId>,
-    config: Configuration,
-    config_index: LogIndex,
-    election_votes: BTreeSet<NodeId>,
     /// Self-approved entries shipped by granters during the election.
     recovery_votes: Vec<(NodeId, Vec<(LogIndex, LogEntry)>)>,
     /// Highest index verified to match the current leader (follower side).
@@ -209,11 +195,8 @@ pub struct FastRaftEngine {
 
     // ---- leader volatile ----
     possible: PossibleEntries,
-    next_index: BTreeMap<NodeId, LogIndex>,
-    match_index: BTreeMap<NodeId, LogIndex>,
     fast_match: BTreeMap<NodeId, LogIndex>,
     last_leader_index: LogIndex,
-    learners: BTreeSet<NodeId>,
     missed_beats: BTreeMap<NodeId, u32>,
     pending_config: Option<LogIndex>,
     /// The site awaiting a JoinReply once `pending_config` commits.
@@ -227,14 +210,8 @@ pub struct FastRaftEngine {
     // ---- gateway (client-facing) ----
     /// In-flight client writes and registrations submitted at this node.
     client_pending: BTreeMap<(SessionId, u64), ClientOp>,
-    /// `(session, seq)` → proposal id for in-flight writes.
-    client_writes: HashMap<(SessionId, u64), EntryId>,
-
-    // ---- linearizable reads: ReadIndex, lease, vote hold, local clock ----
-    reads: ReadPath,
 
     // ---- proposer ----
-    ids: ProposalIds,
     pending_proposals: BTreeMap<EntryId, PendingProposal>,
 
     // ---- joiner ----
@@ -246,7 +223,6 @@ pub struct FastRaftEngine {
     silent_elections: u32,
 
     // ---- bookkeeping ----
-    id_index: HashMap<EntryId, LogIndex>,
     proposal_mode: ProposalMode,
     /// Next index handed to a leader-forwarded proposal (grows past
     /// gate-pending assignments).
@@ -258,8 +234,6 @@ pub struct FastRaftEngine {
     next_ack_id: u64,
 
     // ---- scratch (empty between steps, capacity retained) ----
-    /// `(nextIndex, follower)` pairs of one AppendEntries dispatch.
-    append_scratch: Vec<(LogIndex, NodeId)>,
     /// Pending proposals being re-sent by one retry or re-target pass.
     proposal_scratch: Vec<(EntryId, Payload, LogIndex)>,
 }
@@ -320,30 +294,18 @@ impl FastRaftEngine {
         timing: Timing,
         rng: SimRng,
     ) -> Self {
+        let replica_timers = (
+            timers.map(TimerKind::Election),
+            timers.map(TimerKind::Heartbeat),
+        );
         FastRaftEngine {
-            id,
-            scope,
+            core: Replica::new(id, scope, config, replica_timers, timing, rng),
             timers,
-            timing,
-            rng,
-            current_term: Term::ZERO,
-            voted_for: None,
-            log: wire::SparseLog::new(),
-            commit_index: LogIndex::ZERO,
-            applied: Applied::new(scope, &timing),
-            role: Role::Follower,
-            leader_hint: None,
-            config,
-            config_index: LogIndex::ZERO,
-            election_votes: BTreeSet::new(),
             recovery_votes: Vec::new(),
             verified: LogIndex::ZERO,
             possible: PossibleEntries::new(),
-            next_index: BTreeMap::new(),
-            match_index: BTreeMap::new(),
             fast_match: BTreeMap::new(),
             last_leader_index: LogIndex::ZERO,
-            learners: BTreeSet::new(),
             missed_beats: BTreeMap::new(),
             pending_config: None,
             pending_join_notify: None,
@@ -351,20 +313,15 @@ impl FastRaftEngine {
             stalled_ticks: 0,
             last_proactive_repair: LogIndex::ZERO,
             client_pending: BTreeMap::new(),
-            client_writes: HashMap::new(),
-            reads: ReadPath::new(id, scope, &timing),
-            ids: ProposalIds::new(id, scope),
             pending_proposals: BTreeMap::new(),
             join_contacts,
             silent_elections: 0,
-            id_index: HashMap::new(),
             proposal_mode: ProposalMode::default(),
             assign_cursor: LogIndex::ZERO,
             pending_gates: HashMap::new(),
             gated_decisions: BTreeSet::new(),
             acks: HashMap::new(),
             next_ack_id: 0,
-            append_scratch: Vec::new(),
             proposal_scratch: Vec::new(),
         }
     }
@@ -380,7 +337,7 @@ impl FastRaftEngine {
         id: NodeId,
         term: Term,
         voted_for: Option<NodeId>,
-        mut log: wire::SparseLog,
+        log: wire::SparseLog,
         snapshot: Option<Snapshot>,
         bootstrap: Configuration,
         scope: LogScope,
@@ -390,38 +347,22 @@ impl FastRaftEngine {
         proposal_seq_floor: u64,
     ) -> Self {
         let mut e = Self::construct(id, bootstrap, None, scope, timers, timing, rng);
-        e.current_term = term;
-        e.voted_for = voted_for;
-        // Resume the proposal counter above every persisted reservation so
-        // no pre-crash `EntryId` is ever minted again (peers would dedup a
-        // reused id against the *old* entry and drop the new proposal).
-        e.ids = ProposalIds::resume(id, scope, proposal_seq_floor);
-        if let Some(snap) = &snapshot {
-            // Idempotent for a log already compacted to the snapshot; for a
-            // log rebuilt some other way (C-Raft's global reconstruction) it
-            // establishes the horizon and drops covered entries.
-            log.install_snapshot(snap.last_index, snap.last_term);
-            e.config = snap.config.clone();
-            e.config_index = snap.last_index;
-        }
-        e.log = log;
-        e.commit_index = e.log.compacted_through();
-        e.applied = Applied::recover(scope, &timing, snapshot, e.commit_index);
-        e.verified = e.commit_index;
-        if let Some((idx, cfg)) = e.log.latest_config() {
-            e.config = cfg.clone();
-            e.config_index = idx;
-        }
+        e.core.restore(ScopeState {
+            current_term: term,
+            voted_for,
+            log,
+            snapshot,
+            proposal_seq_floor,
+        });
+        e.verified = e.core.commit_index;
         e.last_leader_index = e
+            .core
             .log
             .last_leader_index()
-            .max(e.log.compacted_through());
-        for (idx, entry) in e.log.iter() {
-            e.id_index.insert(entry.id, idx);
-        }
-        if !e.config.contains(id) && !e.config.is_empty() {
+            .max(e.core.log.compacted_through());
+        if !e.core.config.contains(id) && !e.core.config.is_empty() {
             // Removed while down: must rejoin explicitly.
-            e.join_contacts = Some(e.config.to_vec());
+            e.join_contacts = Some(e.core.config.to_vec());
         }
         e
     }
@@ -432,67 +373,67 @@ impl FastRaftEngine {
 
     /// This node's id.
     pub fn id(&self) -> NodeId {
-        self.id
+        self.core.id
     }
 
     /// Stamps this engine's view of "now" (an input like any message; see
     /// [`wire::ConsensusProtocol::set_local_clock`]). Never stamping it
     /// leaves the engine clockless and every lease path inert.
     pub fn set_local_clock(&mut self, now: SimTime) {
-        self.reads.set_local_clock(now);
+        self.core.reads.set_local_clock(now);
     }
 
     /// Current role at this level.
     pub fn role(&self) -> Role {
-        self.role
+        self.core.role
     }
 
     /// `true` while this node leads its configuration.
     pub fn is_leader(&self) -> bool {
-        self.role == Role::Leader
+        self.core.role == Role::Leader
     }
 
     /// Current term at this level.
     pub fn current_term(&self) -> Term {
-        self.current_term
+        self.core.current_term
     }
 
     /// Highest committed index.
     pub fn commit_index(&self) -> LogIndex {
-        self.commit_index
+        self.core.commit_index
     }
 
     /// The highest index applied to the state machine. Equal to
     /// [`FastRaftEngine::commit_index`] except transiently under
     /// [`Timing::pipelined_apply`], between commit and the drain stage.
     pub fn applied_index(&self) -> LogIndex {
-        self.applied.index()
+        self.core.applied.index()
     }
 
     /// The log at this level.
     pub fn log(&self) -> &wire::SparseLog {
-        &self.log
+        &self.core.log
     }
 
     /// The latest snapshot covering the compacted prefix, if any.
     pub fn snapshot(&self) -> Option<&Snapshot> {
-        self.applied.snapshot()
+        self.core.applied.snapshot()
     }
 
     /// Running digest of the committed sequence (the simulated state
     /// machine's state).
     pub fn state_digest(&self) -> u64 {
-        self.applied.digest()
+        self.core.applied.digest()
     }
 
     /// The configuration currently obeyed.
     pub fn config(&self) -> &Configuration {
-        &self.config
+        &self.core.config
     }
 
     /// The believed leader.
     pub fn leader_hint(&self) -> Option<NodeId> {
-        self.leader_hint
+        self.core.leader_hint
     }
 
     /// Highest leader-approved index (§IV-A `lastLeaderIndex`).
@@ -524,7 +465,7 @@ impl FastRaftEngine {
 
     /// The per-session exactly-once dedup table (applied state).
     pub fn sessions(&self) -> &SessionTable {
-        self.applied.sessions()
+        self.core.applied.sessions()
     }
 
     /// `true` while this node is still negotiating membership.
@@ -534,7 +475,7 @@ impl FastRaftEngine {
 
     /// The consensus scope this engine operates on.
     pub fn scope(&self) -> LogScope {
-        self.scope
+        self.core.scope
     }
 
     /// Selects how proposals reach the log (default:
@@ -557,7 +498,7 @@ impl FastRaftEngine {
         if self.join_contacts.is_some() {
             self.send_join_request(out);
         } else {
-            self.reset_election_timer(out);
+            self.core.reset_election_timer(out);
         }
     }
 
@@ -575,26 +516,24 @@ impl FastRaftEngine {
     ) {
         match base {
             TimerKind::Election
-                if self.role != Role::Leader && self.join_contacts.is_none() => {
+                if self.core.role != Role::Leader && self.join_contacts.is_none() => {
                     self.start_election(out);
                 }
             TimerKind::Heartbeat
-                if self.role == Role::Leader => {
+                if self.core.role == Role::Leader => {
                     self.note_missed_beats(out);
-                    self.dispatch_append_entries(out);
-                    out.set_timer(
-                        self.timers.map(TimerKind::Heartbeat),
-                        self.timing.heartbeat,
-                    );
+                    // §IV-B: AppendEntries carry entries from nextIndex through
+                    // lastLeaderIndex — leader-approved entries only.
+                    self.core.heartbeat(self.last_leader_index, out);
                 }
             TimerKind::LeaderTick
-                if self.role == Role::Leader => {
+                if self.core.role == Role::Leader => {
                     self.run_decision_loop(gate, out);
                     self.maybe_fill_hole(out);
                     self.start_next_reconfig(out);
                     out.set_timer(
                         self.timers.map(TimerKind::LeaderTick),
-                        self.timing.decision_tick,
+                        self.core.timing.decision_tick,
                     );
                 }
             TimerKind::ProposalRetry => self.retry_proposals(out),
@@ -622,8 +561,8 @@ impl FastRaftEngine {
         // outside the configuration are ignored. Exceptions: client-level
         // traffic, and everything while we are not ourselves a member yet
         // (joiners must accept catch-up AppendEntries).
-        let exempt = msg.is_client_traffic() || !self.config.contains(self.id);
-        if !exempt && !self.config.contains(from) && !self.learners.contains(&from) {
+        let exempt = msg.is_client_traffic() || !self.core.config.contains(self.core.id);
+        if !exempt && !self.core.config.contains(from) && !self.core.learners.contains(&from) {
             out.observe(Observation::MessageIgnored {
                 reason: "sender not in configuration",
             });
@@ -647,13 +586,13 @@ impl FastRaftEngine {
                 leader_hint,
             } => {
                 if let Some(hint) = leader_hint {
-                    self.leader_hint = Some(hint);
+                    self.core.leader_hint = Some(hint);
                 }
                 if committed && self.pending_proposals.remove(&id).is_some() {
                     out.observe(Observation::ProposalCommitted {
                         id,
                         index: LogIndex::ZERO,
-                        scope: self.scope,
+                        scope: self.core.scope,
                     });
                 }
             }
@@ -684,19 +623,8 @@ impl FastRaftEngine {
                 lease_until,
             } => self.on_append_reply(from, term, success, match_index, probe, lease_until, out),
             FastRaftMessage::ClientRead { session, seq } => {
-                if self.role == Role::Leader {
+                if self.core.on_client_read(from, session, seq, out) {
                     self.register_read(session, seq, from, gate, out);
-                } else {
-                    out.send(
-                        from,
-                        FastRaftMessage::ClientReply {
-                            session,
-                            seq,
-                            outcome: ClientOutcome::Redirect {
-                                leader_hint: self.leader_hint,
-                            },
-                        },
-                    );
                 }
             }
             FastRaftMessage::ClientReply {
@@ -721,9 +649,9 @@ impl FastRaftEngine {
                 leader_hint,
             } => {
                 if let Some(hint) = leader_hint {
-                    self.leader_hint = Some(hint);
+                    self.core.leader_hint = Some(hint);
                 }
-                if accepted && self.config.contains(self.id) {
+                if accepted && self.core.config.contains(self.core.id) {
                     self.finish_joining(out);
                 } else if !accepted && self.join_contacts.is_some() {
                     // Redirect noted; retry goes to the hinted leader.
@@ -772,7 +700,7 @@ impl FastRaftEngine {
                 // from a superseded term must not insert — the slot may
                 // since hold (even have committed) a newer leader's entry.
                 self.gated_decisions.remove(&index);
-                if self.role == Role::Leader && entry.term == self.current_term {
+                if self.core.role == Role::Leader && entry.term == self.core.current_term {
                     self.insert_leader_entry(index, entry, out);
                     self.advance_commit_classic(out);
                 }
@@ -786,7 +714,7 @@ impl FastRaftEngine {
                 let (stale, done) = {
                     let st = self.acks.get_mut(&ack).expect("ack state");
                     st.remaining -= 1;
-                    (st.term != self.current_term, st.remaining == 0)
+                    (st.term != self.core.current_term, st.remaining == 0)
                 };
                 if !stale {
                     self.apply_append_insert(index, entry, out);

@@ -15,7 +15,7 @@ impl FastRaftEngine {
         gate: &mut dyn InsertGate,
         out: &mut Actions<FastRaftMessage>,
     ) -> EntryId {
-        let id = self.ids.fresh_id(out);
+        let id = self.core.ids.fresh_id(out);
         match self.proposal_mode {
             ProposalMode::Broadcast => {
                 let index = self.pick_proposal_index();
@@ -41,7 +41,7 @@ impl FastRaftEngine {
         }
         out.set_timer(
             self.timers.map(TimerKind::ProposalRetry),
-            self.timing.proposal_timeout,
+            self.core.timing.proposal_timeout,
         );
         id
     }
@@ -55,14 +55,14 @@ impl FastRaftEngine {
         out: &mut Actions<FastRaftMessage>,
     ) {
         let entry = LogEntry {
-            term: self.current_term,
+            term: self.core.current_term,
             id,
             payload,
             approval: Approval::SelfApproved,
         };
-        if self.role == Role::Leader {
+        if self.core.role == Role::Leader {
             self.leader_accept_forwarded(entry, gate, out);
-        } else if let Some(leader) = self.leader_hint {
+        } else if let Some(leader) = self.core.leader_hint {
             out.send(
                 leader,
                 FastRaftMessage::ProposeAt {
@@ -72,7 +72,7 @@ impl FastRaftEngine {
             );
         } else {
             out.send_many(
-                self.config.peers(self.id),
+                self.core.config.peers(self.core.id),
                 FastRaftMessage::ProposeAt {
                     index: LogIndex::ZERO,
                     entry,
@@ -98,14 +98,14 @@ impl FastRaftEngine {
         }
         // Dedup: retries of ids already in the log are ignored (commit
         // notification flows from emit_commit_effects).
-        if let Some(&idx) = self.id_index.get(&entry.id) {
-            if idx <= self.commit_index {
+        if let Some(&idx) = self.core.id_index.get(&entry.id) {
+            if idx <= self.core.commit_index {
                 out.send(
                     entry.id.proposer,
                     FastRaftMessage::ProposeReply {
                         id: entry.id,
                         committed: true,
-                        leader_hint: Some(self.id),
+                        leader_hint: Some(self.core.id),
                     },
                 );
             }
@@ -128,9 +128,9 @@ impl FastRaftEngine {
         // commits. Once current, the refusal is exact and terminal (any
         // same-pair placement still in the log under another proposal id
         // is skipped by the same apply-time check).
-        if self.applied_session_state_current() {
+        if self.core.applied_session_state_current() {
             if let Some((session, seq)) = entry.payload.session_key() {
-                if self.applied.is_expired_retry(session, seq) {
+                if self.core.applied.is_expired_retry(session, seq) {
                     self.respond_client(
                         entry.id.proposer,
                         session,
@@ -150,10 +150,10 @@ impl FastRaftEngine {
         self.assign_cursor = self.assign_cursor.max(self.last_leader_index).next();
         let k = self.assign_cursor;
         if trace_enabled() {
-            eprintln!("FORWARD_ACCEPT {} k={} id={}", self.id, k.as_u64(), entry.id);
+            eprintln!("FORWARD_ACCEPT {} k={} id={}", self.core.id, k.as_u64(), entry.id);
         }
         let chosen = entry
-            .with_term(self.current_term)
+            .with_term(self.core.current_term)
             .with_approval(Approval::LeaderApproved);
         match gate.begin(k, &chosen, GatePurpose::DecisionInsert) {
             GateVerdict::Proceed => {
@@ -170,7 +170,7 @@ impl FastRaftEngine {
                 // releases second silently overwrites the (possibly
                 // already replicated) first. The reservation drains in
                 // `gate_ready`'s LeaderAppend arm.
-                self.id_index.insert(chosen.id, k);
+                self.core.id_index.insert(chosen.id, k);
                 self.gated_decisions.insert(k);
                 self.pending_gates
                     .insert(token, GateCont::LeaderAppend { index: k, entry: chosen });
@@ -189,7 +189,7 @@ impl FastRaftEngine {
         let Some((session, seq)) = entry.payload.session_key() else {
             return false;
         };
-        if let Some(first_index) = self.applied.sessions().duplicate_of(session, seq) {
+        if let Some(first_index) = self.core.applied.sessions().duplicate_of(session, seq) {
             self.respond_client(
                 entry.id.proposer,
                 session,
@@ -225,7 +225,7 @@ impl FastRaftEngine {
             .insert(id, PendingProposal { payload, index });
         out.set_timer(
             self.timers.map(TimerKind::ProposalRetry),
-            self.timing.proposal_timeout,
+            self.core.timing.proposal_timeout,
         );
     }
 
@@ -241,7 +241,7 @@ impl FastRaftEngine {
 
     fn pick_proposal_index(&self) -> LogIndex {
         // Past everything this site has seen proposed or stored.
-        self.log.last_index().max(self.commit_index).next()
+        self.core.log.last_index().max(self.core.commit_index).next()
     }
 
     /// Sends proposal `id` to every peer as `ProposeAt { index }` and returns
@@ -254,13 +254,13 @@ impl FastRaftEngine {
         out: &mut Actions<FastRaftMessage>,
     ) -> LogEntry {
         let entry = LogEntry {
-            term: self.current_term,
+            term: self.core.current_term,
             id,
             payload,
             approval: Approval::SelfApproved,
         };
         out.send_many(
-            self.config.peers(self.id),
+            self.core.config.peers(self.core.id),
             FastRaftMessage::ProposeAt {
                 index,
                 entry: entry.clone(),
@@ -280,7 +280,7 @@ impl FastRaftEngine {
         let entry = self.send_propose_at(id, payload, index, out);
         // The proposer is itself a site: run the follower insert+vote path
         // locally.
-        self.on_propose_at(self.id, index, entry, gate, out);
+        self.on_propose_at(self.core.id, index, entry, gate, out);
     }
 
     /// Re-broadcasts pending proposal `id` at `index` and re-votes locally
@@ -297,11 +297,11 @@ impl FastRaftEngine {
             p.index = index;
         }
         let entry = self.send_propose_at(id, payload, index, out);
-        if self.log.get(index).is_none() {
+        if self.core.log.get(index).is_none() {
             // Rare on a retry: our slot was truncated. Reinsert through the
             // normal path; a no-op gate race here simply re-runs the gate.
             let mut proceed = crate::gate::ProceedGate;
-            self.on_propose_at(self.id, index, entry, &mut proceed, out);
+            self.on_propose_at(self.core.id, index, entry, &mut proceed, out);
         } else {
             self.send_vote_for_slot(index, out);
         }
@@ -322,8 +322,8 @@ impl FastRaftEngine {
                 .iter()
                 .filter(|(id, p)| {
                     !p.index.is_zero()
-                        && p.index <= self.commit_index
-                        && self.log.get(p.index).is_none_or(|e| e.id != **id)
+                        && p.index <= self.core.commit_index
+                        && self.core.log.get(p.index).is_none_or(|e| e.id != **id)
                 })
                 .map(|(id, p)| (*id, p.payload.clone(), p.index)),
         );
@@ -352,14 +352,14 @@ impl FastRaftEngine {
             }
             // If our entry still occupies its slot, re-gather votes for the
             // same index; if it was overwritten, re-target a fresh index.
-            let keep = self.log.get(old_index).is_some_and(|e| e.id == id);
+            let keep = self.core.log.get(old_index).is_some_and(|e| e.id == id);
             let index = if keep { old_index } else { self.pick_proposal_index() };
             self.rebroadcast_proposal(id, payload, index, out);
         }
         self.proposal_scratch = pendings;
         out.set_timer(
             self.timers.map(TimerKind::ProposalRetry),
-            self.timing.proposal_timeout,
+            self.core.timing.proposal_timeout,
         );
     }
 
@@ -379,7 +379,7 @@ impl FastRaftEngine {
         // Index ZERO marks a leader-forwarded proposal: the leader assigns
         // the slot; non-leaders redirect.
         if index.is_zero() {
-            if self.role == Role::Leader {
+            if self.core.role == Role::Leader {
                 self.leader_accept_forwarded(entry, gate, out);
             } else {
                 out.send(
@@ -387,7 +387,7 @@ impl FastRaftEngine {
                     FastRaftMessage::ProposeReply {
                         id: entry.id,
                         committed: false,
-                        leader_hint: self.leader_hint,
+                        leader_hint: self.core.leader_hint,
                     },
                 );
             }
@@ -402,36 +402,34 @@ impl FastRaftEngine {
         // Duplicate already committed? Notify the proposer (§IV-B step 1).
         // A mapping at or below the compaction horizon refers to an entry
         // whose slot was compacted away; it is committed by definition.
-        if let Some(&idx) = self.id_index.get(&entry.id) {
-            let committed = idx <= self.log.compacted_through()
-                || (idx <= self.commit_index
-                    && self.log.get(idx).is_some_and(|e| e.id == entry.id));
+        if let Some(&idx) = self.core.id_index.get(&entry.id) {
+            let committed = idx <= self.core.log.compacted_through()
+                || (idx <= self.core.commit_index
+                    && self.core.log.get(idx).is_some_and(|e| e.id == entry.id));
             if committed {
                 out.send(
                     entry.id.proposer,
                     FastRaftMessage::ProposeReply {
                         id: entry.id,
                         committed: true,
-                        leader_hint: self.leader_hint,
+                        leader_hint: self.core.leader_hint,
                     },
                 );
                 return;
             }
         }
-        if index <= self.log.compacted_through() {
+        if index <= self.core.log.compacted_through() {
             // The slot was decided and compacted away; nothing to insert or
             // vote for. A losing proposal re-targets from its retry path.
             return;
         }
-        if index.as_u64()
-            > self.log.last_index().as_u64().max(self.commit_index.as_u64()) + MAX_INSERT_WINDOW
-        {
+        if index.as_u64() > self.core.insert_bound() {
             out.observe(Observation::MessageIgnored {
                 reason: "proposed index beyond the insert window",
             });
             return;
         }
-        if self.log.get(index).is_none() {
+        if self.core.log.get(index).is_none() {
             let e = entry.with_approval(Approval::SelfApproved);
             match gate.begin(index, &e, GatePurpose::ProposerInsert) {
                 GateVerdict::Proceed => self.finish_proposer_insert(index, e, out),
@@ -453,42 +451,36 @@ impl FastRaftEngine {
         entry: LogEntry,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        if index <= self.log.compacted_through() {
+        if index <= self.core.log.compacted_through() {
             // The slot was decided and compacted while the insert was gated.
             return;
         }
-        if self.log.get(index).is_some() {
+        if self.core.log.get(index).is_some() {
             // Raced with an AppendEntries insert while gated; vote for the
             // now-present occupant instead.
             self.send_vote_for_slot(index, out);
             return;
         }
-        self.id_index.insert(entry.id, index);
-        out.persist(PersistCmd::Insert {
-            scope: self.scope,
-            index,
-            entry: entry.clone(),
-        });
-        self.log.insert(index, entry);
+        self.core.insert_entry(index, entry, out);
         self.send_vote_for_slot(index, out);
     }
 
     /// §IV-B step 4: "Send log\[i\] and commitIndex to leaderId".
     fn send_vote_for_slot(&mut self, index: LogIndex, out: &mut Actions<FastRaftMessage>) {
-        let Some(entry) = self.log.get(index).cloned() else {
+        let Some(entry) = self.core.log.get(index).cloned() else {
             return;
         };
-        if self.role == Role::Leader {
+        if self.core.role == Role::Leader {
             // The leader is treated as a follower here (§IV-B): its own
             // vote goes straight into possibleEntries.
-            self.record_vote(self.id, index, entry, self.commit_index, out);
-        } else if let Some(leader) = self.leader_hint {
+            self.record_vote(self.core.id, index, entry, self.core.commit_index, out);
+        } else if let Some(leader) = self.core.leader_hint {
             out.send(
                 leader,
                 FastRaftMessage::Vote {
                     index,
                     entry,
-                    commit_index: self.commit_index,
+                    commit_index: self.core.commit_index,
                 },
             );
         }
@@ -505,7 +497,7 @@ impl FastRaftEngine {
         voter_commit: LogIndex,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        if self.role != Role::Leader {
+        if self.core.role != Role::Leader {
             return;
         }
         self.record_vote(from, index, entry, voter_commit, out);
@@ -521,20 +513,20 @@ impl FastRaftEngine {
     ) {
         // §IV-B step 2: nextIndex[i] tracks the voter's commit index so the
         // classic track keeps it consistent with the leader.
-        if self.config.contains(from) || self.learners.contains(&from) {
-            self.next_index.insert(from, voter_commit.next());
+        if self.core.config.contains(from) || self.core.learners.contains(&from) {
+            self.core.next_index.insert(from, voter_commit.next());
         }
-        if index <= self.commit_index {
+        if index <= self.core.commit_index {
             // Slot already decided. If this vote names the committed entry,
             // tell its proposer; otherwise the proposal lost this slot and
             // its proposer will retry elsewhere.
-            if self.log.get(index).is_some_and(|e| e.id == entry.id) {
+            if self.core.log.get(index).is_some_and(|e| e.id == entry.id) {
                 out.send(
                     entry.id.proposer,
                     FastRaftMessage::ProposeReply {
                         id: entry.id,
                         committed: true,
-                        leader_hint: Some(self.id),
+                        leader_hint: Some(self.core.id),
                     },
                 );
             }
@@ -542,8 +534,8 @@ impl FastRaftEngine {
         }
         // A vote for an entry that is already committed at a *different*
         // index is a null vote (duplicate suppression).
-        if let Some(&idx) = self.id_index.get(&entry.id) {
-            if idx <= self.commit_index && idx != index {
+        if let Some(&idx) = self.core.id_index.get(&entry.id) {
+            if idx <= self.core.commit_index && idx != index {
                 self.possible.record_null_vote(index, from);
                 return;
             }

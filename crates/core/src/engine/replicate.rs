@@ -7,74 +7,6 @@ impl FastRaftEngine {
     // Classic track: AppendEntries
     // ------------------------------------------------------------------
 
-    pub(super) fn dispatch_append_entries(&mut self, out: &mut Actions<FastRaftMessage>) {
-        let budget = self.timing.append_budget();
-        // Group followers by nextIndex: one budgeted batch is assembled per
-        // distinct resume point, and the Arc-shared EntryList handle is
-        // cloned per recipient — the fan-out shares a single allocation.
-        let mut groups = std::mem::take(&mut self.append_scratch);
-        let followers = self
-            .config
-            .peers(self.id)
-            .chain(self.learners.iter().copied().filter(|l| *l != self.id));
-        replica::group_by_next_index(
-            &mut groups,
-            followers,
-            &self.next_index,
-            self.commit_index.next(),
-        );
-        for peers in groups.chunk_by(|a, b| a.0 == b.0) {
-            let next = peers[0].0;
-            // A site whose resume point fell below the first retained index
-            // cannot be served from the log anymore (it was absent past the
-            // compaction horizon, or is a fresh joiner): transfer the
-            // compacted prefix as a snapshot; its ack moves nextIndex above
-            // the horizon and replication resumes normally.
-            if next < self.log.first_index() {
-                if let Some(snapshot) = self.current_snapshot() {
-                    for &(_, peer) in peers {
-                        out.send(
-                            peer,
-                            FastRaftMessage::InstallSnapshot {
-                                term: self.current_term,
-                                leader: self.id,
-                                snapshot: snapshot.clone(),
-                            },
-                        );
-                    }
-                }
-                continue;
-            }
-            // §IV-B: include entries from nextIndex through lastLeaderIndex.
-            let entries = if self.last_leader_index >= next {
-                let list =
-                    self.log
-                        .collect_range_budgeted(next, self.last_leader_index, budget);
-                debug_assert!(list
-                    .iter()
-                    .all(|(_, e)| e.approval == Approval::LeaderApproved));
-                list
-            } else {
-                EntryList::empty()
-            };
-            for &(_, peer) in peers {
-                out.send(
-                    peer,
-                    FastRaftMessage::AppendEntries {
-                        term: self.current_term,
-                        leader: self.id,
-                        prev_index: next.prev_saturating(),
-                        entries: entries.clone(),
-                        leader_commit: self.commit_index,
-                        global_commit: LogIndex::ZERO,
-                        probe: self.reads.probe(),
-                    },
-                );
-            }
-        }
-        self.append_scratch = groups;
-    }
-
     /// §IV-B "When a follower receives AppendEntries message".
     #[allow(clippy::too_many_arguments)]
     pub(super) fn on_append_entries(
@@ -89,11 +21,11 @@ impl FastRaftEngine {
         gate: &mut dyn InsertGate,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        if term < self.current_term {
+        if term < self.core.current_term {
             out.send(
                 from,
                 FastRaftMessage::AppendEntriesReply {
-                    term: self.current_term,
+                    term: self.core.current_term,
                     success: false,
                     match_index: LogIndex::ZERO,
                     probe: 0,
@@ -102,19 +34,7 @@ impl FastRaftEngine {
             );
             return;
         }
-        let leader_changed = self.leader_hint != Some(leader) || term > self.current_term;
-        self.silent_elections = 0;
-        if term > self.current_term || self.role != Role::Follower {
-            self.become_follower(term, Some(leader), out);
-        } else {
-            self.leader_hint = Some(leader);
-            self.reset_election_timer(out);
-        }
-        if leader_changed {
-            // Entries verified against a previous leader may diverge above
-            // the commit point; re-verify against the new leader.
-            self.verified = self.commit_index;
-        }
+        self.follow_leader(term, leader, out);
         // NOTE: prev_index is deliberately NOT trusted to raise `verified`.
         // Mere presence of entries through prev_index proves nothing — a
         // stale self-approved entry below prev could differ from the
@@ -135,7 +55,7 @@ impl FastRaftEngine {
         // so commits can never cross a hole. The hole itself is repaired by
         // the leader's decision loop / hole filling, after which the resend
         // from the acked matchIndex extends the prefix normally.
-        let anchor = self.verified.max(self.commit_index);
+        let anchor = self.verified.max(self.core.commit_index);
         let mut new_match = anchor;
         for (idx, _) in entries.iter() {
             if *idx <= new_match {
@@ -153,8 +73,7 @@ impl FastRaftEngine {
         // every other recipient of this batch; entries that land are cloned
         // out of it so the per-site approval stamp never touches the shared
         // allocation.
-        let insert_bound =
-            self.log.last_index().as_u64().max(self.commit_index.as_u64()) + MAX_INSERT_WINDOW;
+        let insert_bound = self.core.insert_bound();
         // One id per append that wrote anything, shared by its gated inserts.
         let mut ack_id = None;
         let mut remaining = 0usize;
@@ -165,7 +84,7 @@ impl FastRaftEngine {
             // Entries at or below the commit index are already decided (and
             // possibly compacted away); writing there is never needed and
             // would violate the compaction horizon.
-            if idx <= self.commit_index {
+            if idx <= self.core.commit_index {
                 continue;
             }
             // Defensive: an index absurdly far above this log would force
@@ -175,7 +94,7 @@ impl FastRaftEngine {
             if idx.as_u64() > insert_bound {
                 continue;
             }
-            let needs_write = match self.log.get(idx) {
+            let needs_write = match self.core.log.get(idx) {
                 None => true,
                 Some(existing) => {
                     existing.id != entry.id
@@ -232,7 +151,7 @@ impl FastRaftEngine {
                 ack_id,
                 AckState {
                     from,
-                    term: self.current_term,
+                    term: self.core.current_term,
                     match_index: new_match,
                     leader_commit,
                     probe,
@@ -248,30 +167,26 @@ impl FastRaftEngine {
         entry: LogEntry,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        if index <= self.log.compacted_through() {
+        if index <= self.core.log.compacted_through() {
             // The slot was committed and compacted (e.g. a snapshot arrived
             // while this insert was gated); the write is obsolete.
             return;
         }
-        if let Some(old) = self.log.get(index) {
-            if old.id != entry.id {
-                self.id_index.remove(&old.id);
-            }
-        }
-        self.id_index.insert(entry.id, index);
-        if let Some(cfg) = entry.as_config() {
-            if index >= self.config_index {
-                self.adopt_config(cfg.clone(), index, out);
-            }
-        }
-        out.persist(PersistCmd::Insert {
-            scope: self.scope,
-            index,
-            entry: entry.clone(),
-        });
-        self.log.insert(index, entry);
-        // These entries are leader-approved: they advance lastLeaderIndex,
-        // which drives election up-to-dateness (§IV-C).
+        self.insert_approved(index, entry, out);
+    }
+
+    /// Inserts a leader-approved entry: a configuration is obeyed at once,
+    /// and lastLeaderIndex — which drives election up-to-dateness (§IV-C) —
+    /// advances.
+    pub(super) fn insert_approved(
+        &mut self,
+        index: LogIndex,
+        entry: LogEntry,
+        out: &mut Actions<FastRaftMessage>,
+    ) {
+        let was_member = self.core.config.contains(self.core.id);
+        self.core.insert_entry(index, entry, out);
+        self.membership_changed(was_member, out);
         if index > self.last_leader_index {
             self.last_leader_index = index;
         }
@@ -289,23 +204,23 @@ impl FastRaftEngine {
         // verified (deviation from the paper's `lastLogIndex` clamp — see
         // module docs; this keeps the committed prefix contiguous and
         // leader-verified).
-        if leader_commit > self.commit_index {
+        if leader_commit > self.core.commit_index {
             let target = leader_commit.min(match_index);
-            if target > self.commit_index {
+            if target > self.core.commit_index {
                 self.commit_through(target, None, out);
             }
         }
         out.send(
             from,
             FastRaftMessage::AppendEntriesReply {
-                term: self.current_term,
+                term: self.core.current_term,
                 success: true,
                 match_index,
                 probe,
                 // Grant stamped at reply time, not receive time: a gated
                 // (deferred) ack that resolves later simply carries a
                 // fresher promise.
-                lease_until: self.reads.emit_lease_grant(from),
+                lease_until: self.core.reads.emit_lease_grant(from),
             },
         );
     }
@@ -315,7 +230,7 @@ impl FastRaftEngine {
         // If the term changed while the gates were open, the verification is
         // stale — entries at those slots may since belong to a newer leader;
         // drop the ack and let the current leader re-establish the prefix.
-        if st.term != self.current_term {
+        if st.term != self.core.current_term {
             return;
         }
         // The log is insert-only, so the contiguous run this batch verified
@@ -338,71 +253,39 @@ impl FastRaftEngine {
         lease_until: SimTime,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        if term > self.current_term {
-            self.become_follower(term, None, out);
-            return;
-        }
-        if self.role != Role::Leader || term < self.current_term {
-            return;
-        }
-        self.reads.record_grant(from, lease_until, out);
-        if success {
-            // match_index is monotone (acked entries are persisted at the
-            // follower), but nextIndex follows the ack exactly: a follower
-            // that restarted from stable storage reports a low verified
-            // match, and the leader must rewind and resend that range.
-            let m = self.match_index.entry(from).or_insert(LogIndex::ZERO);
-            if match_index > *m {
-                *m = match_index;
+        let matched = success.then_some(match_index);
+        match self.core.on_ack(from, term, matched, lease_until, out) {
+            Reply::NewerTerm => self.become_follower(term, None, out),
+            Reply::Dropped => {}
+            Reply::Counted => {
+                self.maybe_finish_join(from, out);
+                self.advance_commit_classic(out);
+                self.maybe_proactive_repair(match_index, out);
+                let applied = self.core.applied.index();
+                self.core
+                    .reads
+                    .note_read_ack(from, probe, applied, &self.core.config, out);
             }
-            self.next_index.insert(from, match_index.next());
-            self.maybe_finish_join(from, out);
-            self.advance_commit_classic(out);
-            self.maybe_proactive_repair(match_index, out);
-            self.reads
-                .note_read_ack(from, probe, self.applied.index(), &self.config, out);
-        } else {
             // Stale-term rejection carries no hint; rewind to the commit
             // point so the next dispatch re-sends the suffix.
-            self.next_index.insert(from, self.commit_index.next());
+            Reply::Rejected => {
+                let resume = self.core.commit_index.next();
+                self.core.next_index.insert(from, resume);
+            }
         }
     }
 
     /// Classic-track commit rule: highest `k` with a classic quorum of
     /// matchIndex ≥ k and `log[k].term == currentTerm`.
     pub(super) fn advance_commit_classic(&mut self, out: &mut Actions<FastRaftMessage>) {
-        let quorum = self.config.classic_quorum();
         // The committed prefix must stay contiguous and leader-approved, but
         // `lastLeaderIndex` can sit *above* a hole (a non-extending append
         // still inserts its leader-approved entries). Cap the scan at the
         // end of the contiguous leader-approved run above commitIndex; the
         // decision loop / hole filling repairs the hole, after which the run
         // extends and the suffix becomes committable.
-        let mut reach = self.commit_index;
-        for (i, e) in self.log.contiguous_from(self.commit_index.next()) {
-            if i > self.last_leader_index || e.approval != Approval::LeaderApproved {
-                break;
-            }
-            reach = i;
-        }
-        let mut k = reach;
-        while k > self.commit_index {
-            if self.log.term_at(k) == self.current_term {
-                let acks = self
-                    .config
-                    .iter()
-                    .filter(|m| {
-                        self.match_index.get(m).copied().unwrap_or(LogIndex::ZERO) >= k
-                    })
-                    .count();
-                if acks >= quorum {
-                    break;
-                }
-            }
-            k = k.prev();
-        }
-        if k > self.commit_index {
-            self.commit_through(k, Some(false), out);
-        }
+        let reach = self.leader_coverage();
+        let k = self.core.quorum_commit_point(reach);
+        self.commit_through(k, Some(false), out);
     }
 }

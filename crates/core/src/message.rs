@@ -445,6 +445,42 @@ impl raft::replica::ClientReplyMessage for FastRaftMessage {
             outcome,
         }
     }
+
+    fn client_read(session: SessionId, seq: u64) -> Self {
+        FastRaftMessage::ClientRead { session, seq }
+    }
+
+    fn append_entries(
+        term: Term,
+        leader: NodeId,
+        prev_index: LogIndex,
+        _prev_term: Term,
+        entries: EntryList,
+        leader_commit: LogIndex,
+        probe: u64,
+    ) -> Self {
+        FastRaftMessage::AppendEntries {
+            term,
+            leader,
+            prev_index,
+            entries,
+            leader_commit,
+            global_commit: LogIndex::ZERO,
+            probe,
+        }
+    }
+
+    fn install_snapshot(term: Term, leader: NodeId, snapshot: Snapshot) -> Self {
+        FastRaftMessage::InstallSnapshot {
+            term,
+            leader,
+            snapshot,
+        }
+    }
+
+    fn install_snapshot_reply(term: Term, last_index: LogIndex) -> Self {
+        FastRaftMessage::InstallSnapshotReply { term, last_index }
+    }
 }
 
 /// C-Raft traffic: Fast Raft messages tagged with the consensus level they

@@ -216,7 +216,7 @@ fn leader_ignores_self_leave() {
     net.deliver_all();
     settle(&mut net, NodeId(0), 2);
     // Defensive behaviour: the leader does not remove itself (§IV-D leaves
-    // this case unspecified; see DESIGN.md).
+    // this case unspecified; see docs/DEVIATIONS.md, row 3).
     assert!(net.node(NodeId(0)).config().contains(NodeId(0)));
     assert!(net
         .observations()

@@ -7,8 +7,7 @@
 //!   (ties broken by scheduling order) and O(1) amortized cancellation;
 //! - [`SimRng`]: seeded randomness with labelled [`SimRng::split`]ting so
 //!   component streams stay independent as the code evolves;
-//! - [`Simulation`]: clock + queue + RNG with a step-limit livelock guard;
-//! - [`TraceBuffer`]: bounded trace capture for debugging runs.
+//! - [`Simulation`]: clock + queue + RNG with a step-limit livelock guard.
 //!
 //! Determinism is the design center: the same seed must reproduce the same
 //! run bit-for-bit, because the consensus-safety test suite relies on
@@ -42,12 +41,10 @@ mod event;
 mod rng;
 mod sim;
 mod time;
-mod trace;
 mod wheel;
 
 pub use event::{EventId, EventQueue, Firing};
 pub use rng::SimRng;
 pub use sim::Simulation;
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceBuffer, TraceRecord};
 pub use wheel::TimerWheel;

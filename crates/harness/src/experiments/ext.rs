@@ -1,5 +1,5 @@
 //! Extension experiments beyond the paper's figures (ablations listed in
-//! DESIGN.md).
+//! `docs/DEVIATIONS.md`, row 4).
 
 use des::{SimDuration, SimTime};
 use serde::Serialize;

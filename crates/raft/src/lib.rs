@@ -9,10 +9,14 @@
 //! runs it over the simulated network, and [`testkit::Lockstep`] drives it
 //! synchronously in tests.
 //!
-//! [`replica`] holds what every Raft-family engine carries identically —
-//! applied state and snapshots, the read/lease path, proposal id minting —
-//! written once; `consensus-core`'s Fast Raft engine composes the same
-//! structs.
+//! [`replica`] holds what every Raft-family engine carries identically,
+//! written once: [`replica::Replica`] — term, vote, log, role, replication
+//! cursors and the protocol steps over them (step-down, candidacy, vote
+//! grant and tally, leader init, AppendEntries fan-out, ack bookkeeping,
+//! the classic commit scan, snapshot receipt, the client reply path) — over
+//! the applied image, the read/lease path and proposal id minting.
+//! [`RaftNode`] is one `Replica` plus classic Raft's own propose/commit
+//! rule; `consensus-core`'s Fast Raft engine composes the same struct.
 //!
 //! ## Timing model
 //!

@@ -345,6 +345,42 @@ impl crate::replica::ClientReplyMessage for RaftMessage {
             outcome,
         }
     }
+
+    fn client_read(session: SessionId, seq: u64) -> Self {
+        RaftMessage::ClientRead { session, seq }
+    }
+
+    fn append_entries(
+        term: Term,
+        leader: NodeId,
+        prev_index: LogIndex,
+        prev_term: Term,
+        entries: EntryList,
+        leader_commit: LogIndex,
+        probe: u64,
+    ) -> Self {
+        RaftMessage::AppendEntries {
+            term,
+            leader,
+            prev_index,
+            prev_term,
+            entries,
+            leader_commit,
+            probe,
+        }
+    }
+
+    fn install_snapshot(term: Term, leader: NodeId, snapshot: Snapshot) -> Self {
+        RaftMessage::InstallSnapshot {
+            term,
+            leader,
+            snapshot,
+        }
+    }
+
+    fn install_snapshot_reply(term: Term, last_index: LogIndex) -> Self {
+        RaftMessage::InstallSnapshotReply { term, last_index }
+    }
 }
 
 #[cfg(test)]

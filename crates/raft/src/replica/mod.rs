@@ -1,13 +1,44 @@
-//! The replica core: state every Raft-family engine carries identically.
+//! The replica core: what every Raft-family engine carries identically,
+//! state and steps.
 //!
 //! The paper presents Fast Raft as "a variation on the Raft consensus
 //! algorithm" (§IV): terms, votes, heartbeats, the classic commit track,
-//! snapshots and the client/session surface are inherited; only the
+//! snapshot catch-up and the client/session surface are inherited; only the
 //! propose/decide rule, the election's up-to-dateness test and
 //! self-announced membership are new. This module is the inherited part,
-//! written once and held by composition in [`crate::RaftNode`] and
-//! `consensus_core::FastRaftEngine`:
+//! written once. [`crate::RaftNode`] and `consensus_core::FastRaftEngine`
+//! each hold one [`Replica`] **by composition**, next to what is truly
+//! theirs, and do their own work as plain statements before and after the
+//! shared call — no trait object, no callback, no engine parameter, no mode
+//! flag.
 //!
+//! - [`Replica`] — the 21 fields both engines used to declare (term, vote,
+//!   log, commit index, role, leader hint, configuration, vote book,
+//!   `next_index`/`match_index`, learners, the gateway's id and read
+//!   tables, …) plus the consensus scope and the two timers its steps arm,
+//!   and the protocol steps over them:
+//!
+//!   | step | `Replica` method(s) | what stays in the engine |
+//!   |---|---|---|
+//!   | construction, crash recovery | `new`, `restore` | Fast Raft's `verified`, `last_leader_index`, `join_contacts` |
+//!   | step-down | `become_follower` | re-arming the election timer (a Fast Raft joiner does not campaign), `LeaderTick`, `verified`, `recovery_votes` |
+//!   | candidacy | `start_election` | the `RequestVote` it sends (which `(index, term)` it advertises), the silent-eviction probe |
+//!   | vote grant | `screen_vote_request`, `grant_vote` | the step-down between them, the up-to-dateness pair, the `self_approved` payload |
+//!   | tally | `on_vote_reply`, `won_election` | recovery replay, the first decision pass |
+//!   | leader init | `become_leader`, `start_heartbeats` | start index, term no-op vs vote recovery, `LeaderTick` |
+//!   | fan-out | `heartbeat`, `dispatch_append_entries` | the upper bound (`last_index` vs `last_leader_index`) |
+//!   | log write | `insert_entry`, `insert_bound` | when to insert: truncate-on-conflict vs slot voting |
+//!   | ack bookkeeping | `on_ack` | what committing does, join completion, proactive repair, the rewind point |
+//!   | classic commit scan | `quorum_commit_point` | the upper bound (contiguous leader-approved reach) |
+//!   | snapshot receipt | `install_snapshot` | following the sender, membership effects of the adopted configuration, the gateway sweep, the ack |
+//!   | reply path | `respond_client`, `absorbs_redirect`, `client_read`, `on_client_read`, `register_read`, `applied_session_state_current` | which write table is cleared, `Registered` remap, the fresh-leader read floor |
+//!
+//!   A step that may end in a step-down reports it ([`Reply::NewerTerm`],
+//!   the halves of vote handling) instead of performing it: stepping down
+//!   has engine-specific parts whose place in the emitted [`wire::Actions`]
+//!   matters, and every step emits the same `Actions` in the same per-`Vec`
+//!   order, and draws from the election-timeout stream at the same points,
+//!   as the engine bodies it replaced.
 //! - [`Applied`] — the applied state machine image: applied index, commit
 //!   digest, exactly-once [`wire::SessionTable`], and the cached snapshot.
 //!   It is the **only writer** of those four; engines feed it committed
@@ -19,35 +50,58 @@
 //! - [`ProposalIds`] — write-ahead-reserved proposal id minting.
 //!
 //! Everything here is generic over the engine's message enum (monomorphised
-//! through [`wire::Actions`]); the one thing shared code must construct is
-//! the `ClientReply` variant both enums carry, via [`ClientReplyMessage`].
-//! What stays per engine, deliberately: the propose/commit rule, leader
-//! election and step-down, AppendEntries dispatch and receipt, membership,
-//! and the gateway's write tables.
+//! through [`wire::Actions`]); the variants shared code must construct are
+//! the ones both enums carry with the same payload, via
+//! [`ClientReplyMessage`].
+//!
+//! What stays per engine, deliberately: the propose/commit rule,
+//! AppendEntries *receipt* (truncate-on-conflict vs slot voting genuinely
+//! differ), applying a committed entry, membership, and the gateway's write
+//! tables (`pending` vs `client_pending`/`pending_proposals`).
 
 mod applied;
 mod ids;
 mod reads;
+mod state;
 
-use std::collections::BTreeMap;
-
-use des::SimRng;
 use wire::{
-    Actions, ClientOutcome, LogIndex, LogScope, NodeId, Observation, PersistCmd, SessionId, Term,
-    TimerKind,
+    Actions, ClientOutcome, EntryList, LogIndex, NodeId, Observation, SessionId, Snapshot, Term,
 };
-
-use crate::Timing;
 
 pub use applied::Applied;
 pub use ids::ProposalIds;
 pub use reads::ReadPath;
+pub use state::{Replica, Reply};
 
-/// A protocol message enum that can carry a typed client answer from the
-/// node that produced it back to the gateway the request entered at.
+/// The message variants shared steps construct: both engines' enums carry
+/// them with the same payload, so a step written once is monomorphised over
+/// either through [`wire::Actions`]. (Named for its first member, the typed
+/// client answer travelling from the node that produced it back to the
+/// gateway the request entered at.)
 pub trait ClientReplyMessage: Sized {
     /// Builds the enum's `ClientReply { session, seq, outcome }` variant.
     fn client_reply(session: SessionId, seq: u64, outcome: ClientOutcome) -> Self;
+
+    /// Builds the enum's `ClientRead { session, seq }` variant.
+    fn client_read(session: SessionId, seq: u64) -> Self;
+
+    /// Builds the enum's `AppendEntries` variant. An enum whose followers
+    /// do not check `prev_term` (Fast Raft verifies by contiguity) drops it.
+    fn append_entries(
+        term: Term,
+        leader: NodeId,
+        prev_index: LogIndex,
+        prev_term: Term,
+        entries: EntryList,
+        leader_commit: LogIndex,
+        probe: u64,
+    ) -> Self;
+
+    /// Builds the enum's `InstallSnapshot { term, leader, snapshot }` variant.
+    fn install_snapshot(term: Term, leader: NodeId, snapshot: Snapshot) -> Self;
+
+    /// Builds the enum's `InstallSnapshotReply { term, last_index }` variant.
+    fn install_snapshot_reply(term: Term, last_index: LogIndex) -> Self;
 }
 
 /// Routes a client answer to its gateway `to`: as an
@@ -70,53 +124,6 @@ pub fn reply<M: ClientReplyMessage>(
         });
     } else {
         out.send(to, M::client_reply(session, seq, outcome));
-    }
-}
-
-/// Persists the term and vote of the consensus level `scope` (write-ahead:
-/// durable before any message of the step leaves this site).
-pub fn persist_term_vote<M>(
-    scope: LogScope,
-    term: Term,
-    voted_for: Option<NodeId>,
-    out: &mut Actions<M>,
-) {
-    out.persist(PersistCmd::SetTermVote {
-        scope,
-        term,
-        voted_for,
-    });
-}
-
-/// (Re)arms the election timer `kind` with a fresh randomized timeout.
-pub fn reset_election_timer<M>(
-    timing: &Timing,
-    rng: &mut SimRng,
-    kind: TimerKind,
-    out: &mut Actions<M>,
-) {
-    out.set_timer(kind, timing.election_timeout(rng));
-}
-
-/// Fills `groups` (emptied first) with one `(nextIndex, follower)` pair per
-/// follower, ascending by nextIndex and — within one resume point — in the
-/// order `followers` yields them: a leader assembles one budgeted batch per
-/// run of equal nextIndex (`chunk_by`) and sends it to the run's followers.
-/// A follower without a `next_index` entry resumes at `default_next`.
-/// `groups` is the caller's scratch, so a dispatch allocates nothing once
-/// it has held the membership.
-pub fn group_by_next_index(
-    groups: &mut Vec<(LogIndex, NodeId)>,
-    followers: impl Iterator<Item = NodeId>,
-    next_index: &BTreeMap<NodeId, LogIndex>,
-    default_next: LogIndex,
-) {
-    groups.clear();
-    for follower in followers {
-        let next = next_index.get(&follower).copied().unwrap_or(default_next);
-        // After every pair with an equal or lower resume point: stable.
-        let at = groups.partition_point(|&(n, _)| n <= next);
-        groups.insert(at, (next, follower));
     }
 }
 

@@ -1,17 +1,20 @@
 //! Direct tests of the shared replica core (`raft::replica`): no network,
 //! no `Lockstep` — the structs are driven the way an engine drives them.
-//! The per-engine suites (`lease.rs`, `session_expiry.rs`, and their
+//! The second half drives [`Replica`]'s shared protocol steps with a message
+//! enum and neither engine around it; each test asserts on the emitted
+//! [`Actions`], so it fails if a shared body reorders effects. The
+//! per-engine suites (`lease.rs`, `session_expiry.rs`, and their
 //! `consensus-core` twins) remain the reference that both engines still
 //! behave as before.
 
 use bytes::Bytes;
-use des::SimRng;
-use raft::replica::{Applied, ProposalIds, ReadPath};
-use raft::{RaftMessage, RaftNode, Timing};
+use des::{SimRng, SimTime};
+use raft::replica::{Applied, ProposalIds, ReadPath, Replica, Reply};
+use raft::{RaftMessage, RaftNode, Role, Timing};
 use wire::{
     Actions, ClientOutcome, ClientRequest, Configuration, ConsensusProtocol, EntryId, LogEntry,
     LogIndex, LogScope, NodeId, Observation, PersistCmd, SessionId, SessionTable, Snapshot,
-    SparseLog, Term,
+    SparseLog, Term, TimerCmd, TimerKind,
 };
 
 type Out = Actions<RaftMessage>;
@@ -348,4 +351,390 @@ fn snapshot_install_answers_covered_gateway_writes_in_session_order() {
         assert_eq!(answered, sorted, "node #{fresh}");
         assert_eq!(gateway.pending_proposals(), 0);
     }
+}
+
+// ----------------------------------------------------------------------
+// `Replica`'s shared steps, driven without either engine
+// ----------------------------------------------------------------------
+
+fn replica(id: u64, members: impl IntoIterator<Item = u64>, timing: Timing) -> Replica {
+    Replica::new(
+        NodeId(id),
+        LogScope::Global,
+        cfg(members),
+        (TimerKind::Election, TimerKind::Heartbeat),
+        timing,
+        SimRng::seed_from_u64(id),
+    )
+}
+
+/// Campaigns and wins with the `voters`' grants, as an engine would drive it.
+fn elect(r: &mut Replica, voters: &[u64], out: &mut Out) {
+    assert!(r.start_election(out));
+    for voter in voters {
+        let counted = r.on_vote_reply(NodeId(*voter), r.current_term, true);
+        assert_eq!(counted, Reply::Counted);
+    }
+    assert!(r.won_election());
+    r.become_leader(r.log.last_index().next(), out);
+    r.start_heartbeats(r.log.last_index(), out);
+}
+
+fn snapshot_at(last_index: u64, last_term: u64, config: Configuration) -> Snapshot {
+    Snapshot {
+        scope: LogScope::Global,
+        last_index: LogIndex(last_index),
+        last_term: Term(last_term),
+        config,
+        state: Snapshot::digest_state(last_index),
+        sessions: Default::default(),
+    }
+}
+
+fn term_votes(out: &Out) -> Vec<(Term, Option<NodeId>)> {
+    out.persists
+        .iter()
+        .map(|p| match p {
+            PersistCmd::SetTermVote {
+                scope: LogScope::Global,
+                term,
+                voted_for,
+            } => (*term, *voted_for),
+            other => panic!("unexpected persist {other:?}"),
+        })
+        .collect()
+}
+
+fn ignored(out: &Out) -> Vec<&'static str> {
+    out.observations
+        .iter()
+        .filter_map(|o| match o {
+            Observation::MessageIgnored { reason } => Some(*reason),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn higher_term_step_down_persists_the_term_and_fails_parked_reads_with_retry() {
+    let mut r = replica(0, 0..3, Timing::lan());
+    let mut out = Out::new();
+    elect(&mut r, &[1], &mut out);
+    // Two reads await their ReadIndex round: one submitted here, one
+    // forwarded by gateway 2.
+    let s = SessionId::client(4);
+    r.reads.track_local(s, 1);
+    assert!(
+        r.register_read(s, 1, NodeId(0), &mut out),
+        "no lease: probe"
+    );
+    assert!(r.register_read(s, 2, NodeId(2), &mut out));
+
+    out.clear();
+    assert!(r.become_follower(Term(7), Some(NodeId(2)), &mut out));
+    assert_eq!(term_votes(&out), vec![(Term(7), None)]);
+    assert_eq!(
+        out.observations,
+        vec![
+            Observation::ClientResponse {
+                session: s,
+                seq: 1,
+                outcome: ClientOutcome::Retry
+            },
+            Observation::BecameFollower { term: Term(7) },
+        ]
+    );
+    let retry = RaftMessage::ClientReply {
+        session: s,
+        seq: 2,
+        outcome: ClientOutcome::Retry,
+    };
+    assert_eq!(out.sends, vec![(NodeId(2), retry)]);
+    // The heartbeat stops; re-arming the election timer is the engine's.
+    assert_eq!(
+        out.timers,
+        vec![TimerCmd::Cancel {
+            kind: TimerKind::Heartbeat
+        }]
+    );
+    assert_eq!(
+        (r.role, r.current_term, r.voted_for, r.leader_hint),
+        (Role::Follower, Term(7), None, Some(NodeId(2)))
+    );
+    assert!(!r.reads.is_local(s, 1));
+
+    // Same term again: nothing to persist, no heartbeat to cancel.
+    out.clear();
+    assert!(!r.become_follower(Term(7), None, &mut out));
+    assert!(out.persists.is_empty() && out.timers.is_empty() && out.sends.is_empty());
+    assert_eq!(r.leader_hint, Some(NodeId(2)), "no hint, none forgotten");
+}
+
+#[test]
+fn vote_is_refused_during_a_lease_hold_and_for_a_non_member_without_adopting_the_term() {
+    let timing = Timing::lan();
+    let mut r = replica(0, 0..3, timing);
+    let mut out = Out::new();
+    // An append ack to leader 1 at t = 1 s carried a lease grant.
+    let t0 = SimTime::from_millis(1_000);
+    r.reads.set_local_clock(t0);
+    assert_eq!(
+        r.reads.emit_lease_grant(NodeId(1)),
+        t0 + timing.lease_duration
+    );
+
+    assert_eq!(r.screen_vote_request(Term(9), NodeId(2), &mut out), None);
+    assert_eq!(r.screen_vote_request(Term(9), NodeId(7), &mut out), None);
+    assert_eq!(
+        ignored(&out),
+        vec![
+            "vote request during lease hold",
+            "vote request from non-member"
+        ]
+    );
+    assert!(out.persists.is_empty() && out.sends.is_empty() && out.timers.is_empty());
+    assert_eq!(
+        r.current_term,
+        Term::ZERO,
+        "the candidate's term is not adopted"
+    );
+    // The leader the promise names may still ask; so may anyone once the
+    // hold has run out on this node's clock.
+    assert_eq!(
+        r.screen_vote_request(Term(9), NodeId(1), &mut out),
+        Some(true)
+    );
+    r.reads.set_local_clock(t0 + timing.lease_duration);
+    assert_eq!(
+        r.screen_vote_request(Term(9), NodeId(2), &mut out),
+        Some(true)
+    );
+
+    // One vote per term, persisted before the reply, timer re-armed.
+    out.clear();
+    assert!(!r.grant_vote(NodeId(2), false, &mut out), "log behind ours");
+    assert!(out.is_empty());
+    assert!(r.grant_vote(NodeId(2), true, &mut out));
+    assert_eq!(term_votes(&out), vec![(Term::ZERO, Some(NodeId(2)))]);
+    assert!(matches!(
+        out.timers[..],
+        [TimerCmd::Set {
+            kind: TimerKind::Election,
+            ..
+        }]
+    ));
+    out.clear();
+    assert!(!r.grant_vote(NodeId(1), true, &mut out), "already voted");
+    assert!(r.grant_vote(NodeId(2), true, &mut out), "a retry re-grants");
+    // A request from an older term is answered (refused), not dropped.
+    r.current_term = Term(3);
+    assert_eq!(
+        r.screen_vote_request(Term(2), NodeId(1), &mut out),
+        Some(false)
+    );
+}
+
+#[test]
+fn tally_ignores_grants_from_sites_no_longer_in_the_configuration() {
+    let mut r = replica(0, 0..5, Timing::lan());
+    let mut out = Out::new();
+    assert!(r.start_election(&mut out));
+    assert_eq!(term_votes(&out), vec![(Term(1), Some(NodeId(0)))]);
+    assert_eq!(r.on_vote_reply(NodeId(1), Term(1), false), Reply::Dropped);
+    assert_eq!(r.on_vote_reply(NodeId(1), Term(0), true), Reply::Dropped);
+    assert_eq!(r.on_vote_reply(NodeId(1), Term(2), true), Reply::NewerTerm);
+    assert_eq!(r.on_vote_reply(NodeId(1), Term(1), true), Reply::Counted);
+    assert_eq!(r.on_vote_reply(NodeId(1), Term(1), true), Reply::Counted);
+    assert!(!r.won_election(), "a repeated grant counts once: 2 of 5");
+    assert_eq!(r.on_vote_reply(NodeId(2), Term(1), true), Reply::Counted);
+    assert!(r.won_election(), "3 of 5");
+    // A configuration inserted mid-election drops 1 and 2: their grants no
+    // longer count, 3's does.
+    r.config = cfg([0, 3, 4]);
+    assert!(!r.won_election(), "1 valid vote of 3");
+    assert_eq!(r.on_vote_reply(NodeId(3), Term(1), true), Reply::Counted);
+    assert!(r.won_election());
+    // Not a candidate, no tally.
+    r.become_leader(LogIndex(1), &mut out);
+    assert_eq!(r.on_vote_reply(NodeId(4), Term(1), true), Reply::Dropped);
+    assert!(!r.won_election());
+}
+
+#[test]
+fn stale_install_snapshot_acks_actual_coverage_and_persists_nothing() {
+    let members = cfg(0..3);
+    let mut r = replica(2, 0..3, Timing::lan());
+    r.current_term = Term(4);
+    let mut out = Out::new();
+    let leader = NodeId(0);
+    assert!(r.install_snapshot(
+        leader,
+        Term(4),
+        snapshot_at(5, 3, members.clone()),
+        &mut out
+    ));
+    assert_eq!(r.commit_index, LogIndex(5));
+    assert_eq!(out.persists.len(), 1);
+    assert_eq!(
+        out.observations,
+        vec![Observation::SnapshotInstalled {
+            scope: LogScope::Global,
+            last_index: LogIndex(5)
+        }]
+    );
+    assert!(out.sends.is_empty(), "the engine acks after its own sweep");
+
+    let ack = |last_index| RaftMessage::InstallSnapshotReply {
+        term: Term(4),
+        last_index: LogIndex(last_index),
+    };
+    for (term, last_index, acked) in [(4, 5, 5), (4, 2, 5), (3, 9, 0)] {
+        out.clear();
+        let stale = snapshot_at(last_index, 3, members.clone());
+        assert!(!r.install_snapshot(leader, Term(term), stale, &mut out));
+        assert_eq!(out.sends, vec![(leader, ack(acked))]);
+        assert!(out.persists.is_empty() && out.observations.is_empty());
+        assert_eq!(r.commit_index, LogIndex(5));
+        assert_eq!(
+            r.applied.snapshot().map(|s| s.last_index),
+            Some(LogIndex(5))
+        );
+    }
+}
+
+#[test]
+fn install_keeps_id_mappings_below_the_old_commit_and_drops_discarded_uncommitted_ones() {
+    let id = |i| EntryId::new(NodeId(0), i);
+    let build = || {
+        let mut r = replica(2, 0..3, Timing::lan());
+        let mut out = Out::new();
+        for i in 1..=6u64 {
+            r.insert_entry(
+                LogIndex(i),
+                write_entry(i, SessionId::client(1), i),
+                &mut out,
+            );
+        }
+        assert_eq!(out.persists.len(), 6, "one write-ahead insert each");
+        r.commit_index = LogIndex(3);
+        r
+    };
+    let mapped = |r: &Replica| -> Vec<u64> {
+        let mut v: Vec<u64> = (1..=6)
+            .filter(|i| r.id_index.contains_key(&id(*i)))
+            .collect();
+        v.sort_unstable();
+        v
+    };
+    // `write_entry` stamps Term(1): a snapshot whose boundary term matches
+    // keeps the suffix above it, one that conflicts discards everything.
+    let mut kept = build();
+    let mut out = Out::new();
+    assert!(kept.install_snapshot(NodeId(0), Term(0), snapshot_at(5, 1, cfg(0..3)), &mut out));
+    assert_eq!(
+        mapped(&kept),
+        vec![1, 2, 3, 6],
+        "4 and 5 were never known committed"
+    );
+    assert_eq!(kept.log.get(LogIndex(6)).map(|e| e.id), Some(id(6)));
+
+    let mut forked = build();
+    out.clear();
+    assert!(forked.install_snapshot(NodeId(0), Term(0), snapshot_at(5, 2, cfg(0..3)), &mut out));
+    assert_eq!(
+        mapped(&forked),
+        vec![1, 2, 3],
+        "the conflicting suffix goes too"
+    );
+    assert!(forked.log.get(LogIndex(6)).is_none());
+    assert!(matches!(
+        out.persists[..],
+        [PersistCmd::InstallSnapshot { .. }]
+    ));
+    assert_eq!(forked.applied.index(), LogIndex(5));
+}
+
+#[test]
+fn fan_out_shares_one_entry_list_per_next_index_and_snapshots_below_the_horizon() {
+    let mut timing = Timing::lan();
+    timing.snapshot_threshold = 2;
+    let mut r = replica(0, 0..5, timing);
+    let mut out = Out::new();
+    for i in 1..=6u64 {
+        r.insert_entry(
+            LogIndex(i),
+            write_entry(i, SessionId::client(1), i),
+            &mut out,
+        );
+    }
+    for k in 1..=4u64 {
+        apply(&mut r.applied, &r.log, k, &mut out);
+    }
+    r.commit_index = LogIndex(4);
+    r.maybe_compact(&mut out);
+    assert_eq!(r.log.first_index(), LogIndex(5), "horizon at 4");
+    elect(&mut r, &[1, 2], &mut out);
+    // Voters 1 and 2 resume at 5, 3 is caught up, 4 and learner 9 fell
+    // below the horizon.
+    r.learners.insert(NodeId(9));
+    for (peer, next) in [(1, 5), (2, 5), (3, 7), (4, 2), (9, 2)] {
+        r.next_index.insert(NodeId(peer), LogIndex(next));
+    }
+
+    out.clear();
+    r.start_heartbeats(LogIndex(6), &mut out);
+    assert_eq!(
+        out.timers,
+        vec![
+            TimerCmd::Cancel {
+                kind: TimerKind::Election
+            },
+            TimerCmd::Set {
+                kind: TimerKind::Heartbeat,
+                after: timing.heartbeat
+            },
+        ]
+    );
+    // Ascending by resume point; within one, voters before learners.
+    let to: Vec<u64> = out.sends.iter().map(|(n, _)| n.as_u64()).collect();
+    assert_eq!(to, vec![4, 9, 1, 2, 3]);
+    let snapshot = r.current_snapshot().expect("compacted");
+    assert_eq!(snapshot.last_index, LogIndex(4));
+    for (_, msg) in &out.sends[..2] {
+        assert_eq!(
+            *msg,
+            RaftMessage::InstallSnapshot {
+                term: Term(1),
+                leader: NodeId(0),
+                snapshot: snapshot.clone()
+            }
+        );
+    }
+    let batch = |msg: &RaftMessage| match msg {
+        RaftMessage::AppendEntries {
+            term: Term(1),
+            leader: NodeId(0),
+            prev_index,
+            prev_term,
+            entries,
+            leader_commit: LogIndex(4),
+            ..
+        } => (*prev_index, *prev_term, entries.clone()),
+        other => panic!("not an append: {other:?}"),
+    };
+    let (first, second, idle) = (
+        batch(&out.sends[2].1),
+        batch(&out.sends[3].1),
+        batch(&out.sends[4].1),
+    );
+    assert_eq!((first.0, first.1), (LogIndex(4), Term(1)));
+    let indices: Vec<LogIndex> = first.2.iter().map(|(i, _)| *i).collect();
+    assert_eq!(indices, vec![LogIndex(5), LogIndex(6)]);
+    assert_eq!(
+        first.2.as_slice().as_ptr(),
+        second.2.as_slice().as_ptr(),
+        "one allocation for the run"
+    );
+    assert_eq!((idle.0, idle.1), (LogIndex(6), Term(1)));
+    assert!(idle.2.is_empty(), "pure heartbeat");
 }

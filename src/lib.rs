@@ -44,8 +44,7 @@ pub mod protocols {
 /// The simulation substrate: deterministic events, network, storage.
 pub mod sim {
     pub use des::{
-        EventId, EventQueue, Firing, SimDuration, SimRng, SimTime, Simulation, TraceBuffer,
-        TraceRecord,
+        EventId, EventQueue, Firing, SimDuration, SimRng, SimTime, Simulation,
     };
     pub use simnet::{
         BernoulliLoss, ConstantLatency, DropReason, GilbertElliott, LatencyModel, LinkStats,

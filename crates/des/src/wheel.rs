@@ -1,78 +1,86 @@
-//! A hierarchical timer wheel.
+//! The keyed timer set of a process hosting many consensus groups: an
+//! **indexed binary min-heap** on `(deadline, schedule sequence)`.
 //!
-//! The simulation heap ([`crate::EventQueue`]) charges O(log n) per
-//! schedule/cancel and keeps one heap entry alive per armed timer. That is
-//! fine for a handful of nodes, but a sharded process multiplexing
-//! thousands of consensus groups arms (and mostly cancels) timers at a rate
-//! proportional to *traffic*, and holds armed-but-never-firing election
-//! timers proportional to *groups*. The wheel gives:
+//! The simulation queue ([`crate::EventQueue`]) keeps one entry alive per
+//! armed timer and cannot re-arm or cancel one in place. A sharded process
+//! multiplexing thousands of consensus groups arms (and mostly re-arms)
+//! timers at a rate proportional to *traffic* and holds
+//! armed-but-never-firing election timers proportional to *groups*, so it
+//! keeps them here instead, keyed by an opaque timer key:
 //!
-//! - O(1) `schedule` / `cancel` / `deadline_of` keyed by an opaque timer
-//!   key (re-scheduling a key replaces its previous deadline, matching the
-//!   [`crate::TimerKind`]-replacement contract of the sans-IO stack);
-//! - slot occupancy bitmaps (one `u64` per level), so advancing virtual
-//!   time across an idle stretch skips empty regions in O(levels) instead
-//!   of visiting every tick — an idle group whose timers were removed
-//!   contributes *zero* work to every future advance;
+//! - `schedule` and `cancel` are O(log n) and work in place: re-scheduling
+//!   a key rewrites its entry and sifts it (matching the
+//!   [`crate::TimerKind`]-replacement contract of the sans-IO stack), so no
+//!   dead copy of a re-armed or cancelled timer is ever left behind;
+//! - [`TimerWheel::next_deadline`] is O(1) (the heap root) and
+//!   `deadline_of` one hash probe — the embedding asks for the next
+//!   deadline after *every* step;
+//! - an idle group whose timers were removed contributes zero work to
+//!   every later call;
 //! - deterministic expiry order: timers fire sorted by `(deadline,
-//!   schedule sequence)`, independent of wheel internals, so two runs with
-//!   the same inputs produce identical schedules.
+//!   schedule sequence)`, a fresh sequence number on every `schedule`, so
+//!   two runs with the same inputs produce identical schedules;
+//! - no allocation in steady state: entries live in a slab with a free
+//!   list, and the heap holds slab indices.
 //!
-//! The embedding arms **one** simulator event at [`TimerWheel::next_deadline`]
-//! and calls [`TimerWheel::advance`] when it fires — the wheel replaces
-//! per-timer heap events entirely.
+//! The embedding arms **one** simulator event at
+//! [`TimerWheel::next_deadline`] and calls [`TimerWheel::advance`] when it
+//! fires, in place of one queue event per timer.
 //!
-//! Internally: `LEVELS` wheels of 64 slots each, level `l` slots spanning
-//! `64^l` ticks (1 tick = 1 µs), entries placed by distance from the
-//! current tick and cascaded down as time approaches. Deadlines beyond the
-//! top level's span are clamped and re-cascaded when reached, so arbitrary
-//! far-future deadlines are legal.
+//! Internally `keys` maps a key to its slab slot, each slot records its
+//! own position in `heap`, and sift moves update that position — a sift
+//! never hashes. Any [`SimTime`] is a legal deadline, however far out.
+//!
+//! # Why a heap, and why the name
+//!
+//! Until PR 23 this type was a hierarchical timer wheel (7 levels × 64
+//! slots, generation tombstones). Its `next_deadline` re-walked the
+//! earliest occupied slot of each level after every expiry, so its cost
+//! grew with the live set: 30 % of `shard_zipf_g256`'s wall time. The shard
+//! runner's pattern (advance to the next deadline, re-arm what fired one
+//! heartbeat on, push other keys further out so that 3.6 timers are armed
+//! per expiry), ns per timer armed, both on one 2-vCPU machine:
+//!
+//! | armed keys | 64 | 1 k | 10 k | 100 k |
+//! |---|---|---|---|---|
+//! | the wheel | 230 | 1,130 | 10,000 | 10,000–19,000 |
+//! | this heap | 58 | 80 | 120 | 350 |
+//!
+//! One structure therefore serves every scale; there is no second
+//! implementation to select. The public name stayed `TimerWheel` because
+//! the benchmark under `perf/` names it and a change that claims a gain
+//! may not edit the benchmark.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
 
 use crate::SimTime;
 
-const SLOT_BITS: u32 = 6;
-const SLOTS: usize = 1 << SLOT_BITS; // 64
-/// Number of levels. Level `LEVELS-1` slots span `64^(LEVELS-1)` µs;
-/// with 7 levels the wheel addresses ~50 days before clamping.
-const LEVELS: usize = 7;
-
+/// One slab entry: an armed timer, or a free slot awaiting reuse.
 #[derive(Clone, Debug)]
-struct WheelEntry<K> {
+struct Slot<K> {
     key: K,
-    /// Exact expiry instant (never rounded; slots only bound it).
+    /// Exact expiry instant.
     deadline: SimTime,
     /// Monotone schedule sequence — the deterministic tiebreak.
     seq: u64,
-    /// Generation at scheduling time; a reschedule/cancel bumps the live
-    /// generation, turning older copies into tombstones skipped on drain.
-    gen: u64,
+    /// Where `heap` holds this slot's index (meaningless while free).
+    heap_pos: u32,
 }
 
-#[derive(Clone, Debug)]
-struct Level<K> {
-    slots: Vec<Vec<WheelEntry<K>>>,
-    /// Bit `s` set ⇔ `slots[s]` is non-empty (possibly only tombstones;
-    /// drain reconciles).
-    occupied: u64,
-}
-
-impl<K> Level<K> {
-    fn new() -> Self {
-        Level {
-            slots: (0..SLOTS).map(|_| Vec::new()).collect(),
-            occupied: 0,
-        }
+impl<K> Slot<K> {
+    fn rank(&self) -> (SimTime, u64) {
+        (self.deadline, self.seq)
     }
 }
 
-/// A hierarchical timer wheel keyed by `K`.
+/// A set of timers keyed by `K`, ordered by deadline (a heap; see the
+/// module docs for the name).
 ///
 /// Scheduling the same key again *replaces* the earlier deadline;
-/// [`TimerWheel::cancel`] disarms a key. Both are O(1). See the module
-/// docs for the full contract.
+/// [`TimerWheel::cancel`] disarms a key. Both are O(log n) and in place.
+/// See the module docs for the full contract.
 ///
 /// # Examples
 ///
@@ -92,19 +100,15 @@ impl<K> Level<K> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct TimerWheel<K> {
-    levels: Vec<Level<K>>,
-    /// Tick (µs) the wheel has been advanced through.
-    current: u64,
-    /// Live keys: generation + exact deadline.
-    keys: HashMap<K, (u64, SimTime)>,
+    /// Armed keys → index into `slab`.
+    keys: HashMap<K, u32>,
+    slab: Vec<Slot<K>>,
+    /// Indices of `slab` slots not armed.
+    free: Vec<u32>,
+    /// Binary min-heap of `slab` indices on [`Slot::rank`]; invariant:
+    /// `slab[heap[p]].heap_pos == p`.
+    heap: Vec<u32>,
     next_seq: u64,
-    next_gen: u64,
-    /// Memoized [`TimerWheel::next_deadline`]: `Some(answer)` when valid,
-    /// `None` after a mutation that may have raised the minimum. Embeddings
-    /// re-arm their one simulator event after *every* step, so the common
-    /// case must not re-scan slots (a slot can hold thousands of co-due
-    /// entries plus tombstones).
-    next_cache: Option<Option<SimTime>>,
 }
 
 impl<K: Eq + Hash + Copy> Default for TimerWheel<K> {
@@ -114,74 +118,82 @@ impl<K: Eq + Hash + Copy> Default for TimerWheel<K> {
 }
 
 impl<K: Eq + Hash + Copy> TimerWheel<K> {
-    /// Creates an empty wheel at time zero.
+    /// Creates an empty timer set.
     pub fn new() -> Self {
         TimerWheel {
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
-            current: 0,
             keys: HashMap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            heap: Vec::new(),
             next_seq: 0,
-            next_gen: 0,
-            next_cache: Some(None),
         }
     }
 
     /// Number of armed (live) timers.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.heap.len()
     }
 
     /// `true` when no timer is armed.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// The instant the wheel has been advanced through.
-    pub fn now(&self) -> SimTime {
-        SimTime::from_micros(self.current)
+        self.heap.is_empty()
     }
 
     /// Arms (or re-arms) `key` to expire at `deadline`. A deadline at or
-    /// before the wheel's current time expires on the next [`advance`]
-    /// call (clamped to fire immediately, never dropped).
+    /// before the last [`advance`] expires on the next one (never
+    /// dropped). Either way the key takes a fresh schedule sequence, so it
+    /// fires after every timer already armed for the same instant.
     ///
     /// [`advance`]: TimerWheel::advance
     pub fn schedule(&mut self, key: K, deadline: SimTime) {
-        let gen = self.next_gen;
-        self.next_gen += 1;
         let seq = self.next_seq;
         self.next_seq += 1;
-        let prev = self.keys.insert(key, (gen, deadline));
-        match self.next_cache {
-            // Replacing the entry that *was* the minimum may raise it.
-            Some(Some(n)) if prev.is_some_and(|(_, d)| d == n) => {
-                self.next_cache = None;
+        match self.keys.entry(key) {
+            Entry::Occupied(e) => {
+                let slot = &mut self.slab[*e.get() as usize];
+                // The fresh `seq` outranks the old one, so the entry moves
+                // toward the root only on a strictly earlier deadline.
+                let earlier = deadline < slot.deadline;
+                slot.deadline = deadline;
+                slot.seq = seq;
+                let pos = slot.heap_pos as usize;
+                if earlier {
+                    sift_up(&mut self.heap, &mut self.slab, pos);
+                } else {
+                    sift_down(&mut self.heap, &mut self.slab, pos);
+                }
             }
-            Some(known) if known.is_none_or(|n| deadline < n) => {
-                self.next_cache = Some(Some(deadline));
+            Entry::Vacant(e) => {
+                let pos = self.heap.len();
+                let slot = Slot {
+                    key,
+                    deadline,
+                    seq,
+                    heap_pos: pos as u32,
+                };
+                let i = match self.free.pop() {
+                    Some(i) => {
+                        self.slab[i as usize] = slot;
+                        i
+                    }
+                    None => {
+                        let i = u32::try_from(self.slab.len()).expect("fewer than 2^32 timers");
+                        self.slab.push(slot);
+                        i
+                    }
+                };
+                e.insert(i);
+                self.heap.push(i);
+                sift_up(&mut self.heap, &mut self.slab, pos);
             }
-            _ => {}
         }
-        let entry = WheelEntry {
-            key,
-            deadline,
-            seq,
-            gen,
-        };
-        self.place(entry);
     }
 
     /// Disarms `key`. Returns `true` if it was armed.
-    ///
-    /// O(1): the slot copy becomes a tombstone reconciled on drain.
     pub fn cancel(&mut self, key: &K) -> bool {
         match self.keys.remove(key) {
-            Some((_, d)) => {
-                // Removing the cached minimum invalidates it (another entry
-                // may share the deadline, but proving that needs a scan).
-                if self.next_cache == Some(Some(d)) {
-                    self.next_cache = None;
-                }
+            Some(i) => {
+                self.remove_at(self.slab[i as usize].heap_pos as usize);
                 true
             }
             None => false,
@@ -190,260 +202,89 @@ impl<K: Eq + Hash + Copy> TimerWheel<K> {
 
     /// The deadline `key` is armed for, if any.
     pub fn deadline_of(&self, key: &K) -> Option<SimTime> {
-        self.keys.get(key).map(|&(_, d)| d)
+        self.keys.get(key).map(|&i| self.slab[i as usize].deadline)
     }
 
-    /// The earliest armed deadline, exact. Memoized: O(1) until a
-    /// mutation may have raised the minimum, then one recomputation that
-    /// also sweeps the tombstones it scans (so each cancelled/rescheduled
-    /// copy is visited at most once across all recomputations).
+    /// The earliest armed deadline, exact: the heap root.
     pub fn next_deadline(&mut self) -> Option<SimTime> {
-        if let Some(known) = self.next_cache {
-            return known;
-        }
-        let computed = self.compute_next_deadline();
-        self.next_cache = Some(computed);
-        computed
+        self.heap.first().map(|&i| self.slab[i as usize].deadline)
     }
 
-    /// Minimum live deadline of level `l` slot `s`, pruning the slot's
-    /// tombstones in place (a slot left empty clears its occupancy bit).
-    fn slot_live_min(&mut self, l: usize, s: usize) -> Option<SimTime> {
-        let keys = &self.keys;
-        let slot = &mut self.levels[l].slots[s];
-        slot.retain(|e| keys.get(&e.key).is_some_and(|&(gen, _)| gen == e.gen));
-        if slot.is_empty() {
-            self.levels[l].occupied &= !(1 << s);
-        }
-        self.levels[l].slots[s].iter().map(|e| e.deadline).min()
-    }
-
-    fn compute_next_deadline(&mut self) -> Option<SimTime> {
-        if self.keys.is_empty() {
-            return None;
-        }
-        let mut best: Option<SimTime> = None;
-        let consider = |best: &mut Option<SimTime>, d: SimTime| {
-            *best = Some(match *best {
-                Some(b) if b <= d => b,
-                _ => d,
-            });
-        };
-        for l in 0..LEVELS {
-            if l == LEVELS - 1 {
-                // Top-level slots can hold entries from *later* windows
-                // than their slot position suggests (one-behind parking,
-                // beyond-span clamps), so no per-slot time order exists —
-                // scan every live entry.
-                let mut bits = self.levels[l].occupied;
-                while bits != 0 {
-                    let s = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    if let Some(d) = self.slot_live_min(l, s) {
-                        consider(&mut best, d);
-                    }
-                }
-                continue;
-            }
-            // Below the top level every live entry's deadline lies inside
-            // its slot's window, so the earliest occupied slot (by
-            // `slot_time`) bounds the level minimum — but it may hold only
-            // tombstones, so re-pick until one holds a live entry.
-            loop {
-                let mut bits = self.levels[l].occupied;
-                let mut pick: Option<(u64, usize)> = None;
-                while bits != 0 {
-                    let s = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let st = self.slot_time(l, s);
-                    if pick.is_none_or(|(t, _)| st < t) {
-                        pick = Some((st, s));
-                    }
-                }
-                let Some((_, s)) = pick else {
-                    break;
-                };
-                if let Some(d) = self.slot_live_min(l, s) {
-                    consider(&mut best, d);
-                    break; // later slots of this level are strictly later
-                }
-                // Slot was all tombstones: its bit is now clear; re-pick.
-            }
-        }
-        best
-    }
-
-    /// Advances the wheel to `to`, appending every expired timer to `out`
+    /// Expires every timer due at or before `to`, appending each to `out`
     /// as `(deadline, key)` in deterministic `(deadline, schedule-seq)`
-    /// order. Empty stretches are skipped via the occupancy bitmaps.
+    /// order. A `to` before every deadline does nothing.
     pub fn advance(&mut self, to: SimTime, out: &mut Vec<(SimTime, K)>) {
-        let target = to.as_micros();
-        // Drain into a scratch carrying seq: equal-deadline entries can sit
-        // at different levels (scheduled at different distances), so drain
-        // order alone is level order, not schedule order.
-        let mut fired: Vec<(SimTime, u64, K)> = Vec::new();
-        let mut stuck = 0u32;
-        while self.current < target || self.due_at_current() {
-            let Some(next) = self.next_occupied_tick() else {
-                break;
-            };
-            if next > target {
+        while let Some(&i) = self.heap.first() {
+            let Slot { key, deadline, .. } = self.slab[i as usize];
+            if deadline > to {
                 break;
             }
-            let before = (self.current, fired.len());
-            self.current = self.current.max(next);
-            self.drain_tick(&mut fired);
-            if (self.current, fired.len()) == before {
-                stuck += 1;
-                if stuck > 10_000 {
-                    panic!(
-                        "wheel stuck: current={} target={} next={} occupied={:?}",
-                        self.current,
-                        target,
-                        next,
-                        self.levels.iter().map(|l| l.occupied).collect::<Vec<_>>()
-                    );
-                }
-            } else {
-                stuck = 0;
-            }
-        }
-        self.current = self.current.max(target);
-        if !fired.is_empty() {
-            // Firing removes live entries; the minimum moves. (A pure time
-            // advance leaves the live set — and thus the cache — intact.)
-            self.next_cache = None;
-        }
-        fired.sort_unstable_by_key(|&(d, s, _)| (d, s));
-        out.extend(fired.into_iter().map(|(d, _, k)| (d, k)));
-    }
-
-    // ------------------------------------------------------------------
-
-    fn is_live(&self, e: &WheelEntry<K>) -> bool {
-        self.keys.get(&e.key).is_some_and(|&(gen, _)| gen == e.gen)
-    }
-
-    /// Places an entry at the highest level whose digit of the deadline
-    /// differs from `current`'s digit (Varghese–Lauck placement).
-    ///
-    /// That slot is strictly *ahead* of `current`'s position within its
-    /// window (all higher digits agree), so it is addressed before the
-    /// ring wraps and the entry cascades down with less than one slot-unit
-    /// remaining. Picking the level by delta *magnitude* instead is subtly
-    /// wrong: a delta just under a level's span can carry into the next
-    /// digit, mapping the entry into the slot `current` occupies — which
-    /// drain would then re-place identically, forever.
-    fn place(&mut self, entry: WheelEntry<K>) {
-        let tick = entry.deadline.as_micros();
-        // Already due: clamp *up* to `current` so the slot resolves to
-        // the present position (drained by the very next advance).
-        // `deadline` stays exact either way.
-        let effective = tick.max(self.current);
-        let diff = effective ^ self.current;
-        let (level, slot) = if diff >> (SLOT_BITS * LEVELS as u32) != 0 {
-            // The deadline lies past the current top-level window. Its own
-            // top digit is still the right slot when it differs from
-            // `current`'s — `slot_time` classifies a behind-position slot
-            // as next-window, so it drains at the right wrap (and an
-            // ahead-position slot drains early and re-places, making
-            // window-sized progress). Only when the two top digits
-            // *collide* (deadline ≥ a full window away in that case) park
-            // one slot behind `current` — the last to come around — and
-            // re-evaluate on drain.
-            let shift = SLOT_BITS * (LEVELS as u32 - 1);
-            let s = (effective >> shift) & (SLOTS as u64 - 1);
-            let s_cur = (self.current >> shift) & (SLOTS as u64 - 1);
-            if s != s_cur {
-                (LEVELS - 1, s as usize)
-            } else {
-                (
-                    LEVELS - 1,
-                    ((s_cur + SLOTS as u64 - 1) & (SLOTS as u64 - 1)) as usize,
-                )
-            }
-        } else {
-            let level = if diff == 0 {
-                0 // same tick as `current`: due immediately
-            } else {
-                ((63 - diff.leading_zeros()) / SLOT_BITS) as usize
-            };
-            let slot =
-                ((effective >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-            (level, slot)
-        };
-        self.levels[level].occupied |= 1 << slot;
-        self.levels[level].slots[slot].push(entry);
-    }
-
-    /// Absolute tick lower bound of level `l` slot `s`, relative to
-    /// `current` (slots wrap within their level's window; a slot whose
-    /// window-position lies behind `current` belongs to the next window).
-    fn slot_time(&self, l: usize, s: usize) -> u64 {
-        let unit = 1u64 << (SLOT_BITS * l as u32);
-        let window = unit * SLOTS as u64;
-        let base = (self.current / window) * window;
-        let cand = base + unit * s as u64;
-        if cand + unit <= self.current {
-            cand + window
-        } else {
-            cand
+            out.push((deadline, key));
+            self.keys.remove(&key);
+            self.remove_at(0);
         }
     }
 
-    /// Earliest tick at which any slot (live or tombstoned) demands work.
-    fn next_occupied_tick(&self) -> Option<u64> {
-        let mut best: Option<u64> = None;
-        for (l, level) in self.levels.iter().enumerate() {
-            let mut bits = level.occupied;
-            while bits != 0 {
-                let s = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let t = self.slot_time(l, s).max(self.current);
-                best = Some(match best {
-                    Some(b) if b <= t => b,
-                    _ => t,
-                });
-            }
-        }
-        best
-    }
-
-    /// `true` when the slot addressed by `current` still holds entries
-    /// (placed while already due).
-    fn due_at_current(&self) -> bool {
-        let s = (self.current & (SLOTS as u64 - 1)) as usize;
-        self.levels[0].occupied & (1 << s) != 0
-    }
-
-    /// Drains every slot addressed by `current`: level-0 entries at or
-    /// before `current` expire, later entries and higher-level slot
-    /// contents cascade back in relative to the new `current`.
-    fn drain_tick(&mut self, out: &mut Vec<(SimTime, u64, K)>) {
-        for l in 0..LEVELS {
-            let s = ((self.current >> (SLOT_BITS * l as u32)) & (SLOTS as u64 - 1)) as usize;
-            if self.levels[l].occupied & (1 << s) == 0 {
-                continue;
-            }
-            // Only drain a slot whose window has actually arrived.
-            if self.slot_time(l, s) > self.current {
-                continue;
-            }
-            let entries = std::mem::take(&mut self.levels[l].slots[s]);
-            self.levels[l].occupied &= !(1 << s);
-            for e in entries {
-                if !self.is_live(&e) {
-                    continue; // tombstone (cancelled or rescheduled)
-                }
-                if e.deadline.as_micros() <= self.current {
-                    self.keys.remove(&e.key);
-                    out.push((e.deadline, e.seq, e.key));
-                } else {
-                    self.place(e); // cascade down
-                }
+    /// Takes the entry at heap position `pos` out of the heap and frees
+    /// its slot (the caller has removed it from `keys`).
+    fn remove_at(&mut self, pos: usize) {
+        self.free.push(self.heap.swap_remove(pos));
+        if pos < self.heap.len() {
+            // The former last entry now sits at `pos`; it may belong on
+            // either side of it.
+            if sift_up(&mut self.heap, &mut self.slab, pos) == pos {
+                sift_down(&mut self.heap, &mut self.slab, pos);
             }
         }
     }
+}
+
+/// Moves the entry at heap position `pos` toward the root until its parent
+/// ranks no later; returns where it came to rest. Entries passed on the
+/// way move one level down, each slot's `heap_pos` following.
+fn sift_up<K>(heap: &mut [u32], slab: &mut [Slot<K>], mut pos: usize) -> usize {
+    let i = heap[pos];
+    let rank = slab[i as usize].rank();
+    while pos > 0 {
+        let parent = (pos - 1) / 2;
+        let p = heap[parent];
+        if slab[p as usize].rank() <= rank {
+            break;
+        }
+        heap[pos] = p;
+        slab[p as usize].heap_pos = pos as u32;
+        pos = parent;
+    }
+    heap[pos] = i;
+    slab[i as usize].heap_pos = pos as u32;
+    pos
+}
+
+/// Moves the entry at heap position `pos` toward the leaves until neither
+/// child ranks earlier.
+fn sift_down<K>(heap: &mut [u32], slab: &mut [Slot<K>], mut pos: usize) {
+    let i = heap[pos];
+    let rank = slab[i as usize].rank();
+    loop {
+        let mut child = 2 * pos + 1;
+        if child >= heap.len() {
+            break;
+        }
+        if child + 1 < heap.len()
+            && slab[heap[child + 1] as usize].rank() < slab[heap[child] as usize].rank()
+        {
+            child += 1;
+        }
+        let c = heap[child];
+        if rank <= slab[c as usize].rank() {
+            break;
+        }
+        heap[pos] = c;
+        slab[c as usize].heap_pos = pos as u32;
+        pos = child;
+    }
+    heap[pos] = i;
+    slab[i as usize].heap_pos = pos as u32;
 }
 
 #[cfg(test)]
@@ -530,7 +371,7 @@ mod tests {
     #[test]
     fn far_future_beyond_span_is_clamped_not_lost() {
         let mut w = TimerWheel::new();
-        // ~139 years in µs — beyond the 7-level span.
+        // ~139 years in µs: no deadline is too far out.
         let far = t(1u64 << 52);
         w.schedule("eon", far);
         let mut out = Vec::new();
@@ -552,11 +393,67 @@ mod tests {
         assert_eq!(keys, (0..10).collect::<Vec<_>>());
     }
 
+    #[test]
+    fn reschedule_to_same_deadline_moves_behind_later_peers() {
+        let mut w = TimerWheel::new();
+        for k in 0..4u32 {
+            w.schedule(k, t(777));
+        }
+        w.schedule(1u32, t(777)); // same instant, fresh seq
+        let mut out = Vec::new();
+        w.advance(t(777), &mut out);
+        let keys: Vec<u32> = out.into_iter().map(|(_, k)| k).collect();
+        assert_eq!(keys, vec![0, 2, 3, 1]);
+    }
+
+    #[test]
+    fn cancel_then_schedule_reuses_the_slot() {
+        let mut w = TimerWheel::new();
+        for k in 0..16u64 {
+            w.schedule(k, t(1_000 + k));
+        }
+        for i in 0..10_000u64 {
+            let k = (i * 7) % 16;
+            assert!(w.cancel(&k));
+            assert_eq!(w.len(), 15);
+            w.schedule(k, t(2_000 + i));
+            assert_eq!(w.len(), 16);
+        }
+        assert_eq!(w.slab.len(), 16, "freed slots are reused, not leaked");
+        assert!(w.free.is_empty());
+        // The last 16 cycles re-armed every key once, in cycle order.
+        let mut out = Vec::new();
+        w.advance(t(20_000), &mut out);
+        let want: Vec<(SimTime, u64)> = (9_984..10_000u64)
+            .map(|i| (t(2_000 + i), (i * 7) % 16))
+            .collect();
+        assert_eq!(out, want);
+        assert!(w.is_empty());
+    }
+
+    #[test]
+    fn advance_to_past_instant_is_a_no_op() {
+        let mut w = TimerWheel::new();
+        let mut out = Vec::new();
+        w.schedule("a", t(5_000));
+        w.advance(t(4_000), &mut out);
+        w.advance(t(1_000), &mut out); // earlier than the last advance
+        assert!(out.is_empty());
+        assert_eq!(w.len(), 1);
+        assert_eq!(w.next_deadline(), Some(t(5_000)));
+        assert_eq!(w.deadline_of(&"a"), Some(t(5_000)));
+        w.advance(t(5_000), &mut out);
+        assert_eq!(out, vec![(t(5_000), "a")]);
+    }
+
     /// Randomized model check against a sorted-vec reference: schedules,
-    /// reschedules, cancels, and partial advances all agree.
+    /// reschedules, cancels, partial advances and `deadline_of` all agree.
+    /// Half the seeds use 64 keys (dense re-arming of live keys), half
+    /// 4,096 (the slab grows, and freed slots are reused deep in the heap).
     #[test]
     fn model_check_against_reference() {
-        for seed in 0..8u64 {
+        for seed in 0..64u64 {
+            let key_space = if seed % 2 == 0 { 64u64 } else { 4_096 };
             let mut rng = SimRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5);
             let mut wheel: TimerWheel<u64> = TimerWheel::new();
             // Reference: key -> (deadline, seq of last schedule).
@@ -566,14 +463,12 @@ mod tests {
             for _ in 0..2_000 {
                 match rng.gen_range(0..10u32) {
                     0..=4 => {
-                        let key = rng.gen_range(0..64u64);
+                        let key = rng.gen_range(0..key_space);
                         let delta = match rng.gen_range(0..5u32) {
                             0 => rng.gen_range(0..100u64),
                             1 => rng.gen_range(0..10_000u64),
                             2 => rng.gen_range(0..5_000_000u64),
                             3 => rng.gen_range(0..2_000_000_000u64),
-                            // Straddle the top-level window span (2^42 µs):
-                            // the next-top-window placement cases.
                             _ => rng.gen_range(0..(1u64 << 43)),
                         };
                         wheel.schedule(key, t(now + delta));
@@ -581,12 +476,12 @@ mod tests {
                         seq += 1;
                     }
                     5 => {
-                        let key = rng.gen_range(0..64u64);
+                        let key = rng.gen_range(0..key_space);
                         assert_eq!(wheel.cancel(&key), model.remove(&key).is_some());
                     }
                     6..=8 => {
-                        // Mostly small steps; occasionally leap across
-                        // top-level windows so far-parked entries drain.
+                        // Mostly small steps; occasionally a leap that
+                        // expires the far-out entries too.
                         let step = if rng.gen_range(0..10u32) == 0 {
                             rng.gen_range(0..(1u64 << 42))
                         } else {
@@ -621,8 +516,13 @@ mod tests {
                     }
                 }
                 assert_eq!(wheel.len(), model.len());
+                let probe = rng.gen_range(0..key_space);
+                assert_eq!(
+                    wheel.deadline_of(&probe).map(|d| d.as_micros()),
+                    model.get(&probe).map(|&(d, _)| d),
+                    "seed {seed} at now={now}"
+                );
             }
         }
     }
-
 }

@@ -7,12 +7,13 @@
 //!   hash-range table; rebalance ops ([`ReconfigOp`]) commit through the
 //!   owning group's own log, so every replica flips its table at the same
 //!   point of that group's linearizable history.
-//! - **Scheduling**: all timers of all groups live in one hierarchical
-//!   timer wheel (`des::TimerWheel`), driven by a single simulation event
-//!   re-armed to the wheel's next deadline. Per-event cost is O(due
-//!   work), never O(groups).
+//! - **Scheduling**: all timers of all groups live in one keyed timer
+//!   heap (`des::TimerWheel` — the name predates the heap; the runner
+//!   still calls it "the wheel"), driven by a single simulation event
+//!   re-armed to its next deadline. Per-event cost is O(due work · log
+//!   timers), never O(groups).
 //! - **Idle groups**: a leadership-settled group with no client traffic
-//!   is **parked** — its timers leave the wheel with remainders recorded,
+//!   is **parked** — its timers leave the heap with remainders recorded,
 //!   so it consumes zero CPU until traffic returns. See
 //!   [`ShardRunner`] for the full hibernation state machine.
 //!

@@ -1,5 +1,5 @@
 //! The multi-group runner: thousands of consensus groups in one process
-//! fabric, scheduled by a timer wheel so idle groups cost zero.
+//! fabric, scheduled from one keyed timer heap so idle groups cost zero.
 //!
 //! # Topology
 //!
@@ -13,12 +13,14 @@
 //!
 //! # Scheduling
 //!
-//! All timers of all groups live in one hierarchical [`TimerWheel`]
+//! All timers of all groups live in one [`TimerWheel`] (an indexed
+//! min-heap; "the wheel" below and in the field names, after the type)
 //! keyed by a packed `(proc, group, kind)` word, and the wheel is driven
 //! by a **single** event in the discrete-event simulation, re-armed to the
-//! wheel's next deadline after every dispatch. The per-event cost is
-//! therefore O(due work), never O(groups): a group with nothing due
-//! contributes no event, no heap entry, and no per-tick poll.
+//! wheel's next deadline — its heap root, O(1) — after every dispatch. The
+//! per-event cost is therefore O(due work · log timers), never O(groups):
+//! a group with nothing due contributes no event, no queue entry, and no
+//! per-tick poll.
 //!
 //! # Hibernation
 //!
@@ -71,9 +73,26 @@ fn timer_key(proc: u64, group: u32, kind: TimerKind) -> u64 {
     (proc << 40) | ((group as u64) << 8) | kind.index() as u64
 }
 
+// Every kind index must fit the low byte and leave `0xff` to `idle_key`.
+const _: () = assert!(TimerKind::COUNT < 0xff);
+
 /// The per-group hibernation-check key (kind byte `0xff`).
 fn idle_key(group: u32) -> u64 {
     ((group as u64) << 8) | 0xff
+}
+
+/// Unpacks a wheel key into its group and, for a protocol timer, its
+/// `(proc, kind)`; `None` there marks the group's idle check.
+fn decode_key(key: u64) -> (u32, Option<(u64, TimerKind)>) {
+    let group = ((key >> 8) & 0xffff_ffff) as u32;
+    let timer = match (key & 0xff) as usize {
+        0xff => None,
+        kind => Some((
+            key >> 40,
+            TimerKind::from_index(kind).expect("wheel key carries a valid timer kind"),
+        )),
+    };
+    (group, timer)
 }
 
 /// Extra capabilities the sharded runner needs from an engine beyond the
@@ -223,7 +242,7 @@ enum Ev<M> {
         to: NodeId,
         env: ShardEnvelope<M>,
     },
-    /// Drive the timer wheel up to `now`.
+    /// Drive the [`TimerWheel`] up to `now`.
     Wheel,
     /// A closed-loop client issues its first op.
     ClientStart { client: usize },
@@ -471,7 +490,7 @@ impl<P: ShardNode> ShardRunner<P> {
         self.groups.get(&group.as_u32()).is_some_and(|c| c.parked)
     }
 
-    /// Live entries in the shared timer wheel.
+    /// Armed timers in the shared [`TimerWheel`].
     pub fn wheel_len(&self) -> usize {
         self.wheel.len()
     }
@@ -519,19 +538,12 @@ impl<P: ShardNode> ShardRunner<P> {
                 // decision never races a timer due at the same instant.
                 for pass in 0..2 {
                     for &(_, key) in &due {
-                        let kind_byte = (key & 0xff) as usize;
-                        let is_idle = kind_byte == 0xff;
-                        if (pass == 0) == is_idle {
-                            continue;
-                        }
-                        let group = ((key >> 8) & 0xffff_ffff) as u32;
-                        if is_idle {
-                            self.idle_check(group);
-                        } else {
-                            let proc = key >> 40;
-                            let kind = TimerKind::from_index(kind_byte)
-                                .expect("wheel key carries a valid timer kind");
-                            self.step_engine(proc, group, |e, out| e.on_timer(kind, out));
+                        match decode_key(key) {
+                            (group, Some((proc, kind))) if pass == 0 => {
+                                self.step_engine(proc, group, |e, out| e.on_timer(kind, out));
+                            }
+                            (group, None) if pass == 1 => self.idle_check(group),
+                            _ => {}
                         }
                     }
                 }
@@ -1041,6 +1053,27 @@ impl<P: ShardNode> ShardRunner<P> {
             }
         } else {
             self.issue_next(client);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wheel_keys_round_trip_through_decode() {
+        let procs = ShardConfig::default().procs;
+        for group in [0, u32::MAX] {
+            assert_eq!(decode_key(idle_key(group)), (group, None));
+            for proc in [0, procs - 1] {
+                for kind in (0..TimerKind::COUNT).map(|i| TimerKind::from_index(i).unwrap()) {
+                    assert_eq!(
+                        decode_key(timer_key(proc, group, kind)),
+                        (group, Some((proc, kind)))
+                    );
+                }
+            }
         }
     }
 }

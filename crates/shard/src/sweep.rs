@@ -5,7 +5,8 @@
 //!
 //! 1. **Idle groups cost zero.** A fabric hosting 1 active + 4096 idle
 //!    groups commits within a few percent of the same fabric hosting the
-//!    active group alone — the timer wheel never polls parked groups, and
+//!    active group alone — a parked group holds no entry in the timer
+//!    heap (`des::TimerWheel`), so nothing ever polls it, and
 //!    hibernation stops their heartbeats entirely. A hibernation-off
 //!    contrast cell shows the event volume parking removes.
 //! 2. **Aggregate throughput scales with group count.** Under a Zipfian

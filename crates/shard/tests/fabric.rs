@@ -264,3 +264,29 @@ fn runs_are_deterministic_and_parked_fleet_is_cheap() {
     assert_eq!((events, completed, parks, parked, wheel_len), run());
 }
 
+/// The schedule is pinned: timer expiry order — `(deadline, schedule
+/// seq)` out of `des::TimerWheel` — is the only thing that can move these
+/// counters, so the exact tuple (captured before the wheel became a heap)
+/// must survive any change to the timer structure.
+#[test]
+fn timer_structure_change_does_not_move_the_schedule() {
+    let cfg = small_cfg(16, 8, SimDuration::from_millis(500));
+    let mut r = ShardRunner::new(cfg, Vec::new(), raft_factory(Timing::lan()));
+    r.run_until(SimTime::from_secs(12));
+    assert!(r.violations().is_empty(), "{:?}", r.violations());
+    let m = r.metrics();
+    assert_eq!(
+        (
+            m.events_total,
+            m.completed_total,
+            m.frames_window,
+            m.timers_set,
+            m.timers_cancelled,
+            m.wheel_events,
+            m.parks,
+            m.unparks,
+            r.wheel_len(),
+        ),
+        (12004, 1450, 8209, 6446, 16, 2603, 29, 28, 81)
+    );
+}

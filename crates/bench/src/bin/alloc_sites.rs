@@ -9,8 +9,7 @@
 //! its *leaf frame* — the innermost frame inside this workspace, i.e. the
 //! repository line that asked for memory, not the `Vec`/`BTreeMap`
 //! internals it went through. Prints one table per scenario, in allocator
-//! calls per completed operation (the counting rule of `fabric_probe` and
-//! `perf`: `alloc` + `realloc`).
+//! calls per completed operation (`perf`'s rule: `alloc` + `realloc`).
 //!
 //! ```text
 //! CARGO_PROFILE_RELEASE_DEBUG=true cargo run --release -p bench --bin alloc_sites

@@ -18,6 +18,11 @@
 //! the baseline exactly; the threshold only absorbs intentional,
 //! benign-but-measurable behavior shifts.
 //!
+//! Threshold mode reads every series as higher-is-better: a value may rise
+//! without limit and fails only when it drops. Lower-is-better series (the
+//! latencies and hop counts of `fig3`, `fig4`, `rounds`) therefore go
+//! through `--exact` only.
+//!
 //! `--exact` replaces the threshold with bit-for-bit reproduction: every
 //! baseline key must match the current value exactly (up to float-print
 //! rounding). Refactors that claim to be behavior-identical — the simulator

@@ -1,4 +1,7 @@
 //! Regenerates Fig. 3: commit latency vs message loss, classic vs Fast Raft.
+//!
+//! `--json <path>` additionally writes the machine-readable series consumed
+//! by the CI bench gate.
 
 fn main() {
     let opts = bench::BenchOpts::from_args();
@@ -9,4 +12,5 @@ fn main() {
     };
     let result = harness::experiments::fig3::run(&opts.seed_list(), &losses, commits);
     print!("{}", result.render());
+    opts.write_json(&result.to_json());
 }

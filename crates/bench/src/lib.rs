@@ -1,10 +1,12 @@
-//! # `bench` — the benchmark harness
+//! # `bench` — the figure and probe binaries
 //!
 //! One binary per table/figure of the paper (`fig3`, `fig4`, `fig5`,
-//! `rounds`) plus extension studies (`ext_batch`, `ext_contention`,
-//! `ext_failover`) and `all` (everything, writing a combined report).
-//! Criterion benches live under `benches/` and exercise both the component
-//! layer (event queue, codec, quorum math) and scaled-down experiment runs.
+//! `rounds`), the extension studies (`ext_*`), `all` (everything, as one
+//! combined report), the simulated-time CI probes (`residency`, `read_mix`,
+//! `lease_mix`, `commit_path`, `shard_sweep`) with their gate
+//! `bench_compare`, and `alloc_sites`, the sampling allocation profiler.
+//! They report what the *simulation* decides; how fast the implementation
+//! runs is measured by `perf/` alone (`BENCHMARK.json`).
 //!
 //! Every binary accepts `--quick` for a fast, reduced-parameter pass and
 //! `--seeds N` to control trial counts.
@@ -27,14 +29,24 @@ pub struct BenchOpts {
 }
 
 impl BenchOpts {
-    /// Parses options from `std::env::args`.
+    /// Parses options from `std::env::args`; a malformed command line
+    /// prints the reason and exits with status 2.
     pub fn from_args() -> Self {
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses options from `args` (the command line without the program
+    /// name). A flag that needs a value and is followed by another flag, or
+    /// by nothing, is an error rather than a silently kept default.
+    pub fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut opts = BenchOpts {
             quick: false,
             seeds: 3,
             json: None,
         };
-        let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--quick" => opts.quick = true,
@@ -42,22 +54,20 @@ impl BenchOpts {
                     opts.seeds = args
                         .next()
                         .and_then(|v| v.parse().ok())
-                        .unwrap_or(opts.seeds);
+                        .ok_or("--seeds needs a number")?;
                 }
                 "--json" => {
                     // A following flag is a missing value, not a filename.
-                    opts.json = match args.next() {
-                        Some(v) if !v.starts_with("--") => Some(v),
-                        _ => {
-                            eprintln!("--json needs a file path");
-                            std::process::exit(2);
-                        }
-                    };
+                    opts.json = Some(
+                        args.next()
+                            .filter(|v| !v.starts_with("--"))
+                            .ok_or("--json needs a file path")?,
+                    );
                 }
                 other => eprintln!("ignoring unknown argument: {other}"),
             }
         }
-        opts
+        Ok(opts)
     }
 
     /// Writes `json` to the `--json` path, if one was given.
@@ -81,6 +91,24 @@ impl BenchOpts {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(line: &str) -> Result<BenchOpts, String> {
+        BenchOpts::parse(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn seeds_without_a_value_is_an_error_not_a_swallowed_flag() {
+        assert_eq!(parse("--seeds --quick").unwrap_err(), "--seeds needs a number");
+        assert_eq!(parse("--seeds x").unwrap_err(), "--seeds needs a number");
+        assert_eq!(parse("--seeds").unwrap_err(), "--seeds needs a number");
+    }
+
+    #[test]
+    fn flags_after_a_valued_seeds_are_all_seen() {
+        let o = parse("--seeds 2 --quick --json f").unwrap();
+        assert_eq!((o.seeds, o.quick, o.json.as_deref()), (2, true, Some("f")));
+        assert_eq!(parse("--json --quick").unwrap_err(), "--json needs a file path");
+    }
 
     #[test]
     fn seed_list_is_deterministic() {

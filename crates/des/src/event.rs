@@ -119,10 +119,17 @@ impl<E> EventQueue<E> {
         EventId(seq)
     }
 
-    /// Cancels a previously scheduled event.
+    /// Cancels a previously scheduled event that has not fired yet.
     ///
     /// Returns `true` if the event was live (now cancelled); `false` if it
-    /// already fired or was already cancelled.
+    /// was already cancelled or `id` was never issued by this queue.
+    ///
+    /// Precondition: `id` has not fired. The queue keeps no per-id liveness
+    /// map, so it cannot tell a fired id from a pending one: cancelling a
+    /// fired id also returns `true`, leaves a tombstone that no pop will
+    /// ever remove, and makes [`len`](Self::len) under-count by one. Callers
+    /// forget an id when its event fires (the runners clear their timer
+    /// slot on fire) and so never pass one here.
     pub fn cancel(&mut self, id: EventId) -> bool {
         if id.0 >= self.next_seq {
             return false;

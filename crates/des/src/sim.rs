@@ -96,6 +96,10 @@ impl<E> Simulation<E> {
     }
 
     /// Cancels a scheduled event. Returns `true` if it was still pending.
+    ///
+    /// Precondition: `id` has not fired — see [`EventQueue::cancel`], which
+    /// cannot detect a fired id and would let [`pending`](Self::pending) and
+    /// [`is_idle`](Self::is_idle) drift.
     pub fn cancel(&mut self, id: EventId) -> bool {
         self.queue.cancel(id)
     }

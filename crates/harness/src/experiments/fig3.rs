@@ -78,6 +78,28 @@ pub fn run(seeds: &[u64], losses_pct: &[f64], commits: u64) -> Fig3Result {
 }
 
 impl Fig3Result {
+    /// Machine-readable JSON for the CI bench gate: mean commit latency
+    /// (ms) per protocol and swept loss percentage, the fast-track ratio
+    /// beside it, and the headline speedup. Latencies are lower-is-better,
+    /// so CI gates this file with `bench_compare --exact` only.
+    pub fn to_json(&self) -> String {
+        let mut s = String::from("{\n  \"bench\": \"fig3\",\n  \"series\": {\n");
+        for r in &self.rows {
+            s.push_str(&format!(
+                "    \"raft/{l}\": {raft:.2},\n    \"fast/{l}\": {fast:.2},\n    \"ftr/{l}\": {ftr:.4},\n",
+                l = r.loss_pct,
+                raft = r.raft_ms,
+                fast = r.fast_ms,
+                ftr = r.fast_track_ratio,
+            ));
+        }
+        s.push_str(&format!(
+            "    \"speedup_at_zero\": {:.2}\n  }}\n}}\n",
+            self.speedup_at_zero_loss
+        ));
+        s
+    }
+
     /// Renders the figure as the table the paper plots.
     pub fn render(&self) -> String {
         let mut out = String::new();

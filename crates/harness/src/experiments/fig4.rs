@@ -101,6 +101,20 @@ pub fn run(seed: u64, leave_at_s: u64, total_s: u64) -> Fig4Result {
 }
 
 impl Fig4Result {
+    /// Machine-readable JSON for the CI bench gate: the three phase
+    /// latencies (ms) and the suspected-member count. Lower-is-better
+    /// values, so CI gates this file with `bench_compare --exact` only.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\n  \"bench\": \"fig4\",\n  \"series\": {{\n    \
+             \"before_ms\": {:.1},\n    \
+             \"peak_after_ms\": {:.1},\n    \
+             \"recovered_ms\": {:.1},\n    \
+             \"members_suspected\": {}\n  }}\n}}\n",
+            self.before_ms, self.peak_after_ms, self.recovered_ms, self.members_suspected
+        )
+    }
+
     /// Renders the series plus phase summary.
     pub fn render(&self) -> String {
         let mut out = String::new();

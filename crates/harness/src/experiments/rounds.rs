@@ -86,6 +86,18 @@ pub fn run(seed: u64, commits: u64) -> RoundsResult {
 }
 
 impl RoundsResult {
+    /// Machine-readable JSON for the CI bench gate: one-way hops per
+    /// committed proposal. Lower-is-better values, so CI gates this file
+    /// with `bench_compare --exact` only.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\n  \"bench\": \"rounds\",\n  \"series\": {{\n    \
+             \"raft_hops\": {:.2},\n    \
+             \"fast_hops\": {:.2}\n  }}\n}}\n",
+            self.raft_hops, self.fast_hops
+        )
+    }
+
     /// Renders the comparison.
     pub fn render(&self) -> String {
         format!(

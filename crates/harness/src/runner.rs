@@ -565,11 +565,7 @@ impl<P: ConsensusProtocol> Runner<P> {
         // A gateway has one outstanding op, so a step answers at most one;
         // a repeated answer within the step is a duplicate of the first.
         let mut response: Option<(SessionId, u64, ClientOutcome)> = None;
-        let trace = harness_trace_enabled();
         for obs in out.observations.drain(..) {
-            if trace {
-                eprintln!("[{:.3}s] {} {:?}", self.sim.now().as_secs_f64(), from, obs);
-            }
             match obs {
                 Observation::ClientResponse {
                     session,
@@ -839,12 +835,6 @@ impl<P: ConsensusProtocol> Runner<P> {
             }
         }
     }
-}
-
-/// Cached `HARNESS_TRACE` env check: per-observation tracing to stderr.
-fn harness_trace_enabled() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("HARNESS_TRACE").is_some())
 }
 
 /// Infallible byte filling for [`SimRng`] (extension helper).

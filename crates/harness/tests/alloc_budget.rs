@@ -21,8 +21,7 @@ use des::SimDuration;
 use harness::{run_craft, run_fast_raft, CRaftScenario, NetworkKind, RunReport, Scenario};
 use wire::NodeId;
 
-/// Allocator calls (`alloc` + `realloc`, the rule `perf` and
-/// `bench --bin fabric_probe` count by).
+/// Allocator calls (`alloc` + `realloc`, `perf`'s rule).
 static CALLS: AtomicU64 = AtomicU64::new(0);
 
 struct CountingAlloc;

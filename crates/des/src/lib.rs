@@ -3,8 +3,9 @@
 //! The substrate underneath every experiment in this workspace. It provides:
 //!
 //! - [`SimTime`] / [`SimDuration`]: exact microsecond-resolution virtual time;
-//! - [`EventQueue`]: a priority queue with **total, deterministic ordering**
-//!   (ties broken by scheduling order) and O(1) amortized cancellation;
+//! - [`EventQueue`]: an indexed min-heap with **total, deterministic
+//!   ordering** (ties broken by scheduling order) and exact, in-place
+//!   O(log n) cancellation;
 //! - [`SimRng`]: seeded randomness with labelled [`SimRng::split`]ting so
 //!   component streams stay independent as the code evolves;
 //! - [`Simulation`]: clock + queue + RNG with a step-limit livelock guard.

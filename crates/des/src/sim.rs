@@ -95,11 +95,9 @@ impl<E> Simulation<E> {
         self.queue.schedule(self.now + delay, event)
     }
 
-    /// Cancels a scheduled event. Returns `true` if it was still pending.
-    ///
-    /// Precondition: `id` has not fired — see [`EventQueue::cancel`], which
-    /// cannot detect a fired id and would let [`pending`](Self::pending) and
-    /// [`is_idle`](Self::is_idle) drift.
+    /// Cancels a scheduled event. Returns `true` if it was still pending;
+    /// `false` if it already fired, was already cancelled, or was never
+    /// issued (see [`EventQueue::cancel`]).
     pub fn cancel(&mut self, id: EventId) -> bool {
         self.queue.cancel(id)
     }
@@ -246,6 +244,28 @@ mod tests {
         let id = sim.schedule_after(SimDuration::from_millis(1), Ev::Tick(1));
         assert!(sim.cancel(id));
         assert!(sim.next_event().is_none());
+        assert!(sim.is_idle());
+    }
+
+    #[test]
+    fn cancel_after_fire_is_false_and_len_is_exact() {
+        let mut sim = Simulation::new(1);
+        let a = sim.schedule_after(SimDuration::from_millis(1), Ev::Tick(1));
+        let b = sim.schedule_after(SimDuration::from_millis(2), Ev::Tick(2));
+        assert_eq!(sim.next_event().unwrap().id, a);
+        assert!(!sim.cancel(a), "a fired id is no longer pending");
+        assert_eq!(sim.pending(), 1);
+        assert!(!sim.is_idle());
+        // `c` takes the slot `a` left; the stale id must not cancel it.
+        let c = sim.schedule_after(SimDuration::from_millis(3), Ev::Tick(3));
+        assert!(!sim.cancel(a));
+        assert_eq!(sim.pending(), 2);
+        assert!(sim.cancel(b));
+        assert!(!sim.cancel(b), "double-cancel reports false");
+        assert_eq!(sim.pending(), 1);
+        assert_eq!(sim.next_event().unwrap().id, c);
+        assert!(!sim.cancel(c));
+        assert_eq!(sim.pending(), 0);
         assert!(sim.is_idle());
     }
 }

@@ -1,8 +1,9 @@
 //! The keyed timer set of a process hosting many consensus groups: an
 //! **indexed binary min-heap** on `(deadline, schedule sequence)`.
 //!
-//! The simulation queue ([`crate::EventQueue`]) keeps one entry alive per
-//! armed timer and cannot re-arm or cancel one in place. A sharded process
+//! The simulation queue ([`crate::EventQueue`]) cancels an event in place
+//! but cannot re-arm one: a re-armed timer there is a cancel plus a fresh
+//! event carrying its own payload. A sharded process
 //! multiplexing thousands of consensus groups arms (and mostly re-arms)
 //! timers at a rate proportional to *traffic* and holds
 //! armed-but-never-firing election timers proportional to *groups*, so it
@@ -206,7 +207,7 @@ impl<K: Eq + Hash + Copy> TimerWheel<K> {
     }
 
     /// The earliest armed deadline, exact: the heap root.
-    pub fn next_deadline(&mut self) -> Option<SimTime> {
+    pub fn next_deadline(&self) -> Option<SimTime> {
         self.heap.first().map(|&i| self.slab[i as usize].deadline)
     }
 

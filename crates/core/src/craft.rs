@@ -778,8 +778,11 @@ impl CRaftNode {
         }
         self.global_read_waiters.insert((session, seq), waiter);
         self.step_global(out, |engine, gate, ea| {
-            let read = ClientRequest::read(session, seq, Consistency::Linearizable);
-            engine.on_client_request(read, gate, ea);
+            // The gateway's read id passes through unchanged: the global
+            // answer must come back under the key `global_read_waiters`
+            // holds.
+            let op = ClientOp::Read(Consistency::Linearizable);
+            engine.on_client_request(ClientRequest { session, seq, op }, gate, ea);
         });
     }
 

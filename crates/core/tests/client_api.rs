@@ -2,13 +2,13 @@
 //! ReadIndex, stale-local reads, and the typed outcomes — over Fast Raft
 //! and C-Raft (classic Raft's are in `crates/raft/tests/client_api.rs`).
 
-use consensus_core::{build_deployment, CRaftConfig, CRaftNode, FastRaftNode};
+use consensus_core::{build_deployment, CRaftConfig, CRaftNode, FastRaftMessage, FastRaftNode};
 use des::SimRng;
 use raft::testkit::Lockstep;
 use raft::{Role, Timing};
 use wire::{
-    ClientOutcome, ClientRequest, Configuration, Consistency, LogIndex, LogScope, NodeId,
-    SessionId, TimerKind,
+    ClientOutcome, ClientRequest, Configuration, ConsensusProtocol, Consistency, LogIndex,
+    LogScope, NodeId, SessionId, TimerKind,
 };
 
 fn cluster(n: u64) -> Lockstep<FastRaftNode> {
@@ -187,6 +187,46 @@ fn write_retry_after_commit_answers_duplicate_with_first_index() {
     );
     net.assert_exactly_once();
     net.assert_safety();
+}
+
+#[test]
+fn stray_read_answer_cannot_complete_a_pending_write() {
+    // Gateway tables are keyed by (session, id). Were a read allowed to
+    // reuse a write's number, a stale ReadOk for it would complete the
+    // pending write without the write ever applying. Read ids live in a
+    // space of their own, so the ReadOk names another key.
+    let mut net = cluster(5);
+    let leader = elect(&mut net, NodeId(0));
+    let gw = NodeId(1);
+    net.set_link_filter(move |from, to| from != gw && to != gw);
+    let (session, w) = net.propose(gw, b"pending");
+    net.deliver_all();
+    let stray = FastRaftMessage::ClientReply {
+        session,
+        seq: wire::read_id(w),
+        outcome: ClientOutcome::ReadOk {
+            scope: LogScope::Global,
+            commit_floor: LogIndex::ZERO,
+        },
+    };
+    net.with_node(gw, |n, out| n.on_message(leader, stray, out));
+    assert_eq!(net.responses_for(gw, session, w), [], "the write is still pending");
+    assert!(net.responses_for(gw, session, wire::read_id(w)).is_empty());
+
+    // Healed, the write commits and is answered once, as itself.
+    net.set_link_filter(|_, _| true);
+    net.fire(gw, TimerKind::ProposalRetry);
+    net.deliver_all();
+    net.fire(leader, TimerKind::LeaderTick);
+    net.deliver_all();
+    net.fire(leader, TimerKind::Heartbeat);
+    net.deliver_all();
+    let outcomes = net.responses_for(gw, session, w);
+    assert!(
+        matches!(outcomes[..], [ClientOutcome::Committed { .. }]),
+        "{outcomes:?}"
+    );
+    net.assert_exactly_once();
 }
 
 // ---------------------------------------------------------------------

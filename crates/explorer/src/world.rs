@@ -171,6 +171,10 @@ struct Lane {
     issued: u32,
     /// Total scripted ops (registration included).
     total: u32,
+    /// Writes (registration included) and reads issued so far: the last
+    /// write seq and the last read ordinal (see [`wire::read_id`]).
+    writes: u64,
+    reads: u64,
     outstanding: Option<Pending>,
 }
 
@@ -309,6 +313,8 @@ impl<P: Explorable> World<P> {
                         session,
                         issued: 0,
                         total,
+                        writes: 0,
+                        reads: 0,
                         outstanding: None,
                     },
                 );
@@ -590,7 +596,13 @@ impl<P: Explorable> World<P> {
             let i = state.issued;
             state.issued += 1;
             let op = script_op(&self.cfg, node, lane, i);
-            let seq = u64::from(i) + 1;
+            let seq = if matches!(op, ClientOp::Read(_)) {
+                state.reads += 1;
+                wire::read_id(state.reads)
+            } else {
+                state.writes += 1;
+                state.writes
+            };
             state.outstanding = Some(Pending {
                 seq,
                 op: op.clone(),

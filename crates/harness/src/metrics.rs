@@ -157,13 +157,9 @@ impl Metrics {
     }
 
     /// Records the client receiving its typed outcome. Returns the sample
-    /// when the operation was tracked.
-    pub fn op_completed(
-        &mut self,
-        key: ClientOpKey,
-        now: SimTime,
-        is_read: bool,
-    ) -> Option<LatencySample> {
+    /// when the operation was tracked. Reads are told apart from writes by
+    /// their id ([`wire::is_read_id`]).
+    pub fn op_completed(&mut self, key: ClientOpKey, now: SimTime) -> Option<LatencySample> {
         let proposed_at = self.inflight.remove(&key)?;
         let sample = LatencySample {
             proposer: NodeId(key.0.as_u64()),
@@ -171,7 +167,7 @@ impl Metrics {
             committed_at: now,
         };
         if now >= self.measure_from {
-            if is_read {
+            if wire::is_read_id(key.1) {
                 self.read_samples.push(sample);
             } else {
                 self.samples.push(sample);
@@ -288,28 +284,30 @@ mod tests {
     fn latency_roundtrip() {
         let mut m = Metrics::new(SimTime::ZERO);
         m.op_started(id(1, 0), SimTime::from_millis(10));
-        let s = m
-            .op_completed(id(1, 0), SimTime::from_millis(35), false)
-            .unwrap();
+        let s = m.op_completed(id(1, 0), SimTime::from_millis(35)).unwrap();
         assert_eq!(s.latency(), SimDuration::from_millis(25));
         assert_eq!(m.samples.len(), 1);
         assert_eq!(m.inflight(), 0);
+        // A read id, even one whose ordinal equals a write's seq, is a read.
+        m.op_started(id(1, wire::read_id(0)), SimTime::from_millis(40));
+        m.op_completed(id(1, wire::read_id(0)), SimTime::from_millis(41));
+        assert_eq!((m.samples.len(), m.read_samples.len()), (1, 1));
     }
 
     #[test]
     fn unknown_completion_is_none() {
         let mut m = Metrics::new(SimTime::ZERO);
-        assert!(m.op_completed(id(1, 0), SimTime::ZERO, false).is_none());
+        assert!(m.op_completed(id(1, 0), SimTime::ZERO).is_none());
     }
 
     #[test]
     fn warmup_samples_are_dropped_from_stats() {
         let mut m = Metrics::new(SimTime::from_secs(1));
         m.op_started(id(1, 0), SimTime::from_millis(100));
-        m.op_completed(id(1, 0), SimTime::from_millis(200), false);
+        m.op_completed(id(1, 0), SimTime::from_millis(200));
         assert_eq!(m.samples.len(), 0, "pre-warmup sample recorded");
         m.op_started(id(1, 1), SimTime::from_millis(999));
-        m.op_completed(id(1, 1), SimTime::from_millis(1500), false);
+        m.op_completed(id(1, 1), SimTime::from_millis(1500));
         assert_eq!(m.samples.len(), 1);
     }
 

@@ -214,9 +214,12 @@ pub struct Runner<P: ConsensusProtocol> {
     op_rng: SimRng,
     /// Outstanding closed-loop operation per client.
     outstanding: HashMap<NodeId, OutstandingOp>,
-    /// Next session seq per client (survives node crashes — the client
-    /// outlives its gateway).
+    /// Last write seq per client (survives node crashes — the client
+    /// outlives its gateway). Registrations and writes consume seqs.
     next_seq: BTreeMap<NodeId, u64>,
+    /// Last read ordinal per client: reads are numbered apart from writes
+    /// (see [`wire::read_id`]) and consume no seq.
+    next_read: BTreeMap<NodeId, u64>,
     /// Clients that already issued their final linearizable read.
     final_issued: HashSet<NodeId>,
     /// Nodes with an [`SimEvent::ApplyDrain`] already in flight (pipelined
@@ -282,6 +285,7 @@ impl<P: ConsensusProtocol> Runner<P> {
             op_rng,
             outstanding: HashMap::new(),
             next_seq: BTreeMap::new(),
+            next_read: BTreeMap::new(),
             final_issued: HashSet::new(),
             drains_scheduled: HashSet::new(),
             stall_rng,
@@ -615,7 +619,6 @@ impl<P: ConsensusProtocol> Runner<P> {
         seq: u64,
         outcome: ClientOutcome,
     ) {
-        let now = self.sim.now();
         let Some(op) = self.outstanding.get(&node) else {
             return;
         };
@@ -623,7 +626,6 @@ impl<P: ConsensusProtocol> Runner<P> {
         match outcome {
             ClientOutcome::Committed { index } => {
                 self.safety.write_completed(self.cfg.ack_scope, index);
-                self.metrics.op_completed((session, seq), now, false);
                 self.finish_op(node);
             }
             ClientOutcome::Duplicate { first_index } => {
@@ -633,7 +635,6 @@ impl<P: ConsensusProtocol> Runner<P> {
                 if !first_index.is_zero() {
                     self.safety.write_completed(self.cfg.ack_scope, first_index);
                 }
-                self.metrics.op_completed((session, seq), now, false);
                 self.finish_op(node);
             }
             ClientOutcome::ReadOk {
@@ -644,7 +645,6 @@ impl<P: ConsensusProtocol> Runner<P> {
                     self.safety
                         .read_completed(session, seq, scope, commit_floor);
                 }
-                self.metrics.op_completed((session, seq), now, true);
                 self.finish_op(node);
             }
             ClientOutcome::Redirect { .. } | ClientOutcome::Retry => {
@@ -660,7 +660,6 @@ impl<P: ConsensusProtocol> Runner<P> {
             ClientOutcome::Registered { .. } => {
                 // Explicit session registration applied (issued as each
                 // client's first op under `Workload::register_sessions`).
-                self.metrics.op_completed((session, seq), now, false);
                 self.finish_op(node);
             }
             ClientOutcome::SessionExpired => {
@@ -672,7 +671,6 @@ impl<P: ConsensusProtocol> Runner<P> {
                 // completed and moves on (its scenarios run with expiry
                 // disabled, so this arm is exercised by unit tests only).
                 self.metrics.sessions_expired += 1;
-                self.metrics.op_completed((session, seq), now, false);
                 self.finish_op(node);
             }
         }
@@ -682,6 +680,7 @@ impl<P: ConsensusProtocol> Runner<P> {
         let Some(op) = self.outstanding.remove(&node) else {
             return;
         };
+        self.metrics.op_completed((op.session, op.seq), self.sim.now());
         self.completed += 1;
         if op.is_final {
             self.final_done += 1;
@@ -719,43 +718,36 @@ impl<P: ConsensusProtocol> Runner<P> {
             .workload
             .target_commits
             .is_some_and(|t| self.completed >= t);
-        let op = if target_reached {
+        let (op, is_final) = if target_reached {
             // Final phase: one linearizable read per client, if configured.
             if !self.workload.final_read || !self.final_issued.insert(node) {
                 return;
             }
-            OutstandingOp {
-                session: SessionId::client(node.as_u64()),
-                seq: self.bump_seq(node),
-                op: ClientOp::Read(Consistency::Linearizable),
-                is_final: true,
-            }
+            (ClientOp::Read(Consistency::Linearizable), true)
         } else if self.workload.register_sessions && !self.next_seq.contains_key(&node) {
             // Session-first contract: the client opens its session before
             // any data op. Under a partition this registration is what
             // retries en masse at heal time (thundering herd).
-            OutstandingOp {
-                session: SessionId::client(node.as_u64()),
-                seq: self.bump_seq(node),
-                op: ClientOp::Register,
-                is_final: false,
-            }
+            (ClientOp::Register, false)
+        } else if self.workload.read_ratio > 0.0 && self.op_rng.chance(self.workload.read_ratio)
+        {
+            (ClientOp::Read(self.workload.read_consistency), false)
         } else {
-            let is_read = self.workload.read_ratio > 0.0
-                && self.op_rng.chance(self.workload.read_ratio);
-            let op = if is_read {
-                ClientOp::Read(self.workload.read_consistency)
-            } else {
-                let mut payload = vec![0u8; self.workload.payload_bytes];
-                self.payload_rng.fill_bytes_infallible(&mut payload);
-                ClientOp::Write(Bytes::from(payload))
-            };
-            OutstandingOp {
-                session: SessionId::client(node.as_u64()),
-                seq: self.bump_seq(node),
-                op,
-                is_final: false,
-            }
+            let mut payload = vec![0u8; self.workload.payload_bytes];
+            self.payload_rng.fill_bytes_infallible(&mut payload);
+            (ClientOp::Write(Bytes::from(payload)), false)
+        };
+        // Registrations and writes take the session's next seq, so its seqs
+        // stay gapless; a read takes the next read id instead.
+        let seq = match op {
+            ClientOp::Read(_) => wire::read_id(bump(&mut self.next_read, node)),
+            _ => bump(&mut self.next_seq, node),
+        };
+        let op = OutstandingOp {
+            session: SessionId::client(node.as_u64()),
+            seq,
+            op,
+            is_final,
         };
         let now = self.sim.now();
         self.metrics.op_started((op.session, op.seq), now);
@@ -765,12 +757,6 @@ impl<P: ConsensusProtocol> Runner<P> {
         let req = op.request();
         self.outstanding.insert(node, op);
         self.submit(node, req);
-    }
-
-    fn bump_seq(&mut self, node: NodeId) -> u64 {
-        let c = self.next_seq.entry(node).or_insert(0);
-        *c += 1;
-        *c
     }
 
     /// Hands the request to the gateway node and arms the client timeout.
@@ -835,6 +821,13 @@ impl<P: ConsensusProtocol> Runner<P> {
             }
         }
     }
+}
+
+/// Advances `node`'s counter and returns the new value (the first is 1).
+fn bump(counters: &mut BTreeMap<NodeId, u64>, node: NodeId) -> u64 {
+    let c = counters.entry(node).or_insert(0);
+    *c += 1;
+    *c
 }
 
 /// Infallible byte filling for [`SimRng`] (extension helper).

@@ -25,9 +25,11 @@ pub struct Lockstep<P: ConsensusProtocol> {
     commits: BTreeMap<NodeId, Vec<Commit>>,
     observations: Vec<(NodeId, Observation)>,
     disk: SimDisk,
-    /// Next client seq per node-derived session (survives node restarts,
-    /// like a real client outliving a gateway crash).
+    /// Last write seq and last read ordinal per node-derived session
+    /// (survive node restarts, like a real client outliving a gateway
+    /// crash).
     client_seq: BTreeMap<NodeId, u64>,
+    client_reads: BTreeMap<NodeId, u64>,
     /// Nodes currently crashed/stopped: their messages and timers are
     /// discarded.
     down: BTreeSet<NodeId>,
@@ -49,6 +51,7 @@ impl<P: ConsensusProtocol> Lockstep<P> {
             observations: Vec::new(),
             disk: SimDisk::new(),
             client_seq: BTreeMap::new(),
+            client_reads: BTreeMap::new(),
             down: BTreeSet::new(),
             link_ok: Box::new(|_, _| true),
             domain_of: Box::new(|_| 0),
@@ -183,11 +186,7 @@ impl<P: ConsensusProtocol> Lockstep<P> {
     /// auto-incremented) and routes the effects. Returns the `(session,
     /// seq)` key the eventual [`Observation::ClientResponse`] will carry.
     pub fn propose(&mut self, id: NodeId, data: &[u8]) -> (SessionId, u64) {
-        let seq = {
-            let c = self.client_seq.entry(id).or_insert(0);
-            *c += 1;
-            *c
-        };
+        let seq = bump(&mut self.client_seq, id);
         let session = SessionId::client(id.as_u64());
         self.client_request(
             id,
@@ -196,17 +195,15 @@ impl<P: ConsensusProtocol> Lockstep<P> {
         (session, seq)
     }
 
-    /// Submits a read at `id` with the given consistency level. Returns the
-    /// request's `(session, seq)` key.
+    /// Submits a read at `id` with the given consistency level (numbered by
+    /// the session's read counter; it consumes no write seq). Returns the
+    /// request's `(session, read id)` key.
     pub fn read(&mut self, id: NodeId, consistency: Consistency) -> (SessionId, u64) {
-        let seq = {
-            let c = self.client_seq.entry(id).or_insert(0);
-            *c += 1;
-            *c
-        };
-        let session = SessionId::client(id.as_u64());
-        self.client_request(id, ClientRequest::read(session, seq, consistency));
-        (session, seq)
+        let ordinal = bump(&mut self.client_reads, id);
+        let req = ClientRequest::read(SessionId::client(id.as_u64()), ordinal, consistency);
+        let key = (req.session, req.seq);
+        self.client_request(id, req);
+        key
     }
 
     /// Submits an arbitrary client request at `id` (e.g. a deliberate retry
@@ -356,4 +353,11 @@ impl<P: ConsensusProtocol> Lockstep<P> {
             }
         }
     }
+}
+
+/// Advances `node`'s counter and returns the new value (the first is 1).
+fn bump(counters: &mut BTreeMap<NodeId, u64>, node: NodeId) -> u64 {
+    let c = counters.entry(node).or_insert(0);
+    *c += 1;
+    *c
 }

@@ -4,8 +4,8 @@
 //! proposals; a production system needs a real client contract. This module
 //! defines it, uniformly for classic Raft, Fast Raft, and C-Raft:
 //!
-//! - a client opens a [`SessionId`] and issues [`ClientRequest`]s with a
-//!   monotonically increasing `seq`;
+//! - a client opens a [`SessionId`] and issues [`ClientRequest`]s, each
+//!   named by a write `seq` or a read id;
 //! - **writes** are exactly-once: every replica maintains a [`SessionTable`]
 //!   (session → applied seqs + result index) as part of *applied state*, so
 //!   a retried `seq` — across leader changes, crashes, and snapshot
@@ -19,8 +19,11 @@
 //! - every request is answered by a typed [`ClientOutcome`], surfaced to the
 //!   embedding through [`crate::Observation::ClientResponse`].
 //!
-//! A session must have at most one request in flight and issue `seq`s
-//! starting at 1; retries re-send the *same* `seq`. C-Raft reuses the same
+//! A session must have at most one request in flight. Its writes (and its
+//! registration) carry `seq`s 1, 2, 3, … with no gaps; its reads carry
+//! [`read_id`]s from a disjoint space and never consume a `seq`, so every
+//! write seq is eventually applied and the [`SessionSlot`] floor keeps up.
+//! Retries re-send the *same* `seq` or read id. C-Raft reuses the same
 //! machinery at its **global** level: batch items carry their originating
 //! `(session, seq)`, and the global log applies batches item-wise through
 //! its own table — so a write whose item lands in two batches (a successor
@@ -152,12 +155,33 @@ impl ClientOp {
     }
 }
 
+/// The bit that marks a request id as a read id. Write seqs count up from
+/// 1 and stay below it; read ids always carry it — the same top-bit
+/// partition [`SessionId::assigned`] uses for session ids.
+const READ_ID_BIT: u64 = 1 << 63;
+
+/// The request id of a session's `ordinal`-th read. Reads are numbered by
+/// their own per-session counter and tagged into a space disjoint from
+/// write seqs, so a read never consumes a seq (which would leave a hole
+/// that pins the session's dedup floor) and no `(session, id)` key can name
+/// both a read and a write.
+pub const fn read_id(ordinal: u64) -> u64 {
+    READ_ID_BIT | ordinal
+}
+
+/// `true` when `seq` is a read id (see [`read_id`]), not a write seq.
+pub const fn is_read_id(seq: u64) -> bool {
+    seq & READ_ID_BIT != 0
+}
+
 /// One client request: a session-scoped, retry-safe operation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClientRequest {
     /// The issuing session.
     pub session: SessionId,
-    /// Session-local sequence number (1-based; retries reuse it).
+    /// The request id; retries reuse it. For writes and registrations, the
+    /// session's write seq: 1, 2, 3, … without gaps. For reads, a
+    /// [`read_id`], which consumes no seq.
     pub seq: u64,
     /// The operation.
     pub op: ClientOp,
@@ -173,11 +197,11 @@ impl ClientRequest {
         }
     }
 
-    /// A read request.
-    pub fn read(session: SessionId, seq: u64, consistency: Consistency) -> Self {
+    /// The session's `ordinal`-th read; its id is [`read_id`]`(ordinal)`.
+    pub fn read(session: SessionId, ordinal: u64, consistency: Consistency) -> Self {
         ClientRequest {
             session,
-            seq,
+            seq: read_id(ordinal),
             op: ClientOp::Read(consistency),
         }
     }
@@ -285,9 +309,12 @@ pub enum SessionApply {
 /// Per-session applied state: which seqs have been applied, and where.
 ///
 /// Seqs at or below `floor_seq` are all applied; `above` holds applied seqs
-/// beyond the floor (out-of-order application, which only cluster batch
-/// sessions exhibit). The window stays bounded by the session's in-flight
-/// depth: the floor advances as soon as it becomes contiguous.
+/// beyond the floor (out-of-order application, which only C-Raft's global
+/// log exhibits, when one cluster's batches commit out of order). Reads
+/// consume no seq, so a session's write seqs have no gaps and every one of
+/// them applies: the floor advances on each in-order write, and the window
+/// stays bounded by the session's in-flight depth — for global tables, by
+/// its cluster's batches in flight.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SessionSlot {
     /// Highest seq S such that all of `1..=S` are applied (0 = none).
@@ -679,6 +706,23 @@ mod tests {
         assert_eq!(t.duplicate_of(s, 2), None, "history is forgotten");
         // ...while seq 1 reads as a fresh session opening.
         assert!(!t.is_expired_retry(s, 1));
+    }
+
+    #[test]
+    fn read_ids_and_write_seqs_are_disjoint() {
+        // Every ordinal tags into the read space: powers of two, their
+        // predecessors (0 included) and the largest.
+        let ordinals = (0..64).flat_map(|b| [1u64 << b, (1u64 << b) - 1]);
+        for n in ordinals.chain([u64::MAX]) {
+            let read = ClientRequest::read(SessionId::client(3), n, Consistency::Linearizable);
+            assert!(is_read_id(read.seq), "read ordinal {n}");
+        }
+        // No write seq a contiguous client can reach (1 up to 2^63 - 1) is a
+        // read id.
+        let writes = (1..=1 << 16).chain((0..63).map(|b| 1u64 << b));
+        for seq in writes.chain([READ_ID_BIT - 1]) {
+            assert!(!is_read_id(seq), "write seq {seq}");
+        }
     }
 
     #[test]

@@ -49,8 +49,8 @@ pub use actions::{
     TimerKind,
 };
 pub use client::{
-    session_state_current, ClientOp, ClientOutcome, ClientRequest, Consistency, SessionApply,
-    SessionId, SessionSlot, SessionTable,
+    is_read_id, read_id, session_state_current, ClientOp, ClientOutcome, ClientRequest,
+    Consistency, SessionApply, SessionId, SessionSlot, SessionTable,
 };
 pub use codec::{DecodeError, Decoder, Encoder, Wire};
 pub use config::{AppendBudget, Configuration, MAX_BYTES_PER_APPEND};

@@ -28,7 +28,8 @@ use crate::{Configuration, LogIndex, NodeId, SessionId};
 pub struct PendingRead {
     /// The issuing session.
     pub session: SessionId,
-    /// The request's sequence number.
+    /// The read id (see [`crate::read_id`]): the request's `seq` field,
+    /// disjoint from the session's write seqs.
     pub seq: u64,
     /// Who to answer (`self` for reads registered at the leader-gateway).
     pub reply_to: NodeId,

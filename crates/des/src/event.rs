@@ -16,17 +16,23 @@
 //!   the heap and the slot is freed. A fired, cancelled or never-issued id
 //!   is recognised (its slot is empty or holds a later sequence) and
 //!   reports `false`; nothing is left behind;
-//! - [`EventQueue::peek_time`] is O(1) (the heap root) and
+//! - [`EventQueue::reschedule`] re-arms a pending event in place, O(log n):
+//!   its key takes the new time and a fresh sequence number — the one a
+//!   `schedule` in its place would have taken — so a re-arm pops exactly
+//!   where a cancel plus a fresh `schedule` would have, without moving the
+//!   payload or its slot;
+//! - [`EventQueue::peek_time`] and [`EventQueue::time_of`] are O(1) and
 //!   [`EventQueue::len`] is exact;
 //! - no allocation in steady state: freed slots are reused.
 
 use crate::SimTime;
 
-/// Handle identifying a scheduled event, used for cancellation.
+/// Handle identifying a scheduled event, used to cancel or re-arm it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventId {
     seq: u64,
-    slot: u32,
+    /// The slab slot holding the event.
+    pub(crate) slot: u32,
 }
 
 impl EventId {
@@ -64,7 +70,7 @@ impl Key {
 
 /// One slab entry: a pending payload, or a free slot (`event` is `None`)
 /// remembering the sequence it last held.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Slot<E> {
     seq: u64,
     event: Option<E>,
@@ -84,7 +90,7 @@ struct Slot<E> {
 /// assert_eq!(q.pop().unwrap().event, "b");
 /// assert!(q.pop().is_none());
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct EventQueue<E> {
     /// Binary min-heap on [`Key::rank`]; invariant: `pos[heap[p].slot] == p`.
     heap: Vec<Key>,
@@ -149,15 +155,46 @@ impl<E> EventQueue<E> {
     /// it already fired, was already cancelled, or `id` was never issued by
     /// this queue.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        match self.slab.get_mut(id.slot as usize) {
-            Some(entry) if entry.seq == id.seq && entry.event.is_some() => {
-                entry.event = None;
-                self.free.push(id.slot);
-                self.remove_at(self.pos[id.slot as usize] as usize);
-                true
-            }
-            _ => false,
+        let Some(at) = self.position(id) else {
+            return false;
+        };
+        self.slab[id.slot as usize].event = None;
+        self.free.push(id.slot);
+        self.remove_at(at);
+        true
+    }
+
+    /// Moves a pending event to fire at `time`, keeping its payload.
+    ///
+    /// The event takes a fresh sequence number, so it fires after every
+    /// event already scheduled for `time` — exactly where cancelling it and
+    /// scheduling its payload anew would put it. Returns the event's new
+    /// handle (`id` goes stale), or `None`, changing nothing, if `id` is
+    /// not pending.
+    pub fn reschedule(&mut self, id: EventId, time: SimTime) -> Option<EventId> {
+        let at = self.position(id)?;
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        // The fresh `seq` outranks the old one, so the key moves toward
+        // the root only on a strictly earlier time.
+        let earlier = time < self.heap[at].time;
+        self.slab[id.slot as usize].seq = seq;
+        self.heap[at] = Key {
+            time,
+            seq,
+            slot: id.slot,
+        };
+        if earlier {
+            self.sift_up(at);
+        } else {
+            self.sift_down(at);
         }
+        Some(EventId { seq, slot: id.slot })
+    }
+
+    /// The firing time of a pending event; `None` if `id` is not pending.
+    pub fn time_of(&self, id: EventId) -> Option<SimTime> {
+        self.position(id).map(|at| self.heap[at].time)
     }
 
     /// Removes and returns the earliest pending event.
@@ -189,6 +226,16 @@ impl<E> EventQueue<E> {
     /// `true` if there are no pending events.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
+    }
+
+    /// Heap position of `id`'s key, if `id` names a pending event.
+    fn position(&self, id: EventId) -> Option<usize> {
+        match self.slab.get(id.slot as usize) {
+            Some(entry) if entry.seq == id.seq && entry.event.is_some() => {
+                Some(self.pos[id.slot as usize] as usize)
+            }
+            _ => None,
+        }
     }
 
     /// Takes the key at heap position `at` out of the heap (the caller
@@ -298,6 +345,22 @@ mod tests {
     }
 
     #[test]
+    fn reschedule_fires_behind_same_instant_peers() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis(1);
+        let a = q.schedule(t, "a");
+        q.schedule(t, "b");
+        let a2 = q.reschedule(a, t).unwrap();
+        assert_eq!(q.reschedule(a, t), None, "the old id went stale");
+        assert_eq!(q.time_of(a), None);
+        assert_eq!(q.time_of(a2), Some(t));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop().unwrap().event, "b");
+        assert_eq!(q.pop().unwrap().id, a2);
+        assert_eq!(q.reschedule(a2, t), None, "a fired id does not re-arm");
+    }
+
+    #[test]
     fn peek_time_skips_cancelled() {
         let mut q = EventQueue::new();
         let a = q.schedule(SimTime::from_millis(1), "a");
@@ -332,29 +395,39 @@ mod tests {
         assert_eq!(q.pop().unwrap().event, 10);
     }
 
+    /// A firing delay for the model check: often zero (a tie), else near
+    /// or far.
+    fn delay(rng: &mut SimRng) -> u64 {
+        match rng.gen_range(0..3u32) {
+            0 => 0,
+            1 => rng.gen_range(0..100u64),
+            _ => rng.gen_range(0..100_000u64),
+        }
+    }
+
     /// Randomized model check against a `BTreeMap` on `(time, seq)`:
-    /// schedules, cancels of pending, fired and already-cancelled ids,
-    /// pops and peeks all agree, and `len()` is exact after every step.
-    /// Cancels are frequent (as with a runner re-arming its timers), so
-    /// freed slots are reused while stale ids naming them are still around.
+    /// schedules, re-arms, cancels, `time_of` lookups, pops and peeks all
+    /// agree, and `len()` is exact after every step. Every schedule and
+    /// re-arm takes the next sequence number; a cancel takes none. Dead ids
+    /// (fired, cancelled, or left stale by a re-arm) are refused by
+    /// `cancel`, `reschedule` and `time_of` alike, changing nothing. Cancels
+    /// and re-arms are frequent (as with a runner re-arming its timers), so
+    /// freed slots are reused while dead ids naming them are still around.
     #[test]
     fn model_check_against_reference() {
         for seed in 0..64u64 {
             let mut rng = SimRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xE7E7);
             let mut q: EventQueue<u64> = EventQueue::new();
             let mut model: BTreeMap<(SimTime, u64), u64> = BTreeMap::new();
-            let (mut pending, mut fired, mut cancelled) = (Vec::new(), Vec::new(), Vec::new());
-            let mut now = 0u64;
+            let (mut pending, mut dead) = (Vec::new(), Vec::new());
+            let (mut now, mut next_seq) = (0u64, 0u64);
             for step in 0..2_000u64 {
-                match rng.gen_range(0..12u32) {
+                match rng.gen_range(0..16u32) {
                     0..=4 => {
-                        let delta = match rng.gen_range(0..3u32) {
-                            0 => 0,
-                            1 => rng.gen_range(0..100u64),
-                            _ => rng.gen_range(0..100_000u64),
-                        };
-                        let time = SimTime::from_micros(now + delta);
+                        let time = SimTime::from_micros(now + delay(&mut rng));
                         let id = q.schedule(time, step);
+                        assert_eq!(id.as_u64(), next_seq, "seed {seed} at step {step}");
+                        next_seq += 1;
                         model.insert((time, id.as_u64()), step);
                         pending.push((time, id));
                     }
@@ -362,17 +435,32 @@ mod tests {
                         let (time, id) = pending.swap_remove(rng.gen_range(0..pending.len()));
                         assert!(q.cancel(id), "seed {seed}: pending id {id:?}");
                         assert!(model.remove(&(time, id.as_u64())).is_some());
-                        cancelled.push(id);
+                        dead.push(id);
                     }
-                    7 if !fired.is_empty() => {
-                        let id = fired[rng.gen_range(0..fired.len())];
-                        assert!(!q.cancel(id), "seed {seed}: fired id {id:?}");
+                    7 | 8 if !pending.is_empty() => {
+                        let i = rng.gen_range(0..pending.len());
+                        let (time, id) = pending[i];
+                        let to = SimTime::from_micros(now + delay(&mut rng));
+                        let new = q.reschedule(id, to).expect("a pending id re-arms");
+                        assert_eq!(new.as_u64(), next_seq, "seed {seed} at step {step}");
+                        next_seq += 1;
+                        let event = model.remove(&(time, id.as_u64())).unwrap();
+                        model.insert((to, new.as_u64()), event);
+                        pending[i] = (to, new);
+                        dead.push(id);
                     }
-                    8 if !cancelled.is_empty() => {
-                        let id = cancelled[rng.gen_range(0..cancelled.len())];
-                        assert!(!q.cancel(id), "seed {seed}: cancelled id {id:?}");
+                    9 if !dead.is_empty() => {
+                        let id = dead[rng.gen_range(0..dead.len())];
+                        assert!(!q.cancel(id), "seed {seed}: dead id {id:?}");
+                        let to = SimTime::from_micros(now + delay(&mut rng));
+                        assert_eq!(q.reschedule(id, to), None, "seed {seed}: dead id {id:?}");
+                        assert_eq!(q.time_of(id), None, "seed {seed}: dead id {id:?}");
                     }
-                    9 | 10 => {
+                    10 if !pending.is_empty() => {
+                        let (time, id) = pending[rng.gen_range(0..pending.len())];
+                        assert_eq!(q.time_of(id), Some(time), "seed {seed} at step {step}");
+                    }
+                    11..=13 => {
                         let want = model.pop_first();
                         let got = q.pop();
                         assert_eq!(
@@ -383,7 +471,7 @@ mod tests {
                         if let Some(f) = got {
                             now = f.time.as_micros();
                             pending.retain(|&(_, id)| id != f.id);
-                            fired.push(f.id);
+                            dead.push(f.id);
                         }
                     }
                     _ => {

@@ -4,8 +4,12 @@
 //!
 //! - [`SimTime`] / [`SimDuration`]: exact microsecond-resolution virtual time;
 //! - [`EventQueue`]: an indexed min-heap with **total, deterministic
-//!   ordering** (ties broken by scheduling order) and exact, in-place
-//!   O(log n) cancellation;
+//!   ordering** (ties broken by scheduling order), exact, in-place
+//!   O(log n) cancellation, and an in-place re-arm that fires exactly where
+//!   a cancel plus a fresh schedule would;
+//! - [`TimerWheel`]: a set of keyed timers — an [`EventQueue`] of keys
+//!   plus a key index, so re-arming a key is the queue's in-place re-arm;
+//!   the one heap implementation in the crate serves both;
 //! - [`SimRng`]: seeded randomness with labelled [`SimRng::split`]ting so
 //!   component streams stay independent as the code evolves;
 //! - [`Simulation`]: clock + queue + RNG with a step-limit livelock guard.

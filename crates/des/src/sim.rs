@@ -102,6 +102,29 @@ impl<E> Simulation<E> {
         self.queue.cancel(id)
     }
 
+    /// Moves a pending event to an absolute instant in place, keeping its
+    /// payload; it fires exactly where cancelling it and scheduling it anew
+    /// would have put it. Returns the new handle, or `None` if `id` is not
+    /// pending (see [`EventQueue::reschedule`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is in the past.
+    pub fn reschedule(&mut self, id: EventId, time: SimTime) -> Option<EventId> {
+        assert!(
+            time >= self.now,
+            "cannot reschedule into the past: now={}, requested={}",
+            self.now,
+            time
+        );
+        self.queue.reschedule(id, time)
+    }
+
+    /// The instant a pending event fires; `None` if `id` is not pending.
+    pub fn time_of(&self, id: EventId) -> Option<SimTime> {
+        self.queue.time_of(id)
+    }
+
     /// Pops the next event, advancing the clock to its firing time.
     ///
     /// Returns `None` when the queue is empty.

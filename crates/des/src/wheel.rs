@@ -1,80 +1,41 @@
 //! The keyed timer set of a process hosting many consensus groups: an
-//! **indexed binary min-heap** on `(deadline, schedule sequence)`.
+//! [`EventQueue`] of timer keys plus an index from each armed key to its
+//! event.
 //!
-//! The simulation queue ([`crate::EventQueue`]) cancels an event in place
-//! but cannot re-arm one: a re-armed timer there is a cancel plus a fresh
-//! event carrying its own payload. A sharded process
-//! multiplexing thousands of consensus groups arms (and mostly re-arms)
-//! timers at a rate proportional to *traffic* and holds
+//! A sharded process multiplexing thousands of consensus groups arms (and
+//! mostly re-arms) timers at a rate proportional to *traffic* and holds
 //! armed-but-never-firing election timers proportional to *groups*, so it
-//! keeps them here instead, keyed by an opaque timer key:
+//! keeps them here, keyed by an opaque timer key. The embedding arms
+//! **one** simulator event at [`TimerWheel::next_deadline`] and calls
+//! [`TimerWheel::advance`] when it fires, in place of one queue event per
+//! timer.
 //!
-//! - `schedule` and `cancel` are O(log n) and work in place: re-scheduling
-//!   a key rewrites its entry and sifts it (matching the
-//!   [`crate::TimerKind`]-replacement contract of the sans-IO stack), so no
-//!   dead copy of a re-armed or cancelled timer is ever left behind;
-//! - [`TimerWheel::next_deadline`] is O(1) (the heap root) and
-//!   `deadline_of` one hash probe — the embedding asks for the next
-//!   deadline after *every* step;
+//! Every operation is the queue's, reached through one hash probe:
+//!
+//! - `schedule` of an armed key re-arms its event in place
+//!   ([`EventQueue::reschedule`], matching the `TimerKind`-replacement
+//!   contract of the sans-IO stack) and `cancel` is the queue's exact
+//!   cancel, both O(log n), so no dead copy of a re-armed or cancelled
+//!   timer is ever left behind;
+//! - [`TimerWheel::next_deadline`] is O(1) (the queue's root) — the
+//!   embedding asks for it after *every* step — and `deadline_of` one hash
+//!   probe plus an O(1) queue lookup;
 //! - an idle group whose timers were removed contributes zero work to
 //!   every later call;
 //! - deterministic expiry order: timers fire sorted by `(deadline,
 //!   schedule sequence)`, a fresh sequence number on every `schedule`, so
 //!   two runs with the same inputs produce identical schedules;
-//! - no allocation in steady state: entries live in a slab with a free
-//!   list, and the heap holds slab indices.
+//! - no allocation in steady state: the queue reuses its freed slots.
 //!
-//! The embedding arms **one** simulator event at
-//! [`TimerWheel::next_deadline`] and calls [`TimerWheel::advance`] when it
-//! fires, in place of one queue event per timer.
-//!
-//! Internally `keys` maps a key to its slab slot, each slot records its
-//! own position in `heap`, and sift moves update that position — a sift
-//! never hashes. Any [`SimTime`] is a legal deadline, however far out.
-//!
-//! # Why a heap, and why the name
-//!
-//! Until PR 23 this type was a hierarchical timer wheel (7 levels × 64
-//! slots, generation tombstones). Its `next_deadline` re-walked the
-//! earliest occupied slot of each level after every expiry, so its cost
-//! grew with the live set: 30 % of `shard_zipf_g256`'s wall time. The shard
-//! runner's pattern (advance to the next deadline, re-arm what fired one
-//! heartbeat on, push other keys further out so that 3.6 timers are armed
-//! per expiry), ns per timer armed, both on one 2-vCPU machine:
-//!
-//! | armed keys | 64 | 1 k | 10 k | 100 k |
-//! |---|---|---|---|---|
-//! | the wheel | 230 | 1,130 | 10,000 | 10,000–19,000 |
-//! | this heap | 58 | 80 | 120 | 350 |
-//!
-//! One structure therefore serves every scale; there is no second
-//! implementation to select. The public name stayed `TimerWheel` because
-//! the benchmark under `perf/` names it and a change that claims a gain
-//! may not edit the benchmark.
+//! Any [`SimTime`] is a legal deadline, however far out. The type is a
+//! heap, not a timing wheel; it once was a hierarchical one, and kept the
+//! name because the benchmark under `perf/` names it.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use crate::SimTime;
-
-/// One slab entry: an armed timer, or a free slot awaiting reuse.
-#[derive(Clone, Debug)]
-struct Slot<K> {
-    key: K,
-    /// Exact expiry instant.
-    deadline: SimTime,
-    /// Monotone schedule sequence — the deterministic tiebreak.
-    seq: u64,
-    /// Where `heap` holds this slot's index (meaningless while free).
-    heap_pos: u32,
-}
-
-impl<K> Slot<K> {
-    fn rank(&self) -> (SimTime, u64) {
-        (self.deadline, self.seq)
-    }
-}
+use crate::{EventId, EventQueue, Firing, SimTime};
 
 /// A set of timers keyed by `K`, ordered by deadline (a heap; see the
 /// module docs for the name).
@@ -101,15 +62,10 @@ impl<K> Slot<K> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct TimerWheel<K> {
-    /// Armed keys → index into `slab`.
-    keys: HashMap<K, u32>,
-    slab: Vec<Slot<K>>,
-    /// Indices of `slab` slots not armed.
-    free: Vec<u32>,
-    /// Binary min-heap of `slab` indices on [`Slot::rank`]; invariant:
-    /// `slab[heap[p]].heap_pos == p`.
-    heap: Vec<u32>,
-    next_seq: u64,
+    /// One pending event per armed key, carrying the key.
+    queue: EventQueue<K>,
+    /// Armed keys → their event in `queue`.
+    ids: HashMap<K, EventId>,
 }
 
 impl<K: Eq + Hash + Copy> Default for TimerWheel<K> {
@@ -122,22 +78,19 @@ impl<K: Eq + Hash + Copy> TimerWheel<K> {
     /// Creates an empty timer set.
     pub fn new() -> Self {
         TimerWheel {
-            keys: HashMap::new(),
-            slab: Vec::new(),
-            free: Vec::new(),
-            heap: Vec::new(),
-            next_seq: 0,
+            queue: EventQueue::new(),
+            ids: HashMap::new(),
         }
     }
 
     /// Number of armed (live) timers.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.queue.len()
     }
 
     /// `true` when no timer is armed.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.queue.is_empty()
     }
 
     /// Arms (or re-arms) `key` to expire at `deadline`. A deadline at or
@@ -147,145 +100,42 @@ impl<K: Eq + Hash + Copy> TimerWheel<K> {
     ///
     /// [`advance`]: TimerWheel::advance
     pub fn schedule(&mut self, key: K, deadline: SimTime) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        match self.keys.entry(key) {
-            Entry::Occupied(e) => {
-                let slot = &mut self.slab[*e.get() as usize];
-                // The fresh `seq` outranks the old one, so the entry moves
-                // toward the root only on a strictly earlier deadline.
-                let earlier = deadline < slot.deadline;
-                slot.deadline = deadline;
-                slot.seq = seq;
-                let pos = slot.heap_pos as usize;
-                if earlier {
-                    sift_up(&mut self.heap, &mut self.slab, pos);
-                } else {
-                    sift_down(&mut self.heap, &mut self.slab, pos);
-                }
+        match self.ids.entry(key) {
+            Entry::Occupied(mut e) => {
+                let id = self.queue.reschedule(*e.get(), deadline);
+                e.insert(id.expect("an armed key's event is pending"));
             }
             Entry::Vacant(e) => {
-                let pos = self.heap.len();
-                let slot = Slot {
-                    key,
-                    deadline,
-                    seq,
-                    heap_pos: pos as u32,
-                };
-                let i = match self.free.pop() {
-                    Some(i) => {
-                        self.slab[i as usize] = slot;
-                        i
-                    }
-                    None => {
-                        let i = u32::try_from(self.slab.len()).expect("fewer than 2^32 timers");
-                        self.slab.push(slot);
-                        i
-                    }
-                };
-                e.insert(i);
-                self.heap.push(i);
-                sift_up(&mut self.heap, &mut self.slab, pos);
+                e.insert(self.queue.schedule(deadline, key));
             }
         }
     }
 
     /// Disarms `key`. Returns `true` if it was armed.
     pub fn cancel(&mut self, key: &K) -> bool {
-        match self.keys.remove(key) {
-            Some(i) => {
-                self.remove_at(self.slab[i as usize].heap_pos as usize);
-                true
-            }
-            None => false,
-        }
+        self.ids.remove(key).is_some_and(|id| self.queue.cancel(id))
     }
 
     /// The deadline `key` is armed for, if any.
     pub fn deadline_of(&self, key: &K) -> Option<SimTime> {
-        self.keys.get(key).map(|&i| self.slab[i as usize].deadline)
+        self.ids.get(key).and_then(|&id| self.queue.time_of(id))
     }
 
-    /// The earliest armed deadline, exact: the heap root.
+    /// The earliest armed deadline, exact: the queue's root.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.heap.first().map(|&i| self.slab[i as usize].deadline)
+        self.queue.peek_time()
     }
 
     /// Expires every timer due at or before `to`, appending each to `out`
     /// as `(deadline, key)` in deterministic `(deadline, schedule-seq)`
     /// order. A `to` before every deadline does nothing.
     pub fn advance(&mut self, to: SimTime, out: &mut Vec<(SimTime, K)>) {
-        while let Some(&i) = self.heap.first() {
-            let Slot { key, deadline, .. } = self.slab[i as usize];
-            if deadline > to {
-                break;
-            }
-            out.push((deadline, key));
-            self.keys.remove(&key);
-            self.remove_at(0);
+        while self.queue.peek_time().is_some_and(|t| t <= to) {
+            let Firing { time, event, .. } = self.queue.pop().expect("a deadline was peeked");
+            self.ids.remove(&event);
+            out.push((time, event));
         }
     }
-
-    /// Takes the entry at heap position `pos` out of the heap and frees
-    /// its slot (the caller has removed it from `keys`).
-    fn remove_at(&mut self, pos: usize) {
-        self.free.push(self.heap.swap_remove(pos));
-        if pos < self.heap.len() {
-            // The former last entry now sits at `pos`; it may belong on
-            // either side of it.
-            if sift_up(&mut self.heap, &mut self.slab, pos) == pos {
-                sift_down(&mut self.heap, &mut self.slab, pos);
-            }
-        }
-    }
-}
-
-/// Moves the entry at heap position `pos` toward the root until its parent
-/// ranks no later; returns where it came to rest. Entries passed on the
-/// way move one level down, each slot's `heap_pos` following.
-fn sift_up<K>(heap: &mut [u32], slab: &mut [Slot<K>], mut pos: usize) -> usize {
-    let i = heap[pos];
-    let rank = slab[i as usize].rank();
-    while pos > 0 {
-        let parent = (pos - 1) / 2;
-        let p = heap[parent];
-        if slab[p as usize].rank() <= rank {
-            break;
-        }
-        heap[pos] = p;
-        slab[p as usize].heap_pos = pos as u32;
-        pos = parent;
-    }
-    heap[pos] = i;
-    slab[i as usize].heap_pos = pos as u32;
-    pos
-}
-
-/// Moves the entry at heap position `pos` toward the leaves until neither
-/// child ranks earlier.
-fn sift_down<K>(heap: &mut [u32], slab: &mut [Slot<K>], mut pos: usize) {
-    let i = heap[pos];
-    let rank = slab[i as usize].rank();
-    loop {
-        let mut child = 2 * pos + 1;
-        if child >= heap.len() {
-            break;
-        }
-        if child + 1 < heap.len()
-            && slab[heap[child + 1] as usize].rank() < slab[heap[child] as usize].rank()
-        {
-            child += 1;
-        }
-        let c = heap[child];
-        if rank <= slab[c as usize].rank() {
-            break;
-        }
-        heap[pos] = c;
-        slab[c as usize].heap_pos = pos as u32;
-        pos = child;
-    }
-    heap[pos] = i;
-    slab[i as usize].heap_pos = pos as u32;
 }
 
 #[cfg(test)]
@@ -420,8 +270,11 @@ mod tests {
             w.schedule(k, t(2_000 + i));
             assert_eq!(w.len(), 16);
         }
-        assert_eq!(w.slab.len(), 16, "freed slots are reused, not leaked");
-        assert!(w.free.is_empty());
+        // The queue did not grow: the 16 armed events sit in its first 16
+        // slots, so every freed slot was reused, none leaked.
+        let mut slots: Vec<u32> = w.ids.values().map(|id| id.slot).collect();
+        slots.sort_unstable();
+        assert_eq!(slots, (0..16).collect::<Vec<u32>>());
         // The last 16 cycles re-armed every key once, in cycle order.
         let mut out = Vec::new();
         w.advance(t(20_000), &mut out);

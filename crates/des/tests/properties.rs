@@ -1,7 +1,21 @@
 //! Property-based tests for the simulation kernel's core invariants.
 
-use des::{EventQueue, SimDuration, SimRng, SimTime, Simulation};
+use des::{EventId, EventQueue, SimDuration, SimRng, SimTime, Simulation};
 use proptest::prelude::*;
+
+/// Logical timers in the re-arm equivalence script.
+const TIMERS: usize = 8;
+
+/// Pops `sim`'s next event as `(time, seq, timer)`; that timer is no
+/// longer armed.
+fn pop(
+    sim: &mut Simulation<usize>,
+    armed: &mut [Option<EventId>],
+) -> Option<(SimTime, u64, usize)> {
+    let f = sim.next_event()?;
+    armed[f.event] = None;
+    Some((f.time, f.id.as_u64(), f.event))
+}
 
 proptest! {
     /// Events always pop in nondecreasing (time, seq) order, no matter the
@@ -49,6 +63,51 @@ proptest! {
         popped.sort_unstable();
         kept.sort_unstable();
         prop_assert_eq!(popped, kept);
+    }
+
+    /// Re-arming in place is cancel plus a fresh schedule, bit for bit: one
+    /// random script of arms, re-arms, cancels and pops, run once with
+    /// `reschedule` and once with `schedule_after` + `cancel`, pops identical
+    /// `(time, seq, timer)` sequences. Delays are a few microseconds, so
+    /// same-instant ties, which the re-armed event's fresh sequence number
+    /// decides, are common.
+    #[test]
+    fn reschedule_matches_cancel_plus_schedule(
+        script in proptest::collection::vec((0u8..4, 0..TIMERS, 0u64..4), 1..300),
+    ) {
+        let (mut a, mut b) = (Simulation::new(1), Simulation::new(1));
+        let (mut armed_a, mut armed_b) = ([None; TIMERS], [None; TIMERS]);
+        for (op, timer, delay) in script {
+            let delay = SimDuration::from_micros(delay);
+            match op {
+                0 | 1 => {
+                    let at = a.now() + delay;
+                    armed_a[timer] = Some(match armed_a[timer] {
+                        Some(id) => a.reschedule(id, at).expect("an armed timer is pending"),
+                        None => a.schedule_after(delay, timer),
+                    });
+                    if let Some(old) = armed_b[timer].replace(b.schedule_after(delay, timer)) {
+                        prop_assert!(b.cancel(old));
+                    }
+                }
+                2 => {
+                    if let Some(id) = armed_a[timer].take() {
+                        prop_assert!(a.cancel(id));
+                    }
+                    if let Some(id) = armed_b[timer].take() {
+                        prop_assert!(b.cancel(id));
+                    }
+                }
+                _ => prop_assert_eq!(pop(&mut a, &mut armed_a), pop(&mut b, &mut armed_b)),
+            }
+        }
+        loop {
+            let next = pop(&mut a, &mut armed_a);
+            prop_assert_eq!(next, pop(&mut b, &mut armed_b));
+            if next.is_none() {
+                break;
+            }
+        }
     }
 
     /// The simulation clock never moves backwards.

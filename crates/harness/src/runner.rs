@@ -398,17 +398,13 @@ impl<P: ConsensusProtocol> Runner<P> {
                 self.with_node(to, |n, out| n.on_message(from, msg, out));
             }
             SimEvent::Timer { node, kind } => {
-                // Only fire if this is still the armed instance.
-                let armed = self
-                    .slots
-                    .get(&node)
-                    .and_then(|s| s.timers[kind.index()]);
-                if armed == Some(firing_id) {
-                    if let Some(slot) = self.slots.get_mut(&node) {
-                        slot.timers[kind.index()] = None;
-                    }
-                    self.with_node(node, |n, out| n.on_timer(kind, out));
+                // Re-arms move the armed event in place and a crash cancels
+                // its node's timers, so a firing timer is the armed one.
+                if let Some(slot) = self.slots.get_mut(&node) {
+                    let armed = slot.timers[kind.index()].take();
+                    debug_assert_eq!(armed, Some(firing_id), "{node:?} {kind:?}");
                 }
+                self.with_node(node, |n, out| n.on_timer(kind, out));
             }
             SimEvent::Propose { node } => self.issue_op(node),
             SimEvent::ClientRetry { node, seq } => self.client_retry(node, seq),
@@ -491,24 +487,26 @@ impl<P: ConsensusProtocol> Runner<P> {
         }
 
         for cmd in out.timers.drain(..) {
+            let timers = &mut self.slots.get_mut(&from).expect("a stepped node has a slot").timers;
             match cmd {
                 wire::TimerCmd::Set { kind, after } => {
-                    let id = self
-                        .sim
-                        .schedule_after(after, SimEvent::Timer { node: from, kind });
-                    if let Some(slot) = self.slots.get_mut(&from) {
-                        if let Some(old) = slot.timers[kind.index()].replace(id) {
-                            self.sim.cancel(old);
-                        }
-                    } else {
-                        self.sim.cancel(id);
-                    }
+                    // Re-arming in place takes the sequence number a fresh
+                    // event would, so the schedule is that of cancel plus
+                    // schedule.
+                    let armed = &mut timers[kind.index()];
+                    *armed = Some(match *armed {
+                        Some(id) => self
+                            .sim
+                            .reschedule(id, self.sim.now() + after)
+                            .expect("an armed timer is pending"),
+                        None => self
+                            .sim
+                            .schedule_after(after, SimEvent::Timer { node: from, kind }),
+                    });
                 }
                 wire::TimerCmd::Cancel { kind } => {
-                    if let Some(slot) = self.slots.get_mut(&from) {
-                        if let Some(old) = slot.timers[kind.index()].take() {
-                            self.sim.cancel(old);
-                        }
+                    if let Some(old) = timers[kind.index()].take() {
+                        self.sim.cancel(old);
                     }
                 }
             }

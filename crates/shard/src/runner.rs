@@ -293,7 +293,8 @@ pub struct ShardRunner<P: ShardNode> {
     net: Network,
     net_rng: SimRng,
     wheel: TimerWheel<u64>,
-    wheel_armed: Option<(SimTime, EventId)>,
+    /// The one simulator event driving the wheel, while pending.
+    wheel_armed: Option<EventId>,
     /// Engines keyed `(group, proc)` — BTreeMap for deterministic walks.
     engines: BTreeMap<(u32, u64), P>,
     disks: BTreeMap<(u32, u64), StableState>,
@@ -734,17 +735,18 @@ impl<P: ShardNode> ShardRunner<P> {
         }
     }
 
+    /// Moves the wheel event to the wheel's next deadline. An event already
+    /// at that instant stays put, keeping its sequence number (and so its
+    /// place among same-instant events); otherwise it re-arms in place.
     fn rearm_wheel(&mut self) {
         match (self.wheel.next_deadline(), self.wheel_armed) {
-            (Some(next), Some((at, _))) if at == next => {}
-            (Some(next), prev) => {
-                if let Some((_, id)) = prev {
-                    self.sim.cancel(id);
-                }
-                let id = self.sim.schedule_at(next, Ev::Wheel);
-                self.wheel_armed = Some((next, id));
+            (Some(next), Some(id)) if self.sim.time_of(id) == Some(next) => {}
+            (Some(next), Some(id)) => {
+                let id = self.sim.reschedule(id, next);
+                self.wheel_armed = Some(id.expect("the wheel event is pending"));
             }
-            (None, Some((_, id))) => {
+            (Some(next), None) => self.wheel_armed = Some(self.sim.schedule_at(next, Ev::Wheel)),
+            (None, Some(id)) => {
                 self.sim.cancel(id);
                 self.wheel_armed = None;
             }

@@ -25,9 +25,7 @@
 //! a global join request (§V-C); the global leader's member timeout evicts
 //! the crashed predecessor.
 
-use std::collections::{HashMap, HashSet};
-
-use des::SimRng;
+use des::{IdMap, IdSet, SimRng};
 use raft::{Role, Timing};
 use storage::StableState;
 use wire::{
@@ -111,7 +109,7 @@ struct GlobalSide {
     gate: GateRecorder,
     /// Local proposal id of a pending global-state entry → the gate token
     /// to resume once it commits locally.
-    waiting: HashMap<EntryId, GateToken>,
+    waiting: IdMap<EntryId, GateToken>,
 }
 
 /// A C-Raft site (§V).
@@ -143,7 +141,7 @@ pub struct CRaftNode {
     global_commit_seen: LogIndex,
     /// Linearizable (global) reads routed through this cluster leader:
     /// `(session, seq)` → the gateway awaiting the answer.
-    global_read_waiters: HashMap<(SessionId, u64), NodeId>,
+    global_read_waiters: IdMap<(SessionId, u64), NodeId>,
     /// Designated initial leaders race their first election quickly so the
     /// bootstrap global configuration (which names them) actually forms.
     boost_first_election: bool,
@@ -200,7 +198,7 @@ impl CRaftNode {
             batch_buf: Vec::new(),
             batch_seq: 0,
             global_commit_seen: LogIndex::ZERO,
-            global_read_waiters: HashMap::new(),
+            global_read_waiters: IdMap::default(),
             cfg,
             boost_first_election,
             free_actions: Vec::new(),
@@ -250,7 +248,7 @@ impl CRaftNode {
             batch_buf: Vec::new(),
             batch_seq: 0,
             global_commit_seen,
-            global_read_waiters: HashMap::new(),
+            global_read_waiters: IdMap::default(),
             cfg,
             boost_first_election: false,
             free_actions: Vec::new(),
@@ -360,7 +358,7 @@ impl CRaftNode {
         }
         let global_log = self.reconstruct_global_log();
         let mut max_gc = LogIndex::ZERO;
-        let mut batched_ids: HashSet<EntryId> = HashSet::new();
+        let mut batched_ids: IdSet<EntryId> = IdSet::default();
         for (_, entry) in self.local.log().iter() {
             if let Payload::GlobalState(gs) = &entry.payload {
                 max_gc = max_gc.max(gs.global_commit);
@@ -436,7 +434,7 @@ impl CRaftNode {
         let mut side = GlobalSide {
             engine,
             gate: GateRecorder::new(),
-            waiting: HashMap::new(),
+            waiting: IdMap::default(),
         };
         let drained = side.gate.drain();
         debug_assert!(drained.is_empty());
@@ -466,9 +464,12 @@ impl CRaftNode {
 
     fn deactivate_global(&mut self, out: &mut Actions<CRaftMessage>) {
         // Global reads routed through this (former) leader can no longer be
-        // confirmed here; tell their gateways to retry.
-        let waiters: Vec<((SessionId, u64), NodeId)> =
+        // confirmed here; tell their gateways to retry, in `(session, seq)`
+        // order: reply order reaches the embedding's schedule, and table
+        // order is the hasher's.
+        let mut waiters: Vec<((SessionId, u64), NodeId)> =
             self.global_read_waiters.drain().collect();
+        waiters.sort_unstable();
         for ((session, seq), waiter) in waiters {
             self.reply_waiter(waiter, session, seq, ClientOutcome::Retry, out);
         }

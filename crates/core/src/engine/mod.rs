@@ -38,10 +38,10 @@
 //! This guard is implied but not spelled out by the paper; see
 //! `docs/DEVIATIONS.md`, row 1.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use bytes::Bytes;
-use des::{SimRng, SimTime};
+use des::{IdMap, SimRng, SimTime};
 use raft::replica::{self, Replica, Reply};
 use raft::{Role, Timing};
 use storage::ScopeState;
@@ -227,10 +227,10 @@ pub struct FastRaftEngine {
     /// Next index handed to a leader-forwarded proposal (grows past
     /// gate-pending assignments).
     assign_cursor: LogIndex,
-    pending_gates: HashMap<GateToken, GateCont>,
+    pending_gates: IdMap<GateToken, GateCont>,
     /// Indices with an outstanding decision-insert gate.
     gated_decisions: BTreeSet<LogIndex>,
-    acks: HashMap<u64, AckState>,
+    acks: IdMap<u64, AckState>,
     next_ack_id: u64,
 
     // ---- scratch (empty between steps, capacity retained) ----
@@ -318,9 +318,9 @@ impl FastRaftEngine {
             silent_elections: 0,
             proposal_mode: ProposalMode::default(),
             assign_cursor: LogIndex::ZERO,
-            pending_gates: HashMap::new(),
+            pending_gates: IdMap::default(),
             gated_decisions: BTreeSet::new(),
-            acks: HashMap::new(),
+            acks: IdMap::default(),
             next_ack_id: 0,
             proposal_scratch: Vec::new(),
         }

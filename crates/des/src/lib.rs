@@ -10,6 +10,9 @@
 //! - [`TimerWheel`]: a set of keyed timers — an [`EventQueue`] of keys
 //!   plus a key index, so re-arming a key is the queue's in-place re-arm;
 //!   the one heap implementation in the crate serves both;
+//! - [`IdMap`] / [`IdSet`]: hash tables under [`IdHasher`], the seedless
+//!   id hasher every simulator table uses, so table layout (and allocation
+//!   counts) repeat run to run;
 //! - [`SimRng`]: seeded randomness with labelled [`SimRng::split`]ting so
 //!   component streams stay independent as the code evolves;
 //! - [`Simulation`]: clock + queue + RNG with a step-limit livelock guard.
@@ -43,12 +46,14 @@
 #![warn(missing_docs)]
 
 mod event;
+mod hash;
 mod rng;
 mod sim;
 mod time;
 mod wheel;
 
 pub use event::{EventId, EventQueue, Firing};
+pub use hash::{IdHasher, IdMap, IdSet};
 pub use rng::SimRng;
 pub use sim::Simulation;
 pub use time::{SimDuration, SimTime};

@@ -32,10 +32,9 @@
 //! name because the benchmark under `perf/` names it.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::hash::Hash;
 
-use crate::{EventId, EventQueue, Firing, SimTime};
+use crate::{EventId, EventQueue, Firing, IdMap, SimTime};
 
 /// A set of timers keyed by `K`, ordered by deadline (a heap; see the
 /// module docs for the name).
@@ -65,7 +64,7 @@ pub struct TimerWheel<K> {
     /// One pending event per armed key, carrying the key.
     queue: EventQueue<K>,
     /// Armed keys → their event in `queue`.
-    ids: HashMap<K, EventId>,
+    ids: IdMap<K, EventId>,
 }
 
 impl<K: Eq + Hash + Copy> Default for TimerWheel<K> {
@@ -79,7 +78,7 @@ impl<K: Eq + Hash + Copy> TimerWheel<K> {
     pub fn new() -> Self {
         TimerWheel {
             queue: EventQueue::new(),
-            ids: HashMap::new(),
+            ids: IdMap::default(),
         }
     }
 
@@ -311,7 +310,7 @@ mod tests {
             let mut rng = SimRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5);
             let mut wheel: TimerWheel<u64> = TimerWheel::new();
             // Reference: key -> (deadline, seq of last schedule).
-            let mut model: HashMap<u64, (u64, u64)> = HashMap::new();
+            let mut model: IdMap<u64, (u64, u64)> = IdMap::default();
             let mut now = 0u64;
             let mut seq = 0u64;
             for _ in 0..2_000 {

@@ -78,8 +78,9 @@ pub struct Metrics {
     pub read_samples: Vec<LatencySample>,
     /// Outstanding client operations by `(session, seq)`.
     inflight: BTreeMap<ClientOpKey, SimTime>,
-    /// Items committed to the global log, by unique global index.
-    global_items: BTreeMap<LogIndex, u64>,
+    /// Items committed to the global log, indexed by global log index
+    /// (`None`: not committed in the measurement window).
+    global_items: Vec<Option<u64>>,
     /// Leader fast-track commits observed.
     pub fast_commits: u64,
     /// Leader classic-track commits observed.
@@ -180,7 +181,11 @@ impl Metrics {
     /// values. Deduplicated by index: each global slot counts once.
     pub fn global_commit(&mut self, index: LogIndex, items: u64, now: SimTime) {
         if now >= self.measure_from {
-            self.global_items.entry(index).or_insert(items);
+            let slot = index.as_u64() as usize;
+            if self.global_items.len() <= slot {
+                self.global_items.resize(slot + 1, None);
+            }
+            self.global_items[slot].get_or_insert(items);
         }
     }
 
@@ -202,7 +207,7 @@ impl Metrics {
     /// Total application values committed to the global log in the
     /// measurement window.
     pub fn global_committed_items(&self) -> u64 {
-        self.global_items.values().sum()
+        self.global_items.iter().flatten().sum()
     }
 
     /// Throughput in committed values per simulated second over `window`.

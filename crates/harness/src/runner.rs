@@ -18,10 +18,10 @@
 //! [`SafetyChecker`]: its returned commit floor must not precede any
 //! previously completed write or read.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
-use des::{EventId, SimDuration, SimRng, SimTime, Simulation};
+use des::{EventId, IdMap, IdSet, SimDuration, SimRng, SimTime, Simulation};
 use simnet::{Network, Verdict};
 use storage::{PersistBatch, SimDisk, StableState};
 use wire::{
@@ -213,7 +213,7 @@ pub struct Runner<P: ConsensusProtocol> {
     /// zero, so all-write runs are bit-identical to the pre-read harness).
     op_rng: SimRng,
     /// Outstanding closed-loop operation per client.
-    outstanding: HashMap<NodeId, OutstandingOp>,
+    outstanding: IdMap<NodeId, OutstandingOp>,
     /// Last write seq per client (survives node crashes — the client
     /// outlives its gateway). Registrations and writes consume seqs.
     next_seq: BTreeMap<NodeId, u64>,
@@ -221,10 +221,10 @@ pub struct Runner<P: ConsensusProtocol> {
     /// (see [`wire::read_id`]) and consume no seq.
     next_read: BTreeMap<NodeId, u64>,
     /// Clients that already issued their final linearizable read.
-    final_issued: HashSet<NodeId>,
+    final_issued: IdSet<NodeId>,
     /// Nodes with an [`SimEvent::ApplyDrain`] already in flight (pipelined
     /// apply schedules at most one drain per node at a time).
-    drains_scheduled: HashSet<NodeId>,
+    drains_scheduled: IdSet<NodeId>,
     /// Dedicated stream for [`RunnerConfig::persist_stalls`] (drawn from
     /// only when stalls are configured, so stall-free runs are unchanged).
     stall_rng: SimRng,
@@ -283,11 +283,11 @@ impl<P: ConsensusProtocol> Runner<P> {
             net_rng,
             payload_rng,
             op_rng,
-            outstanding: HashMap::new(),
+            outstanding: IdMap::default(),
             next_seq: BTreeMap::new(),
             next_read: BTreeMap::new(),
-            final_issued: HashSet::new(),
-            drains_scheduled: HashSet::new(),
+            final_issued: IdSet::default(),
+            drains_scheduled: IdSet::default(),
             stall_rng,
             chaos_extras: Vec::new(),
             free_actions: Vec::new(),

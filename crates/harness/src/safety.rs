@@ -15,8 +15,7 @@
 //! snapshot — a linearizable read may never answer from a point before an
 //! operation that finished before the read began.
 
-use std::collections::HashMap;
-
+use des::IdMap;
 use wire::{EntryId, LogIndex, LogScope, NodeId, SessionId};
 
 /// A detected violation of the safety property.
@@ -68,6 +67,10 @@ impl std::fmt::Display for LinViolation {
     }
 }
 
+/// One log's commits: the first `(committer, entry)` seen at each index,
+/// indexed by the log index itself (commits fill a dense prefix).
+type CommitBook = Vec<Option<(NodeId, EntryId)>>;
+
 /// Cross-site commit consistency checker.
 ///
 /// Local-scope commits are compared within a *domain* (a cluster); Global
@@ -75,16 +78,17 @@ impl std::fmt::Display for LinViolation {
 /// -provided mapping (identity/constant for single-cluster protocols).
 #[derive(Default)]
 pub struct SafetyChecker {
-    chosen: HashMap<(u64, LogScope, LogIndex), (NodeId, EntryId)>,
+    /// One book per `(domain, scope)` log.
+    chosen: IdMap<(u64, LogScope), CommitBook>,
     violations: Vec<SafetyViolation>,
     domain_of: Option<Box<dyn Fn(NodeId) -> u64 + Send>>,
     commits_seen: u64,
     /// Per scope: the highest index any *completed* operation (write commit
     /// or linearizable-read floor) is known to have reached.
-    completed_bound: HashMap<LogScope, LogIndex>,
+    completed_bound: IdMap<LogScope, LogIndex>,
     /// In-flight linearizable reads: the per-scope bound snapshot taken at
     /// first submission.
-    read_bounds: HashMap<(SessionId, u64), [(LogScope, LogIndex); 2]>,
+    read_bounds: IdMap<(SessionId, u64), [(LogScope, LogIndex); 2]>,
     lin_violations: Vec<LinViolation>,
     reads_checked: u64,
 }
@@ -121,21 +125,20 @@ impl SafetyChecker {
             LogScope::Global => u64::MAX,
             LogScope::Local => self.domain_of.as_ref().map_or(0, |f| f(node)),
         };
-        match self.chosen.entry((domain, scope, index)) {
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert((node, id));
-            }
-            std::collections::hash_map::Entry::Occupied(o) => {
-                let first = *o.get();
-                if first.1 != id {
-                    self.violations.push(SafetyViolation {
-                        scope,
-                        index,
-                        first,
-                        second: (node, id),
-                    });
-                }
-            }
+        let book = self.chosen.entry((domain, scope)).or_default();
+        let slot = index.as_u64() as usize;
+        if book.len() <= slot {
+            book.resize(slot + 1, None);
+        }
+        match book[slot] {
+            None => book[slot] = Some((node, id)),
+            Some(first) if first.1 != id => self.violations.push(SafetyViolation {
+                scope,
+                index,
+                first,
+                second: (node, id),
+            }),
+            Some(_) => {}
         }
     }
 

@@ -1,8 +1,8 @@
 //! Applied state: what a replica derives by applying the committed sequence.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
+use des::IdMap;
 use wire::{
     fold_commit_digest, fold_session_digest, fold_session_evicted, session_state_current, Actions,
     ClientOutcome, Configuration, EntryId, LogIndex, LogScope, Observation, PersistCmd,
@@ -248,11 +248,12 @@ impl Applied {
     /// the session table now covers (the install can jump the commit floor
     /// across their application), each with its proposal id and
     /// first-application index. Sorted by `(session, seq)`: `client_writes`
-    /// is a `HashMap`, and answering in its iteration order would let the
-    /// per-instance hasher seed reach the embedding's event order.
+    /// is a hash table, and answering in its iteration order would let the
+    /// hasher (any change to it, or a seeded one) reach the embedding's
+    /// event order.
     pub fn sweep_client_pending(
         &self,
-        client_writes: &HashMap<(SessionId, u64), EntryId>,
+        client_writes: &IdMap<(SessionId, u64), EntryId>,
     ) -> Vec<(SessionId, u64, EntryId, LogIndex)> {
         let mut covered: Vec<_> = client_writes
             .iter()

@@ -1,9 +1,9 @@
 //! [`Replica`]: the state and the protocol steps classic Raft and Fast Raft
 //! carry identically.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
-use des::{SimRng, SimTime};
+use des::{IdMap, SimRng, SimTime};
 use storage::ScopeState;
 use wire::{
     Actions, Approval, ClientOutcome, Configuration, Consistency, EntryId, EntryList, LogEntry,
@@ -89,13 +89,13 @@ pub struct Replica {
     pub ids: ProposalIds,
     /// `(session, seq)` → proposal id for writes in flight at this gateway
     /// (client retry idempotence).
-    pub client_writes: HashMap<(SessionId, u64), EntryId>,
+    pub client_writes: IdMap<(SessionId, u64), EntryId>,
     /// Linearizable reads: ReadIndex, lease, vote hold, local clock.
     pub reads: ReadPath,
 
     // ---- bookkeeping ----
     /// Where each known proposal id sits in the log (dedup + notification).
-    pub id_index: HashMap<EntryId, LogIndex>,
+    pub id_index: IdMap<EntryId, LogIndex>,
     /// Scratch for one AppendEntries dispatch's `(nextIndex, follower)`
     /// pairs: empty between steps, capacity retained.
     append_scratch: Vec<(LogIndex, NodeId)>,
@@ -134,9 +134,9 @@ impl Replica {
             match_index: BTreeMap::new(),
             learners: BTreeSet::new(),
             ids: ProposalIds::new(id, scope),
-            client_writes: HashMap::new(),
+            client_writes: IdMap::default(),
             reads: ReadPath::new(id, scope, &timing),
-            id_index: HashMap::new(),
+            id_index: IdMap::default(),
             append_scratch: Vec::new(),
         }
     }

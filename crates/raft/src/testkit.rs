@@ -260,9 +260,8 @@ impl<P: ConsensusProtocol> Lockstep<P> {
     ///
     /// Panics with a diagnostic when a seq applied at two indices.
     pub fn assert_exactly_once(&self) {
-        use std::collections::HashMap;
-        let mut applied: HashMap<(u64, wire::LogScope, SessionId, u64), wire::LogIndex> =
-            HashMap::new();
+        let mut applied: des::IdMap<(u64, wire::LogScope, SessionId, u64), wire::LogIndex> =
+            des::IdMap::default();
         for (node, scope, session, seq, index) in self.session_applies() {
             let domain = match scope {
                 wire::LogScope::Local => (self.domain_of)(node),
@@ -328,9 +327,8 @@ impl<P: ConsensusProtocol> Lockstep<P> {
     ///
     /// Panics with a diagnostic if safety is violated.
     pub fn assert_safety(&self) {
-        use std::collections::HashMap;
-        let mut chosen: HashMap<(u64, wire::LogScope, wire::LogIndex), (NodeId, EntryId)> =
-            HashMap::new();
+        let mut chosen: des::IdMap<(u64, wire::LogScope, wire::LogIndex), (NodeId, EntryId)> =
+            des::IdMap::default();
         for (&node, commits) in &self.commits {
             for c in commits {
                 let domain = match c.scope {

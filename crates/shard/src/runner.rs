@@ -50,10 +50,10 @@
 //! and a write routed by a stale table simply lands on the old group,
 //! whose history still linearizes it (see `docs/CONSISTENCY.md`).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
-use des::{EventId, Firing, SimDuration, SimRng, SimTime, Simulation, TimerWheel};
+use des::{EventId, Firing, IdMap, SimDuration, SimRng, SimTime, Simulation, TimerWheel};
 use raft::{RaftNode, Role, Timing};
 use simnet::{Network, Verdict};
 use storage::StableState;
@@ -269,7 +269,7 @@ struct Client {
     /// Last used sequence number **per group**: sessions are scoped to a
     /// group's log, so the exactly-once window of one group never absorbs
     /// another group's sequence numbers.
-    seqs: HashMap<u32, u64>,
+    seqs: IdMap<u32, u64>,
     outstanding: Option<OutOp>,
     is_admin: bool,
 }
@@ -302,7 +302,7 @@ pub struct ShardRunner<P: ShardNode> {
     routers: Vec<ShardRouter>,
     groups: BTreeMap<u32, GroupCtl>,
     clients: Vec<Client>,
-    session_owner: HashMap<u64, usize>,
+    session_owner: IdMap<u64, usize>,
     factory: Box<EngineFactory<P>>,
     engine_rng: SimRng,
     wl_rng: SimRng,
@@ -327,7 +327,7 @@ pub struct ShardRunner<P: ShardNode> {
     resp_queue: VecDeque<(u64, u32, SessionId, u64, ClientOutcome)>,
     pending_reconfigs: VecDeque<(u64, ReconfigOp)>,
     /// Commit-agreement ledger: first-seen entry id per committed slot.
-    commit_log: HashMap<(u32, LogScope, LogIndex), EntryId>,
+    commit_log: IdMap<(u32, LogScope, LogIndex), EntryId>,
     violations: Vec<String>,
     measure_from: SimTime,
     measure_until: SimTime,
@@ -386,7 +386,7 @@ impl<P: ShardNode> ShardRunner<P> {
             routers: vec![router; cfg.procs as usize],
             groups: BTreeMap::new(),
             clients: Vec::new(),
-            session_owner: HashMap::new(),
+            session_owner: IdMap::default(),
             factory: Box::new(factory),
             engine_rng: root.split("engines"),
             wl_rng: root.split("workload"),
@@ -406,7 +406,7 @@ impl<P: ShardNode> ShardRunner<P> {
             free_actions: Vec::new(),
             resp_queue: VecDeque::new(),
             pending_reconfigs: VecDeque::new(),
-            commit_log: HashMap::new(),
+            commit_log: IdMap::default(),
             violations: Vec::new(),
             measure_from: SimTime::ZERO,
             measure_until: SimTime::MAX,
@@ -426,7 +426,7 @@ impl<P: ShardNode> ShardRunner<P> {
             runner.clients.push(Client {
                 session,
                 gateway: if is_admin { 0 } else { c as u64 % cfg.procs },
-                seqs: HashMap::new(),
+                seqs: IdMap::default(),
                 outstanding: None,
                 is_admin,
             });

@@ -5,9 +5,7 @@
 //! two-state Markov chain), used by the extension experiments to test Fast
 //! Raft's sensitivity to correlated drops.
 
-use std::collections::HashMap;
-
-use des::SimRng;
+use des::{IdMap, SimRng};
 use wire::NodeId;
 
 /// Decides whether a message is dropped in transit.
@@ -56,7 +54,7 @@ impl LossModel for BernoulliLoss {
 #[derive(Clone, Debug, Default)]
 pub struct PerLinkLoss {
     default: f64,
-    links: HashMap<(NodeId, NodeId), f64>,
+    links: IdMap<(NodeId, NodeId), f64>,
 }
 
 impl PerLinkLoss {
@@ -69,7 +67,7 @@ impl PerLinkLoss {
         assert!((0.0..=1.0).contains(&default), "loss out of range");
         PerLinkLoss {
             default,
-            links: HashMap::new(),
+            links: IdMap::default(),
         }
     }
 

@@ -5,15 +5,13 @@
 //! harness asks for a [`Verdict`] and schedules the delivery event itself,
 //! keeping `simnet` independent of the event payload type.
 
-use des::{SimDuration, SimRng};
+use des::{IdSet, SimDuration, SimRng};
 use wire::NodeId;
 
 use crate::{
     ChaosModel, DropReason, LatencyModel, LossModel, NetStats, NoLoss, PartitionSet, Topology,
     UniformLatency,
 };
-
-use std::collections::HashSet;
 
 /// The network's decision about one message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,7 +50,7 @@ pub struct Network {
     partitions: PartitionSet,
     topology: Topology,
     /// Nodes currently unable to receive (crashed or silently departed).
-    down: HashSet<NodeId>,
+    down: IdSet<NodeId>,
     stats: NetStats,
     /// Delay applied to self-addressed messages (process-local loopback).
     loopback: SimDuration,
@@ -82,7 +80,7 @@ impl Network {
             loss,
             partitions: PartitionSet::new(),
             topology,
-            down: HashSet::new(),
+            down: IdSet::default(),
             stats: NetStats::new(),
             loopback: SimDuration::from_micros(20),
             chaos: None,

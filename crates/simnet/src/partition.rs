@@ -4,8 +4,7 @@
 //! message until healed. Supports pairwise blocks, full node isolation, and
 //! group partitions (every cross-group link blocked).
 
-use std::collections::HashSet;
-
+use des::IdSet;
 use wire::NodeId;
 
 /// The set of currently blocked communication links.
@@ -28,10 +27,10 @@ use wire::NodeId;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct PartitionSet {
-    blocked_pairs: HashSet<(NodeId, NodeId)>,
+    blocked_pairs: IdSet<(NodeId, NodeId)>,
     /// Directed cuts: `(from, to)` blocks only `from → to`.
-    blocked_one_way: HashSet<(NodeId, NodeId)>,
-    isolated: HashSet<NodeId>,
+    blocked_one_way: IdSet<(NodeId, NodeId)>,
+    isolated: IdSet<NodeId>,
 }
 
 impl PartitionSet {

@@ -5,8 +5,7 @@
 //! let experiments report messages and bytes split by intra- vs inter-region
 //! traffic, and why messages were dropped.
 
-use std::collections::HashMap;
-
+use des::IdMap;
 use serde::{Deserialize, Serialize};
 use wire::NodeId;
 
@@ -40,7 +39,7 @@ pub struct NetStats {
     pub intra_region_bytes: u64,
     /// Bytes offered on inter-region links.
     pub inter_region_bytes: u64,
-    per_link: HashMap<(NodeId, NodeId), LinkStats>,
+    per_link: IdMap<(NodeId, NodeId), LinkStats>,
 }
 
 /// Counters for one directed link.

@@ -6,8 +6,7 @@
 //! within regions". [`Topology`] captures the placement; latency models
 //! consult it.
 
-use std::collections::HashMap;
-
+use des::IdMap;
 use serde::{Deserialize, Serialize};
 use wire::NodeId;
 
@@ -43,7 +42,7 @@ impl RegionId {
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct Topology {
     regions: Vec<String>,
-    placement: HashMap<NodeId, RegionId>,
+    placement: IdMap<NodeId, RegionId>,
 }
 
 impl Topology {

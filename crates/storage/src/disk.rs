@@ -6,9 +6,7 @@
 //! here. Wiping a site's storage models a *permanent* departure (the site
 //! could only return as a fresh joiner).
 
-use std::collections::HashMap;
-
-use wire::{NodeId, PersistCmd};
+use wire::{IdMap, NodeId, PersistCmd};
 
 use crate::{PersistBatch, StableState};
 
@@ -26,7 +24,7 @@ use crate::{PersistBatch, StableState};
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct SimDisk {
-    states: HashMap<NodeId, StableState>,
+    states: IdMap<NodeId, StableState>,
 }
 
 impl SimDisk {

@@ -54,6 +54,9 @@ pub use client::{
 };
 pub use codec::{DecodeError, Decoder, Encoder, Wire};
 pub use config::{AppendBudget, Configuration, MAX_BYTES_PER_APPEND};
+/// `des`'s seedless id tables, re-exported for crates (`storage`) that key
+/// tables by the ids above without depending on `des` themselves.
+pub use des::{IdMap, IdSet};
 pub use entry::{Approval, Batch, BatchItem, EntryList, GlobalState, LogEntry, Payload};
 pub use envelope::{GroupFrame, ShardEnvelope};
 pub use ids::{ClusterId, EntryId, GroupId, LogIndex, NodeId, Term};

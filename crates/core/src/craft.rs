@@ -740,7 +740,7 @@ impl CRaftNode {
             let gc = self.global_commit_seen();
             let gs = GlobalState {
                 index: req.index,
-                entry: std::sync::Arc::new(req.entry.clone()),
+                entry: std::rc::Rc::new(req.entry.clone()),
                 global_commit: gc,
             };
             let mut la = self.take_actions();

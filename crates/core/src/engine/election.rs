@@ -59,8 +59,8 @@ impl FastRaftEngine {
         // any authenticated leader contact.
         self.silent_elections += 1;
         if self.silent_elections >= 3 {
-            let peers: Vec<NodeId> = self.core.config.peers(self.core.id).collect();
-            out.send_many(peers, FastRaftMessage::JoinRequest { node: self.core.id });
+            let join = FastRaftMessage::JoinRequest { node: self.core.id };
+            out.send_many(self.core.config.peers(self.core.id), join);
         }
         // Our own self-approved entries participate in recovery.
         self.recovery_votes.clear();
@@ -77,8 +77,7 @@ impl FastRaftEngine {
             last_leader_index: coverage,
             last_leader_term: self.core.log.term_at(coverage),
         };
-        let peers: Vec<NodeId> = self.core.config.peers(self.core.id).collect();
-        out.send_many(peers, msg);
+        out.send_many(self.core.config.peers(self.core.id), msg);
         self.maybe_win(out);
     }
 

@@ -468,6 +468,11 @@ impl FastRaftEngine {
         self.core.applied.sessions()
     }
 
+    /// Where each known proposal id sits in the log.
+    pub fn id_index(&self) -> &wire::IdIndex {
+        &self.core.id_index
+    }
+
     /// `true` while this node is still negotiating membership.
     pub fn is_joining(&self) -> bool {
         self.join_contacts.is_some()

@@ -98,8 +98,8 @@ impl FastRaftEngine {
         }
         // Dedup: retries of ids already in the log are ignored (commit
         // notification flows from emit_commit_effects).
-        if let Some(&idx) = self.core.id_index.get(&entry.id) {
-            if idx <= self.core.commit_index {
+        if let Some(placed) = self.core.id_index.get(&entry.id) {
+            if placed.at_or_below(self.core.commit_index) {
                 out.send(
                     entry.id.proposer,
                     FastRaftMessage::ProposeReply {
@@ -400,12 +400,13 @@ impl FastRaftEngine {
             return;
         }
         // Duplicate already committed? Notify the proposer (§IV-B step 1).
-        // A mapping at or below the compaction horizon refers to an entry
-        // whose slot was compacted away; it is committed by definition.
-        if let Some(&idx) = self.core.id_index.get(&entry.id) {
-            let committed = idx <= self.core.log.compacted_through()
-                || (idx <= self.core.commit_index
-                    && self.core.log.get(idx).is_some_and(|e| e.id == entry.id));
+        // A settled id has no live index: its slot sat at or below the
+        // compaction horizon and was compacted away, so it is committed.
+        if let Some(placed) = self.core.id_index.get(&entry.id) {
+            let committed = placed.live_index().is_none_or(|idx| {
+                idx <= self.core.commit_index
+                    && self.core.log.get(idx).is_some_and(|e| e.id == entry.id)
+            });
             if committed {
                 out.send(
                     entry.id.proposer,
@@ -533,9 +534,10 @@ impl FastRaftEngine {
             return;
         }
         // A vote for an entry that is already committed at a *different*
-        // index is a null vote (duplicate suppression).
-        if let Some(&idx) = self.core.id_index.get(&entry.id) {
-            if idx <= self.core.commit_index && idx != index {
+        // index (this one is above the commit index) is a null vote
+        // (duplicate suppression).
+        if let Some(placed) = self.core.id_index.get(&entry.id) {
+            if placed.at_or_below(self.core.commit_index) {
                 self.possible.record_null_vote(index, from);
                 return;
             }

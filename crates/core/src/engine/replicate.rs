@@ -69,7 +69,7 @@ impl FastRaftEngine {
         }
 
         // Apply inserts (§IV-B steps 4-5: overwrite conflicts, mark
-        // leader-approved), possibly gated. The list is Arc-shared with
+        // leader-approved), possibly gated. The list is Rc-shared with
         // every other recipient of this batch; entries that land are cloned
         // out of it so the per-site approval stamp never touches the shared
         // allocation.

@@ -172,6 +172,11 @@ impl FastRaftNode {
         self.engine.sessions()
     }
 
+    /// Where each known proposal id sits in the log.
+    pub fn id_index(&self) -> &wire::IdIndex {
+        self.engine.id_index()
+    }
+
     /// `true` while still negotiating membership.
     pub fn is_joining(&self) -> bool {
         self.engine.is_joining()

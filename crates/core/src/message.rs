@@ -48,7 +48,7 @@ pub enum FastRaftMessage {
         /// up to here when contiguous.
         prev_index: LogIndex,
         /// Explicitly indexed entries (Fast Raft logs may be sparse).
-        /// `Arc`-shared: followers addressed at the same `nextIndex`
+        /// `Rc`-shared: followers addressed at the same `nextIndex`
         /// receive handles to one allocation.
         entries: EntryList,
         /// Leader's commit index.

@@ -8,7 +8,7 @@
 //! pinned at the horizon, nothing decided inside the gap), and the normal
 //! snapshot/resend path must remain able to repair it.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use consensus_core::{CRaftConfig, CRaftNode};
 use des::SimRng;
@@ -50,7 +50,7 @@ fn flapped_state(first_gs: u64) -> StableState {
                 id: EntryId::new(NodeId(0), 100 + li),
                 payload: Payload::GlobalState(wire::GlobalState {
                     index: LogIndex(gi),
-                    entry: Arc::new(global_entry(gi)),
+                    entry: Rc::new(global_entry(gi)),
                     global_commit: LogIndex::ZERO,
                 }),
                 approval: Approval::LeaderApproved,

@@ -50,7 +50,7 @@ pub enum RaftMessage {
         prev_index: LogIndex,
         /// Term of the entry at `prev_index`.
         prev_term: Term,
-        /// Entries to replicate (empty for pure heartbeat). `Arc`-shared:
+        /// Entries to replicate (empty for pure heartbeat). `Rc`-shared:
         /// every follower addressed at the same `nextIndex` receives a
         /// handle to the same allocation.
         entries: EntryList,

@@ -178,6 +178,11 @@ impl RaftNode {
         self.core.applied.sessions()
     }
 
+    /// Where each known proposal id sits in the log.
+    pub fn id_index(&self) -> &wire::IdIndex {
+        &self.core.id_index
+    }
+
     // ------------------------------------------------------------------
     // Administrative API (the paper assumes a system administrator drives
     // classic-Raft membership changes, §III-A).
@@ -239,14 +244,8 @@ impl RaftNode {
     // ------------------------------------------------------------------
 
     fn truncate_from(&mut self, from: LogIndex, out: &mut Actions<RaftMessage>) {
-        let removed: Vec<(LogIndex, EntryId)> = self
-            .core
-            .log
-            .range(from, self.core.log.last_index())
-            .map(|(i, e)| (i, e.id))
-            .collect();
-        for (_, id) in &removed {
-            self.core.id_index.remove(id);
+        for (_, e) in self.core.log.range(from, self.core.log.last_index()) {
+            self.core.id_index.remove(&e.id);
         }
         self.core.log.truncate_from(from);
         out.persist(PersistCmd::Truncate {
@@ -303,8 +302,7 @@ impl RaftNode {
             last_log_index: last,
             last_log_term: self.core.log.term_at(last),
         };
-        let peers: Vec<NodeId> = self.core.config.peers(self.core.id).collect();
-        out.send_many(peers, msg);
+        out.send_many(self.core.config.peers(self.core.id), msg);
         self.maybe_win(out);
     }
 
@@ -727,8 +725,7 @@ impl RaftNode {
         if let Some(leader) = self.core.leader_hint {
             out.send(leader, msg);
         } else {
-            let peers: Vec<NodeId> = self.core.config.peers(self.core.id).collect();
-            out.send_many(peers, msg);
+            out.send_many(self.core.config.peers(self.core.id), msg);
         }
     }
 

@@ -1,6 +1,6 @@
 //! Applied state: what a replica derives by applying the committed sequence.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use des::IdMap;
 use wire::{
@@ -38,7 +38,7 @@ pub struct Applied {
     /// committed session-tagged entries and carried inside snapshots.
     /// Copy-on-write: a snapshot shares the table as of its cut, and the
     /// next apply after one copies it once.
-    sessions: Arc<SessionTable>,
+    sessions: Rc<SessionTable>,
     /// Latest snapshot covering the compacted log prefix, served to sites
     /// whose `nextIndex` fell below the log's first retained index.
     snapshot: Option<Snapshot>,
@@ -53,7 +53,7 @@ impl Applied {
             session_ttl: timing.session_ttl,
             applied_index: LogIndex::ZERO,
             state_digest: 0,
-            sessions: Arc::default(),
+            sessions: Rc::default(),
             snapshot: None,
         }
     }
@@ -164,7 +164,7 @@ impl Applied {
         index: LogIndex,
         out: &mut Actions<M>,
     ) -> SessionApply {
-        let applied = Arc::make_mut(&mut self.sessions).apply(session, seq, index);
+        let applied = Rc::make_mut(&mut self.sessions).apply(session, seq, index);
         match applied {
             SessionApply::Applied => {
                 self.state_digest = fold_session_digest(self.state_digest, session, seq);
@@ -229,7 +229,7 @@ impl Applied {
         if self.session_ttl == 0 {
             return; // Expiry disabled: leave a snapshot-shared table shared.
         }
-        for session in Arc::make_mut(&mut self.sessions).evict_idle(at, self.session_ttl) {
+        for session in Rc::make_mut(&mut self.sessions).evict_idle(at, self.session_ttl) {
             self.state_digest = fold_session_evicted(self.state_digest, session);
             out.observe(Observation::SessionEvicted {
                 scope: self.scope,
@@ -267,6 +267,18 @@ impl Applied {
         covered
     }
 
+    /// Where [`Applied::maybe_compact`] would compact `log` through now, if
+    /// it would. Compaction is bounded by the *applied* prefix, not the
+    /// committed one: the snapshot captures digest + session table, which
+    /// are apply-time state. Inline, applied == committed here; pipelined,
+    /// compaction simply runs at the drain stage.
+    pub(crate) fn compaction_point(&self, log: &SparseLog) -> Option<LogIndex> {
+        let horizon = log.compacted_through();
+        let retained = self.applied_index.as_u64().saturating_sub(horizon.as_u64());
+        (self.snapshot_threshold > 0 && retained > self.snapshot_threshold)
+            .then_some(self.applied_index)
+    }
+
     /// Compacts the applied prefix of `log` into a snapshot once its
     /// retained length exceeds [`Timing::snapshot_threshold`]. Every role
     /// compacts — the committed prefix is immutable everywhere — so
@@ -280,18 +292,9 @@ impl Applied {
         config_index: LogIndex,
         out: &mut Actions<M>,
     ) {
-        if self.snapshot_threshold == 0 {
+        let Some(through) = self.compaction_point(log) else {
             return;
-        }
-        let horizon = log.compacted_through();
-        // Compaction is bounded by the *applied* prefix, not the committed
-        // one: the snapshot captures digest + session table, which are
-        // apply-time state. Inline, applied == committed here; pipelined,
-        // compaction simply runs at the drain stage.
-        let through = self.applied_index;
-        if through.as_u64().saturating_sub(horizon.as_u64()) <= self.snapshot_threshold {
-            return;
-        }
+        };
         let snapshot = self.snapshot_at(through, log.term_at(through), log, config, config_index);
         out.persist(PersistCmd::InstallSnapshot {
             snapshot: snapshot.clone(),

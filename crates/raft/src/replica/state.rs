@@ -6,9 +6,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use des::{IdMap, SimRng, SimTime};
 use storage::ScopeState;
 use wire::{
-    Actions, Approval, ClientOutcome, Configuration, Consistency, EntryId, EntryList, LogEntry,
-    LogIndex, LogScope, NodeId, Observation, PersistCmd, SessionId, Snapshot, SparseLog, Term,
-    TimerKind, MAX_INSERT_WINDOW,
+    Actions, Approval, ClientOutcome, Configuration, Consistency, EntryId, EntryList, IdIndex,
+    LogEntry, LogIndex, LogScope, NodeId, Observation, PersistCmd, SessionId, Snapshot, SparseLog,
+    Term, TimerKind, MAX_INSERT_WINDOW,
 };
 
 use super::{reply, Applied, ClientReplyMessage, ProposalIds, ReadPath};
@@ -94,8 +94,9 @@ pub struct Replica {
     pub reads: ReadPath,
 
     // ---- bookkeeping ----
-    /// Where each known proposal id sits in the log (dedup + notification).
-    pub id_index: IdMap<EntryId, LogIndex>,
+    /// Where each known proposal id sits in the log (dedup + notification):
+    /// exact above the compaction horizon, settled at or below it.
+    pub id_index: IdIndex,
     /// Scratch for one AppendEntries dispatch's `(nextIndex, follower)`
     /// pairs: empty between steps, capacity retained.
     append_scratch: Vec<(LogIndex, NodeId)>,
@@ -136,7 +137,7 @@ impl Replica {
             ids: ProposalIds::new(id, scope),
             client_writes: IdMap::default(),
             reads: ReadPath::new(id, scope, &timing),
-            id_index: IdMap::default(),
+            id_index: IdIndex::default(),
             append_scratch: Vec::new(),
         }
     }
@@ -175,9 +176,7 @@ impl Replica {
             self.config = cfg.clone();
             self.config_index = idx;
         }
-        for (idx, entry) in self.log.iter() {
-            self.id_index.insert(entry.id, idx);
-        }
+        self.id_index = IdIndex::rebuild(&self.log);
     }
 
     /// Persists the term and vote (write-ahead: durable before any message
@@ -411,7 +410,7 @@ impl Replica {
 
     /// One AppendEntries round, carrying entries through `upper`. Followers
     /// (voters, then learners) are grouped by `nextIndex`: one budgeted
-    /// batch is assembled per distinct resume point and the Arc-shared
+    /// batch is assembled per distinct resume point and the Rc-shared
     /// [`EntryList`] handle is cloned per recipient, so the fan-out shares
     /// a single allocation. A follower whose resume point fell below the
     /// first retained index cannot be served from the log anymore: it gets
@@ -551,7 +550,12 @@ impl Replica {
 
     /// Compacts the applied prefix into a snapshot once it outgrows
     /// [`Timing::snapshot_threshold`] (see [`Applied::maybe_compact`]).
+    /// The id index settles the compacted prefix first, while the log still
+    /// holds it.
     pub fn maybe_compact<M>(&mut self, out: &mut Actions<M>) {
+        if let Some(through) = self.applied.compaction_point(&self.log) {
+            self.id_index.compact(&self.log, through);
+        }
         self.applied
             .maybe_compact(&mut self.log, &self.config, self.config_index, out);
     }
@@ -587,16 +591,15 @@ impl Replica {
         out.persist(PersistCmd::InstallSnapshot {
             snapshot: snapshot.clone(),
         });
-        self.log.install_snapshot(last_index, snapshot.last_term);
         // Drop id mappings for entries the install discarded. Only mappings
         // at or below the *pre-install* commit index are known committed
-        // (and may keep answering duplicate proposals as such) — an
+        // (they settle, and keep answering duplicate proposals as such) — an
         // uncommitted entry below the new horizon (a deposed leader's fork,
         // a self-approved proposal that lost its slot) must not be reported
         // committed.
-        let log = &self.log;
-        self.id_index
-            .retain(|_, idx| *idx <= old_commit || log.get(*idx).is_some());
+        self.id_index.compact(&self.log, old_commit);
+        self.log.install_snapshot(last_index, snapshot.last_term);
+        self.id_index.install(&self.log);
         // Adopt the snapshot's configuration unless a *surviving* config
         // entry above the horizon supersedes it; a config entry the install
         // discarded (conflicting suffix) must no longer be obeyed.

@@ -475,7 +475,7 @@ impl Wire for GlobalState {
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         Ok(GlobalState {
             index: LogIndex::decode(d)?,
-            entry: std::sync::Arc::new(LogEntry::decode(d)?),
+            entry: std::rc::Rc::new(LogEntry::decode(d)?),
             global_commit: LogIndex::decode(d)?,
         })
     }
@@ -869,7 +869,7 @@ mod tests {
         });
         let gs = GlobalState {
             index: LogIndex(8),
-            entry: std::sync::Arc::new(LogEntry {
+            entry: std::rc::Rc::new(LogEntry {
                 term: Term(5),
                 id: EntryId::new(NodeId(9), 3),
                 payload: Payload::Batch(batch),

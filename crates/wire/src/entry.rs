@@ -12,9 +12,15 @@
 //! change per copy (the `approval` field) lives outside the shared
 //! allocations, in the [`LogEntry`] value itself, so stamping a received
 //! entry's approval never touches the shared buffers.
+//!
+//! The refcount is an [`Rc`], not an `Arc`: the protocol stack runs on one
+//! thread, so an atomic read-modify-write per clone and drop would buy
+//! nothing. Entries, payloads and the messages carrying them are therefore
+//! not `Send`. A runner that moves data between threads moves encoded
+//! frames and decodes them on the thread that owns the engine.
 
 use core::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use bytes::Bytes;
 
@@ -62,7 +68,7 @@ pub struct BatchItem {
 /// A batch of locally committed entries proposed to the global log by a
 /// cluster leader (§V-A).
 ///
-/// The item list is `Arc`-shared: cloning a batch (e.g. when the entry
+/// The item list is `Rc`-shared: cloning a batch (e.g. when the entry
 /// holding it is re-broadcast, voted on, or replicated to every cluster
 /// member) bumps a refcount instead of copying the values.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -72,7 +78,7 @@ pub struct Batch {
     /// Sequence number of this batch within the cluster (for dedup).
     pub batch_seq: u64,
     /// The batched values, in local-log order (immutable once built).
-    pub items: Arc<[BatchItem]>,
+    pub items: Rc<[BatchItem]>,
 }
 
 impl Batch {
@@ -104,10 +110,10 @@ impl Batch {
 pub struct GlobalState {
     /// The global-log index the entry was inserted at.
     pub index: LogIndex,
-    /// The global-log entry itself (`Arc`-shared: a global-state entry is
+    /// The global-log entry itself (`Rc`-shared: a global-state entry is
     /// replicated to every cluster member, and cloning it must not copy the
     /// wrapped global entry).
-    pub entry: Arc<LogEntry>,
+    pub entry: Rc<LogEntry>,
     /// The global commit index known to the local leader when proposing,
     /// so cluster members track global commits across leader changes.
     pub global_commit: LogIndex,
@@ -295,7 +301,7 @@ impl fmt::Display for LogEntry {
     }
 }
 
-/// An immutable, `Arc`-shared batch of explicitly indexed log entries — the
+/// An immutable, `Rc`-shared batch of explicitly indexed log entries — the
 /// payload of an `AppendEntries` message.
 ///
 /// A leader assembling one replication batch for several followers builds
@@ -327,7 +333,7 @@ impl fmt::Display for LogEntry {
 pub struct EntryList {
     /// The backing allocation; `None` for the empty list, so a pure
     /// heartbeat carries (and decodes to) no allocation at all.
-    seg: Option<Arc<Vec<(LogIndex, LogEntry)>>>,
+    seg: Option<Rc<Vec<(LogIndex, LogEntry)>>>,
     start: usize,
     len: usize,
 }
@@ -338,7 +344,7 @@ impl EntryList {
     pub fn from_vec(entries: Vec<(LogIndex, LogEntry)>) -> Self {
         let len = entries.len();
         EntryList {
-            seg: (len > 0).then(|| Arc::new(entries)),
+            seg: (len > 0).then(|| Rc::new(entries)),
             start: 0,
             len,
         }
@@ -347,7 +353,7 @@ impl EntryList {
     /// A window onto an existing shared allocation: `len` pairs starting at
     /// `start`. O(1) and allocation-free — the log's segment-sliced
     /// collection path. Crate-internal so every public list is known valid.
-    pub(crate) fn view(seg: Arc<Vec<(LogIndex, LogEntry)>>, start: usize, len: usize) -> Self {
+    pub(crate) fn view(seg: Rc<Vec<(LogIndex, LogEntry)>>, start: usize, len: usize) -> Self {
         debug_assert!(start.checked_add(len).is_some_and(|end| end <= seg.len()));
         EntryList {
             seg: Some(seg),
@@ -510,7 +516,7 @@ mod tests {
             }],
         );
         let copy = batch.clone();
-        assert!(Arc::ptr_eq(&batch.items, &copy.items));
+        assert!(Rc::ptr_eq(&batch.items, &copy.items));
     }
 
     #[test]
@@ -537,8 +543,8 @@ mod tests {
                 )
             })
             .collect();
-        let backing = Arc::new(pairs.clone());
-        let view = EntryList::view(Arc::clone(&backing), 1, 3);
+        let backing = Rc::new(pairs.clone());
+        let view = EntryList::view(Rc::clone(&backing), 1, 3);
         assert_eq!(view.len(), 3);
         assert_eq!(view.as_slice()[0].0, LogIndex(2));
         // Content equality against an owned copy of the same window.

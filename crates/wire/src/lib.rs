@@ -3,7 +3,8 @@
 //! The shared vocabulary of the whole stack:
 //!
 //! - identifiers: [`NodeId`], [`ClusterId`], [`Term`], [`LogIndex`],
-//!   [`EntryId`];
+//!   [`EntryId`], and a replica's [`IdIndex`] of where each proposal id
+//!   sits in its log;
 //! - quorum arithmetic: [`classic_quorum`], [`fast_quorum`] with the
 //!   intersection properties Fast Raft's safety proof rests on;
 //! - membership: [`Configuration`] (deterministically ordered);
@@ -37,6 +38,7 @@ mod codec;
 mod config;
 mod entry;
 mod envelope;
+mod id_index;
 mod ids;
 mod lease;
 mod log;
@@ -59,6 +61,7 @@ pub use config::{AppendBudget, Configuration, MAX_BYTES_PER_APPEND};
 pub use des::{IdMap, IdSet};
 pub use entry::{Approval, Batch, BatchItem, EntryList, GlobalState, LogEntry, Payload};
 pub use envelope::{GroupFrame, ShardEnvelope};
+pub use id_index::{IdIndex, Placement};
 pub use ids::{ClusterId, EntryId, GroupId, LogIndex, NodeId, Term};
 pub use lease::{LeaseState, VoteHold};
 pub use log::{SparseLog, MAX_INSERT_WINDOW};

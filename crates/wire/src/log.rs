@@ -14,7 +14,7 @@
 //! log stores that shape in two tiers:
 //!
 //! - **Sealed segments** ([`Seg`]): the settled history below the in-flight
-//!   window, frozen into immutable `Arc`-shared runs of exactly [`SEG`]
+//!   window, frozen into immutable `Rc`-shared runs of exactly [`SEG`]
 //!   `(index, entry)` pairs. AppendEntries assembly
 //!   ([`SparseLog::collect_range_budgeted`]) cuts an [`EntryList`] **window**
 //!   straight out of a segment — no per-entry clone, no buffer allocation.
@@ -43,7 +43,7 @@
 //! same entries still compare equal.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::{Approval, AppendBudget, EntryList, LogEntry, LogIndex, Term, Wire};
 
@@ -71,7 +71,7 @@ const SEAL_GUARD: usize = 256;
 
 /// A sealed, immutable run of exactly [`SEG`] consecutive occupied entries.
 ///
-/// The pair vector is `Arc`-shared with every [`EntryList`] window cut from
+/// The pair vector is `Rc`-shared with every [`EntryList`] window cut from
 /// it, so an in-flight AppendEntries payload stays valid (and allocation
 /// free) even if the log later unseals or compacts this segment.
 #[derive(Clone, Debug)]
@@ -79,7 +79,7 @@ struct Seg {
     /// Absolute index of `entries[0]`.
     first: u64,
     /// Exactly [`SEG`] `(index, entry)` pairs.
-    entries: Arc<Vec<(LogIndex, LogEntry)>>,
+    entries: Rc<Vec<(LogIndex, LogEntry)>>,
 }
 
 impl Seg {
@@ -230,7 +230,7 @@ impl SparseLog {
             }
             self.segs.push_back(Seg {
                 first,
-                entries: Arc::new(entries),
+                entries: Rc::new(entries),
             });
             self.sealed_end += SEG as u64;
         }
@@ -249,7 +249,7 @@ impl SparseLog {
             // Unique segments move their entries back; shared ones (an
             // in-flight EntryList window still references the allocation)
             // are cloned, leaving the window's copy frozen.
-            let entries = Arc::try_unwrap(seg.entries).unwrap_or_else(|a| (*a).clone());
+            let entries = Rc::try_unwrap(seg.entries).unwrap_or_else(|a| (*a).clone());
             for (i, e) in entries.into_iter().rev() {
                 if i.as_u64() > self.compacted_through {
                     self.slots.push_front(Some(e));
@@ -273,7 +273,7 @@ impl SparseLog {
         let i = index.as_u64();
         if i > self.compacted_through && i <= self.sealed_end {
             let (k, off) = self.seg_locate(i);
-            return Some(&mut Arc::make_mut(&mut self.segs[k].entries)[off].1);
+            return Some(&mut Rc::make_mut(&mut self.segs[k].entries)[off].1);
         }
         let off = self.slot_pos(index)?;
         self.slots[off].as_mut()
@@ -695,7 +695,7 @@ impl SparseLog {
             if n < slice.len() || lo + n as u64 - 1 == hi {
                 // The budget or the range bound inside this segment: the
                 // admitted set is exactly `slice[..n]`, a shareable window.
-                return EntryList::view(Arc::clone(&seg.entries), off, n);
+                return EntryList::view(Rc::clone(&seg.entries), off, n);
             }
             // The budget admits more than this segment holds: fall through
             // to the cloning walk (a cross-segment list cannot be a window).

@@ -10,7 +10,7 @@
 //! `nextIndex` falls below the leader's first retained index; recovery
 //! rebuilds a node from snapshot + retained log suffix.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use bytes::Bytes;
 
@@ -110,7 +110,7 @@ pub struct Snapshot {
     /// construction. Shared, not copied: one snapshot is cloned into the
     /// cache, the persist command, stable storage and every transfer, and
     /// its table never changes.
-    pub sessions: Arc<SessionTable>,
+    pub sessions: Rc<SessionTable>,
 }
 
 impl Snapshot {
@@ -139,7 +139,7 @@ mod tests {
             last_term: Term(3),
             config: Configuration::new([NodeId(1), NodeId(2)]),
             state: Snapshot::digest_state(0xDEAD_BEEF_1234_5678),
-            sessions: Arc::default(),
+            sessions: Rc::default(),
         };
         assert_eq!(s.state_digest(), Some(0xDEAD_BEEF_1234_5678));
     }
@@ -192,7 +192,7 @@ mod tests {
             last_term: Term(1),
             config: Configuration::new([NodeId(1)]),
             state: Bytes::from_static(b"not a digest"),
-            sessions: Arc::default(),
+            sessions: Rc::default(),
         };
         assert_eq!(s.state_digest(), None);
     }

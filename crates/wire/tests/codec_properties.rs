@@ -112,7 +112,7 @@ fn arb_entry() -> impl Strategy<Value = LogEntry> {
                 id,
                 payload: Payload::GlobalState(GlobalState {
                     index,
-                    entry: std::sync::Arc::new(inner),
+                    entry: std::rc::Rc::new(inner),
                     global_commit: gc,
                 }),
                 approval,

@@ -13,11 +13,28 @@
 # code only, each file cut at its `#[cfg(test)]` module, so tests never count
 # against it and a second copy of the heap cannot grow back unnoticed. The
 # same rule applies to raising it.
+#
+# A third ceiling, under the same cut-at-`#[cfg(test)]` rule, holds the
+# code that hosts protocol nodes: the four embeddings (the DES runner, the
+# shard fabric, the explorer's world, the lockstep testkit) plus what they
+# share in `wire` (the `Driver` node table and the `SafetyChecker`). Node
+# tables, clock stamping, `Actions` recycling and commit checking live in
+# `Driver` once, so a fifth hosting loop, or one growing its own copy back,
+# shows here. The testkit's move onto `Driver` set CEILING to 6,813.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-CEILING=6850
+CEILING=6813
 DES_CEILING=649
+EMBED_CEILING=2421
+EMBED_FILES=(
+    crates/harness/src/runner.rs
+    crates/shard/src/runner.rs
+    crates/explorer/src/world.rs
+    crates/raft/src/testkit.rs
+    crates/wire/src/driver.rs
+    crates/wire/src/safety.rs
+)
 
 status=0
 lines=$(find crates/raft/src crates/core/src -name '*.rs' | xargs cat | grep -v '^\s*//' | grep -vc '^\s*$')
@@ -27,10 +44,21 @@ if ((lines > CEILING)); then
     status=1
 fi
 
-des=$(for f in crates/des/src/*.rs; do sed '/^#\[cfg(test)\]/,$d' "$f"; done | grep -v '^\s*//' | grep -vc '^\s*$')
+library_lines() { # <file>...: non-comment, non-blank lines above each #[cfg(test)]
+    for f in "$@"; do sed '/^#\[cfg(test)\]/,$d' "$f"; done | grep -v '^\s*//' | grep -vc '^\s*$'
+}
+
+des=$(library_lines crates/des/src/*.rs)
 echo "crates/des/src: $des non-comment, non-blank, non-test lines (ceiling $DES_CEILING)"
 if ((des > DES_CEILING)); then
     echo "des line ceiling exceeded by $((des - DES_CEILING))" >&2
+    status=1
+fi
+
+embed=$(library_lines "${EMBED_FILES[@]}")
+echo "node hosting (${#EMBED_FILES[@]} files): $embed non-comment, non-blank, non-test lines (ceiling $EMBED_CEILING)"
+if ((embed > EMBED_CEILING)); then
+    echo "node-hosting line ceiling exceeded by $((embed - EMBED_CEILING))" >&2
     status=1
 fi
 exit "$status"

@@ -3,7 +3,7 @@
 //! Three oracles watch every schedule:
 //!
 //! - **Safety** — cross-site commit-digest equality at shared indices
-//!   (Definition 2.1), via [`harness::SafetyChecker`], checked after every
+//!   (Definition 2.1), via [`wire::SafetyChecker`], checked after every
 //!   step.
 //! - **Lin** — client-level linearizability of `Linearizable` reads, via
 //!   the same checker's real-time bound tracking.

@@ -8,9 +8,8 @@
 
 use consensus_core::{CRaftConfig, CRaftNode, FastRaftNode};
 use des::SimRng;
-use harness::SafetyChecker;
 use raft::{RaftNode, Timing};
-use wire::{ClusterId, Configuration, LogScope, NodeId};
+use wire::{ClusterId, Configuration, LogScope, NodeId, SafetyChecker};
 
 use crate::gated::GatedFastRaftNode;
 use crate::oracle::Violation;

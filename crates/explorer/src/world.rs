@@ -26,12 +26,11 @@
 //! randomness of its own, so a `(Setup, Vec<Choice>)` pair replays
 //! bit-identically.
 
-use harness::SafetyChecker;
 use des::{SimDuration, SimTime};
 use storage::{SimDisk, StableState};
 use wire::{
-    Actions, ClientOp, ClientOutcome, ClientRequest, Consistency, ConsensusProtocol, LogScope,
-    NodeId, SessionId, TimerCmd, TimerKind,
+    Actions, ClientOp, ClientOutcome, ClientRequest, Consistency, ConsensusProtocol, Driver,
+    LogScope, NodeId, SafetyChecker, SessionId, TimerCmd, TimerKind,
 };
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -153,12 +152,8 @@ pub const MAX_DUPS: u8 = 3;
 /// How often the quiescence drain retries unresolved client operations.
 const RESUBMIT_PERIOD: SimDuration = SimDuration::from_millis(2_000);
 
-struct Slot<P> {
-    node: P,
-    /// Armed timers at absolute virtual deadlines.
-    timers: BTreeMap<TimerKind, SimTime>,
-    up: bool,
-}
+/// A node's armed timers at absolute virtual deadlines.
+type Deadlines = BTreeMap<TimerKind, SimTime>;
 
 struct Pending {
     seq: u64,
@@ -246,13 +241,14 @@ pub struct Enabled {
 /// The explorable deployment: nodes, network pools, disk, clients, oracles.
 pub struct World<P: Explorable> {
     cfg: WorldConfig,
-    slots: BTreeMap<NodeId, Slot<P>>,
+    /// The nodes (clockless, each with its [`Deadlines`]) and the safety
+    /// oracle every commit passes through.
+    driver: Driver<NodeId, P, Deadlines>,
     in_flight: Vec<Envelope<P::Message>>,
     /// Directed cuts: a send matching `(from, to)` is dropped at the wire.
     cuts: BTreeSet<(NodeId, NodeId)>,
     disk: SimDisk,
     now: SimTime,
-    safety: SafetyChecker,
     lanes: BTreeMap<(NodeId, u32), Lane>,
     lane_of: BTreeMap<SessionId, (NodeId, u32)>,
     recover: RecoveryFn<P>,
@@ -273,12 +269,11 @@ impl<P: Explorable> World<P> {
     ) -> Self {
         let mut world = World {
             cfg,
-            slots: BTreeMap::new(),
+            driver: Driver::new(safety),
             in_flight: Vec::new(),
             cuts: BTreeSet::new(),
             disk: SimDisk::new(),
             now: SimTime::ZERO,
-            safety,
             lanes: BTreeMap::new(),
             lane_of: BTreeMap::new(),
             recover,
@@ -292,14 +287,7 @@ impl<P: Explorable> World<P> {
             .map(|node| {
                 let id = node.id();
                 world.disk.provision(id);
-                world.slots.insert(
-                    id,
-                    Slot {
-                        node,
-                        timers: BTreeMap::new(),
-                        up: true,
-                    },
-                );
+                world.driver.insert(id, node, Deadlines::new());
                 id
             })
             .collect();
@@ -337,12 +325,12 @@ impl<P: Explorable> World<P> {
 
     /// Borrow a node for assertions. `None` for unknown ids.
     pub fn node(&self, id: NodeId) -> Option<&P> {
-        self.slots.get(&id).map(|s| &s.node)
+        self.driver.slots.get(&id).map(|s| &s.node)
     }
 
     /// The safety checker (for end-of-run statistics).
     pub fn safety(&self) -> &SafetyChecker {
-        &self.safety
+        &self.driver.safety
     }
 
     /// Client lanes still awaiting a terminal outcome or with script left.
@@ -352,10 +340,10 @@ impl<P: Explorable> World<P> {
 
     /// The safety/lin violation recorded so far, if any.
     pub fn check_safety(&self) -> Option<Violation> {
-        if let Some(v) = self.safety.violations().first() {
+        if let Some(v) = self.driver.safety.violations().first() {
             return Some(Violation::Safety(v.to_string()));
         }
-        if let Some(v) = self.safety.lin_violations().first() {
+        if let Some(v) = self.driver.safety.lin_violations().first() {
             return Some(Violation::Lin(v.to_string()));
         }
         None
@@ -369,10 +357,10 @@ impl<P: Explorable> World<P> {
             view.dup_ok.push(env.dups < MAX_DUPS);
         }
         let mut timers: Vec<(SimTime, NodeId, TimerKind)> = Vec::new();
-        for (&id, slot) in &self.slots {
+        for (&id, slot) in &self.driver.slots {
             if slot.up {
                 view.up.push(id);
-                for (&kind, &deadline) in &slot.timers {
+                for (&kind, &deadline) in &slot.state {
                     timers.push((deadline, id, kind));
                 }
                 for token in slot.node.armed_gate_tokens() {
@@ -385,7 +373,7 @@ impl<P: Explorable> World<P> {
         timers.sort();
         view.timers = timers.into_iter().map(|(_, n, k)| (n, k)).collect();
         for (&(node, lane), state) in &self.lanes {
-            let gateway_up = self.slots.get(&node).is_some_and(|s| s.up);
+            let gateway_up = self.is_up(node);
             if gateway_up && state.unresolved() {
                 view.clients.push((node, lane));
             }
@@ -409,7 +397,7 @@ impl<P: Explorable> World<P> {
                 let env = self.in_flight.remove(slot);
                 // A message addressed to a crashed node is lost at its
                 // (dead) socket, but the delivery attempt still happened.
-                if self.slots.get(&env.to).is_some_and(|s| s.up) {
+                if self.is_up(env.to) {
                     self.step_node(env.to, |n, out| n.on_message(env.from, env.msg, out));
                 }
                 true
@@ -434,13 +422,8 @@ impl<P: Explorable> World<P> {
                 true
             }
             Choice::Timer { node, kind } => {
-                let Some(slot) = self.slots.get_mut(&node) else {
-                    return false;
-                };
-                if !slot.up {
-                    return false;
-                }
-                let Some(deadline) = slot.timers.remove(&kind) else {
+                let slot = self.driver.slots.get_mut(&node).filter(|s| s.up);
+                let Some(deadline) = slot.and_then(|s| s.state.remove(&kind)) else {
                     return false;
                 };
                 self.now = self.now.max(deadline);
@@ -449,29 +432,23 @@ impl<P: Explorable> World<P> {
             }
             Choice::Client { node, lane } => self.submit(node, lane),
             Choice::Crash { node } => {
-                let Some(slot) = self.slots.get_mut(&node) else {
+                let Some(slot) = self.driver.slots.get_mut(&node).filter(|s| s.up) else {
                     return false;
                 };
-                if !slot.up {
-                    return false;
-                }
                 slot.up = false;
-                slot.timers.clear();
+                slot.state.clear();
                 // Held sends never left the box; the stall dies with it.
                 self.stalled.remove(&node);
                 self.held.remove(&node);
                 true
             }
             Choice::Recover { node } => {
-                if self.slots.get(&node).is_none_or(|s| s.up) {
+                if self.driver.slots.get(&node).is_none_or(|s| s.up) {
                     return false;
                 }
                 let stable = self.disk.provision(node).clone();
                 let fresh = (self.recover)(node, &stable);
-                let slot = self.slots.get_mut(&node).expect("checked above");
-                slot.node = fresh;
-                slot.up = true;
-                slot.timers.clear();
+                self.driver.insert(node, fresh, Deadlines::new());
                 self.step_node(node, |n, out| n.bootstrap(out));
                 true
             }
@@ -485,7 +462,7 @@ impl<P: Explorable> World<P> {
                 true
             }
             Choice::Stall { node } => {
-                self.slots.contains_key(&node) && self.stalled.insert(node)
+                self.driver.slots.contains_key(&node) && self.stalled.insert(node)
             }
             Choice::Unstall { node } => {
                 if !self.stalled.remove(&node) {
@@ -497,10 +474,8 @@ impl<P: Explorable> World<P> {
                 true
             }
             Choice::Release { node, token } => {
-                let Some(slot) = self.slots.get_mut(&node) else {
-                    return false;
-                };
-                if !slot.up || !slot.node.armed_gate_tokens().contains(&token) {
+                let slot = self.driver.slots.get(&node).filter(|s| s.up);
+                if !slot.is_some_and(|s| s.node.armed_gate_tokens().contains(&token)) {
                     return false;
                 }
                 self.step_node(node, |n, out| n.release_gate(token, out));
@@ -509,44 +484,43 @@ impl<P: Explorable> World<P> {
         }
     }
 
-    /// Runs one handler on a node and performs its effects.
-    fn step_node(&mut self, id: NodeId, f: impl FnOnce(&mut P, &mut Actions<P::Message>)) {
-        let mut out = Actions::new();
-        {
-            let slot = self.slots.get_mut(&id).expect("stepping unknown node");
-            f(&mut slot.node, &mut out);
-            if slot.node.pending_applies() > 0 {
-                slot.node.drain_applies(&mut out);
-            }
-        }
-        self.process_actions(id, out);
+    fn is_up(&self, id: NodeId) -> bool {
+        self.driver.slots.get(&id).is_some_and(|s| s.up)
     }
 
-    fn process_actions(&mut self, from: NodeId, out: Actions<P::Message>) {
+    /// Runs one handler on an up node, with any pipelined apply it queued
+    /// drained in the same step, and performs its effects.
+    fn step_node(&mut self, id: NodeId, f: impl FnOnce(&mut P, &mut Actions<P::Message>)) {
+        let step = self.driver.step(id, None, |node, out| {
+            f(node, out);
+            if node.pending_applies() > 0 {
+                node.drain_applies(out);
+            }
+        });
+        let (mut out, _) = step.expect("stepping a node that is up");
+        self.process_actions(id, &mut out);
+        self.driver.recycle(out);
+    }
+
+    fn process_actions(&mut self, from: NodeId, out: &mut Actions<P::Message>) {
         // Persists land on the (always-durable) disk immediately; a stall
         // delays the write-ahead release of this step's sends instead.
         self.disk.apply(from, out.persists.iter());
         let hold = !out.persists.is_empty() && self.stalled.contains(&from);
 
-        if let Some(slot) = self.slots.get_mut(&from) {
-            for cmd in out.timers {
-                match cmd {
-                    TimerCmd::Set { kind, after } => {
-                        slot.timers.insert(kind, self.now + after);
-                    }
-                    TimerCmd::Cancel { kind } => {
-                        slot.timers.remove(&kind);
-                    }
+        let deadlines = &mut self.driver.slots.get_mut(&from).expect("stepped").state;
+        for cmd in out.timers.drain(..) {
+            match cmd {
+                TimerCmd::Set { kind, after } => {
+                    deadlines.insert(kind, self.now + after);
+                }
+                TimerCmd::Cancel { kind } => {
+                    deadlines.remove(&kind);
                 }
             }
         }
 
-        for commit in out.commits {
-            self.safety
-                .record(from, commit.scope, commit.index, commit.entry.id);
-        }
-
-        for (to, msg) in out.sends {
+        for (to, msg) in out.sends.drain(..) {
             if hold {
                 self.held.entry(from).or_default().push((to, msg));
             } else {
@@ -554,7 +528,7 @@ impl<P: Explorable> World<P> {
             }
         }
 
-        for obs in out.observations {
+        for obs in out.observations.drain(..) {
             if let wire::Observation::ClientResponse {
                 session,
                 seq,
@@ -581,7 +555,7 @@ impl<P: Explorable> World<P> {
     /// Issues the lane's next scripted op, or resubmits the outstanding
     /// one. Returns `false` when the lane has nothing to do.
     fn submit(&mut self, node: NodeId, lane: u32) -> bool {
-        if !self.slots.get(&node).is_some_and(|s| s.up) {
+        if !self.is_up(node) {
             return false;
         }
         let Some(state) = self.lanes.get_mut(&(node, lane)) else {
@@ -610,7 +584,7 @@ impl<P: Explorable> World<P> {
             (state.session, seq, op, true)
         };
         if first_submission && matches!(op, ClientOp::Read(Consistency::Linearizable)) {
-            self.safety.read_started(session, seq);
+            self.driver.safety.read_started(session, seq);
         }
         self.step_node(node, |n, out| {
             n.on_client_request(ClientRequest { session, seq, op }, out);
@@ -632,26 +606,7 @@ impl<P: Explorable> World<P> {
             return; // stale answer, or a Retry/Redirect: keep waiting
         }
         let resolved = state.outstanding.take().expect("checked above");
-        match outcome {
-            ClientOutcome::Committed { index } => {
-                self.safety.write_completed(self.cfg.ack_scope, index);
-            }
-            ClientOutcome::Duplicate { first_index } => {
-                if first_index != wire::LogIndex::ZERO {
-                    self.safety.write_completed(self.cfg.ack_scope, first_index);
-                }
-            }
-            ClientOutcome::ReadOk {
-                scope,
-                commit_floor,
-            } => {
-                if matches!(resolved.op, ClientOp::Read(Consistency::Linearizable)) {
-                    self.safety.read_completed(session, seq, scope, commit_floor);
-                }
-            }
-            ClientOutcome::Registered { .. } | ClientOutcome::SessionExpired => {}
-            ClientOutcome::Redirect { .. } | ClientOutcome::Retry => unreachable!("non-terminal"),
-        }
+        self.driver.safety.op_completed(self.cfg.ack_scope, session, seq, &resolved.op, &outcome);
     }
 
     /// Heals every fault, then drains the world to quiescence: delivers all
@@ -666,6 +621,7 @@ impl<P: Explorable> World<P> {
             self.apply(&Choice::Unstall { node });
         }
         for node in self
+            .driver
             .slots
             .iter()
             .filter(|(_, s)| !s.up)
@@ -721,11 +677,10 @@ impl<P: Explorable> World<P> {
             }
 
             let next_timer = self
+                .driver
                 .slots
                 .iter()
-                .flat_map(|(&id, slot)| {
-                    slot.timers.iter().map(move |(&kind, &at)| (at, id, kind))
-                })
+                .flat_map(|(&id, slot)| slot.state.iter().map(move |(&kind, &at)| (at, id, kind)))
                 .min();
             if let Some((at, node, kind)) = next_timer {
                 if at <= horizon {
@@ -755,7 +710,8 @@ impl<P: Explorable> World<P> {
             return Some(v);
         }
         let mut wedged = Vec::new();
-        let roster: Vec<(NodeId, &P)> = self.slots.iter().map(|(&id, s)| (id, &s.node)).collect();
+        let slots = &self.driver.slots;
+        let roster: Vec<(NodeId, &P)> = slots.iter().map(|(&id, s)| (id, &s.node)).collect();
         for ((node, lane), state) in &self.lanes {
             if let Some(p) = &state.outstanding {
                 if !P::op_serviceable(&roster, &p.op) {
@@ -774,7 +730,7 @@ impl<P: Explorable> World<P> {
                 ));
             }
         }
-        for (&id, slot) in &self.slots {
+        for (&id, slot) in slots {
             let (pending, reserved) = slot.node.gate_debt();
             if pending > 0 || reserved > 0 {
                 wedged.push(format!(

@@ -8,10 +8,9 @@
 //! lease expiries, gates that drain late).
 
 use explorer::{explore_world, Explorable, World, WorldConfig};
-use harness::SafetyChecker;
 use wire::{
     Actions, ClientOutcome, ClientRequest, ConsensusProtocol, LogIndex, LogScope, Message, NodeId,
-    Observation, TimerKind,
+    Observation, SafetyChecker, TimerKind,
 };
 
 use des::SimDuration;

@@ -9,8 +9,9 @@
 //!   ([`FaultAction`]: silent leaves, crashes, recoveries, partitions);
 //! - [`Metrics`] / [`RunReport`]: proposer-measured commit latency, global
 //!   throughput, fast/classic track ratios, traffic accounting;
-//! - [`SafetyChecker`]: online Definition-2.1 checking across all sites in
-//!   every run;
+//! - [`SafetyChecker`] (re-exported from `wire`, where every embedding's
+//!   node table feeds it): online Definition-2.1 checking across all sites
+//!   in every run;
 //! - [`Scenario`] builders for classic Raft, Fast Raft, and C-Raft; and
 //! - [`experiments`]: one function per figure of the paper plus extension
 //!   studies.
@@ -34,13 +35,12 @@ pub mod experiments;
 mod metrics;
 mod report;
 mod runner;
-mod safety;
 mod scenario;
 
 pub use metrics::{LatencySample, LatencyStats, Metrics};
 pub use report::{NetSummary, RunReport};
 pub use runner::{FaultAction, Runner, RunnerConfig, Workload};
-pub use safety::{LinViolation, SafetyChecker, SafetyViolation};
 pub use scenario::{
     run_classic_raft, run_craft, run_fast_raft, CRaftScenario, NetworkKind, ReadMix, Scenario,
 };
+pub use wire::{LinViolation, SafetyChecker, SafetyViolation};

@@ -22,11 +22,12 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use des::{EventId, IdMap, IdSet, SimDuration, SimRng, SimTime, Simulation};
+use rand::RngCore;
 use simnet::{Network, Verdict};
 use storage::{PersistBatch, SimDisk, StableState};
 use wire::{
-    Actions, ClientOp, ClientOutcome, ClientRequest, Consistency, ConsensusProtocol, LogScope,
-    Message, NodeId, Observation, Payload, SessionId, TimerKind,
+    Actions, ClientOp, ClientOutcome, ClientRequest, Consistency, ConsensusProtocol, Driver,
+    LogScope, Message, NodeId, Observation, Payload, SessionId, TimerKind,
 };
 
 use crate::{Metrics, SafetyChecker};
@@ -159,15 +160,11 @@ pub struct RunnerConfig {
     pub persist_stalls: Option<simnet::PersistStalls>,
 }
 
-struct Slot<P> {
-    node: P,
-    /// Armed timer per [`TimerKind`], dense-indexed by discriminant. A
-    /// fixed array instead of a `HashMap<TimerKind, EventId>`: timer
-    /// set/cancel is on the per-step hot path (every heartbeat re-arm paid
-    /// an allocation + hash), and eleven slots fit in a cache line.
-    timers: [Option<EventId>; TimerKind::COUNT],
-    up: bool,
-}
+/// A node's armed timer per [`TimerKind`], dense-indexed by discriminant.
+/// A fixed array instead of a `HashMap<TimerKind, EventId>`: timer
+/// set/cancel is on the per-step hot path (every heartbeat re-arm paid an
+/// allocation + hash), and eleven slots fit in a cache line.
+type Timers = [Option<EventId>; TimerKind::COUNT];
 
 /// One client operation in flight at its gateway.
 #[derive(Debug)]
@@ -198,12 +195,13 @@ pub struct Runner<P: ConsensusProtocol> {
     sim: Simulation<SimEvent<P::Message>>,
     net: Network,
     disk: SimDisk,
-    slots: BTreeMap<NodeId, Slot<P>>,
+    /// The nodes (each with its [`Timers`]), the safety checker and the
+    /// recycled `Actions` buffers.
+    driver: Driver<NodeId, P, Timers>,
     /// Per-node clock offset (see [`RunnerConfig::clock_skew`]); a node's
     /// local clock is stamped `sim_now + offset` before every handler.
     clock_offsets: BTreeMap<NodeId, SimDuration>,
     metrics: Metrics,
-    safety: SafetyChecker,
     workload: Workload,
     cfg: RunnerConfig,
     recover_fn: Option<RecoveryFn<P>>,
@@ -231,12 +229,6 @@ pub struct Runner<P: ConsensusProtocol> {
     /// Scratch buffer for duplicate-copy delays from
     /// [`Network::judge_chaos`]; reused across sends.
     chaos_extras: Vec<SimDuration>,
-    /// Cleared [`Actions`] buffers awaiting reuse, capacity retained. A
-    /// step pops one (or makes a fresh one while the list is empty) and
-    /// returns it cleared; the re-entrant `process_actions →
-    /// handle_response → issue_op → with_node` chain simply holds a second
-    /// buffer while the first is still draining.
-    free_actions: Vec<Actions<P::Message>>,
     final_done: u64,
     completed: u64,
 }
@@ -257,26 +249,17 @@ impl<P: ConsensusProtocol> Runner<P> {
         let payload_rng = sim.rng().split("payload");
         let op_rng = sim.rng().split("ops");
         let stall_rng = sim.rng().split("stalls");
+        let mut driver = Driver::new(safety);
+        for n in nodes {
+            driver.insert(n.id(), n, [None; TimerKind::COUNT]);
+        }
         let mut runner = Runner {
             sim,
             net,
             disk: SimDisk::new(),
-            slots: nodes
-                .into_iter()
-                .map(|n| {
-                    (
-                        n.id(),
-                        Slot {
-                            node: n,
-                            timers: [None; TimerKind::COUNT],
-                            up: true,
-                        },
-                    )
-                })
-                .collect(),
+            driver,
             clock_offsets: BTreeMap::new(),
             metrics: Metrics::new(cfg.measure_from),
-            safety,
             workload,
             cfg,
             recover_fn: None,
@@ -290,11 +273,10 @@ impl<P: ConsensusProtocol> Runner<P> {
             drains_scheduled: IdSet::default(),
             stall_rng,
             chaos_extras: Vec::new(),
-            free_actions: Vec::new(),
             final_done: 0,
             completed: 0,
         };
-        let ids: Vec<NodeId> = runner.slots.keys().copied().collect();
+        let ids: Vec<NodeId> = runner.driver.slots.keys().copied().collect();
         // Spread node clocks evenly over [0, clock_skew] by rank: the first
         // node reads true simulation time, the last runs the full skew
         // ahead, so the worst pairwise disagreement equals the configured
@@ -361,7 +343,7 @@ impl<P: ConsensusProtocol> Runner<P> {
 
     /// The safety checker.
     pub fn safety(&self) -> &SafetyChecker {
-        &self.safety
+        &self.driver.safety
     }
 
     /// Network statistics.
@@ -376,7 +358,7 @@ impl<P: ConsensusProtocol> Runner<P> {
 
     /// Read access to a node, if present and up.
     pub fn node(&self, id: NodeId) -> Option<&P> {
-        self.slots.get(&id).filter(|s| s.up).map(|s| &s.node)
+        self.driver.slots.get(&id).filter(|s| s.up).map(|s| &s.node)
     }
 
     /// The disk farm (for recovery assertions).
@@ -400,8 +382,8 @@ impl<P: ConsensusProtocol> Runner<P> {
             SimEvent::Timer { node, kind } => {
                 // Re-arms move the armed event in place and a crash cancels
                 // its node's timers, so a firing timer is the armed one.
-                if let Some(slot) = self.slots.get_mut(&node) {
-                    let armed = slot.timers[kind.index()].take();
+                if let Some(slot) = self.driver.slots.get_mut(&node) {
+                    let armed = slot.state[kind.index()].take();
                     debug_assert_eq!(armed, Some(firing_id), "{node:?} {kind:?}");
                 }
                 self.with_node(node, |n, out| n.on_timer(kind, out));
@@ -417,12 +399,6 @@ impl<P: ConsensusProtocol> Runner<P> {
     }
 
     fn with_node(&mut self, id: NodeId, f: impl FnOnce(&mut P, &mut Actions<P::Message>)) {
-        let Some(slot) = self.slots.get_mut(&id) else {
-            return;
-        };
-        if !slot.up {
-            return;
-        }
         // Stamp the node's local clock before the handler: simulation time
         // plus this node's skew offset. Nodes never read a shared clock —
         // this is the only place "now" enters the sans-IO stack.
@@ -431,18 +407,18 @@ impl<P: ConsensusProtocol> Runner<P> {
             .clock_offsets
             .get(&id)
             .map_or(now, |&o| now.saturating_add(o));
-        slot.node.set_local_clock(local);
-        let mut out = self.free_actions.pop().unwrap_or_default();
-        f(&mut slot.node, &mut out);
+        let Some((mut out, wants_drain)) = self.driver.step(id, Some(local), f) else {
+            return;
+        };
+        // Re-entrant: `process_actions → handle_response → issue_op →
+        // with_node` steps a gateway while this buffer is still draining.
+        self.process_actions(id, &mut out);
+        self.driver.recycle(out);
         // Pipelined apply: the handler may have advanced the commit index
         // past the applied index. Drain as a separate zero-delay stage (one
         // in-flight event per node) so the apply lands after this step's
         // effects are released. Inline mode never leaves a queue behind, so
         // no event is ever scheduled and traces stay byte-identical.
-        let wants_drain = slot.node.pending_applies() > 0;
-        self.process_actions(id, &mut out);
-        out.clear();
-        self.free_actions.push(out);
         if wants_drain && self.drains_scheduled.insert(id) {
             self.sim
                 .schedule_after(SimDuration::ZERO, SimEvent::ApplyDrain { node: id });
@@ -487,7 +463,8 @@ impl<P: ConsensusProtocol> Runner<P> {
         }
 
         for cmd in out.timers.drain(..) {
-            let timers = &mut self.slots.get_mut(&from).expect("a stepped node has a slot").timers;
+            let slot = self.driver.slots.get_mut(&from);
+            let timers = &mut slot.expect("a stepped node has a slot").state;
             match cmd {
                 wire::TimerCmd::Set { kind, after } => {
                     // Re-arming in place takes the sequence number a fresh
@@ -550,8 +527,6 @@ impl<P: ConsensusProtocol> Runner<P> {
 
         let now = self.sim.now();
         for commit in out.commits.drain(..) {
-            self.safety
-                .record(from, commit.scope, commit.index, commit.entry.id);
             if commit.scope == LogScope::Global {
                 let items = match &commit.entry.payload {
                     Payload::Data(_) | Payload::Write { .. } => 1,
@@ -620,29 +595,15 @@ impl<P: ConsensusProtocol> Runner<P> {
         let Some(op) = self.outstanding.get(&node) else {
             return;
         };
-        let lin_read = matches!(op.op, ClientOp::Read(Consistency::Linearizable));
+        self.driver.safety.op_completed(self.cfg.ack_scope, session, seq, &op.op, &outcome);
         match outcome {
-            ClientOutcome::Committed { index } => {
-                self.safety.write_completed(self.cfg.ack_scope, index);
-                self.finish_op(node);
-            }
-            ClientOutcome::Duplicate { first_index } => {
+            ClientOutcome::Duplicate { .. } => {
                 // The write took effect on an earlier attempt: done, and
                 // the retry was suppressed rather than double-applied.
                 self.metrics.duplicates_suppressed += 1;
-                if !first_index.is_zero() {
-                    self.safety.write_completed(self.cfg.ack_scope, first_index);
-                }
                 self.finish_op(node);
             }
-            ClientOutcome::ReadOk {
-                scope,
-                commit_floor,
-            } => {
-                if lin_read {
-                    self.safety
-                        .read_completed(session, seq, scope, commit_floor);
-                }
+            ClientOutcome::Committed { .. } | ClientOutcome::ReadOk { .. } => {
                 self.finish_op(node);
             }
             ClientOutcome::Redirect { .. } | ClientOutcome::Retry => {
@@ -695,7 +656,7 @@ impl<P: ConsensusProtocol> Runner<P> {
         let Some(op) = self.outstanding.get(&node) else {
             return;
         };
-        if op.seq != seq || !self.slots.get(&node).is_some_and(|s| s.up) {
+        if op.seq != seq || self.node(node).is_none() {
             return;
         }
         let req = op.request();
@@ -708,8 +669,7 @@ impl<P: ConsensusProtocol> Runner<P> {
         if self.outstanding.contains_key(&node) {
             return;
         }
-        let up = self.slots.get(&node).is_some_and(|s| s.up);
-        if !up {
+        if self.node(node).is_none() {
             return;
         }
         let target_reached = self
@@ -732,7 +692,7 @@ impl<P: ConsensusProtocol> Runner<P> {
             (ClientOp::Read(self.workload.read_consistency), false)
         } else {
             let mut payload = vec![0u8; self.workload.payload_bytes];
-            self.payload_rng.fill_bytes_infallible(&mut payload);
+            self.payload_rng.fill_bytes(&mut payload);
             (ClientOp::Write(Bytes::from(payload)), false)
         };
         // Registrations and writes take the session's next seq, so its seqs
@@ -750,7 +710,7 @@ impl<P: ConsensusProtocol> Runner<P> {
         let now = self.sim.now();
         self.metrics.op_started((op.session, op.seq), now);
         if matches!(op.op, ClientOp::Read(Consistency::Linearizable)) {
-            self.safety.read_started(op.session, op.seq);
+            self.driver.safety.read_started(op.session, op.seq);
         }
         let req = op.request();
         self.outstanding.insert(node, op);
@@ -769,9 +729,9 @@ impl<P: ConsensusProtocol> Runner<P> {
     fn apply_fault(&mut self, fault: FaultAction) {
         match fault {
             FaultAction::SilentLeave(node) | FaultAction::Crash(node) => {
-                if let Some(slot) = self.slots.get_mut(&node) {
+                if let Some(slot) = self.driver.slots.get_mut(&node) {
                     slot.up = false;
-                    for armed in &mut slot.timers {
+                    for armed in &mut slot.state {
                         if let Some(id) = armed.take() {
                             self.sim.cancel(id);
                         }
@@ -788,7 +748,7 @@ impl<P: ConsensusProtocol> Runner<P> {
                 };
                 let stable = self.disk.read(node).cloned().unwrap_or_default();
                 let fresh = factory(node, &stable);
-                if let Some(slot) = self.slots.get_mut(&node) {
+                if let Some(slot) = self.driver.slots.get_mut(&node) {
                     slot.node = fresh;
                     slot.up = true;
                 }
@@ -826,16 +786,4 @@ fn bump(counters: &mut BTreeMap<NodeId, u64>, node: NodeId) -> u64 {
     let c = counters.entry(node).or_insert(0);
     *c += 1;
     *c
-}
-
-/// Infallible byte filling for [`SimRng`] (extension helper).
-trait FillBytes {
-    fn fill_bytes_infallible(&mut self, dest: &mut [u8]);
-}
-
-impl FillBytes for SimRng {
-    fn fill_bytes_infallible(&mut self, dest: &mut [u8]) {
-        use rand::RngCore;
-        self.fill_bytes(dest);
-    }
 }

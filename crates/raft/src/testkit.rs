@@ -13,15 +13,17 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use storage::SimDisk;
 use wire::{
-    Actions, ClientRequest, Commit, Consistency, ConsensusProtocol, EntryId, NodeId, Observation,
-    SessionId, TimerCmd, TimerKind,
+    Actions, ClientRequest, Commit, Consistency, ConsensusProtocol, Driver, NodeId, Observation,
+    SafetyChecker, SessionId, TimerCmd, TimerKind,
 };
 
 /// A lockstep network of protocol nodes.
 pub struct Lockstep<P: ConsensusProtocol> {
-    nodes: BTreeMap<NodeId, P>,
+    /// The nodes (clockless; crashed ones stay for inspection but receive
+    /// nothing), each with its armed timers, and the safety checker every
+    /// commit passes through.
+    driver: Driver<NodeId, P, BTreeSet<TimerKind>>,
     queue: VecDeque<(NodeId, NodeId, P::Message)>,
-    armed: BTreeSet<(NodeId, TimerKind)>,
     commits: BTreeMap<NodeId, Vec<Commit>>,
     observations: Vec<(NodeId, Observation)>,
     disk: SimDisk,
@@ -30,34 +32,27 @@ pub struct Lockstep<P: ConsensusProtocol> {
     /// crash).
     client_seq: BTreeMap<NodeId, u64>,
     client_reads: BTreeMap<NodeId, u64>,
-    /// Nodes currently crashed/stopped: their messages and timers are
-    /// discarded.
-    down: BTreeSet<NodeId>,
     /// Optional link filter: messages failing the predicate are dropped.
     link_ok: Box<dyn Fn(NodeId, NodeId) -> bool>,
-    /// Maps a node to its local-consensus domain (cluster). Local-scope
-    /// safety is judged within a domain; Global scope is system-wide.
-    domain_of: Box<dyn Fn(NodeId) -> u64>,
 }
 
 impl<P: ConsensusProtocol> Lockstep<P> {
     /// Creates a lockstep network over the given nodes and bootstraps each.
     pub fn new(nodes: impl IntoIterator<Item = P>) -> Self {
         let mut net = Lockstep {
-            nodes: nodes.into_iter().map(|n| (n.id(), n)).collect(),
+            driver: Driver::new(SafetyChecker::new()),
             queue: VecDeque::new(),
-            armed: BTreeSet::new(),
             commits: BTreeMap::new(),
             observations: Vec::new(),
             disk: SimDisk::new(),
             client_seq: BTreeMap::new(),
             client_reads: BTreeMap::new(),
-            down: BTreeSet::new(),
             link_ok: Box::new(|_, _| true),
-            domain_of: Box::new(|_| 0),
         };
-        let ids: Vec<NodeId> = net.nodes.keys().copied().collect();
-        for id in ids {
+        for node in nodes {
+            net.driver.insert(node.id(), node, BTreeSet::new());
+        }
+        for id in net.ids() {
             net.with_node(id, |node, out| node.bootstrap(out));
         }
         net
@@ -69,10 +64,16 @@ impl<P: ConsensusProtocol> Lockstep<P> {
     }
 
     /// Declares which local-consensus domain (cluster) each node belongs
-    /// to; [`Lockstep::assert_safety`] compares Local-scope commits only
-    /// within a domain. Hierarchical deployments (C-Raft) need this.
-    pub fn set_safety_domains(&mut self, f: impl Fn(NodeId) -> u64 + 'static) {
-        self.domain_of = Box::new(f);
+    /// to; Local-scope commits are checked only within a domain.
+    /// Hierarchical deployments (C-Raft) need this.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a commit was already checked: set it right after `new`.
+    pub fn set_safety_domains(&mut self, f: impl Fn(NodeId) -> u64 + Send + 'static) {
+        let seen = self.driver.safety.commits_seen();
+        assert_eq!(seen, 0, "safety domains set after {seen} commits");
+        self.driver.safety = SafetyChecker::with_domains(f);
     }
 
     /// Immutable access to a node.
@@ -81,7 +82,7 @@ impl<P: ConsensusProtocol> Lockstep<P> {
     ///
     /// Panics on an unknown id.
     pub fn node(&self, id: NodeId) -> &P {
-        self.nodes.get(&id).expect("unknown node")
+        &self.driver.slots.get(&id).expect("unknown node").node
     }
 
     /// Mutable access to a node (for assertions needing `&mut`).
@@ -90,12 +91,12 @@ impl<P: ConsensusProtocol> Lockstep<P> {
     ///
     /// Panics on an unknown id.
     pub fn node_mut(&mut self, id: NodeId) -> &mut P {
-        self.nodes.get_mut(&id).expect("unknown node")
+        &mut self.driver.slots.get_mut(&id).expect("unknown node").node
     }
 
     /// All node ids, ascending.
     pub fn ids(&self) -> Vec<NodeId> {
-        self.nodes.keys().copied().collect()
+        self.driver.slots.keys().copied().collect()
     }
 
     /// The stable-storage farm backing this network.
@@ -103,46 +104,39 @@ impl<P: ConsensusProtocol> Lockstep<P> {
         &self.disk
     }
 
-    /// Runs `f` against a node, then routes the produced actions.
+    /// Runs `f` against a node (unless it is crashed), then routes the
+    /// produced actions.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown id.
     pub fn with_node(&mut self, id: NodeId, f: impl FnOnce(&mut P, &mut Actions<P::Message>)) {
-        if self.down.contains(&id) {
+        assert!(self.driver.slots.contains_key(&id), "unknown node");
+        let Some((mut out, _)) = self.driver.step(id, None, f) else {
             return;
-        }
-        let mut out = Actions::new();
-        {
-            let node = self.nodes.get_mut(&id).expect("unknown node");
-            f(node, &mut out);
-        }
-        self.route(id, out);
-    }
-
-    fn route(&mut self, from: NodeId, out: Actions<P::Message>) {
+        };
         // Write-ahead: persistence first.
-        self.disk.apply(from, out.persists.iter());
-        for (to, msg) in out.sends {
-            self.queue.push_back((from, to, msg));
+        self.disk.apply(id, out.persists.iter());
+        for (to, msg) in out.sends.drain(..) {
+            self.queue.push_back((id, to, msg));
         }
-        for cmd in out.timers {
+        let armed = &mut self.driver.slots.get_mut(&id).expect("stepped").state;
+        for cmd in out.timers.drain(..) {
             match cmd {
-                TimerCmd::Set { kind, .. } => {
-                    self.armed.insert((from, kind));
-                }
-                TimerCmd::Cancel { kind } => {
-                    self.armed.remove(&(from, kind));
-                }
-            }
+                TimerCmd::Set { kind, .. } => armed.insert(kind),
+                TimerCmd::Cancel { kind } => armed.remove(&kind),
+            };
         }
-        for c in out.commits {
-            self.commits.entry(from).or_default().push(c);
-        }
-        for o in out.observations {
-            self.observations.push((from, o));
-        }
+        self.commits.entry(id).or_default().append(&mut out.commits);
+        let observed = out.observations.drain(..).map(|o| (id, o));
+        self.observations.extend(observed);
+        self.driver.recycle(out);
     }
 
     /// Fires an armed timer on a node. Returns `true` if it was armed.
     pub fn fire(&mut self, id: NodeId, kind: TimerKind) -> bool {
-        if !self.armed.remove(&(id, kind)) || self.down.contains(&id) {
+        let slot = self.driver.slots.get_mut(&id).filter(|s| s.up);
+        if !slot.is_some_and(|s| s.state.remove(&kind)) {
             return false;
         }
         self.with_node(id, |n, out| n.on_timer(kind, out));
@@ -151,16 +145,14 @@ impl<P: ConsensusProtocol> Lockstep<P> {
 
     /// `true` if the timer is armed.
     pub fn is_armed(&self, id: NodeId, kind: TimerKind) -> bool {
-        self.armed.contains(&(id, kind))
+        self.driver.slots.get(&id).is_some_and(|s| s.state.contains(&kind))
     }
 
     /// Delivers one queued message, if any. Returns `false` when idle.
     pub fn deliver_one(&mut self) -> bool {
         while let Some((from, to, msg)) = self.queue.pop_front() {
-            if self.down.contains(&to) || !(self.link_ok)(from, to) {
-                continue;
-            }
-            if !self.nodes.contains_key(&to) {
+            let up = self.driver.slots.get(&to).is_some_and(|s| s.up);
+            if !up || !(self.link_ok)(from, to) {
                 continue;
             }
             self.with_node(to, |n, out| n.on_message(from, msg, out));
@@ -263,10 +255,7 @@ impl<P: ConsensusProtocol> Lockstep<P> {
         let mut applied: des::IdMap<(u64, wire::LogScope, SessionId, u64), wire::LogIndex> =
             des::IdMap::default();
         for (node, scope, session, seq, index) in self.session_applies() {
-            let domain = match scope {
-                wire::LogScope::Local => (self.domain_of)(node),
-                wire::LogScope::Global => u64::MAX,
-            };
+            let domain = self.driver.safety.domain(node, scope);
             match applied.entry((domain, scope, session, seq)) {
                 std::collections::hash_map::Entry::Vacant(v) => {
                     v.insert(index);
@@ -288,15 +277,17 @@ impl<P: ConsensusProtocol> Lockstep<P> {
     /// Crashes a node: pending messages to it drop, timers disarm. The
     /// node object is retained for inspection but receives nothing.
     pub fn crash(&mut self, id: NodeId) {
-        self.down.insert(id);
-        self.armed.retain(|(n, _)| *n != id);
+        if let Some(slot) = self.driver.slots.get_mut(&id) {
+            slot.up = false;
+            slot.state.clear();
+        }
     }
 
     /// Replaces a crashed node with a recovered instance and bootstraps it.
     pub fn restart(&mut self, node: P) {
         let id = node.id();
-        self.down.remove(&id);
-        self.nodes.insert(id, node);
+        let armed = self.driver.slots.remove(&id).map(|s| s.state);
+        self.driver.insert(id, node, armed.unwrap_or_default());
         self.with_node(id, |n, out| n.bootstrap(out));
     }
 
@@ -313,43 +304,24 @@ impl<P: ConsensusProtocol> Lockstep<P> {
     /// Convenience: the set of nodes that believe they currently lead,
     /// judged by a caller-supplied predicate.
     pub fn leaders_by(&self, is_leader: impl Fn(&P) -> bool) -> Vec<NodeId> {
-        self.nodes
+        self.driver
+            .slots
             .iter()
-            .filter(|(id, n)| !self.down.contains(id) && is_leader(n))
+            .filter(|(_, s)| s.up && is_leader(&s.node))
             .map(|(&id, _)| id)
             .collect()
     }
 
     /// Asserts the safety property (Definition 2.1): no two nodes committed
-    /// different entries at the same index of the same log scope.
+    /// different entries at the same index of the same log scope. Every
+    /// commit was checked when it was emitted; this reports the first
+    /// conflict.
     ///
     /// # Panics
     ///
     /// Panics with a diagnostic if safety is violated.
     pub fn assert_safety(&self) {
-        let mut chosen: des::IdMap<(u64, wire::LogScope, wire::LogIndex), (NodeId, EntryId)> =
-            des::IdMap::default();
-        for (&node, commits) in &self.commits {
-            for c in commits {
-                let domain = match c.scope {
-                    wire::LogScope::Local => (self.domain_of)(node),
-                    wire::LogScope::Global => u64::MAX,
-                };
-                match chosen.entry((domain, c.scope, c.index)) {
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        v.insert((node, c.entry.id));
-                    }
-                    std::collections::hash_map::Entry::Occupied(o) => {
-                        let (first_node, first_id) = *o.get();
-                        assert_eq!(
-                            first_id, c.entry.id,
-                            "SAFETY VIOLATION at {:?} {}: {} committed {} but {} committed {}",
-                            c.scope, c.index, first_node, first_id, node, c.entry.id
-                        );
-                    }
-                }
-            }
-        }
+        self.driver.safety.assert_ok();
     }
 }
 

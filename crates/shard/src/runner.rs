@@ -38,7 +38,8 @@
 //! Consensus safety is untouched by parking: parking only defers timers,
 //! and Raft's safety does not depend on timing. A parked group's replicas
 //! hold their persisted state; the cross-replica commit-agreement check
-//! ([`ShardRunner::violations`]) runs over all groups, parked or not.
+//! ([`ShardRunner::violations`], one log per group) runs over all groups,
+//! parked or not.
 //!
 //! # Rebalance
 //!
@@ -58,8 +59,8 @@ use raft::{RaftNode, Role, Timing};
 use simnet::{Network, Verdict};
 use storage::StableState;
 use wire::{
-    Actions, ClientOp, ClientOutcome, ClientRequest, Configuration, ConsensusProtocol, EntryId,
-    GroupFrame, GroupId, LogIndex, LogScope, NodeId, Observation, Payload, SessionId,
+    Actions, ClientOp, ClientOutcome, ClientRequest, Configuration, ConsensusProtocol, Driver,
+    GroupFrame, GroupId, NodeId, Observation, Payload, SafetyChecker, SafetyViolation, SessionId,
     ShardEnvelope, TimerCmd, TimerKind,
 };
 
@@ -295,9 +296,10 @@ pub struct ShardRunner<P: ShardNode> {
     wheel: TimerWheel<u64>,
     /// The one simulator event driving the wheel, while pending.
     wheel_armed: Option<EventId>,
-    /// Engines keyed `(group, proc)` — BTreeMap for deterministic walks.
-    engines: BTreeMap<(u32, u64), P>,
-    disks: BTreeMap<(u32, u64), StableState>,
+    /// Every `(group, proc)` replica with its stable state, the
+    /// commit-agreement checker (one log per group) and the recycled
+    /// `Actions` buffers.
+    driver: Driver<(GroupId, NodeId), P, StableState>,
     /// One router replica per proc, updated at that proc's commit points.
     routers: Vec<ShardRouter>,
     groups: BTreeMap<u32, GroupCtl>,
@@ -322,13 +324,8 @@ pub struct ShardRunner<P: ShardNode> {
     /// Emptied frame vectors of delivered (or dropped) envelopes, capacity
     /// retained, for the next flush to put back into `out_buf`.
     free_frames: Vec<Vec<GroupFrame<P::Message>>>,
-    /// Cleared [`Actions`] buffers awaiting reuse, capacity retained.
-    free_actions: Vec<Actions<P::Message>>,
     resp_queue: VecDeque<(u64, u32, SessionId, u64, ClientOutcome)>,
     pending_reconfigs: VecDeque<(u64, ReconfigOp)>,
-    /// Commit-agreement ledger: first-seen entry id per committed slot.
-    commit_log: IdMap<(u32, LogScope, LogIndex), EntryId>,
-    violations: Vec<String>,
     measure_from: SimTime,
     measure_until: SimTime,
     metrics: ShardMetrics,
@@ -381,8 +378,7 @@ impl<P: ShardNode> ShardRunner<P> {
             net_rng: root.split("shard-net"),
             wheel: TimerWheel::new(),
             wheel_armed: None,
-            engines: BTreeMap::new(),
-            disks: BTreeMap::new(),
+            driver: Driver::new(SafetyChecker::new()),
             routers: vec![router; cfg.procs as usize],
             groups: BTreeMap::new(),
             clients: Vec::new(),
@@ -403,11 +399,8 @@ impl<P: ShardNode> ShardRunner<P> {
                 .map(|_| ShardEnvelope::new())
                 .collect(),
             free_frames: Vec::new(),
-            free_actions: Vec::new(),
             resp_queue: VecDeque::new(),
             pending_reconfigs: VecDeque::new(),
-            commit_log: IdMap::default(),
-            violations: Vec::new(),
             measure_from: SimTime::ZERO,
             measure_until: SimTime::MAX,
             metrics: ShardMetrics::default(),
@@ -471,9 +464,10 @@ impl<P: ShardNode> ShardRunner<P> {
         &self.metrics
     }
 
-    /// Commit-agreement violations observed so far (empty = safe).
-    pub fn violations(&self) -> &[String] {
-        &self.violations
+    /// Commit-agreement violations observed so far (empty = safe); each
+    /// names its group.
+    pub fn violations(&self) -> &[SafetyViolation] {
+        self.driver.safety.violations()
     }
 
     /// Number of groups currently hosted (initial + split-created).
@@ -503,7 +497,7 @@ impl<P: ShardNode> ShardRunner<P> {
 
     /// The engine hosting `group`'s replica at `proc`, if created.
     pub fn engine(&self, group: GroupId, proc: NodeId) -> Option<&P> {
-        self.engines.get(&(group.as_u32(), proc.as_u64()))
+        self.driver.slots.get(&(group, proc)).map(|s| &s.node)
     }
 
     // ------------------------------------------------------------------
@@ -603,18 +597,18 @@ impl<P: ShardNode> ShardRunner<P> {
         F: FnOnce(&mut P, &mut Actions<P::Message>),
     {
         let now = self.sim.now();
-        let Some(eng) = self.engines.get_mut(&(group, proc)) else {
+        let site = (GroupId(group), NodeId(proc));
+        let step = self.driver.step(site, Some(now), |eng, out| {
+            f(eng, out);
+            while eng.pending_applies() > 0 {
+                eng.drain_applies(out);
+            }
+        });
+        let Some((mut out, _)) = step else {
             return;
         };
-        let mut out = self.free_actions.pop().unwrap_or_default();
-        eng.set_local_clock(now);
-        f(eng, &mut out);
-        while eng.pending_applies() > 0 {
-            eng.drain_applies(&mut out);
-        }
         self.process_actions(proc, group, now, &mut out);
-        out.clear();
-        self.free_actions.push(out);
+        self.driver.recycle(out);
     }
 
     /// Performs one step's effects, draining `out` (every `Vec` keeps its
@@ -627,10 +621,9 @@ impl<P: ShardNode> ShardRunner<P> {
         out: &mut Actions<P::Message>,
     ) {
         if !out.persists.is_empty() {
-            self.disks
-                .get_mut(&(group, proc))
-                .expect("disk exists for every engine")
-                .apply_all(out.persists.iter());
+            let slot = self.driver.slots.get_mut(&(GroupId(group), NodeId(proc)));
+            let stable = &mut slot.expect("a stepped replica has a slot").state;
+            stable.apply_all(out.persists.iter());
         }
 
         for t in out.timers.drain(..) {
@@ -654,23 +647,6 @@ impl<P: ShardNode> ShardRunner<P> {
         }
 
         for c in out.commits.drain(..) {
-            match self.commit_log.entry((group, c.scope, c.index)) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    if *e.get() != c.entry.id {
-                        self.violations.push(format!(
-                            "group g{group} {:?} index {} committed {:?} at proc {proc} \
-                             but {:?} elsewhere",
-                            c.scope,
-                            c.index,
-                            c.entry.id,
-                            e.get()
-                        ));
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(c.entry.id);
-                }
-            }
             if let Payload::Write { data, .. } = &c.entry.payload {
                 if let Some(op) = ReconfigOp::decode_payload(data) {
                     self.pending_reconfigs.push_back((proc, op));
@@ -773,8 +749,7 @@ impl<P: ShardNode> ShardRunner<P> {
                 .engine_rng
                 .split_indexed("engine", ((g as u64) << 20) | proc);
             let eng = (self.factory)(GroupId(g), NodeId(proc), &self.config, rng);
-            self.engines.insert((g, proc), eng);
-            self.disks.insert((g, proc), StableState::new());
+            self.driver.insert((GroupId(g), NodeId(proc)), eng, StableState::new());
         }
         for proc in 0..self.procs {
             self.step_engine(proc, g, |e, out| e.bootstrap(out));
@@ -860,7 +835,7 @@ impl<P: ShardNode> ShardRunner<P> {
         let mut leaders = 0;
         let mut quiet = 0;
         for proc in 0..self.procs {
-            let Some(eng) = self.engines.get(&(g, proc)) else {
+            let Some(eng) = self.engine(GroupId(g), NodeId(proc)) else {
                 return false;
             };
             if eng.is_settled_leader() {

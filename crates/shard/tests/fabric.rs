@@ -1,13 +1,14 @@
 //! Integration tests for the sharded fabric: cross-group session
-//! isolation, end-to-end rebalance through the owning group's log, and
-//! hibernation.
+//! isolation, end-to-end rebalance through the owning group's log,
+//! hibernation, and per-group commit-agreement checking.
 
 use des::{SimDuration, SimRng, SimTime};
 use raft::testkit::Lockstep;
 use raft::{RaftNode, Role, Timing};
-use shard::{raft_factory, ReconfigOp, ShardConfig, ShardRunner, WorkloadSpec};
+use shard::{raft_factory, ReconfigOp, ShardConfig, ShardNode, ShardRunner, WorkloadSpec};
 use wire::{
-    ClientOutcome, ClientRequest, Configuration, GroupId, NodeId, SessionId, TimerKind,
+    Actions, ClientOutcome, ClientRequest, Configuration, ConsensusProtocol, EntryId, GroupId,
+    NodeId, SafetyViolation, SessionId, TimerKind,
 };
 
 fn small_cfg(groups: u32, clients: usize, idle_after: SimDuration) -> ShardConfig {
@@ -289,4 +290,99 @@ fn timer_structure_change_does_not_move_the_schedule() {
         ),
         (12004, 1450, 8209, 6446, 16, 2603, 29, 28, 81)
     );
+}
+
+/// A replica that, when `forge` is set, reports every commit with an entry
+/// id of its own making (`EntryId(99, index)`) instead of the entry its log
+/// holds — a replica lying about what it committed.
+struct Forger {
+    inner: RaftNode,
+    forge: bool,
+}
+
+impl Forger {
+    fn rewrite(&self, out: &mut Actions<raft::RaftMessage>) {
+        if self.forge {
+            for c in &mut out.commits {
+                c.entry.id = EntryId::new(NodeId(99), c.index.as_u64());
+            }
+        }
+    }
+}
+
+impl ConsensusProtocol for Forger {
+    type Message = raft::RaftMessage;
+    fn id(&self) -> NodeId {
+        self.inner.id()
+    }
+    fn set_local_clock(&mut self, now: SimTime) {
+        self.inner.set_local_clock(now);
+    }
+    fn on_message(&mut self, from: NodeId, msg: Self::Message, out: &mut Actions<Self::Message>) {
+        self.inner.on_message(from, msg, out);
+        self.rewrite(out);
+    }
+    fn on_timer(&mut self, kind: TimerKind, out: &mut Actions<Self::Message>) {
+        self.inner.on_timer(kind, out);
+        self.rewrite(out);
+    }
+    fn on_client_request(&mut self, req: ClientRequest, out: &mut Actions<Self::Message>) {
+        self.inner.on_client_request(req, out);
+        self.rewrite(out);
+    }
+    fn bootstrap(&mut self, out: &mut Actions<Self::Message>) {
+        self.inner.bootstrap(out);
+        self.rewrite(out);
+    }
+    fn pending_applies(&self) -> u64 {
+        self.inner.pending_applies()
+    }
+    fn drain_applies(&mut self, out: &mut Actions<Self::Message>) {
+        self.inner.drain_applies(out);
+        self.rewrite(out);
+    }
+}
+
+impl ShardNode for Forger {
+    fn is_settled_leader(&self) -> bool {
+        self.inner.is_settled_leader()
+    }
+    fn is_quiet_follower(&self) -> bool {
+        self.inner.is_quiet_follower()
+    }
+}
+
+/// Runs four groups with the replicas `forge` picks forging their commits;
+/// returns the violations and the ops completed per group.
+fn forged_run(forge: fn(GroupId, NodeId) -> bool) -> (Vec<SafetyViolation>, Vec<u64>) {
+    let raft = raft_factory(Timing::lan());
+    let mut r = ShardRunner::new(small_cfg(4, 8, SimDuration::from_secs(30)), Vec::new(), {
+        move |g, id, c: &Configuration, rng| Forger {
+            inner: raft(g, id, c, rng),
+            forge: forge(g, id),
+        }
+    });
+    r.run_until(SimTime::from_secs(8));
+    let completed = r.metrics().per_group_completed.clone();
+    let per_group = (0..4).map(|g| completed.get(&g).copied().unwrap_or(0));
+    (r.violations().to_vec(), per_group.collect())
+}
+
+/// Commit agreement is checked per group. One proc of group 2 reporting
+/// other entries than its peers is a violation of group 2, and of no
+/// other; a whole group reporting entries no other group holds at the same
+/// indices is no violation at all — each group is its own log.
+#[test]
+fn commit_disagreement_is_reported_under_its_group() {
+    let (violations, completed) = forged_run(|g, id| g == GroupId(2) && id == NodeId(1));
+    assert!(completed.iter().all(|&n| n > 0), "every group commits: {completed:?}");
+    assert!(!violations.is_empty(), "a forged commit went unseen");
+    for v in &violations {
+        assert_eq!(v.group, GroupId(2), "{v}");
+        assert!(v.first.0 == NodeId(1) || v.second.0 == NodeId(1), "{v}");
+    }
+
+    let (violations, completed) = forged_run(|g, _| g == GroupId(2));
+    assert!(completed.iter().all(|&n| n > 0), "every group commits: {completed:?}");
+    assert!(violations.is_empty(), "groups compared across: {violations:?}");
 }

@@ -13,6 +13,9 @@
 //!   compacted into a [`Snapshot`]);
 //! - the sans-IO protocol interface: [`Actions`], [`ConsensusProtocol`],
 //!   [`TimerKind`], [`PersistCmd`], [`Observation`];
+//! - hosting nodes: the [`Driver`] node table every embedding steps its
+//!   nodes through, and the [`SafetyChecker`] it feeds every commit to
+//!   (Definition 2.1, plus client-level linearizability);
 //! - the typed client contract: [`ClientRequest`] (sessioned writes and
 //!   reads with a [`Consistency`] level), [`ClientOutcome`], and the
 //!   exactly-once [`SessionTable`] carried inside snapshots;
@@ -36,6 +39,7 @@ mod actions;
 mod client;
 mod codec;
 mod config;
+mod driver;
 mod entry;
 mod envelope;
 mod id_index;
@@ -44,6 +48,7 @@ mod lease;
 mod log;
 mod quorum;
 mod read;
+mod safety;
 mod snapshot;
 
 pub use actions::{
@@ -56,6 +61,7 @@ pub use client::{
 };
 pub use codec::{DecodeError, Decoder, Encoder, Wire};
 pub use config::{AppendBudget, Configuration, MAX_BYTES_PER_APPEND};
+pub use driver::{Driver, Slot};
 /// `des`'s seedless id tables, re-exported for crates (`storage`) that key
 /// tables by the ids above without depending on `des` themselves.
 pub use des::{IdMap, IdSet};
@@ -70,6 +76,7 @@ pub use quorum::{
     min_chosen_votes_in_classic_quorum,
 };
 pub use read::{PendingRead, ReadIndexQueue};
+pub use safety::{LinViolation, SafetyChecker, SafetyViolation};
 pub use snapshot::{
     fold_commit_digest, fold_session_digest, fold_session_evicted, Snapshot,
     SNAPSHOT_FORMAT_VERSION,

@@ -1,11 +1,14 @@
 //! Online safety checking (Definition 2.1) plus client-level
 //! linearizability checking for `Linearizable` reads.
 //!
-//! Every commit notification from every node flows through a
-//! [`SafetyChecker`]; if two sites ever commit different entries at the same
-//! index of the same log, the run records a violation with full context.
-//! Experiments assert [`SafetyChecker::assert_ok`] at the end of every run,
-//! including runs with crash/churn/partition schedules.
+//! Every commit notification from every hosted node flows through a
+//! [`SafetyChecker`] (the [`crate::Driver`] records each step's commits);
+//! if two sites ever commit different entries at the same index of the
+//! same log, the run records a violation with full context. A log is one
+//! `(group, domain, scope)`: each consensus group of a sharded fabric
+//! keeps its own logs, so one index committed in two groups is no
+//! conflict. Experiments assert [`SafetyChecker::assert_ok`] at the end of
+//! every run, including runs with crash/churn/partition schedules.
 //!
 //! The linearizability check works on real-time order at the client
 //! boundary: when a `Linearizable` read is **first submitted**, the checker
@@ -16,11 +19,16 @@
 //! operation that finished before the read began.
 
 use des::IdMap;
-use wire::{EntryId, LogIndex, LogScope, NodeId, SessionId};
+
+use crate::{
+    ClientOp, ClientOutcome, Consistency, EntryId, GroupId, LogIndex, LogScope, NodeId, SessionId,
+};
 
 /// A detected violation of the safety property.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SafetyViolation {
+    /// The consensus group whose log disagreed.
+    pub group: GroupId,
     /// The log scope disagreed on.
     pub scope: LogScope,
     /// The index disagreed on.
@@ -35,8 +43,14 @@ impl std::fmt::Display for SafetyViolation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "safety violation at {:?} {}: {} committed {} but {} committed {}",
-            self.scope, self.index, self.first.0, self.first.1, self.second.0, self.second.1
+            "safety violation at {} {:?} {}: {} committed {} but {} committed {}",
+            self.group,
+            self.scope,
+            self.index,
+            self.first.0,
+            self.first.1,
+            self.second.0,
+            self.second.1
         )
     }
 }
@@ -78,8 +92,8 @@ type CommitBook = Vec<Option<(NodeId, EntryId)>>;
 /// -provided mapping (identity/constant for single-cluster protocols).
 #[derive(Default)]
 pub struct SafetyChecker {
-    /// One book per `(domain, scope)` log.
-    chosen: IdMap<(u64, LogScope), CommitBook>,
+    /// One book per `(group, domain, scope)` log.
+    chosen: IdMap<(GroupId, u64, LogScope), CommitBook>,
     violations: Vec<SafetyViolation>,
     domain_of: Option<Box<dyn Fn(NodeId) -> u64 + Send>>,
     commits_seen: u64,
@@ -118,14 +132,27 @@ impl SafetyChecker {
         }
     }
 
-    /// Records a commit observed at `node`.
-    pub fn record(&mut self, node: NodeId, scope: LogScope, index: LogIndex, id: EntryId) {
-        self.commits_seen += 1;
-        let domain = match scope {
+    /// The domain `node`'s `scope` log is judged in: its cluster for
+    /// Local scope, one system-wide domain (`u64::MAX`) for Global.
+    pub fn domain(&self, node: NodeId, scope: LogScope) -> u64 {
+        match scope {
             LogScope::Global => u64::MAX,
             LogScope::Local => self.domain_of.as_ref().map_or(0, |f| f(node)),
-        };
-        let book = self.chosen.entry((domain, scope)).or_default();
+        }
+    }
+
+    /// Records a commit observed at `node` of `group`.
+    pub fn record(
+        &mut self,
+        group: GroupId,
+        node: NodeId,
+        scope: LogScope,
+        index: LogIndex,
+        id: EntryId,
+    ) {
+        self.commits_seen += 1;
+        let domain = self.domain(node, scope);
+        let book = self.chosen.entry((group, domain, scope)).or_default();
         let slot = index.as_u64() as usize;
         if book.len() <= slot {
             book.resize(slot + 1, None);
@@ -133,6 +160,7 @@ impl SafetyChecker {
         match book[slot] {
             None => book[slot] = Some((node, id)),
             Some(first) if first.1 != id => self.violations.push(SafetyViolation {
+                group,
                 scope,
                 index,
                 first,
@@ -215,6 +243,36 @@ impl SafetyChecker {
         }
     }
 
+    /// Folds a client op's `outcome` into the bounds above: a write's
+    /// acknowledged index (a suppressed duplicate's first index, when
+    /// known) completes a write in `ack_scope`, and the answer to a
+    /// linearizable read is checked as [`SafetyChecker::read_completed`].
+    /// Other outcomes carry no index and change nothing.
+    pub fn op_completed(
+        &mut self,
+        ack_scope: LogScope,
+        session: SessionId,
+        seq: u64,
+        op: &ClientOp,
+        outcome: &ClientOutcome,
+    ) {
+        match *outcome {
+            ClientOutcome::Committed { index }
+            | ClientOutcome::Duplicate { first_index: index }
+                if !index.is_zero() =>
+            {
+                self.write_completed(ack_scope, index)
+            }
+            ClientOutcome::ReadOk {
+                scope,
+                commit_floor,
+            } if matches!(op, ClientOp::Read(Consistency::Linearizable)) => {
+                self.read_completed(session, seq, scope, commit_floor);
+            }
+            _ => {}
+        }
+    }
+
     /// Linearizability violations recorded so far.
     pub fn lin_violations(&self) -> &[LinViolation] {
         &self.lin_violations
@@ -261,6 +319,8 @@ impl SafetyChecker {
 mod tests {
     use super::*;
 
+    const G0: GroupId = GroupId(0);
+
     fn id(n: u64, s: u64) -> EntryId {
         EntryId::new(NodeId(n), s)
     }
@@ -268,8 +328,8 @@ mod tests {
     #[test]
     fn agreeing_commits_pass() {
         let mut c = SafetyChecker::new();
-        c.record(NodeId(1), LogScope::Global, LogIndex(1), id(9, 0));
-        c.record(NodeId(2), LogScope::Global, LogIndex(1), id(9, 0));
+        c.record(G0, NodeId(1), LogScope::Global, LogIndex(1), id(9, 0));
+        c.record(G0, NodeId(2), LogScope::Global, LogIndex(1), id(9, 0));
         assert!(c.is_ok());
         assert_eq!(c.commits_seen(), 2);
         c.assert_ok();
@@ -278,11 +338,12 @@ mod tests {
     #[test]
     fn conflicting_commits_flagged() {
         let mut c = SafetyChecker::new();
-        c.record(NodeId(1), LogScope::Global, LogIndex(1), id(9, 0));
-        c.record(NodeId(2), LogScope::Global, LogIndex(1), id(9, 1));
+        c.record(G0, NodeId(1), LogScope::Global, LogIndex(1), id(9, 0));
+        c.record(G0, NodeId(2), LogScope::Global, LogIndex(1), id(9, 1));
         assert!(!c.is_ok());
         assert_eq!(c.violations().len(), 1);
         let v = &c.violations()[0];
+        assert_eq!(v.group, G0);
         assert_eq!(v.first, (NodeId(1), id(9, 0)));
         assert_eq!(v.second, (NodeId(2), id(9, 1)));
         assert!(v.to_string().contains("safety violation"));
@@ -292,8 +353,8 @@ mod tests {
     #[should_panic(expected = "safety violation")]
     fn assert_ok_panics_on_violation() {
         let mut c = SafetyChecker::new();
-        c.record(NodeId(1), LogScope::Global, LogIndex(1), id(9, 0));
-        c.record(NodeId(2), LogScope::Global, LogIndex(1), id(9, 1));
+        c.record(G0, NodeId(1), LogScope::Global, LogIndex(1), id(9, 0));
+        c.record(G0, NodeId(2), LogScope::Global, LogIndex(1), id(9, 1));
         c.assert_ok();
     }
 
@@ -301,11 +362,11 @@ mod tests {
     fn local_domains_are_independent() {
         let mut c = SafetyChecker::with_domains(|n| n.as_u64() / 3);
         // Nodes 0..2 are cluster 0; nodes 3..5 cluster 1.
-        c.record(NodeId(0), LogScope::Local, LogIndex(1), id(0, 0));
-        c.record(NodeId(3), LogScope::Local, LogIndex(1), id(3, 0));
+        c.record(G0, NodeId(0), LogScope::Local, LogIndex(1), id(0, 0));
+        c.record(G0, NodeId(3), LogScope::Local, LogIndex(1), id(3, 0));
         assert!(c.is_ok(), "different clusters may differ at Local #1");
         // Within a cluster they must agree.
-        c.record(NodeId(1), LogScope::Local, LogIndex(1), id(1, 5));
+        c.record(G0, NodeId(1), LogScope::Local, LogIndex(1), id(1, 5));
         assert!(!c.is_ok());
     }
 
@@ -375,8 +436,71 @@ mod tests {
     #[test]
     fn global_scope_ignores_domains() {
         let mut c = SafetyChecker::with_domains(|n| n.as_u64());
-        c.record(NodeId(0), LogScope::Global, LogIndex(4), id(0, 0));
-        c.record(NodeId(9), LogScope::Global, LogIndex(4), id(0, 1));
+        c.record(G0, NodeId(0), LogScope::Global, LogIndex(4), id(0, 0));
+        c.record(G0, NodeId(9), LogScope::Global, LogIndex(4), id(0, 1));
         assert!(!c.is_ok());
+    }
+
+    #[test]
+    fn groups_keep_separate_logs() {
+        let mut c = SafetyChecker::new();
+        c.record(G0, NodeId(0), LogScope::Global, LogIndex(1), id(0, 0));
+        c.record(
+            GroupId(1),
+            NodeId(0),
+            LogScope::Global,
+            LogIndex(1),
+            id(0, 1),
+        );
+        assert!(
+            c.is_ok(),
+            "one index may hold different entries in two groups"
+        );
+        c.record(
+            GroupId(1),
+            NodeId(1),
+            LogScope::Global,
+            LogIndex(1),
+            id(0, 2),
+        );
+        assert_eq!(c.violations().len(), 1);
+        assert_eq!(c.violations()[0].group, GroupId(1));
+        assert!(c.violations()[0].to_string().contains("g1"));
+    }
+
+    #[test]
+    fn op_completed_maps_outcomes_to_bounds() {
+        let mut c = SafetyChecker::new();
+        let s = SessionId::client(1);
+        let write = ClientOp::Write(bytes::Bytes::from_static(b"w"));
+        let lin = ClientOp::Read(Consistency::Linearizable);
+        let unknown = ClientOutcome::Duplicate {
+            first_index: LogIndex::ZERO,
+        };
+        c.op_completed(LogScope::Global, s, 1, &write, &unknown);
+        c.read_started(s, 9);
+        c.read_completed(s, 9, LogScope::Global, LogIndex::ZERO);
+        assert!(c.is_ok(), "a duplicate of unknown index raises no bound");
+        let dup = ClientOutcome::Duplicate {
+            first_index: LogIndex(7),
+        };
+        c.op_completed(LogScope::Global, s, 2, &write, &dup);
+        let stale = ClientOutcome::ReadOk {
+            scope: LogScope::Global,
+            commit_floor: LogIndex(6),
+        };
+        c.read_started(s, 10);
+        c.op_completed(
+            LogScope::Global,
+            s,
+            10,
+            &ClientOp::Read(Consistency::StaleLocal),
+            &stale,
+        );
+        assert!(c.is_ok(), "only linearizable reads are checked");
+        c.read_started(s, 11);
+        c.op_completed(LogScope::Global, s, 11, &lin, &stale);
+        assert_eq!(c.lin_violations().len(), 1);
+        assert_eq!(c.lin_violations()[0].bound, LogIndex(7));
     }
 }

@@ -670,7 +670,7 @@ impl CRaftNode {
         out: &mut Actions<CRaftMessage>,
     ) {
         match &entry.payload {
-            Payload::Data(_) | Payload::Write { .. } | Payload::Register { .. }
+            Payload::Write { .. } | Payload::Register { .. }
                 if self.global.is_some() => {
                     if let Some(item) = batchable_item(entry) {
                         self.batch_buf.push((index, item));
@@ -949,14 +949,9 @@ impl wire::ConsensusProtocol for CRaftNode {
 }
 
 /// The global batch item for a locally committed client value, if the entry
-/// carries one (plain data, or a session write keeping its dedup key).
+/// carries one (a session write or registration, keeping its dedup key).
 fn batchable_item(entry: &LogEntry) -> Option<BatchItem> {
     match &entry.payload {
-        Payload::Data(data) => Some(BatchItem {
-            id: entry.id,
-            key: None,
-            data: data.clone(),
-        }),
         Payload::Write { session, seq, data } => Some(BatchItem {
             id: entry.id,
             key: Some((*session, *seq)),

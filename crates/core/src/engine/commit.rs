@@ -150,7 +150,6 @@ impl FastRaftEngine {
                 }
                 self.notify_proposer(k, entry.id, out);
             }
-            Payload::Data(_) => self.notify_proposer(k, entry.id, out),
             Payload::Noop | Payload::GlobalState(_) => {
                 // Internal entries; GlobalState commits are consumed by the
                 // C-Raft layer through the Actions::commits channel.
@@ -164,8 +163,8 @@ impl FastRaftEngine {
         out.commit(self.core.scope, k, entry);
     }
 
-    /// Tells the proposer of a committed payload-level proposal (data or a
-    /// global batch): an observation here, a `ProposeReply` from the leader.
+    /// Tells the proposer of a committed global batch: an observation here,
+    /// a `ProposeReply` from the leader.
     fn notify_proposer(&mut self, k: LogIndex, id: EntryId, out: &mut Actions<FastRaftMessage>) {
         if id.proposer == self.core.id {
             if self.pending_proposals.remove(&id).is_some() {

@@ -112,14 +112,6 @@ impl FastRaftEngine {
                     LogEntry::noop(self.core.current_term, self.core.ids.fresh_id(out))
                 }
             };
-            if trace_enabled() {
-                eprintln!(
-                    "DECIDE {}@{:?} k={} chose {} voters={} votes_for_chosen={}",
-                    self.core.id, self.core.scope, k.as_u64(), chosen.id,
-                    self.possible.voters_at(k),
-                    self.possible.votes_for(k, chosen.id)
-                );
-            }
             let chosen = chosen
                 .with_term(self.core.current_term)
                 .with_approval(Approval::LeaderApproved);
@@ -158,9 +150,6 @@ impl FastRaftEngine {
             return;
         }
         let k = self.last_leader_index.next();
-        if trace_enabled() {
-            eprintln!("TERMNOOP {} k={}", self.core.id, k.as_u64());
-        }
         let noop = LogEntry::noop(self.core.current_term, self.core.ids.fresh_id(out));
         match gate.begin(k, &noop, GatePurpose::DecisionInsert) {
             GateVerdict::Proceed => {
@@ -210,9 +199,6 @@ impl FastRaftEngine {
         entry: LogEntry,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        if trace_enabled() {
-            eprintln!("INSERT_LEADER {} k={} id={}", self.core.id, index.as_u64(), entry.id);
-        }
         debug_assert_eq!(entry.approval, Approval::LeaderApproved);
         self.insert_approved(index, entry, out);
         self.core.match_index.insert(self.core.id, self.last_leader_index);
@@ -267,10 +253,6 @@ impl FastRaftEngine {
             return;
         }
         self.stalled_ticks = 0;
-        if trace_enabled() {
-            let voters = self.possible.voters_at(k);
-            eprintln!("HOLEFILL {} k={} voters={voters}", self.core.id, k.as_u64());
-        }
         self.fire_hole_repair(k, out);
     }
 
@@ -296,9 +278,6 @@ impl FastRaftEngine {
             return;
         }
         self.last_proactive_repair = k;
-        if trace_enabled() {
-            eprintln!("PROACTIVE_HOLEFILL {} k={}", self.core.id, k.as_u64());
-        }
         self.fire_hole_repair(k, out);
     }
 

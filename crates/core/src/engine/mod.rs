@@ -40,7 +40,6 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use bytes::Bytes;
 use des::{IdMap, SimRng, SimTime};
 use raft::replica::{self, Replica, Reply};
 use raft::{Role, Timing};
@@ -63,13 +62,6 @@ mod membership;
 mod propose;
 mod replicate;
 mod snapshot;
-
-/// Cached `ENGINE_TRACE` env check: protocol-step tracing to stderr for
-/// debugging runs (set the variable to any value to enable).
-fn trace_enabled() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("ENGINE_TRACE").is_some())
-}
 
 /// Which set of timer kinds an engine arms — base names for single-level
 /// protocols and C-Raft's local level, `Global*` for C-Raft's global level.
@@ -468,8 +460,9 @@ impl FastRaftEngine {
         self.core.applied.sessions()
     }
 
-    /// Where each known proposal id sits in the log.
-    pub fn id_index(&self) -> &wire::IdIndex {
+    /// Where each proposal id placed above the compaction horizon sits in
+    /// the log (gated slot reservations included).
+    pub fn id_index(&self) -> &IdMap<EntryId, LogIndex> {
         &self.core.id_index
     }
 
@@ -704,10 +697,17 @@ impl FastRaftEngine {
                 // LeaderForward) every forwarded proposal. A continuation
                 // from a superseded term must not insert — the slot may
                 // since hold (even have committed) a newer leader's entry.
+                // Its forwarded id's slot reservation goes with it, or a
+                // retry would be ignored as in flight, and answered
+                // `committed` once another entry commits at that slot.
                 self.gated_decisions.remove(&index);
                 if self.core.role == Role::Leader && entry.term == self.core.current_term {
                     self.insert_leader_entry(index, entry, out);
                     self.advance_commit_classic(out);
+                } else if self.core.id_index.get(&entry.id) == Some(&index)
+                    && self.core.log.get(index).is_none_or(|e| e.id != entry.id)
+                {
+                    self.core.id_index.remove(&entry.id);
                 }
             }
             GateCont::Append { index, entry, ack } => {

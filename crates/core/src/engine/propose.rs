@@ -96,10 +96,11 @@ impl FastRaftEngine {
         if self.reject_session_duplicate(&entry, out) {
             return;
         }
-        // Dedup: retries of ids already in the log are ignored (commit
-        // notification flows from emit_commit_effects).
-        if let Some(placed) = self.core.id_index.get(&entry.id) {
-            if placed.at_or_below(self.core.commit_index) {
+        // Dedup: retries of ids already placed (or reserved) are ignored —
+        // commit notification flows from emit_commit_effects — and answered
+        // only once their slot committed them.
+        if self.core.id_index.contains_key(&entry.id) {
+            if self.core.is_committed(&entry.id) {
                 out.send(
                     entry.id.proposer,
                     FastRaftMessage::ProposeReply {
@@ -149,9 +150,6 @@ impl FastRaftEngine {
         }
         self.assign_cursor = self.assign_cursor.max(self.last_leader_index).next();
         let k = self.assign_cursor;
-        if trace_enabled() {
-            eprintln!("FORWARD_ACCEPT {} k={} id={}", self.core.id, k.as_u64(), entry.id);
-        }
         let chosen = entry
             .with_term(self.core.current_term)
             .with_approval(Approval::LeaderApproved);
@@ -227,16 +225,6 @@ impl FastRaftEngine {
             self.timers.map(TimerKind::ProposalRetry),
             self.core.timing.proposal_timeout,
         );
-    }
-
-    /// Convenience wrapper for data payloads.
-    pub fn propose_data(
-        &mut self,
-        data: Bytes,
-        gate: &mut dyn InsertGate,
-        out: &mut Actions<FastRaftMessage>,
-    ) -> EntryId {
-        self.propose_payload(Payload::Data(data), gate, out)
     }
 
     fn pick_proposal_index(&self) -> LogIndex {
@@ -400,24 +388,16 @@ impl FastRaftEngine {
             return;
         }
         // Duplicate already committed? Notify the proposer (§IV-B step 1).
-        // A settled id has no live index: its slot sat at or below the
-        // compaction horizon and was compacted away, so it is committed.
-        if let Some(placed) = self.core.id_index.get(&entry.id) {
-            let committed = placed.live_index().is_none_or(|idx| {
-                idx <= self.core.commit_index
-                    && self.core.log.get(idx).is_some_and(|e| e.id == entry.id)
-            });
-            if committed {
-                out.send(
-                    entry.id.proposer,
-                    FastRaftMessage::ProposeReply {
-                        id: entry.id,
-                        committed: true,
-                        leader_hint: self.core.leader_hint,
-                    },
-                );
-                return;
-            }
+        if self.core.is_committed(&entry.id) {
+            out.send(
+                entry.id.proposer,
+                FastRaftMessage::ProposeReply {
+                    id: entry.id,
+                    committed: true,
+                    leader_hint: self.core.leader_hint,
+                },
+            );
+            return;
         }
         if index <= self.core.log.compacted_through() {
             // The slot was decided and compacted away; nothing to insert or
@@ -536,11 +516,9 @@ impl FastRaftEngine {
         // A vote for an entry that is already committed at a *different*
         // index (this one is above the commit index) is a null vote
         // (duplicate suppression).
-        if let Some(placed) = self.core.id_index.get(&entry.id) {
-            if placed.at_or_below(self.core.commit_index) {
-                self.possible.record_null_vote(index, from);
-                return;
-            }
+        if self.core.is_committed(&entry.id) {
+            self.possible.record_null_vote(index, from);
+            return;
         }
         self.possible.record_vote(index, entry, from);
     }

@@ -37,14 +37,6 @@ impl FastRaftEngine {
         if !self.core.install_snapshot(from, term, snapshot, out) {
             return;
         }
-        if trace_enabled() {
-            eprintln!(
-                "INSTALL_SNAPSHOT {}@{:?} through={}",
-                self.core.id,
-                self.core.scope,
-                last_index.as_u64()
-            );
-        }
         self.membership_changed(was_member, out);
         self.verified = self.verified.max(last_index);
         if last_index > self.last_leader_index {

@@ -172,8 +172,9 @@ impl FastRaftNode {
         self.engine.sessions()
     }
 
-    /// Where each known proposal id sits in the log.
-    pub fn id_index(&self) -> &wire::IdIndex {
+    /// Where each proposal id placed above the compaction horizon sits in
+    /// the log.
+    pub fn id_index(&self) -> &wire::IdMap<wire::EntryId, LogIndex> {
         self.engine.id_index()
     }
 

@@ -109,10 +109,16 @@ impl InsertGate for GateRecorder {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use wire::{EntryId, NodeId, Term};
+    use wire::{EntryId, NodeId, SessionId, Term};
 
     fn entry() -> LogEntry {
-        LogEntry::data(Term(1), EntryId::new(NodeId(1), 0), Bytes::from_static(b"x"))
+        LogEntry::write(
+            Term(1),
+            EntryId::new(NodeId(1), 0),
+            SessionId::client(1),
+            1,
+            Bytes::from_static(b"x"),
+        )
     }
 
     #[test]

@@ -555,9 +555,11 @@ mod tests {
     use wire::Term;
 
     fn entry() -> LogEntry {
-        LogEntry::data(
+        LogEntry::write(
             Term(2),
             EntryId::new(NodeId(3), 7),
+            SessionId::client(1),
+            1,
             Bytes::from_static(b"payload"),
         )
     }
@@ -677,13 +679,21 @@ mod tests {
     fn broadcast_proposal_size_is_linear_in_payload() {
         let small = FastRaftMessage::ProposeAt {
             index: LogIndex(1),
-            entry: LogEntry::data(Term(1), EntryId::new(NodeId(1), 0), Bytes::from(vec![0; 16])),
+            entry: LogEntry::write(
+                Term(1),
+                EntryId::new(NodeId(1), 0),
+                SessionId::client(1),
+                1,
+                Bytes::from(vec![0; 16]),
+            ),
         };
         let big = FastRaftMessage::ProposeAt {
             index: LogIndex(1),
-            entry: LogEntry::data(
+            entry: LogEntry::write(
                 Term(1),
                 EntryId::new(NodeId(1), 0),
+                SessionId::client(1),
+                1,
                 Bytes::from(vec![0; 1600]),
             ),
         };

@@ -135,10 +135,11 @@ impl IndexVotes {
 /// ```
 /// use bytes::Bytes;
 /// use consensus_core::PossibleEntries;
-/// use wire::{EntryId, LogEntry, LogIndex, NodeId, Term};
+/// use wire::{EntryId, LogEntry, LogIndex, NodeId, SessionId, Term};
 ///
 /// let mut pe = PossibleEntries::new();
-/// let e = LogEntry::data(Term(1), EntryId::new(NodeId(9), 0), Bytes::from_static(b"v"));
+/// let id = EntryId::new(NodeId(9), 0);
+/// let e = LogEntry::write(Term(1), id, SessionId::client(1), 1, Bytes::from_static(b"v"));
 /// pe.record_vote(LogIndex(1), e.clone(), NodeId(1));
 /// pe.record_vote(LogIndex(1), e.clone(), NodeId(2));
 /// assert_eq!(pe.voters_at(LogIndex(1)), 2);
@@ -296,12 +297,14 @@ impl PossibleEntries {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use wire::Term;
+    use wire::{SessionId, Term};
 
     fn entry(seq: u64) -> LogEntry {
-        LogEntry::data(
+        LogEntry::write(
             Term(1),
             EntryId::new(NodeId(100), seq),
+            SessionId::client(1),
+            1,
             Bytes::from_static(b"v"),
         )
     }
@@ -409,7 +412,7 @@ mod model {
 
     use bytes::Bytes;
     use proptest::prelude::*;
-    use wire::Term;
+    use wire::{SessionId, Term};
 
     use super::*;
 
@@ -530,7 +533,7 @@ mod model {
     fn entry(seq: u64, voter: u64) -> LogEntry {
         // The payload names the first voter: the book must keep the entry
         // of a candidate's first vote, not a later one.
-        LogEntry::data(Term(1), id(seq), Bytes::from(vec![voter as u8]))
+        LogEntry::write(Term(1), id(seq), SessionId::client(1), 1, Bytes::from(vec![voter as u8]))
     }
 
     fn assert_equivalent(book: &PossibleEntries, model: &TreeBook) {

@@ -31,7 +31,11 @@ fn entry(term: u64, seq: u64) -> LogEntry {
     LogEntry {
         term: Term(term),
         id: EntryId::new(LEADER, seq),
-        payload: wire::Payload::Data(Bytes::from_static(b"payload-bytes")),
+        payload: wire::Payload::Write {
+            session: wire::SessionId::client(1),
+            seq,
+            data: Bytes::from_static(b"payload-bytes"),
+        },
         approval: Approval::LeaderApproved,
     }
 }

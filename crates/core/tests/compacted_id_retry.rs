@@ -1,13 +1,11 @@
-//! Retries of a proposal id whose entry was compacted away are answered
-//! exactly as when every committed id stayed mapped to its index.
+//! Retries of a client write whose entry was compacted away.
 //!
-//! A replica's `IdIndex` keeps exact `id → index` mappings only above the
-//! compaction horizon; below it an id is *settled* — known committed, index
-//! forgotten. The duplicate rule (§IV-B) must not notice: a re-delivered
-//! `ProposeAt` is answered `committed` and claims no slot, a vote for the id
-//! at a fresh index is a null vote, and classic Raft's leader treats the id
-//! as an in-flight duplicate. Fast Raft proposals here carry bare data (no
-//! session), so the id index is the only dedup they meet.
+//! A replica maps proposal ids to log slots only above its compaction
+//! horizon, so once a write's slot is compacted its id is forgotten. The
+//! duplicate is stopped by the exactly-once key every client value carries,
+//! its `(session, seq)`: the applied session table answers a retry at the
+//! door (`Duplicate { first_index }`, nothing persisted), and a copy that
+//! does take a second slot is skipped when it applies.
 
 use bytes::Bytes;
 use consensus_core::{FastRaftEngine, FastRaftMessage, ProceedGate, TimerProfile};
@@ -15,9 +13,12 @@ use des::SimRng;
 use raft::testkit::Lockstep;
 use raft::{RaftMessage, RaftNode, Role, Timing};
 use wire::{
-    Actions, Configuration, ConsensusProtocol, EntryId, LogEntry, LogIndex, LogScope, NodeId,
-    Payload, Placement, SessionId, TimerKind,
+    Actions, ClientOutcome, Configuration, ConsensusProtocol, LogEntry, LogIndex, LogScope, NodeId,
+    Observation, Payload, SessionId, TimerKind,
 };
+
+/// The session of the write every case retries (seq 1).
+const RETRIED: SessionId = SessionId::client(1);
 
 /// Compacts after every two applied entries.
 fn snappy() -> Timing {
@@ -70,6 +71,13 @@ impl Net {
         out
     }
 
+    /// Queues the sends of a step taken at `from`.
+    fn route(&mut self, from: NodeId, out: Actions<FastRaftMessage>) {
+        for (to, msg) in out.sends {
+            self.queue.push_back((from, to, msg));
+        }
+    }
+
     /// Runs one step at `id` and routes its sends.
     fn with(
         &mut self,
@@ -77,9 +85,7 @@ impl Net {
         f: impl FnOnce(&mut FastRaftEngine, &mut ProceedGate, &mut Actions<FastRaftMessage>),
     ) {
         let out = self.step(id, f);
-        for (to, msg) in out.sends {
-            self.queue.push_back((id, to, msg));
-        }
+        self.route(id, out);
     }
 
     fn deliver_all(&mut self) {
@@ -101,11 +107,20 @@ impl Net {
     }
 }
 
-/// Proposes `data` at `proposer`, commits it everywhere, and returns the
-/// proposer's `ProposeAt` entry as it went out.
-fn commit_data(net: &mut Net, proposer: NodeId, data: &'static [u8]) -> (LogIndex, LogEntry) {
+/// Proposes seq 1 of `session` at `proposer`, commits it everywhere, and
+/// returns the proposer's `ProposeAt` entry as it went out.
+fn commit_write(net: &mut Net, proposer: NodeId, session: SessionId) -> (LogIndex, LogEntry) {
     let out = net.step(proposer, |e, g, out| {
-        e.propose_data(Bytes::from_static(data), g, out);
+        let data = Bytes::from_static(b"v");
+        e.propose_payload(
+            Payload::Write {
+                session,
+                seq: 1,
+                data,
+            },
+            g,
+            out,
+        );
     });
     let (index, entry) = out
         .sends
@@ -115,25 +130,17 @@ fn commit_data(net: &mut Net, proposer: NodeId, data: &'static [u8]) -> (LogInde
             _ => None,
         })
         .expect("a broadcast proposal");
-    for (to, msg) in out.sends {
-        net.queue.push_back((proposer, to, msg));
-    }
+    net.route(proposer, out);
     net.deliver_all();
     net.tick(NodeId(0), TimerKind::LeaderTick);
     net.tick(NodeId(0), TimerKind::Heartbeat);
     (index, entry)
 }
 
-fn reply_committed(id: EntryId, leader_hint: Option<NodeId>) -> FastRaftMessage {
-    FastRaftMessage::ProposeReply {
-        id,
-        committed: true,
-        leader_hint,
-    }
-}
-
-#[test]
-fn fast_raft_answers_a_compacted_id_as_committed_and_nulls_its_votes() {
+/// Three Fast Raft sites led by node 0, every one of which has compacted
+/// away the slot of node 1's write under [`RETRIED`]: returns that slot and
+/// the write's entry.
+fn compacted_write() -> (Net, LogIndex, LogEntry) {
     let mut net = Net::new(3);
     for i in 0..3 {
         net.with(NodeId(i), |e, _, out| e.bootstrap(out));
@@ -141,24 +148,34 @@ fn fast_raft_answers_a_compacted_id_as_committed_and_nulls_its_votes() {
     net.tick(NodeId(0), TimerKind::Election);
     assert_eq!(net.engine(NodeId(0)).role(), Role::Leader);
 
-    let (first, entry) = commit_data(&mut net, NodeId(1), b"a");
-    for data in [b"b", b"c", b"d", b"e", b"f", b"g"] {
-        commit_data(&mut net, NodeId(2), data);
+    let (first, entry) = commit_write(&mut net, NodeId(1), RETRIED);
+    for session in 2..8 {
+        commit_write(&mut net, NodeId(2), SessionId::client(session));
     }
-    let id = entry.id;
     for n in 0..3 {
         let e = net.engine(NodeId(n));
         assert!(
             e.log().compacted_through() >= first,
             "{n} compacted past {first}"
         );
-        assert_eq!(e.id_index().get(&id), Some(Placement::Settled), "at {n}");
+        assert!(!e.id_index().contains_key(&entry.id), "{n} still maps it");
+        assert_eq!(e.sessions().duplicate_of(RETRIED, 1), Some(first));
     }
+    (net, first, entry)
+}
 
+#[test]
+fn fast_raft_answers_a_retried_compacted_write_as_a_duplicate() {
+    let (mut net, first, entry) = compacted_write();
     // A follower gets the proposal again, at its original (compacted) slot
-    // and at a fresh one: answered committed both times, nothing inserted.
+    // and at a fresh one: the session table answers both, nothing inserted.
     let follower = NodeId(2);
     let fresh = net.engine(follower).log().last_index().next();
+    let duplicate = FastRaftMessage::ClientReply {
+        session: RETRIED,
+        seq: 1,
+        outcome: ClientOutcome::Duplicate { first_index: first },
+    };
     for index in [first, fresh] {
         let out = net.step(follower, |e, g, out| {
             let msg = FastRaftMessage::ProposeAt {
@@ -167,20 +184,21 @@ fn fast_raft_answers_a_compacted_id_as_committed_and_nulls_its_votes() {
             };
             e.on_message(NodeId(1), msg, g, out);
         });
-        assert_eq!(
-            out.sends,
-            vec![(NodeId(1), reply_committed(id, Some(NodeId(0))))]
-        );
+        assert_eq!(out.sends, vec![(NodeId(1), duplicate.clone())]);
         assert!(out.persists.is_empty(), "re-delivery at {index} inserted");
         assert_eq!(net.engine(follower).log().get(fresh), None);
     }
+}
 
-    // Both followers vote for the id at the first undecided index. Null
-    // votes: the leader fills the slot with a no-op instead of committing
-    // the proposal a second time.
+#[test]
+fn fast_raft_applies_a_compacted_write_placed_again_once() {
+    let (mut net, first, entry) = compacted_write();
+    // Both followers vote for the write at the first undecided index (as
+    // replicas that never applied it would): the leader decides it there, a
+    // second slot, and commits it.
     let k = net.engine(NodeId(0)).commit_index().next();
     for voter in [NodeId(1), NodeId(2)] {
-        let out = net.step(NodeId(0), |e, g, out| {
+        net.with(NodeId(0), |e, g, out| {
             let msg = FastRaftMessage::Vote {
                 index: k,
                 entry: entry.clone(),
@@ -188,16 +206,44 @@ fn fast_raft_answers_a_compacted_id_as_committed_and_nulls_its_votes() {
             };
             e.on_message(voter, msg, g, out);
         });
-        assert!(out.sends.is_empty() && out.persists.is_empty());
     }
-    net.tick(NodeId(0), TimerKind::LeaderTick);
-    let decided = net.engine(NodeId(0)).log().get(k).expect("k decided");
-    assert_ne!(decided.id, id, "the compacted proposal was placed again");
-    assert_eq!(decided.payload, Payload::Noop);
+    let out = net.step(NodeId(0), |e, g, out| {
+        e.on_timer(TimerKind::LeaderTick, g, out)
+    });
+    let leader = net.engine(NodeId(0));
+    assert_eq!(leader.log().get(k).map(|e| e.id), Some(entry.id));
+    assert!(leader.commit_index() >= k, "the second copy committed");
+    // Its apply is a duplicate of the first, not a second application.
+    let applies: Vec<Result<LogIndex, LogIndex>> = out
+        .observations
+        .iter()
+        .filter_map(|o| match *o {
+            Observation::SessionApplied { session, index, .. } if session == RETRIED => {
+                Some(Err(index))
+            }
+            Observation::SessionDuplicate {
+                session,
+                first_index,
+                ..
+            } if session == RETRIED => Some(Ok(first_index)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(applies, vec![Ok(first)]);
+    net.route(NodeId(0), out);
+    net.deliver_all();
+    net.tick(NodeId(0), TimerKind::Heartbeat);
+    let digest = net.engine(NodeId(0)).state_digest();
+    for n in 0..3 {
+        let e = net.engine(NodeId(n));
+        assert!(e.commit_index() >= k, "{n} did not commit the copy");
+        assert_eq!(e.state_digest(), digest, "{n} applied differently");
+        assert_eq!(e.sessions().duplicate_of(RETRIED, 1), Some(first));
+    }
 }
 
 #[test]
-fn classic_raft_treats_a_compacted_id_as_in_flight() {
+fn classic_raft_answers_a_retried_compacted_write_as_a_duplicate() {
     let cfg: Configuration = (0..3).map(NodeId).collect();
     let mut net = Lockstep::new((0..3).map(|i| {
         RaftNode::new(
@@ -209,8 +255,9 @@ fn classic_raft_treats_a_compacted_id_as_in_flight() {
     }));
     net.fire(NodeId(0), TimerKind::Election);
     net.deliver_all();
-    for i in 0..6 {
-        net.propose(NodeId(1), format!("w{i}").as_bytes());
+    // Node 1's only write (session 1, seq 1), then five from node 2.
+    for gateway in [1, 2, 2, 2, 2, 2] {
+        net.propose(NodeId(gateway), b"w");
         net.deliver_all();
         net.fire(NodeId(0), TimerKind::Heartbeat);
         net.deliver_all();
@@ -220,22 +267,29 @@ fn classic_raft_treats_a_compacted_id_as_in_flight() {
     assert_eq!(first.entry.id.proposer, NodeId(1), "the first write");
     assert!(leader.log().compacted_through() >= first.index);
     let id = first.entry.id;
-    assert_eq!(leader.id_index().get(&id), Some(Placement::Settled));
+    assert!(!leader.id_index().contains_key(&id));
 
-    // The id again, under a session the leader has never applied (so the
-    // session table cannot answer first): dropped as already replicating.
+    // The gateway retries it, same id and same session seq: the session
+    // table answers, and nothing is appended or persisted.
     let before = leader.log().last_index();
     let mut effects = None;
     net.with_node(NodeId(0), |node, out| {
         let msg = RaftMessage::Propose {
             id,
-            session: SessionId::client(9),
+            session: RETRIED,
             seq: 1,
-            data: Bytes::from_static(b"again"),
+            data: Bytes::from_static(b"w"),
         };
         node.on_message(NodeId(1), msg, out);
-        effects = Some((out.sends.len(), out.persists.len()));
+        effects = Some((out.sends.clone(), out.persists.len()));
     });
-    assert_eq!(effects, Some((0, 0)));
+    let duplicate = RaftMessage::ClientReply {
+        session: RETRIED,
+        seq: 1,
+        outcome: ClientOutcome::Duplicate {
+            first_index: first.index,
+        },
+    };
+    assert_eq!(effects, Some((vec![(NodeId(1), duplicate)], 0)));
     assert_eq!(net.node(NodeId(0)).log().last_index(), before);
 }

@@ -118,7 +118,7 @@ fn run_schedule(seed: u64, steps: &[Step]) {
     for id in net.ids() {
         for c in net.commits(id) {
             if c.scope == LogScope::Local {
-                if let Payload::Data(_) | Payload::Write { .. } = c.entry.payload {
+                if let Payload::Write { .. } = c.entry.payload {
                     locally_committed.insert(c.entry.id);
                 }
             }

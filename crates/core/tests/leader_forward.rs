@@ -4,11 +4,11 @@
 
 use bytes::Bytes;
 use consensus_core::{
-    FastRaftEngine, FastRaftMessage, ProceedGate, ProposalMode, TimerProfile,
+    FastRaftEngine, FastRaftMessage, GateRecorder, ProceedGate, ProposalMode, TimerProfile,
 };
 use des::SimRng;
 use raft::{Role, Timing};
-use wire::{Actions, Configuration, LogIndex, LogScope, NodeId, Payload, TimerKind};
+use wire::{Actions, Configuration, LogIndex, LogScope, NodeId, Payload, SessionId, TimerKind};
 
 fn engine(id: u64, members: u64) -> FastRaftEngine {
     let cfg: Configuration = (0..members).map(NodeId).collect();
@@ -76,6 +76,15 @@ impl Net {
     }
 }
 
+/// Seq 1 of its own client session: every client value is session-keyed.
+fn write(session: u64, data: &'static [u8]) -> Payload {
+    Payload::Write {
+        session: SessionId::client(session),
+        seq: 1,
+        data: Bytes::from_static(data),
+    }
+}
+
 fn forward_cluster(n: u64) -> Net {
     let mut engines: Vec<FastRaftEngine> = (0..n).map(|i| engine(i, n)).collect();
     for e in &mut engines {
@@ -100,10 +109,10 @@ fn forwarded_proposals_get_sequential_indices() {
     // Two proposals from different nodes, interleaved before any delivery:
     // the leader must assign distinct, sequential slots.
     net.with(NodeId(1), |e, g, out| {
-        e.propose_data(Bytes::from_static(b"a"), g, out)
+        e.propose_payload(write(1, b"a"), g, out)
     });
     net.with(NodeId(2), |e, g, out| {
-        e.propose_data(Bytes::from_static(b"b"), g, out)
+        e.propose_payload(write(2, b"b"), g, out)
     });
     net.deliver_all();
     let leader = net.engine(NodeId(0));
@@ -119,7 +128,7 @@ fn forwarded_proposals_get_sequential_indices() {
 fn forwarded_duplicate_is_appended_once() {
     let mut net = forward_cluster(3);
     let id = net.with(NodeId(1), |e, g, out| {
-        e.propose_data(Bytes::from_static(b"dup"), g, out)
+        e.propose_payload(write(3, b"dup"), g, out)
     });
     net.deliver_all();
     // Retry fires before commit: same id forwarded again.
@@ -137,7 +146,7 @@ fn forwarded_proposal_redirects_to_leader() {
     // proposal goes straight there and commits; the proposer learns via
     // ProposeReply.
     let id = net.with(NodeId(2), |e, g, out| {
-        e.propose_data(Bytes::from_static(b"c"), g, out)
+        e.propose_payload(write(4, b"c"), g, out)
     });
     net.deliver_all();
     net.tick(NodeId(0), TimerKind::Heartbeat);
@@ -164,7 +173,7 @@ fn unsettled_leader_defers_forwarded_proposals() {
     // (Simulated by switching node 1's mode to Broadcast for one proposal.)
     net.with(NodeId(1), |e, g, out| {
         e.set_proposal_mode(ProposalMode::Broadcast);
-        e.propose_data(Bytes::from_static(b"chosen?"), g, out);
+        e.propose_payload(write(5, b"chosen?"), g, out);
         e.set_proposal_mode(ProposalMode::LeaderForward);
     });
     // Deliver the broadcast but NOT the votes to the old leader; then elect
@@ -178,7 +187,7 @@ fn unsettled_leader_defers_forwarded_proposals() {
         // Recovery replays the self-approved entry; until the decision loop
         // settles it, forwarded proposals are deferred (not lost — retried).
         net.with(NodeId(2), |e, g, out| {
-            e.propose_data(Bytes::from_static(b"later"), g, out)
+            e.propose_payload(write(6, b"later"), g, out)
         });
         net.deliver_all();
         // Decide the backlog, then the retry lands.
@@ -207,10 +216,10 @@ fn mixed_modes_interoperate() {
     let mut net = forward_cluster(5);
     net.with(NodeId(3), |e, g, out| {
         e.set_proposal_mode(ProposalMode::Broadcast);
-        e.propose_data(Bytes::from_static(b"bcast"), g, out);
+        e.propose_payload(write(7, b"bcast"), g, out);
     });
     net.with(NodeId(1), |e, g, out| {
-        e.propose_data(Bytes::from_static(b"fwd"), g, out)
+        e.propose_payload(write(8, b"fwd"), g, out)
     });
     net.deliver_all();
     for _ in 0..4 {
@@ -226,10 +235,66 @@ fn mixed_modes_interoperate() {
         .iter()
         .filter(|(k, _)| *k <= leader.commit_index())
         .map(|(_, e)| match &e.payload {
-            Payload::Data(d) => d.clone(),
+            Payload::Write { data, .. } => data.clone(),
             _ => Bytes::new(),
         })
         .collect();
     assert!(committed.iter().any(|d| &d[..] == b"bcast"));
     assert!(committed.iter().any(|d| &d[..] == b"fwd"));
+}
+
+#[test]
+fn a_dropped_gated_reservation_leaves_the_retry_to_be_placed() {
+    // Node 0 leads and reserves slot 1 for node 1's forwarded write behind a
+    // gate. Node 2 deposes it before the gate releases, so the insert is
+    // dropped. Node 0 leads again and slot 1 commits node 2's write. Node
+    // 1's retry must then be placed: no log holds its write, so an answer
+    // of `committed` would lose it.
+    let mut net = forward_cluster(3);
+    let lost = net.with(NodeId(1), |e, g, out| {
+        e.propose_payload(write(1, b"lost?"), g, out)
+    });
+    let (from, to, msg) = net.queue.pop_front().expect("the forward");
+    assert_eq!((from, to), (NodeId(1), NodeId(0)));
+    let mut gate = GateRecorder::new();
+    let mut out = Actions::new();
+    net.engines[0].on_message(from, msg, &mut gate, &mut out);
+    net.route(NodeId(0), out);
+    let reserved = gate.drain();
+    assert_eq!(reserved.len(), 1);
+    assert_eq!(
+        (reserved[0].index, reserved[0].entry.id),
+        (LogIndex(1), lost)
+    );
+
+    net.tick(NodeId(2), TimerKind::Election);
+    assert_eq!(net.engine(NodeId(2)).role(), Role::Leader);
+    net.with(NodeId(0), |e, g, out| {
+        e.gate_ready(reserved[0].token, g, out)
+    });
+    net.deliver_all();
+    assert_eq!(net.engine(NodeId(0)).log().get(LogIndex(1)), None);
+
+    net.tick(NodeId(0), TimerKind::Election);
+    assert_eq!(net.engine(NodeId(0)).role(), Role::Leader);
+    let other = net.with(NodeId(2), |e, g, out| {
+        e.propose_payload(write(2, b"other"), g, out)
+    });
+    net.deliver_all();
+    net.tick(NodeId(0), TimerKind::Heartbeat);
+    net.tick(NodeId(0), TimerKind::Heartbeat);
+    let leader = net.engine(NodeId(0));
+    assert_eq!(leader.commit_index(), LogIndex(1));
+    assert_eq!(leader.log().get(LogIndex(1)).map(|e| e.id), Some(other));
+
+    net.tick(NodeId(1), TimerKind::ProposalRetry);
+    net.tick(NodeId(0), TimerKind::Heartbeat);
+    net.tick(NodeId(0), TimerKind::Heartbeat);
+    let leader = net.engine(NodeId(0));
+    assert_eq!(
+        leader.log().get(LogIndex(2)).map(|e| e.id),
+        Some(lost),
+        "the retry was not placed"
+    );
+    assert_eq!(leader.commit_index(), LogIndex(2));
 }

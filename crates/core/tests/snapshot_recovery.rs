@@ -15,13 +15,15 @@ use raft::{RaftNode, Timing};
 use storage::{PersistBatch, StableState};
 use wire::{
     fold_commit_digest, Configuration, EntryId, LogEntry, LogIndex, LogScope, NodeId, PersistCmd,
-    Snapshot, Term,
+    SessionId, Snapshot, Term,
 };
 
 fn entry(i: u64) -> LogEntry {
-    LogEntry::data(
+    LogEntry::write(
         Term(1 + i / 7),
         EntryId::new(NodeId(i % 3), i),
+        SessionId::client(1),
+        1,
         Bytes::from(format!("value-{i}").into_bytes()),
     )
 }

@@ -164,7 +164,7 @@ fn fresh_joiner_catches_up_via_snapshot() {
 #[test]
 fn proactive_repair_fires_on_ack_without_waiting_ticks() {
     use consensus_core::FastRaftMessage;
-    use wire::{ConsensusProtocol, EntryId, EntryList, LogEntry};
+    use wire::{ConsensusProtocol, EntryId, EntryList, LogEntry, SessionId};
 
     let (mut net, _) = cluster(5, 0);
     let old_leader = elect(&mut net, NodeId(0));
@@ -177,11 +177,23 @@ fn proactive_repair_fires_on_ack_without_waiting_ticks() {
     let skipped = EntryList::from_vec(vec![
         (
             LogIndex(5),
-            LogEntry::data(term, EntryId::new(old_leader, 500), b"five"[..].into()),
+            LogEntry::write(
+                term,
+                EntryId::new(old_leader, 500),
+                SessionId::client(1),
+                1,
+                b"five"[..].into(),
+            ),
         ),
         (
             LogIndex(6),
-            LogEntry::data(term, EntryId::new(old_leader, 600), b"six"[..].into()),
+            LogEntry::write(
+                term,
+                EntryId::new(old_leader, 600),
+                SessionId::client(1),
+                1,
+                b"six"[..].into(),
+            ),
         ),
     ]);
     net.with_node(NodeId(1), |n, out| {

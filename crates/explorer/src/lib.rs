@@ -10,8 +10,9 @@
 //!   [`Strategy`] picks one enabled [`Choice`] (deliver/duplicate/drop a
 //!   message, fire a timer, crash/recover a node, cut/heal a one-way link,
 //!   stall/unstall a disk, release a gate, advance a client);
-//! - three oracles watch every schedule ([`Violation`]): cross-site commit
-//!   agreement and read linearizability after every step, and — once the
+//! - four oracles watch every schedule ([`Violation`]): cross-site commit
+//!   agreement, read linearizability and lost proposals (a proposer told
+//!   an id committed that no site committed) after every step, and — once the
 //!   schedule is drained to quiescence — a **liveness** oracle asserting
 //!   every placed client op resolved and every gate continuation and
 //!   decision reservation drained;

@@ -30,12 +30,12 @@ use des::{SimDuration, SimTime};
 use storage::{SimDisk, StableState};
 use wire::{
     Actions, ClientOp, ClientOutcome, ClientRequest, Consistency, ConsensusProtocol, Driver,
-    LogScope, NodeId, SafetyChecker, SessionId, TimerCmd, TimerKind,
+    LogScope, NodeId, Observation, SafetyChecker, SessionId, TimerCmd, TimerKind,
 };
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::oracle::Violation;
+use crate::oracle::{self, Violation};
 use crate::schedule::Choice;
 
 /// A protocol the explorer can drive. Everything beyond
@@ -256,6 +256,8 @@ pub struct World<P: Explorable> {
     /// Sends held back by a persist stall, per node, in emission order.
     held: BTreeMap<NodeId, Vec<(NodeId, P::Message)>>,
     steps: u64,
+    /// The first commit notice the lost-proposal oracle refuted.
+    lost: Option<Violation>,
 }
 
 impl<P: Explorable> World<P> {
@@ -280,6 +282,7 @@ impl<P: Explorable> World<P> {
             stalled: BTreeSet::new(),
             held: BTreeMap::new(),
             steps: 0,
+            lost: None,
         };
         let total = world.cfg.ops + u32::from(world.cfg.register_first);
         let ids: Vec<NodeId> = nodes
@@ -338,7 +341,7 @@ impl<P: Explorable> World<P> {
         self.lanes.values().filter(|l| l.unresolved()).count()
     }
 
-    /// The safety/lin violation recorded so far, if any.
+    /// The safety/lin/lost-proposal violation recorded so far, if any.
     pub fn check_safety(&self) -> Option<Violation> {
         if let Some(v) = self.driver.safety.violations().first() {
             return Some(Violation::Safety(v.to_string()));
@@ -346,7 +349,7 @@ impl<P: Explorable> World<P> {
         if let Some(v) = self.driver.safety.lin_violations().first() {
             return Some(Violation::Lin(v.to_string()));
         }
-        None
+        self.lost.clone()
     }
 
     /// Everything a strategy may currently pick.
@@ -529,13 +532,16 @@ impl<P: Explorable> World<P> {
         }
 
         for obs in out.observations.drain(..) {
-            if let wire::Observation::ClientResponse {
-                session,
-                seq,
-                outcome,
-            } = obs
-            {
-                self.settle(from, session, seq, outcome);
+            match obs {
+                Observation::ClientResponse {
+                    session,
+                    seq,
+                    outcome,
+                } => self.settle(from, session, seq, outcome),
+                Observation::ProposalCommitted { id, scope, .. } if self.lost.is_none() => {
+                    self.lost = oracle::lost_proposal(&self.driver.safety, from, scope, id);
+                }
+                _ => {}
             }
         }
     }

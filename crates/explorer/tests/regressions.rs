@@ -21,6 +21,13 @@ fn replay_checked_in(name: &str) -> Option<explorer::Violation> {
 /// forever — wedging reconfig, read nudges, and (under LeaderForward)
 /// every forwarded proposal. Found by `explore --proto gated --strategy
 /// hammer` at seed 1; fixed in `gate_ready`'s LeaderAppend arm.
+///
+/// The same schedule also loses a proposal: leader n2 reserves slot 1 for
+/// n1's forwarded `n1:0`, its term ends before the gate releases, slot 1
+/// commits `n0:0`, and the stale reservation answered n1's retry
+/// `committed` — no log ever held `n1:0`. The lost-proposal oracle flags
+/// it; fixed by dropping the reservation with the insert in the same arm,
+/// and by `Replica::is_committed` checking that the log holds the id.
 #[test]
 fn gated_noop_wedge_stays_fixed() {
     let v = replay_checked_in("gated_noop_wedge.trace");

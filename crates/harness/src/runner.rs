@@ -529,7 +529,7 @@ impl<P: ConsensusProtocol> Runner<P> {
         for commit in out.commits.drain(..) {
             if commit.scope == LogScope::Global {
                 let items = match &commit.entry.payload {
-                    Payload::Data(_) | Payload::Write { .. } => 1,
+                    Payload::Write { .. } => 1,
                     Payload::Batch(b) => b.len() as u64,
                     _ => 0,
                 };

@@ -1,24 +1,13 @@
-//! Every replica's proposal-id index stays bounded on long runs.
+//! Every replica's proposal-id map stays bounded on long runs.
 //!
 //! `Replica::id_index` answers "where does proposal `id` sit" for the
-//! duplicate rule (§IV-B). It used to keep one `id → index` entry per
-//! committed entry for the life of the replica. Now only the retained log
-//! is mapped exactly; at or below the compaction horizon ids are *settled*
-//! into `(proposer, seq)` ranges. Each cell below compacts dozens of times,
-//! with loss, snapshot installs and (flat cells) a leader crash, and
-//! samples every replica once per simulated second:
-//!
-//! - live mappings never exceed the retained log plus the gated slot
-//!   reservations (mappings whose entry is not in the log yet);
-//! - settled ranges never exceed two per proposer plus one per snapshot
-//!   install so far. A gap between two ranges is an id the replica must
-//!   keep answering "absent": a proposal that never committed (a crash
-//!   discards the rest of a reserved seq block), or one whose slot an
-//!   install jumped past before the replica knew it committed (an install
-//!   keeps only the mappings at or below the old commit index). A Fast Raft
-//!   leader snapshots even connected followers after each compaction, so
-//!   there the ranges grow with installs — by about one per install, where
-//!   the old table grew by one entry per committed entry.
+//! duplicate rule (§IV-B). It maps only ids placed above the compaction
+//! horizon: compaction and snapshot installs drop what the log drops, so it
+//! never holds more than the retained log plus the gated slot reservations
+//! (mappings whose entry is not in the log yet). Each cell below compacts
+//! dozens of times, with loss, snapshot installs and (flat cells) a leader
+//! crash, and samples every replica once per simulated second against that
+//! bound.
 
 use consensus_core::{CRaftConfig, CRaftNode, FastRaftEngine, FastRaftNode, ProposalMode};
 use des::{SimDuration, SimRng, SimTime};
@@ -26,7 +15,10 @@ use harness::{FaultAction, Runner, RunnerConfig, SafetyChecker, Workload};
 use raft::{RaftNode, Timing};
 use simnet::{BernoulliLoss, Network, RegionLatency, Topology, UniformLatency};
 use storage::StableState;
-use wire::{ClusterId, Configuration, ConsensusProtocol, IdIndex, LogScope, NodeId, SparseLog};
+use wire::{
+    ClusterId, Configuration, ConsensusProtocol, EntryId, IdMap, LogIndex, LogScope, NodeId,
+    SparseLog,
+};
 
 /// Client gateways (one closed-loop session each).
 const CLIENTS: [NodeId; 3] = [NodeId(1), NodeId(2), NodeId(3)];
@@ -36,21 +28,19 @@ const CLIENTS: [NodeId; 3] = [NodeId(1), NodeId(2), NodeId(3)];
 const CRASH_AT: SimTime = SimTime::from_secs(60);
 const RECOVER_AT: SimTime = SimTime::from_secs(120);
 
-/// One replica's index, and what bounds its live part.
+/// One replica's id map, and what bounds it.
 struct Sample {
     live: usize,
     retained: usize,
     reserved: usize,
-    runs: usize,
 }
 
 impl Sample {
-    fn of(ids: &IdIndex, log: &SparseLog, reserved: usize) -> Self {
+    fn of(ids: &IdMap<EntryId, LogIndex>, log: &SparseLog, reserved: usize) -> Self {
         Sample {
-            live: ids.live_len(),
+            live: ids.len(),
             retained: log.len(),
             reserved,
-            runs: ids.settled_runs(),
         }
     }
 
@@ -60,15 +50,14 @@ impl Sample {
 }
 
 /// Runs the workload to completion, sampling every one of `sites` once per
-/// simulated second (every site may mint proposal ids), and checks both
-/// bounds at each sample. Returns the peak live count and the peak range
-/// count.
+/// simulated second (every site may mint proposal ids), and checks the
+/// bound at each sample. Returns the peak mapping count.
 fn run_sampled<P: ConsensusProtocol>(
     runner: &mut Runner<P>,
     sites: u64,
     sample: impl Fn(&P) -> Vec<Sample>,
-) -> (usize, usize) {
-    let (mut peak_live, mut peak_runs) = (0, 0);
+) -> usize {
+    let mut peak_live = 0;
     let mut t = SimTime::ZERO;
     while !runner.workload_done() {
         t += SimDuration::from_secs(1);
@@ -77,7 +66,6 @@ fn run_sampled<P: ConsensusProtocol>(
             "the workload never finished"
         );
         runner.run_until(t);
-        let max_runs = 2 * sites as usize + runner.metrics().snapshot_installs as usize;
         for id in (0..sites).map(NodeId) {
             let Some(node) = runner.node(id) else {
                 continue; // crashed
@@ -90,13 +78,7 @@ fn run_sampled<P: ConsensusProtocol>(
                     s.retained,
                     s.reserved
                 );
-                assert!(
-                    s.runs <= max_runs,
-                    "{id} at {t}: {} settled ranges, bound {max_runs}",
-                    s.runs
-                );
                 peak_live = peak_live.max(s.live);
-                peak_runs = peak_runs.max(s.runs);
             }
         }
     }
@@ -105,7 +87,7 @@ fn run_sampled<P: ConsensusProtocol>(
         runner.metrics().compactions > 20,
         "too few compactions to tell"
     );
-    (peak_live, peak_runs)
+    peak_live
 }
 
 fn runner_cfg(seed: u64, ack_scope: LogScope, timing: Timing) -> RunnerConfig {
@@ -138,7 +120,7 @@ fn flat_cell<P: ConsensusProtocol>(
     make: impl Fn(NodeId, Configuration, Timing, SimRng) -> P,
     recover: impl Fn(NodeId, &StableState, Configuration, Timing, SimRng) -> P + 'static,
     sample: impl Fn(&P) -> Sample,
-) -> (usize, usize) {
+) -> usize {
     let sites = 5u64;
     let cfg: Configuration = (0..sites).map(NodeId).collect();
     let root = SimRng::seed_from_u64(seed);
@@ -193,18 +175,18 @@ fn flat_cell<P: ConsensusProtocol>(
 
 #[test]
 fn fast_raft_id_index_stays_bounded_through_crash_and_snapshots() {
-    let (live, runs) = flat_cell(2901, FastRaftNode::new, FastRaftNode::recover, |n| {
+    let live = flat_cell(2901, FastRaftNode::new, FastRaftNode::recover, |n| {
         Sample::of(n.id_index(), n.log(), 0)
     });
-    eprintln!("fast raft: peak live {live}, peak settled ranges {runs}");
+    eprintln!("fast raft: peak id mappings {live}");
 }
 
 #[test]
 fn classic_raft_id_index_stays_bounded_through_crash_and_snapshots() {
-    let (live, runs) = flat_cell(2902, RaftNode::new, RaftNode::recover, |n| {
+    let live = flat_cell(2902, RaftNode::new, RaftNode::recover, |n| {
         Sample::of(n.id_index(), n.log(), 0)
     });
-    eprintln!("classic raft: peak live {live}, peak settled ranges {runs}");
+    eprintln!("classic raft: peak id mappings {live}");
 }
 
 /// C-Raft, 3 clusters × 2 sites over three regions, 2 % loss, 20,000
@@ -247,11 +229,11 @@ fn craft_id_index_stays_bounded_at_both_levels() {
         runner_cfg(seed, LogScope::Local, Timing::lan()),
         SafetyChecker::with_domains(move |n| n.as_u64() / PER),
     );
-    let (live, runs) = run_sampled(&mut runner, CLUSTERS * PER, |n: &CRaftNode| {
+    let live = run_sampled(&mut runner, CLUSTERS * PER, |n: &CRaftNode| {
         let global = n.global_engine().map(Sample::of_engine);
         std::iter::once(Sample::of_engine(n.local_engine()))
             .chain(global)
             .collect()
     });
-    eprintln!("c-raft: peak live {live}, peak settled ranges {runs}");
+    eprintln!("c-raft: peak id mappings {live}");
 }

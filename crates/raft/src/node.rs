@@ -178,8 +178,9 @@ impl RaftNode {
         self.core.applied.sessions()
     }
 
-    /// Where each known proposal id sits in the log.
-    pub fn id_index(&self) -> &wire::IdIndex {
+    /// Where each proposal id placed above the compaction horizon sits in
+    /// the log.
+    pub fn id_index(&self) -> &wire::IdMap<EntryId, LogIndex> {
         &self.core.id_index
     }
 

@@ -6,9 +6,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use des::{IdMap, SimRng, SimTime};
 use storage::ScopeState;
 use wire::{
-    Actions, Approval, ClientOutcome, Configuration, Consistency, EntryId, EntryList, IdIndex,
-    LogEntry, LogIndex, LogScope, NodeId, Observation, PersistCmd, SessionId, Snapshot, SparseLog,
-    Term, TimerKind, MAX_INSERT_WINDOW,
+    Actions, Approval, ClientOutcome, Configuration, Consistency, EntryId, EntryList, LogEntry,
+    LogIndex, LogScope, NodeId, Observation, PersistCmd, SessionId, Snapshot, SparseLog, Term,
+    TimerKind, MAX_INSERT_WINDOW,
 };
 
 use super::{reply, Applied, ClientReplyMessage, ProposalIds, ReadPath};
@@ -94,9 +94,11 @@ pub struct Replica {
     pub reads: ReadPath,
 
     // ---- bookkeeping ----
-    /// Where each known proposal id sits in the log (dedup + notification):
-    /// exact above the compaction horizon, settled at or below it.
-    pub id_index: IdIndex,
+    /// Where each proposal id placed above the compaction horizon sits in
+    /// the log, gated slot reservations included (dedup + notification; see
+    /// [`Replica::is_committed`]). An id at or below the horizon is
+    /// forgotten: its `(session, seq)` key dedups a retry of it.
+    pub id_index: IdMap<EntryId, LogIndex>,
     /// Scratch for one AppendEntries dispatch's `(nextIndex, follower)`
     /// pairs: empty between steps, capacity retained.
     append_scratch: Vec<(LogIndex, NodeId)>,
@@ -137,7 +139,7 @@ impl Replica {
             ids: ProposalIds::new(id, scope),
             client_writes: IdMap::default(),
             reads: ReadPath::new(id, scope, &timing),
-            id_index: IdIndex::default(),
+            id_index: IdMap::default(),
             append_scratch: Vec::new(),
         }
     }
@@ -176,7 +178,20 @@ impl Replica {
             self.config = cfg.clone();
             self.config_index = idx;
         }
-        self.id_index = IdIndex::rebuild(&self.log);
+        self.id_index = IdMap::default();
+        for (index, entry) in self.log.iter() {
+            self.id_index.insert(entry.id, index);
+        }
+    }
+
+    /// `true` when proposal `id` is committed here: its slot is at or below
+    /// the commit index and the log holds `id` there. The second half
+    /// matters: a gated reservation maps an id to a slot its insert may
+    /// never reach, and that slot can commit another entry.
+    pub fn is_committed(&self, id: &EntryId) -> bool {
+        self.id_index.get(id).is_some_and(|&k| {
+            k <= self.commit_index && self.log.get(k).is_some_and(|e| e.id == *id)
+        })
     }
 
     /// Persists the term and vote (write-ahead: durable before any message
@@ -381,9 +396,8 @@ impl Replica {
     }
 
     /// Writes `entry` into slot `index` (write-ahead persisted), replacing
-    /// any occupant and re-pointing the id index: once the slot is
-    /// compacted, a loser's mapping alone would answer its retries as
-    /// committed. A leader-approved configuration entry at or above the one
+    /// any occupant and re-pointing the id map: a loser's mapping would
+    /// make its retries look in flight. A leader-approved configuration entry at or above the one
     /// obeyed so far is obeyed from here on — "each site considers the last
     /// appended configuration entry to be its current configuration"
     /// (§III-A); a merely proposed (self-approved) one is not.
@@ -550,11 +564,10 @@ impl Replica {
 
     /// Compacts the applied prefix into a snapshot once it outgrows
     /// [`Timing::snapshot_threshold`] (see [`Applied::maybe_compact`]).
-    /// The id index settles the compacted prefix first, while the log still
-    /// holds it.
+    /// The id map forgets the compacted prefix with the log.
     pub fn maybe_compact<M>(&mut self, out: &mut Actions<M>) {
         if let Some(through) = self.applied.compaction_point(&self.log) {
-            self.id_index.compact(&self.log, through);
+            self.id_index.retain(|_, k| *k > through);
         }
         self.applied
             .maybe_compact(&mut self.log, &self.config, self.config_index, out);
@@ -587,19 +600,16 @@ impl Replica {
             out.send(from, M::install_snapshot_reply(self.current_term, covered));
             return false;
         }
-        let old_commit = self.commit_index;
         out.persist(PersistCmd::InstallSnapshot {
             snapshot: snapshot.clone(),
         });
-        // Drop id mappings for entries the install discarded. Only mappings
-        // at or below the *pre-install* commit index are known committed
-        // (they settle, and keep answering duplicate proposals as such) — an
-        // uncommitted entry below the new horizon (a deposed leader's fork,
-        // a self-approved proposal that lost its slot) must not be reported
-        // committed.
-        self.id_index.compact(&self.log, old_commit);
         self.log.install_snapshot(last_index, snapshot.last_term);
-        self.id_index.install(&self.log);
+        // The id map drops what the log dropped: every slot at or below the
+        // new horizon, and any above it whose entry did not survive.
+        let log = &self.log;
+        let horizon = log.compacted_through();
+        self.id_index
+            .retain(|_, k| *k > horizon && log.get(*k).is_some());
         // Adopt the snapshot's configuration unless a *surviving* config
         // entry above the horizon supersedes it; a config entry the install
         // discarded (conflicting suffix) must no longer be obeyed.

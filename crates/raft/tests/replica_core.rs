@@ -603,7 +603,7 @@ fn stale_install_snapshot_acks_actual_coverage_and_persists_nothing() {
 }
 
 #[test]
-fn install_keeps_id_mappings_below_the_old_commit_and_drops_discarded_uncommitted_ones() {
+fn install_drops_id_mappings_at_or_below_the_horizon_and_in_a_discarded_suffix() {
     let id = |i| EntryId::new(NodeId(0), i);
     let build = || {
         let mut r = replica(2, 0..3, Timing::lan());
@@ -629,13 +629,10 @@ fn install_keeps_id_mappings_below_the_old_commit_and_drops_discarded_uncommitte
     // `write_entry` stamps Term(1): a snapshot whose boundary term matches
     // keeps the suffix above it, one that conflicts discards everything.
     let mut kept = build();
+    assert_eq!(mapped(&kept), vec![1, 2, 3, 4, 5, 6]);
     let mut out = Out::new();
     assert!(kept.install_snapshot(NodeId(0), Term(0), snapshot_at(5, 1, cfg(0..3)), &mut out));
-    assert_eq!(
-        mapped(&kept),
-        vec![1, 2, 3, 6],
-        "4 and 5 were never known committed"
-    );
+    assert_eq!(mapped(&kept), vec![6], "the horizon forgets 1 to 5");
     assert_eq!(kept.log.get(LogIndex(6)).map(|e| e.id), Some(id(6)));
 
     let mut forked = build();
@@ -643,7 +640,7 @@ fn install_keeps_id_mappings_below_the_old_commit_and_drops_discarded_uncommitte
     assert!(forked.install_snapshot(NodeId(0), Term(0), snapshot_at(5, 2, cfg(0..3)), &mut out));
     assert_eq!(
         mapped(&forked),
-        vec![1, 2, 3],
+        Vec::<u64>::new(),
         "the conflicting suffix goes too"
     );
     assert!(forked.log.get(LogIndex(6)).is_none());

@@ -136,11 +136,13 @@ mod tests {
     #[test]
     fn crash_recovery_preserves_stable_only() {
         use bytes::Bytes;
-        use wire::{EntryId, LogEntry};
+        use wire::{EntryId, LogEntry, SessionId};
         let mut d = SimDisk::new();
-        let entry = LogEntry::data(
+        let entry = LogEntry::write(
             Term(1),
             EntryId::new(NodeId(1), 0),
+            SessionId::client(1),
+            1,
             Bytes::from_static(b"v"),
         );
         d.apply(

@@ -183,12 +183,14 @@ impl StableState {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use wire::{EntryId, LogEntry, LogIndex};
+    use wire::{EntryId, LogEntry, LogIndex, SessionId};
 
     fn entry(term: u64, seq: u64) -> LogEntry {
-        LogEntry::data(
+        LogEntry::write(
             Term(term),
             EntryId::new(NodeId(1), seq),
+            SessionId::client(1),
+            1,
             Bytes::from_static(b"v"),
         )
     }

@@ -702,10 +702,6 @@ impl Wire for Payload {
     fn encode(&self, e: &mut Encoder) {
         match self {
             Payload::Noop => e.put_u8(0),
-            Payload::Data(b) => {
-                e.put_u8(1);
-                b.encode(e);
-            }
             Payload::Config(c) => {
                 e.put_u8(2);
                 c.encode(e);
@@ -733,7 +729,6 @@ impl Wire for Payload {
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         match d.u8()? {
             0 => Ok(Payload::Noop),
-            1 => Ok(Payload::Data(Bytes::decode(d)?)),
             2 => Ok(Payload::Config(Configuration::decode(d)?)),
             3 => Ok(Payload::Batch(Batch::decode(d)?)),
             4 => Ok(Payload::GlobalState(GlobalState::decode(d)?)),
@@ -751,7 +746,6 @@ impl Wire for Payload {
     fn encoded_len(&self) -> usize {
         1 + match self {
             Payload::Noop => 0,
-            Payload::Data(b) => b.encoded_len(),
             Payload::Config(c) => c.encoded_len(),
             Payload::Batch(b) => b.encoded_len(),
             Payload::GlobalState(g) => g.encoded_len(),
@@ -837,7 +831,13 @@ mod tests {
         roundtrip(&cfg);
         roundtrip(&Approval::SelfApproved);
         roundtrip(&Approval::LeaderApproved);
-        let data = LogEntry::data(Term(3), EntryId::new(NodeId(1), 0), Bytes::from_static(b"v"));
+        let data = LogEntry::write(
+            Term(3),
+            EntryId::new(NodeId(1), 0),
+            SessionId::client(1),
+            1,
+            Bytes::from_static(b"v"),
+        );
         roundtrip(&data);
         roundtrip(&LogEntry::noop(Term(1), EntryId::new(NodeId(2), 1)));
         roundtrip(&LogEntry::config(
@@ -980,7 +980,13 @@ mod tests {
 
     #[test]
     fn entry_list_roundtrips() {
-        let e = LogEntry::data(Term(3), EntryId::new(NodeId(1), 0), Bytes::from_static(b"v"));
+        let e = LogEntry::write(
+            Term(3),
+            EntryId::new(NodeId(1), 0),
+            SessionId::client(1),
+            1,
+            Bytes::from_static(b"v"),
+        );
         roundtrip(&EntryList::empty());
         roundtrip(&EntryList::from_vec(vec![
             (LogIndex(2), e.clone()),
@@ -993,7 +999,13 @@ mod tests {
 
     #[test]
     fn truncated_input_errors() {
-        let entry = LogEntry::data(Term(3), EntryId::new(NodeId(1), 0), Bytes::from_static(b"v"));
+        let entry = LogEntry::write(
+            Term(3),
+            EntryId::new(NodeId(1), 0),
+            SessionId::client(1),
+            1,
+            Bytes::from_static(b"v"),
+        );
         let bytes = entry.to_bytes();
         for cut in 0..bytes.len() {
             let err = LogEntry::from_bytes(&bytes[..cut]);

@@ -125,8 +125,6 @@ pub enum Payload {
     /// A leader no-op, appended on election to commit an entry of the new
     /// term (standard Raft practice; enables commit-index advancement).
     Noop,
-    /// Application data.
-    Data(Bytes),
     /// A session-tagged client write (exactly-once semantics): replicas
     /// apply it through their `SessionTable`, so a retried `seq` that
     /// commits at a second index is recognized and skipped.
@@ -160,7 +158,6 @@ impl Payload {
     pub fn kind(&self) -> &'static str {
         match self {
             Payload::Noop => "noop",
-            Payload::Data(_) => "data",
             Payload::Write { .. } => "write",
             Payload::Config(_) => "config",
             Payload::Batch(_) => "batch",
@@ -205,16 +202,6 @@ pub struct LogEntry {
 }
 
 impl LogEntry {
-    /// Creates a data entry.
-    pub fn data(term: Term, id: EntryId, data: Bytes) -> Self {
-        LogEntry {
-            term,
-            id,
-            payload: Payload::Data(data),
-            approval: Approval::LeaderApproved,
-        }
-    }
-
     /// Creates a session-tagged client write entry.
     pub fn write(term: Term, id: EntryId, session: SessionId, seq: u64, data: Bytes) -> Self {
         LogEntry {
@@ -321,9 +308,10 @@ impl fmt::Display for LogEntry {
 ///
 /// ```
 /// use bytes::Bytes;
-/// use wire::{EntryId, EntryList, LogEntry, LogIndex, NodeId, Term};
+/// use wire::{EntryId, EntryList, LogEntry, LogIndex, NodeId, SessionId, Term};
 ///
-/// let e = LogEntry::data(Term(1), EntryId::new(NodeId(1), 0), Bytes::from_static(b"v"));
+/// let id = EntryId::new(NodeId(1), 0);
+/// let e = LogEntry::write(Term(1), id, SessionId::client(1), 1, Bytes::from_static(b"v"));
 /// let list = EntryList::from_vec(vec![(LogIndex(3), e)]);
 /// let shared = list.clone(); // O(1): same allocation
 /// assert_eq!(shared.len(), 1);
@@ -461,8 +449,14 @@ mod tests {
 
     #[test]
     fn constructors_set_expected_payloads() {
-        let d = LogEntry::data(Term(1), id(1, 0), Bytes::from_static(b"x"));
-        assert_eq!(d.payload.kind(), "data");
+        let d = LogEntry::write(
+            Term(1),
+            id(1, 0),
+            SessionId::client(1),
+            1,
+            Bytes::from_static(b"x"),
+        );
+        assert_eq!(d.payload.kind(), "write");
         let n = LogEntry::noop(Term(2), id(1, 1));
         assert_eq!(n.payload.kind(), "noop");
         let c = LogEntry::config(Term(3), id(1, 2), Configuration::new([NodeId(1)]));
@@ -473,16 +467,34 @@ mod tests {
 
     #[test]
     fn same_proposal_ignores_term_and_approval() {
-        let a = LogEntry::data(Term(1), id(1, 0), Bytes::from_static(b"x"));
+        let a = LogEntry::write(
+            Term(1),
+            id(1, 0),
+            SessionId::client(1),
+            1,
+            Bytes::from_static(b"x"),
+        );
         let b = a.with_term(Term(5)).with_approval(Approval::SelfApproved);
         assert!(a.same_proposal(&b));
-        let c = LogEntry::data(Term(1), id(1, 1), Bytes::from_static(b"x"));
+        let c = LogEntry::write(
+            Term(1),
+            id(1, 1),
+            SessionId::client(1),
+            1,
+            Bytes::from_static(b"x"),
+        );
         assert!(!a.same_proposal(&c));
     }
 
     #[test]
     fn with_approval_does_not_mutate_original() {
-        let a = LogEntry::data(Term(1), id(1, 0), Bytes::from_static(b"x"));
+        let a = LogEntry::write(
+            Term(1),
+            id(1, 0),
+            SessionId::client(1),
+            1,
+            Bytes::from_static(b"x"),
+        );
         let b = a.with_approval(Approval::SelfApproved);
         assert_eq!(a.approval, Approval::LeaderApproved);
         assert_eq!(b.approval, Approval::SelfApproved);
@@ -521,7 +533,13 @@ mod tests {
 
     #[test]
     fn entry_list_shares_allocation() {
-        let e = LogEntry::data(Term(1), id(1, 0), Bytes::from_static(b"v"));
+        let e = LogEntry::write(
+            Term(1),
+            id(1, 0),
+            SessionId::client(1),
+            1,
+            Bytes::from_static(b"v"),
+        );
         let list = EntryList::from_vec(vec![(LogIndex(2), e.clone()), (LogIndex(5), e)]);
         let shared = list.clone();
         assert_eq!(shared.len(), 2);
@@ -539,7 +557,13 @@ mod tests {
             .map(|i| {
                 (
                     LogIndex(i + 1),
-                    LogEntry::data(Term(1), id(1, i), Bytes::from_static(b"v")),
+                    LogEntry::write(
+                        Term(1),
+                        id(1, i),
+                        SessionId::client(1),
+                        1,
+                        Bytes::from_static(b"v"),
+                    ),
                 )
             })
             .collect();
@@ -565,9 +589,15 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = LogEntry::data(Term(1), id(2, 3), Bytes::from_static(b"x"));
+        let e = LogEntry::write(
+            Term(1),
+            id(2, 3),
+            SessionId::client(1),
+            1,
+            Bytes::from_static(b"x"),
+        );
         let s = e.to_string();
-        assert!(s.contains("data"));
+        assert!(s.contains("write"));
         assert!(s.contains("T1"));
         assert!(s.contains("n2:3"));
     }

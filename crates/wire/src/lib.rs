@@ -3,8 +3,7 @@
 //! The shared vocabulary of the whole stack:
 //!
 //! - identifiers: [`NodeId`], [`ClusterId`], [`Term`], [`LogIndex`],
-//!   [`EntryId`], and a replica's [`IdIndex`] of where each proposal id
-//!   sits in its log;
+//!   [`EntryId`];
 //! - quorum arithmetic: [`classic_quorum`], [`fast_quorum`] with the
 //!   intersection properties Fast Raft's safety proof rests on;
 //! - membership: [`Configuration`] (deterministically ordered);
@@ -42,7 +41,6 @@ mod config;
 mod driver;
 mod entry;
 mod envelope;
-mod id_index;
 mod ids;
 mod lease;
 mod log;
@@ -67,7 +65,6 @@ pub use driver::{Driver, Slot};
 pub use des::{IdMap, IdSet};
 pub use entry::{Approval, Batch, BatchItem, EntryList, GlobalState, LogEntry, Payload};
 pub use envelope::{GroupFrame, ShardEnvelope};
-pub use id_index::{IdIndex, Placement};
 pub use ids::{ClusterId, EntryId, GroupId, LogIndex, NodeId, Term};
 pub use lease::{LeaseState, VoteHold};
 pub use log::{SparseLog, MAX_INSERT_WINDOW};

@@ -103,10 +103,11 @@ impl Seg {
 ///
 /// ```
 /// use bytes::Bytes;
-/// use wire::{EntryId, LogEntry, LogIndex, NodeId, SparseLog, Term};
+/// use wire::{EntryId, LogEntry, LogIndex, NodeId, SessionId, SparseLog, Term};
 ///
 /// let mut log = SparseLog::new();
-/// let e = LogEntry::data(Term(1), EntryId::new(NodeId(1), 0), Bytes::from_static(b"v"));
+/// let id = EntryId::new(NodeId(1), 0);
+/// let e = LogEntry::write(Term(1), id, SessionId::client(1), 1, Bytes::from_static(b"v"));
 /// // Insert at index 3 directly; 1 and 2 are holes.
 /// log.insert(LogIndex(3), e.clone());
 /// assert_eq!(log.last_index(), LogIndex(3));
@@ -793,13 +794,15 @@ impl FromIterator<LogEntry> for SparseLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Configuration, EntryId, NodeId};
+    use crate::{Configuration, EntryId, NodeId, SessionId};
     use bytes::Bytes;
 
     fn entry(term: u64, seq: u64) -> LogEntry {
-        LogEntry::data(
+        LogEntry::write(
             Term(term),
             EntryId::new(NodeId(1), seq),
+            SessionId::client(1),
+            1,
             Bytes::from_static(b"v"),
         )
     }

@@ -170,6 +170,14 @@ impl SafetyChecker {
         }
     }
 
+    /// `true` when some site committed `id` in the `scope` log `node` of
+    /// `group` is judged in (see [`SafetyChecker::domain`]): a scan of that
+    /// log's book, for oracles that check what a node was told.
+    pub fn is_committed(&self, group: GroupId, node: NodeId, scope: LogScope, id: EntryId) -> bool {
+        let book = self.chosen.get(&(group, self.domain(node, scope), scope));
+        book.is_some_and(|b| b.iter().flatten().any(|&(_, e)| e == id))
+    }
+
     // ------------------------------------------------------------------
     // Client-level linearizability checking
     // ------------------------------------------------------------------
@@ -188,22 +196,11 @@ impl SafetyChecker {
     /// Idempotent for retries of the same `(session, seq)` — the
     /// linearization window opens at the first invocation.
     pub fn read_started(&mut self, session: SessionId, seq: u64) {
-        let snapshot = [
-            (
-                LogScope::Global,
-                self.completed_bound
-                    .get(&LogScope::Global)
-                    .copied()
-                    .unwrap_or(LogIndex::ZERO),
-            ),
-            (
-                LogScope::Local,
-                self.completed_bound
-                    .get(&LogScope::Local)
-                    .copied()
-                    .unwrap_or(LogIndex::ZERO),
-            ),
-        ];
+        let bound = |scope| {
+            let index = self.completed_bound.get(&scope).copied();
+            (scope, index.unwrap_or(LogIndex::ZERO))
+        };
+        let snapshot = [bound(LogScope::Global), bound(LogScope::Local)];
         self.read_bounds.entry((session, seq)).or_insert(snapshot);
     }
 

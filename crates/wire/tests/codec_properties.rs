@@ -53,7 +53,6 @@ fn arb_batch() -> impl Strategy<Value = Batch> {
 fn arb_flat_payload() -> impl Strategy<Value = Payload> {
     prop_oneof![
         Just(Payload::Noop),
-        arb_bytes().prop_map(Payload::Data),
         (any::<u64>(), any::<u64>(), arb_bytes()).prop_map(|(s, seq, data)| Payload::Write {
             session: SessionId(s),
             seq,

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 use proptest::prelude::*;
 use wire::{
-    AppendBudget, Approval, EntryId, LogEntry, LogIndex, NodeId, SparseLog, Term, Wire,
+    AppendBudget, Approval, EntryId, LogEntry, LogIndex, NodeId, SessionId, SparseLog, Term, Wire,
 };
 
 /// The previous `SparseLog` representation, kept as the reference model.
@@ -183,9 +183,11 @@ fn arb_op() -> impl Strategy<Value = Op> {
 }
 
 fn entry(term: u64, seq: u64, self_approved: bool) -> LogEntry {
-    let e = LogEntry::data(
+    let e = LogEntry::write(
         Term(term),
         EntryId::new(NodeId(1), seq),
+        SessionId::client(1),
+        1,
         Bytes::from_static(b"model"),
     );
     if self_approved {

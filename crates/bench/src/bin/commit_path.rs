@@ -1,10 +1,9 @@
 //! Deterministic write-path probe: one write-only closed-loop workload
 //! (11-site classic Raft, every site proposing, fsync latency modeled at
-//! 10 ms) run three times from the same seed — group commit, the unbatched
-//! one-fsync-per-command twin, and group commit with pipelined apply. The
-//! experiment itself asserts the write-path contract: identical persisted
-//! command streams, fewer fsync boundaries and higher throughput for group
-//! commit, per-node digests identical between pipelined and inline apply.
+//! 10 ms) run twice from the same seed — group commit and the unbatched
+//! one-fsync-per-command twin. The experiment itself asserts the write-path
+//! contract: comparable persisted command streams, fewer fsync boundaries
+//! and higher throughput for group commit.
 //! `--json` feeds the fsync-ratio / cmds-per-batch / throughput series to
 //! the CI gate.
 
@@ -22,11 +21,6 @@ fn main() {
     assert!(
         result.tput_speedup() > 1.0,
         "group commit failed to win on throughput"
-    );
-    assert!(
-        result.pipelined_tput_ratio() > 0.95,
-        "the pipelined drain stage cost throughput: {:.3}",
-        result.pipelined_tput_ratio()
     );
     opts.write_json(&result.to_json());
 }

@@ -929,23 +929,6 @@ impl wire::ConsensusProtocol for CRaftNode {
             );
         }
     }
-
-    fn pending_applies(&self) -> u64 {
-        self.local.pending_applies()
-            + self
-                .global
-                .as_ref()
-                .map_or(0, |side| side.engine.pending_applies())
-    }
-
-    fn drain_applies(&mut self, out: &mut Actions<CRaftMessage>) {
-        // Local first: a locally applied commit may feed the global batcher
-        // (forward_local_actions consumes the commit records), so draining
-        // local before global keeps the intra-step ordering of the inline
-        // path.
-        self.step_local(out, |engine, _, ea| engine.drain_applies(ea));
-        self.step_global(out, |engine, _, ea| engine.drain_applies(ea));
-    }
 }
 
 /// The global batch item for a locally committed client value, if the entry

@@ -10,13 +10,7 @@ impl FastRaftEngine {
     /// Advances the commit index through `new_commit`, emitting effects.
     /// `fast` names the track that decided on the leader; followers pass
     /// `None` — the leader decided, so there is no track observation.
-    ///
-    /// Inline (the default) this applies each index on the spot, exactly as
-    /// before; under [`Timing::pipelined_apply`] only the track observations
-    /// and the commit-side protocol bookkeeping happen here — apply effects
-    /// wait for the embedding's drain stage
-    /// ([`FastRaftEngine::drain_applies`]), so the leader keeps assembling
-    /// the next AppendEntries while the committed range applies.
+    /// Each index applies on the spot.
     pub(super) fn commit_through(
         &mut self,
         new_commit: LogIndex,
@@ -28,7 +22,6 @@ impl FastRaftEngine {
             return;
         }
         self.core.commit_index = new_commit;
-        let inline = !self.core.timing.pipelined_apply;
         let mut k = old.next();
         while k <= new_commit {
             match fast {
@@ -36,37 +29,12 @@ impl FastRaftEngine {
                 Some(false) => out.observe(Observation::ClassicTrackCommit { index: k }),
                 None => {}
             }
-            if inline {
-                self.emit_commit_effects(k, out);
-            }
+            self.emit_commit_effects(k, out);
             k = k.next();
         }
         self.possible.release_through(new_commit);
         self.retarget_lost_proposals(out);
-        if inline {
-            self.core.maybe_compact(out);
-        }
-    }
-
-    /// Drains the pipelined-apply queue: applies every committed-but-
-    /// unapplied index in commit order, with effects identical to the
-    /// inline path — digest folds, session-table transitions, proposer and
-    /// gateway notifications, commit records, compaction, and the release
-    /// of reads whose floor the state machine just reached.
-    pub fn drain_applies(&mut self, out: &mut Actions<FastRaftMessage>) {
-        while self.core.applied.index() < self.core.commit_index {
-            self.emit_commit_effects(self.core.applied.index().next(), out);
-        }
         self.core.maybe_compact(out);
-        self.core
-            .reads
-            .release_applied_reads(self.core.applied.index(), out);
-    }
-
-    /// Number of committed-but-unapplied indices queued for pipelined
-    /// apply; always zero at step boundaries in inline mode.
-    pub fn pending_applies(&self) -> u64 {
-        self.core.applied.pending_applies(self.core.commit_index)
     }
 
     /// Applies committed index `k`: digest, session table, proposer and

@@ -395,13 +395,6 @@ impl FastRaftEngine {
         self.core.commit_index
     }
 
-    /// The highest index applied to the state machine. Equal to
-    /// [`FastRaftEngine::commit_index`] except transiently under
-    /// [`Timing::pipelined_apply`], between commit and the drain stage.
-    pub fn applied_index(&self) -> LogIndex {
-        self.core.applied.index()
-    }
-
     /// The log at this level.
     pub fn log(&self) -> &wire::SparseLog {
         &self.core.log

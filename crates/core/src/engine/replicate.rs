@@ -261,10 +261,9 @@ impl FastRaftEngine {
                 self.maybe_finish_join(from, out);
                 self.advance_commit_classic(out);
                 self.maybe_proactive_repair(match_index, out);
-                let applied = self.core.applied.index();
                 self.core
                     .reads
-                    .note_read_ack(from, probe, applied, &self.core.config, out);
+                    .note_read_ack(from, probe, &self.core.config, out);
             }
             // Stale-term rejection carries no hint; rewind to the commit
             // point so the next dispatch re-sends the suffix.

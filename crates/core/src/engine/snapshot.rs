@@ -57,7 +57,6 @@ impl FastRaftEngine {
             let outcome = replica::covered_outcome(register, session, first_index);
             self.respond_client(self.core.id, session, seq, outcome, out);
         }
-        self.core.reads.release_applied_reads(last_index, out);
         self.retarget_lost_proposals(out);
         out.send(
             from,

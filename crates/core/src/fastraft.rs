@@ -125,12 +125,6 @@ impl FastRaftNode {
         self.engine.commit_index()
     }
 
-    /// Highest index applied to the state machine (trails the commit index
-    /// only under `Timing::pipelined_apply`, between commit and drain).
-    pub fn applied_index(&self) -> LogIndex {
-        self.engine.applied_index()
-    }
-
     /// The replicated log.
     pub fn log(&self) -> &wire::SparseLog {
         self.engine.log()
@@ -216,13 +210,5 @@ impl ConsensusProtocol for FastRaftNode {
 
     fn bootstrap(&mut self, out: &mut Actions<FastRaftMessage>) {
         self.engine.bootstrap(out);
-    }
-
-    fn pending_applies(&self) -> u64 {
-        self.engine.pending_applies()
-    }
-
-    fn drain_applies(&mut self, out: &mut Actions<FastRaftMessage>) {
-        self.engine.drain_applies(out);
     }
 }

@@ -167,13 +167,4 @@ impl ConsensusProtocol for GatedFastRaftNode {
         self.engine.bootstrap(out);
         self.sync_armed();
     }
-
-    fn pending_applies(&self) -> u64 {
-        self.engine.pending_applies()
-    }
-
-    fn drain_applies(&mut self, out: &mut Actions<FastRaftMessage>) {
-        self.engine.drain_applies(out);
-        self.sync_armed();
-    }
 }

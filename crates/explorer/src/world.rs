@@ -491,16 +491,12 @@ impl<P: Explorable> World<P> {
         self.driver.slots.get(&id).is_some_and(|s| s.up)
     }
 
-    /// Runs one handler on an up node, with any pipelined apply it queued
-    /// drained in the same step, and performs its effects.
+    /// Runs one handler on an up node and performs its effects.
     fn step_node(&mut self, id: NodeId, f: impl FnOnce(&mut P, &mut Actions<P::Message>)) {
-        let step = self.driver.step(id, None, |node, out| {
-            f(node, out);
-            if node.pending_applies() > 0 {
-                node.drain_applies(out);
-            }
-        });
-        let (mut out, _) = step.expect("stepping a node that is up");
+        let mut out = self
+            .driver
+            .step(id, None, f)
+            .expect("stepping a node that is up");
         self.process_actions(id, &mut out);
         self.driver.recycle(out);
     }

@@ -1,7 +1,7 @@
 //! Write-path probe: what group commit buys when the disk is honest.
 //!
 //! Runs the same write-only closed-loop workload (11-site classic Raft, every
-//! site proposing, node 0 biased to lead) three times from one seed with
+//! site proposing, node 0 biased to lead) twice from one seed with
 //! `disk_fsync_latency` modeled at 10 ms:
 //!
 //! - **grouped** — each protocol step's persist commands coalesce into one
@@ -10,13 +10,9 @@
 //!   payload;
 //! - **unbatched** — the honest twin: identical durable contents, but every
 //!   persist command is its own boundary, so the same step stalls its
-//!   outgoing messages behind N fsyncs instead of one;
-//! - **pipelined** — the grouped run with `Timing::pipelined_apply` on:
-//!   state-machine apply drains as a separate zero-delay stage. Apply is a
-//!   scheduling change only, so the run must finish with every node's
-//!   committed-sequence digest identical to the grouped (inline) twin.
+//!   outgoing messages behind N fsyncs instead of one.
 //!
-//! The deterministic simulator makes the triple directly comparable: fewer
+//! The deterministic simulator makes the pair directly comparable: fewer
 //! fsync boundaries per committed entry (the `BENCH_commit.json` headline),
 //! and a throughput win in the latency-on cell because the fsync stall is
 //! paid once per step rather than once per command.
@@ -39,7 +35,7 @@ const FSYNC_MS: u64 = 10;
 /// One twin's measurements.
 #[derive(Clone, Debug, Serialize)]
 pub struct CommitCell {
-    /// "grouped", "unbatched", or "pipelined".
+    /// "grouped" or "unbatched".
     pub mode: &'static str,
     /// Completed client operations.
     pub completed: u64,
@@ -58,24 +54,19 @@ pub struct CommitCell {
     pub commit_mean_ms: f64,
 }
 
-/// The probe result: grouped / unbatched / pipelined cells plus the
-/// per-node digest comparison between the pipelined and inline twins.
+/// The probe result: the grouped and unbatched cells.
 #[derive(Clone, Debug, Serialize)]
 pub struct CommitPathResult {
-    /// `[grouped, unbatched, pipelined]`.
+    /// `[grouped, unbatched]`.
     pub cells: Vec<CommitCell>,
-    /// Per-node `(state_digest, commit_index)` matched between the grouped
-    /// (inline-apply) and pipelined runs.
-    pub digests_match: bool,
 }
 
-fn runner(seed: u64, ops: u64, unbatched: bool, pipelined: bool) -> Runner<RaftNode> {
+fn runner(seed: u64, ops: u64, unbatched: bool) -> Runner<RaftNode> {
     let cfg: Configuration = (0..SITES).map(NodeId).collect();
     let root = SimRng::seed_from_u64(seed);
     let nodes = (0..SITES).map(|i| {
         let mut t = Timing::lan();
         t.disk_fsync_latency = SimDuration::from_millis(FSYNC_MS);
-        t.pipelined_apply = pipelined;
         // Keep the lease invariant inside the biased window
         // (`Timing::validate`: election_min >= lease + skew), uniform
         // across the cluster.
@@ -111,27 +102,10 @@ fn runner(seed: u64, ops: u64, unbatched: bool, pipelined: bool) -> Runner<RaftN
     )
 }
 
-fn cell(mode: &'static str, seed: u64, ops: u64) -> (CommitCell, Vec<(u64, u64)>) {
-    let (unbatched, pipelined) = match mode {
-        "grouped" => (false, false),
-        "unbatched" => (true, false),
-        "pipelined" => (false, true),
-        _ => unreachable!(),
-    };
-    let mut r = runner(seed, ops, unbatched, pipelined);
+fn cell(mode: &'static str, seed: u64, ops: u64) -> CommitCell {
+    let mut r = runner(seed, ops, mode == "unbatched");
     r.run_until(SimTime::from_secs(600));
     r.safety().assert_ok();
-    let digests = (0..SITES)
-        .map(|i| {
-            let n = r.node(NodeId(i)).expect("node exists");
-            assert_eq!(
-                n.applied_index(),
-                n.commit_index(),
-                "{mode}: node {i} finished with an undrained apply queue"
-            );
-            (n.state_digest(), n.commit_index().as_u64())
-        })
-        .collect();
     let report = RunReport::assemble(
         mode,
         seed,
@@ -148,7 +122,7 @@ fn cell(mode: &'static str, seed: u64, ops: u64) -> (CommitCell, Vec<(u64, u64)>
         "{mode}: workload starved ({} / {ops})",
         report.completed
     );
-    let c = CommitCell {
+    CommitCell {
         mode,
         completed: report.completed,
         persist_batches: report.persist_batches,
@@ -157,22 +131,20 @@ fn cell(mode: &'static str, seed: u64, ops: u64) -> (CommitCell, Vec<(u64, u64)>
         batches_per_commit: report.persist_batches as f64 / report.completed as f64,
         throughput_per_s: report.throughput_per_s,
         commit_mean_ms: report.latency.mean_ms,
-    };
-    (c, digests)
+    }
 }
 
-/// Runs the grouped / unbatched / pipelined triple.
+/// Runs the grouped / unbatched pair.
 ///
 /// # Panics
 ///
-/// Panics when any cell violates safety or starves, when the unbatched twin
-/// fails to charge one boundary per command, when group commit fails to cut
-/// boundaries-per-commit or throughput against the unbatched twin, or when
-/// the pipelined run's per-node digests diverge from the inline twin's.
+/// Panics when either cell violates safety or starves, when the unbatched
+/// twin fails to charge one boundary per command, or when group commit
+/// fails to cut boundaries-per-commit or throughput against the unbatched
+/// twin.
 pub fn run(seed: u64, ops: u64) -> CommitPathResult {
-    let (grouped, inline_digests) = cell("grouped", seed, ops);
-    let (unbatched, _) = cell("unbatched", seed, ops);
-    let (pipelined, piped_digests) = cell("pipelined", seed, ops);
+    let grouped = cell("grouped", seed, ops);
+    let unbatched = cell("unbatched", seed, ops);
     assert!(
         (unbatched.cmds_per_batch - 1.0).abs() < 1e-9,
         "unbatched twin must charge one boundary per command, got {}",
@@ -200,14 +172,8 @@ pub fn run(seed: u64, ops: u64) -> CommitPathResult {
         grouped.throughput_per_s,
         unbatched.throughput_per_s
     );
-    let digests_match = inline_digests == piped_digests;
-    assert!(
-        digests_match,
-        "pipelined apply changed observable state: inline={inline_digests:?} piped={piped_digests:?}"
-    );
     CommitPathResult {
-        cells: vec![grouped, unbatched, pipelined],
-        digests_match,
+        cells: vec![grouped, unbatched],
     }
 }
 
@@ -239,17 +205,6 @@ impl CommitPathResult {
         self.cells[0].cmds_per_batch
     }
 
-    /// Throughput ratio, pipelined over grouped (apply is off the commit
-    /// path, so ~1.0; gated so the drain stage never costs throughput).
-    pub fn pipelined_tput_ratio(&self) -> f64 {
-        let (g, p) = (&self.cells[0], &self.cells[2]);
-        if g.throughput_per_s <= 0.0 {
-            0.0
-        } else {
-            p.throughput_per_s / g.throughput_per_s
-        }
-    }
-
     /// Machine-readable JSON for the CI bench gate (higher is better for
     /// every series).
     pub fn to_json(&self) -> String {
@@ -257,19 +212,17 @@ impl CommitPathResult {
             "{{\n  \"bench\": \"commit_path\",\n  \"series\": {{\n    \
              \"commit/fsync_batch_ratio\": {:.3},\n    \
              \"commit/cmds_per_batch\": {:.3},\n    \
-             \"commit/tput_speedup\": {:.3},\n    \
-             \"commit/pipelined_tput_ratio\": {:.3}\n  }}\n}}\n",
+             \"commit/tput_speedup\": {:.3}\n  }}\n}}\n",
             self.fsync_batch_ratio(),
             self.cmds_per_batch(),
             self.tput_speedup(),
-            self.pipelined_tput_ratio(),
         )
     }
 
     /// Renders the probe.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        out.push_str("Write-path probe: group commit + pipelined apply, fsync 10 ms modeled\n");
+        out.push_str("Write-path probe: group commit, fsync 10 ms modeled\n");
         out.push_str("mode        ops    batches     cmds   cmds/b  b/commit  tput/s   lat-ms\n");
         for c in &self.cells {
             out.push_str(&format!(
@@ -285,11 +238,9 @@ impl CommitPathResult {
             ));
         }
         out.push_str(&format!(
-            "fsync ratio {:.2}x  tput speedup {:.2}x  pipelined/grouped {:.3}  digests {}\n",
+            "fsync ratio {:.2}x  tput speedup {:.2}x\n",
             self.fsync_batch_ratio(),
             self.tput_speedup(),
-            self.pipelined_tput_ratio(),
-            if self.digests_match { "match" } else { "DIVERGED" }
         ));
         out
     }

@@ -10,7 +10,7 @@
 //! | [`residency`] | Long-run log residency: snapshot compaction bounds per-site memory |
 //! | [`read_mix`] | Client-API probe: 50/50 linearizable-read/write sessions, dedup + lin-check |
 //! | [`lease_mix`] | Leader-lease probe: lease-on vs lease-off twins on a read-heavy lin workload |
-//! | [`commit_path`] | Write-path probe: group commit vs unbatched fsyncs, pipelined vs inline apply |
+//! | [`commit_path`] | Write-path probe: group commit vs unbatched fsyncs |
 //!
 //! Each experiment returns a structured result with a `render()` method that
 //! prints the same rows/series the paper reports; the `bench` crate exposes

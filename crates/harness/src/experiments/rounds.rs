@@ -49,7 +49,6 @@ pub fn run(seed: u64, commits: u64) -> RoundsResult {
         lease_duration: SimDuration::ZERO,
         max_clock_skew: SimDuration::ZERO,
         disk_fsync_latency: SimDuration::ZERO,
-        pipelined_apply: false,
     };
     // Proposer chosen among followers (the figures draw P distinct from L).
     let mut rng = SimRng::seed_from_u64(seed ^ 0x0F16);

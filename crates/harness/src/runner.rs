@@ -61,9 +61,6 @@ enum SimEvent<M> {
     /// Client-level retry: resubmit the outstanding `(session, seq)` at
     /// `node` if `seq` is still the one in flight.
     ClientRetry { node: NodeId, seq: u64 },
-    /// Pipelined apply: drain `node`'s apply queue as its own stage, after
-    /// the step that advanced the commit index has released its effects.
-    ApplyDrain { node: NodeId },
     Fault(FaultAction),
 }
 
@@ -157,6 +154,8 @@ pub struct RunnerConfig {
     /// each fsync boundary may stall for an extra sampled duration, holding
     /// that step's outgoing messages back accordingly (write-ahead). `None`
     /// — the default — draws no randomness and keeps traces byte-identical.
+    /// Every run in the tree passes `None`; the field stays because the
+    /// `perf-trace` benchmark builds `RunnerConfig` as a struct literal.
     pub persist_stalls: Option<simnet::PersistStalls>,
 }
 
@@ -220,15 +219,9 @@ pub struct Runner<P: ConsensusProtocol> {
     next_read: BTreeMap<NodeId, u64>,
     /// Clients that already issued their final linearizable read.
     final_issued: IdSet<NodeId>,
-    /// Nodes with an [`SimEvent::ApplyDrain`] already in flight (pipelined
-    /// apply schedules at most one drain per node at a time).
-    drains_scheduled: IdSet<NodeId>,
     /// Dedicated stream for [`RunnerConfig::persist_stalls`] (drawn from
     /// only when stalls are configured, so stall-free runs are unchanged).
     stall_rng: SimRng,
-    /// Scratch buffer for duplicate-copy delays from
-    /// [`Network::judge_chaos`]; reused across sends.
-    chaos_extras: Vec<SimDuration>,
     final_done: u64,
     completed: u64,
 }
@@ -270,9 +263,7 @@ impl<P: ConsensusProtocol> Runner<P> {
             next_seq: BTreeMap::new(),
             next_read: BTreeMap::new(),
             final_issued: IdSet::default(),
-            drains_scheduled: IdSet::default(),
             stall_rng,
-            chaos_extras: Vec::new(),
             final_done: 0,
             completed: 0,
         };
@@ -366,12 +357,6 @@ impl<P: ConsensusProtocol> Runner<P> {
         &self.disk
     }
 
-    /// Client operations currently in flight (no typed outcome yet).
-    /// Liveness checks assert this reaches zero once the run quiesces.
-    pub fn outstanding_ops(&self) -> usize {
-        self.outstanding.len()
-    }
-
     // ------------------------------------------------------------------
 
     fn dispatch(&mut self, firing_id: EventId, event: SimEvent<P::Message>) {
@@ -390,10 +375,6 @@ impl<P: ConsensusProtocol> Runner<P> {
             }
             SimEvent::Propose { node } => self.issue_op(node),
             SimEvent::ClientRetry { node, seq } => self.client_retry(node, seq),
-            SimEvent::ApplyDrain { node } => {
-                self.drains_scheduled.remove(&node);
-                self.with_node(node, |n, out| n.drain_applies(out));
-            }
             SimEvent::Fault(fault) => self.apply_fault(fault),
         }
     }
@@ -407,22 +388,13 @@ impl<P: ConsensusProtocol> Runner<P> {
             .clock_offsets
             .get(&id)
             .map_or(now, |&o| now.saturating_add(o));
-        let Some((mut out, wants_drain)) = self.driver.step(id, Some(local), f) else {
+        let Some(mut out) = self.driver.step(id, Some(local), f) else {
             return;
         };
         // Re-entrant: `process_actions → handle_response → issue_op →
         // with_node` steps a gateway while this buffer is still draining.
         self.process_actions(id, &mut out);
         self.driver.recycle(out);
-        // Pipelined apply: the handler may have advanced the commit index
-        // past the applied index. Drain as a separate zero-delay stage (one
-        // in-flight event per node) so the apply lands after this step's
-        // effects are released. Inline mode never leaves a queue behind, so
-        // no event is ever scheduled and traces stay byte-identical.
-        if wants_drain && self.drains_scheduled.insert(id) {
-            self.sim
-                .schedule_after(SimDuration::ZERO, SimEvent::ApplyDrain { node: id });
-        }
     }
 
     /// Performs one step's effects, draining `out` (every `Vec` keeps its
@@ -495,30 +467,9 @@ impl<P: ConsensusProtocol> Runner<P> {
             let size = msg.wire_size();
             sent_msgs += 1;
             sent_bytes += size as u64;
-            self.chaos_extras.clear();
-            match self
-                .net
-                .judge_chaos(from, to, size, &mut self.net_rng, &mut self.chaos_extras)
-            {
-                Verdict::Deliver { after } => {
-                    // Duplicate copies (chaos only) ship first so the
-                    // original's `msg` moves without a clone on the
-                    // chaos-free path.
-                    for i in 0..self.chaos_extras.len() {
-                        let extra = self.chaos_extras[i];
-                        self.sim.schedule_after(
-                            extra + persist_delay,
-                            SimEvent::Deliver {
-                                from,
-                                to,
-                                msg: msg.clone(),
-                            },
-                        );
-                    }
-                    self.sim
-                        .schedule_after(after + persist_delay, SimEvent::Deliver { from, to, msg });
-                }
-                Verdict::Drop { .. } => {}
+            if let Verdict::Deliver { after } = self.net.judge(from, to, size, &mut self.net_rng) {
+                self.sim
+                    .schedule_after(after + persist_delay, SimEvent::Deliver { from, to, msg });
             }
         }
         if sent_msgs > 0 {

@@ -135,13 +135,6 @@ impl RaftNode {
         self.core.commit_index
     }
 
-    /// The highest index applied to the state machine. Equal to
-    /// [`RaftNode::commit_index`] except transiently under
-    /// [`Timing::pipelined_apply`], between commit and the drain stage.
-    pub fn applied_index(&self) -> LogIndex {
-        self.core.applied.index()
-    }
-
     /// The replicated log (read-only).
     pub fn log(&self) -> &SparseLog {
         &self.core.log
@@ -337,26 +330,14 @@ impl RaftNode {
         }
     }
 
-    /// Advances the commit index. Inline mode (the default) applies the
-    /// newly committed range on the spot; under [`Timing::pipelined_apply`]
-    /// the range is merely queued — `(applied_index, commit_index]` — and
-    /// the embedding drains it as a separate stage, so the leader can
-    /// assemble the next AppendEntries while this range applies.
+    /// Advances the commit index and applies the newly committed range, in
+    /// commit order: digest fold, session-table apply, proposer/gateway
+    /// notifications, commit records, compaction.
     fn set_commit_index(&mut self, new_commit: LogIndex, out: &mut Actions<RaftMessage>) {
         if new_commit <= self.core.commit_index {
             return;
         }
         self.core.commit_index = new_commit;
-        if !self.core.timing.pipelined_apply {
-            self.apply_to_commit(out);
-        }
-    }
-
-    /// Applies every committed-but-unapplied entry, in commit order, with
-    /// effects identical to the inline path: digest fold, session-table
-    /// apply, proposer/gateway notifications, commit records, compaction,
-    /// and the release of reads whose floor the state machine just reached.
-    fn apply_to_commit(&mut self, out: &mut Actions<RaftMessage>) {
         while self.core.applied.index() < self.core.commit_index {
             let k = self.core.applied.index().next();
             if let Some(entry) = self.core.log.get(k).cloned() {
@@ -375,9 +356,6 @@ impl RaftNode {
         // Classic Raft logs are dense, so the whole applied prefix is
         // contiguous and compactable.
         self.core.maybe_compact(out);
-        self.core
-            .reads
-            .release_applied_reads(self.core.applied.index(), out);
     }
 
     /// Applies one committed entry to the (simulated) state machine: the
@@ -646,7 +624,6 @@ impl RaftNode {
             let outcome = replica::covered_outcome(register, session, first_index);
             self.respond_client(self.core.id, session, seq, outcome, out);
         }
-        self.core.reads.release_applied_reads(last_index, out);
         out.send(
             from,
             RaftMessage::InstallSnapshotReply {
@@ -882,10 +859,9 @@ impl ConsensusProtocol for RaftNode {
                     Reply::Dropped => {}
                     Reply::Counted => {
                         self.advance_commit(out);
-                        let applied = self.core.applied.index();
                         self.core
                             .reads
-                            .note_read_ack(from, probe, applied, &self.core.config, out);
+                            .note_read_ack(from, probe, &self.core.config, out);
                     }
                     // Back off using the follower's hint (its commit index).
                     Reply::Rejected => {
@@ -967,13 +943,5 @@ impl ConsensusProtocol for RaftNode {
 
     fn bootstrap(&mut self, out: &mut Actions<RaftMessage>) {
         self.core.reset_election_timer(out);
-    }
-
-    fn pending_applies(&self) -> u64 {
-        self.core.applied.pending_applies(self.core.commit_index)
-    }
-
-    fn drain_applies(&mut self, out: &mut Actions<RaftMessage>) {
-        self.apply_to_commit(out);
     }
 }

@@ -4,9 +4,9 @@ use std::rc::Rc;
 
 use des::IdMap;
 use wire::{
-    fold_commit_digest, fold_session_digest, fold_session_evicted, session_state_current, Actions,
-    ClientOutcome, Configuration, EntryId, LogIndex, LogScope, Observation, PersistCmd,
-    SessionApply, SessionId, SessionTable, Snapshot, SparseLog, Term,
+    fold_commit_digest, fold_session_digest, fold_session_evicted, Actions, ClientOutcome,
+    Configuration, EntryId, LogIndex, LogScope, Observation, PersistCmd, SessionApply, SessionId,
+    SessionTable, Snapshot, SparseLog, Term,
 };
 
 use super::covered_outcome;
@@ -26,10 +26,9 @@ pub struct Applied {
     snapshot_threshold: u64,
     /// [`Timing::session_ttl`].
     session_ttl: u64,
-    /// Highest index applied to the state machine. Trails the engine's
-    /// commit index only under [`Timing::pipelined_apply`], between a commit
-    /// advancement and the embedding's drain stage; equal to it at every
-    /// step boundary otherwise.
+    /// Highest index applied to the state machine: the engine applies at
+    /// the commit point, so this equals its commit index at every step
+    /// boundary.
     applied_index: LogIndex,
     /// Running digest of the committed sequence (the simulated state
     /// machine); captured into snapshots as the state image.
@@ -78,9 +77,8 @@ impl Applied {
 
     /// Replaces the image with `snapshot`'s (a transfer from the leader, or
     /// the persisted one at recovery). The snapshot's table covers strictly
-    /// more commits than this one, and the apply pipeline fast-forwards with
-    /// it — the snapshot state already subsumes any queued-but-undrained
-    /// range, whose entries the install discarded.
+    /// more commits than this one, and the applied index fast-forwards with
+    /// it.
     pub fn adopt(&mut self, snapshot: Snapshot) {
         if let Some(digest) = snapshot.state_digest() {
             self.state_digest = digest;
@@ -108,35 +106,6 @@ impl Applied {
     /// The latest snapshot covering the compacted prefix, if any.
     pub fn snapshot(&self) -> Option<&Snapshot> {
         self.snapshot.as_ref()
-    }
-
-    /// Number of committed-but-unapplied indices queued for pipelined
-    /// apply; always zero at step boundaries in inline mode.
-    pub fn pending_applies(&self, commit_index: LogIndex) -> u64 {
-        commit_index.as_u64() - self.applied_index.as_u64()
-    }
-
-    /// `true` when the applied session table provably covers every write
-    /// the cluster has ever committed: this node is the leader and an entry
-    /// of its own term has committed (the shared
-    /// [`wire::session_state_current`] condition). Only then is a
-    /// door-level [`Applied::is_expired_retry`] verdict exact; on any other
-    /// node (or a fresh leader before its first own-term commit) the table
-    /// may simply lag and "expired" can be a false positive for a perfectly
-    /// live session.
-    pub fn applied_session_state_current(
-        &self,
-        is_leader: bool,
-        log: &SparseLog,
-        commit_index: LogIndex,
-        current_term: Term,
-    ) -> bool {
-        is_leader
-            // Pipelined apply: the table only covers the *applied* prefix;
-            // while the queue is non-empty the door verdict stays inexact
-            // (answers degrade to Retry, never a wrong terminal refusal).
-            && self.applied_index == commit_index
-            && session_state_current(log, commit_index, current_term)
     }
 
     /// `true` when expiry is on and `(session, seq)` looks like a stale
@@ -270,8 +239,7 @@ impl Applied {
     /// Where [`Applied::maybe_compact`] would compact `log` through now, if
     /// it would. Compaction is bounded by the *applied* prefix, not the
     /// committed one: the snapshot captures digest + session table, which
-    /// are apply-time state. Inline, applied == committed here; pipelined,
-    /// compaction simply runs at the drain stage.
+    /// are apply-time state.
     pub(crate) fn compaction_point(&self, log: &SparseLog) -> Option<LogIndex> {
         let horizon = log.compacted_through();
         let retained = self.applied_index.as_u64().saturating_sub(horizon.as_u64());

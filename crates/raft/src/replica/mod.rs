@@ -44,9 +44,8 @@
 //!   It is the **only writer** of those four; engines feed it committed
 //!   entries and ask it for snapshots.
 //! - [`ReadPath`] — linearizable reads: the ReadIndex queue, the leader
-//!   lease and its follower-side vote hold, the node's local clock, reads
-//!   parked behind the apply pipeline, and the reads submitted at this
-//!   gateway.
+//!   lease and its follower-side vote hold, the node's local clock, and the
+//!   reads submitted at this gateway.
 //! - [`ProposalIds`] — write-ahead-reserved proposal id minting.
 //!
 //! Everything here is generic over the engine's message enum (monomorphised

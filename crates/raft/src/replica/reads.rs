@@ -1,5 +1,4 @@
-//! The linearizable read path: ReadIndex rounds, the leader lease, and the
-//! reads parked behind the apply pipeline.
+//! The linearizable read path: ReadIndex rounds and the leader lease.
 
 use std::collections::BTreeSet;
 
@@ -11,19 +10,6 @@ use wire::{
 
 use super::{reply, ClientReplyMessage};
 use crate::Timing;
-
-/// A linearizable read already admitted at a commit floor the state machine
-/// has not caught up to yet (pipelined apply only): the floor is safe — it
-/// was captured under lease or ReadIndex confirmation — but answering before
-/// the apply queue reaches it would let the client observe state older than
-/// its admission point.
-#[derive(Clone, Debug)]
-struct PendingReadAnswer {
-    reply_to: NodeId,
-    session: SessionId,
-    seq: u64,
-    floor: LogIndex,
-}
 
 /// Everything one consensus level needs to answer
 /// [`wire::Consistency::Linearizable`] reads: as leader, the ReadIndex queue
@@ -43,9 +29,6 @@ pub struct ReadPath {
     /// Leader side: in-flight ReadIndex rounds (shared machinery in
     /// `wire::read`).
     queue: ReadIndexQueue,
-    /// Reads admitted at a floor above the applied index, answered when the
-    /// apply queue catches up (pipelined apply only), in admission order.
-    awaiting_apply: Vec<PendingReadAnswer>,
     /// Gateway side: in-flight linearizable reads submitted at this node.
     local_reads: BTreeSet<(SessionId, u64)>,
     /// This node's local clock, stamped by the embedding before each event
@@ -70,7 +53,6 @@ impl ReadPath {
             lease_duration: timing.lease_duration,
             max_clock_skew: timing.max_clock_skew,
             queue: ReadIndexQueue::new(),
-            awaiting_apply: Vec::new(),
             local_reads: BTreeSet::new(),
             local_now: SimTime::ZERO,
             lease: LeaseState::new(),
@@ -129,15 +111,13 @@ impl ReadPath {
     /// servable: answer from the lease when it is live, otherwise confirm
     /// leadership with a heartbeat round first. Returns `true` when the
     /// caller must dispatch that round now rather than waiting out the
-    /// heartbeat period. `applied` is the state machine's applied index.
-    #[allow(clippy::too_many_arguments)]
+    /// heartbeat period.
     pub fn register_read<M: ClientReplyMessage>(
         &mut self,
         session: SessionId,
         seq: u64,
         reply_to: NodeId,
         floor: LogIndex,
-        applied: LogIndex,
         config: &Configuration,
         out: &mut Actions<M>,
     ) -> bool {
@@ -151,7 +131,7 @@ impl ReadPath {
                 seq,
                 floor,
             });
-            self.answer_read(reply_to, session, seq, floor, applied, out);
+            self.answer_read(reply_to, session, seq, floor, out);
             return false;
         }
         if config.classic_quorum() <= 1 {
@@ -161,7 +141,7 @@ impl ReadPath {
                 seq,
                 floor,
             });
-            self.answer_read(reply_to, session, seq, floor, applied, out);
+            self.answer_read(reply_to, session, seq, floor, out);
             return false;
         }
         // Retry idempotence (see `wire::ReadIndexQueue::is_pending`): the
@@ -180,7 +160,6 @@ impl ReadPath {
         &mut self,
         from: NodeId,
         probe: u64,
-        applied: LogIndex,
         config: &Configuration,
         out: &mut Actions<M>,
     ) {
@@ -190,7 +169,7 @@ impl ReadPath {
                 seq: r.seq,
                 floor: r.floor,
             });
-            self.answer_read(r.reply_to, r.session, r.seq, r.floor, applied, out);
+            self.answer_read(r.reply_to, r.session, r.seq, r.floor, out);
         }
     }
 
@@ -205,57 +184,21 @@ impl ReadPath {
         self.lease.clear();
     }
 
-    /// Emits a linearizable read's answer — immediately when the applied
-    /// state already covers the admission floor (always true inline), queued
-    /// behind the apply pipeline otherwise, so the client can never observe
-    /// state older than the floor its read was admitted at.
+    /// Answers a linearizable read at its admission `floor`: the state
+    /// machine applies at the commit point, so it already covers the floor.
     fn answer_read<M: ClientReplyMessage>(
         &mut self,
         reply_to: NodeId,
         session: SessionId,
         seq: u64,
         floor: LogIndex,
-        applied: LogIndex,
         out: &mut Actions<M>,
     ) {
-        if floor <= applied {
-            let outcome = ClientOutcome::ReadOk {
-                scope: self.scope,
-                commit_floor: floor,
-            };
-            self.respond(reply_to, session, seq, outcome, out);
-        } else {
-            self.awaiting_apply.push(PendingReadAnswer {
-                reply_to,
-                session,
-                seq,
-                floor,
-            });
-        }
-    }
-
-    /// Answers queued linearizable reads whose admission floor the
-    /// `applied` state now covers (pipelined apply only; a no-op inline,
-    /// where reads are never queued).
-    pub fn release_applied_reads<M: ClientReplyMessage>(
-        &mut self,
-        applied: LogIndex,
-        out: &mut Actions<M>,
-    ) {
-        if self.awaiting_apply.is_empty() {
-            return;
-        }
-        let (ready, waiting): (Vec<_>, Vec<_>) = std::mem::take(&mut self.awaiting_apply)
-            .into_iter()
-            .partition(|r| r.floor <= applied);
-        self.awaiting_apply = waiting;
-        for r in ready {
-            let outcome = ClientOutcome::ReadOk {
-                scope: self.scope,
-                commit_floor: r.floor,
-            };
-            self.respond(r.reply_to, r.session, r.seq, outcome, out);
-        }
+        let outcome = ClientOutcome::ReadOk {
+            scope: self.scope,
+            commit_floor: floor,
+        };
+        self.respond(reply_to, session, seq, outcome, out);
     }
 
     /// Arms the lease of a freshly elected leader behind the new-leader

@@ -6,9 +6,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use des::{IdMap, SimRng, SimTime};
 use storage::ScopeState;
 use wire::{
-    Actions, Approval, ClientOutcome, Configuration, Consistency, EntryId, EntryList, LogEntry,
-    LogIndex, LogScope, NodeId, Observation, PersistCmd, SessionId, Snapshot, SparseLog, Term,
-    TimerKind, MAX_INSERT_WINDOW,
+    session_state_current, Actions, Approval, ClientOutcome, Configuration, Consistency, EntryId,
+    EntryList, LogEntry, LogIndex, LogScope, NodeId, Observation, PersistCmd, SessionId, Snapshot,
+    SparseLog, Term, TimerKind, MAX_INSERT_WINDOW,
 };
 
 use super::{reply, Applied, ClientReplyMessage, ProposalIds, ReadPath};
@@ -653,16 +653,17 @@ impl Replica {
         answered
     }
 
-    /// `true` when the applied session table provably covers every commit
-    /// (see [`Applied::applied_session_state_current`]): only then is a
-    /// door-level "session expired" verdict exact.
+    /// `true` when the applied session table provably covers every write
+    /// the cluster has ever committed: this node is the leader and an entry
+    /// of its own term has committed (the shared
+    /// [`wire::session_state_current`] condition). Only then is a
+    /// door-level [`Applied::is_expired_retry`] verdict exact; on any other
+    /// node (or a fresh leader before its first own-term commit) the table
+    /// may simply lag and "expired" can be a false positive for a perfectly
+    /// live session.
     pub fn applied_session_state_current(&self) -> bool {
-        self.applied.applied_session_state_current(
-            self.role == Role::Leader,
-            &self.log,
-            self.commit_index,
-            self.current_term,
-        )
+        self.role == Role::Leader
+            && session_state_current(&self.log, self.commit_index, self.current_term)
     }
 
     /// Gateway side of a relayed `outcome`: adopts a redirect's leader
@@ -761,8 +762,7 @@ impl Replica {
         reply_to: NodeId,
         out: &mut Actions<M>,
     ) -> bool {
-        let (floor, applied) = (self.commit_index, self.applied.index());
         self.reads
-            .register_read(session, seq, reply_to, floor, applied, &self.config, out)
+            .register_read(session, seq, reply_to, self.commit_index, &self.config, out)
     }
 }

@@ -112,7 +112,7 @@ impl<P: ConsensusProtocol> Lockstep<P> {
     /// Panics on an unknown id.
     pub fn with_node(&mut self, id: NodeId, f: impl FnOnce(&mut P, &mut Actions<P::Message>)) {
         assert!(self.driver.slots.contains_key(&id), "unknown node");
-        let Some((mut out, _)) = self.driver.step(id, None, f) else {
+        let Some(mut out) = self.driver.step(id, None, f) else {
             return;
         };
         // Write-ahead: persistence first.

@@ -100,16 +100,6 @@ pub struct Timing {
     /// starve lease renewal for the same reason it starves heartbeats —
     /// keep it an order of magnitude below both.
     pub disk_fsync_latency: SimDuration,
-    /// When `true`, state-machine apply is decoupled from the protocol step:
-    /// commit advancement only *queues* the newly committed range, and the
-    /// embedding drains the queue as a separate stage (after the step's
-    /// messages are released), so a leader can assemble the next
-    /// AppendEntries while the previous commit range applies. Apply *order*
-    /// is unchanged — same entries, same digests, same session-table
-    /// transitions — only its scheduling moves. `false` (the default)
-    /// applies inline at the commit point, byte-identical to the
-    /// pre-pipelining traces.
-    pub pipelined_apply: bool,
 }
 
 impl Timing {
@@ -130,7 +120,6 @@ impl Timing {
             lease_duration: SimDuration::from_millis(300),
             max_clock_skew: SimDuration::from_millis(50),
             disk_fsync_latency: SimDuration::ZERO,
-            pipelined_apply: false,
         }
     }
 
@@ -152,7 +141,6 @@ impl Timing {
             lease_duration: SimDuration::from_millis(1500),
             max_clock_skew: SimDuration::from_millis(250),
             disk_fsync_latency: SimDuration::ZERO,
-            pipelined_apply: false,
         }
     }
 
@@ -285,7 +273,6 @@ mod tests {
     fn presets_model_no_fsync_latency_and_inline_apply() {
         for t in [Timing::lan(), Timing::wan()] {
             assert!(t.disk_fsync_latency.is_zero());
-            assert!(!t.pipelined_apply);
         }
     }
 

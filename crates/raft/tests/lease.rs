@@ -297,125 +297,3 @@ fn zero_lease_duration_disables_leases_under_live_clocks() {
     assert_eq!(lease_reads(&net), 0, "disabled lease still served a read");
     assert_eq!(readindex_reads(&net), 1);
 }
-
-// ---------------------------------------------------------------------
-// Pipelined apply: a linearizable read admitted at commit floor `k` must
-// never observe state behind `k`. Under `Timing::pipelined_apply` the
-// answer is held until the drain stage catches the applied index up.
-
-#[test]
-fn pipelined_apply_holds_lease_read_until_floor_applied() {
-    let mut timing = Timing::lan();
-    timing.pipelined_apply = true;
-    let cfg: Configuration = (0..3).map(NodeId).collect();
-    let mut net = Lockstep::new((0..3).map(|i| {
-        RaftNode::new(
-            NodeId(i),
-            cfg.clone(),
-            timing,
-            SimRng::seed_from_u64(9400 + i),
-        )
-    }));
-    let leader = elect_with_lease(&mut net);
-    // Clear the election-era apply backlog so the test isolates one write.
-    net.with_node(leader, |n, out| n.drain_applies(out));
-    stamp_all(&mut net, 1500);
-
-    // Commit a write (dispatch is heartbeat-gated, so fire the tick): the
-    // commit index advances, the apply stays queued.
-    let wkey = net.propose(leader, b"pipelined");
-    net.fire(leader, TimerKind::Heartbeat);
-    net.deliver_all();
-    let k = net.node(leader).commit_index();
-    assert!(
-        net.node(leader).pending_applies() > 0,
-        "commit should leave the apply queue non-empty under pipelining"
-    );
-    assert!(net.node(leader).applied_index() < k);
-    assert!(
-        net.responses_for(leader, wkey.0, wkey.1).is_empty(),
-        "write acked before its entry was applied"
-    );
-
-    // A lease read is admitted immediately (floor = k) but not answered
-    // while the applied index trails the floor: answering now would let
-    // the read observe state older than its floor.
-    let before = lease_reads(&net);
-    let rkey = net.read(leader, Consistency::Linearizable);
-    assert_eq!(lease_reads(&net), before + 1, "admission is not delayed");
-    assert!(
-        net.responses_for(leader, rkey.0, rkey.1).is_empty(),
-        "read answered while applied index trailed its floor"
-    );
-
-    // The drain stage applies through k and releases both answers.
-    net.with_node(leader, |n, out| n.drain_applies(out));
-    assert_eq!(net.node(leader).applied_index(), k);
-    assert!(net
-        .responses_for(leader, wkey.0, wkey.1)
-        .iter()
-        .any(|o| matches!(o, ClientOutcome::Committed { .. })));
-    let outcomes = net.responses_for(leader, rkey.0, rkey.1);
-    assert!(
-        outcomes
-            .iter()
-            .any(|o| matches!(o, ClientOutcome::ReadOk { commit_floor, .. } if *commit_floor >= k)),
-        "read not released at a floor covering the write: {outcomes:?}"
-    );
-}
-
-/// Pipelined apply is a scheduling change only: across random write
-/// schedules and random drain points, the committed-sequence digest (and
-/// commit horizon) match the inline twin exactly on every node.
-#[test]
-fn pipelined_and_inline_apply_agree_on_digests() {
-    let run = |seed: u64, writes: u64, drain_mask: u64, pipelined: bool| -> Vec<(u64, u64)> {
-        let mut timing = Timing::lan();
-        timing.pipelined_apply = pipelined;
-        let cfg: Configuration = (0..3).map(NodeId).collect();
-        let mut net = Lockstep::new((0..3).map(|i| {
-            RaftNode::new(
-                NodeId(i),
-                cfg.clone(),
-                timing,
-                SimRng::seed_from_u64(seed * 100 + i),
-            )
-        }));
-        stamp_all(&mut net, 1000);
-        net.fire(NodeId(0), TimerKind::Election);
-        net.deliver_all();
-        assert_eq!(net.node(NodeId(0)).role(), Role::Leader);
-        for w in 0..writes {
-            net.propose(NodeId(0), &[seed as u8, w as u8]);
-            net.deliver_all();
-            if (drain_mask >> w) & 1 == 1 {
-                for id in net.ids() {
-                    net.with_node(id, |n, out| n.drain_applies(out));
-                }
-            }
-        }
-        // Spread the final commit horizon, then drain everything.
-        net.fire(NodeId(0), TimerKind::Heartbeat);
-        net.deliver_all();
-        for id in net.ids() {
-            net.with_node(id, |n, out| n.drain_applies(out));
-        }
-        net.ids()
-            .iter()
-            .map(|&id| {
-                let n = net.node(id);
-                assert_eq!(n.applied_index(), n.commit_index(), "undrained applies");
-                (n.state_digest(), n.commit_index().as_u64())
-            })
-            .collect()
-    };
-    let mut rng = SimRng::seed_from_u64(0xD1935);
-    for case in 0..12u64 {
-        let seed = 1 + rng.gen_range(0..10_000u64);
-        let writes = 1 + rng.gen_range(0..10u64);
-        let drain_mask = rng.gen_range(0..u64::MAX);
-        let inline = run(seed, writes, drain_mask, false);
-        let piped = run(seed, writes, drain_mask, true);
-        assert_eq!(inline, piped, "case {case}: digests diverged");
-    }
-}

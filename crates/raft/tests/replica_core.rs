@@ -122,26 +122,12 @@ fn compaction_snapshot_adopt_roundtrips_digest_sessions_and_config_at_cut() {
 }
 
 #[test]
-fn read_admitted_above_applied_index_is_released_exactly_at_its_floor_in_admission_order() {
+fn linearizable_read_is_answered_at_its_admission_floor_and_forgotten() {
     let me = NodeId(0);
-    // A single-voter configuration confirms reads itself, so admission goes
-    // straight to the apply-floor check.
-    let solo = cfg([0]);
     let mut reads = ReadPath::new(me, LogScope::Global, &Timing::lan());
     let mut out = Out::new();
     let s = SessionId::client(1);
-    let applied = LogIndex(3);
-    // (seq, gateway, floor): reads at floor 5 around one at floor 4, one of
-    // them forwarded by another gateway.
-    for (seq, gateway, floor) in [(1, me, 5), (2, me, 4), (3, NodeId(7), 5), (4, me, 5)] {
-        if gateway == me {
-            reads.track_local(s, seq);
-        }
-        let floor = LogIndex(floor);
-        let probe_now = reads.register_read(s, seq, gateway, floor, applied, &solo, &mut out);
-        assert!(!probe_now, "self-confirmed reads need no heartbeat round");
-    }
-    let local = |out: &Out| -> Vec<(u64, LogIndex)> {
+    let answers = |out: &Out| -> Vec<(u64, LogIndex)> {
         out.observations
             .iter()
             .filter_map(|o| match o {
@@ -154,46 +140,37 @@ fn read_admitted_above_applied_index_is_released_exactly_at_its_floor_in_admissi
             })
             .collect()
     };
-    assert!(
-        local(&out).is_empty(),
-        "nothing may be served below its floor"
-    );
-    reads.release_applied_reads(LogIndex(3), &mut out);
-    assert!(local(&out).is_empty() && out.sends.is_empty());
-    reads.release_applied_reads(LogIndex(4), &mut out);
-    assert_eq!(local(&out), vec![(2, LogIndex(4))]);
-    assert!(out.sends.is_empty());
-    assert!(
-        !reads.is_local(s, 2),
-        "a locally answered read is forgotten"
-    );
-    assert!(reads.is_local(s, 1) && reads.is_local(s, 4));
 
-    out.clear();
-    reads.release_applied_reads(LogIndex(5), &mut out);
-    assert_eq!(local(&out), vec![(1, LogIndex(5)), (4, LogIndex(5))]);
-    let floor5 = ClientOutcome::ReadOk {
-        scope: LogScope::Global,
-        commit_floor: LogIndex(5),
-    };
-    assert_eq!(
-        out.sends,
-        vec![(
-            NodeId(7),
-            RaftMessage::ClientReply {
-                session: s,
-                seq: 3,
-                outcome: floor5
-            }
-        )]
-    );
-    out.clear();
-    reads.release_applied_reads(LogIndex(9), &mut out);
-    assert!(out.is_empty(), "each read is answered once");
+    // Self-confirmed: a single-voter configuration needs no heartbeat round
+    // (and the clockless node has no lease).
+    reads.track_local(s, 1);
+    let probe_now = reads.register_read(s, 1, me, LogIndex(4), &cfg([0]), &mut out);
+    assert!(!probe_now, "a self-confirmed read needs no heartbeat round");
+    assert!(out.observations.iter().any(|o| matches!(
+        o,
+        Observation::ReadIndexRead { seq: 1, floor, .. } if *floor == LogIndex(4)
+    )));
+    assert_eq!(answers(&out), vec![(1, LogIndex(4))]);
+    assert!(!reads.is_local(s, 1), "an answered read is forgotten");
 
-    // A floor the state machine already covers is answered on the spot.
-    reads.register_read(s, 5, me, LogIndex(5), LogIndex(5), &solo, &mut out);
-    assert_eq!(local(&out), vec![(5, LogIndex(5))]);
+    // Lease: armed at 1000 ms (live from 1350 ms), one follower grant good
+    // to 1700 ms makes a quorum of three at 1400 ms.
+    out.clear();
+    let trio = cfg([0, 1, 2]);
+    reads.set_local_clock(SimTime::from_millis(1000));
+    reads.arm_lease();
+    reads.set_local_clock(SimTime::from_millis(1400));
+    reads.record_grant(NodeId(1), SimTime::from_millis(1700), &mut out);
+    reads.track_local(s, 2);
+    let probe_now = reads.register_read(s, 2, me, LogIndex(7), &trio, &mut out);
+    assert!(!probe_now, "a lease read needs no heartbeat round");
+    assert!(out.observations.iter().any(|o| matches!(
+        o,
+        Observation::LeaseRead { seq: 2, floor, .. } if *floor == LogIndex(7)
+    )));
+    assert_eq!(answers(&out), vec![(2, LogIndex(7))]);
+    assert!(out.sends.is_empty(), "a local read costs no message");
+    assert!(!reads.is_local(s, 2), "an answered read is forgotten");
 }
 
 #[test]

@@ -480,11 +480,6 @@ impl<P: ShardNode> ShardRunner<P> {
         self.groups.values().filter(|g| g.parked).count()
     }
 
-    /// Whether `group` is currently parked.
-    pub fn is_parked(&self, group: GroupId) -> bool {
-        self.groups.get(&group.as_u32()).is_some_and(|c| c.parked)
-    }
-
     /// Armed timers in the shared [`TimerWheel`].
     pub fn wheel_len(&self) -> usize {
         self.wheel.len()
@@ -598,13 +593,7 @@ impl<P: ShardNode> ShardRunner<P> {
     {
         let now = self.sim.now();
         let site = (GroupId(group), NodeId(proc));
-        let step = self.driver.step(site, Some(now), |eng, out| {
-            f(eng, out);
-            while eng.pending_applies() > 0 {
-                eng.drain_applies(out);
-            }
-        });
-        let Some((mut out, _)) = step else {
+        let Some(mut out) = self.driver.step(site, Some(now), f) else {
             return;
         };
         self.process_actions(proc, group, now, &mut out);

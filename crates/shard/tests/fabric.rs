@@ -334,13 +334,6 @@ impl ConsensusProtocol for Forger {
         self.inner.bootstrap(out);
         self.rewrite(out);
     }
-    fn pending_applies(&self) -> u64 {
-        self.inner.pending_applies()
-    }
-    fn drain_applies(&mut self, out: &mut Actions<Self::Message>) {
-        self.inner.drain_applies(out);
-        self.rewrite(out);
-    }
 }
 
 impl ShardNode for Forger {

@@ -1,115 +1,10 @@
-//! Fault shapes beyond random loss: bounded message duplication, reordering
-//! jitter, and slow-disk persist stalls. All are deterministic given the
-//! caller's [`SimRng`] — the same seed replays the same chaos.
-//!
-//! Duplication and reordering compose with the [`crate::Network`] judge via
-//! [`crate::Network::judge_chaos`]: the primary delivery verdict is
-//! unchanged, and extra copies / delay jitter are layered on top only when a
-//! [`ChaosModel`] is installed, so chaos-free runs draw exactly the same
-//! random sequence as before the model existed.
+//! Fault shapes beyond random loss and partitions: slow-disk persist
+//! stalls, deterministic given the caller's [`SimRng`] — the same seed
+//! replays the same stalls. (Message duplication and reordering are the
+//! schedule explorer's business: its `Choice` duplicates and reorders
+//! deliveries directly.)
 
 use des::{SimDuration, SimRng};
-
-/// Bounded duplication and reordering applied to delivered messages.
-///
-/// Real datagram networks duplicate (retransmitting middleboxes) and reorder
-/// (multipath routing) — failure shapes a loss model cannot express. Both
-/// are bounded: duplication mints at most `max_dup` extra copies per
-/// message, and reordering adds at most `reorder_max` extra one-way delay.
-///
-/// # Examples
-///
-/// ```
-/// use des::{SimDuration, SimRng};
-/// use simnet::ChaosModel;
-///
-/// let chaos = ChaosModel::new(
-///     0.5,
-///     2,
-///     0.5,
-///     SimDuration::from_millis(1),
-///     SimDuration::from_millis(5),
-/// );
-/// let mut rng = SimRng::seed_from_u64(7);
-/// let base = SimDuration::from_micros(200);
-/// let mut extras = Vec::new();
-/// let primary = chaos.apply(base, &mut rng, &mut extras);
-/// assert!(primary >= base);
-/// assert!(extras.len() <= 2);
-/// ```
-#[derive(Clone, Debug)]
-pub struct ChaosModel {
-    dup_p: f64,
-    max_dup: u8,
-    reorder_p: f64,
-    reorder_min: SimDuration,
-    reorder_max: SimDuration,
-}
-
-impl ChaosModel {
-    /// A model with both duplication and reordering.
-    ///
-    /// `dup_p` is the per-copy continuation probability (copy `i + 1` is
-    /// minted only if copy `i` was, geometrically bounded by `max_dup`);
-    /// `reorder_p` is the chance any given delivery — original or copy —
-    /// picks up extra delay uniform in `[reorder_min, reorder_max]`.
-    pub fn new(
-        dup_p: f64,
-        max_dup: u8,
-        reorder_p: f64,
-        reorder_min: SimDuration,
-        reorder_max: SimDuration,
-    ) -> Self {
-        assert!((0.0..=1.0).contains(&dup_p), "dup_p out of range");
-        assert!((0.0..=1.0).contains(&reorder_p), "reorder_p out of range");
-        assert!(reorder_min <= reorder_max, "reorder_min > reorder_max");
-        ChaosModel {
-            dup_p,
-            max_dup,
-            reorder_p,
-            reorder_min,
-            reorder_max,
-        }
-    }
-
-    /// Duplication only.
-    pub fn duplicating(dup_p: f64, max_dup: u8) -> Self {
-        ChaosModel::new(dup_p, max_dup, 0.0, SimDuration::ZERO, SimDuration::ZERO)
-    }
-
-    /// Reordering only.
-    pub fn reordering(reorder_p: f64, min: SimDuration, max: SimDuration) -> Self {
-        ChaosModel::new(0.0, 0, reorder_p, min, max)
-    }
-
-    fn jitter(&self, base: SimDuration, rng: &mut SimRng) -> SimDuration {
-        if self.reorder_p > 0.0 && rng.chance(self.reorder_p) {
-            base + rng.duration_between(self.reorder_min, self.reorder_max)
-        } else {
-            base
-        }
-    }
-
-    /// Applies chaos to one delivered message with base one-way delay
-    /// `base`: returns the (possibly jittered) primary delay and appends
-    /// the delays of any duplicate copies to `extras` (which is **not**
-    /// cleared — callers reuse one buffer across messages).
-    pub fn apply(
-        &self,
-        base: SimDuration,
-        rng: &mut SimRng,
-        extras: &mut Vec<SimDuration>,
-    ) -> SimDuration {
-        for _ in 0..self.max_dup {
-            if self.dup_p > 0.0 && rng.chance(self.dup_p) {
-                extras.push(self.jitter(base, rng));
-            } else {
-                break;
-            }
-        }
-        self.jitter(base, rng)
-    }
-}
 
 /// Seed-driven slow-disk persist stalls: each persistence boundary may take
 /// an extra fsync-spike delay, modeling a disk whose write latency is
@@ -164,51 +59,6 @@ impl PersistStalls {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn duplication_is_bounded() {
-        let chaos = ChaosModel::duplicating(1.0, 3);
-        let mut rng = SimRng::seed_from_u64(1);
-        let mut extras = Vec::new();
-        chaos.apply(SimDuration::from_micros(100), &mut rng, &mut extras);
-        assert_eq!(extras.len(), 3, "p=1 mints exactly max_dup copies");
-    }
-
-    #[test]
-    fn no_dup_no_extras() {
-        let chaos = ChaosModel::reordering(
-            1.0,
-            SimDuration::from_millis(1),
-            SimDuration::from_millis(2),
-        );
-        let mut rng = SimRng::seed_from_u64(2);
-        let mut extras = Vec::new();
-        let after = chaos.apply(SimDuration::from_micros(100), &mut rng, &mut extras);
-        assert!(extras.is_empty());
-        assert!(after >= SimDuration::from_micros(100) + SimDuration::from_millis(1));
-    }
-
-    #[test]
-    fn chaos_is_deterministic_per_seed() {
-        let chaos = ChaosModel::new(
-            0.5,
-            2,
-            0.5,
-            SimDuration::from_millis(1),
-            SimDuration::from_millis(4),
-        );
-        let run = |seed| {
-            let mut rng = SimRng::seed_from_u64(seed);
-            let mut extras = Vec::new();
-            let mut primaries = Vec::new();
-            for _ in 0..50 {
-                primaries.push(chaos.apply(SimDuration::from_micros(150), &mut rng, &mut extras));
-            }
-            (primaries, extras)
-        };
-        assert_eq!(run(9), run(9));
-        assert_ne!(run(9), run(10));
-    }
 
     #[test]
     fn stalls_sample_zero_or_in_range() {

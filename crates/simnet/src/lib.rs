@@ -11,8 +11,7 @@
 //!   [`PerLinkLoss`], and bursty [`GilbertElliott`];
 //! - [`PartitionSet`]: administratively blocked links, symmetric or
 //!   asymmetric (one-way cuts);
-//! - [`ChaosModel`]: bounded message duplication and reordering jitter, and
-//!   [`PersistStalls`]: seed-driven slow-disk persistence stalls;
+//! - [`PersistStalls`]: seed-driven slow-disk persistence stalls;
 //! - [`Network`]: the façade that judges each send, producing a
 //!   [`Verdict`] the harness turns into a delivery event, with full
 //!   message/byte accounting in [`NetStats`].
@@ -43,7 +42,7 @@ mod partition;
 mod stats;
 mod topology;
 
-pub use chaos::{ChaosModel, PersistStalls};
+pub use chaos::PersistStalls;
 pub use latency::{ConstantLatency, LatencyModel, RegionLatency, UniformLatency};
 pub use loss::{BernoulliLoss, GilbertElliott, LossModel, NoLoss, PerLinkLoss};
 pub use net::{Network, Verdict};

@@ -142,11 +142,6 @@ impl GilbertElliott {
         let pi_bad = self.p_gb / (self.p_gb + self.p_bg);
         pi_bad * self.p_bad + (1.0 - pi_bad) * self.p_good
     }
-
-    /// `true` while the chain is in the bad state.
-    pub fn is_bursting(&self) -> bool {
-        self.in_bad
-    }
 }
 
 impl LossModel for GilbertElliott {

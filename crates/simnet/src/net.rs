@@ -9,8 +9,7 @@ use des::{IdSet, SimDuration, SimRng};
 use wire::NodeId;
 
 use crate::{
-    ChaosModel, DropReason, LatencyModel, LossModel, NetStats, NoLoss, PartitionSet, Topology,
-    UniformLatency,
+    DropReason, LatencyModel, LossModel, NetStats, NoLoss, PartitionSet, Topology, UniformLatency,
 };
 
 /// The network's decision about one message.
@@ -54,8 +53,6 @@ pub struct Network {
     stats: NetStats,
     /// Delay applied to self-addressed messages (process-local loopback).
     loopback: SimDuration,
-    /// Optional duplication/reordering layered over delivered messages.
-    chaos: Option<ChaosModel>,
 }
 
 impl std::fmt::Debug for Network {
@@ -83,7 +80,6 @@ impl Network {
             down: IdSet::default(),
             stats: NetStats::new(),
             loopback: SimDuration::from_micros(20),
-            chaos: None,
         }
     }
 
@@ -119,11 +115,6 @@ impl Network {
     /// Marks a node as receiving again.
     pub fn set_up(&mut self, node: NodeId) {
         self.down.remove(&node);
-    }
-
-    /// `true` if the node is currently down.
-    pub fn is_down(&self, node: NodeId) -> bool {
-        self.down.contains(&node)
     }
 
     /// Traffic counters so far.
@@ -167,45 +158,6 @@ impl Network {
         let after = self.latency.sample(from, to, rng);
         self.stats.record_delivered(from, to, bytes);
         Verdict::Deliver { after }
-    }
-
-    /// Installs (or removes) a duplication/reordering model. `None` — the
-    /// default — makes [`Network::judge_chaos`] behave exactly like
-    /// [`Network::judge`], drawing the identical random sequence.
-    pub fn set_chaos(&mut self, chaos: Option<ChaosModel>) {
-        self.chaos = chaos;
-    }
-
-    /// `true` if a chaos model is installed.
-    pub fn has_chaos(&self) -> bool {
-        self.chaos.is_some()
-    }
-
-    /// [`Network::judge`] plus chaos: when a [`ChaosModel`] is installed
-    /// and the message is delivered, the returned delay may carry reorder
-    /// jitter and the delays of any duplicate copies are appended to
-    /// `extras` (a caller-reused buffer, **not** cleared here; one
-    /// scheduled delivery per element). Loopback sends bypass chaos like
-    /// they bypass loss. Duplicate copies are free of charge in the traffic
-    /// stats — accounting tracks what the protocol offered, not what the
-    /// network invented.
-    pub fn judge_chaos(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        bytes: usize,
-        rng: &mut SimRng,
-        extras: &mut Vec<SimDuration>,
-    ) -> Verdict {
-        match self.judge(from, to, bytes, rng) {
-            Verdict::Deliver { after } if from != to => match &self.chaos {
-                Some(chaos) => Verdict::Deliver {
-                    after: chaos.apply(after, rng, extras),
-                },
-                None => Verdict::Deliver { after },
-            },
-            verdict => verdict,
-        }
     }
 }
 

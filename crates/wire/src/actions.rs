@@ -517,22 +517,19 @@ pub trait ConsensusProtocol {
     /// initial timers.
     fn bootstrap(&mut self, out: &mut Actions<Self::Message>);
 
-    /// Number of committed-but-unapplied entries queued for pipelined apply.
+    /// Number of committed entries the node has not applied yet.
     ///
-    /// Zero for protocols (or configurations) that apply inline at the
-    /// commit point — the default. When non-zero, the embedding must call
-    /// [`ConsensusProtocol::drain_applies`] as a separate stage before
-    /// handing the node its next event, so apply work overlaps message
-    /// I/O instead of extending the protocol step.
+    /// Every protocol in this workspace applies at the commit point, so
+    /// this is always zero and nothing in the tree calls it. It stays only
+    /// because the `perf-trace` benchmark's `Traced<P>` wrapper overrides
+    /// it, and `perf/` builds against this trait as it is.
     fn pending_applies(&self) -> u64 {
         0
     }
 
-    /// Drains the pipelined-apply queue: applies every queued committed
-    /// entry (in commit order) to the state machine, emitting the same
-    /// [`Actions`] the inline path would have produced at the commit point
-    /// (commit notifications, client responses, snapshot persists). A
-    /// no-op when the queue is empty or the protocol applies inline.
+    /// Applies the entries [`ConsensusProtocol::pending_applies`] counts: a
+    /// no-op for every protocol here, never called in the tree, and kept
+    /// for the same `Traced<P>` override.
     fn drain_applies(&mut self, _out: &mut Actions<Self::Message>) {}
 }
 

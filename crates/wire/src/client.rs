@@ -148,13 +148,6 @@ pub enum ClientOp {
     Register,
 }
 
-impl ClientOp {
-    /// `true` for writes.
-    pub fn is_write(&self) -> bool {
-        matches!(self, ClientOp::Write(_))
-    }
-}
-
 /// The bit that marks a request id as a read id. Write seqs count up from
 /// 1 and stay below it; read ids always carry it — the same top-bit
 /// partition [`SessionId::assigned`] uses for session ids.

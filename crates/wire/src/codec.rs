@@ -91,11 +91,6 @@ impl Encoder {
         self.buf.extend_from_slice(&[v]);
     }
 
-    /// Appends a little-endian u16.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a little-endian u32.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -162,11 +157,6 @@ impl<'a> Decoder<'a> {
     /// Reads a byte.
     pub fn u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian u16.
-    pub fn u16(&mut self) -> Result<u16, DecodeError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
     /// Reads a little-endian u32.

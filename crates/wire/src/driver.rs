@@ -80,15 +80,13 @@ where
     /// Returns `None` without running `f` if the node is down or unknown.
     /// Otherwise stamps the node's local clock with `clock` (`None` leaves
     /// the node clockless) and returns the filled buffer — to be performed
-    /// by the embedding and handed back through [`Driver::recycle`] — plus
-    /// whether the node has committed entries queued for a pipelined apply
-    /// ([`ConsensusProtocol::pending_applies`]).
+    /// by the embedding and handed back through [`Driver::recycle`].
     pub fn step(
         &mut self,
         at: K,
         clock: Option<SimTime>,
         f: impl FnOnce(&mut P, &mut Actions<P::Message>),
-    ) -> Option<(Actions<P::Message>, bool)> {
+    ) -> Option<Actions<P::Message>> {
         let slot = self.slots.get_mut(&at).filter(|s| s.up)?;
         if let Some(now) = clock {
             slot.node.set_local_clock(now);
@@ -100,7 +98,7 @@ where
             self.safety
                 .record(group, node, c.scope, c.index, c.entry.id);
         }
-        Some((out, slot.node.pending_applies() > 0))
+        Some(out)
     }
 
     /// Takes a performed buffer back, cleared, for a later step.
@@ -177,12 +175,11 @@ mod tests {
     #[test]
     fn none_clock_leaves_the_node_clockless() {
         let mut d = driver();
-        let (out, pending) = d.step(NodeId(0), None, |n, out| n.bootstrap(out)).unwrap();
-        assert!(!pending);
+        let out = d.step(NodeId(0), None, |n, out| n.bootstrap(out)).unwrap();
         assert_eq!(d.slots[&NodeId(0)].node.clock, None);
         d.recycle(out);
         let at = SimTime::from_millis(5);
-        let (out, _) = d
+        let out = d
             .step(NodeId(0), Some(at), |n, out| n.bootstrap(out))
             .unwrap();
         assert_eq!(d.slots[&NodeId(0)].node.clock, Some(at));
@@ -192,11 +189,11 @@ mod tests {
     #[test]
     fn recycled_buffer_returns_empty_with_its_capacity() {
         let mut d = driver();
-        let (out, _) = d.step(NodeId(0), None, |n, out| n.bootstrap(out)).unwrap();
+        let out = d.step(NodeId(0), None, |n, out| n.bootstrap(out)).unwrap();
         assert_eq!(out.sends.len(), 8);
         let cap = out.sends.capacity();
         d.recycle(out);
-        let (out, _) = d.step(NodeId(0), None, |_, _| {}).unwrap();
+        let out = d.step(NodeId(0), None, |_, _| {}).unwrap();
         assert!(out.is_empty());
         assert_eq!(out.sends.capacity(), cap);
     }
@@ -206,7 +203,7 @@ mod tests {
         let mut d = driver();
         for n in 0..2 {
             let kind = TimerKind::Election;
-            let (out, _) = d
+            let out = d
                 .step(NodeId(n), None, |t, out| t.on_timer(kind, out))
                 .unwrap();
             d.recycle(out);

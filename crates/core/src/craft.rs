@@ -35,7 +35,7 @@ use wire::{
 };
 
 use crate::engine::{FastRaftEngine, ProposalMode, TimerProfile};
-use crate::gate::{GateRecorder, GateToken, ProceedGate};
+use crate::gate::{GateRecorder, GateRequest, GateToken, ProceedGate};
 use crate::message::{CRaftMessage, FastRaftMessage};
 
 /// Tuning parameters for a C-Raft deployment.
@@ -151,6 +151,10 @@ pub struct CRaftNode {
     /// here — nested steps (a gate request proposing locally from inside a
     /// global step) just take another.
     free_actions: Vec<Actions<FastRaftMessage>>,
+    /// Cleared gate-request buffers, reused the same way: a global step's
+    /// requests move into one before they are processed, so the nested
+    /// steps processing them drain only newer requests, into another.
+    free_gate_reqs: Vec<Vec<GateRequest>>,
 }
 
 impl CRaftNode {
@@ -202,6 +206,7 @@ impl CRaftNode {
             cfg,
             boost_first_election,
             free_actions: Vec::new(),
+            free_gate_reqs: Vec::new(),
         }
     }
 
@@ -252,6 +257,7 @@ impl CRaftNode {
             cfg,
             boost_first_election: false,
             free_actions: Vec::new(),
+            free_gate_reqs: Vec::new(),
         }
     }
 
@@ -431,14 +437,11 @@ impl CRaftNode {
             engine.track_pending_proposal(id, payload, idx, &mut ea);
         }
 
-        let mut side = GlobalSide {
+        self.global = Some(GlobalSide {
             engine,
-            gate: GateRecorder::new(),
+            gate: GateRecorder::default(),
             waiting: IdMap::default(),
-        };
-        let drained = side.gate.drain();
-        debug_assert!(drained.is_empty());
-        self.global = Some(side);
+        });
         self.forward_global_actions(&mut ea, out);
         self.give_actions(ea);
 
@@ -545,9 +548,7 @@ impl CRaftNode {
             return;
         }
         while let Some(cut) = self.next_batch_cut() {
-            let chunk: Vec<BatchItem> =
-                self.batch_buf.drain(..cut).map(|(_, item)| item).collect();
-            self.propose_batch(chunk, out);
+            self.propose_batch(cut, out);
         }
         if !self.batch_buf.is_empty() && self.cfg.batch_flush_ms > 0 {
             out.timers.push(wire::TimerCmd::Set {
@@ -561,11 +562,13 @@ impl CRaftNode {
         if self.global.is_none() || self.batch_buf.is_empty() {
             return;
         }
-        let chunk: Vec<BatchItem> = self.batch_buf.drain(..).map(|(_, item)| item).collect();
-        self.propose_batch(chunk, out);
+        self.propose_batch(self.batch_buf.len(), out);
     }
 
-    fn propose_batch(&mut self, items: Vec<BatchItem>, out: &mut Actions<CRaftMessage>) {
+    /// Proposes the first `cut` buffered items as one batch, collected
+    /// straight into its shared slice.
+    fn propose_batch(&mut self, cut: usize, out: &mut Actions<CRaftMessage>) {
+        let items = self.batch_buf.drain(..cut).map(|(_, item)| item);
         let batch = wire::Batch::new(self.cfg.cluster, self.batch_seq, items);
         self.batch_seq += 1;
         self.step_global(out, |engine, gate, ea| {
@@ -732,15 +735,15 @@ impl CRaftNode {
         }
 
         // Gate requests become local global-state proposals (§V-B).
-        let requests = match self.global.as_mut() {
-            Some(side) => side.gate.drain(),
-            None => Vec::new(),
-        };
-        for req in requests {
+        let mut requests = self.free_gate_reqs.pop().unwrap_or_default();
+        if let Some(side) = self.global.as_mut() {
+            requests.extend(side.gate.drain());
+        }
+        for req in requests.drain(..) {
             let gc = self.global_commit_seen();
             let gs = GlobalState {
                 index: req.index,
-                entry: std::rc::Rc::new(req.entry.clone()),
+                entry: std::rc::Rc::new(req.entry),
                 global_commit: gc,
             };
             let mut la = self.take_actions();
@@ -753,6 +756,7 @@ impl CRaftNode {
             self.forward_local_actions(&mut la, out);
             self.give_actions(la);
         }
+        self.free_gate_reqs.push(requests);
     }
 
     // ------------------------------------------------------------------

@@ -75,19 +75,11 @@ pub struct GateRecorder {
 }
 
 impl GateRecorder {
-    /// A fresh recorder.
-    pub fn new() -> Self {
-        GateRecorder::default()
-    }
-
-    /// Drains the requests recorded since the last call.
-    pub fn drain(&mut self) -> Vec<GateRequest> {
-        std::mem::take(&mut self.requests)
-    }
-
-    /// Number of recorded-but-undrained requests.
-    pub fn pending(&self) -> usize {
-        self.requests.len()
+    /// Drains the requests recorded since the last call, in recording
+    /// order. The recorder keeps its buffer, so a warmed-up recorder
+    /// records and drains without allocating.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, GateRequest> {
+        self.requests.drain(..)
     }
 }
 
@@ -132,28 +124,28 @@ mod tests {
 
     #[test]
     fn recorder_defers_with_unique_tokens() {
-        let mut g = GateRecorder::new();
+        let mut g = GateRecorder::default();
         let v1 = g.begin(LogIndex(1), &entry(), GatePurpose::DecisionInsert);
         let v2 = g.begin(LogIndex(2), &entry(), GatePurpose::AppendInsert);
         let (GateVerdict::Defer(t1), GateVerdict::Defer(t2)) = (v1, v2) else {
             panic!("recorder must defer");
         };
         assert_ne!(t1, t2);
-        let reqs = g.drain();
+        let reqs: Vec<GateRequest> = g.drain().collect();
         assert_eq!(reqs.len(), 2);
         assert_eq!(reqs[0].token, t1);
         assert_eq!(reqs[0].purpose, GatePurpose::DecisionInsert);
         assert_eq!(reqs[1].index, LogIndex(2));
-        assert_eq!(g.pending(), 0);
+        assert_eq!(g.drain().count(), 0);
     }
 
     #[test]
     fn tokens_remain_unique_across_drains() {
-        let mut g = GateRecorder::new();
+        let mut g = GateRecorder::default();
         g.begin(LogIndex(1), &entry(), GatePurpose::ProposerInsert);
-        let first = g.drain();
+        let first = g.drain().next().expect("one request");
         g.begin(LogIndex(1), &entry(), GatePurpose::ProposerInsert);
-        let second = g.drain();
-        assert_ne!(first[0].token, second[0].token);
+        let second = g.drain().next().expect("one request");
+        assert_ne!(first.token, second.token);
     }
 }

@@ -256,11 +256,11 @@ fn a_dropped_gated_reservation_leaves_the_retry_to_be_placed() {
     });
     let (from, to, msg) = net.queue.pop_front().expect("the forward");
     assert_eq!((from, to), (NodeId(1), NodeId(0)));
-    let mut gate = GateRecorder::new();
+    let mut gate = GateRecorder::default();
     let mut out = Actions::new();
     net.engines[0].on_message(from, msg, &mut gate, &mut out);
     net.route(NodeId(0), out);
-    let reserved = gate.drain();
+    let reserved: Vec<_> = gate.drain().collect();
     assert_eq!(reserved.len(), 1);
     assert_eq!(
         (reserved[0].index, reserved[0].entry.id),

@@ -49,7 +49,7 @@ impl GatedFastRaftNode {
         engine.set_proposal_mode(ProposalMode::LeaderForward);
         GatedFastRaftNode {
             engine,
-            gate: GateRecorder::new(),
+            gate: GateRecorder::default(),
             armed: BTreeMap::new(),
         }
     }
@@ -80,7 +80,7 @@ impl GatedFastRaftNode {
         engine.set_proposal_mode(ProposalMode::LeaderForward);
         GatedFastRaftNode {
             engine,
-            gate: GateRecorder::new(),
+            gate: GateRecorder::default(),
             armed: BTreeMap::new(),
         }
     }

@@ -206,6 +206,9 @@ pub struct Runner<P: ConsensusProtocol> {
     recover_fn: Option<RecoveryFn<P>>,
     net_rng: SimRng,
     payload_rng: SimRng,
+    /// Reused scratch, one write's payload long, for the payload draws;
+    /// each payload is then copied into its `Bytes` in one allocation.
+    payload_buf: Vec<u8>,
     /// Per-operation read/write coin flips (untouched when `read_ratio` is
     /// zero, so all-write runs are bit-identical to the pre-read harness).
     op_rng: SimRng,
@@ -253,6 +256,7 @@ impl<P: ConsensusProtocol> Runner<P> {
             driver,
             clock_offsets: BTreeMap::new(),
             metrics: Metrics::new(cfg.measure_from),
+            payload_buf: vec![0; workload.payload_bytes],
             workload,
             cfg,
             recover_fn: None,
@@ -642,9 +646,8 @@ impl<P: ConsensusProtocol> Runner<P> {
         {
             (ClientOp::Read(self.workload.read_consistency), false)
         } else {
-            let mut payload = vec![0u8; self.workload.payload_bytes];
-            self.payload_rng.fill_bytes(&mut payload);
-            (ClientOp::Write(Bytes::from(payload)), false)
+            self.payload_rng.fill_bytes(&mut self.payload_buf);
+            (ClientOp::Write(Bytes::copy_from_slice(&self.payload_buf)), false)
         };
         // Registrations and writes take the session's next seq, so its seqs
         // stay gapless; a read takes the next read id instead.

@@ -888,10 +888,10 @@ impl<P: ShardNode> ShardRunner<P> {
         let key = key_id.to_be_bytes();
         let gateway = self.clients[client].gateway;
         let group = self.routers[gateway as usize].assign(&key).as_u32();
-        let mut data = Vec::with_capacity(self.workload.payload_bytes.max(8));
-        data.extend_from_slice(&key);
-        data.resize(self.workload.payload_bytes.max(8), 0);
-        self.submit_op(client, group, Bytes::from(data), None);
+        // The key, zero-padded: an exact-length iterator, so one allocation.
+        let len = self.workload.payload_bytes.max(8);
+        let data = key.into_iter().chain(std::iter::repeat(0)).take(len).collect();
+        self.submit_op(client, group, data, None);
     }
 
     fn submit_op(&mut self, client: usize, group: u32, data: Bytes, admin_idx: Option<usize>) {

@@ -82,12 +82,17 @@ pub struct Batch {
 }
 
 impl Batch {
-    /// Builds a batch from its items.
-    pub fn new(cluster: ClusterId, batch_seq: u64, items: Vec<BatchItem>) -> Self {
+    /// Builds a batch from its items. An exact-length iterator (a `Vec`, a
+    /// `drain(..)`, either `map`ped) is collected in one allocation.
+    pub fn new(
+        cluster: ClusterId,
+        batch_seq: u64,
+        items: impl IntoIterator<Item = BatchItem>,
+    ) -> Self {
         Batch {
             cluster,
             batch_seq,
-            items: items.into(),
+            items: items.into_iter().collect(),
         }
     }
 
@@ -297,12 +302,12 @@ impl fmt::Display for LogEntry {
 /// entries are frozen: consumers clone individual [`LogEntry`] values out of
 /// the list before mutating site-local fields such as `approval`.
 ///
-/// The list is a **window** `[start, start + len)` over its backing
-/// allocation. [`EntryList::from_vec`] covers the whole vector (the common
-/// construction), while `SparseLog::collect_range_budgeted` can hand out a
-/// sub-slice of one of its sealed segments directly — an AppendEntries
-/// payload assembled without copying a single entry. Equality, hashing, and
-/// iteration all see only the window, never the backing storage.
+/// The list is a **window** `[start, start + len)` over a shared slice.
+/// `SparseLog::collect_range_budgeted` either hands out a sub-slice of one
+/// of its sealed segments directly — an AppendEntries payload assembled
+/// without copying a single entry — or collects the admitted entries into a
+/// slice of their own in one allocation. Equality, hashing, and iteration
+/// all see only the window, never the backing storage.
 ///
 /// # Examples
 ///
@@ -321,27 +326,23 @@ impl fmt::Display for LogEntry {
 pub struct EntryList {
     /// The backing allocation; `None` for the empty list, so a pure
     /// heartbeat carries (and decodes to) no allocation at all.
-    seg: Option<Rc<Vec<(LogIndex, LogEntry)>>>,
+    seg: Option<Rc<[(LogIndex, LogEntry)]>>,
     start: usize,
     len: usize,
 }
 
 impl EntryList {
-    /// Freezes a vector of indexed entries into a shareable list. O(1): the
-    /// vector is moved behind the refcount, not copied element-wise.
+    /// Freezes a vector of indexed entries into a shareable list. Copies
+    /// the pairs once, into a new shared slice: only decoding and tests
+    /// build lists this way; the log collects straight into the slice.
     pub fn from_vec(entries: Vec<(LogIndex, LogEntry)>) -> Self {
-        let len = entries.len();
-        EntryList {
-            seg: (len > 0).then(|| Rc::new(entries)),
-            start: 0,
-            len,
-        }
+        entries.into_iter().collect()
     }
 
     /// A window onto an existing shared allocation: `len` pairs starting at
     /// `start`. O(1) and allocation-free — the log's segment-sliced
     /// collection path. Crate-internal so every public list is known valid.
-    pub(crate) fn view(seg: Rc<Vec<(LogIndex, LogEntry)>>, start: usize, len: usize) -> Self {
+    pub(crate) fn view(seg: Rc<[(LogIndex, LogEntry)]>, start: usize, len: usize) -> Self {
         debug_assert!(start.checked_add(len).is_some_and(|end| end <= seg.len()));
         EntryList {
             seg: Some(seg),
@@ -425,8 +426,15 @@ impl From<Vec<(LogIndex, LogEntry)>> for EntryList {
 }
 
 impl FromIterator<(LogIndex, LogEntry)> for EntryList {
+    /// One allocation for an exact-length iterator, none for an empty one.
     fn from_iter<I: IntoIterator<Item = (LogIndex, LogEntry)>>(iter: I) -> Self {
-        EntryList::from_vec(iter.into_iter().collect())
+        let mut iter = iter.into_iter().peekable();
+        if iter.peek().is_none() {
+            return EntryList::empty();
+        }
+        let seg: Rc<[_]> = iter.collect();
+        let len = seg.len();
+        EntryList::view(seg, 0, len)
     }
 }
 
@@ -567,7 +575,7 @@ mod tests {
                 )
             })
             .collect();
-        let backing = Rc::new(pairs.clone());
+        let backing: Rc<[(LogIndex, LogEntry)]> = Rc::from(pairs.clone());
         let view = EntryList::view(Rc::clone(&backing), 1, 3);
         assert_eq!(view.len(), 3);
         assert_eq!(view.as_slice()[0].0, LogIndex(2));

@@ -18,6 +18,8 @@
 //!   `(index, entry)` pairs. AppendEntries assembly
 //!   ([`SparseLog::collect_range_budgeted`]) cuts an [`EntryList`] **window**
 //!   straight out of a segment — no per-entry clone, no buffer allocation.
+//!   Any other list is collected in one allocation, straight into its
+//!   shared slice.
 //! - **The slot tail**: a `VecDeque<Option<LogEntry>>` of slots indexed by
 //!   offset from `sealed_end + 1`, exactly the PR 5 dense-prefix layout,
 //!   holding the mutable tip (in-flight window, holes, conflict-truncation
@@ -71,7 +73,7 @@ const SEAL_GUARD: usize = 256;
 
 /// A sealed, immutable run of exactly [`SEG`] consecutive occupied entries.
 ///
-/// The pair vector is `Rc`-shared with every [`EntryList`] window cut from
+/// The pair slice is `Rc`-shared with every [`EntryList`] window cut from
 /// it, so an in-flight AppendEntries payload stays valid (and allocation
 /// free) even if the log later unseals or compacts this segment.
 #[derive(Clone, Debug)]
@@ -79,7 +81,7 @@ struct Seg {
     /// Absolute index of `entries[0]`.
     first: u64,
     /// Exactly [`SEG`] `(index, entry)` pairs.
-    entries: Rc<Vec<(LogIndex, LogEntry)>>,
+    entries: Rc<[(LogIndex, LogEntry)]>,
 }
 
 impl Seg {
@@ -220,19 +222,19 @@ impl SparseLog {
     fn maybe_seal(&mut self) {
         while self.first_gap - self.sealed_end > (SEG + SEAL_GUARD) as u64 {
             let first = self.sealed_end + 1;
-            let mut entries = Vec::with_capacity(SEG);
-            for k in 0..SEG as u64 {
-                let e = self
-                    .slots
-                    .pop_front()
-                    .expect("sealable prefix lies inside the stored range")
-                    .expect("sealable prefix below first_gap is occupied");
-                entries.push((LogIndex(first + k), e));
-            }
-            self.segs.push_back(Seg {
-                first,
-                entries: Rc::new(entries),
-            });
+            // An exact-length iterator: the segment is built in one
+            // allocation.
+            let entries = (first..first + SEG as u64)
+                .map(|i| {
+                    let e = self
+                        .slots
+                        .pop_front()
+                        .expect("sealable prefix lies inside the stored range")
+                        .expect("sealable prefix below first_gap is occupied");
+                    (LogIndex(i), e)
+                })
+                .collect();
+            self.segs.push_back(Seg { first, entries });
             self.sealed_end += SEG as u64;
         }
     }
@@ -247,13 +249,12 @@ impl SparseLog {
                 .segs
                 .back()
                 .map_or(self.compacted_through, Seg::last);
-            // Unique segments move their entries back; shared ones (an
-            // in-flight EntryList window still references the allocation)
-            // are cloned, leaving the window's copy frozen.
-            let entries = Rc::try_unwrap(seg.entries).unwrap_or_else(|a| (*a).clone());
-            for (i, e) in entries.into_iter().rev() {
+            // Entries clone out of the shared slice (payloads by
+            // refcount): an in-flight EntryList window still referencing
+            // it keeps its copy frozen.
+            for (i, e) in seg.entries.iter().rev() {
                 if i.as_u64() > self.compacted_through {
-                    self.slots.push_front(Some(e));
+                    self.slots.push_front(Some(e.clone()));
                 }
             }
         }
@@ -663,9 +664,10 @@ impl SparseLog {
     /// [`EntryList`] *window*
     /// onto the segment's shared allocation: one refcount bump, zero entry
     /// clones, zero buffer allocations. Otherwise (walk starts in the slot
-    /// tail, or spans a segment boundary) entries clone — `Bytes` payloads
-    /// by refcount — into a buffer pre-sized to the admission bound, exactly
-    /// the PR 2/PR 5 path.
+    /// tail, or spans a segment boundary) a first pass counts the admitted
+    /// entries and a second clones them — `Bytes` payloads by refcount —
+    /// into a shared slice of exactly that length: one allocation, dense or
+    /// gapped.
     pub fn collect_range_budgeted(
         &self,
         from: LogIndex,
@@ -701,17 +703,26 @@ impl SparseLog {
             // The budget admits more than this segment holds: fall through
             // to the cloning walk (a cross-segment list cannot be a window).
         }
-        let mut out = Vec::with_capacity(((hi - lo + 1) as usize).min(budget.max_entries));
-        let mut bytes = 0usize;
-        for (i, e) in self.range(from, to) {
+        // Two passes: count what the budget admits, then clone exactly that
+        // many through an exact-length iterator, so the list is one
+        // allocation whether the range is dense or gapped.
+        let (mut n, mut bytes) = (0usize, 0usize);
+        for (_, e) in self.range(from, to) {
             let sz = 8 + e.encoded_len();
-            if !budget.admits(out.len(), bytes, sz) {
+            if !budget.admits(n, bytes, sz) {
                 break;
             }
             bytes += sz;
-            out.push((i, e.clone()));
+            n += 1;
         }
-        EntryList::from_vec(out)
+        if n == 0 {
+            return EntryList::empty();
+        }
+        let mut admitted = self.range(from, to).map(|(i, e)| (i, e.clone()));
+        let entries: Rc<[_]> = (0..n)
+            .map(|_| admitted.next().expect("the first pass counted this entry"))
+            .collect();
+        EntryList::view(entries, 0, n)
     }
 
     /// All self-approved entries, for Fast Raft's election recovery (§IV-C).

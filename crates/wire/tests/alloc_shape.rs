@@ -1,0 +1,115 @@
+//! Allocation shape: each shared buffer the replication path builds costs
+//! exactly one allocator call, and a window or an empty list costs none.
+//!
+//! An AppendEntries list is either a window onto a sealed log segment (a
+//! refcount bump) or its admitted entries collected straight into one
+//! shared slice, whether the slot-tail range is dense or has holes. A
+//! client payload collected from an exact-length iterator is one `Bytes`
+//! allocation. This test counts the calls of each construction exactly, so
+//! a second copy (a `Vec` built first, then copied behind the `Rc`) shows
+//! as a failure here rather than as a drift in `perf`'s per-op averages.
+//!
+//! Own test binary, own `#[global_allocator]`, a single `#[test]`: nothing
+//! else allocates while a construction is being counted.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+use bytes::Bytes;
+use wire::{
+    AppendBudget, EntryId, LogEntry, LogIndex, NodeId, SessionId, SparseLog, Term,
+    MAX_BYTES_PER_APPEND,
+};
+
+/// Allocator calls (`alloc` + `realloc`, `perf`'s rule).
+static CALLS: AtomicU64 = AtomicU64::new(0);
+
+struct CountingAlloc;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is the only addition.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Relaxed);
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Relaxed);
+        // SAFETY: `ptr`/`layout` came from `System`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Runs `build` and returns its result with the allocator calls it made.
+/// The result is dropped by the caller, outside the count.
+fn counted<T>(build: impl FnOnce() -> T) -> (T, u64) {
+    let before = CALLS.load(Relaxed);
+    let out = build();
+    (out, CALLS.load(Relaxed) - before)
+}
+
+fn entry(seq: u64) -> LogEntry {
+    LogEntry::write(
+        Term(1),
+        EntryId::new(NodeId(1), seq),
+        SessionId::client(1),
+        seq,
+        Bytes::from_static(b"sixty-four bytes of client payload, more or less, for the budget"),
+    )
+}
+
+#[test]
+fn each_shared_buffer_is_one_allocation() {
+    // 2,000 contiguous entries: the first 1,024 seal into a segment, the
+    // rest stay in the slot tail.
+    let mut log = SparseLog::new();
+    for seq in 1..=2_000 {
+        log.append(entry(seq));
+    }
+    let budget = AppendBudget::new(64, MAX_BYTES_PER_APPEND);
+    let at = |from: u64, to: u64| (LogIndex(from), LogIndex(to));
+
+    let (from, to) = at(1_500, 2_000);
+    let (dense, calls) = counted(|| log.collect_range_budgeted(from, to, budget));
+    assert_eq!(dense.len(), 64);
+    assert_eq!(calls, 1, "a dense slot-tail list is one allocation");
+
+    for hole in [1_502, 1_510, 1_577] {
+        log.remove(LogIndex(hole));
+    }
+    let (gapped, calls) = counted(|| log.collect_range_budgeted(from, to, budget));
+    assert_eq!(gapped.len(), 64);
+    assert_eq!(gapped[2].0, LogIndex(1_503), "holes are skipped");
+    assert_eq!(calls, 1, "a gapped slot-tail list is one allocation");
+
+    let (from, to) = at(10, 2_000);
+    let (window, calls) = counted(|| log.collect_range_budgeted(from, to, budget));
+    assert_eq!((window.len(), window[0].0), (64, LogIndex(10)));
+    assert_eq!(calls, 0, "a sealed-segment window allocates nothing");
+
+    for (from, to) in [at(2_001, 3_000), at(1_502, 1_502), at(7, 6)] {
+        let (empty, calls) = counted(|| log.collect_range_budgeted(from, to, budget));
+        assert!(empty.is_empty());
+        assert_eq!(calls, 0, "an empty list allocates nothing");
+    }
+
+    let key = 0x1234_5678_9abc_def0_u64.to_be_bytes();
+    let (payload, calls) = counted(|| {
+        key.into_iter()
+            .chain(std::iter::repeat(0))
+            .take(512)
+            .collect::<Bytes>()
+    });
+    assert_eq!((payload.len(), &payload[..8]), (512, &key[..]));
+    assert_eq!(calls, 1, "an exact-length payload is one allocation");
+}

@@ -9,14 +9,27 @@
 //! `front_gap`, `last_index`, iteration order, and budgeted range
 //! collection. Plus the regression the compaction invariant hinges on: a
 //! hole at the compaction boundary still clamps compaction.
+//!
+//! Half the sequences start from a log long enough to seal a segment, so
+//! the same ops also reach into it (`get_mut` copy-on-write, unsealing
+//! inserts, removes and truncations, compaction and snapshots inside it).
+//! Every budgeted list collected along the way is kept: an `EntryList` is
+//! frozen once sent, so each must still hold exactly what it held when it
+//! was cut, whatever the log did since.
 
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use wire::{
-    AppendBudget, Approval, EntryId, LogEntry, LogIndex, NodeId, SessionId, SparseLog, Term, Wire,
+    AppendBudget, Approval, EntryId, EntryList, LogEntry, LogIndex, NodeId, SessionId, SparseLog,
+    Term, Wire,
 };
+
+/// Entries a sequence may start with: enough contiguous history for the
+/// log to seal its first 1,024-entry segment (it seals once the contiguous
+/// run passes 1,024 + a 256-entry guard).
+const SEALING_PREFIX: u64 = 1_300;
 
 /// The previous `SparseLog` representation, kept as the reference model.
 #[derive(Default)]
@@ -44,6 +57,10 @@ impl TreeModel {
 
     fn remove(&mut self, i: LogIndex) -> Option<LogEntry> {
         self.entries.remove(&i.as_u64())
+    }
+
+    fn get_mut(&mut self, i: LogIndex) -> Option<&mut LogEntry> {
+        self.entries.get_mut(&i.as_u64())
     }
 
     fn truncate_from(&mut self, from: LogIndex) -> usize {
@@ -144,6 +161,7 @@ enum Op {
     Append { term: u64, self_approved: bool },
     Insert { index: u64, term: u64, self_approved: bool },
     Remove { index: u64 },
+    Approve { index: u64 },
     Truncate { from: u64 },
     Compact { through: u64 },
     InstallSnapshot { last_index: u64, term: u64 },
@@ -173,6 +191,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
             self_approved: sa
         }),
         (1..48u64).prop_map(|index| Op::Remove { index }),
+        (1..48u64).prop_map(|index| Op::Approve { index }),
         (1..48u64).prop_map(|from| Op::Truncate { from }),
         (1..48u64).prop_map(|through| Op::Compact { through }),
         (1..32u64, 1..6u64).prop_map(|(last_index, term)| Op::InstallSnapshot {
@@ -197,8 +216,9 @@ fn entry(term: u64, seq: u64, self_approved: bool) -> LogEntry {
     }
 }
 
-/// Asserts every observable agrees between the dense log and the model.
-fn assert_equivalent(log: &SparseLog, model: &TreeModel, probe_to: u64) {
+/// Asserts every observable agrees between the dense log and the model, and
+/// returns the budgeted lists it collected.
+fn assert_equivalent(log: &SparseLog, model: &TreeModel, probe_to: u64) -> Vec<EntryList> {
     assert_eq!(log.last_index(), model.last_index(), "last_index");
     assert_eq!(log.first_gap(), model.first_gap(), "first_gap");
     assert_eq!(log.front_gap(), model.front_gap(), "front_gap");
@@ -220,17 +240,21 @@ fn assert_equivalent(log: &SparseLog, model: &TreeModel, probe_to: u64) {
         model.entries.iter().map(|(&i, e)| (LogIndex(i), e)).collect();
     assert_eq!(got, want, "iteration order");
     // Budgeted collection over a few representative windows and budgets.
-    for (from, to, max_entries, max_bytes) in [
+    let windows = [
         (1u64, probe_to, usize::MAX, usize::MAX),
         (1, probe_to, 3, usize::MAX),
         (2, probe_to / 2 + 1, usize::MAX, 64),
         (probe_to / 2, probe_to, 5, 128),
-    ] {
+    ];
+    let mut lists = Vec::new();
+    for (from, to, max_entries, max_bytes) in windows {
         let budget = AppendBudget::new(max_entries, max_bytes);
         let got = log.collect_range_budgeted(LogIndex(from), LogIndex(to), budget);
         let want = model.collect_range_budgeted(LogIndex(from), LogIndex(to), budget);
         assert_eq!(got.as_slice(), want.as_slice(), "budgeted [{from},{to}]");
+        lists.push(got);
     }
+    lists
 }
 
 proptest! {
@@ -240,10 +264,21 @@ proptest! {
     })]
 
     #[test]
-    fn dense_log_matches_btreemap_model(ops in proptest::collection::vec(arb_op(), 1..80)) {
+    fn dense_log_matches_btreemap_model(
+        prefix in 0..2u64,
+        ops in proptest::collection::vec(arb_op(), 1..80),
+    ) {
         let mut log = SparseLog::new();
         let mut model = TreeModel::default();
         let mut seq = 0u64;
+        // Long enough that the first 1,024 entries seal into a segment.
+        for _ in 0..prefix * SEALING_PREFIX {
+            seq += 1;
+            let e = entry(1, seq, false);
+            prop_assert_eq!(log.append(e.clone()), model.append(e));
+        }
+        // Every list cut so far, with a deep copy of what it held then.
+        let mut sent: Vec<(EntryList, Vec<(LogIndex, LogEntry)>)> = Vec::new();
         for op in ops {
             seq += 1;
             match op {
@@ -263,6 +298,12 @@ proptest! {
                     let i = LogIndex(index);
                     prop_assert_eq!(log.remove(i), model.remove(i));
                 }
+                Op::Approve { index } => {
+                    let i = LogIndex(index);
+                    let got = log.get_mut(i).map(|e| e.approval = Approval::SelfApproved);
+                    let want = model.get_mut(i).map(|e| e.approval = Approval::SelfApproved);
+                    prop_assert_eq!(got, want);
+                }
                 Op::Truncate { from } => {
                     let i = LogIndex(from);
                     prop_assert_eq!(log.truncate_from(i), model.truncate_from(i));
@@ -279,7 +320,13 @@ proptest! {
                     );
                 }
             }
-            assert_equivalent(&log, &model, 56);
+            for (list, held) in &sent {
+                prop_assert_eq!(list.as_slice(), held.as_slice(), "a sent list changed");
+            }
+            for list in assert_equivalent(&log, &model, 56) {
+                let held = list.to_vec();
+                sent.push((list, held));
+            }
         }
         // Observational equality implies structural equality of a rebuilt
         // twin: replaying the model's surviving state into a fresh dense

@@ -78,9 +78,13 @@ pub struct Metrics {
     pub read_samples: Vec<LatencySample>,
     /// Outstanding client operations by `(session, seq)`.
     inflight: BTreeMap<ClientOpKey, SimTime>,
-    /// Items committed to the global log, indexed by global log index
-    /// (`None`: not committed in the measurement window).
-    global_items: Vec<Option<u64>>,
+    /// Global log indices already counted, one bit each (bit `i % 64` of
+    /// word `i / 64` is index `i`): set at an index's first report in the
+    /// measurement window.
+    global_seen: Vec<u64>,
+    /// Application values committed to the global log in the measurement
+    /// window, each index counted once.
+    global_items: u64,
     /// Leader fast-track commits observed.
     pub fast_commits: u64,
     /// Leader classic-track commits observed.
@@ -178,14 +182,18 @@ impl Metrics {
     }
 
     /// Records a committed global-log entry carrying `items` application
-    /// values. Deduplicated by index: each global slot counts once.
+    /// values. Deduplicated by index: each global slot counts once, with
+    /// the `items` of its first report in the measurement window.
     pub fn global_commit(&mut self, index: LogIndex, items: u64, now: SimTime) {
         if now >= self.measure_from {
-            let slot = index.as_u64() as usize;
-            if self.global_items.len() <= slot {
-                self.global_items.resize(slot + 1, None);
+            let (word, bit) = ((index.as_u64() / 64) as usize, 1 << (index.as_u64() % 64));
+            if self.global_seen.len() <= word {
+                self.global_seen.resize(word + 1, 0);
             }
-            self.global_items[slot].get_or_insert(items);
+            if self.global_seen[word] & bit == 0 {
+                self.global_seen[word] |= bit;
+                self.global_items += items;
+            }
         }
     }
 
@@ -207,7 +215,7 @@ impl Metrics {
     /// Total application values committed to the global log in the
     /// measurement window.
     pub fn global_committed_items(&self) -> u64 {
-        self.global_items.iter().flatten().sum()
+        self.global_items
     }
 
     /// Throughput in committed values per simulated second over `window`.
@@ -324,6 +332,40 @@ mod tests {
         m.global_commit(LogIndex(2), 5, SimTime::from_millis(3));
         assert_eq!(m.global_committed_items(), 15);
         assert!((m.throughput(SimDuration::from_secs(3)) - 5.0).abs() < 1e-9);
+    }
+
+    /// The representation `global_commit` replaced, one `Option` per
+    /// global index: the reference the bitset and running sum must match.
+    fn reference_items(reports: &[(u64, u64, u64)], from_ms: u64) -> u64 {
+        let mut slots: Vec<Option<u64>> = Vec::new();
+        for &(index, items, at_ms) in reports {
+            if at_ms >= from_ms {
+                let slot = index as usize;
+                if slots.len() <= slot {
+                    slots.resize(slot + 1, None);
+                }
+                slots[slot].get_or_insert(items);
+            }
+        }
+        slots.iter().flatten().sum()
+    }
+
+    proptest::proptest! {
+        /// Duplicate, out-of-order and pre-window reports, over indices that
+        /// cross several bitset words: each index counts once, with the
+        /// items of its first report inside the window.
+        #[test]
+        fn global_commit_matches_the_per_index_fold(
+            reports in proptest::collection::vec((0u64..300, 1u64..20, 0u64..100), 0..200),
+            from_ms in 0u64..100,
+        ) {
+            let mut m = Metrics::new(SimTime::from_millis(from_ms));
+            for &(index, items, at_ms) in &reports {
+                m.global_commit(LogIndex(index), items, SimTime::from_millis(at_ms));
+            }
+            let want = reference_items(&reports, from_ms);
+            proptest::prop_assert_eq!(m.global_committed_items(), want);
+        }
     }
 
     #[test]

@@ -200,7 +200,8 @@ pub struct Runner<P: ConsensusProtocol> {
     /// Per-node clock offset (see [`RunnerConfig::clock_skew`]); a node's
     /// local clock is stamped `sim_now + offset` before every handler.
     clock_offsets: BTreeMap<NodeId, SimDuration>,
-    metrics: Metrics,
+    /// Moved out, not copied, once a scenario's report is assembled.
+    pub(crate) metrics: Metrics,
     workload: Workload,
     cfg: RunnerConfig,
     recover_fn: Option<RecoveryFn<P>>,

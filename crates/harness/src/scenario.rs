@@ -427,5 +427,6 @@ fn finish<P: wire::ConsensusProtocol>(
         runner.completed(),
     );
     runner.safety().assert_ok();
-    (report, runner.metrics().clone())
+    // Moved, not cloned: a copy would double the samples at the run's peak.
+    (report, std::mem::take(&mut runner.metrics))
 }

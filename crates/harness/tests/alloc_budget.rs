@@ -1,5 +1,5 @@
 //! Allocation budget: a steady-state committed write may cost only a few
-//! allocator calls.
+//! allocator calls and keep only a few bytes resident.
 //!
 //! A protocol step gets its `Actions` buffer from the embedding's free
 //! list, the leader's vote book reuses its slots, and engine handlers
@@ -10,6 +10,12 @@
 //! under a counting allocator and bounds the **marginal** calls per
 //! operation, `(calls(2N) − calls(N)) / N`, so deployment set-up, elections
 //! and buffer warm-up cancel out.
+//!
+//! The same pair of Fast Raft runs bounds resident growth: the marginal
+//! peak heap, `(peak(2N) − peak(N)) / N` bytes per operation, where a
+//! run's peak is the most bytes live at once above those live at its start.
+//! Logs and tables are bounded, so what still grows with the run is its
+//! record of it: one latency sample and one commit-book slot per write.
 //!
 //! C-Raft's global insert gate is held to zero: a warmed-up
 //! `GateRecorder` records and drains its requests without allocating.
@@ -37,25 +43,50 @@ use wire::{Consistency, EntryId, LogEntry, LogIndex, NodeId, SessionId, Term};
 
 /// Allocator calls (`alloc` + `realloc`, `perf`'s rule).
 static CALLS: AtomicU64 = AtomicU64::new(0);
+/// Bytes currently allocated (wrapping: a block allocated before a reading
+/// may be freed after it).
+static LIVE: AtomicU64 = AtomicU64::new(0);
+/// Highest `LIVE` since the last [`reset_peak`].
+static PEAK: AtomicU64 = AtomicU64::new(0);
 
 struct CountingAlloc;
 
+fn grow(by: usize) {
+    let live = LIVE.fetch_add(by as u64, Relaxed).wrapping_add(by as u64);
+    PEAK.fetch_max(live, Relaxed);
+}
+
+fn shrink(by: usize) {
+    LIVE.fetch_sub(by as u64, Relaxed);
+}
+
+/// Starts a new peak at the current live bytes, which it returns.
+fn reset_peak() -> u64 {
+    let live = LIVE.load(Relaxed);
+    PEAK.store(live, Relaxed);
+    live
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is the only addition.
+// upholds the `GlobalAlloc` contract; the counters are the only addition.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         CALLS.fetch_add(1, Relaxed);
+        grow(layout.size());
         // SAFETY: the caller's `layout` is passed through as received.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink(layout.size());
         // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         CALLS.fetch_add(1, Relaxed);
+        shrink(layout.size());
+        grow(new_size);
         // SAFETY: `ptr`/`layout` came from `System`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -76,6 +107,14 @@ const N: u64 = 2_000;
 /// std's seeded hasher, 44 and 65 before step buffers were recycled.
 const FAST_RAFT_BUDGET: f64 = 3.0;
 const CRAFT_BUDGET: f64 = 5.5;
+
+/// Measured marginal peak heap at the time of writing: 55.3 B per Fast Raft
+/// write — a 24-byte latency sample and a 24-byte commit-book slot, plus
+/// their `Vec`s' spare capacity. The budget is about 1.5× that. It was
+/// 111.7 B while the run's end deep-copied its `Metrics` (samples and all)
+/// next to the live runner, the global-items tally kept a 16-byte `Option`
+/// per global index, and the commit book 32 bytes per index.
+const FAST_RAFT_PEAK_BUDGET: f64 = 83.0;
 
 fn lan_writes(target: u64) -> Scenario {
     // The paper's 5-site single-region cell with three contending writers.
@@ -122,18 +161,21 @@ fn geo_writes(target: u64) -> Scenario {
     }
 }
 
-/// Allocator calls of one whole run, which must complete `target` writes.
-fn calls_of(target: u64, run: impl FnOnce() -> RunReport) -> u64 {
+/// Allocator calls of one whole run, which must complete `target` writes,
+/// and the most bytes live at once during it above those live at its start.
+fn cost_of(target: u64, run: impl FnOnce() -> RunReport) -> (u64, u64) {
     let before = CALLS.load(Relaxed);
+    let start = reset_peak();
     let report = run();
     let calls = CALLS.load(Relaxed) - before;
+    let peak = PEAK.load(Relaxed).wrapping_sub(start);
     assert!(report.safety_ok, "safety violated");
     assert!(
         report.completed >= target,
         "only {} of {target} operations completed",
         report.completed
     );
-    calls
+    (calls, peak)
 }
 
 /// Allocator calls of one record-and-drain cycle of a warmed-up gate.
@@ -158,20 +200,23 @@ fn gate_cycle_calls() -> u64 {
     CALLS.load(Relaxed) - before
 }
 
-fn marginal_calls_per_op(run: impl Fn(u64) -> RunReport) -> f64 {
-    let short = calls_of(N, || run(N));
-    let long = calls_of(2 * N, || run(2 * N));
-    long.saturating_sub(short) as f64 / N as f64
+/// Marginal allocator calls and marginal peak bytes per operation.
+fn marginal_per_op(run: impl Fn(u64) -> RunReport) -> (f64, f64) {
+    let short = cost_of(N, || run(N));
+    let long = cost_of(2 * N, || run(2 * N));
+    let per_op = |long: u64, short: u64| long.saturating_sub(short) as f64 / N as f64;
+    (per_op(long.0, short.0), per_op(long.1, short.1))
 }
 
 #[test]
 fn a_steady_state_write_stays_within_its_allocation_budget() {
     assert_eq!(gate_cycle_calls(), 0, "a warmed-up gate allocated");
-    let fast = marginal_calls_per_op(|n| run_fast_raft(&lan_writes(n)).0);
-    let craft = marginal_calls_per_op(|n| run_craft(&geo_writes(n), &CRaftScenario::paper(10)).0);
+    let (fast, fast_peak) = marginal_per_op(|n| run_fast_raft(&lan_writes(n)).0);
+    let (craft, _) = marginal_per_op(|n| run_craft(&geo_writes(n), &CRaftScenario::paper(10)).0);
     println!("marginal allocator calls per write: Fast Raft {fast:.2}, C-Raft {craft:.2}");
+    println!("marginal peak heap per write: Fast Raft {fast_peak:.1} B");
     let churn = [0; 2].map(|_| {
-        calls_of(2 * N, || {
+        cost_of(2 * N, || {
             let report = run_fast_raft(&churn_rw(2 * N)).0;
             assert!(
                 report.leaderships >= 2,
@@ -179,6 +224,7 @@ fn a_steady_state_write_stays_within_its_allocation_budget() {
             );
             report
         })
+        .0
     });
     println!("allocator calls of one churn run, twice: {churn:?}");
     assert_eq!(
@@ -188,6 +234,10 @@ fn a_steady_state_write_stays_within_its_allocation_budget() {
     assert!(
         fast <= FAST_RAFT_BUDGET,
         "5-site LAN Fast Raft: {fast:.2} allocator calls per write, budget {FAST_RAFT_BUDGET}"
+    );
+    assert!(
+        fast_peak <= FAST_RAFT_PEAK_BUDGET,
+        "5-site LAN Fast Raft: peak heap grows {fast_peak:.1} B per write, budget {FAST_RAFT_PEAK_BUDGET}"
     );
     assert!(
         craft <= CRAFT_BUDGET,

@@ -46,26 +46,64 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    /// Computes stats from raw durations.
-    pub fn from_durations(mut v: Vec<SimDuration>) -> Self {
-        if v.is_empty() {
+    /// Computes stats from raw durations without copying or reordering
+    /// them: the iterator is walked a few times (one pass for the count,
+    /// sum and maximum, then a radix selection per percentile), so the
+    /// memory used does not grow with the number of durations. The
+    /// percentiles are exact: the same order statistics a sort would pick.
+    pub fn from_durations<I>(durations: I) -> Self
+    where
+        I: IntoIterator<Item = SimDuration>,
+        I::IntoIter: Clone,
+    {
+        let micros = durations.into_iter().map(|d| d.as_micros());
+        let (count, sum, max) = micros
+            .clone()
+            .fold((0usize, 0u64, 0u64), |(n, sum, max), v| {
+                (n + 1, sum + v, max.max(v))
+            });
+        if count == 0 {
             return LatencyStats::default();
         }
-        v.sort_unstable();
-        let count = v.len();
-        let sum: u64 = v.iter().map(|d| d.as_micros()).sum();
         let pct = |p: f64| -> f64 {
             let idx = ((count as f64 - 1.0) * p).round() as usize;
-            v[idx].as_micros() as f64 / 1e3
+            select_nth(micros.clone(), idx, max) as f64 / 1e3
         };
         LatencyStats {
             count,
             mean_ms: sum as f64 / count as f64 / 1e3,
             p50_ms: pct(0.5),
             p95_ms: pct(0.95),
-            max_ms: v[count - 1].as_micros() as f64 / 1e3,
+            max_ms: max as f64 / 1e3,
         }
     }
+}
+
+/// The `k`-th smallest (0-based) of `values`, all at most `max`: a
+/// most-significant-digit radix selection, one counting pass per 8-bit
+/// digit of `max` with a fixed 256-bucket histogram. Each pass narrows the
+/// answer's prefix by one digit and `k` to its rank among the values that
+/// share that prefix.
+fn select_nth(values: impl Iterator<Item = u64> + Clone, mut k: usize, max: u64) -> u64 {
+    let mut prefix = 0u64;
+    let mut shift = (u64::BITS - max.leading_zeros()).div_ceil(8) * 8;
+    while shift > 0 {
+        shift -= 8;
+        let mut counts = [0usize; 256];
+        for v in values.clone() {
+            // Two shifts: `shift + 8` reaches 64 on the top digit.
+            if (v >> shift) >> 8 == prefix {
+                counts[((v >> shift) & 0xff) as usize] += 1;
+            }
+        }
+        let mut digit = 0;
+        while k >= counts[digit] {
+            k -= counts[digit];
+            digit += 1;
+        }
+        prefix = prefix << 8 | digit as u64;
+    }
+    prefix
 }
 
 /// Metrics collected over one simulation run.
@@ -199,17 +237,12 @@ impl Metrics {
 
     /// Completed-write latency statistics.
     pub fn latency_stats(&self) -> LatencyStats {
-        LatencyStats::from_durations(self.samples.iter().map(LatencySample::latency).collect())
+        LatencyStats::from_durations(self.samples.iter().map(LatencySample::latency))
     }
 
     /// Completed-read latency statistics.
     pub fn read_latency_stats(&self) -> LatencyStats {
-        LatencyStats::from_durations(
-            self.read_samples
-                .iter()
-                .map(LatencySample::latency)
-                .collect(),
-        )
+        LatencyStats::from_durations(self.read_samples.iter().map(LatencySample::latency))
     }
 
     /// Total application values committed to the global log in the
@@ -378,6 +411,57 @@ mod tests {
         assert!((s.p50_ms - 50.0).abs() <= 1.0);
         assert!((s.p95_ms - 95.0).abs() <= 1.0);
         assert!((s.max_ms - 100.0).abs() < 1e-9);
+    }
+
+    /// The sort-based computation `from_durations` replaced: the reference
+    /// its radix selection must match bit for bit.
+    fn sorted_reference(mut v: Vec<SimDuration>) -> LatencyStats {
+        if v.is_empty() {
+            return LatencyStats::default();
+        }
+        v.sort_unstable();
+        let count = v.len();
+        let sum: u64 = v.iter().map(|d| d.as_micros()).sum();
+        let pct = |p: f64| -> f64 {
+            let idx = ((count as f64 - 1.0) * p).round() as usize;
+            v[idx].as_micros() as f64 / 1e3
+        };
+        LatencyStats {
+            count,
+            mean_ms: sum as f64 / count as f64 / 1e3,
+            p50_ms: pct(0.5),
+            p95_ms: pct(0.95),
+            max_ms: v[count - 1].as_micros() as f64 / 1e3,
+        }
+    }
+
+    fn bits(s: LatencyStats) -> (usize, [u64; 4]) {
+        let LatencyStats {
+            count,
+            mean_ms,
+            p50_ms,
+            p95_ms,
+            max_ms,
+        } = s;
+        (count, [mean_ms, p50_ms, p95_ms, max_ms].map(f64::to_bits))
+    }
+
+    proptest::proptest! {
+        /// Small and wide magnitudes (one to eight radix digits), heavy
+        /// duplicates and single samples: every field equals the sorted
+        /// computation's bit for bit.
+        #[test]
+        fn radix_stats_match_the_sorted_reference(
+            micros in proptest::collection::vec(
+                proptest::prop_oneof![0u64..4, 0u64..300_000, 0u64..u64::MAX / 1_000_000],
+                0..300,
+            ),
+        ) {
+            let durations: Vec<SimDuration> =
+                micros.iter().map(|&m| SimDuration::from_micros(m)).collect();
+            let got = LatencyStats::from_durations(durations.iter().copied());
+            proptest::prop_assert_eq!(bits(got), bits(sorted_reference(durations)));
+        }
     }
 
     #[test]

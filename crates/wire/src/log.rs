@@ -6,7 +6,7 @@
 //! is therefore logically a sparse map from index to entry; classic Raft
 //! simply maintains the invariant that it never creates holes.
 //!
-//! ## Representation: sealed segments + a dense slot tail
+//! ## Representation: sealed segments + a block-pooled slot tail
 //!
 //! Holes are rare and *structured*: they only ever live in the bounded
 //! in-flight window above the contiguous committed prefix (§IV), so the
@@ -20,10 +20,10 @@
 //!   straight out of a segment — no per-entry clone, no buffer allocation.
 //!   Any other list is collected in one allocation, straight into its
 //!   shared slice.
-//! - **The slot tail**: a `VecDeque<Option<LogEntry>>` of slots indexed by
-//!   offset from `sealed_end + 1`, exactly the PR 5 dense-prefix layout,
-//!   holding the mutable tip (in-flight window, holes, conflict-truncation
-//!   territory).
+//! - **The slot tail** ([`SlotTail`]): one `Option<LogEntry>` slot per index
+//!   from `sealed_end + 1` to the last index, holding the mutable tip
+//!   (in-flight window, holes, conflict-truncation territory). The slots
+//!   live in fixed blocks of [`BLOCK`] slots, kept in a deque of blocks.
 //!
 //! Entries migrate from slots into a new segment once the contiguous
 //! occupied prefix of the tail outgrows `SEG + SEAL_GUARD` (a move, not a
@@ -32,11 +32,24 @@
 //! hole punching — would otherwise have to *unseal* (melt segments back into
 //! slots, the rare slow path that keeps every mutation correct).
 //!
-//! Within the tail, the PR 5 properties hold unchanged: `get`/`term_at` are
-//! O(1) loads (segment location is a shift, since `SEG` is a power of two),
-//! appends/inserts fill slots, compaction and truncation are front/back
-//! drains, and an occupancy count plus a cached [`SparseLog::first_gap`]
-//! cursor keep hole queries O(1) amortized.
+//! Why fixed blocks rather than one growable ring of slots: a log that
+//! compacts at 1,024 retained entries peaks just above that, and a ring
+//! doubles to the next power of two (2,048 slots) and stays half empty. A
+//! block tail holds its high-water mark rounded up to one block, and its
+//! entries never move when it grows. Compaction, snapshot installation and
+//! truncation empty whole blocks; each log keeps its emptied blocks in a
+//! **pool** and draws from it before it allocates, so a compacting log
+//! stops allocating once its tail has reached its high-water mark. Like a
+//! `VecDeque`'s capacity, the pool never shrinks: a log holds as many
+//! blocks as its tail ever needed at once. `Clone` copies the live blocks
+//! only.
+//!
+//! Within the tail, `get`/`term_at` are O(1) loads (a shift and a mask,
+//! then one block lookup; segment location is a shift too, since `SEG` is a
+//! power of two), appends/inserts fill slots, compaction and truncation are
+//! front/back drains, range walks step through whole block slices, and an
+//! occupancy count plus a cached [`SparseLog::first_gap`] cursor keep hole
+//! queries O(1) amortized.
 //!
 //! Because how much history is sealed depends on the *order* of operations,
 //! the byte layout is no longer canonical; `PartialEq` therefore compares
@@ -45,6 +58,8 @@
 //! same entries still compare equal.
 
 use std::collections::VecDeque;
+use std::fmt;
+use std::ops::Range;
 use std::rc::Rc;
 
 use crate::{Approval, AppendBudget, EntryList, LogEntry, LogIndex, Term, Wire};
@@ -71,6 +86,13 @@ const SEG: usize = 1024;
 /// were frozen eagerly.
 const SEAL_GUARD: usize = 256;
 
+/// Slots per block of the slot tail. A power of two, so locating a slot is
+/// a shift and a mask.
+const BLOCK: usize = 128;
+
+/// One fixed-size run of slot-tail slots.
+type Block = [Option<LogEntry>; BLOCK];
+
 /// A sealed, immutable run of exactly [`SEG`] consecutive occupied entries.
 ///
 /// The pair slice is `Rc`-shared with every [`EntryList`] window cut from
@@ -88,6 +110,193 @@ impl Seg {
     /// Absolute index of the last entry.
     fn last(&self) -> u64 {
         self.first + SEG as u64 - 1
+    }
+}
+
+/// A fresh all-empty block. A named function, so allocation profiles
+/// (`alloc_sites peak`) show slot storage as its own row.
+fn new_block() -> Box<Block> {
+    vec![None; BLOCK]
+        .into_boxed_slice()
+        .try_into()
+        .expect("a BLOCK-long slice")
+}
+
+/// The unsealed slot tail: a deque of `len` slots stored in fixed
+/// [`BLOCK`]-slot blocks, plus a pool of emptied blocks.
+///
+/// Slot `i` lives at position `head + i` of the concatenated blocks.
+/// `blocks` holds exactly the blocks that contain a live slot, and every
+/// slot outside `head..head + len` is `None`, so a block leaves the deque
+/// empty and can be handed out again as it is.
+#[derive(Default)]
+struct SlotTail {
+    /// The blocks covering positions `head..head + len`.
+    blocks: VecDeque<Box<Block>>,
+    /// Position of slot 0 within `blocks[0]` (0 when the tail is empty).
+    head: usize,
+    /// Number of slots.
+    len: usize,
+    /// Emptied blocks, drawn from before a new one is allocated.
+    pool: Vec<Box<Block>>,
+}
+
+impl fmt::Debug for SlotTail {
+    /// The live slots, as a list.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl Clone for SlotTail {
+    /// Copies the live blocks; the copy starts with an empty pool.
+    fn clone(&self) -> Self {
+        SlotTail {
+            blocks: self.blocks.clone(),
+            head: self.head,
+            len: self.len,
+            pool: Vec::new(),
+        }
+    }
+}
+
+impl SlotTail {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn get(&self, i: usize) -> &Option<LogEntry> {
+        debug_assert!(i < self.len);
+        let p = self.head + i;
+        &self.blocks[p / BLOCK][p % BLOCK]
+    }
+
+    fn get_mut(&mut self, i: usize) -> &mut Option<LogEntry> {
+        debug_assert!(i < self.len);
+        let p = self.head + i;
+        &mut self.blocks[p / BLOCK][p % BLOCK]
+    }
+
+    /// An empty block: a pooled one if any, else a new allocation.
+    fn take_block(&mut self) -> Box<Block> {
+        self.pool.pop().unwrap_or_else(new_block)
+    }
+
+    /// Adds `n` empty slots (holes) at the back.
+    fn push_holes(&mut self, n: usize) {
+        self.len += n;
+        while self.blocks.len() * BLOCK < self.head + self.len {
+            let block = self.take_block();
+            self.blocks.push_back(block);
+        }
+    }
+
+    fn push_back(&mut self, slot: Option<LogEntry>) {
+        let p = self.head + self.len;
+        if p == self.blocks.len() * BLOCK {
+            let block = self.take_block();
+            self.blocks.push_back(block);
+        }
+        self.blocks[p / BLOCK][p % BLOCK] = slot;
+        self.len += 1;
+    }
+
+    fn push_front(&mut self, slot: Option<LogEntry>) {
+        if self.head == 0 {
+            let block = self.take_block();
+            self.blocks.push_front(block);
+            self.head = BLOCK;
+        }
+        self.head -= 1;
+        self.len += 1;
+        *self.get_mut(0) = slot;
+    }
+
+    fn pop_front(&mut self) -> Option<Option<LogEntry>> {
+        self.len.checked_sub(1)?;
+        let slot = self.get_mut(0).take();
+        self.head += 1;
+        self.len -= 1;
+        self.release();
+        Some(slot)
+    }
+
+    fn pop_back(&mut self) -> Option<Option<LogEntry>> {
+        self.len.checked_sub(1)?;
+        let slot = self.get_mut(self.len - 1).take();
+        self.len -= 1;
+        self.release();
+        Some(slot)
+    }
+
+    /// Empties the first `n` slots; returns how many held an entry.
+    fn drain_front(&mut self, n: usize) -> usize {
+        let removed = self.take_all(0, n);
+        self.head += n;
+        self.len -= n;
+        self.release();
+        removed
+    }
+
+    /// Empties the slots from `at` on; returns how many held an entry.
+    fn truncate(&mut self, at: usize) -> usize {
+        let removed = self.take_all(at, self.len);
+        self.len = at;
+        self.release();
+        removed
+    }
+
+    /// Empties slots `a..b`; returns how many held an entry.
+    fn take_all(&mut self, a: usize, b: usize) -> usize {
+        let (blocks, within) = self.span(a, b);
+        self.blocks
+            .range_mut(blocks)
+            .enumerate()
+            .map(|(k, block)| block[within(k)].iter_mut().filter_map(Option::take).count())
+            .sum()
+    }
+
+    /// Moves blocks that hold no live slot into the pool.
+    fn release(&mut self) {
+        if self.len == 0 {
+            self.pool.extend(self.blocks.drain(..));
+            self.head = 0;
+            return;
+        }
+        while self.head >= BLOCK {
+            self.pool.extend(self.blocks.pop_front());
+            self.head -= BLOCK;
+        }
+        let needed = (self.head + self.len).div_ceil(BLOCK);
+        while self.blocks.len() > needed {
+            self.pool.extend(self.blocks.pop_back());
+        }
+    }
+
+    /// Where slots `a..b` live: the range of blocks holding them, and the
+    /// slot range within the `k`-th block of that range.
+    fn span(&self, a: usize, b: usize) -> (Range<usize>, impl Fn(usize) -> Range<usize>) {
+        let (a, b) = (self.head + a, self.head + b.max(a));
+        let first = a / BLOCK;
+        let within = move |k: usize| {
+            let base = (first + k) * BLOCK;
+            a.saturating_sub(base)..(b - base).min(BLOCK)
+        };
+        (first..b.div_ceil(BLOCK), within)
+    }
+
+    /// Slots `a..b` as whole block slices, in order.
+    fn chunks(&self, a: usize, b: usize) -> impl DoubleEndedIterator<Item = &[Option<LogEntry>]> {
+        let (blocks, within) = self.span(a, b);
+        self.blocks
+            .range(blocks)
+            .enumerate()
+            .map(move |(k, block)| &block[within(k)])
+    }
+
+    /// Every slot, in order.
+    fn iter(&self) -> impl DoubleEndedIterator<Item = &Option<LogEntry>> {
+        self.chunks(0, self.len).flatten()
     }
 }
 
@@ -124,9 +333,9 @@ pub struct SparseLog {
     /// mid-segment snapshot leaves a dead prefix that is reclaimed when the
     /// whole segment compacts away).
     segs: VecDeque<Seg>,
-    /// Dense slot tail: `slots[i]` holds the entry at index
+    /// Dense slot tail: slot `i` holds the entry at index
     /// `sealed_end + 1 + i`. The last slot, if any, is occupied.
-    slots: VecDeque<Option<LogEntry>>,
+    slots: SlotTail,
     /// Highest compacted (snapshotted) index; 0 = nothing compacted.
     compacted_through: u64,
     /// Term of the (removed) entry at `compacted_through` — the snapshot
@@ -147,7 +356,7 @@ impl Default for SparseLog {
     fn default() -> Self {
         SparseLog {
             segs: VecDeque::new(),
-            slots: VecDeque::new(),
+            slots: SlotTail::default(),
             compacted_through: 0,
             compacted_term: Term::ZERO,
             sealed_end: 0,
@@ -200,7 +409,7 @@ impl SparseLog {
             self.first_gap = self.sealed_end + 1;
         }
         while let Some(off) = self.slot_pos(LogIndex(self.first_gap)) {
-            if self.slots[off].is_some() {
+            if self.slots.get(off).is_some() {
                 self.first_gap += 1;
             } else {
                 break;
@@ -210,7 +419,7 @@ impl SparseLog {
 
     /// Drops trailing unoccupied slots so `last_index` stays arithmetic.
     fn trim_back(&mut self) {
-        while matches!(self.slots.back(), Some(None)) {
+        while matches!(self.slots.iter().next_back(), Some(None)) {
             self.slots.pop_back();
         }
     }
@@ -265,7 +474,7 @@ impl SparseLog {
         if let Some(e) = self.sealed_get(index.as_u64()) {
             return Some(e);
         }
-        self.slots[self.slot_pos(index)?].as_ref()
+        self.slots.get(self.slot_pos(index)?).as_ref()
     }
 
     /// Mutable access to the entry at `index`. Reaching into a sealed
@@ -278,7 +487,7 @@ impl SparseLog {
             return Some(&mut Rc::make_mut(&mut self.segs[k].entries)[off].1);
         }
         let off = self.slot_pos(index)?;
-        self.slots[off].as_mut()
+        self.slots.get_mut(off).as_mut()
     }
 
     /// Inserts (or replaces) the entry at `index`, returning the previous
@@ -306,11 +515,11 @@ impl SparseLog {
         }
         let off = (index.as_u64() - self.sealed_end - 1) as usize;
         let old = if off < self.slots.len() {
-            self.slots[off].replace(entry)
+            self.slots.get_mut(off).replace(entry)
         } else {
             // Grow the tail: interior slots between the old end and `index`
             // become holes.
-            self.slots.resize(off, None);
+            self.slots.push_holes(off - self.slots.len());
             self.slots.push_back(Some(entry));
             None
         };
@@ -370,7 +579,7 @@ impl SparseLog {
             // The horizon swallowed all sealed history plus a slot prefix.
             self.segs.clear();
             let drained = (target - self.sealed_end) as usize;
-            self.slots.drain(..drained);
+            self.slots.drain_front(drained);
             self.sealed_end = target;
         } else {
             // Mid-seal horizon: drop segments that fell entirely below it.
@@ -410,18 +619,14 @@ impl SparseLog {
                 let sealed_live = (self.sealed_end - self.compacted_through) as usize;
                 self.segs.clear();
                 let drained = (li - self.sealed_end) as usize;
-                let dropped = self
-                    .slots
-                    .drain(..drained)
-                    .filter(Option::is_some)
-                    .count();
+                let dropped = self.slots.drain_front(drained);
                 self.occupied -= sealed_live + dropped;
                 self.compacted_through = li;
                 self.sealed_end = li;
             }
         } else {
             self.segs.clear();
-            self.slots.clear();
+            self.slots.truncate(0);
             self.occupied = 0;
             self.compacted_through = li;
             self.sealed_end = li;
@@ -454,7 +659,7 @@ impl SparseLog {
             self.unseal_to(i);
         }
         let off = self.slot_pos(index)?;
-        let old = self.slots[off].take();
+        let old = self.slots.get_mut(off).take();
         if old.is_some() {
             self.occupied -= 1;
             self.first_gap = self.first_gap.min(i);
@@ -475,11 +680,7 @@ impl SparseLog {
         if off >= self.slots.len() {
             return 0;
         }
-        let removed = self
-            .slots
-            .drain(off..)
-            .filter(Option::is_some)
-            .count();
+        let removed = self.slots.truncate(off);
         self.occupied -= removed;
         self.first_gap = self.first_gap.min(cut);
         self.trim_back();
@@ -524,7 +725,7 @@ impl SparseLog {
             // Sealed history is contiguous from the horizon: no front gap.
             return None;
         }
-        if self.slots.front()?.is_some() {
+        if self.slots.iter().next()?.is_some() {
             return None;
         }
         // The leading run of holes is exactly the front gap; scanning it is
@@ -569,27 +770,22 @@ impl SparseLog {
         self.range(self.first_index(), self.last_index())
     }
 
-    /// The slots of `[from, to]` as (at most) two contiguous slices plus the
-    /// absolute index of the first returned slot. O(1) positioning — range
-    /// walks start at their offset instead of searching.
-    fn slot_slices(
+    /// The slots of `[from, to]`, walked as whole block slices, plus the
+    /// absolute index of the first one. O(1) positioning — range walks
+    /// start at their offset instead of searching.
+    fn slot_run(
         &self,
         from: LogIndex,
         to: LogIndex,
-    ) -> (u64, &[Option<LogEntry>], &[Option<LogEntry>]) {
+    ) -> (u64, impl Iterator<Item = &Option<LogEntry>>) {
         let base = self.sealed_end + 1;
         let end = base + self.slots.len() as u64; // exclusive
         let lo = from.as_u64().max(base);
-        let hi = to.as_u64().saturating_add(1).min(end); // exclusive
-        if lo >= hi {
-            return (lo, &[], &[]);
-        }
-        let (a, b) = ((lo - base) as usize, (hi - base) as usize);
-        let (s1, s2) = self.slots.as_slices();
-        let n1 = s1.len();
-        let first = &s1[a.min(n1)..b.min(n1)];
-        let second = &s2[a.saturating_sub(n1)..b.saturating_sub(n1)];
-        (lo, first, second)
+        let hi = to.as_u64().saturating_add(1).min(end).max(lo); // exclusive
+        let slots = self
+            .slots
+            .chunks((lo - base) as usize, (hi - base) as usize);
+        (lo, slots.flatten())
     }
 
     /// Iterates occupied `(index, entry)` pairs within `[from, to]`.
@@ -599,10 +795,8 @@ impl SparseLog {
         to: LogIndex,
     ) -> impl Iterator<Item = (LogIndex, &LogEntry)> {
         let sealed = self.sealed_range(from.as_u64(), to.as_u64());
-        let (start, s1, s2) = self.slot_slices(from, to);
-        let slots = s1
-            .iter()
-            .chain(s2)
+        let (start, slots) = self.slot_run(from, to);
+        let slots = slots
             .enumerate()
             .filter_map(move |(i, s)| s.as_ref().map(|e| (LogIndex(start + i as u64), e)));
         sealed.chain(slots)
@@ -630,13 +824,11 @@ impl SparseLog {
         } else {
             from
         };
-        let (start, s1, s2) = self.slot_slices(resume, self.last_index());
+        let (start, slots) = self.slot_run(resume, self.last_index());
         // A clamped start means `resume` itself holds no slot (below the
         // horizon or past the end): the run rooted there is empty.
         let aligned = valid && start == resume.as_u64();
-        let slots = s1
-            .iter()
-            .chain(s2)
+        let slots = slots
             .take_while(move |s| aligned && s.is_some())
             .enumerate()
             .filter_map(move |(i, s)| s.as_ref().map(|e| (LogIndex(start + i as u64), e)));
@@ -725,6 +917,12 @@ impl SparseLog {
         EntryList::view(entries, 0, n)
     }
 
+    /// The slot tail from its last slot down, each slot with its index.
+    fn slots_rev(&self) -> impl Iterator<Item = (LogIndex, &Option<LogEntry>)> {
+        let indices = (self.sealed_end + 1..=self.last_index().as_u64()).rev();
+        indices.map(LogIndex).zip(self.slots.iter().rev())
+    }
+
     /// All self-approved entries, for Fast Raft's election recovery (§IV-C).
     pub fn self_approved(&self) -> Vec<(LogIndex, LogEntry)> {
         self.iter()
@@ -736,11 +934,10 @@ impl SparseLog {
     /// The highest index holding a **leader-approved** entry, which is Fast
     /// Raft's `lastLeaderIndex` (§IV-A).
     pub fn last_leader_index(&self) -> LogIndex {
-        let base = self.sealed_end + 1;
-        let in_slots = self.slots.iter().enumerate().rev().find_map(|(i, s)| {
+        let in_slots = self.slots_rev().find_map(|(i, s)| {
             s.as_ref()
                 .filter(|e| e.approval == Approval::LeaderApproved)
-                .map(|_| LogIndex(base + i as u64))
+                .map(|_| i)
         });
         if let Some(found) = in_slots {
             return found;
@@ -757,11 +954,9 @@ impl SparseLog {
     /// The configuration from the highest-indexed config entry, if any —
     /// "the last configuration appended to the log" (§IV-A).
     pub fn latest_config(&self) -> Option<(LogIndex, &crate::Configuration)> {
-        let base = self.sealed_end + 1;
-        let in_slots = self.slots.iter().enumerate().rev().find_map(|(i, s)| {
-            s.as_ref()
-                .and_then(|e| e.as_config().map(|c| (LogIndex(base + i as u64), c)))
-        });
+        let in_slots = self
+            .slots_rev()
+            .find_map(|(i, s)| s.as_ref().and_then(|e| e.as_config().map(|c| (i, c))));
         if in_slots.is_some() {
             return in_slots;
         }

@@ -1,5 +1,7 @@
 //! Allocation shape: each shared buffer the replication path builds costs
-//! exactly one allocator call, and a window or an empty list costs none.
+//! exactly one allocator call, a window or an empty list costs none, and a
+//! log's slot tail allocates one block per block of slots it ever needs at
+//! once.
 //!
 //! An AppendEntries list is either a window onto a sealed log segment (a
 //! refcount bump) or its admitted entries collected straight into one
@@ -9,11 +11,19 @@
 //! a second copy (a `Vec` built first, then copied behind the `Rc`) shows
 //! as a failure here rather than as a drift in `perf`'s per-op averages.
 //!
-//! Own test binary, own `#[global_allocator]`, a single `#[test]`: nothing
-//! else allocates while a construction is being counted.
+//! The slot tail keeps its entries in fixed blocks of [`BLOCK`] slots and
+//! reuses the blocks compaction empties, so growing a log costs one call
+//! per block (plus the growth of its block table), and a log whose
+//! append→compact cycles repeat one shape allocates nothing after its
+//! first cycle.
+//!
+//! Own test binary, own `#[global_allocator]`, and the calls are counted
+//! per thread: nothing else allocates on a test's thread while a
+//! construction is being counted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::cell::Cell;
+use std::collections::VecDeque;
 
 use bytes::Bytes;
 use wire::{
@@ -21,8 +31,18 @@ use wire::{
     MAX_BYTES_PER_APPEND,
 };
 
-/// Allocator calls (`alloc` + `realloc`, `perf`'s rule).
-static CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's allocator calls (`alloc` + `realloc`, `perf`'s rule).
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Slots per block of `SparseLog`'s slot tail (`BLOCK` in `log.rs`).
+const BLOCK: u64 = 128;
+
+fn count_call() {
+    // `try_with`: the allocator may run while the thread is shutting down.
+    let _ = CALLS.try_with(|calls| calls.set(calls.get() + 1));
+}
 
 struct CountingAlloc;
 
@@ -30,7 +50,7 @@ struct CountingAlloc;
 // upholds the `GlobalAlloc` contract; the counter is the only addition.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Relaxed);
+        count_call();
         // SAFETY: the caller's `layout` is passed through as received.
         unsafe { System.alloc(layout) }
     }
@@ -41,7 +61,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Relaxed);
+        count_call();
         // SAFETY: `ptr`/`layout` came from `System`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -53,9 +73,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Runs `build` and returns its result with the allocator calls it made.
 /// The result is dropped by the caller, outside the count.
 fn counted<T>(build: impl FnOnce() -> T) -> (T, u64) {
-    let before = CALLS.load(Relaxed);
+    let before = CALLS.with(Cell::get);
     let out = build();
-    (out, CALLS.load(Relaxed) - before)
+    (out, CALLS.with(Cell::get) - before)
 }
 
 fn entry(seq: u64) -> LogEntry {
@@ -112,4 +132,64 @@ fn each_shared_buffer_is_one_allocation() {
     });
     assert_eq!((payload.len(), &payload[..8]), (512, &key[..]));
     assert_eq!(calls, 1, "an exact-length payload is one allocation");
+}
+
+#[test]
+fn growing_a_log_allocates_one_block_per_block_of_slots() {
+    // Up to 1,200 entries: a log seals its first segment past 1,280.
+    for n in [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 1_000, 1_200] {
+        let entries: Vec<LogEntry> = (1..=n).map(entry).collect();
+        let mut log = SparseLog::new();
+        let ((), calls) = counted(|| {
+            for e in entries {
+                log.append(e);
+            }
+        });
+        assert_eq!(log.len() as u64, n);
+        // The block table is a deque of one pointer per block; a deque of
+        // `usize` grown to the same length makes the same calls.
+        let blocks = n.div_ceil(BLOCK);
+        let mut table = VecDeque::new();
+        let ((), table_calls) = counted(|| (0..blocks).for_each(|b| table.push_back(b)));
+        assert_eq!(
+            calls,
+            blocks + table_calls,
+            "{n} entries: one call per {BLOCK}-slot block, plus the block table's"
+        );
+    }
+}
+
+#[test]
+fn a_compacting_log_allocates_nothing_after_its_first_cycle() {
+    // Like a replica's log: compaction keeps a short tail (half a block)
+    // and each cycle appends seven blocks' worth on top of it, so every
+    // compaction empties seven blocks at once into the pool.
+    let mut seq = 0;
+    let mut batch = |n: u64| -> Vec<LogEntry> {
+        (0..n)
+            .map(|_| {
+                seq += 1;
+                entry(seq)
+            })
+            .collect()
+    };
+    let mut log = SparseLog::new();
+    for e in batch(BLOCK / 2) {
+        log.append(e);
+    }
+    for cycle in 0..5 {
+        let entries = batch(7 * BLOCK);
+        let ((), calls) = counted(|| {
+            for e in entries {
+                log.append(e);
+            }
+            log.compact_to(LogIndex(log.last_index().as_u64() - BLOCK / 2));
+        });
+        assert_eq!(log.len() as u64, BLOCK / 2);
+        if cycle == 0 {
+            assert!(calls >= 7, "the first cycle allocates the blocks");
+        } else {
+            assert_eq!(calls, 0, "cycle {cycle} reuses the pooled blocks");
+        }
+    }
 }

@@ -16,6 +16,15 @@
 //! Every budgeted list collected along the way is kept: an `EntryList` is
 //! frozen once sent, so each must still hold exactly what it held when it
 //! was cut, whatever the log did since.
+//!
+//! A second sequence family addresses the log relative to its last index,
+//! so it crosses the slot tail's block boundaries (blocks of 128 slots) in
+//! every direction: far inserts whose holes span several blocks,
+//! compactions and snapshots that drain the tail to empty or to mid-block,
+//! truncations and trailing removes that release blocks at the back,
+//! unsealing inserts that push a segment's entries in front of the first
+//! block, and clones (which start without the pool). Every index of the
+//! log is probed after every step.
 
 use std::collections::BTreeMap;
 
@@ -201,6 +210,43 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// An op addressed relative to the log's current last index.
+#[derive(Clone, Debug)]
+enum TailOp {
+    Append { term: u64 },
+    /// Insert `ahead` past the last index: the holes below it may span
+    /// several blocks.
+    FarInsert { ahead: u64, term: u64 },
+    /// Insert (fill a hole or replace) `back` below the last index; on a
+    /// sealed log a deep one unseals.
+    InsertBack { back: u64, term: u64 },
+    /// Remove `back` below the last index; `back == 0` trims the trailing
+    /// holes below the last entry with it.
+    RemoveBack { back: u64 },
+    Compact { back: u64 },
+    Truncate { back: u64 },
+    /// Install a snapshot at `last_index + offset`, with the term the log
+    /// holds there (keeping the suffix) or another one (discarding it).
+    Snapshot { offset: i64, matching: bool },
+    /// Continue on a clone of the log.
+    Clone,
+}
+
+fn arb_tail_op() -> impl Strategy<Value = TailOp> {
+    prop_oneof![
+        (1..6u64).prop_map(|term| TailOp::Append { term }),
+        (1..6u64).prop_map(|term| TailOp::Append { term }),
+        (1..700u64, 1..6u64).prop_map(|(ahead, term)| TailOp::FarInsert { ahead, term }),
+        (0..1_400u64, 1..6u64).prop_map(|(back, term)| TailOp::InsertBack { back, term }),
+        (0..700u64).prop_map(|back| TailOp::RemoveBack { back }),
+        (0..400u64).prop_map(|back| TailOp::Compact { back }),
+        (0..400u64).prop_map(|back| TailOp::Truncate { back }),
+        (-400..50i64, any::<bool>())
+            .prop_map(|(offset, matching)| TailOp::Snapshot { offset, matching }),
+        Just(TailOp::Clone),
+    ]
+}
+
 fn entry(term: u64, seq: u64, self_approved: bool) -> LogEntry {
     let e = LogEntry::write(
         Term(term),
@@ -338,6 +384,80 @@ proptest! {
         }
         if model.compacted_through > 0 {
             prop_assert_eq!(&twin, &log);
+        }
+    }
+}
+
+/// Applies one tail-relative op to both the log and the model.
+fn apply_tail_op(log: &mut SparseLog, model: &mut TreeModel, op: TailOp, seq: u64) {
+    let last = model.last_index().as_u64();
+    let back = |n: u64| LogIndex(last.saturating_sub(n));
+    match op {
+        TailOp::Append { term } => {
+            let e = entry(term, seq, false);
+            assert_eq!(log.append(e.clone()), model.append(e));
+        }
+        TailOp::FarInsert { ahead, term } => {
+            let (i, e) = (LogIndex(last + ahead), entry(term, seq, false));
+            assert_eq!(log.insert(i, e.clone()), model.insert(i, e));
+        }
+        TailOp::InsertBack { back: n, term } => {
+            let i = back(n);
+            if i.as_u64() > model.compacted_through {
+                let e = entry(term, seq, false);
+                assert_eq!(log.insert(i, e.clone()), model.insert(i, e));
+            }
+        }
+        TailOp::RemoveBack { back: n } => {
+            assert_eq!(log.remove(back(n)), model.remove(back(n)));
+        }
+        TailOp::Compact { back: n } => {
+            assert_eq!(log.compact_to(back(n)), model.compact_to(back(n)));
+        }
+        TailOp::Truncate { back: n } => {
+            assert_eq!(log.truncate_from(back(n)), model.truncate_from(back(n)));
+        }
+        TailOp::Snapshot { offset, matching } => {
+            let i = LogIndex(last.saturating_add_signed(offset));
+            let held = model.get(i).map_or(Term(1), |e| e.term);
+            let term = if matching { held } else { Term(held.0 + 7) };
+            assert_eq!(
+                log.install_snapshot(i, term),
+                model.install_snapshot(i, term)
+            );
+        }
+        TailOp::Clone => {
+            let copy = log.clone();
+            assert_eq!(&copy, log, "a clone compares equal");
+            *log = copy;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 128,
+        ..ProptestConfig::default()
+    })]
+
+    #[test]
+    fn block_tail_matches_btreemap_model(
+        prefix in 0..2u64,
+        ops in proptest::collection::vec(arb_tail_op(), 1..60),
+    ) {
+        let mut log = SparseLog::new();
+        let mut model = TreeModel::default();
+        let mut seq = 0u64;
+        for _ in 0..prefix * SEALING_PREFIX {
+            seq += 1;
+            let e = entry(1, seq, false);
+            prop_assert_eq!(log.append(e.clone()), model.append(e));
+        }
+        for op in ops {
+            seq += 1;
+            apply_tail_op(&mut log, &mut model, op, seq);
+            assert_equivalent(&log, &model, model.last_index().as_u64() + 2);
+            prop_assert_eq!(&log.clone(), &log);
         }
     }
 }

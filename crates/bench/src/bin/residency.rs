@@ -38,8 +38,7 @@ fn main() {
             cell.compactions,
             cell.snapshot_installs
         );
-        // Unchanged throughput: compaction must not cost more than the CI
-        // envelope (20%).
+        // Unchanged throughput: compaction must not cost more than 20%.
         assert!(
             cell.tput_on >= 0.8 * cell.tput_off,
             "{}: throughput dropped with compaction on ({:.1} vs {:.1})",

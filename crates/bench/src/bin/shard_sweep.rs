@@ -3,8 +3,8 @@
 //! alone, with 4096 parked neighbours, and with hibernation disabled).
 //! `ShardSweepResult::check` enforces the headline claims inline —
 //! monotone scaling and idle-fleet cost within 10% — so the binary exits
-//! non-zero on regression. `--json` feeds the gated series to
-//! `bench_compare`.
+//! non-zero on regression. `--json` writes the series `ci/figures.sh`
+//! records.
 
 fn main() {
     let opts = bench::BenchOpts::from_args();

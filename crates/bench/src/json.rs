@@ -1,7 +1,7 @@
-//! A minimal, dependency-free JSON reader for the CI bench gate.
+//! A minimal, dependency-free JSON reader for the bench `--json` series.
 //!
-//! The container builds offline, so the comparator cannot pull a JSON
-//! crate; this module implements the small subset the bench gate needs —
+//! The workspace builds offline, so its tests cannot pull a JSON crate; this
+//! module implements the small subset those series need —
 //! objects, arrays, strings (no escapes beyond `\"`, `\\`, `\/`, `\n`,
 //! `\t`, `\r`), numbers, booleans, and null — with strict end-of-input
 //! checking. It is a reader for our own emitters' output, not a general

@@ -1,12 +1,12 @@
 //! # `bench` — the figure and probe binaries
 //!
 //! One binary per table/figure of the paper (`fig3`, `fig4`, `fig5`,
-//! `rounds`), the extension studies (`ext_*`), `all` (everything, as one
-//! combined report), the simulated-time CI probes (`residency`, `read_mix`,
-//! `lease_mix`, `commit_path`, `shard_sweep`) with their gate
-//! `bench_compare`, and `alloc_sites`, the sampling allocation profiler.
-//! They report what the *simulation* decides; how fast the implementation
-//! runs is measured by `perf/` alone (`BENCHMARK.json`).
+//! `rounds`), the extension studies (`ext_*`), the simulated-time CI probes
+//! (`residency`, `read_mix`, `lease_mix`, `commit_path`, `shard_sweep`), and
+//! `alloc_sites`, the sampling allocation profiler. They report what the
+//! *simulation* decides, and `ci/figures.sh` records every `--json` series
+//! exactly in the `ci/figures/` ledger; how fast the implementation runs is
+//! measured by `perf/` alone (`BENCHMARK.json`).
 //!
 //! Every binary accepts `--quick` for a fast, reduced-parameter pass and
 //! `--seeds N` to control trial counts.
@@ -23,8 +23,8 @@ pub struct BenchOpts {
     pub quick: bool,
     /// Number of seeds (trials) per configuration.
     pub seeds: u64,
-    /// Also write the machine-readable JSON result to this path (the CI
-    /// bench gate feeds these files to `bench_compare`).
+    /// Also write the machine-readable JSON result to this path (the
+    /// `ci/figures/` ledger holds these files).
     pub json: Option<String>,
 }
 
@@ -40,7 +40,8 @@ impl BenchOpts {
 
     /// Parses options from `args` (the command line without the program
     /// name). A flag that needs a value and is followed by another flag, or
-    /// by nothing, is an error rather than a silently kept default.
+    /// by nothing, is an error rather than a silently kept default, and so
+    /// is an unknown argument: `--seed 1` must not run the default seeds.
     pub fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut opts = BenchOpts {
             quick: false,
@@ -64,7 +65,7 @@ impl BenchOpts {
                             .ok_or("--json needs a file path")?,
                     );
                 }
-                other => eprintln!("ignoring unknown argument: {other}"),
+                other => return Err(format!("unknown argument: {other}")),
             }
         }
         Ok(opts)
@@ -108,6 +109,12 @@ mod tests {
         let o = parse("--seeds 2 --quick --json f").unwrap();
         assert_eq!((o.seeds, o.quick, o.json.as_deref()), (2, true, Some("f")));
         assert_eq!(parse("--json --quick").unwrap_err(), "--json needs a file path");
+    }
+
+    #[test]
+    fn unknown_arguments_are_errors_not_defaults() {
+        assert_eq!(parse("--quick --seed 1").unwrap_err(), "unknown argument: --seed");
+        assert_eq!(parse("quick").unwrap_err(), "unknown argument: quick");
     }
 
     #[test]

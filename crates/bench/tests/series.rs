@@ -1,10 +1,11 @@
-//! The `--json` series of the paper-figure experiments, as the CI gate reads
-//! them: each `to_json()` must parse with `bench::json`, carry its bench
-//! name, exactly the series keys `ci/bench_baseline.json` names, and only
-//! finite values. Parameters are the binaries' `--quick --seeds 1` ones.
+//! The `--json` series of the experiments, as `ci/figures.sh` records them
+//! in the `ci/figures/` ledger: each `to_json()` must parse with
+//! `bench::json`, carry its bench name, exactly the series keys its ledger
+//! file holds, and only finite values. Parameters are the binaries'
+//! `--quick --seeds 1` ones.
 
 use bench::json::{parse, Value};
-use harness::experiments::{fig3, fig4, rounds};
+use harness::experiments::{ext, fig3, fig4, rounds};
 
 fn assert_series(json: &str, bench: &str, keys: &[&str]) {
     let doc = parse(json).unwrap_or_else(|e| panic!("{bench}: {e}\n{json}"));
@@ -48,4 +49,30 @@ fn fig4_series_is_the_phase_summary() {
 fn rounds_series_is_the_two_hop_counts() {
     let json = rounds::run(42, 10).to_json();
     assert_series(&json, "rounds", &["raft_hops", "fast_hops"]);
+}
+
+#[test]
+fn ext_mode_series_is_both_modes_per_cluster_count() {
+    let json = ext::mode_ablation(7, &[2, 4, 10], 20).to_json();
+    assert_series(
+        &json,
+        "ext_mode",
+        &[
+            "broadcast/2", "forward/2", "broadcast/4", "forward/4", "broadcast/10",
+            "forward/10",
+        ],
+    );
+}
+
+#[test]
+fn ext_contention_series_has_three_rows_per_proposer_count() {
+    let json = ext::contention(7, 5, 10).to_json();
+    let keys: Vec<String> = (1..=5)
+        .flat_map(|k| ["lat", "ftr", "tput"].map(|m| format!("{m}/{k}")))
+        .collect();
+    assert_series(
+        &json,
+        "ext_contention",
+        &keys.iter().map(String::as_str).collect::<Vec<_>>(),
+    );
 }

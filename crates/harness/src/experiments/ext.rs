@@ -1,13 +1,11 @@
 //! Extension experiments beyond the paper's figures (ablations listed in
 //! `docs/DEVIATIONS.md`, row 4).
 
-use des::{SimDuration, SimTime};
+use des::SimDuration;
 use serde::Serialize;
 use wire::NodeId;
 
-use crate::{
-    run_craft, run_fast_raft, CRaftScenario, FaultAction, NetworkKind, Scenario,
-};
+use crate::{run_craft, run_fast_raft, CRaftScenario, NetworkKind, Scenario};
 use raft::Timing;
 
 // ---------------------------------------------------------------------
@@ -171,6 +169,25 @@ pub fn contention(seed: u64, max_proposers: usize, secs: u64) -> ContentionResul
 }
 
 impl ContentionResult {
+    /// Machine-readable JSON for the figure ledger: per proposer count `k`,
+    /// `lat/<k>` (mean commit latency, ms), `ftr/<k>` (fast-track share)
+    /// and `tput/<k>` (commits/s).
+    pub fn to_json(&self) -> String {
+        let mut s = String::from("{\n  \"bench\": \"ext_contention\",\n  \"series\": {\n");
+        for (i, r) in self.rows.iter().enumerate() {
+            let comma = if i + 1 == self.rows.len() { "" } else { "," };
+            s.push_str(&format!(
+                "    \"lat/{k}\": {lat:.2},\n    \"ftr/{k}\": {ftr:.4},\n    \"tput/{k}\": {tput:.2}{comma}\n",
+                k = r.proposers,
+                lat = r.latency_ms,
+                ftr = r.fast_track_ratio,
+                tput = r.tput,
+            ));
+        }
+        s.push_str("  }\n}\n");
+        s
+    }
+
     /// Renders the study.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -186,107 +203,6 @@ impl ContentionResult {
             ));
         }
         out
-    }
-}
-
-// ---------------------------------------------------------------------
-// Ext-D: leader-failure recovery gap
-// ---------------------------------------------------------------------
-
-/// Result of the failover study.
-#[derive(Clone, Copy, Debug, Serialize)]
-pub struct FailoverResult {
-    /// When the leader crashed (s).
-    pub crash_at_s: f64,
-    /// Largest gap between consecutive commits around the crash (ms) —
-    /// the unavailability window.
-    pub outage_ms: f64,
-    /// Mean latency before the crash (ms).
-    pub before_ms: f64,
-    /// Mean latency after recovery (ms).
-    pub after_ms: f64,
-    /// Elections observed.
-    pub elections: u64,
-    /// Times the new leader's liveness guard repaired a blocked log hole
-    /// (the ROADMAP "measure how often this path triggers" number).
-    pub hole_repairs: u64,
-    /// Whether safety held.
-    pub safety_ok: bool,
-}
-
-/// Crashes every plausible initial leader candidate at `crash_at_s` (the
-/// node that won the first election is the one whose crash matters; we
-/// crash node 0 and pick a seed where node 0 leads — asserted via the
-/// leadership count staying ≥ 2).
-pub fn failover(seed: u64, crash_at_s: u64, total_s: u64) -> FailoverResult {
-    let crash_at = SimTime::from_secs(crash_at_s);
-    let s = Scenario {
-        seed,
-        sites: 5,
-        network: NetworkKind::SingleRegion,
-        loss: 0.0,
-        timing: Timing::lan(),
-        proposers: vec![NodeId(2)],
-        payload_bytes: 64,
-        target_commits: None,
-        duration: SimDuration::from_secs(total_s),
-        warmup: SimDuration::from_secs(3),
-        faults: vec![(crash_at, FaultAction::Crash(NodeId(0)))],
-        leader_bias: Some(NodeId(0)),
-        reads: None,
-        unbatched_persists: false,
-    };
-    let (report, metrics) = run_fast_raft(&s);
-    let crash_s = crash_at.as_secs_f64();
-    let mut outage_ms: f64 = 0.0;
-    let mut prev = crash_s;
-    for sample in &metrics.samples {
-        let t = sample.committed_at.as_secs_f64();
-        if t >= crash_s {
-            outage_ms = outage_ms.max((t - prev) * 1e3);
-            prev = t;
-        } else {
-            prev = t;
-        }
-    }
-    let mean = |f: &dyn Fn(f64) -> bool| {
-        let pts: Vec<f64> = metrics
-            .samples
-            .iter()
-            .filter(|p| f(p.committed_at.as_secs_f64()))
-            .map(|p| p.latency().as_millis_f64())
-            .collect();
-        if pts.is_empty() {
-            0.0
-        } else {
-            pts.iter().sum::<f64>() / pts.len() as f64
-        }
-    };
-    FailoverResult {
-        crash_at_s: crash_s,
-        outage_ms,
-        before_ms: mean(&|t| t < crash_s),
-        after_ms: mean(&|t| t > crash_s + 2.0),
-        elections: report.elections,
-        hole_repairs: report.hole_repairs,
-        safety_ok: report.safety_ok,
-    }
-}
-
-impl FailoverResult {
-    /// Renders the study.
-    pub fn render(&self) -> String {
-        format!(
-            "Ext-D: leader crash at t={:.0}s (Fast Raft, 5 sites)\n\
-             outage window: {:.0}ms | elections: {} | hole repairs: {} | latency before {:.1}ms, after {:.1}ms | safety: {}\n",
-            self.crash_at_s,
-            self.outage_ms,
-            self.elections,
-            self.hole_repairs,
-            self.before_ms,
-            self.after_ms,
-            if self.safety_ok { "OK" } else { "VIOLATED" }
-        )
     }
 }
 
@@ -354,6 +270,23 @@ pub fn mode_ablation(seed: u64, cluster_counts: &[u64], secs: u64) -> ModeAblati
 }
 
 impl ModeAblationResult {
+    /// Machine-readable JSON for the figure ledger: per cluster count `c`,
+    /// `broadcast/<c>` and `forward/<c>` throughput (entries/s).
+    pub fn to_json(&self) -> String {
+        let mut s = String::from("{\n  \"bench\": \"ext_mode\",\n  \"series\": {\n");
+        for (i, r) in self.rows.iter().enumerate() {
+            let comma = if i + 1 == self.rows.len() { "" } else { "," };
+            s.push_str(&format!(
+                "    \"broadcast/{c}\": {b:.2},\n    \"forward/{c}\": {f:.2}{comma}\n",
+                c = r.clusters,
+                b = r.broadcast_tput,
+                f = r.forward_tput,
+            ));
+        }
+        s.push_str("  }\n}\n");
+        s
+    }
+
     /// Renders the ablation.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -375,75 +308,3 @@ impl ModeAblationResult {
     }
 }
 
-
-// ---------------------------------------------------------------------
-// Ext-E: bursty vs i.i.d. loss at equal average rates
-// ---------------------------------------------------------------------
-
-/// One row of the burst study.
-#[derive(Clone, Copy, Debug, Serialize)]
-pub struct BurstRow {
-    /// Stationary loss rate (%).
-    pub loss_pct: f64,
-    /// Fast Raft latency under i.i.d. loss (ms).
-    pub iid_ms: f64,
-    /// Fast Raft latency under bursty loss at the same rate (ms).
-    pub bursty_ms: f64,
-    /// Fast-track share under i.i.d. loss.
-    pub iid_fast_ratio: f64,
-    /// Fast-track share under bursty loss.
-    pub bursty_fast_ratio: f64,
-}
-
-/// Burst study result.
-#[derive(Clone, Debug, Serialize)]
-pub struct BurstResult {
-    /// One row per loss rate.
-    pub rows: Vec<BurstRow>,
-}
-
-/// Compares Fast Raft under Bernoulli vs Gilbert–Elliott loss with equal
-/// stationary rates (mean burst length 5) — correlated drops take out whole
-/// vote rounds at once, hurting the fast track more than their average rate
-/// suggests.
-pub fn burst(seed: u64, losses_pct: &[f64], commits: u64) -> BurstResult {
-    let mut rows = Vec::new();
-    for &loss_pct in losses_pct {
-        let loss = loss_pct / 100.0;
-        let mut iid = Scenario::fig3_base(seed, loss);
-        iid.target_commits = Some(commits);
-        let mut bursty = iid.clone();
-        bursty.network = NetworkKind::SingleRegionBursty { mean_burst: 5.0 };
-        let (iid_report, _) = run_fast_raft(&iid);
-        let (bursty_report, _) = run_fast_raft(&bursty);
-        assert!(iid_report.safety_ok && bursty_report.safety_ok);
-        rows.push(BurstRow {
-            loss_pct,
-            iid_ms: iid_report.latency.mean_ms,
-            bursty_ms: bursty_report.latency.mean_ms,
-            iid_fast_ratio: iid_report.fast_track_ratio,
-            bursty_fast_ratio: bursty_report.fast_track_ratio,
-        });
-    }
-    BurstResult { rows }
-}
-
-impl BurstResult {
-    /// Renders the study.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("Ext-E: i.i.d. vs bursty loss (Fast Raft, equal stationary rates, burst~5)\n");
-        out.push_str("loss%   iid(ms)  bursty(ms)  iid-fast  bursty-fast\n");
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{:5.1} {:9.2} {:11.2} {:8.1}% {:11.1}%\n",
-                r.loss_pct,
-                r.iid_ms,
-                r.bursty_ms,
-                r.iid_fast_ratio * 100.0,
-                r.bursty_fast_ratio * 100.0
-            ));
-        }
-        out
-    }
-}

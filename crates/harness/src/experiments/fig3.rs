@@ -80,8 +80,7 @@ pub fn run(seeds: &[u64], losses_pct: &[f64], commits: u64) -> Fig3Result {
 impl Fig3Result {
     /// Machine-readable JSON for the CI bench gate: mean commit latency
     /// (ms) per protocol and swept loss percentage, the fast-track ratio
-    /// beside it, and the headline speedup. Latencies are lower-is-better,
-    /// so CI gates this file with `bench_compare --exact` only.
+    /// beside it, and the headline speedup.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n  \"bench\": \"fig3\",\n  \"series\": {\n");
         for r in &self.rows {

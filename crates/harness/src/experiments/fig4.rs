@@ -102,8 +102,7 @@ pub fn run(seed: u64, leave_at_s: u64, total_s: u64) -> Fig4Result {
 
 impl Fig4Result {
     /// Machine-readable JSON for the CI bench gate: the three phase
-    /// latencies (ms) and the suspected-member count. Lower-is-better
-    /// values, so CI gates this file with `bench_compare --exact` only.
+    /// latencies (ms) and the suspected-member count.
     pub fn to_json(&self) -> String {
         format!(
             "{{\n  \"bench\": \"fig4\",\n  \"series\": {{\n    \

@@ -6,7 +6,7 @@
 //! | [`fig3`] | Fig. 3: mean commit latency vs. message loss, classic vs Fast Raft |
 //! | [`fig4`] | Fig. 4: latency time series across a silent leave of 2/5 sites |
 //! | [`fig5`] | Fig. 5: global throughput vs. cluster count, classic Raft vs C-Raft |
-//! | [`ext`]  | Extensions: batch-size sweep, proposer contention, leader failover |
+//! | [`ext`]  | Extensions: global proposal mode, batch-size sweep, proposer contention |
 //! | [`residency`] | Long-run log residency: snapshot compaction bounds per-site memory |
 //! | [`read_mix`] | Client-API probe: 50/50 linearizable-read/write sessions, dedup + lin-check |
 //! | [`lease_mix`] | Leader-lease probe: lease-on vs lease-off twins on a read-heavy lin workload |

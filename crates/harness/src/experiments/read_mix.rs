@@ -8,8 +8,8 @@
 //! crash/recover window in the fast cell exercising retry + session dedup.
 //!
 //! The CI gate watches two series per cell: write throughput (committed
-//! values/s) and read speed (1000 / mean read latency ms — inverted so that
-//! "higher is better" matches the gate's regression direction).
+//! values/s) and read speed (1000 / mean read latency ms, so that both
+//! series read "higher is better").
 
 use des::{SimDuration, SimTime};
 use serde::Serialize;
@@ -45,7 +45,7 @@ pub struct ReadMixCell {
 
 impl ReadMixCell {
     /// 1000 / mean read latency — a "reads are fast" score where higher is
-    /// better, so the CI gate's lower-bound check points the right way.
+    /// better.
     pub fn read_speed(&self) -> f64 {
         if self.read_mean_ms <= 0.0 {
             0.0

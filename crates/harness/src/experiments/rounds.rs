@@ -86,8 +86,7 @@ pub fn run(seed: u64, commits: u64) -> RoundsResult {
 
 impl RoundsResult {
     /// Machine-readable JSON for the CI bench gate: one-way hops per
-    /// committed proposal. Lower-is-better values, so CI gates this file
-    /// with `bench_compare --exact` only.
+    /// committed proposal.
     pub fn to_json(&self) -> String {
         format!(
             "{{\n  \"bench\": \"rounds\",\n  \"series\": {{\n    \

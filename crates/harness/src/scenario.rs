@@ -54,12 +54,6 @@ pub enum NetworkKind {
         /// One-way delay in microseconds.
         one_way_us: u64,
     },
-    /// One region with **bursty** (Gilbert–Elliott) loss instead of i.i.d.
-    /// drops; the scenario's `loss` field is the stationary loss rate.
-    SingleRegionBursty {
-        /// Mean burst length in messages (`1 / p_bg`).
-        mean_burst: f64,
-    },
 }
 
 /// A complete experiment description.
@@ -182,25 +176,6 @@ impl Scenario {
                     topo,
                     Box::new(simnet::ConstantLatency(SimDuration::from_micros(one_way_us))),
                     Box::new(BernoulliLoss::new(self.loss)),
-                )
-            }
-            NetworkKind::SingleRegionBursty { mean_burst } => {
-                let topo = Topology::single_region("bursty", nodes);
-                // Stationary loss = pi_bad * p_bad with p_bad = 1:
-                // pi_bad = p_gb / (p_gb + p_bg); choose p_bg = 1/mean_burst.
-                let p_bg = 1.0 / mean_burst.max(1.0);
-                let p_gb = if self.loss >= 1.0 {
-                    1.0
-                } else {
-                    p_bg * self.loss / (1.0 - self.loss)
-                };
-                Network::new(
-                    topo,
-                    Box::new(UniformLatency::new(
-                        SimDuration::from_micros(100),
-                        SimDuration::from_micros(500),
-                    )),
-                    Box::new(simnet::GilbertElliott::new(p_gb.min(1.0), p_bg, 0.0, 1.0)),
                 )
             }
         }

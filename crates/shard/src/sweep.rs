@@ -275,7 +275,8 @@ impl ShardSweepResult {
         c.group_msgs as f64 / c.frames.max(1) as f64
     }
 
-    /// The gated series, shaped for `bench_compare`.
+    /// The gated series, pinned exactly in `ci/figures/shard_sweep.json`
+    /// (and `ci/figures/BENCH_shard.json` at full length) by `ci/figures.sh`.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n  \"bench\": \"shard_sweep\",\n  \"series\": {\n");
         for c in &self.scaling {

@@ -302,12 +302,10 @@ impl fmt::Display for LogEntry {
 /// entries are frozen: consumers clone individual [`LogEntry`] values out of
 /// the list before mutating site-local fields such as `approval`.
 ///
-/// The list is a **window** `[start, start + len)` over a shared slice.
-/// `SparseLog::collect_range_budgeted` either hands out a sub-slice of one
-/// of its sealed segments directly — an AppendEntries payload assembled
-/// without copying a single entry — or collects the admitted entries into a
-/// slice of their own in one allocation. Equality, hashing, and iteration
-/// all see only the window, never the backing storage.
+/// The list is its shared slice. `SparseLog::collect_range_budgeted`
+/// collects the admitted entries straight into it, in one allocation, and
+/// the empty list is no allocation at all. Equality, hashing, and iteration
+/// see only the entries, never which allocation holds them.
 ///
 /// # Examples
 ///
@@ -323,13 +321,11 @@ impl fmt::Display for LogEntry {
 /// assert_eq!(shared[0].0, LogIndex(3));
 /// ```
 #[derive(Clone)]
-pub struct EntryList {
-    /// The backing allocation; `None` for the empty list, so a pure
-    /// heartbeat carries (and decodes to) no allocation at all.
-    seg: Option<Rc<[(LogIndex, LogEntry)]>>,
-    start: usize,
-    len: usize,
-}
+pub struct EntryList(
+    /// The entries; `None` for the empty list, so a pure heartbeat carries
+    /// (and decodes to) no allocation at all.
+    pub(crate) Option<Rc<[(LogIndex, LogEntry)]>>,
+);
 
 impl EntryList {
     /// Freezes a vector of indexed entries into a shareable list. Copies
@@ -339,35 +335,19 @@ impl EntryList {
         entries.into_iter().collect()
     }
 
-    /// A window onto an existing shared allocation: `len` pairs starting at
-    /// `start`. O(1) and allocation-free — the log's segment-sliced
-    /// collection path. Crate-internal so every public list is known valid.
-    pub(crate) fn view(seg: Rc<[(LogIndex, LogEntry)]>, start: usize, len: usize) -> Self {
-        debug_assert!(start.checked_add(len).is_some_and(|end| end <= seg.len()));
-        EntryList {
-            seg: Some(seg),
-            start,
-            len,
-        }
-    }
-
     /// The empty list (pure heartbeat).
     pub fn empty() -> Self {
-        EntryList {
-            seg: None,
-            start: 0,
-            len: 0,
-        }
+        EntryList(None)
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.as_slice().len()
     }
 
     /// `true` when the list carries no entries.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Iterates the `(index, entry)` pairs in order.
@@ -377,10 +357,7 @@ impl EntryList {
 
     /// The entries as a slice.
     pub fn as_slice(&self) -> &[(LogIndex, LogEntry)] {
-        match &self.seg {
-            Some(seg) => &seg[self.start..self.start + self.len],
-            None => &[],
-        }
+        self.0.as_deref().unwrap_or(&[])
     }
 }
 
@@ -391,8 +368,8 @@ impl fmt::Debug for EntryList {
 }
 
 impl PartialEq for EntryList {
-    /// Window contents, not backing identity: a full-vector list and a
-    /// segment view holding the same pairs compare equal.
+    /// Contents, not allocation identity: two lists holding the same pairs
+    /// compare equal.
     fn eq(&self, other: &Self) -> bool {
         self.as_slice() == other.as_slice()
     }
@@ -432,9 +409,7 @@ impl FromIterator<(LogIndex, LogEntry)> for EntryList {
         if iter.peek().is_none() {
             return EntryList::empty();
         }
-        let seg: Rc<[_]> = iter.collect();
-        let len = seg.len();
-        EntryList::view(seg, 0, len)
+        EntryList(Some(iter.collect()))
     }
 }
 
@@ -560,7 +535,7 @@ mod tests {
     }
 
     #[test]
-    fn entry_list_view_is_window_equal_to_copy() {
+    fn entry_list_equality_is_by_content() {
         let pairs: Vec<(LogIndex, LogEntry)> = (0..5)
             .map(|i| {
                 (
@@ -575,13 +550,14 @@ mod tests {
                 )
             })
             .collect();
-        let backing: Rc<[(LogIndex, LogEntry)]> = Rc::from(pairs.clone());
-        let view = EntryList::view(Rc::clone(&backing), 1, 3);
-        assert_eq!(view.len(), 3);
-        assert_eq!(view.as_slice()[0].0, LogIndex(2));
-        // Content equality against an owned copy of the same window.
-        let copy = EntryList::from_vec(pairs[1..4].to_vec());
-        assert_eq!(view, copy);
+        let list = EntryList::from_vec(pairs[1..4].to_vec());
+        assert_eq!(list.len(), 3);
+        assert_eq!(list.as_slice()[0].0, LogIndex(2));
+        // A second allocation holding the same pairs: equal, same hash,
+        // same Debug.
+        let copy: EntryList = pairs[1..4].iter().cloned().collect();
+        assert!(!std::ptr::eq(list.as_slice(), copy.as_slice()));
+        assert_eq!(list, copy);
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
         let h = |l: &EntryList| {
@@ -589,10 +565,9 @@ mod tests {
             l.hash(&mut s);
             s.finish()
         };
-        assert_eq!(h(&view), h(&copy));
-        // The view shares the backing allocation, never copies it.
-        assert!(std::ptr::eq(view.as_slice(), &backing[1..4]));
-        assert_eq!(format!("{view:?}"), format!("{copy:?}"));
+        assert_eq!(h(&list), h(&copy));
+        assert_eq!(format!("{list:?}"), format!("{copy:?}"));
+        assert_ne!(list, EntryList::from_vec(pairs[..3].to_vec()));
     }
 
     #[test]

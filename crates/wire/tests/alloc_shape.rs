@@ -1,12 +1,10 @@
 //! Allocation shape: each shared buffer the replication path builds costs
-//! exactly one allocator call, a window or an empty list costs none, and a
-//! log's slot tail allocates one block per block of slots it ever needs at
-//! once.
+//! exactly one allocator call, an empty list costs none, and a log's slot
+//! tail allocates one block per block of slots it ever needs at once.
 //!
-//! An AppendEntries list is either a window onto a sealed log segment (a
-//! refcount bump) or its admitted entries collected straight into one
-//! shared slice, whether the slot-tail range is dense or has holes. A
-//! client payload collected from an exact-length iterator is one `Bytes`
+//! An AppendEntries list is its admitted entries collected straight into
+//! one shared slice, whether the range is dense or has holes, and however
+//! deep in the log it starts. A client payload collected from an exact-length iterator is one `Bytes`
 //! allocation. This test counts the calls of each construction exactly, so
 //! a second copy (a `Vec` built first, then copied behind the `Rc`) shows
 //! as a failure here rather than as a drift in `perf`'s per-op averages.
@@ -90,8 +88,7 @@ fn entry(seq: u64) -> LogEntry {
 
 #[test]
 fn each_shared_buffer_is_one_allocation() {
-    // 2,000 contiguous entries: the first 1,024 seal into a segment, the
-    // rest stay in the slot tail.
+    // 2,000 contiguous entries, sixteen blocks of slots.
     let mut log = SparseLog::new();
     for seq in 1..=2_000 {
         log.append(entry(seq));
@@ -102,7 +99,7 @@ fn each_shared_buffer_is_one_allocation() {
     let (from, to) = at(1_500, 2_000);
     let (dense, calls) = counted(|| log.collect_range_budgeted(from, to, budget));
     assert_eq!(dense.len(), 64);
-    assert_eq!(calls, 1, "a dense slot-tail list is one allocation");
+    assert_eq!(calls, 1, "a dense list is one allocation");
 
     for hole in [1_502, 1_510, 1_577] {
         log.remove(LogIndex(hole));
@@ -110,12 +107,12 @@ fn each_shared_buffer_is_one_allocation() {
     let (gapped, calls) = counted(|| log.collect_range_budgeted(from, to, budget));
     assert_eq!(gapped.len(), 64);
     assert_eq!(gapped[2].0, LogIndex(1_503), "holes are skipped");
-    assert_eq!(calls, 1, "a gapped slot-tail list is one allocation");
+    assert_eq!(calls, 1, "a gapped list is one allocation");
 
     let (from, to) = at(10, 2_000);
-    let (window, calls) = counted(|| log.collect_range_budgeted(from, to, budget));
-    assert_eq!((window.len(), window[0].0), (64, LogIndex(10)));
-    assert_eq!(calls, 0, "a sealed-segment window allocates nothing");
+    let (deep, calls) = counted(|| log.collect_range_budgeted(from, to, budget));
+    assert_eq!((deep.len(), deep[0].0), (64, LogIndex(10)));
+    assert_eq!(calls, 1, "a deep dense list is one allocation");
 
     for (from, to) in [at(2_001, 3_000), at(1_502, 1_502), at(7, 6)] {
         let (empty, calls) = counted(|| log.collect_range_budgeted(from, to, budget));
@@ -136,8 +133,17 @@ fn each_shared_buffer_is_one_allocation() {
 
 #[test]
 fn growing_a_log_allocates_one_block_per_block_of_slots() {
-    // Up to 1,200 entries: a log seals its first segment past 1,280.
-    for n in [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 1_000, 1_200] {
+    for n in [
+        1,
+        2,
+        BLOCK - 1,
+        BLOCK,
+        BLOCK + 1,
+        1_000,
+        1_200,
+        2_000,
+        5_000,
+    ] {
         let entries: Vec<LogEntry> = (1..=n).map(entry).collect();
         let mut log = SparseLog::new();
         let ((), calls) = counted(|| {

@@ -10,9 +10,10 @@
 //! collection. Plus the regression the compaction invariant hinges on: a
 //! hole at the compaction boundary still clamps compaction.
 //!
-//! Half the sequences start from a log long enough to seal a segment, so
-//! the same ops also reach into it (`get_mut` copy-on-write, unsealing
-//! inserts, removes and truncations, compaction and snapshots inside it).
+//! Half the sequences start from a 1,300-entry log, ten blocks of slots
+//! deep, so the same ops also reach into the middle of a long tail
+//! (`get_mut`, replacing inserts, removes and truncations, compaction and
+//! snapshots inside it).
 //! Every budgeted list collected along the way is kept: an `EntryList` is
 //! frozen once sent, so each must still hold exactly what it held when it
 //! was cut, whatever the log did since.
@@ -22,8 +23,8 @@
 //! every direction: far inserts whose holes span several blocks,
 //! compactions and snapshots that drain the tail to empty or to mid-block,
 //! truncations and trailing removes that release blocks at the back,
-//! unsealing inserts that push a segment's entries in front of the first
-//! block, and clones (which start without the pool). Every index of the
+//! inserts that replace or fill entries up to 1,400 below the last index,
+//! and clones (which start without the pool). Every index of the
 //! log is probed after every step.
 
 use std::collections::BTreeMap;
@@ -35,10 +36,9 @@ use wire::{
     Term, Wire,
 };
 
-/// Entries a sequence may start with: enough contiguous history for the
-/// log to seal its first 1,024-entry segment (it seals once the contiguous
-/// run passes 1,024 + a 256-entry guard).
-const SEALING_PREFIX: u64 = 1_300;
+/// Entries a sequence may start with: a long contiguous history, past the
+/// default compaction threshold of 1,024 retained entries.
+const LONG_PREFIX: u64 = 1_300;
 
 /// The previous `SparseLog` representation, kept as the reference model.
 #[derive(Default)]
@@ -217,8 +217,7 @@ enum TailOp {
     /// Insert `ahead` past the last index: the holes below it may span
     /// several blocks.
     FarInsert { ahead: u64, term: u64 },
-    /// Insert (fill a hole or replace) `back` below the last index; on a
-    /// sealed log a deep one unseals.
+    /// Insert (fill a hole or replace) `back` below the last index.
     InsertBack { back: u64, term: u64 },
     /// Remove `back` below the last index; `back == 0` trims the trailing
     /// holes below the last entry with it.
@@ -317,8 +316,7 @@ proptest! {
         let mut log = SparseLog::new();
         let mut model = TreeModel::default();
         let mut seq = 0u64;
-        // Long enough that the first 1,024 entries seal into a segment.
-        for _ in 0..prefix * SEALING_PREFIX {
+        for _ in 0..prefix * LONG_PREFIX {
             seq += 1;
             let e = entry(1, seq, false);
             prop_assert_eq!(log.append(e.clone()), model.append(e));
@@ -448,7 +446,7 @@ proptest! {
         let mut log = SparseLog::new();
         let mut model = TreeModel::default();
         let mut seq = 0u64;
-        for _ in 0..prefix * SEALING_PREFIX {
+        for _ in 0..prefix * LONG_PREFIX {
             seq += 1;
             let e = entry(1, seq, false);
             prop_assert_eq!(log.append(e.clone()), model.append(e));

@@ -253,11 +253,7 @@ mod tests {
         assert_eq!(parse("-1.5e2").unwrap(), Value::Num(-150.0));
         assert_eq!(
             parse("[1, 2, []]").unwrap(),
-            Value::Arr(vec![
-                Value::Num(1.0),
-                Value::Num(2.0),
-                Value::Arr(vec![])
-            ])
+            Value::Arr(vec![Value::Num(1.0), Value::Num(2.0), Value::Arr(vec![])])
         );
         assert_eq!(
             parse(r#""a\"b\n""#).unwrap(),
@@ -273,6 +269,9 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\": 1} x").is_err());
         assert!(parse("nul").is_err());
-        assert!(parse("\"\u{fc}ber\"").is_err(), "non-ASCII must error loudly");
+        assert!(
+            parse("\"\u{fc}ber\"").is_err(),
+            "non-ASCII must error loudly"
+        );
     }
 }

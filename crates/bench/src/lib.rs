@@ -99,7 +99,10 @@ mod tests {
 
     #[test]
     fn seeds_without_a_value_is_an_error_not_a_swallowed_flag() {
-        assert_eq!(parse("--seeds --quick").unwrap_err(), "--seeds needs a number");
+        assert_eq!(
+            parse("--seeds --quick").unwrap_err(),
+            "--seeds needs a number"
+        );
         assert_eq!(parse("--seeds x").unwrap_err(), "--seeds needs a number");
         assert_eq!(parse("--seeds").unwrap_err(), "--seeds needs a number");
     }
@@ -108,12 +111,18 @@ mod tests {
     fn flags_after_a_valued_seeds_are_all_seen() {
         let o = parse("--seeds 2 --quick --json f").unwrap();
         assert_eq!((o.seeds, o.quick, o.json.as_deref()), (2, true, Some("f")));
-        assert_eq!(parse("--json --quick").unwrap_err(), "--json needs a file path");
+        assert_eq!(
+            parse("--json --quick").unwrap_err(),
+            "--json needs a file path"
+        );
     }
 
     #[test]
     fn unknown_arguments_are_errors_not_defaults() {
-        assert_eq!(parse("--quick --seed 1").unwrap_err(), "unknown argument: --seed");
+        assert_eq!(
+            parse("--quick --seed 1").unwrap_err(),
+            "unknown argument: --seed"
+        );
         assert_eq!(parse("quick").unwrap_err(), "unknown argument: quick");
     }
 

@@ -10,7 +10,10 @@ use harness::experiments::{ext, fig3, fig4, rounds};
 fn assert_series(json: &str, bench: &str, keys: &[&str]) {
     let doc = parse(json).unwrap_or_else(|e| panic!("{bench}: {e}\n{json}"));
     assert_eq!(doc.get("bench").and_then(Value::as_str), Some(bench));
-    let series = doc.get("series").and_then(Value::as_obj).expect("series object");
+    let series = doc
+        .get("series")
+        .and_then(Value::as_obj)
+        .expect("series object");
     let mut want = keys.to_vec();
     want.sort_unstable();
     assert_eq!(series.keys().map(String::as_str).collect::<Vec<_>>(), want);
@@ -29,8 +32,16 @@ fn fig3_series_has_three_rows_per_loss_and_the_speedup() {
         &json,
         "fig3",
         &[
-            "raft/0", "fast/0", "ftr/0", "raft/5", "fast/5", "ftr/5", "raft/10", "fast/10",
-            "ftr/10", "speedup_at_zero",
+            "raft/0",
+            "fast/0",
+            "ftr/0",
+            "raft/5",
+            "fast/5",
+            "ftr/5",
+            "raft/10",
+            "fast/10",
+            "ftr/10",
+            "speedup_at_zero",
         ],
     );
 }
@@ -41,7 +52,12 @@ fn fig4_series_is_the_phase_summary() {
     assert_series(
         &json,
         "fig4",
-        &["before_ms", "peak_after_ms", "recovered_ms", "members_suspected"],
+        &[
+            "before_ms",
+            "peak_after_ms",
+            "recovered_ms",
+            "members_suspected",
+        ],
     );
 }
 
@@ -58,7 +74,11 @@ fn ext_mode_series_is_both_modes_per_cluster_count() {
         &json,
         "ext_mode",
         &[
-            "broadcast/2", "forward/2", "broadcast/4", "forward/4", "broadcast/10",
+            "broadcast/2",
+            "forward/2",
+            "broadcast/4",
+            "forward/4",
+            "broadcast/10",
             "forward/10",
         ],
     );

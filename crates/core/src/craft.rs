@@ -340,7 +340,10 @@ impl CRaftNode {
         // parks its continuation at `begin` time, before the recorder drains
         // or the waiting map fills, and both refer to the same tokens.
         self.global.as_ref().map_or((0, 0), |g| {
-            (g.engine.pending_gate_count(), g.engine.gated_decision_count())
+            (
+                g.engine.pending_gate_count(),
+                g.engine.gated_decision_count(),
+            )
         })
     }
 
@@ -673,12 +676,11 @@ impl CRaftNode {
         out: &mut Actions<CRaftMessage>,
     ) {
         match &entry.payload {
-            Payload::Write { .. } | Payload::Register { .. }
-                if self.global.is_some() => {
-                    if let Some(item) = batchable_item(entry) {
-                        self.batch_buf.push((index, item));
-                    }
+            Payload::Write { .. } | Payload::Register { .. } if self.global.is_some() => {
+                if let Some(item) = batchable_item(entry) {
+                    self.batch_buf.push((index, item));
                 }
+            }
             Payload::GlobalState(gs) => {
                 self.global_commit_seen = self.global_commit_seen.max(gs.global_commit);
                 // Resume the gated global insert this entry replicated.
@@ -916,7 +918,9 @@ impl wire::ConsensusProtocol for CRaftNode {
             // Writes (acked at local commit, §V-A), stale-local reads,
             // registrations, and read forwarding all ride the local engine.
             _ => {
-                self.step_local(out, |engine, gate, ea| engine.on_client_request(req, gate, ea));
+                self.step_local(out, |engine, gate, ea| {
+                    engine.on_client_request(req, gate, ea)
+                });
             }
         }
     }
@@ -927,10 +931,7 @@ impl wire::ConsensusProtocol for CRaftNode {
             // Overrides the randomized election timeout armed above (same
             // kind replaces): the designated leader stands first.
             let jitter = 50 + (self.id.as_u64() % 37);
-            out.set_timer(
-                TimerKind::Election,
-                des::SimDuration::from_millis(jitter),
-            );
+            out.set_timer(TimerKind::Election, des::SimDuration::from_millis(jitter));
         }
     }
 }
@@ -968,9 +969,7 @@ pub fn build_deployment(
     seed: u64,
 ) -> (Vec<CRaftNode>, Configuration) {
     assert!(clusters > 0 && per_cluster > 0, "empty deployment");
-    let global_bootstrap: Configuration = (0..clusters)
-        .map(|c| NodeId(c * per_cluster))
-        .collect();
+    let global_bootstrap: Configuration = (0..clusters).map(|c| NodeId(c * per_cluster)).collect();
     let root = SimRng::seed_from_u64(seed);
     let mut nodes = Vec::new();
     for c in 0..clusters {

@@ -222,8 +222,13 @@ impl FastRaftEngine {
                         // so a gated (C-Raft global) nudge cannot wedge
                         // `leader_log_settled()`.
                         self.gated_decisions.insert(k);
-                        self.pending_gates
-                            .insert(token, GateCont::Decision { index: k, entry: noop });
+                        self.pending_gates.insert(
+                            token,
+                            GateCont::Decision {
+                                index: k,
+                                entry: noop,
+                            },
+                        );
                     }
                 }
             }

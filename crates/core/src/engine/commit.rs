@@ -48,9 +48,7 @@ impl FastRaftEngine {
         self.core.applied.fold_commit(k, entry.id);
         match &entry.payload {
             Payload::Config(cfg) => {
-                out.observe(Observation::ConfigCommitted {
-                    members: cfg.len(),
-                });
+                out.observe(Observation::ConfigCommitted { members: cfg.len() });
                 if self.pending_config == Some(k) {
                     self.pending_config = None;
                     if let Some(joiner) = self.pending_join_notify.take() {

@@ -121,8 +121,13 @@ impl FastRaftEngine {
                 }
                 GateVerdict::Defer(token) => {
                     self.gated_decisions.insert(k);
-                    self.pending_gates
-                        .insert(token, GateCont::Decision { index: k, entry: chosen });
+                    self.pending_gates.insert(
+                        token,
+                        GateCont::Decision {
+                            index: k,
+                            entry: chosen,
+                        },
+                    );
                     break;
                 }
             }
@@ -158,8 +163,13 @@ impl FastRaftEngine {
             }
             GateVerdict::Defer(token) => {
                 self.gated_decisions.insert(k);
-                self.pending_gates
-                    .insert(token, GateCont::LeaderAppend { index: k, entry: noop });
+                self.pending_gates.insert(
+                    token,
+                    GateCont::LeaderAppend {
+                        index: k,
+                        entry: noop,
+                    },
+                );
             }
         }
     }
@@ -201,7 +211,9 @@ impl FastRaftEngine {
     ) {
         debug_assert_eq!(entry.approval, Approval::LeaderApproved);
         self.insert_approved(index, entry, out);
-        self.core.match_index.insert(self.core.id, self.last_leader_index);
+        self.core
+            .match_index
+            .insert(self.core.id, self.last_leader_index);
     }
 
     /// Highest proposal-sequence ceiling this engine has persisted; used by
@@ -219,7 +231,10 @@ impl FastRaftEngine {
             }
         }
         // The leader holds the entry itself.
-        let fm = self.fast_match.entry(self.core.id).or_insert(LogIndex::ZERO);
+        let fm = self
+            .fast_match
+            .entry(self.core.id)
+            .or_insert(LogIndex::ZERO);
         if k > *fm {
             *fm = k;
         }
@@ -241,7 +256,11 @@ impl FastRaftEngine {
         let k = self.decision_point();
         let work_above = self.core.log.last_index() >= k || self.possible.max_index() >= k;
         let blocked = work_above
-            && self.core.log.get(k).is_none_or(|e| e.approval == Approval::SelfApproved)
+            && self
+                .core
+                .log
+                .get(k)
+                .is_none_or(|e| e.approval == Approval::SelfApproved)
             && self.possible.voters_at(k) < self.core.config.classic_quorum()
             && !self.gated_decisions.contains(&k);
         if !blocked {
@@ -272,7 +291,11 @@ impl FastRaftEngine {
             || self.last_leader_index <= k
             || k <= self.last_proactive_repair
             || self.gated_decisions.contains(&k)
-            || self.core.log.get(k).is_some_and(|e| e.approval == Approval::LeaderApproved)
+            || self
+                .core
+                .log
+                .get(k)
+                .is_some_and(|e| e.approval == Approval::LeaderApproved)
             || self.possible.voters_at(k) >= self.core.config.classic_quorum()
         {
             return;

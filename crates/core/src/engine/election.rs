@@ -175,7 +175,9 @@ impl FastRaftEngine {
         self.core.become_leader(self.core.commit_index.next(), out);
         self.fast_match.clear();
         self.missed_beats.clear();
-        self.core.match_index.insert(self.core.id, self.last_leader_index);
+        self.core
+            .match_index
+            .insert(self.core.id, self.last_leader_index);
         self.assign_cursor = self.last_leader_index;
         self.last_proactive_repair = self.core.commit_index;
         // Recovery (§IV-C): replay every voter's self-approved entries into

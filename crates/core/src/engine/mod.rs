@@ -507,31 +507,29 @@ impl FastRaftEngine {
     ) {
         match base {
             TimerKind::Election
-                if self.core.role != Role::Leader && self.join_contacts.is_none() => {
-                    self.start_election(out);
-                }
-            TimerKind::Heartbeat
-                if self.core.role == Role::Leader => {
-                    self.note_missed_beats(out);
-                    // §IV-B: AppendEntries carry entries from nextIndex through
-                    // lastLeaderIndex — leader-approved entries only.
-                    self.core.heartbeat(self.last_leader_index, out);
-                }
-            TimerKind::LeaderTick
-                if self.core.role == Role::Leader => {
-                    self.run_decision_loop(gate, out);
-                    self.maybe_fill_hole(out);
-                    self.start_next_reconfig(out);
-                    out.set_timer(
-                        self.timers.map(TimerKind::LeaderTick),
-                        self.core.timing.decision_tick,
-                    );
-                }
+                if self.core.role != Role::Leader && self.join_contacts.is_none() =>
+            {
+                self.start_election(out);
+            }
+            TimerKind::Heartbeat if self.core.role == Role::Leader => {
+                self.note_missed_beats(out);
+                // §IV-B: AppendEntries carry entries from nextIndex through
+                // lastLeaderIndex — leader-approved entries only.
+                self.core.heartbeat(self.last_leader_index, out);
+            }
+            TimerKind::LeaderTick if self.core.role == Role::Leader => {
+                self.run_decision_loop(gate, out);
+                self.maybe_fill_hole(out);
+                self.start_next_reconfig(out);
+                out.set_timer(
+                    self.timers.map(TimerKind::LeaderTick),
+                    self.core.timing.decision_tick,
+                );
+            }
             TimerKind::ProposalRetry => self.retry_proposals(out),
-            TimerKind::JoinRetry
-                if self.join_contacts.is_some() => {
-                    self.send_join_request(out);
-                }
+            TimerKind::JoinRetry if self.join_contacts.is_some() => {
+                self.send_join_request(out);
+            }
             _ => {}
         }
     }
@@ -628,7 +626,14 @@ impl FastRaftEngine {
                 candidate,
                 last_leader_index,
                 last_leader_term,
-            } => self.on_request_vote(from, term, candidate, last_leader_index, last_leader_term, out),
+            } => self.on_request_vote(
+                from,
+                term,
+                candidate,
+                last_leader_index,
+                last_leader_term,
+                out,
+            ),
             FastRaftMessage::RequestVoteReply {
                 term,
                 granted,

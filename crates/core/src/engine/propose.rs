@@ -170,8 +170,13 @@ impl FastRaftEngine {
                 // `gate_ready`'s LeaderAppend arm.
                 self.core.id_index.insert(chosen.id, k);
                 self.gated_decisions.insert(k);
-                self.pending_gates
-                    .insert(token, GateCont::LeaderAppend { index: k, entry: chosen });
+                self.pending_gates.insert(
+                    token,
+                    GateCont::LeaderAppend {
+                        index: k,
+                        entry: chosen,
+                    },
+                );
             }
         }
     }
@@ -229,7 +234,11 @@ impl FastRaftEngine {
 
     fn pick_proposal_index(&self) -> LogIndex {
         // Past everything this site has seen proposed or stored.
-        self.core.log.last_index().max(self.core.commit_index).next()
+        self.core
+            .log
+            .last_index()
+            .max(self.core.commit_index)
+            .next()
     }
 
     /// Sends proposal `id` to every peer as `ProposeAt { index }` and returns
@@ -341,7 +350,11 @@ impl FastRaftEngine {
             // If our entry still occupies its slot, re-gather votes for the
             // same index; if it was overwritten, re-target a fresh index.
             let keep = self.core.log.get(old_index).is_some_and(|e| e.id == id);
-            let index = if keep { old_index } else { self.pick_proposal_index() };
+            let index = if keep {
+                old_index
+            } else {
+                self.pick_proposal_index()
+            };
             self.rebroadcast_proposal(id, payload, index, out);
         }
         self.proposal_scratch = pendings;

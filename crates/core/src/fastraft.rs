@@ -194,7 +194,12 @@ impl ConsensusProtocol for FastRaftNode {
         self.engine.set_local_clock(now);
     }
 
-    fn on_message(&mut self, from: NodeId, msg: FastRaftMessage, out: &mut Actions<FastRaftMessage>) {
+    fn on_message(
+        &mut self,
+        from: NodeId,
+        msg: FastRaftMessage,
+        out: &mut Actions<FastRaftMessage>,
+    ) {
         self.engine.on_message(from, msg, &mut self.gate, out);
     }
 

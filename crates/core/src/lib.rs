@@ -50,6 +50,8 @@ mod possible;
 pub use craft::{build_deployment, CRaftConfig, CRaftNode};
 pub use engine::{FastRaftEngine, ProposalMode, TimerProfile};
 pub use fastraft::FastRaftNode;
-pub use gate::{GatePurpose, GateRecorder, GateRequest, GateToken, GateVerdict, InsertGate, ProceedGate};
+pub use gate::{
+    GatePurpose, GateRecorder, GateRequest, GateToken, GateVerdict, InsertGate, ProceedGate,
+};
 pub use message::{CRaftMessage, FastRaftMessage};
 pub use possible::PossibleEntries;

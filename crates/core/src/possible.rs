@@ -165,7 +165,10 @@ impl PossibleEntries {
     }
 
     fn slot(&self, index: LogIndex) -> Option<&IndexVotes> {
-        let at = self.by_index.binary_search_by_key(&index, |(i, _)| *i).ok()?;
+        let at = self
+            .by_index
+            .binary_search_by_key(&index, |(i, _)| *i)
+            .ok()?;
         Some(&self.by_index[at].1)
     }
 
@@ -513,8 +516,11 @@ mod model {
     /// and the heap spill all come up within a short sequence.
     fn arb_op() -> impl Strategy<Value = Op> {
         let vote = || {
-            (1..5u64, 0..4u64, 0..20u64)
-                .prop_map(|(index, seq, voter)| Op::Vote { index, seq, voter })
+            (1..5u64, 0..4u64, 0..20u64).prop_map(|(index, seq, voter)| Op::Vote {
+                index,
+                seq,
+                voter,
+            })
         };
         prop_oneof![
             vote(),
@@ -533,7 +539,13 @@ mod model {
     fn entry(seq: u64, voter: u64) -> LogEntry {
         // The payload names the first voter: the book must keep the entry
         // of a candidate's first vote, not a later one.
-        LogEntry::write(Term(1), id(seq), SessionId::client(1), 1, Bytes::from(vec![voter as u8]))
+        LogEntry::write(
+            Term(1),
+            id(seq),
+            SessionId::client(1),
+            1,
+            Bytes::from(vec![voter as u8]),
+        )
     }
 
     fn assert_equivalent(book: &PossibleEntries, model: &TreeBook) {

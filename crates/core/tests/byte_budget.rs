@@ -80,11 +80,8 @@ fn ack_stops_at_interior_gap() {
     for i in [1u64, 2, 4, 5] {
         log.insert(LogIndex(i), entry(1, i));
     }
-    let batch = log.collect_range_budgeted(
-        LogIndex(1),
-        LogIndex(5),
-        AppendBudget::new(128, usize::MAX),
-    );
+    let batch =
+        log.collect_range_budgeted(LogIndex(1), LogIndex(5), AppendBudget::new(128, usize::MAX));
     assert_eq!(batch.len(), 4, "collector ships all occupied slots");
     let acked = append(&mut node, batch, LogIndex(5));
     assert_eq!(acked, LogIndex(2), "matchIndex must stop at the gap");

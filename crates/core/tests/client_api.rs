@@ -89,7 +89,10 @@ fn stale_local_read_is_answered_immediately_from_any_site() {
     net.set_link_filter(|from, to| from != NodeId(4) && to != NodeId(4));
     let key = net.read(NodeId(4), Consistency::StaleLocal);
     let floor = read_ok_floor(&net.responses_for(NodeId(4), key.0, key.1));
-    assert!(floor.is_some(), "stale read must answer without the network");
+    assert!(
+        floor.is_some(),
+        "stale read must answer without the network"
+    );
 }
 
 #[test]
@@ -210,7 +213,11 @@ fn stray_read_answer_cannot_complete_a_pending_write() {
         },
     };
     net.with_node(gw, |n, out| n.on_message(leader, stray, out));
-    assert_eq!(net.responses_for(gw, session, w), [], "the write is still pending");
+    assert_eq!(
+        net.responses_for(gw, session, w),
+        [],
+        "the write is still pending"
+    );
     assert!(net.responses_for(gw, session, wire::read_id(w)).is_empty());
 
     // Healed, the write commits and is answered once, as itself.

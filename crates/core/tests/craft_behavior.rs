@@ -42,7 +42,10 @@ fn elect_heads(net: &mut Lockstep<CRaftNode>, clusters: u64, per_cluster: u64) {
 fn elect_global(net: &mut Lockstep<CRaftNode>, who: NodeId) {
     net.fire(who, TimerKind::GlobalElection);
     net.deliver_all();
-    assert!(net.node(who).is_global_leader(), "{who} lost global election");
+    assert!(
+        net.node(who).is_global_leader(),
+        "{who} lost global election"
+    );
 }
 
 /// One full "pump" of the hierarchy: local decision ticks + heartbeats, then
@@ -97,7 +100,10 @@ fn local_commit_then_batch_then_global_commit() {
         .iter()
         .filter(|c| c.scope == LogScope::Local && matches!(c.entry.payload, Payload::Write { .. }))
         .count();
-    assert_eq!(local_commits, 2, "cluster 0 should commit both proposals locally");
+    assert_eq!(
+        local_commits, 2,
+        "cluster 0 should commit both proposals locally"
+    );
 
     // The batch flows through the global level: batch proposal broadcast →
     // gated inserts (local global-state consensus) → votes → global
@@ -249,8 +255,9 @@ fn local_leader_failover_preserves_global_state() {
     // The successor reconstructed the global log from global-state entries.
     let view = net.node(NodeId(4)).global_log_view();
     assert!(
-        view.iter()
-            .any(|(_, e)| matches!(&e.payload, Payload::Batch(b) if b.cluster == wire::ClusterId(1))),
+        view.iter().any(
+            |(_, e)| matches!(&e.payload, Payload::Batch(b) if b.cluster == wire::ClusterId(1))
+        ),
         "successor lost the cluster's global log view"
     );
     assert!(
@@ -302,7 +309,10 @@ fn new_local_leader_joins_global_configuration() {
         .unwrap()
         .config()
         .clone();
-    assert!(cfg.contains(NodeId(4)), "node 4 must join the global config: {cfg:?}");
+    assert!(
+        cfg.contains(NodeId(4)),
+        "node 4 must join the global config: {cfg:?}"
+    );
     assert!(
         !cfg.contains(NodeId(3)),
         "dead node 3 must be evicted from the global config: {cfg:?}"
@@ -318,9 +328,10 @@ fn proposer_is_notified_on_local_commit() {
     net.deliver_all();
     net.fire(NodeId(0), TimerKind::LeaderTick);
     net.deliver_all();
-    let notified = net.responses_for(NodeId(1), pid.0, pid.1).iter().any(|o| {
-        matches!(o, wire::ClientOutcome::Committed { .. })
-    });
+    let notified = net
+        .responses_for(NodeId(1), pid.0, pid.1)
+        .iter()
+        .any(|o| matches!(o, wire::ClientOutcome::Committed { .. }));
     assert!(notified, "C-Raft clients are acknowledged at local commit");
 }
 

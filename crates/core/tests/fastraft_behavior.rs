@@ -4,9 +4,7 @@ use consensus_core::{FastRaftMessage, FastRaftNode};
 use des::SimRng;
 use raft::testkit::Lockstep;
 use raft::{Role, Timing};
-use wire::{
-    ClientOutcome, Configuration, LogIndex, NodeId, Observation, Payload, TimerKind,
-};
+use wire::{ClientOutcome, Configuration, LogIndex, NodeId, Observation, Payload, TimerKind};
 
 /// `true` once the client at `node` got a terminal `Committed` answer for
 /// its request key.
@@ -155,8 +153,14 @@ fn concurrent_proposals_one_wins_other_retries() {
     beat(&mut net, leader);
     tick(&mut net, leader);
     beat(&mut net, leader);
-    assert!(committed_response(&net, NodeId(1), pid_a), "a never committed");
-    assert!(committed_response(&net, NodeId(2), pid_b), "b never committed");
+    assert!(
+        committed_response(&net, NodeId(1), pid_a),
+        "a never committed"
+    );
+    assert!(
+        committed_response(&net, NodeId(2), pid_b),
+        "b never committed"
+    );
     // Each applied exactly once, everywhere.
     net.assert_exactly_once();
     net.assert_safety();
@@ -262,12 +266,17 @@ fn join_request_adds_member_after_catchup() {
     beat(&mut net, leader);
     beat(&mut net, leader);
     beat(&mut net, leader);
-    assert_eq!(net.node(leader).config().len(), 4, "config must include joiner");
-    assert!(!net.node(NodeId(9)).is_joining(), "joiner should be a member");
-    assert!(net
-        .observations()
-        .iter()
-        .any(|(n, o)| *n == leader && matches!(o, Observation::JoinAccepted { node } if *node == NodeId(9))));
+    assert_eq!(
+        net.node(leader).config().len(),
+        4,
+        "config must include joiner"
+    );
+    assert!(
+        !net.node(NodeId(9)).is_joining(),
+        "joiner should be a member"
+    );
+    assert!(net.observations().iter().any(|(n, o)| *n == leader
+        && matches!(o, Observation::JoinAccepted { node } if *node == NodeId(9))));
     // The new member has the pre-join entry.
     assert!(net.node(NodeId(9)).commit_index() >= LogIndex(1));
     // And participates in new commits.
@@ -379,7 +388,11 @@ fn crash_recovery_rebuilds_from_stable_storage() {
         SimRng::seed_from_u64(500),
     );
     assert_eq!(recovered.current_term(), net.node(leader).current_term());
-    assert_eq!(recovered.commit_index(), LogIndex::ZERO, "commitIndex is volatile");
+    assert_eq!(
+        recovered.commit_index(),
+        LogIndex::ZERO,
+        "commitIndex is volatile"
+    );
     net.restart(recovered);
     beat(&mut net, leader);
     beat(&mut net, leader);
@@ -414,10 +427,9 @@ fn hole_fill_unblocks_partial_broadcast() {
         net.deliver_all();
     }
     // Liveness: node 1's proposal must eventually commit.
-    let committed = net
-        .commits(leader)
-        .iter()
-        .any(|c| matches!(&c.entry.payload, Payload::Write { data, .. } if &data[..] == b"behind-hole"));
+    let committed = net.commits(leader).iter().any(
+        |c| matches!(&c.entry.payload, Payload::Write { data, .. } if &data[..] == b"behind-hole"),
+    );
     assert!(committed, "hole filling failed to restore liveness");
     net.assert_safety();
 }

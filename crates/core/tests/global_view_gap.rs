@@ -15,8 +15,8 @@ use des::SimRng;
 use raft::testkit::Lockstep;
 use storage::StableState;
 use wire::{
-    Approval, ClusterId, Configuration, EntryId, LogEntry, LogIndex, LogScope, NodeId,
-    Observation, Payload, PersistCmd, SessionTable, Snapshot, Term, TimerKind,
+    Approval, ClusterId, Configuration, EntryId, LogEntry, LogIndex, LogScope, NodeId, Observation,
+    Payload, PersistCmd, SessionTable, Snapshot, Term, TimerKind,
 };
 
 /// A leader-approved global entry as it would appear inside a gs record.

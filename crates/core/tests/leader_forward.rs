@@ -151,7 +151,11 @@ fn forwarded_proposal_redirects_to_leader() {
     net.deliver_all();
     net.tick(NodeId(0), TimerKind::Heartbeat);
     net.tick(NodeId(0), TimerKind::Heartbeat);
-    assert_eq!(net.engine(NodeId(2)).pending_proposals(), 0, "proposer acked");
+    assert_eq!(
+        net.engine(NodeId(2)).pending_proposals(),
+        0,
+        "proposer acked"
+    );
     let leader = net.engine(NodeId(0));
     let committed: Vec<_> = leader
         .log()

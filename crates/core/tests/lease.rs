@@ -7,7 +7,7 @@ use des::{SimRng, SimTime};
 use raft::testkit::Lockstep;
 use raft::{Role, Timing};
 use wire::{
-    ClientOutcome, Configuration, Consistency, ConsensusProtocol, NodeId, Observation, TimerKind,
+    ClientOutcome, Configuration, ConsensusProtocol, Consistency, NodeId, Observation, TimerKind,
 };
 
 fn cluster(n: u64) -> Lockstep<FastRaftNode> {
@@ -97,11 +97,10 @@ fn engine_lapsed_lease_falls_back_then_recovers() {
     assert_eq!(lease_reads(&net), 0);
     // The fallback round's acks doubled as fresh grants.
     let key2 = net.read(leader, Consistency::Linearizable);
-    assert!(
-        net.responses_for(leader, key2.0, key2.1)
-            .iter()
-            .any(|o| matches!(o, ClientOutcome::ReadOk { .. })),
-    );
+    assert!(net
+        .responses_for(leader, key2.0, key2.1)
+        .iter()
+        .any(|o| matches!(o, ClientOutcome::ReadOk { .. })),);
     assert_eq!(lease_reads(&net), 1);
     net.assert_safety();
 }
@@ -136,11 +135,10 @@ fn engine_clockless_embedding_keeps_readindex_behavior() {
     net.deliver_all();
     let key = net.read(NodeId(0), Consistency::Linearizable);
     net.deliver_all();
-    assert!(
-        net.responses_for(NodeId(0), key.0, key.1)
-            .iter()
-            .any(|o| matches!(o, ClientOutcome::ReadOk { .. })),
-    );
+    assert!(net
+        .responses_for(NodeId(0), key.0, key.1)
+        .iter()
+        .any(|o| matches!(o, ClientOutcome::ReadOk { .. })),);
     assert_eq!(lease_reads(&net), 0);
     assert_eq!(readindex_reads(&net), 1);
     net.assert_safety();
@@ -172,7 +170,10 @@ fn stale_global_read_on_single_level_equals_stale_local() {
             _ => None,
         })
         .expect("StaleGlobal answers locally");
-    assert!(!floor.is_zero(), "follower floor covers the committed write");
+    assert!(
+        !floor.is_zero(),
+        "follower floor covers the committed write"
+    );
     assert!(
         !net.deliver_one(),
         "StaleGlobal is a zero-message read at any site"

@@ -112,7 +112,10 @@ fn leave_request_through_follower_is_forwarded() {
     net.with_node(NodeId(3), |n, out| {
         // Simulate a stale hint by sending the leave to node 1 (follower).
         let _ = n;
-        out.send(NodeId(1), consensus_core::FastRaftMessage::LeaveRequest { node: NodeId(3) });
+        out.send(
+            NodeId(1),
+            consensus_core::FastRaftMessage::LeaveRequest { node: NodeId(3) },
+        );
     });
     net.deliver_all();
     settle(&mut net, NodeId(0), 3);
@@ -218,11 +221,8 @@ fn leader_ignores_self_leave() {
     // Defensive behaviour: the leader does not remove itself (§IV-D leaves
     // this case unspecified; see docs/DEVIATIONS.md, row 3).
     assert!(net.node(NodeId(0)).config().contains(NodeId(0)));
-    assert!(net
-        .observations()
-        .iter()
-        .any(|(n, o)| *n == NodeId(0)
-            && matches!(o, Observation::MessageIgnored { reason } if reason.contains("self-leave"))));
+    assert!(net.observations().iter().any(|(n, o)| *n == NodeId(0)
+        && matches!(o, Observation::MessageIgnored { reason } if reason.contains("self-leave"))));
 }
 
 #[test]
@@ -233,10 +233,17 @@ fn join_request_to_full_member_is_acknowledged() {
     // leader acknowledges without reconfiguring.
     net.with_node(NodeId(1), |n, out| {
         let _ = n;
-        out.send(NodeId(0), consensus_core::FastRaftMessage::JoinRequest { node: NodeId(1) });
+        out.send(
+            NodeId(0),
+            consensus_core::FastRaftMessage::JoinRequest { node: NodeId(1) },
+        );
     });
     net.deliver_all();
     settle(&mut net, NodeId(0), 2);
-    assert_eq!(net.node(NodeId(0)).config().len(), 3, "no spurious reconfig");
+    assert_eq!(
+        net.node(NodeId(0)).config().len(),
+        3,
+        "no spurious reconfig"
+    );
     net.assert_safety();
 }

@@ -52,9 +52,10 @@ fn assert_retry_suppressed<P: wire::ConsensusProtocol>(
         "{session}:{seq} answered Committed at distinct indices: {committed_indices:?}"
     );
     assert!(
-        outcomes
-            .iter()
-            .any(|o| matches!(o, ClientOutcome::Duplicate { .. } | ClientOutcome::Committed { .. })),
+        outcomes.iter().any(|o| matches!(
+            o,
+            ClientOutcome::Duplicate { .. } | ClientOutcome::Committed { .. }
+        )),
         "retry of {session}:{seq} never answered: {outcomes:?}"
     );
 }
@@ -257,10 +258,7 @@ fn craft_race(writes: u64, threshold: u64, retry_seqs: &[u64]) {
         }
     }
     assert!(
-        net.node(NodeId(0))
-            .local_log()
-            .compacted_through()
-            > LogIndex::ZERO,
+        net.node(NodeId(0)).local_log().compacted_through() > LogIndex::ZERO,
         "race precondition: the cluster leader must have compacted locally"
     );
     // Cluster leader restarts across the compaction boundary; its successor

@@ -345,13 +345,7 @@ fn snapshot_carries_post_eviction_table() {
     // with the evicted session still gone and the digest the snapshot
     // proved — eviction is part of applied state, not volatile bookkeeping.
     let stable = net.disk().read(leader).expect("persisted state").clone();
-    let recovered = FastRaftNode::recover(
-        leader,
-        &stable,
-        cfg,
-        timing,
-        SimRng::seed_from_u64(777),
-    );
+    let recovered = FastRaftNode::recover(leader, &stable, cfg, timing, SimRng::seed_from_u64(777));
     assert!(recovered.sessions().get(idle).is_none());
     assert_eq!(
         recovered.state_digest(),

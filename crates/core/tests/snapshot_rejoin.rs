@@ -73,7 +73,9 @@ fn every_site_compacts_past_the_threshold() {
     }
     let d0 = net.node(NodeId(0)).state_digest();
     assert!(
-        net.ids().iter().all(|&id| net.node(id).state_digest() == d0),
+        net.ids()
+            .iter()
+            .all(|&id| net.node(id).state_digest() == d0),
         "commit digests diverged"
     );
     net.assert_safety();
@@ -106,8 +108,7 @@ fn site_absent_past_horizon_installs_snapshot_and_catches_up() {
     assert!(
         net.observations()
             .iter()
-            .any(|(n, o)| *n == NodeId(4)
-                && matches!(o, Observation::SnapshotInstalled { .. })),
+            .any(|(n, o)| *n == NodeId(4) && matches!(o, Observation::SnapshotInstalled { .. })),
         "rejoiner should install a snapshot instead of replaying history"
     );
     assert_eq!(
@@ -150,8 +151,7 @@ fn fresh_joiner_catches_up_via_snapshot() {
     assert!(
         net.observations()
             .iter()
-            .any(|(n, o)| *n == NodeId(9)
-                && matches!(o, Observation::SnapshotInstalled { .. })),
+            .any(|(n, o)| *n == NodeId(9) && matches!(o, Observation::SnapshotInstalled { .. })),
         "joiner should be caught up by snapshot transfer"
     );
     assert!(

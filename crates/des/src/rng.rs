@@ -123,7 +123,10 @@ impl SimRng {
     ///
     /// Panics if `jitter` is not within `0.0..=1.0`.
     pub fn jittered(&mut self, base: SimDuration, jitter: f64) -> SimDuration {
-        assert!((0.0..=1.0).contains(&jitter), "jitter out of range: {jitter}");
+        assert!(
+            (0.0..=1.0).contains(&jitter),
+            "jitter out of range: {jitter}"
+        );
         if jitter == 0.0 {
             return base;
         }

@@ -305,7 +305,10 @@ mod tests {
 
     #[test]
     fn duration_from_secs_f64_rounds() {
-        assert_eq!(SimDuration::from_secs_f64(0.0015), SimDuration::from_micros(1_500));
+        assert_eq!(
+            SimDuration::from_secs_f64(0.0015),
+            SimDuration::from_micros(1_500)
+        );
         assert_eq!(SimDuration::from_secs_f64(0.0), SimDuration::ZERO);
     }
 

@@ -16,9 +16,7 @@ use consensus_core::{
 use des::SimRng;
 use raft::{Role, Timing};
 use storage::StableState;
-use wire::{
-    Actions, ClientRequest, Configuration, ConsensusProtocol, LogScope, NodeId, TimerKind,
-};
+use wire::{Actions, ClientRequest, Configuration, ConsensusProtocol, LogScope, NodeId, TimerKind};
 
 use std::collections::BTreeMap;
 
@@ -112,7 +110,8 @@ impl GatedFastRaftNode {
         if self.armed.remove(&token).is_none() {
             return;
         }
-        self.engine.gate_ready(GateToken(token), &mut self.gate, out);
+        self.engine
+            .gate_ready(GateToken(token), &mut self.gate, out);
         self.sync_armed();
     }
 

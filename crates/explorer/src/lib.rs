@@ -51,7 +51,9 @@ pub mod world;
 pub use gated::GatedFastRaftNode;
 pub use oracle::Violation;
 pub use schedule::{Choice, Proto, Setup, Trace};
-pub use setup::{explore_setup, explore_world, replay_setup, replay_world, shrink_setup, RunReport};
+pub use setup::{
+    explore_setup, explore_world, replay_setup, replay_world, shrink_setup, RunReport,
+};
 pub use shrink::{shrink, Shrunk};
 pub use strategy::{by_name, DelayBounded, GateHammer, RandomWalk, Strategy};
 pub use world::{Enabled, Envelope, Explorable, RecoveryFn, World, WorldConfig};

@@ -290,7 +290,9 @@ fn parse_setup(header: &str) -> Result<Setup, String> {
     let (mut ops, mut read_every, mut lanes) = (0u32, 0u32, 1u32);
     let mut register_first = false;
     for kv in header.split_whitespace() {
-        let (k, v) = kv.split_once('=').ok_or_else(|| format!("bad header token {kv:?}"))?;
+        let (k, v) = kv
+            .split_once('=')
+            .ok_or_else(|| format!("bad header token {kv:?}"))?;
         let bad = || format!("bad header value {kv:?}");
         match k {
             "proto" => proto = Some(Proto::parse(v).ok_or_else(bad)?),
@@ -339,8 +341,12 @@ fn parse_choice(line: &str) -> Option<Choice> {
             node: NodeId(num()?),
             lane: num()? as u32,
         },
-        "crash" => Choice::Crash { node: NodeId(num()?) },
-        "recover" => Choice::Recover { node: NodeId(num()?) },
+        "crash" => Choice::Crash {
+            node: NodeId(num()?),
+        },
+        "recover" => Choice::Recover {
+            node: NodeId(num()?),
+        },
         "cut" => Choice::Cut {
             from: NodeId(num()?),
             to: NodeId(num()?),
@@ -350,8 +356,12 @@ fn parse_choice(line: &str) -> Option<Choice> {
             to: NodeId(num()?),
         },
         "healall" => Choice::HealAll,
-        "stall" => Choice::Stall { node: NodeId(num()?) },
-        "unstall" => Choice::Unstall { node: NodeId(num()?) },
+        "stall" => Choice::Stall {
+            node: NodeId(num()?),
+        },
+        "unstall" => Choice::Unstall {
+            node: NodeId(num()?),
+        },
         "release" => Choice::Release {
             node: NodeId(num()?),
             token: num()?,
@@ -378,20 +388,38 @@ mod tests {
                 register_first: true,
             },
             choices: vec![
-                Choice::Client { node: NodeId(0), lane: 1 },
+                Choice::Client {
+                    node: NodeId(0),
+                    lane: 1,
+                },
                 Choice::Deliver { slot: 3 },
                 Choice::Duplicate { slot: 0 },
                 Choice::Drop { slot: 1 },
-                Choice::Timer { node: NodeId(2), kind: TimerKind::Election },
-                Choice::Timer { node: NodeId(1), kind: TimerKind::GlobalHeartbeat },
+                Choice::Timer {
+                    node: NodeId(2),
+                    kind: TimerKind::Election,
+                },
+                Choice::Timer {
+                    node: NodeId(1),
+                    kind: TimerKind::GlobalHeartbeat,
+                },
                 Choice::Crash { node: NodeId(1) },
                 Choice::Recover { node: NodeId(1) },
-                Choice::Cut { from: NodeId(0), to: NodeId(2) },
-                Choice::HealLink { from: NodeId(0), to: NodeId(2) },
+                Choice::Cut {
+                    from: NodeId(0),
+                    to: NodeId(2),
+                },
+                Choice::HealLink {
+                    from: NodeId(0),
+                    to: NodeId(2),
+                },
                 Choice::HealAll,
                 Choice::Stall { node: NodeId(2) },
                 Choice::Unstall { node: NodeId(2) },
-                Choice::Release { node: NodeId(0), token: 7 },
+                Choice::Release {
+                    node: NodeId(0),
+                    token: 7,
+                },
             ],
         };
         let text = trace.to_text();

@@ -97,7 +97,14 @@ fn build_raft(s: &Setup) -> World<RaftNode> {
     let root = SimRng::seed_from_u64(s.seed);
     let timing = Timing::lan();
     let nodes: Vec<RaftNode> = (0..s.sites)
-        .map(|i| RaftNode::new(NodeId(i), cfg.clone(), timing, root.split_indexed("raft-node", i)))
+        .map(|i| {
+            RaftNode::new(
+                NodeId(i),
+                cfg.clone(),
+                timing,
+                root.split_indexed("raft-node", i),
+            )
+        })
         .collect();
     let recover_rng = root.split("recover");
     World::new(
@@ -122,7 +129,12 @@ fn build_fast(s: &Setup) -> World<FastRaftNode> {
     let timing = Timing::lan();
     let nodes: Vec<FastRaftNode> = (0..s.sites)
         .map(|i| {
-            FastRaftNode::new(NodeId(i), cfg.clone(), timing, root.split_indexed("fast-node", i))
+            FastRaftNode::new(
+                NodeId(i),
+                cfg.clone(),
+                timing,
+                root.split_indexed("fast-node", i),
+            )
         })
         .collect();
     let recover_rng = root.split("recover");

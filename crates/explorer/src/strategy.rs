@@ -190,10 +190,7 @@ impl Strategy for DelayBounded {
             return Some(Choice::Release { node, token });
         }
         if !view.in_flight.is_empty() {
-            let slot = if self.budget > 0
-                && view.in_flight.len() > 1
-                && self.rng.chance(0.12)
-            {
+            let slot = if self.budget > 0 && view.in_flight.len() > 1 && self.rng.chance(0.12) {
                 self.budget -= 1;
                 self.rng.gen_range(1..view.in_flight.len() as u64) as u32
             } else {

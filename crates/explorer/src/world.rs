@@ -29,7 +29,7 @@
 use des::{SimDuration, SimTime};
 use storage::{SimDisk, StableState};
 use wire::{
-    Actions, ClientOp, ClientOutcome, ClientRequest, Consistency, ConsensusProtocol, Driver,
+    Actions, ClientOp, ClientOutcome, ClientRequest, ConsensusProtocol, Consistency, Driver,
     LogScope, NodeId, Observation, SafetyChecker, SessionId, TimerCmd, TimerKind,
 };
 
@@ -608,7 +608,9 @@ impl<P: Explorable> World<P> {
             return; // stale answer, or a Retry/Redirect: keep waiting
         }
         let resolved = state.outstanding.take().expect("checked above");
-        self.driver.safety.op_completed(self.cfg.ack_scope, session, seq, &resolved.op, &outcome);
+        self.driver
+            .safety
+            .op_completed(self.cfg.ack_scope, session, seq, &resolved.op, &outcome);
     }
 
     /// Heals every fault, then drains the world to quiescence: delivers all
@@ -634,11 +636,8 @@ impl<P: Explorable> World<P> {
         }
 
         let horizon = self.now + self.cfg.drain_horizon;
-        let mut next_resubmit: BTreeMap<(NodeId, u32), SimTime> = self
-            .lanes
-            .keys()
-            .map(|&key| (key, self.now))
-            .collect();
+        let mut next_resubmit: BTreeMap<(NodeId, u32), SimTime> =
+            self.lanes.keys().map(|&key| (key, self.now)).collect();
         let mut drained = 0u64;
 
         loop {

@@ -196,7 +196,10 @@ fn far_future_armed_timer_is_not_pending_work() {
 
 #[test]
 fn clean_toy_is_clean() {
-    let mut world = world_of(vec![Toy::answering(NodeId(0)), Toy::answering(NodeId(1))], 3);
+    let mut world = world_of(
+        vec![Toy::answering(NodeId(0)), Toy::answering(NodeId(1))],
+        3,
+    );
     let report = explore_world(&mut world, &mut Idle, 10);
     assert!(report.violation.is_none(), "{:?}", report.violation);
     assert_eq!(world.unresolved_ops(), 0);

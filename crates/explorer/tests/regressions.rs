@@ -45,7 +45,11 @@ fn gated_noop_wedge_stays_fixed() {
 #[test]
 fn gated_double_assign_stays_fixed() {
     let v = replay_checked_in("gated_double_assign.trace");
-    assert!(v.is_none(), "double-assign divergence regressed: {}", v.unwrap());
+    assert!(
+        v.is_none(),
+        "double-assign divergence regressed: {}",
+        v.unwrap()
+    );
 }
 
 /// The hole-election divergence: gated inserts can complete out of order,
@@ -62,5 +66,9 @@ fn gated_double_assign_stays_fixed() {
 #[test]
 fn gated_hole_election_stays_fixed() {
     let v = replay_checked_in("gated_hole_election.trace");
-    assert!(v.is_none(), "hole-election divergence regressed: {}", v.unwrap());
+    assert!(
+        v.is_none(),
+        "hole-election divergence regressed: {}",
+        v.unwrap()
+    );
 }

@@ -23,7 +23,7 @@ use serde::Serialize;
 use simnet::Network;
 use wire::{Configuration, LogScope, NodeId};
 
-use crate::{Runner, RunnerConfig, RunReport, SafetyChecker, Workload};
+use crate::{RunReport, Runner, RunnerConfig, SafetyChecker, Workload};
 
 /// Sites in the probe cell (all propose; enough followers that the
 /// dispatch-window batching dominates the boundary count).
@@ -110,7 +110,9 @@ fn cell(mode: &'static str, seed: u64, ops: u64) -> CommitCell {
         mode,
         seed,
         r.now().as_secs_f64(),
-        r.now().saturating_since(SimTime::from_secs(3)).as_secs_f64(),
+        r.now()
+            .saturating_since(SimTime::from_secs(3))
+            .as_secs_f64(),
         r.metrics(),
         r.net_stats(),
         r.safety(),

@@ -191,7 +191,9 @@ impl ContentionResult {
     /// Renders the study.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        out.push_str("Ext-C: concurrent proposers vs the fast track (Fast Raft, 5 sites, 0% loss)\n");
+        out.push_str(
+            "Ext-C: concurrent proposers vs the fast track (Fast Raft, 5 sites, 0% loss)\n",
+        );
         out.push_str("proposers  latency(ms)  fast-track  commits/s\n");
         for r in &self.rows {
             out.push_str(&format!(
@@ -307,4 +309,3 @@ impl ModeAblationResult {
         out
     }
 }
-

@@ -89,10 +89,7 @@ pub fn run(seed: u64, leave_at_s: u64, total_s: u64) -> Fig4Result {
     Fig4Result {
         leave_at_s: leave_s,
         before_ms: mean(&before),
-        peak_after_ms: during
-            .iter()
-            .map(|p| p.latency_ms)
-            .fold(0.0, f64::max),
+        peak_after_ms: during.iter().map(|p| p.latency_ms).fold(0.0, f64::max),
         recovered_ms: mean(&after),
         members_suspected: report.member_suspected,
         safety_ok: report.safety_ok,

@@ -112,7 +112,9 @@ impl Fig5Result {
     /// Renders the figure's series.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        out.push_str("Fig 5: global throughput, classic Raft vs C-Raft (20 sites, regions = clusters)\n");
+        out.push_str(
+            "Fig 5: global throughput, classic Raft vs C-Raft (20 sites, regions = clusters)\n",
+        );
         out.push_str("clusters  raft(entries/s)  c-raft(entries/s)  speedup\n");
         for r in &self.rows {
             out.push_str(&format!(

@@ -169,8 +169,7 @@ impl LeaseMixResult {
         if on.lease_reads == 0 {
             0.0
         } else {
-            off.messages_offered.saturating_sub(on.messages_offered) as f64
-                / on.lease_reads as f64
+            off.messages_offered.saturating_sub(on.messages_offered) as f64 / on.lease_reads as f64
         }
     }
 

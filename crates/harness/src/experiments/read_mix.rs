@@ -15,9 +15,7 @@ use des::{SimDuration, SimTime};
 use serde::Serialize;
 use wire::NodeId;
 
-use crate::{
-    run_craft, run_fast_raft, CRaftScenario, FaultAction, NetworkKind, ReadMix, Scenario,
-};
+use crate::{run_craft, run_fast_raft, CRaftScenario, FaultAction, NetworkKind, ReadMix, Scenario};
 use raft::Timing;
 
 /// One protocol's mixed-workload measurements.
@@ -146,12 +144,18 @@ pub fn run(seed: u64, ops: u64) -> ReadMixResult {
             },
         ],
     }
-    .also_checked(fast_metrics.read_samples.len(), craft_metrics.read_samples.len())
+    .also_checked(
+        fast_metrics.read_samples.len(),
+        craft_metrics.read_samples.len(),
+    )
 }
 
 impl ReadMixResult {
     fn also_checked(self, fast_reads: usize, craft_reads: usize) -> Self {
-        assert!(fast_reads > 0 && craft_reads > 0, "a cell completed no reads");
+        assert!(
+            fast_reads > 0 && craft_reads > 0,
+            "a cell completed no reads"
+        );
         self
     }
 

@@ -8,9 +8,7 @@ use des::{SimDuration, SimTime};
 use serde::Serialize;
 use wire::NodeId;
 
-use crate::{
-    run_craft, run_fast_raft, CRaftScenario, FaultAction, NetworkKind, Scenario,
-};
+use crate::{run_craft, run_fast_raft, CRaftScenario, FaultAction, NetworkKind, Scenario};
 use raft::Timing;
 
 /// One protocol's compaction-on vs compaction-off comparison.

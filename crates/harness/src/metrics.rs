@@ -403,8 +403,7 @@ mod tests {
 
     #[test]
     fn stats_percentiles() {
-        let durations: Vec<SimDuration> =
-            (1..=100).map(SimDuration::from_millis).collect();
+        let durations: Vec<SimDuration> = (1..=100).map(SimDuration::from_millis).collect();
         let s = LatencyStats::from_durations(durations);
         assert_eq!(s.count, 100);
         assert!((s.mean_ms - 50.5).abs() < 1e-9);

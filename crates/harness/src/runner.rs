@@ -26,7 +26,7 @@ use rand::RngCore;
 use simnet::{Network, Verdict};
 use storage::{PersistBatch, SimDisk, StableState};
 use wire::{
-    Actions, ClientOp, ClientOutcome, ClientRequest, Consistency, ConsensusProtocol, Driver,
+    Actions, ClientOp, ClientOutcome, ClientRequest, ConsensusProtocol, Consistency, Driver,
     LogScope, Message, NodeId, Observation, Payload, SessionId, TimerKind,
 };
 
@@ -55,12 +55,24 @@ pub enum FaultAction {
 /// Events flowing through the simulator.
 #[derive(Debug)]
 enum SimEvent<M> {
-    Deliver { from: NodeId, to: NodeId, msg: M },
-    Timer { node: NodeId, kind: TimerKind },
-    Propose { node: NodeId },
+    Deliver {
+        from: NodeId,
+        to: NodeId,
+        msg: M,
+    },
+    Timer {
+        node: NodeId,
+        kind: TimerKind,
+    },
+    Propose {
+        node: NodeId,
+    },
     /// Client-level retry: resubmit the outstanding `(session, seq)` at
     /// `node` if `seq` is still the one in flight.
-    ClientRetry { node: NodeId, seq: u64 },
+    ClientRetry {
+        node: NodeId,
+        seq: u64,
+    },
     Fault(FaultAction),
 }
 
@@ -551,7 +563,9 @@ impl<P: ConsensusProtocol> Runner<P> {
         let Some(op) = self.outstanding.get(&node) else {
             return;
         };
-        self.driver.safety.op_completed(self.cfg.ack_scope, session, seq, &op.op, &outcome);
+        self.driver
+            .safety
+            .op_completed(self.cfg.ack_scope, session, seq, &op.op, &outcome);
         match outcome {
             ClientOutcome::Duplicate { .. } => {
                 // The write took effect on an earlier attempt: done, and
@@ -595,7 +609,8 @@ impl<P: ConsensusProtocol> Runner<P> {
         let Some(op) = self.outstanding.remove(&node) else {
             return;
         };
-        self.metrics.op_completed((op.session, op.seq), self.sim.now());
+        self.metrics
+            .op_completed((op.session, op.seq), self.sim.now());
         self.completed += 1;
         if op.is_final {
             self.final_done += 1;
@@ -643,12 +658,14 @@ impl<P: ConsensusProtocol> Runner<P> {
             // any data op. Under a partition this registration is what
             // retries en masse at heal time (thundering herd).
             (ClientOp::Register, false)
-        } else if self.workload.read_ratio > 0.0 && self.op_rng.chance(self.workload.read_ratio)
-        {
+        } else if self.workload.read_ratio > 0.0 && self.op_rng.chance(self.workload.read_ratio) {
             (ClientOp::Read(self.workload.read_consistency), false)
         } else {
             self.payload_rng.fill_bytes(&mut self.payload_buf);
-            (ClientOp::Write(Bytes::copy_from_slice(&self.payload_buf)), false)
+            (
+                ClientOp::Write(Bytes::copy_from_slice(&self.payload_buf)),
+                false,
+            )
         };
         // Registrations and writes take the session's next seq, so its seqs
         // stay gapless; a read takes the next read id instead.

@@ -35,7 +35,7 @@ impl ReadMix {
     }
 }
 
-use crate::{FaultAction, Metrics, Runner, RunnerConfig, RunReport, SafetyChecker, Workload};
+use crate::{FaultAction, Metrics, RunReport, Runner, RunnerConfig, SafetyChecker, Workload};
 
 /// The network environment of a scenario.
 #[derive(Clone, Debug)]
@@ -174,7 +174,9 @@ impl Scenario {
                 let topo = Topology::single_region("constant", nodes);
                 Network::new(
                     topo,
-                    Box::new(simnet::ConstantLatency(SimDuration::from_micros(one_way_us))),
+                    Box::new(simnet::ConstantLatency(SimDuration::from_micros(
+                        one_way_us,
+                    ))),
                     Box::new(BernoulliLoss::new(self.loss)),
                 )
             }
@@ -211,7 +213,8 @@ impl Scenario {
     }
 
     fn measured_seconds(&self, end: SimTime) -> f64 {
-        end.saturating_since(SimTime::ZERO + self.warmup).as_secs_f64()
+        end.saturating_since(SimTime::ZERO + self.warmup)
+            .as_secs_f64()
     }
 }
 

@@ -4,9 +4,7 @@
 //! whose history far exceeds the snapshot threshold.
 
 use des::{SimDuration, SimTime};
-use harness::{
-    run_craft, run_fast_raft, CRaftScenario, FaultAction, NetworkKind, Scenario,
-};
+use harness::{run_craft, run_fast_raft, CRaftScenario, FaultAction, NetworkKind, Scenario};
 use raft::Timing;
 use wire::NodeId;
 
@@ -114,5 +112,8 @@ fn craft_successor_leader_installs_global_snapshot() {
         report.global_items
     );
     // The system keeps committing after the leader change.
-    assert!(report.global_items > 100, "throughput collapsed after churn");
+    assert!(
+        report.global_items > 100,
+        "throughput collapsed after churn"
+    );
 }

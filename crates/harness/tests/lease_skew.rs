@@ -11,12 +11,12 @@
 //! - beyond it, the grant-admission guard rejects provably-ahead grants —
 //!   reads degrade to the ReadIndex round rather than going unsafe.
 
+use consensus_core::FastRaftNode;
 use des::{SimDuration, SimRng, SimTime};
 use harness::{
     run_classic_raft, run_craft, run_fast_raft, CRaftScenario, FaultAction, NetworkKind, ReadMix,
     Runner, RunnerConfig, SafetyChecker, Scenario, Workload,
 };
-use consensus_core::FastRaftNode;
 use raft::{RaftNode, Timing};
 use simnet::Network;
 use wire::{Configuration, Consistency, LogScope, NodeId};
@@ -223,8 +223,14 @@ fn leader_crash_interleaves_lease_and_readindex_reads() {
         (SimTime::from_secs(10), FaultAction::Recover(NodeId(0))),
     ];
     let (report, metrics) = run_fast_raft(&s);
-    assert!(report.safety_ok, "lin violated across the leadership change");
-    assert!(report.leaderships >= 2, "the crash never forced a new leader");
+    assert!(
+        report.safety_ok,
+        "lin violated across the leadership change"
+    );
+    assert!(
+        report.leaderships >= 2,
+        "the crash never forced a new leader"
+    );
     assert!(
         metrics.lease_reads > 0,
         "no lease read before/after the crash"

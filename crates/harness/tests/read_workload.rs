@@ -117,7 +117,10 @@ fn retry_under_crash_is_exactly_once() {
         (SimTime::from_secs(9), FaultAction::Recover(NodeId(2))),
     ];
     let (report, _) = run_fast_raft(&s);
-    assert!(report.safety_ok, "lin or commit safety violated under crash");
+    assert!(
+        report.safety_ok,
+        "lin or commit safety violated under crash"
+    );
     assert_eq!(report.completed, 401);
     assert!(
         report.client_retries > 0,

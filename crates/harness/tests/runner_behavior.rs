@@ -2,9 +2,7 @@
 //! fault mechanics, workload accounting.
 
 use des::{SimDuration, SimTime};
-use harness::{
-    run_fast_raft, FaultAction, NetworkKind, Scenario,
-};
+use harness::{run_fast_raft, FaultAction, NetworkKind, Scenario};
 use raft::Timing;
 use wire::NodeId;
 
@@ -33,7 +31,11 @@ fn run_stops_at_workload_target() {
     assert_eq!(report.completed, 10);
     assert_eq!(metrics.samples.len(), 10);
     // Ends shortly after the tenth commit, far before the 60s deadline.
-    assert!(report.sim_seconds < 30.0, "ran too long: {}", report.sim_seconds);
+    assert!(
+        report.sim_seconds < 30.0,
+        "ran too long: {}",
+        report.sim_seconds
+    );
 }
 
 #[test]

@@ -16,7 +16,7 @@ use raft::{RaftNode, Role, Timing};
 use simnet::{BernoulliLoss, Network, RegionLatency, Topology, UniformLatency};
 use storage::StableState;
 use wire::{
-    ClusterId, Configuration, Consistency, ConsensusProtocol, LogScope, NodeId, SessionId,
+    ClusterId, Configuration, ConsensusProtocol, Consistency, LogScope, NodeId, SessionId,
     SessionTable,
 };
 
@@ -121,7 +121,12 @@ fn flat_cell<P: ConsensusProtocol>(
     let root = SimRng::seed_from_u64(seed);
     let nodes = (0..sites).map(|i| {
         let id = NodeId(i);
-        make(id, cfg.clone(), flat_timing(id), root.split_indexed("node", i))
+        make(
+            id,
+            cfg.clone(),
+            flat_timing(id),
+            root.split_indexed("node", i),
+        )
     });
     let net = Network::new(
         Topology::single_region("local", (0..sites).map(NodeId)),
@@ -157,9 +162,17 @@ fn flat_cell<P: ConsensusProtocol>(
 
     runner.run_until(CRASH_AT - SimDuration::from_secs(1));
     let leader = runner.node(NodeId(0)).expect("node 0 is up");
-    assert_eq!(role(leader), Role::Leader, "node 0 must lead when it crashes");
+    assert_eq!(
+        role(leader),
+        Role::Leader,
+        "node 0 must lead when it crashes"
+    );
     runner.run_until(SimTime::from_secs(3_600));
-    assert!(runner.workload_done(), "only {} ops completed", runner.completed());
+    assert!(
+        runner.workload_done(),
+        "only {} ops completed",
+        runner.completed()
+    );
     assert!(
         runner.metrics().snapshot_installs > 0,
         "the recovered leader must catch up through a snapshot install"

@@ -1,9 +1,7 @@
 //! End-to-end smoke tests of the harness over all three protocols.
 
 use des::SimDuration;
-use harness::{
-    run_classic_raft, run_craft, run_fast_raft, CRaftScenario, NetworkKind, Scenario,
-};
+use harness::{run_classic_raft, run_craft, run_fast_raft, CRaftScenario, NetworkKind, Scenario};
 use raft::Timing;
 use wire::NodeId;
 
@@ -14,7 +12,11 @@ fn classic_raft_commits_closed_loop() {
     let (report, metrics) = run_classic_raft(&s);
     assert!(report.safety_ok);
     assert_eq!(report.completed, 20);
-    assert!(report.latency.count >= 19, "samples: {}", report.latency.count);
+    assert!(
+        report.latency.count >= 19,
+        "samples: {}",
+        report.latency.count
+    );
     // Classic Raft phase-locks to the heartbeat: mean latency should sit
     // near 100ms (the paper's Fig. 3 baseline).
     assert!(
@@ -39,7 +41,11 @@ fn fast_raft_commits_about_twice_as_fast() {
         classic.latency.mean_ms
     );
     // At zero loss everything should ride the fast track.
-    assert!(fast.fast_track_ratio > 0.9, "ratio {}", fast.fast_track_ratio);
+    assert!(
+        fast.fast_track_ratio > 0.9,
+        "ratio {}",
+        fast.fast_track_ratio
+    );
 }
 
 #[test]

@@ -63,7 +63,12 @@ fn mass_reconnect_after_partition_heals_drains_completely() {
 
     let root = SimRng::seed_from_u64(seed);
     let nodes = (0..sites).map(|i| {
-        FastRaftNode::new(NodeId(i), cfg.clone(), timing, root.split_indexed("fast-node", i))
+        FastRaftNode::new(
+            NodeId(i),
+            cfg.clone(),
+            timing,
+            root.split_indexed("fast-node", i),
+        )
     });
     let net = Network::new(
         Topology::single_region("local", (0..sites).map(NodeId)),
@@ -82,7 +87,14 @@ fn mass_reconnect_after_partition_heals_drains_completely() {
         unbatched_persists: false,
         persist_stalls: None,
     };
-    let mut runner = Runner::new(nodes, net, workload, faults, runner_cfg, SafetyChecker::new());
+    let mut runner = Runner::new(
+        nodes,
+        net,
+        workload,
+        faults,
+        runner_cfg,
+        SafetyChecker::new(),
+    );
     let cfg2 = cfg.clone();
     let recover_rng = root.split("recover");
     runner.set_recovery(move |id, stable| {
@@ -110,14 +122,11 @@ fn mass_reconnect_after_partition_heals_drains_completely() {
     // a registration lost in the storm, or double-applied past dedup,
     // shows up here.
     for node in 0..sites {
-        let table = runner
-            .node(NodeId(node))
-            .expect("node exists")
-            .sessions();
+        let table = runner.node(NodeId(node)).expect("node exists").sessions();
         for client in 1..sites {
-            let slot = table.get(SessionId::client(client)).unwrap_or_else(|| {
-                panic!("n{node}: session of client {client} never opened")
-            });
+            let slot = table
+                .get(SessionId::client(client))
+                .unwrap_or_else(|| panic!("n{node}: session of client {client} never opened"));
             assert!(
                 slot.floor_seq >= 2,
                 "n{node}: client {client} stalled at seq floor {} — \

@@ -903,14 +903,12 @@ impl ConsensusProtocol for RaftNode {
 
     fn on_timer(&mut self, kind: TimerKind, out: &mut Actions<RaftMessage>) {
         match kind {
-            TimerKind::Election
-                if self.core.role != Role::Leader => {
-                    self.start_election(out);
-                }
-            TimerKind::Heartbeat
-                if self.core.role == Role::Leader => {
-                    self.core.heartbeat(self.core.log.last_index(), out);
-                }
+            TimerKind::Election if self.core.role != Role::Leader => {
+                self.start_election(out);
+            }
+            TimerKind::Heartbeat if self.core.role == Role::Leader => {
+                self.core.heartbeat(self.core.log.last_index(), out);
+            }
             TimerKind::ProposalRetry => self.resend_pending(out),
             _ => {}
         }

@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use storage::SimDisk;
 use wire::{
-    Actions, ClientRequest, Commit, Consistency, ConsensusProtocol, Driver, NodeId, Observation,
+    Actions, ClientRequest, Commit, ConsensusProtocol, Consistency, Driver, NodeId, Observation,
     SafetyChecker, SessionId, TimerCmd, TimerKind,
 };
 
@@ -145,7 +145,10 @@ impl<P: ConsensusProtocol> Lockstep<P> {
 
     /// `true` if the timer is armed.
     pub fn is_armed(&self, id: NodeId, kind: TimerKind) -> bool {
-        self.driver.slots.get(&id).is_some_and(|s| s.state.contains(&kind))
+        self.driver
+            .slots
+            .get(&id)
+            .is_some_and(|s| s.state.contains(&kind))
     }
 
     /// Delivers one queued message, if any. Returns `false` when idle.
@@ -226,9 +229,7 @@ impl<P: ConsensusProtocol> Lockstep<P> {
 
     /// All `SessionApplied` observations: `(node, scope, session, seq,
     /// index)` — the raw material for exactly-once assertions.
-    pub fn session_applies(
-        &self,
-    ) -> Vec<(NodeId, wire::LogScope, SessionId, u64, wire::LogIndex)> {
+    pub fn session_applies(&self) -> Vec<(NodeId, wire::LogScope, SessionId, u64, wire::LogIndex)> {
         self.observations
             .iter()
             .filter_map(|(n, o)| match o {

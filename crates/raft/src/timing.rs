@@ -172,7 +172,10 @@ impl Timing {
             self.election_max >= self.election_min,
             "election_max below election_min"
         );
-        assert!(self.member_timeout_beats > 0, "member timeout of zero beats");
+        assert!(
+            self.member_timeout_beats > 0,
+            "member timeout of zero beats"
+        );
         assert!(
             self.max_entries_per_append > 0,
             "append batch size must be positive"

@@ -4,9 +4,7 @@
 use des::SimRng;
 use raft::testkit::Lockstep;
 use raft::{RaftNode, Role, Timing};
-use wire::{
-    ClientOutcome, ClientRequest, Configuration, Consistency, LogIndex, NodeId, TimerKind,
-};
+use wire::{ClientOutcome, ClientRequest, Configuration, Consistency, LogIndex, NodeId, TimerKind};
 
 fn cluster(n: u64) -> Lockstep<RaftNode> {
     let cfg: Configuration = (0..n).map(NodeId).collect();
@@ -61,9 +59,12 @@ fn linearizable_read_covers_committed_write() {
     // immediately on registration).
     let rkey = net.read(NodeId(2), Consistency::Linearizable);
     net.deliver_all();
-    let floor = read_ok_floor(&net.responses_for(NodeId(2), rkey.0, rkey.1))
-        .expect("read answered");
-    assert!(floor >= windex, "floor {floor} below completed write {windex}");
+    let floor =
+        read_ok_floor(&net.responses_for(NodeId(2), rkey.0, rkey.1)).expect("read answered");
+    assert!(
+        floor >= windex,
+        "floor {floor} below completed write {windex}"
+    );
     net.assert_safety();
 }
 

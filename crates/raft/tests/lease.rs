@@ -10,7 +10,7 @@ use des::{SimRng, SimTime};
 use raft::testkit::Lockstep;
 use raft::{RaftNode, Role, Timing};
 use wire::{
-    ClientOutcome, Configuration, Consistency, ConsensusProtocol, NodeId, Observation, TimerKind,
+    ClientOutcome, Configuration, ConsensusProtocol, Consistency, NodeId, Observation, TimerKind,
 };
 
 fn cluster(n: u64) -> Lockstep<RaftNode> {
@@ -109,11 +109,10 @@ fn fresh_leader_blocks_lease_until_barrier_passes() {
     // ReadIndex acks doubled as fresh grants).
     stamp_all(&mut net, 1360);
     let key2 = net.read(NodeId(0), Consistency::Linearizable);
-    assert!(
-        net.responses_for(NodeId(0), key2.0, key2.1)
-            .iter()
-            .any(|o| matches!(o, ClientOutcome::ReadOk { .. })),
-    );
+    assert!(net
+        .responses_for(NodeId(0), key2.0, key2.1)
+        .iter()
+        .any(|o| matches!(o, ClientOutcome::ReadOk { .. })),);
     assert_eq!(lease_reads(&net), 1);
     net.assert_safety();
 }
@@ -137,11 +136,10 @@ fn lapsed_lease_falls_back_to_readindex() {
     // The fallback round's acks re-established the lease: the next read at
     // the same instant is local again.
     let key2 = net.read(leader, Consistency::Linearizable);
-    assert!(
-        net.responses_for(leader, key2.0, key2.1)
-            .iter()
-            .any(|o| matches!(o, ClientOutcome::ReadOk { .. })),
-    );
+    assert!(net
+        .responses_for(leader, key2.0, key2.1)
+        .iter()
+        .any(|o| matches!(o, ClientOutcome::ReadOk { .. })),);
     assert_eq!(lease_reads(&net), 1);
     net.assert_safety();
 }
@@ -175,7 +173,10 @@ fn lease_read_floor_covers_committed_write() {
             _ => None,
         })
         .expect("lease read answered");
-    assert!(floor >= windex, "floor {floor} below completed write {windex}");
+    assert!(
+        floor >= windex,
+        "floor {floor} below completed write {windex}"
+    );
     assert_eq!(lease_reads(&net), 1);
     net.assert_safety();
 }
@@ -257,11 +258,10 @@ fn clockless_embedding_keeps_readindex_behavior() {
     net.deliver_all();
     let key = net.read(NodeId(0), Consistency::Linearizable);
     net.deliver_all();
-    assert!(
-        net.responses_for(NodeId(0), key.0, key.1)
-            .iter()
-            .any(|o| matches!(o, ClientOutcome::ReadOk { .. })),
-    );
+    assert!(net
+        .responses_for(NodeId(0), key.0, key.1)
+        .iter()
+        .any(|o| matches!(o, ClientOutcome::ReadOk { .. })),);
     assert_eq!(lease_reads(&net), 0);
     assert_eq!(readindex_reads(&net), 1);
     net.assert_safety();
@@ -289,11 +289,10 @@ fn zero_lease_duration_disables_leases_under_live_clocks() {
     net.deliver_all();
     let key = net.read(NodeId(0), Consistency::Linearizable);
     net.deliver_all();
-    assert!(
-        net.responses_for(NodeId(0), key.0, key.1)
-            .iter()
-            .any(|o| matches!(o, ClientOutcome::ReadOk { .. })),
-    );
+    assert!(net
+        .responses_for(NodeId(0), key.0, key.1)
+        .iter()
+        .any(|o| matches!(o, ClientOutcome::ReadOk { .. })),);
     assert_eq!(lease_reads(&net), 0, "disabled lease still served a read");
     assert_eq!(readindex_reads(&net), 1);
 }

@@ -3,9 +3,7 @@
 use des::SimRng;
 use raft::testkit::Lockstep;
 use raft::{RaftNode, Role, Timing};
-use wire::{
-    Configuration, ConsensusProtocol, LogIndex, NodeId, Observation, Payload, TimerKind,
-};
+use wire::{Configuration, ConsensusProtocol, LogIndex, NodeId, Observation, Payload, TimerKind};
 
 fn cluster(n: u64) -> Lockstep<RaftNode> {
     let cfg: Configuration = (0..n).map(NodeId).collect();
@@ -46,7 +44,9 @@ fn single_node_cluster_self_elects_and_commits() {
     net.deliver_all();
     let commits = net.commits(NodeId(0));
     assert!(
-        commits.iter().any(|c| matches!(c.entry.payload, Payload::Write { .. })),
+        commits
+            .iter()
+            .any(|c| matches!(c.entry.payload, Payload::Write { .. })),
         "data entry should commit on a single-node cluster"
     );
     net.assert_safety();
@@ -452,7 +452,10 @@ fn all_sites_compact_past_the_threshold() {
     }
     // Everyone committed the same sequence: digests agree.
     let d0 = net.node(NodeId(0)).state_digest();
-    assert!(net.ids().iter().all(|&id| net.node(id).state_digest() == d0));
+    assert!(net
+        .ids()
+        .iter()
+        .all(|&id| net.node(id).state_digest() == d0));
     net.assert_safety();
 }
 

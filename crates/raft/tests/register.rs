@@ -100,7 +100,9 @@ fn reregister_is_idempotent_at_the_same_index() {
     let applies = net
         .observations()
         .iter()
-        .filter(|(_, o)| matches!(o, Observation::SessionApplied { session: s, .. } if *s == session))
+        .filter(
+            |(_, o)| matches!(o, Observation::SessionApplied { session: s, .. } if *s == session),
+        )
         .count();
     assert_eq!(applies, 3, "one apply per replica, not per attempt");
     net.assert_exactly_once();

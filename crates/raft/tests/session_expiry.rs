@@ -58,10 +58,9 @@ fn idle_session_evicted_and_stale_retry_answers_retry() {
         assert!(net.node(id).sessions().get(idle).is_none(), "{id}");
         assert_eq!(net.node(id).state_digest(), d0, "{id}: digest diverged");
     }
-    assert!(net
-        .observations()
-        .iter()
-        .any(|(_, o)| matches!(o, Observation::SessionEvicted { session, .. } if *session == idle)));
+    assert!(net.observations().iter().any(
+        |(_, o)| matches!(o, Observation::SessionEvicted { session, .. } if *session == idle)
+    ));
 
     // A stale retry of the evicted session's seq 2 answers the terminal
     // SessionExpired — the dedup history is gone and re-placing it could

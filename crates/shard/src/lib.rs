@@ -57,9 +57,7 @@ mod sweep;
 mod zipf;
 
 pub use router::{key_hash, ReconfigError, ReconfigOp, ShardRouter, RECONFIG_MAGIC};
-pub use runner::{
-    raft_factory, ShardConfig, ShardMetrics, ShardNode, ShardRunner, WorkloadSpec,
-};
+pub use runner::{raft_factory, ShardConfig, ShardMetrics, ShardNode, ShardRunner, WorkloadSpec};
 pub use sweep::{ShardSweepResult, SweepCell};
 pub use zipf::Zipf;
 

@@ -166,9 +166,7 @@ impl ShardRouter {
         } else {
             u64::MAX / groups as u64
         };
-        let ranges = (0..groups)
-            .map(|g| (step * g as u64, GroupId(g)))
-            .collect();
+        let ranges = (0..groups).map(|g| (step * g as u64, GroupId(g))).collect();
         ShardRouter { ranges, epoch: 0 }
     }
 
@@ -363,6 +361,10 @@ mod tests {
         for k in 0u64..256 {
             seen.insert(r.assign(&k.to_be_bytes()));
         }
-        assert!(seen.len() >= 12, "sequential keys clustered: {}", seen.len());
+        assert!(
+            seen.len() >= 12,
+            "sequential keys clustered: {}",
+            seen.len()
+        );
     }
 }

@@ -618,7 +618,8 @@ impl<P: ShardNode> ShardRunner<P> {
         for t in out.timers.drain(..) {
             match t {
                 TimerCmd::Set { kind, after } => {
-                    self.wheel.schedule(timer_key(proc, group, kind), now + after);
+                    self.wheel
+                        .schedule(timer_key(proc, group, kind), now + after);
                     self.metrics.timers_set += 1;
                 }
                 TimerCmd::Cancel { kind } => {
@@ -651,7 +652,9 @@ impl<P: ShardNode> ShardRunner<P> {
                     session,
                     seq,
                     outcome,
-                } => self.resp_queue.push_back((proc, group, session, seq, outcome)),
+                } => self
+                    .resp_queue
+                    .push_back((proc, group, session, seq, outcome)),
                 _ => {}
             }
         }
@@ -738,7 +741,8 @@ impl<P: ShardNode> ShardRunner<P> {
                 .engine_rng
                 .split_indexed("engine", ((g as u64) << 20) | proc);
             let eng = (self.factory)(GroupId(g), NodeId(proc), &self.config, rng);
-            self.driver.insert((GroupId(g), NodeId(proc)), eng, StableState::new());
+            self.driver
+                .insert((GroupId(g), NodeId(proc)), eng, StableState::new());
         }
         for proc in 0..self.procs {
             self.step_engine(proc, g, |e, out| e.bootstrap(out));
@@ -767,7 +771,8 @@ impl<P: ShardNode> ShardRunner<P> {
         ctl.last_client = now;
         let timers = std::mem::take(&mut ctl.parked_timers);
         for (proc, kind, remaining) in timers {
-            self.wheel.schedule(timer_key(proc, g, kind), now + remaining);
+            self.wheel
+                .schedule(timer_key(proc, g, kind), now + remaining);
         }
         if self.idle_after > SimDuration::ZERO {
             self.wheel.schedule(idle_key(g), now + self.idle_after);
@@ -890,7 +895,11 @@ impl<P: ShardNode> ShardRunner<P> {
         let group = self.routers[gateway as usize].assign(&key).as_u32();
         // The key, zero-padded: an exact-length iterator, so one allocation.
         let len = self.workload.payload_bytes.max(8);
-        let data = key.into_iter().chain(std::iter::repeat(0)).take(len).collect();
+        let data = key
+            .into_iter()
+            .chain(std::iter::repeat(0))
+            .take(len)
+            .collect();
         self.submit_op(client, group, data, None);
     }
 

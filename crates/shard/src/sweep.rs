@@ -88,7 +88,11 @@ fn run_cell(seed: u64, quick: bool, spec: &CellSpec) -> SweepCell {
     };
     let workload = WorkloadSpec {
         clients: spec.clients,
-        keys: if spec.target_group.is_some() { 256 } else { 4096 },
+        keys: if spec.target_group.is_some() {
+            256
+        } else {
+            4096
+        },
         zipf_theta: 0.99,
         payload_bytes: 64,
         start_at: SimTime::from_secs(5),

@@ -231,7 +231,11 @@ fn parked_group_wakes_on_rerouted_traffic() {
         m.per_group_completed
     );
     // Group 0, now traffic-less, eventually parks too.
-    assert!(m.parks >= 2, "drained group 0 never parked: {} parks", m.parks);
+    assert!(
+        m.parks >= 2,
+        "drained group 0 never parked: {} parks",
+        m.parks
+    );
 }
 
 /// The fabric is deterministic: the same seed replays the same run,
@@ -368,7 +372,10 @@ fn forged_run(forge: fn(GroupId, NodeId) -> bool) -> (Vec<SafetyViolation>, Vec<
 #[test]
 fn commit_disagreement_is_reported_under_its_group() {
     let (violations, completed) = forged_run(|g, id| g == GroupId(2) && id == NodeId(1));
-    assert!(completed.iter().all(|&n| n > 0), "every group commits: {completed:?}");
+    assert!(
+        completed.iter().all(|&n| n > 0),
+        "every group commits: {completed:?}"
+    );
     assert!(!violations.is_empty(), "a forged commit went unseen");
     for v in &violations {
         assert_eq!(v.group, GroupId(2), "{v}");
@@ -376,6 +383,12 @@ fn commit_disagreement_is_reported_under_its_group() {
     }
 
     let (violations, completed) = forged_run(|g, _| g == GroupId(2));
-    assert!(completed.iter().all(|&n| n > 0), "every group commits: {completed:?}");
-    assert!(violations.is_empty(), "groups compared across: {violations:?}");
+    assert!(
+        completed.iter().all(|&n| n > 0),
+        "every group commits: {completed:?}"
+    );
+    assert!(
+        violations.is_empty(),
+        "groups compared across: {violations:?}"
+    );
 }

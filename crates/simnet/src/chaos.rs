@@ -39,11 +39,7 @@ impl PersistStalls {
     pub fn new(stall_p: f64, min: SimDuration, max: SimDuration) -> Self {
         assert!((0.0..=1.0).contains(&stall_p), "stall_p out of range");
         assert!(min <= max, "min > max");
-        PersistStalls {
-            stall_p,
-            min,
-            max,
-        }
+        PersistStalls { stall_p, min, max }
     }
 
     /// Samples the stall for one persistence boundary.

@@ -203,7 +203,10 @@ mod tests {
         m.set_link(NodeId(1), NodeId(2), 1.0);
         let mut r = rng();
         assert!(m.dropped(NodeId(1), NodeId(2), &mut r));
-        assert!(!m.dropped(NodeId(2), NodeId(1), &mut r), "reverse direction unaffected");
+        assert!(
+            !m.dropped(NodeId(2), NodeId(1), &mut r),
+            "reverse direction unaffected"
+        );
         assert_eq!(m.rate(NodeId(3), NodeId(4)), 0.0);
     }
 

@@ -116,9 +116,7 @@ impl PartitionSet {
 
     /// `true` if no blocks are active.
     pub fn is_clear(&self) -> bool {
-        self.blocked_pairs.is_empty()
-            && self.blocked_one_way.is_empty()
-            && self.isolated.is_empty()
+        self.blocked_pairs.is_empty() && self.blocked_one_way.is_empty() && self.isolated.is_empty()
     }
 }
 

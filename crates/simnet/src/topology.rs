@@ -75,11 +75,7 @@ impl Topology {
     ///
     /// Panics if the region does not exist.
     pub fn place(&mut self, node: NodeId, region: RegionId) {
-        assert!(
-            region.0 < self.regions.len(),
-            "unknown region {:?}",
-            region
-        );
+        assert!(region.0 < self.regions.len(), "unknown region {:?}", region);
         self.placement.insert(node, region);
     }
 

@@ -182,16 +182,16 @@ mod tests {
         );
         // Batched: two commands, one fsync boundary.
         let batch: PersistBatch = [
-                PersistCmd::SetTermVote {
-                    scope: LogScope::Global,
-                    term: Term(1),
-                    voted_for: None,
-                },
-                PersistCmd::SetTermVote {
-                    scope: LogScope::Global,
-                    term: Term(2),
-                    voted_for: None,
-                },
+            PersistCmd::SetTermVote {
+                scope: LogScope::Global,
+                term: Term(1),
+                voted_for: None,
+            },
+            PersistCmd::SetTermVote {
+                scope: LogScope::Global,
+                term: Term(2),
+                voted_for: None,
+            },
         ]
         .into_iter()
         .collect();

@@ -267,10 +267,7 @@ pub enum ClientOutcome {
 impl ClientOutcome {
     /// `true` when the operation is finished (no retry needed).
     pub fn is_terminal(&self) -> bool {
-        !matches!(
-            self,
-            ClientOutcome::Redirect { .. } | ClientOutcome::Retry
-        )
+        !matches!(self, ClientOutcome::Redirect { .. } | ClientOutcome::Retry)
     }
 
     /// Short tag for traces.
@@ -720,10 +717,7 @@ mod tests {
 
     #[test]
     fn outcome_terminality() {
-        assert!(ClientOutcome::Committed {
-            index: LogIndex(1)
-        }
-        .is_terminal());
+        assert!(ClientOutcome::Committed { index: LogIndex(1) }.is_terminal());
         assert!(ClientOutcome::ReadOk {
             scope: LogScope::Global,
             commit_floor: LogIndex(1)

@@ -180,9 +180,7 @@ impl VoteHold {
     /// live promise. Never blocks with a frozen clock (`now` ZERO), the
     /// promised leader itself, or after expiry.
     pub fn blocks(&self, candidate: NodeId, now: SimTime) -> bool {
-        now != SimTime::ZERO
-            && now < self.until
-            && self.leader.is_some_and(|l| l != candidate)
+        now != SimTime::ZERO && now < self.until && self.leader.is_some_and(|l| l != candidate)
     }
 
     /// Releases the hold (crash recovery: promises do not survive restarts
@@ -322,7 +320,10 @@ mod tests {
         assert!(!h.blocks(NodeId(2), t(100)));
         h.note_grant(NodeId(1), t(400));
         assert!(h.blocks(NodeId(2), t(399)));
-        assert!(!h.blocks(NodeId(1), t(399)), "promised leader never blocked");
+        assert!(
+            !h.blocks(NodeId(1), t(399)),
+            "promised leader never blocked"
+        );
         assert!(!h.blocks(NodeId(2), t(400)), "expired");
         assert!(!h.blocks(NodeId(2), SimTime::ZERO), "frozen clock");
         h.clear();

@@ -47,7 +47,7 @@ use std::fmt;
 use std::ops::Range;
 use std::rc::Rc;
 
-use crate::{Approval, AppendBudget, EntryList, LogEntry, LogIndex, Term, Wire};
+use crate::{AppendBudget, Approval, EntryList, LogEntry, LogIndex, Term, Wire};
 
 /// Defensive ceiling on how far above a node's own log end (or commit
 /// floor) a remote-addressed insert may reach. The dense layout
@@ -422,9 +422,7 @@ impl SparseLog {
         if li <= self.compacted_through {
             return false;
         }
-        let suffix_consistent = self
-            .get(last_index)
-            .is_some_and(|e| e.term == last_term);
+        let suffix_consistent = self.get(last_index).is_some_and(|e| e.term == last_term);
         if suffix_consistent {
             let drained = (li - self.compacted_through) as usize;
             self.occupied -= self.slots.drain_front(drained);
@@ -578,10 +576,7 @@ impl SparseLog {
     /// `(from, e)`, `(from+1, e)`, ... and stops at the first hole (or the
     /// end of the log). The protocols' commit scans and decision loops walk
     /// this run as a slice pass instead of issuing per-index lookups.
-    pub fn contiguous_from(
-        &self,
-        from: LogIndex,
-    ) -> impl Iterator<Item = (LogIndex, &LogEntry)> {
+    pub fn contiguous_from(&self, from: LogIndex) -> impl Iterator<Item = (LogIndex, &LogEntry)> {
         // A start at or below the horizon holds no slot: the run rooted
         // there is empty.
         let valid = from.as_u64() > self.compacted_through;
@@ -831,11 +826,8 @@ mod tests {
     #[test]
     fn budgeted_collect_honors_entry_cap() {
         let log: SparseLog = (0..10).map(|s| entry(1, s)).collect();
-        let got = log.collect_range_budgeted(
-            LogIndex(1),
-            LogIndex(10),
-            AppendBudget::new(3, usize::MAX),
-        );
+        let got =
+            log.collect_range_budgeted(LogIndex(1), LogIndex(10), AppendBudget::new(3, usize::MAX));
         assert_eq!(got.len(), 3);
         assert_eq!(got.as_slice()[2].0, LogIndex(3));
     }
@@ -857,8 +849,7 @@ mod tests {
     fn budgeted_collect_always_takes_one() {
         let log: SparseLog = (0..3).map(|s| entry(1, s)).collect();
         // A byte budget smaller than any entry still yields one entry.
-        let got =
-            log.collect_range_budgeted(LogIndex(1), LogIndex(3), AppendBudget::new(128, 1));
+        let got = log.collect_range_budgeted(LogIndex(1), LogIndex(3), AppendBudget::new(128, 1));
         assert_eq!(got.len(), 1);
     }
 

@@ -74,7 +74,8 @@ pub fn fold_session_digest(digest: u64, session: SessionId, seq: u64) -> u64 {
 /// garbage-collected — which keeps snapshots taken before and after an
 /// eviction distinguishable and provably convergent.
 pub fn fold_session_evicted(digest: u64, session: SessionId) -> u64 {
-    let mut x = digest ^ session.as_u64().wrapping_mul(0x8CB9_2BA7_2F3D_8DD7) ^ 0x5851_F42D_4C95_7F2D;
+    let mut x =
+        digest ^ session.as_u64().wrapping_mul(0x8CB9_2BA7_2F3D_8DD7) ^ 0x5851_F42D_4C95_7F2D;
     x ^= x >> 30;
     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x ^= x >> 27;
@@ -148,16 +149,8 @@ mod tests {
     fn digest_is_order_sensitive() {
         let a = EntryId::new(NodeId(1), 0);
         let b = EntryId::new(NodeId(2), 0);
-        let ab = fold_commit_digest(
-            fold_commit_digest(0, LogIndex(1), a),
-            LogIndex(2),
-            b,
-        );
-        let ba = fold_commit_digest(
-            fold_commit_digest(0, LogIndex(1), b),
-            LogIndex(2),
-            a,
-        );
+        let ab = fold_commit_digest(fold_commit_digest(0, LogIndex(1), a), LogIndex(2), b);
+        let ba = fold_commit_digest(fold_commit_digest(0, LogIndex(1), b), LogIndex(2), a);
         assert_ne!(ab, ba);
         assert_ne!(ab, 0);
     }

@@ -4,8 +4,8 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use wire::{
-    Approval, Batch, BatchItem, ClusterId, Configuration, EntryId, GlobalState, LogEntry,
-    LogIndex, NodeId, Payload, SessionId, SparseLog, Term, Wire,
+    Approval, Batch, BatchItem, ClusterId, Configuration, EntryId, GlobalState, LogEntry, LogIndex,
+    NodeId, Payload, SessionId, SparseLog, Term, Wire,
 };
 
 fn arb_node_id() -> impl Strategy<Value = NodeId> {
@@ -22,10 +22,7 @@ fn arb_config() -> impl Strategy<Value = Configuration> {
 }
 
 fn arb_approval() -> impl Strategy<Value = Approval> {
-    prop_oneof![
-        Just(Approval::SelfApproved),
-        Just(Approval::LeaderApproved)
-    ]
+    prop_oneof![Just(Approval::SelfApproved), Just(Approval::LeaderApproved)]
 }
 
 fn arb_bytes() -> impl Strategy<Value = Bytes> {
@@ -37,13 +34,18 @@ fn arb_batch() -> impl Strategy<Value = Batch> {
         any::<u64>().prop_map(ClusterId),
         any::<u64>(),
         proptest::collection::vec(
-            (arb_entry_id(), arb_bytes(), any::<bool>(), any::<u64>(), any::<u64>()).prop_map(
-                |(id, data, keyed, s, q)| BatchItem {
+            (
+                arb_entry_id(),
+                arb_bytes(),
+                any::<bool>(),
+                any::<u64>(),
+                any::<u64>(),
+            )
+                .prop_map(|(id, data, keyed, s, q)| BatchItem {
                     id,
                     key: keyed.then_some((SessionId(s), q)),
                     data,
-                },
-            ),
+                }),
             0..8,
         ),
     )
@@ -65,7 +67,10 @@ fn arb_flat_payload() -> impl Strategy<Value = Payload> {
 
 fn arb_session_table() -> impl Strategy<Value = wire::SessionTable> {
     proptest::collection::vec(
-        (any::<u64>(), proptest::collection::btree_set(1..64u64, 1..6)),
+        (
+            any::<u64>(),
+            proptest::collection::btree_set(1..64u64, 1..6),
+        ),
         0..5,
     )
     .prop_map(|sessions| {

@@ -167,13 +167,31 @@ impl TreeModel {
 
 #[derive(Clone, Debug)]
 enum Op {
-    Append { term: u64, self_approved: bool },
-    Insert { index: u64, term: u64, self_approved: bool },
-    Remove { index: u64 },
-    Approve { index: u64 },
-    Truncate { from: u64 },
-    Compact { through: u64 },
-    InstallSnapshot { last_index: u64, term: u64 },
+    Append {
+        term: u64,
+        self_approved: bool,
+    },
+    Insert {
+        index: u64,
+        term: u64,
+        self_approved: bool,
+    },
+    Remove {
+        index: u64,
+    },
+    Approve {
+        index: u64,
+    },
+    Truncate {
+        from: u64,
+    },
+    Compact {
+        through: u64,
+    },
+    InstallSnapshot {
+        last_index: u64,
+        term: u64,
+    },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -203,30 +221,44 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (1..48u64).prop_map(|index| Op::Approve { index }),
         (1..48u64).prop_map(|from| Op::Truncate { from }),
         (1..48u64).prop_map(|through| Op::Compact { through }),
-        (1..32u64, 1..6u64).prop_map(|(last_index, term)| Op::InstallSnapshot {
-            last_index,
-            term
-        }),
+        (1..32u64, 1..6u64).prop_map(|(last_index, term)| Op::InstallSnapshot { last_index, term }),
     ]
 }
 
 /// An op addressed relative to the log's current last index.
 #[derive(Clone, Debug)]
 enum TailOp {
-    Append { term: u64 },
+    Append {
+        term: u64,
+    },
     /// Insert `ahead` past the last index: the holes below it may span
     /// several blocks.
-    FarInsert { ahead: u64, term: u64 },
+    FarInsert {
+        ahead: u64,
+        term: u64,
+    },
     /// Insert (fill a hole or replace) `back` below the last index.
-    InsertBack { back: u64, term: u64 },
+    InsertBack {
+        back: u64,
+        term: u64,
+    },
     /// Remove `back` below the last index; `back == 0` trims the trailing
     /// holes below the last entry with it.
-    RemoveBack { back: u64 },
-    Compact { back: u64 },
-    Truncate { back: u64 },
+    RemoveBack {
+        back: u64,
+    },
+    Compact {
+        back: u64,
+    },
+    Truncate {
+        back: u64,
+    },
     /// Install a snapshot at `last_index + offset`, with the term the log
     /// holds there (keeping the suffix) or another one (discarding it).
-    Snapshot { offset: i64, matching: bool },
+    Snapshot {
+        offset: i64,
+        matching: bool,
+    },
     /// Continue on a clone of the log.
     Clone,
 }
@@ -281,8 +313,11 @@ fn assert_equivalent(log: &SparseLog, model: &TreeModel, probe_to: u64) -> Vec<E
         assert_eq!(log.term_at(i), model.term_at(i), "term_at({i})");
     }
     let got: Vec<(LogIndex, &LogEntry)> = log.iter().collect();
-    let want: Vec<(LogIndex, &LogEntry)> =
-        model.entries.iter().map(|(&i, e)| (LogIndex(i), e)).collect();
+    let want: Vec<(LogIndex, &LogEntry)> = model
+        .entries
+        .iter()
+        .map(|(&i, e)| (LogIndex(i), e))
+        .collect();
     assert_eq!(got, want, "iteration order");
     // Budgeted collection over a few representative windows and budgets.
     let windows = [
@@ -480,7 +515,10 @@ fn regression_hole_at_compaction_boundary_clamps() {
     assert_eq!(model.compact_to(LogIndex(4)), LogIndex(2));
     assert_equivalent(&log, &model, 8);
     assert_eq!(log.first_gap(), LogIndex(3), "the hole survives");
-    assert!(log.get(LogIndex(4)).is_some(), "suffix above the hole survives");
+    assert!(
+        log.get(LogIndex(4)).is_some(),
+        "suffix above the hole survives"
+    );
     // Filling the hole afterwards makes the full prefix compactable.
     log.insert(LogIndex(3), entry(2, 9, false));
     model.insert(LogIndex(3), entry(2, 9, false));

@@ -13,9 +13,7 @@
 //! cargo run --example churn
 //! ```
 
-use hierarchical_consensus::bench::{
-    FaultAction, Runner, RunnerConfig, SafetyChecker, Workload,
-};
+use hierarchical_consensus::bench::{FaultAction, Runner, RunnerConfig, SafetyChecker, Workload};
 use hierarchical_consensus::protocols::{FastRaftNode, Timing};
 use hierarchical_consensus::sim::{Network, SimDuration, SimRng, SimTime};
 use hierarchical_consensus::types::{Configuration, LogScope, NodeId};

@@ -16,9 +16,7 @@
 //! cargo run --example geo_replication
 //! ```
 
-use hierarchical_consensus::bench::{
-    run_craft, CRaftScenario, NetworkKind, ReadMix, Scenario,
-};
+use hierarchical_consensus::bench::{run_craft, CRaftScenario, NetworkKind, ReadMix, Scenario};
 use hierarchical_consensus::protocols::{ProposalMode, Timing};
 use hierarchical_consensus::sim::SimDuration;
 use hierarchical_consensus::types::{Consistency, NodeId, MAX_BYTES_PER_APPEND};

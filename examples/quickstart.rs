@@ -53,7 +53,10 @@ fn main() {
         "network              : {} messages offered, {} delivered",
         report.net.offered, report.net.delivered
     );
-    println!("safety               : {}", if report.safety_ok { "OK" } else { "VIOLATED" });
+    println!(
+        "safety               : {}",
+        if report.safety_ok { "OK" } else { "VIOLATED" }
+    );
 
     println!("\nfirst operations:");
     for sample in metrics.samples.iter().take(3) {

@@ -43,9 +43,7 @@ pub mod protocols {
 
 /// The simulation substrate: deterministic events, network, storage.
 pub mod sim {
-    pub use des::{
-        EventId, EventQueue, Firing, SimDuration, SimRng, SimTime, Simulation,
-    };
+    pub use des::{EventId, EventQueue, Firing, SimDuration, SimRng, SimTime, Simulation};
     pub use simnet::{
         BernoulliLoss, ConstantLatency, DropReason, GilbertElliott, LatencyModel, LinkStats,
         LossModel, NetStats, Network, NoLoss, PartitionSet, PerLinkLoss, RegionId, RegionLatency,
@@ -59,10 +57,10 @@ pub mod types {
     pub use wire::{
         classic_quorum, fast_quorum, is_classic_quorum, is_fast_quorum,
         min_chosen_votes_in_classic_quorum, Actions, Approval, Batch, BatchItem, ClientOp,
-        ClientOutcome, ClientRequest, ClusterId, Commit, Configuration, Consistency,
-        ConsensusProtocol, DecodeError, Decoder, Encoder, EntryId, GlobalState, LogEntry,
-        LogIndex, LogScope, Message, NodeId, Observation, Payload, PersistCmd, SessionId,
-        SessionTable, SparseLog, Term, TimerCmd, TimerKind, Wire, MAX_BYTES_PER_APPEND,
+        ClientOutcome, ClientRequest, ClusterId, Commit, Configuration, ConsensusProtocol,
+        Consistency, DecodeError, Decoder, Encoder, EntryId, GlobalState, LogEntry, LogIndex,
+        LogScope, Message, NodeId, Observation, Payload, PersistCmd, SessionId, SessionTable,
+        SparseLog, Term, TimerCmd, TimerKind, Wire, MAX_BYTES_PER_APPEND,
     };
 }
 
@@ -72,7 +70,7 @@ pub mod bench {
     pub use harness::experiments;
     pub use harness::{
         run_classic_raft, run_craft, run_fast_raft, CRaftScenario, FaultAction, LatencySample,
-        LatencyStats, LinViolation, Metrics, NetSummary, NetworkKind, ReadMix, Runner,
-        RunnerConfig, RunReport, SafetyChecker, SafetyViolation, Scenario, Workload,
+        LatencyStats, LinViolation, Metrics, NetSummary, NetworkKind, ReadMix, RunReport, Runner,
+        RunnerConfig, SafetyChecker, SafetyViolation, Scenario, Workload,
     };
 }

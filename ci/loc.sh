@@ -36,13 +36,19 @@
 # above the compaction horizon and an `EntryList` is its shared slice, so a
 # second log tier (deleting the sealed segments took them from 883 lines to
 # 658) cannot grow back unnoticed.
+#
+# Every ceiling counts rustfmt-formatted lines since the workspace was
+# formatted (CI checks `cargo fmt --all --check`). Formatting alone, with
+# no code change, moved the four counts from 6,652 / 649 / 2,384 / 658 to
+# 6,718 / 652 / 2,410 / 653, and each ceiling was restated at the new
+# count of the same code.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-CEILING=6652
-DES_CEILING=649
-EMBED_CEILING=2384
-LOG_CEILING=658
+CEILING=6718
+DES_CEILING=652
+EMBED_CEILING=2410
+LOG_CEILING=653
 EMBED_FILES=(
     crates/harness/src/runner.rs
     crates/shard/src/runner.rs

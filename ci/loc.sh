@@ -41,11 +41,14 @@
 # formatted (CI checks `cargo fmt --all --check`). Formatting alone, with
 # no code change, moved the four counts from 6,652 / 649 / 2,384 / 658 to
 # 6,718 / 652 / 2,410 / 653, and each ceiling was restated at the new
-# count of the same code.
+# count of the same code. The commit book's horizon (`safety.rs`, and the
+# snapshot feed in `driver.rs`) was paid for inside the node-hosting files,
+# which hold at 2,410; the testkit's shorter exactly-once check set CEILING
+# to 6,711.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-CEILING=6718
+CEILING=6711
 DES_CEILING=652
 EMBED_CEILING=2410
 LOG_CEILING=653

@@ -65,12 +65,24 @@ impl std::fmt::Display for Violation {
 /// the `scope` log. A violation unless `safety` holds `id` committed in
 /// that log (the explorer hosts one group, group 0). It reads the checker's
 /// books and keeps no table of its own.
+///
+/// A book holds only the indices above its log's horizon, which rises only
+/// once every site of the log has snapshotted. An explorer run is a few
+/// thousand steps and a handful of client operations, far short of any
+/// log's snapshot threshold (1,024 entries under `Timing::lan()`), so the
+/// horizon stays 0 and the scan sees every commit; the assertion keeps it
+/// so.
 pub fn lost_proposal(
     safety: &SafetyChecker,
     node: NodeId,
     scope: LogScope,
     id: EntryId,
 ) -> Option<Violation> {
+    let horizon = safety.horizon(GroupId(0), node, scope);
+    assert!(
+        horizon.is_zero(),
+        "the {scope:?} log compacted through {horizon}: the lost-proposal oracle cannot see below it"
+    );
     if safety.is_committed(GroupId(0), node, scope, id) {
         return None;
     }

@@ -573,9 +573,11 @@ impl<P: ConsensusProtocol> Runner<P> {
                 self.metrics.duplicates_suppressed += 1;
                 self.finish_op(node);
             }
-            ClientOutcome::Committed { .. } | ClientOutcome::ReadOk { .. } => {
-                self.finish_op(node);
-            }
+            // A registration (each client's first op under
+            // `Workload::register_sessions`) completes like a write.
+            ClientOutcome::Committed { .. }
+            | ClientOutcome::ReadOk { .. }
+            | ClientOutcome::Registered { .. } => self.finish_op(node),
             ClientOutcome::Redirect { .. } | ClientOutcome::Retry => {
                 // Not done: retry the same (session, seq) after a short
                 // backoff — the gateway updated its leader hint from the
@@ -585,11 +587,6 @@ impl<P: ConsensusProtocol> Runner<P> {
                 let backoff = SimDuration::from_millis(50);
                 self.sim
                     .schedule_after(backoff, SimEvent::ClientRetry { node, seq });
-            }
-            ClientOutcome::Registered { .. } => {
-                // Explicit session registration applied (issued as each
-                // client's first op under `Workload::register_sessions`).
-                self.finish_op(node);
             }
             ClientOutcome::SessionExpired => {
                 // Terminal: the session idled past the TTL and its dedup
@@ -637,10 +634,7 @@ impl<P: ConsensusProtocol> Runner<P> {
 
     /// Issues the next operation of `node`'s closed loop.
     fn issue_op(&mut self, node: NodeId) {
-        if self.outstanding.contains_key(&node) {
-            return;
-        }
-        if self.node(node).is_none() {
+        if self.outstanding.contains_key(&node) || self.node(node).is_none() {
             return;
         }
         let target_reached = self

@@ -257,21 +257,14 @@ impl<P: ConsensusProtocol> Lockstep<P> {
             des::IdMap::default();
         for (node, scope, session, seq, index) in self.session_applies() {
             let domain = self.driver.safety.domain(node, scope);
-            match applied.entry((domain, scope, session, seq)) {
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(index);
-                }
-                std::collections::hash_map::Entry::Occupied(o) => {
-                    assert_eq!(
-                        *o.get(),
-                        index,
-                        "EXACTLY-ONCE VIOLATION: {session}:{seq} applied at both {} and {} \
-                         ({scope:?}, observed at {node})",
-                        o.get(),
-                        index,
-                    );
-                }
-            }
+            let first = *applied
+                .entry((domain, scope, session, seq))
+                .or_insert(index);
+            assert_eq!(
+                first, index,
+                "EXACTLY-ONCE VIOLATION: {session}:{seq} applied at both {first} and {index} \
+                 ({scope:?}, observed at {node})"
+            );
         }
     }
 

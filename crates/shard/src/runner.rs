@@ -749,22 +749,11 @@ impl<P: ShardNode> ShardRunner<P> {
         }
     }
 
-    fn ensure_group(&mut self, g: u32) {
-        if !self.groups.contains_key(&g) {
-            self.create_group(g);
-        }
-    }
-
+    /// Wakes group `g` if it is parked: its replicas' timers resume with
+    /// what they had left.
     fn wake_if_parked(&mut self, g: u32) {
-        let parked = self.groups.get(&g).is_some_and(|c| c.parked);
-        if parked {
-            self.unpark(g);
-        }
-    }
-
-    fn unpark(&mut self, g: u32) {
         let now = self.sim.now();
-        let Some(ctl) = self.groups.get_mut(&g) else {
+        let Some(ctl) = self.groups.get_mut(&g).filter(|c| c.parked) else {
             return;
         };
         ctl.parked = false;
@@ -861,7 +850,9 @@ impl<P: ShardNode> ShardRunner<P> {
                     ReconfigOp::SplitGroup { new_group, .. } => new_group,
                     ReconfigOp::MoveRange { to, .. } => to,
                 };
-                self.ensure_group(target.as_u32());
+                if !self.groups.contains_key(&target.as_u32()) {
+                    self.create_group(target.as_u32());
+                }
             }
             Err(_) => self.metrics.reconfigs_rejected += 1,
         }
@@ -944,28 +935,23 @@ impl<P: ShardNode> ShardRunner<P> {
         self.step_engine(gateway, group, |e, o| e.on_client_request(req, o));
     }
 
+    fn outstanding(&mut self, client: usize) -> &mut OutOp {
+        let out = self.clients[client].outstanding.as_mut();
+        out.expect("the client has an op outstanding")
+    }
+
     fn arm_nudge(&mut self, client: usize, after: SimDuration) {
-        let (tag, nudge) = {
-            let out = self.clients[client]
-                .outstanding
-                .as_mut()
-                .expect("arming a nudge for an outstanding op");
-            out.nudge += 1;
-            (out.tag, out.nudge)
-        };
+        let out = self.outstanding(client);
+        out.nudge += 1;
+        let (tag, nudge) = (out.tag, out.nudge);
         self.sim
             .schedule_after(after, Ev::Nudge { client, tag, nudge });
     }
 
     fn resubmit(&mut self, client: usize) {
-        let group = {
-            let out = self.clients[client]
-                .outstanding
-                .as_mut()
-                .expect("resubmit checked outstanding");
-            out.attempts += 1;
-            out.group
-        };
+        let out = self.outstanding(client);
+        out.attempts += 1;
+        let group = out.group;
         self.metrics.retries += 1;
         if let Some(ctl) = self.groups.get_mut(&group) {
             ctl.last_client = self.sim.now();

@@ -379,7 +379,8 @@ fn commit_disagreement_is_reported_under_its_group() {
     assert!(!violations.is_empty(), "a forged commit went unseen");
     for v in &violations {
         assert_eq!(v.group, GroupId(2), "{v}");
-        assert!(v.first.0 == NodeId(1) || v.second.0 == NodeId(1), "{v}");
+        let first = v.first.map(|(n, _)| n);
+        assert!(first == Some(NodeId(1)) || v.second.0 == NodeId(1), "{v}");
     }
 
     let (violations, completed) = forged_run(|g, _| g == GroupId(2));

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 use des::SimTime;
 
-use crate::{Actions, ConsensusProtocol, GroupId, NodeId, SafetyChecker};
+use crate::{Actions, ConsensusProtocol, GroupId, NodeId, PersistCmd, SafetyChecker};
 
 /// Single-group embeddings key nodes by id alone; they host group 0.
 impl From<NodeId> for (GroupId, NodeId) {
@@ -75,7 +75,9 @@ where
         );
     }
 
-    /// Runs one handler on the node at `at` and records its commits.
+    /// Runs one handler on the node at `at` and records its commits, and
+    /// the stable snapshots it persists, in [`Driver::safety`] (a snapshot
+    /// may raise its log's horizon; see [`SafetyChecker`]).
     ///
     /// Returns `None` without running `f` if the node is down or unknown.
     /// Otherwise stamps the node's local clock with `clock` (`None` leaves
@@ -97,6 +99,16 @@ where
         for c in &out.commits {
             self.safety
                 .record(group, node, c.scope, c.index, c.entry.id);
+        }
+        // Every embedding applies a step's persists as it performs them,
+        // so a snapshot seen here is the site's stable one.
+        for p in &out.persists {
+            if let PersistCmd::InstallSnapshot { snapshot } = p {
+                let slots = &self.slots;
+                let up = |n| slots.iter().any(|(&k, s)| k.into() == (group, n) && s.up);
+                let (scope, through) = (snapshot.scope, snapshot.last_index);
+                self.safety.snapshot_stable(group, node, scope, through, up);
+            }
         }
         Some(out)
     }
@@ -211,7 +223,7 @@ mod tests {
         assert_eq!(d.safety.commits_seen(), 2);
         let v = &d.safety.violations()[0];
         assert_eq!(
-            (v.group, v.first.0, v.second.0),
+            (v.group, v.first.unwrap().0, v.second.0),
             (GroupId(0), NodeId(0), NodeId(1))
         );
     }

@@ -10,6 +10,18 @@
 //! conflict. Experiments assert [`SafetyChecker::assert_ok`] at the end of
 //! every run, including runs with crash/churn/partition schedules.
 //!
+//! A log's book keeps only the indices some site can still report. Its
+//! *horizon* is the least, over every site that has committed into or
+//! snapshotted the log, of the last index that site's latest stable
+//! snapshot covers — 0 for a site that never snapshotted and for one that
+//! is down or gone. No report can land at or below it: a live site
+//! reports only above its commit index, a recovering one only above its
+//! stable snapshot, and a joiner only above its leader's compaction point,
+//! which is at least the leader's own snapshot. So the book drops every
+//! index at or below the horizon, and a run's record stops growing with
+//! its length. A commit reported there anyway is a violation, never
+//! skipped: a wrong horizon cannot hide a disagreement.
+//!
 //! The linearizability check works on real-time order at the client
 //! boundary: when a `Linearizable` read is **first submitted**, the checker
 //! snapshots, per scope, the highest commit index of any *completed* write
@@ -17,6 +29,8 @@
 //! read completes, its returned commit floor must be at least that
 //! snapshot — a linearizable read may never answer from a point before an
 //! operation that finished before the read began.
+
+use std::collections::VecDeque;
 
 use des::IdMap;
 
@@ -33,25 +47,21 @@ pub struct SafetyViolation {
     pub scope: LogScope,
     /// The index disagreed on.
     pub index: LogIndex,
-    /// First committer and its entry.
-    pub first: (NodeId, EntryId),
+    /// First committer and its entry; `None` when `index` lies at or below
+    /// the log's horizon, whose entries the book no longer holds.
+    pub first: Option<(NodeId, EntryId)>,
     /// Conflicting committer and its entry.
     pub second: (NodeId, EntryId),
 }
 
 impl std::fmt::Display for SafetyViolation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "safety violation at {} {:?} {}: {} committed {} but {} committed {}",
-            self.group,
-            self.scope,
-            self.index,
-            self.first.0,
-            self.first.1,
-            self.second.0,
-            self.second.1
-        )
+        let (g, scope, i, (node, id)) = (self.group, self.scope, self.index, self.second);
+        write!(f, "safety violation at {g} {scope:?} {i}: ")?;
+        match self.first {
+            Some((n, e)) => write!(f, "{n} committed {e} but {node} committed {id}"),
+            None => write!(f, "{node} committed {id} at or below the horizon"),
+        }
     }
 }
 
@@ -81,15 +91,39 @@ impl std::fmt::Display for LinViolation {
     }
 }
 
-/// One log's commits. `slots[i]` holds the first entry committed at index
-/// `i` (commits fill a dense prefix, so the log index is the slot) and its
-/// first committer as a 1-based position in `committers`, the few sites
-/// that commit into this log; position 0 marks an index nothing committed
-/// yet. That is 24 bytes per index, in one allocation.
+/// One log's commits above its `horizon` (see the module docs).
+/// `slots[i]` holds the first entry committed at index `horizon + 1 + i`
+/// and its first committer as a 1-based position in `sites`; position 0
+/// marks an index nothing committed yet. That is 24 bytes per index, in
+/// one ring. `sites` holds every site that committed into or snapshotted
+/// this log, with the last index its latest stable snapshot covers.
 #[derive(Default)]
 struct CommitBook {
-    committers: Vec<NodeId>,
-    slots: Vec<(u32, EntryId)>,
+    sites: Vec<(NodeId, LogIndex)>,
+    horizon: LogIndex,
+    slots: VecDeque<(u32, EntryId)>,
+}
+
+impl CommitBook {
+    /// `node`'s 1-based position in `sites`, entering it if new.
+    fn site(&mut self, node: NodeId) -> u32 {
+        let at = self.sites.iter().position(|&(n, _)| n == node);
+        let at = at.unwrap_or_else(|| {
+            self.sites.push((node, LogIndex::ZERO));
+            self.sites.len() - 1
+        });
+        at as u32 + 1
+    }
+
+    /// The slot of `index`, growing the ring to reach it; `None` at or
+    /// below the horizon.
+    fn slot(&mut self, index: LogIndex) -> Option<&mut (u32, EntryId)> {
+        let i = index.as_u64().checked_sub(self.horizon.as_u64() + 1)? as usize;
+        if self.slots.len() <= i {
+            self.slots.resize(i + 1, (0, EntryId::default()));
+        }
+        Some(&mut self.slots[i])
+    }
 }
 
 /// Cross-site commit consistency checker.
@@ -104,12 +138,13 @@ pub struct SafetyChecker {
     violations: Vec<SafetyViolation>,
     domain_of: Option<Box<dyn Fn(NodeId) -> u64 + Send>>,
     commits_seen: u64,
-    /// Per scope: the highest index any *completed* operation (write commit
-    /// or linearizable-read floor) is known to have reached.
-    completed_bound: IdMap<LogScope, LogIndex>,
-    /// In-flight linearizable reads: the per-scope bound snapshot taken at
+    /// Per scope (at `scope as usize`): the highest index any *completed*
+    /// operation (write commit or linearizable-read floor) is known to have
+    /// reached.
+    completed_bound: [LogIndex; 2],
+    /// In-flight linearizable reads: the per-scope bounds as they stood at
     /// first submission.
-    read_bounds: IdMap<(SessionId, u64), [(LogScope, LogIndex); 2]>,
+    read_bounds: IdMap<(SessionId, u64), [LogIndex; 2]>,
     lin_violations: Vec<LinViolation>,
     reads_checked: u64,
 }
@@ -160,33 +195,63 @@ impl SafetyChecker {
         self.commits_seen += 1;
         let domain = self.domain(node, scope);
         let book = self.chosen.entry((group, domain, scope)).or_default();
-        let slot = index.as_u64() as usize;
-        if book.slots.len() <= slot {
-            book.slots.resize(slot + 1, (0, EntryId::default()));
-        }
-        match book.slots[slot] {
-            (0, _) => {
-                let at = book.committers.iter().position(|&c| c == node);
-                let at = at.unwrap_or_else(|| {
-                    book.committers.push(node);
-                    book.committers.len() - 1
-                });
-                book.slots[slot] = (at as u32 + 1, id);
-            }
-            (at, first) if first != id => self.violations.push(SafetyViolation {
-                group,
-                scope,
-                index,
-                first: (book.committers[at as usize - 1], first),
-                second: (node, id),
-            }),
-            _ => {}
+        let at = book.site(node);
+        let first = match book.slot(index) {
+            None => None,
+            Some(slot @ (0, _)) => return *slot = (at, id),
+            Some(&mut (_, first)) if first == id => return,
+            Some(&mut (by, first)) => Some((book.sites[by as usize - 1].0, first)),
+        };
+        self.violations.push(SafetyViolation {
+            group,
+            scope,
+            index,
+            first,
+            second: (node, id),
+        });
+    }
+
+    /// Records that `node`'s stable snapshot of its `scope` log of `group`
+    /// now covers every index through `through`, and drops the book's
+    /// indices at or below the log's new horizon. `up` says which sites are
+    /// up: one that is not holds the horizon at 0.
+    pub fn snapshot_stable(
+        &mut self,
+        group: GroupId,
+        node: NodeId,
+        scope: LogScope,
+        through: LogIndex,
+        up: impl Fn(NodeId) -> bool,
+    ) {
+        let domain = self.domain(node, scope);
+        let book = self.chosen.entry((group, domain, scope)).or_default();
+        let at = book.site(node) as usize - 1;
+        book.sites[at].1 = book.sites[at].1.max(through);
+        let stable = |&(n, s): &(NodeId, LogIndex)| if up(n) { s } else { LogIndex::ZERO };
+        let horizon = book.sites.iter().map(stable).min().unwrap_or_default();
+        if horizon > book.horizon {
+            let drop = (horizon.as_u64() - book.horizon.as_u64()) as usize;
+            book.slots.drain(..drop.min(book.slots.len()));
+            book.horizon = horizon;
         }
     }
 
-    /// `true` when some site committed `id` in the `scope` log `node` of
-    /// `group` is judged in (see [`SafetyChecker::domain`]): a scan of that
-    /// log's book, for oracles that check what a node was told.
+    /// The horizon of the `scope` log `node` of `group` is judged in: the
+    /// book holds only the indices above it.
+    pub fn horizon(&self, group: GroupId, node: NodeId, scope: LogScope) -> LogIndex {
+        let book = self.chosen.get(&(group, self.domain(node, scope), scope));
+        book.map_or(LogIndex::ZERO, |b| b.horizon)
+    }
+
+    /// Index slots the books hold, over every log.
+    pub fn retained(&self) -> usize {
+        self.chosen.values().map(|b| b.slots.len()).sum()
+    }
+
+    /// `true` when some site committed `id` above the horizon of the
+    /// `scope` log `node` of `group` is judged in (see
+    /// [`SafetyChecker::domain`]): a scan of that log's book, for oracles
+    /// that check what a node was told.
     pub fn is_committed(&self, group: GroupId, node: NodeId, scope: LogScope, id: EntryId) -> bool {
         let book = self.chosen.get(&(group, self.domain(node, scope), scope));
         book.is_some_and(|b| b.slots.iter().any(|&(at, e)| at != 0 && e == id))
@@ -199,10 +264,8 @@ impl SafetyChecker {
     /// Records a client write completing with its application index: later
     /// linearizable reads must not answer from before it.
     pub fn write_completed(&mut self, scope: LogScope, index: LogIndex) {
-        let bound = self.completed_bound.entry(scope).or_insert(LogIndex::ZERO);
-        if index > *bound {
-            *bound = index;
-        }
+        let bound = &mut self.completed_bound[scope as usize];
+        *bound = (*bound).max(index);
     }
 
     /// Records a linearizable read being **first submitted**: snapshots the
@@ -210,12 +273,8 @@ impl SafetyChecker {
     /// Idempotent for retries of the same `(session, seq)` — the
     /// linearization window opens at the first invocation.
     pub fn read_started(&mut self, session: SessionId, seq: u64) {
-        let bound = |scope| {
-            let index = self.completed_bound.get(&scope).copied();
-            (scope, index.unwrap_or(LogIndex::ZERO))
-        };
-        let snapshot = [bound(LogScope::Global), bound(LogScope::Local)];
-        self.read_bounds.entry((session, seq)).or_insert(snapshot);
+        let bounds = self.completed_bound;
+        self.read_bounds.entry((session, seq)).or_insert(bounds);
     }
 
     /// Records a linearizable read completing with its answered floor,
@@ -230,28 +289,21 @@ impl SafetyChecker {
         floor: LogIndex,
     ) {
         self.reads_checked += 1;
-        if let Some(snapshot) = self.read_bounds.remove(&(session, seq)) {
-            let bound = snapshot
-                .iter()
-                .find(|(s, _)| *s == scope)
-                .map(|(_, b)| *b)
-                .unwrap_or(LogIndex::ZERO);
-            if floor < bound {
-                self.lin_violations.push(LinViolation {
-                    session,
-                    seq,
-                    scope,
-                    floor,
-                    bound,
-                });
-            }
+        let started = self.read_bounds.remove(&(session, seq));
+        let bound = started.map_or(LogIndex::ZERO, |b| b[scope as usize]);
+        if floor < bound {
+            self.lin_violations.push(LinViolation {
+                session,
+                seq,
+                scope,
+                floor,
+                bound,
+            });
         }
         // This read's floor becomes part of the bound: a later read must
         // not observe less.
-        let bound = self.completed_bound.entry(scope).or_insert(LogIndex::ZERO);
-        if floor > *bound {
-            *bound = floor;
-        }
+        let bound = &mut self.completed_bound[scope as usize];
+        *bound = (*bound).max(floor);
     }
 
     /// Folds a client op's `outcome` into the bounds above: a write's
@@ -355,7 +407,7 @@ mod tests {
         assert_eq!(c.violations().len(), 1);
         let v = &c.violations()[0];
         assert_eq!(v.group, G0);
-        assert_eq!(v.first, (NodeId(1), id(9, 0)));
+        assert_eq!(v.first, Some((NodeId(1), id(9, 0))));
         assert_eq!(v.second, (NodeId(2), id(9, 1)));
         assert!(v.to_string().contains("safety violation"));
     }
@@ -380,7 +432,7 @@ mod tests {
         c.record(G0, NodeId(3), LogScope::Global, LogIndex(1000), id(4, 7));
         assert!(c.is_ok());
         c.record(G0, NodeId(1), LogScope::Global, LogIndex(1000), id(1, 1));
-        assert_eq!(c.violations()[0].first, (NodeId(4), id(4, 7)));
+        assert_eq!(c.violations()[0].first, Some((NodeId(4), id(4, 7))));
     }
 
     #[test]
@@ -405,14 +457,116 @@ mod tests {
             c.record(G0, rival, LogScope::Global, LogIndex(index), id(8, index));
             let v = c.violations().last().unwrap();
             assert_eq!(v.index, LogIndex(index));
-            assert_eq!(v.first, (NodeId(node), id(9, index)));
+            assert_eq!(v.first, Some((NodeId(node), id(9, index))));
             assert_eq!(v.second, (rival, id(8, index)));
         }
         assert_eq!(c.violations().len(), 5);
         // A conflicting commit does not replace the first one.
         assert!(!c.is_committed(G0, NodeId(0), LogScope::Global, id(8, 1)));
         c.record(G0, NodeId(0), LogScope::Global, LogIndex(1), id(8, 1));
-        assert_eq!(c.violations()[5].first, (NodeId(3), id(9, 1)));
+        assert_eq!(c.violations()[5].first, Some((NodeId(3), id(9, 1))));
+    }
+
+    const A: NodeId = NodeId(1);
+    const B: NodeId = NodeId(2);
+    const C: NodeId = NodeId(3);
+
+    /// `node` commits indices `from..=to`, each holding `id(9, index)`.
+    fn commit_range(c: &mut SafetyChecker, node: NodeId, from: u64, to: u64) {
+        for i in from..=to {
+            c.record(G0, node, LogScope::Global, LogIndex(i), id(9, i));
+        }
+    }
+
+    fn snapshot(c: &mut SafetyChecker, node: NodeId, through: u64, up: impl Fn(NodeId) -> bool) {
+        c.snapshot_stable(G0, node, LogScope::Global, LogIndex(through), up);
+    }
+
+    fn horizon(c: &SafetyChecker) -> u64 {
+        c.horizon(G0, A, LogScope::Global).as_u64()
+    }
+
+    #[test]
+    fn a_recovered_site_re_reports_above_the_horizon() {
+        let mut c = SafetyChecker::new();
+        // A commits every index first; B follows; C follows to 30, then
+        // crashes before it ever compacts.
+        commit_range(&mut c, A, 1, 100);
+        commit_range(&mut c, B, 1, 100);
+        commit_range(&mut c, C, 1, 30);
+        let c_down = |n| n != C;
+        snapshot(&mut c, A, 80, c_down);
+        snapshot(&mut c, B, 80, c_down);
+        assert_eq!(horizon(&c), 0, "C holds the horizon at 0");
+        assert_eq!(c.retained(), 100);
+        // C recovers from a stable log with no snapshot and replays it.
+        commit_range(&mut c, C, 1, 100);
+        assert!(c.is_ok(), "{:?}", c.violations());
+        c.record(G0, C, LogScope::Global, LogIndex(10), id(8, 10));
+        let v = c.violations().last().unwrap();
+        assert_eq!((v.index, v.first), (LogIndex(10), Some((A, id(9, 10)))));
+        // Once C has snapshotted too, the book drops what all three cover.
+        snapshot(&mut c, C, 60, |_| true);
+        assert_eq!((horizon(&c), c.retained()), (60, 40));
+        assert!(c.is_committed(G0, A, LogScope::Global, id(9, 61)));
+        assert!(!c.is_committed(G0, A, LogScope::Global, id(9, 60)));
+    }
+
+    #[test]
+    fn a_site_that_never_snapshotted_pins_its_book() {
+        let mut c = SafetyChecker::new();
+        for node in [A, B, C] {
+            commit_range(&mut c, node, 1, 200);
+        }
+        snapshot(&mut c, A, 150, |_| true);
+        snapshot(&mut c, B, 150, |_| true);
+        assert_eq!((horizon(&c), c.retained()), (0, 200));
+        snapshot(&mut c, C, 120, |_| true);
+        assert_eq!((horizon(&c), c.retained()), (120, 80));
+        // A snapshot never moves a site's own horizon back.
+        snapshot(&mut c, C, 50, |_| true);
+        snapshot(&mut c, A, 190, |_| true);
+        assert_eq!(horizon(&c), 120);
+        commit_range(&mut c, A, 201, 210);
+        assert_eq!(c.retained(), 90);
+        assert!(c.is_ok());
+    }
+
+    #[test]
+    fn a_down_site_holds_the_horizon() {
+        let mut c = SafetyChecker::new();
+        for node in [A, B, C] {
+            commit_range(&mut c, node, 1, 120);
+            snapshot(&mut c, node, 50, |_| true);
+        }
+        snapshot(&mut c, C, 90, |_| true);
+        assert_eq!(horizon(&c), 50);
+        // C goes down: however far A and B compact, the horizon stays.
+        snapshot(&mut c, A, 100, |n| n != C);
+        snapshot(&mut c, B, 110, |n| n != C);
+        assert_eq!(horizon(&c), 50);
+        // Back up, C counts at its own stable snapshot again.
+        snapshot(&mut c, A, 100, |_| true);
+        assert_eq!((horizon(&c), c.retained()), (90, 30));
+    }
+
+    #[test]
+    fn a_commit_at_or_below_the_horizon_is_a_violation() {
+        let mut c = SafetyChecker::new();
+        commit_range(&mut c, A, 1, 10);
+        snapshot(&mut c, A, 10, |_| true);
+        assert_eq!((horizon(&c), c.retained()), (10, 0));
+        // Even an agreeing re-report there is one: nothing can send it.
+        c.record(G0, B, LogScope::Global, LogIndex(10), id(9, 10));
+        let v = &c.violations()[0];
+        assert_eq!(
+            (v.index, v.first, v.second),
+            (LogIndex(10), None, (B, id(9, 10)))
+        );
+        assert!(v.to_string().contains("at or below the horizon"), "{v}");
+        // B is now one of the log's sites, so it pins the horizon too.
+        snapshot(&mut c, A, 20, |_| true);
+        assert_eq!(horizon(&c), 10);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 # A third ceiling, under the same cut-at-`#[cfg(test)]` rule, holds the
 # code that hosts protocol nodes: the four embeddings (the DES runner, the
 # shard fabric, the explorer's world, the lockstep testkit) plus what they
-# share in `wire` (the `Driver` node table and the `SafetyChecker`). Node
+# share in `wire` (the `Driver` node table, the `SafetyChecker` and the
+# `ClientLane`). Node
 # tables, clock stamping, `Actions` recycling and commit checking live in
 # `Driver` once, so a fifth hosting loop, or one growing its own copy back,
 # shows here. The testkit's move onto `Driver` set CEILING to 6,813; dropping
@@ -45,12 +46,20 @@
 # snapshot feed in `driver.rs`) was paid for inside the node-hosting files,
 # which hold at 2,410; the testkit's shorter exactly-once check set CEILING
 # to 6,711.
+#
+# The client side of the session contract lives once, in `wire`'s
+# `ClientLane` (crates/wire/src/lane.rs), counted here with the hosts it
+# came out of. It replaced the harness runner's `OutstandingOp`, seq and
+# read counters and its `(session, seq)` matching; the shard runner's
+# `OutOp` (second op id, unread attempt count, seq, group, data), per-group
+# seq map and request building; and the explorer's `Pending` and lane
+# counters. That set EMBED_CEILING to 2,371.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 CEILING=6711
 DES_CEILING=652
-EMBED_CEILING=2410
+EMBED_CEILING=2371
 LOG_CEILING=653
 EMBED_FILES=(
     crates/harness/src/runner.rs
@@ -59,6 +68,7 @@ EMBED_FILES=(
     crates/raft/src/testkit.rs
     crates/wire/src/driver.rs
     crates/wire/src/safety.rs
+    crates/wire/src/lane.rs
 )
 
 status=0

@@ -29,7 +29,7 @@
 use des::{SimDuration, SimTime};
 use storage::{SimDisk, StableState};
 use wire::{
-    Actions, ClientOp, ClientOutcome, ClientRequest, ConsensusProtocol, Consistency, Driver,
+    Actions, ClientLane, ClientOp, ClientOutcome, ConsensusProtocol, Consistency, Driver, GroupId,
     LogScope, NodeId, Observation, SafetyChecker, SessionId, TimerCmd, TimerKind,
 };
 
@@ -155,27 +155,21 @@ const RESUBMIT_PERIOD: SimDuration = SimDuration::from_millis(2_000);
 /// A node's armed timers at absolute virtual deadlines.
 type Deadlines = BTreeMap<TimerKind, SimTime>;
 
-struct Pending {
-    seq: u64,
-    op: ClientOp,
-}
+/// The world hosts one consensus group; every lane writes to its log.
+const GROUP: GroupId = GroupId(0);
 
+/// A client lane and how far through its script it is.
 struct Lane {
-    session: SessionId,
+    client: ClientLane,
     /// Scripted ops already submitted at least once.
     issued: u32,
     /// Total scripted ops (registration included).
     total: u32,
-    /// Writes (registration included) and reads issued so far: the last
-    /// write seq and the last read ordinal (see [`wire::read_id`]).
-    writes: u64,
-    reads: u64,
-    outstanding: Option<Pending>,
 }
 
 impl Lane {
     fn unresolved(&self) -> bool {
-        self.outstanding.is_some() || self.issued < self.total
+        self.client.outstanding().is_some() || self.issued < self.total
     }
 }
 
@@ -301,12 +295,9 @@ impl<P: Explorable> World<P> {
                 world.lanes.insert(
                     (id, lane),
                     Lane {
-                        session,
+                        client: ClientLane::new(session),
                         issued: 0,
                         total,
-                        writes: 0,
-                        reads: 0,
-                        outstanding: None,
                     },
                 );
                 world.lane_of.insert(session, (id, lane));
@@ -563,34 +554,17 @@ impl<P: Explorable> World<P> {
         let Some(state) = self.lanes.get_mut(&(node, lane)) else {
             return false;
         };
-        let (session, seq, op, first_submission) = if let Some(p) = &state.outstanding {
-            (state.session, p.seq, p.op.clone(), false)
-        } else {
-            if state.issued >= state.total {
-                return false;
+        let req = match state.client.outstanding() {
+            Some((_, req)) => req.clone(),
+            None if state.issued < state.total => {
+                let op = script_op(&self.cfg, node, lane, state.issued);
+                state.issued += 1;
+                let safety = &mut self.driver.safety;
+                state.client.issue(GROUP, op, safety).clone()
             }
-            let i = state.issued;
-            state.issued += 1;
-            let op = script_op(&self.cfg, node, lane, i);
-            let seq = if matches!(op, ClientOp::Read(_)) {
-                state.reads += 1;
-                wire::read_id(state.reads)
-            } else {
-                state.writes += 1;
-                state.writes
-            };
-            state.outstanding = Some(Pending {
-                seq,
-                op: op.clone(),
-            });
-            (state.session, seq, op, true)
+            None => return false,
         };
-        if first_submission && matches!(op, ClientOp::Read(Consistency::Linearizable)) {
-            self.driver.safety.read_started(session, seq);
-        }
-        self.step_node(node, |n, out| {
-            n.on_client_request(ClientRequest { session, seq, op }, out);
-        });
+        self.step_node(node, |n, out| n.on_client_request(req, out));
         true
     }
 
@@ -602,15 +576,12 @@ impl<P: Explorable> World<P> {
         if from != gateway {
             return; // late answer surfacing at a non-gateway replica
         }
+        // A stale answer, or a Retry/Redirect, leaves the lane waiting.
         let state = self.lanes.get_mut(&(gateway, lane)).expect("lane exists");
-        let matches_outstanding = state.outstanding.as_ref().is_some_and(|p| p.seq == seq);
-        if !matches_outstanding || !outcome.is_terminal() {
-            return; // stale answer, or a Retry/Redirect: keep waiting
-        }
-        let resolved = state.outstanding.take().expect("checked above");
-        self.driver
-            .safety
-            .op_completed(self.cfg.ack_scope, session, seq, &resolved.op, &outcome);
+        let safety = &mut self.driver.safety;
+        state
+            .client
+            .settle(GROUP, seq, &outcome, self.cfg.ack_scope, safety);
     }
 
     /// Heals every fault, then drains the world to quiescence: delivers all
@@ -714,7 +685,7 @@ impl<P: Explorable> World<P> {
         let slots = &self.driver.slots;
         let roster: Vec<(NodeId, &P)> = slots.iter().map(|(&id, s)| (id, &s.node)).collect();
         for ((node, lane), state) in &self.lanes {
-            if let Some(p) = &state.outstanding {
+            if let Some((_, p)) = state.client.outstanding() {
                 if !P::op_serviceable(&roster, &p.op) {
                     continue;
                 }

@@ -9,14 +9,16 @@
 //!
 //! The workload is a set of **closed-loop session clients** (one per
 //! proposer site, as in the paper's evaluation §VI, extended with the
-//! client contract): each client holds a session, issues typed
-//! [`wire::ClientRequest`]s — writes, or reads at a configurable mix and
-//! consistency level — waits for the typed [`wire::ClientOutcome`], retries
-//! the same `(session, seq)` on `Redirect`/`Retry` outcomes or after a
-//! timeout (exactly-once writes make this safe), and only then moves to the
-//! next operation. Every `Linearizable` read is checked online by the
-//! [`SafetyChecker`]: its returned commit floor must not precede any
-//! previously completed write or read.
+//! client contract): each client is a [`wire::ClientLane`] that issues
+//! typed [`wire::ClientRequest`]s — writes, or reads at a configurable mix
+//! and consistency level — at its own gateway. The runner picks each op,
+//! routes the gateway's typed [`wire::ClientOutcome`] back to the lane,
+//! resubmits the same `(session, seq)` on `Redirect`/`Retry` outcomes or
+//! after a timeout (exactly-once writes make this safe), and only then
+//! issues the next operation. The lane hands every finished op to the
+//! [`SafetyChecker`], so every `Linearizable` read is checked online: its
+//! returned commit floor must not precede any previously completed write
+//! or read.
 
 use std::collections::BTreeMap;
 
@@ -26,8 +28,9 @@ use rand::RngCore;
 use simnet::{Network, Verdict};
 use storage::{PersistBatch, SimDisk, StableState};
 use wire::{
-    Actions, ClientOp, ClientOutcome, ClientRequest, ConsensusProtocol, Consistency, Driver,
-    LogScope, Message, NodeId, Observation, Payload, SessionId, TimerKind,
+    Actions, ClientLane, ClientOp, ClientOutcome, ClientRequest, ConsensusProtocol, Consistency,
+    Driver, GroupId, LogScope, Message, NodeId, Observation, Payload, SessionId, Settled,
+    TimerKind,
 };
 
 use crate::{Metrics, SafetyChecker};
@@ -177,26 +180,8 @@ pub struct RunnerConfig {
 /// allocation + hash), and eleven slots fit in a cache line.
 type Timers = [Option<EventId>; TimerKind::COUNT];
 
-/// One client operation in flight at its gateway.
-#[derive(Debug)]
-struct OutstandingOp {
-    session: SessionId,
-    seq: u64,
-    op: ClientOp,
-    /// Set for the end-of-run linearizable read.
-    is_final: bool,
-}
-
-impl OutstandingOp {
-    /// The request to (re)submit at the gateway.
-    fn request(&self) -> ClientRequest {
-        ClientRequest {
-            session: self.session,
-            seq: self.seq,
-            op: self.op.clone(),
-        }
-    }
-}
+/// The runner hosts one consensus group; its clients write to its log.
+const GROUP: GroupId = GroupId(0);
 
 /// Factory rebuilding a node from persisted state after a crash.
 type RecoveryFn<P> = Box<dyn Fn(NodeId, &StableState) -> P>;
@@ -225,15 +210,11 @@ pub struct Runner<P: ConsensusProtocol> {
     /// Per-operation read/write coin flips (untouched when `read_ratio` is
     /// zero, so all-write runs are bit-identical to the pre-read harness).
     op_rng: SimRng,
-    /// Outstanding closed-loop operation per client.
-    outstanding: IdMap<NodeId, OutstandingOp>,
-    /// Last write seq per client (survives node crashes — the client
-    /// outlives its gateway). Registrations and writes consume seqs.
-    next_seq: BTreeMap<NodeId, u64>,
-    /// Last read ordinal per client: reads are numbered apart from writes
-    /// (see [`wire::read_id`]) and consume no seq.
-    next_read: BTreeMap<NodeId, u64>,
-    /// Clients that already issued their final linearizable read.
+    /// One client per proposer, keyed by its gateway (it survives node
+    /// crashes — the client outlives its gateway).
+    lanes: IdMap<NodeId, ClientLane>,
+    /// Clients that already issued their final linearizable read: the
+    /// next op such a client completes is that read.
     final_issued: IdSet<NodeId>,
     /// Dedicated stream for [`RunnerConfig::persist_stalls`] (drawn from
     /// only when stalls are configured, so stall-free runs are unchanged).
@@ -276,9 +257,7 @@ impl<P: ConsensusProtocol> Runner<P> {
             net_rng,
             payload_rng,
             op_rng,
-            outstanding: IdMap::default(),
-            next_seq: BTreeMap::new(),
-            next_read: BTreeMap::new(),
+            lanes: IdMap::default(),
             final_issued: IdSet::default(),
             stall_rng,
             final_done: 0,
@@ -301,6 +280,8 @@ impl<P: ConsensusProtocol> Runner<P> {
             runner.with_node(id, |n, out| n.bootstrap(out));
         }
         for proposer in runner.workload.proposers.clone() {
+            let lane = ClientLane::new(SessionId::client(proposer.as_u64()));
+            runner.lanes.insert(proposer, lane);
             let at = runner.workload.start_at;
             runner
                 .sim
@@ -519,12 +500,12 @@ impl<P: ConsensusProtocol> Runner<P> {
                 } => {
                     // Only the response for the client's outstanding op at
                     // its own gateway advances the closed loop.
-                    let is_current = self
-                        .outstanding
-                        .get(&from)
-                        .is_some_and(|o| o.session == session && o.seq == seq);
-                    if is_current && response.is_none() {
-                        response = Some((session, seq, outcome));
+                    let lane = self.lanes.get_mut(&from).filter(|l| l.session() == session);
+                    if let Some(lane) = lane.filter(|_| response.is_none()) {
+                        let (scope, safety) = (self.cfg.ack_scope, &mut self.driver.safety);
+                        if lane.settle(GROUP, seq, &outcome, scope, safety) != Settled::Stale {
+                            response = Some((session, seq, outcome));
+                        }
                     }
                 }
                 // NOTE: Observation::SessionDuplicate fires at *every*
@@ -552,7 +533,7 @@ impl<P: ConsensusProtocol> Runner<P> {
         }
     }
 
-    /// Advances a client's closed loop on a typed outcome.
+    /// Advances a client's closed loop on a typed outcome its lane took.
     fn handle_response(
         &mut self,
         node: NodeId,
@@ -560,24 +541,18 @@ impl<P: ConsensusProtocol> Runner<P> {
         seq: u64,
         outcome: ClientOutcome,
     ) {
-        let Some(op) = self.outstanding.get(&node) else {
-            return;
-        };
-        self.driver
-            .safety
-            .op_completed(self.cfg.ack_scope, session, seq, &op.op, &outcome);
         match outcome {
             ClientOutcome::Duplicate { .. } => {
                 // The write took effect on an earlier attempt: done, and
                 // the retry was suppressed rather than double-applied.
                 self.metrics.duplicates_suppressed += 1;
-                self.finish_op(node);
+                self.finish_op(node, session, seq);
             }
             // A registration (each client's first op under
             // `Workload::register_sessions`) completes like a write.
             ClientOutcome::Committed { .. }
             | ClientOutcome::ReadOk { .. }
-            | ClientOutcome::Registered { .. } => self.finish_op(node),
+            | ClientOutcome::Registered { .. } => self.finish_op(node, session, seq),
             ClientOutcome::Redirect { .. } | ClientOutcome::Retry => {
                 // Not done: retry the same (session, seq) after a short
                 // backoff — the gateway updated its leader hint from the
@@ -597,19 +572,15 @@ impl<P: ConsensusProtocol> Runner<P> {
                 // completed and moves on (its scenarios run with expiry
                 // disabled, so this arm is exercised by unit tests only).
                 self.metrics.sessions_expired += 1;
-                self.finish_op(node);
+                self.finish_op(node, session, seq);
             }
         }
     }
 
-    fn finish_op(&mut self, node: NodeId) {
-        let Some(op) = self.outstanding.remove(&node) else {
-            return;
-        };
-        self.metrics
-            .op_completed((op.session, op.seq), self.sim.now());
+    fn finish_op(&mut self, node: NodeId, session: SessionId, seq: u64) {
+        self.metrics.op_completed((session, seq), self.sim.now());
         self.completed += 1;
-        if op.is_final {
+        if self.final_issued.contains(&node) {
             self.final_done += 1;
         }
         if !self.workload_done() {
@@ -621,65 +592,51 @@ impl<P: ConsensusProtocol> Runner<P> {
     /// Client-side timeout/backoff firing: resubmit the outstanding op if
     /// `seq` is still the one in flight.
     fn client_retry(&mut self, node: NodeId, seq: u64) {
-        let Some(op) = self.outstanding.get(&node) else {
+        let lane = self.lanes.get(&node).and_then(ClientLane::outstanding);
+        let Some((_, req)) = lane.filter(|(_, req)| req.seq == seq) else {
             return;
         };
-        if op.seq != seq || self.node(node).is_none() {
+        if self.node(node).is_none() {
             return;
         }
-        let req = op.request();
+        let req = req.clone();
         self.metrics.client_retries += 1;
         self.submit(node, req);
     }
 
     /// Issues the next operation of `node`'s closed loop.
     fn issue_op(&mut self, node: NodeId) {
-        if self.outstanding.contains_key(&node) || self.node(node).is_none() {
+        let Some(lane) = self.lanes.get(&node) else {
+            return;
+        };
+        if lane.outstanding().is_some() || self.node(node).is_none() {
             return;
         }
         let target_reached = self
             .workload
             .target_commits
             .is_some_and(|t| self.completed >= t);
-        let (op, is_final) = if target_reached {
+        let op = if target_reached {
             // Final phase: one linearizable read per client, if configured.
             if !self.workload.final_read || !self.final_issued.insert(node) {
                 return;
             }
-            (ClientOp::Read(Consistency::Linearizable), true)
-        } else if self.workload.register_sessions && !self.next_seq.contains_key(&node) {
+            ClientOp::Read(Consistency::Linearizable)
+        } else if self.workload.register_sessions && lane.last_seq(GROUP) == 0 {
             // Session-first contract: the client opens its session before
             // any data op. Under a partition this registration is what
             // retries en masse at heal time (thundering herd).
-            (ClientOp::Register, false)
+            ClientOp::Register
         } else if self.workload.read_ratio > 0.0 && self.op_rng.chance(self.workload.read_ratio) {
-            (ClientOp::Read(self.workload.read_consistency), false)
+            ClientOp::Read(self.workload.read_consistency)
         } else {
             self.payload_rng.fill_bytes(&mut self.payload_buf);
-            (
-                ClientOp::Write(Bytes::copy_from_slice(&self.payload_buf)),
-                false,
-            )
+            ClientOp::Write(Bytes::copy_from_slice(&self.payload_buf))
         };
-        // Registrations and writes take the session's next seq, so its seqs
-        // stay gapless; a read takes the next read id instead.
-        let seq = match op {
-            ClientOp::Read(_) => wire::read_id(bump(&mut self.next_read, node)),
-            _ => bump(&mut self.next_seq, node),
-        };
-        let op = OutstandingOp {
-            session: SessionId::client(node.as_u64()),
-            seq,
-            op,
-            is_final,
-        };
-        let now = self.sim.now();
-        self.metrics.op_started((op.session, op.seq), now);
-        if matches!(op.op, ClientOp::Read(Consistency::Linearizable)) {
-            self.driver.safety.read_started(op.session, op.seq);
-        }
-        let req = op.request();
-        self.outstanding.insert(node, op);
+        let lane = self.lanes.get_mut(&node).expect("checked above");
+        let req = lane.issue(GROUP, op, &mut self.driver.safety).clone();
+        self.metrics
+            .op_started((req.session, req.seq), self.sim.now());
         self.submit(node, req);
     }
 
@@ -723,11 +680,11 @@ impl<P: ConsensusProtocol> Runner<P> {
                 // Restart the client loop: resubmit the in-flight op (the
                 // gateway's volatile request state died with it), or start
                 // fresh if none was outstanding.
-                if self.workload.proposers.contains(&node) {
+                if let Some(lane) = self.lanes.get(&node) {
                     let kick = SimDuration::from_millis(100);
-                    match self.outstanding.get(&node) {
-                        Some(op) => {
-                            let seq = op.seq;
+                    match lane.outstanding() {
+                        Some((_, req)) => {
+                            let seq = req.seq;
                             self.sim
                                 .schedule_after(kick, SimEvent::ClientRetry { node, seq });
                         }
@@ -745,11 +702,4 @@ impl<P: ConsensusProtocol> Runner<P> {
             }
         }
     }
-}
-
-/// Advances `node`'s counter and returns the new value (the first is 1).
-fn bump(counters: &mut BTreeMap<NodeId, u64>, node: NodeId) -> u64 {
-    let c = counters.entry(node).or_insert(0);
-    *c += 1;
-    *c
 }

@@ -59,9 +59,9 @@ use raft::{RaftNode, Role, Timing};
 use simnet::{Network, Verdict};
 use storage::StableState;
 use wire::{
-    Actions, ClientOp, ClientOutcome, ClientRequest, Configuration, ConsensusProtocol, Driver,
-    GroupFrame, GroupId, NodeId, Observation, Payload, SafetyChecker, SafetyViolation, SessionId,
-    ShardEnvelope, TimerCmd, TimerKind,
+    Actions, ClientLane, ClientOp, ClientOutcome, Configuration, ConsensusProtocol, Driver,
+    GroupFrame, GroupId, LogScope, NodeId, Observation, Payload, SafetyChecker, SafetyViolation,
+    SessionId, Settled, ShardEnvelope, TimerCmd, TimerKind,
 };
 
 use crate::router::{ReconfigOp, ShardRouter};
@@ -247,31 +247,23 @@ enum Ev<M> {
     Wheel,
     /// A closed-loop client issues its first op.
     ClientStart { client: usize },
-    /// Resubmission guard for an outstanding op.
-    Nudge { client: usize, tag: u64, nudge: u64 },
+    /// Resubmission guard for an outstanding op: acts only if it is still
+    /// the client's latest one.
+    Nudge { client: usize, nudge: u64 },
     /// The admin client submits scripted reconfig op `idx`.
     Reconfig { idx: usize },
 }
 
-struct OutOp {
-    tag: u64,
-    nudge: u64,
-    attempts: u32,
-    group: u32,
-    seq: u64,
-    data: Bytes,
-    issued_at: SimTime,
-    admin_idx: Option<usize>,
-}
-
 struct Client {
-    session: SessionId,
+    /// The session, its seqs (per group: the exactly-once window of one
+    /// group's log never absorbs another group's seqs) and its op in
+    /// flight.
+    lane: ClientLane,
     gateway: u64,
-    /// Last used sequence number **per group**: sessions are scoped to a
-    /// group's log, so the exactly-once window of one group never absorbs
-    /// another group's sequence numbers.
-    seqs: IdMap<u32, u64>,
-    outstanding: Option<OutOp>,
+    /// When the op in flight was issued.
+    issued_at: SimTime,
+    /// Resubmission guards armed so far; only the latest one acts.
+    nudge: u64,
     is_admin: bool,
 }
 
@@ -316,7 +308,6 @@ pub struct ShardRunner<P: ShardNode> {
     config: Configuration,
     reconfig_script: Vec<ReconfigOp>,
     admin_queue: VecDeque<usize>,
-    next_tag: u64,
     /// Per-dispatch send coalescing table, dense `procs × procs` at
     /// `from * procs + to`: walking it front to back is ascending
     /// `(from, to)`, the order `net_rng` is drawn in.
@@ -394,7 +385,6 @@ impl<P: ShardNode> ShardRunner<P> {
             config,
             reconfig_script: reconfigs.iter().map(|&(_, op)| op).collect(),
             admin_queue: VecDeque::new(),
-            next_tag: 0,
             out_buf: (0..cfg.procs * cfg.procs)
                 .map(|_| ShardEnvelope::new())
                 .collect(),
@@ -417,10 +407,10 @@ impl<P: ShardNode> ShardRunner<P> {
             let session = SessionId::client(c as u64 + 1);
             runner.session_owner.insert(session.as_u64(), c);
             runner.clients.push(Client {
-                session,
+                lane: ClientLane::new(session),
                 gateway: if is_admin { 0 } else { c as u64 % cfg.procs },
-                seqs: IdMap::default(),
-                outstanding: None,
+                issued_at: SimTime::ZERO,
+                nudge: 0,
                 is_admin,
             });
         }
@@ -540,22 +530,19 @@ impl<P: ShardNode> ShardRunner<P> {
                 self.due_scratch = due;
             }
             Ev::ClientStart { client } => {
-                if self.clients[client].outstanding.is_none() {
+                if self.clients[client].lane.outstanding().is_none() {
                     self.issue_next(client);
                 }
             }
-            Ev::Nudge { client, tag, nudge } => {
-                let matches = self.clients[client]
-                    .outstanding
-                    .as_ref()
-                    .is_some_and(|o| o.tag == tag && o.nudge == nudge);
-                if matches {
+            Ev::Nudge { client, nudge } => {
+                let c = &self.clients[client];
+                if c.nudge == nudge && c.lane.outstanding().is_some() {
                     self.resubmit(client);
                 }
             }
             Ev::Reconfig { idx } => {
                 let admin = self.workload.clients;
-                if self.clients[admin].outstanding.is_some() {
+                if self.clients[admin].lane.outstanding().is_some() {
                     self.admin_queue.push_back(idx);
                 } else {
                     self.issue_admin(idx);
@@ -871,7 +858,7 @@ impl<P: ShardNode> ShardRunner<P> {
             return;
         };
         let data = op.encode_payload();
-        self.submit_op(admin, src.as_u32(), data, Some(idx));
+        self.submit_op(admin, src.as_u32(), data);
     }
 
     // ------------------------------------------------------------------
@@ -891,29 +878,15 @@ impl<P: ShardNode> ShardRunner<P> {
             .chain(std::iter::repeat(0))
             .take(len)
             .collect();
-        self.submit_op(client, group, data, None);
+        self.submit_op(client, group, data);
     }
 
-    fn submit_op(&mut self, client: usize, group: u32, data: Bytes, admin_idx: Option<usize>) {
+    fn submit_op(&mut self, client: usize, group: u32, data: Bytes) {
         let now = self.sim.now();
-        self.next_tag += 1;
-        let tag = self.next_tag;
         let c = &mut self.clients[client];
-        let seq = {
-            let s = c.seqs.entry(group).or_insert(0);
-            *s += 1;
-            *s
-        };
-        c.outstanding = Some(OutOp {
-            tag,
-            nudge: 0,
-            attempts: 0,
-            group,
-            seq,
-            data,
-            issued_at: now,
-            admin_idx,
-        });
+        c.issued_at = now;
+        let op = ClientOp::Write(data);
+        c.lane.issue(GroupId(group), op, &mut self.driver.safety);
         if let Some(ctl) = self.groups.get_mut(&group) {
             ctl.outstanding += 1;
             ctl.last_client = now;
@@ -925,33 +898,21 @@ impl<P: ShardNode> ShardRunner<P> {
 
     fn push_request(&mut self, client: usize) {
         let c = &self.clients[client];
-        let out = c.outstanding.as_ref().expect("submitting an op");
-        let req = ClientRequest {
-            session: c.session,
-            seq: out.seq,
-            op: ClientOp::Write(out.data.clone()),
-        };
-        let (gateway, group) = (c.gateway, out.group);
-        self.step_engine(gateway, group, |e, o| e.on_client_request(req, o));
-    }
-
-    fn outstanding(&mut self, client: usize) -> &mut OutOp {
-        let out = self.clients[client].outstanding.as_mut();
-        out.expect("the client has an op outstanding")
+        let (group, req) = c.lane.outstanding().expect("submitting an op");
+        let (gateway, req) = (c.gateway, req.clone());
+        self.step_engine(gateway, group.as_u32(), |e, o| e.on_client_request(req, o));
     }
 
     fn arm_nudge(&mut self, client: usize, after: SimDuration) {
-        let out = self.outstanding(client);
-        out.nudge += 1;
-        let (tag, nudge) = (out.tag, out.nudge);
-        self.sim
-            .schedule_after(after, Ev::Nudge { client, tag, nudge });
+        let c = &mut self.clients[client];
+        c.nudge += 1;
+        let nudge = c.nudge;
+        self.sim.schedule_after(after, Ev::Nudge { client, nudge });
     }
 
     fn resubmit(&mut self, client: usize) {
-        let out = self.outstanding(client);
-        out.attempts += 1;
-        let group = out.group;
+        let out = self.clients[client].lane.outstanding();
+        let group = out.expect("resubmitting an op in flight").0.as_u32();
         self.metrics.retries += 1;
         if let Some(ctl) = self.groups.get_mut(&group) {
             ctl.last_client = self.sim.now();
@@ -966,51 +927,38 @@ impl<P: ShardNode> ShardRunner<P> {
         let Some(&client) = self.session_owner.get(&session.as_u64()) else {
             return;
         };
-        let matches = self.clients[client]
-            .outstanding
-            .as_ref()
-            .is_some_and(|o| o.group == group && o.seq == seq);
-        if !matches {
-            return;
-        }
-        match outcome {
-            ClientOutcome::Committed { .. }
-            | ClientOutcome::Duplicate { .. }
-            | ClientOutcome::ReadOk { .. }
-            | ClientOutcome::Registered { .. } => self.complete_op(client, true),
-            ClientOutcome::SessionExpired => self.complete_op(client, false),
-            ClientOutcome::Redirect { .. } | ClientOutcome::Retry => {
-                self.arm_nudge(client, self.workload.retry_backoff);
+        // Every engine the fabric hosts acknowledges a write at its Global
+        // commit.
+        let lane = &mut self.clients[client].lane;
+        let safety = &mut self.driver.safety;
+        match lane.settle(GroupId(group), seq, &outcome, LogScope::Global, safety) {
+            Settled::Stale => {}
+            Settled::Retry => self.arm_nudge(client, self.workload.retry_backoff),
+            Settled::Done => {
+                let count = outcome != ClientOutcome::SessionExpired;
+                self.complete_op(client, group, count);
             }
         }
     }
 
-    fn complete_op(&mut self, client: usize, count: bool) {
+    fn complete_op(&mut self, client: usize, group: u32, count: bool) {
         let now = self.sim.now();
-        let out = self.clients[client]
-            .outstanding
-            .take()
-            .expect("completing an outstanding op");
-        if let Some(ctl) = self.groups.get_mut(&out.group) {
+        if let Some(ctl) = self.groups.get_mut(&group) {
             ctl.outstanding = ctl.outstanding.saturating_sub(1);
         }
         if count {
             self.metrics.completed_total += 1;
-            *self
-                .metrics
-                .per_group_completed
-                .entry(out.group)
-                .or_insert(0) += 1;
+            *self.metrics.per_group_completed.entry(group).or_insert(0) += 1;
             if self.in_window(now) {
+                let issued_at = self.clients[client].issued_at;
                 self.metrics.completed_window += 1;
-                self.metrics.latency_window_us += now.saturating_since(out.issued_at).as_micros();
+                self.metrics.latency_window_us += now.saturating_since(issued_at).as_micros();
             }
         }
         if self.clients[client].is_admin {
-            if out.admin_idx.is_some() {
-                if let Some(next) = self.admin_queue.pop_front() {
-                    self.issue_admin(next);
-                }
+            // Every op the admin client issues is a scripted reconfig.
+            if let Some(next) = self.admin_queue.pop_front() {
+                self.issue_admin(next);
             }
         } else {
             self.issue_next(client);
@@ -1021,6 +969,38 @@ impl<P: ShardNode> ShardRunner<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wire::{Consistency, LogIndex};
+
+    #[test]
+    fn completions_reach_the_checker_in_their_group() {
+        let workload = WorkloadSpec {
+            clients: 4,
+            ..WorkloadSpec::default()
+        };
+        let cfg = ShardConfig {
+            groups: 2,
+            workload,
+            ..ShardConfig::default()
+        };
+        let mut runner = ShardRunner::new(cfg, Vec::new(), raft_factory(Timing::lan()));
+        runner.run_until(SimTime::from_secs(8));
+        let busy = runner.metrics().per_group_completed.keys().next().copied();
+        let busy = GroupId(busy.expect("some op completed"));
+        // A linearizable read answered at floor 0 falls below the writes
+        // completed in its own group, and below nothing in an idle one.
+        let floor = ClientOutcome::ReadOk {
+            scope: LogScope::Global,
+            commit_floor: LogIndex::ZERO,
+        };
+        let safety = &mut runner.driver.safety;
+        let mut reader = ClientLane::new(SessionId::client(1_000));
+        for (group, violations) in [(busy, 1), (GroupId(99), 1)] {
+            let lin = ClientOp::Read(Consistency::Linearizable);
+            let seq = reader.issue(group, lin, safety).seq;
+            reader.settle(group, seq, &floor, LogScope::Global, safety);
+            assert_eq!(safety.lin_violations().len(), violations, "{group}");
+        }
+    }
 
     #[test]
     fn wheel_keys_round_trip_through_decode() {

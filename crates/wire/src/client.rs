@@ -23,7 +23,9 @@
 //! registration) carry `seq`s 1, 2, 3, … with no gaps; its reads carry
 //! [`read_id`]s from a disjoint space and never consume a `seq`, so every
 //! write seq is eventually applied and the [`SessionSlot`] floor keeps up.
-//! Retries re-send the *same* `seq` or read id. C-Raft reuses the same
+//! Retries re-send the *same* `seq` or read id. The client side of these
+//! rules is kept once, in [`crate::ClientLane`], which every host's
+//! closed-loop clients use. C-Raft reuses the same
 //! machinery at its **global** level: batch items carry their originating
 //! `(session, seq)`, and the global log applies batches item-wise through
 //! its own table — so a write whose item lands in two batches (a successor

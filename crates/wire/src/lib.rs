@@ -16,8 +16,9 @@
 //!   nodes through, and the [`SafetyChecker`] it feeds every commit to
 //!   (Definition 2.1, plus client-level linearizability);
 //! - the typed client contract: [`ClientRequest`] (sessioned writes and
-//!   reads with a [`Consistency`] level), [`ClientOutcome`], and the
-//!   exactly-once [`SessionTable`] carried inside snapshots;
+//!   reads with a [`Consistency`] level), [`ClientOutcome`], the
+//!   exactly-once [`SessionTable`] carried inside snapshots, and the
+//!   [`ClientLane`] every host keeps a client session's side of it in;
 //! - a compact binary codec ([`Wire`], [`Encoder`], [`Decoder`]) used for
 //!   exact bandwidth accounting and verified by roundtrip property tests.
 //!
@@ -42,6 +43,7 @@ mod driver;
 mod entry;
 mod envelope;
 mod ids;
+mod lane;
 mod lease;
 mod log;
 mod quorum;
@@ -66,6 +68,7 @@ pub use driver::{Driver, Slot};
 pub use entry::{Approval, Batch, BatchItem, EntryList, GlobalState, LogEntry, Payload};
 pub use envelope::{GroupFrame, ShardEnvelope};
 pub use ids::{ClusterId, EntryId, GroupId, LogIndex, NodeId, Term};
+pub use lane::{ClientLane, Settled};
 pub use lease::{LeaseState, VoteHold};
 pub use log::{SparseLog, MAX_INSERT_WINDOW};
 pub use quorum::{

@@ -24,18 +24,23 @@
 //!
 //! The linearizability check works on real-time order at the client
 //! boundary: when a `Linearizable` read is **first submitted**, the checker
-//! snapshots, per scope, the highest commit index of any *completed* write
-//! and the highest floor of any *completed* linearizable read. When the
-//! read completes, its returned commit floor must be at least that
-//! snapshot — a linearizable read may never answer from a point before an
-//! operation that finished before the read began.
+//! snapshots, per scope of the read's group, the highest commit index of
+//! any *completed* write and the highest floor of any *completed*
+//! linearizable read in that group. When the read completes, its returned
+//! commit floor must be at least that snapshot — a linearizable read may
+//! never answer from a point before an operation on its log that finished
+//! before the read began. Groups are independent logs, so one group's
+//! indices never bound another's reads. The client side of this — which
+//! read is first submitted, which answer completes an op — is
+//! [`crate::ClientLane`]'s, the one caller of these hooks.
 
 use std::collections::VecDeque;
 
 use des::IdMap;
 
 use crate::{
-    ClientOp, ClientOutcome, Consistency, EntryId, GroupId, LogIndex, LogScope, NodeId, SessionId,
+    ClientOp, ClientOutcome, ClientRequest, Consistency, EntryId, GroupId, LogIndex, LogScope,
+    NodeId, SessionId,
 };
 
 /// A detected violation of the safety property.
@@ -138,12 +143,12 @@ pub struct SafetyChecker {
     violations: Vec<SafetyViolation>,
     domain_of: Option<Box<dyn Fn(NodeId) -> u64 + Send>>,
     commits_seen: u64,
-    /// Per scope (at `scope as usize`): the highest index any *completed*
-    /// operation (write commit or linearizable-read floor) is known to have
-    /// reached.
-    completed_bound: [LogIndex; 2],
-    /// In-flight linearizable reads: the per-scope bounds as they stood at
-    /// first submission.
+    /// Per group, per scope (at `scope as usize`): the highest index any
+    /// *completed* operation (write commit or linearizable-read floor) on
+    /// that group's logs is known to have reached.
+    completed_bound: IdMap<GroupId, [LogIndex; 2]>,
+    /// In-flight linearizable reads: their group's per-scope bounds as they
+    /// stood at first submission.
     read_bounds: IdMap<(SessionId, u64), [LogIndex; 2]>,
     lin_violations: Vec<LinViolation>,
     reads_checked: u64,
@@ -261,28 +266,31 @@ impl SafetyChecker {
     // Client-level linearizability checking
     // ------------------------------------------------------------------
 
-    /// Records a client write completing with its application index: later
-    /// linearizable reads must not answer from before it.
-    pub fn write_completed(&mut self, scope: LogScope, index: LogIndex) {
-        let bound = &mut self.completed_bound[scope as usize];
+    /// Records a client write completing in `group` with its application
+    /// index: later linearizable reads of that group must not answer from
+    /// before it.
+    pub(crate) fn write_completed(&mut self, group: GroupId, scope: LogScope, index: LogIndex) {
+        let bound = &mut self.completed_bound.entry(group).or_default()[scope as usize];
         *bound = (*bound).max(index);
     }
 
-    /// Records a linearizable read being **first submitted**: snapshots the
-    /// current per-scope bounds the eventual answer must respect.
-    /// Idempotent for retries of the same `(session, seq)` — the
-    /// linearization window opens at the first invocation.
-    pub fn read_started(&mut self, session: SessionId, seq: u64) {
-        let bounds = self.completed_bound;
+    /// Records a linearizable read of `group` being **first submitted**:
+    /// snapshots the group's current per-scope bounds the eventual answer
+    /// must respect. Idempotent for retries of the same `(session, seq)` —
+    /// the linearization window opens at the first invocation.
+    pub(crate) fn read_started(&mut self, group: GroupId, session: SessionId, seq: u64) {
+        let bounds = self.completed_bound.get(&group).copied();
+        let bounds = bounds.unwrap_or_default();
         self.read_bounds.entry((session, seq)).or_insert(bounds);
     }
 
-    /// Records a linearizable read completing with its answered floor,
-    /// checking it against the bound snapshotted at submission and folding
-    /// it into the bound for subsequent reads (reads must also be monotone
-    /// among themselves in real time).
-    pub fn read_completed(
+    /// Records a linearizable read of `group` completing with its answered
+    /// floor, checking it against the bound snapshotted at submission and
+    /// folding it into the group's bound for subsequent reads (reads must
+    /// also be monotone among themselves in real time).
+    pub(crate) fn read_completed(
         &mut self,
+        group: GroupId,
         session: SessionId,
         seq: u64,
         scope: LogScope,
@@ -302,35 +310,34 @@ impl SafetyChecker {
         }
         // This read's floor becomes part of the bound: a later read must
         // not observe less.
-        let bound = &mut self.completed_bound[scope as usize];
-        *bound = (*bound).max(floor);
+        self.write_completed(group, scope, floor);
     }
 
-    /// Folds a client op's `outcome` into the bounds above: a write's
-    /// acknowledged index (a suppressed duplicate's first index, when
-    /// known) completes a write in `ack_scope`, and the answer to a
+    /// Folds a client op's `outcome` from `group` into the bounds above: a
+    /// write's acknowledged index (a suppressed duplicate's first index,
+    /// when known) completes a write in `ack_scope`, and the answer to a
     /// linearizable read is checked as [`SafetyChecker::read_completed`].
     /// Other outcomes carry no index and change nothing.
-    pub fn op_completed(
+    pub(crate) fn op_completed(
         &mut self,
+        group: GroupId,
         ack_scope: LogScope,
-        session: SessionId,
-        seq: u64,
-        op: &ClientOp,
+        request: &ClientRequest,
         outcome: &ClientOutcome,
     ) {
+        let ClientRequest { session, seq, op } = request;
         match *outcome {
             ClientOutcome::Committed { index }
             | ClientOutcome::Duplicate { first_index: index }
                 if !index.is_zero() =>
             {
-                self.write_completed(ack_scope, index)
+                self.write_completed(group, ack_scope, index)
             }
             ClientOutcome::ReadOk {
                 scope,
                 commit_floor,
             } if matches!(op, ClientOp::Read(Consistency::Linearizable)) => {
-                self.read_completed(session, seq, scope, commit_floor);
+                self.read_completed(group, *session, *seq, scope, commit_floor);
             }
             _ => {}
         }
@@ -381,6 +388,7 @@ impl SafetyChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::read_id;
 
     const G0: GroupId = GroupId(0);
 
@@ -607,9 +615,9 @@ mod tests {
     fn linearizable_read_below_completed_write_is_flagged() {
         let mut c = SafetyChecker::new();
         let s = SessionId::client(1);
-        c.write_completed(LogScope::Global, LogIndex(10));
-        c.read_started(s, 1);
-        c.read_completed(s, 1, LogScope::Global, LogIndex(9));
+        c.write_completed(G0, LogScope::Global, LogIndex(10));
+        c.read_started(G0, s, 1);
+        c.read_completed(G0, s, 1, LogScope::Global, LogIndex(9));
         assert!(!c.is_ok());
         assert_eq!(c.lin_violations().len(), 1);
         assert_eq!(c.lin_violations()[0].bound, LogIndex(10));
@@ -622,12 +630,12 @@ mod tests {
     fn linearizable_read_at_or_above_bound_passes() {
         let mut c = SafetyChecker::new();
         let s = SessionId::client(1);
-        c.write_completed(LogScope::Global, LogIndex(10));
-        c.read_started(s, 1);
+        c.write_completed(G0, LogScope::Global, LogIndex(10));
+        c.read_started(G0, s, 1);
         // A write completing *after* the read started does not raise the
         // read's bound (real-time order permits either answer).
-        c.write_completed(LogScope::Global, LogIndex(50));
-        c.read_completed(s, 1, LogScope::Global, LogIndex(10));
+        c.write_completed(G0, LogScope::Global, LogIndex(50));
+        c.read_completed(G0, s, 1, LogScope::Global, LogIndex(10));
         assert!(c.is_ok());
         assert_eq!(c.reads_checked(), 1);
         c.assert_ok();
@@ -638,11 +646,11 @@ mod tests {
         let mut c = SafetyChecker::new();
         let a = SessionId::client(1);
         let b = SessionId::client(2);
-        c.read_started(a, 1);
-        c.read_completed(a, 1, LogScope::Global, LogIndex(30));
+        c.read_started(G0, a, 1);
+        c.read_completed(G0, a, 1, LogScope::Global, LogIndex(30));
         // A read starting after a completed read must not see less.
-        c.read_started(b, 1);
-        c.read_completed(b, 1, LogScope::Global, LogIndex(29));
+        c.read_started(G0, b, 1);
+        c.read_completed(G0, b, 1, LogScope::Global, LogIndex(29));
         assert!(!c.is_ok());
     }
 
@@ -651,9 +659,9 @@ mod tests {
     fn assert_ok_panics_on_lin_violation() {
         let mut c = SafetyChecker::new();
         let s = SessionId::client(1);
-        c.write_completed(LogScope::Global, LogIndex(5));
-        c.read_started(s, 1);
-        c.read_completed(s, 1, LogScope::Global, LogIndex(1));
+        c.write_completed(G0, LogScope::Global, LogIndex(5));
+        c.read_started(G0, s, 1);
+        c.read_completed(G0, s, 1, LogScope::Global, LogIndex(1));
         c.assert_ok();
     }
 
@@ -661,10 +669,10 @@ mod tests {
     fn scopes_bound_independently() {
         let mut c = SafetyChecker::new();
         let s = SessionId::client(1);
-        c.write_completed(LogScope::Local, LogIndex(40));
-        c.read_started(s, 1);
+        c.write_completed(G0, LogScope::Local, LogIndex(40));
+        c.read_started(G0, s, 1);
         // A Global-scope answer is not bounded by Local-scope completions.
-        c.read_completed(s, 1, LogScope::Global, LogIndex(2));
+        c.read_completed(G0, s, 1, LogScope::Global, LogIndex(2));
         assert!(c.is_ok());
     }
 
@@ -707,35 +715,56 @@ mod tests {
     fn op_completed_maps_outcomes_to_bounds() {
         let mut c = SafetyChecker::new();
         let s = SessionId::client(1);
-        let write = ClientOp::Write(bytes::Bytes::from_static(b"w"));
-        let lin = ClientOp::Read(Consistency::Linearizable);
+        let write = |seq| ClientRequest::write(s, seq, bytes::Bytes::from_static(b"w"));
+        let read = |seq, level| ClientRequest {
+            session: s,
+            seq,
+            op: ClientOp::Read(level),
+        };
         let unknown = ClientOutcome::Duplicate {
             first_index: LogIndex::ZERO,
         };
-        c.op_completed(LogScope::Global, s, 1, &write, &unknown);
-        c.read_started(s, 9);
-        c.read_completed(s, 9, LogScope::Global, LogIndex::ZERO);
+        c.op_completed(G0, LogScope::Global, &write(1), &unknown);
+        c.read_started(G0, s, 9);
+        c.read_completed(G0, s, 9, LogScope::Global, LogIndex::ZERO);
         assert!(c.is_ok(), "a duplicate of unknown index raises no bound");
         let dup = ClientOutcome::Duplicate {
             first_index: LogIndex(7),
         };
-        c.op_completed(LogScope::Global, s, 2, &write, &dup);
+        c.op_completed(G0, LogScope::Global, &write(2), &dup);
         let stale = ClientOutcome::ReadOk {
             scope: LogScope::Global,
             commit_floor: LogIndex(6),
         };
-        c.read_started(s, 10);
-        c.op_completed(
-            LogScope::Global,
-            s,
-            10,
-            &ClientOp::Read(Consistency::StaleLocal),
-            &stale,
-        );
+        c.read_started(G0, s, 10);
+        let stale_read = read(10, Consistency::StaleLocal);
+        c.op_completed(G0, LogScope::Global, &stale_read, &stale);
         assert!(c.is_ok(), "only linearizable reads are checked");
-        c.read_started(s, 11);
-        c.op_completed(LogScope::Global, s, 11, &lin, &stale);
+        c.read_started(G0, s, 11);
+        let lin_read = read(11, Consistency::Linearizable);
+        c.op_completed(G0, LogScope::Global, &lin_read, &stale);
         assert_eq!(c.lin_violations().len(), 1);
         assert_eq!(c.lin_violations()[0].bound, LogIndex(7));
+    }
+
+    #[test]
+    fn groups_bound_linearizable_reads_independently() {
+        let s = SessionId::client(1);
+        let lin = |c: &mut SafetyChecker, group| {
+            c.read_started(group, s, read_id(1));
+            c.read_completed(group, s, read_id(1), LogScope::Global, LogIndex(5));
+        };
+        // A write completed at index 100 of group 1 does not bound a read
+        // of group 2: the two logs are independent.
+        let mut c = SafetyChecker::new();
+        c.write_completed(GroupId(1), LogScope::Global, LogIndex(100));
+        lin(&mut c, GroupId(2));
+        assert!(c.is_ok(), "{:?}", c.lin_violations());
+        // The same pair in one group is a violation.
+        let mut c = SafetyChecker::new();
+        c.write_completed(GroupId(1), LogScope::Global, LogIndex(100));
+        lin(&mut c, GroupId(1));
+        let v = &c.lin_violations()[0];
+        assert_eq!((v.floor, v.bound), (LogIndex(5), LogIndex(100)));
     }
 }

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Line ceiling for the two protocol crates: prints the non-comment, non-blank
-# line count of crates/raft/src + crates/core/src and fails above CEILING.
+# library line count of crates/raft/src + crates/core/src (each file cut at
+# its first `#[cfg(test)]`, like the other three ceilings) and fails above
+# CEILING.
 #
 # PR 21 moved what classic Raft and Fast Raft both carry onto one
 # `raft::replica::Replica` (6,981 lines before it); the ceiling is the count
@@ -54,10 +56,16 @@
 # `OutOp` (second op id, unread attempt count, seq, group, data), per-group
 # seq map and request building; and the explorer's `Pending` and lane
 # counters. That set EMBED_CEILING to 2,371.
+#
+# CEILING used to count the in-file `#[cfg(test)]` modules of raft and core
+# too, so a unit test added in `src` ate the budget and deleting one made
+# room for library code. It now counts library lines only, like the other
+# three; restated with no code change, the same code's 6,711 lines (tests
+# included) are 5,900 library lines.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-CEILING=6711
+CEILING=5900
 DES_CEILING=652
 EMBED_CEILING=2371
 LOG_CEILING=653
@@ -71,17 +79,17 @@ EMBED_FILES=(
     crates/wire/src/lane.rs
 )
 
+library_lines() { # <file>...: non-comment, non-blank lines above each #[cfg(test)]
+    for f in "$@"; do sed '/^#\[cfg(test)\]/,$d' "$f"; done | grep -v '^\s*//' | grep -vc '^\s*$'
+}
+
 status=0
-lines=$(find crates/raft/src crates/core/src -name '*.rs' | xargs cat | grep -v '^\s*//' | grep -vc '^\s*$')
-echo "crates/raft/src + crates/core/src: $lines non-comment, non-blank lines (ceiling $CEILING)"
+lines=$(library_lines $(find crates/raft/src crates/core/src -name '*.rs' | sort))
+echo "crates/raft/src + crates/core/src: $lines non-comment, non-blank, non-test lines (ceiling $CEILING)"
 if ((lines > CEILING)); then
     echo "line ceiling exceeded by $((lines - CEILING))" >&2
     status=1
 fi
-
-library_lines() { # <file>...: non-comment, non-blank lines above each #[cfg(test)]
-    for f in "$@"; do sed '/^#\[cfg(test)\]/,$d' "$f"; done | grep -v '^\s*//' | grep -vc '^\s*$'
-}
 
 des=$(library_lines crates/des/src/*.rs)
 echo "crates/des/src: $des non-comment, non-blank, non-test lines (ceiling $DES_CEILING)"

@@ -62,12 +62,21 @@
 # room for library code. It now counts library lines only, like the other
 # three; restated with no code change, the same code's 6,711 lines (tests
 # included) are 5,900 library lines.
+#
+# Classic Raft and Fast Raft then shared one client gateway
+# (crates/raft/src/replica/gateway.rs): one table of in-flight writes on
+# `Replica` in place of `RaftNode::pending`, `FastRaftEngine::client_pending`
+# and `Replica::client_writes`, and one door, commit-time answer, relayed-
+# outcome step and post-install sweep in place of each engine's copy. That
+# set CEILING to 5,838. The shard fabric's `safety()` accessor, which lets
+# callers see its linearizability violations, raised EMBED_CEILING by its
+# own 3 lines, to 2,374.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-CEILING=5900
+CEILING=5838
 DES_CEILING=652
-EMBED_CEILING=2371
+EMBED_CEILING=2374
 LOG_CEILING=653
 EMBED_FILES=(
     crates/harness/src/runner.rs

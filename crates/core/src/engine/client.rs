@@ -28,95 +28,50 @@ impl FastRaftEngine {
                     self.register_read(session, seq, self.core.id, gate, out);
                 }
             }
-            ClientOp::Register => {
-                // Server-assigned id on request: derived from this gateway's
-                // node id and proposal counter, so concurrent registrations
-                // at different gateways cannot collide. A *retry* of an
-                // unassigned registration may open a second (unused)
-                // session; the TTL reclaims it.
-                let session = if session.is_unassigned() {
-                    SessionId::assigned(self.core.id, self.core.ids.next_seq())
-                } else {
-                    session
+            // Gateway door for a session write or an explicit session
+            // registration (see [`Replica::client_door`]). A committed
+            // [`Payload::Register`] consumes seq 1 of the session, so a
+            // later eviction can never leave a re-appliable *data* write at
+            // the session's boundary (see [`ClientOp::Register`]). Unlike
+            // classic Raft's leader-only door, the registration entry
+            // travels the normal proposal path ([`FastRaftMessage::ProposeAt`]
+            // forwards whole entries), so any gateway can register.
+            op => {
+                let (session, seq) = self.core.write_key(session, seq, &op);
+                let verdict = match self.core.client_door(session, seq, &op, out) {
+                    // In flight only while its proposal is live here: a
+                    // `ProposeReply { committed }` settles the proposal
+                    // before this gateway applies the commit, and a retry in
+                    // that window is re-proposed under a fresh id.
+                    Door::InFlight(id) if !self.pending_proposals.contains_key(&id) => {
+                        self.core.expiry_door(session, seq, &op, out)
+                    }
+                    verdict => verdict,
                 };
-                self.client_write(session, 1, op, gate, out)
+                match verdict {
+                    Door::Answer(outcome) => {
+                        self.respond_client(self.core.id, session, seq, outcome, out)
+                    }
+                    // The proposal-retry machinery keeps pushing it; just
+                    // make sure the timer is armed.
+                    Door::InFlight(_) => out.set_timer(
+                        self.timers.map(TimerKind::ProposalRetry),
+                        self.core.timing.proposal_timeout,
+                    ),
+                    Door::Admitted(id) => {
+                        let payload = match op {
+                            ClientOp::Write(data) => Payload::Write { session, seq, data },
+                            _ => Payload::Register { session },
+                        };
+                        self.propose(id, payload, gate, out);
+                    }
+                }
             }
-            ClientOp::Write(_) => self.client_write(session, seq, op, gate, out),
         }
     }
 
-    /// Gateway door for a session write or an explicit session registration
-    /// (`op`). A committed [`Payload::Register`] consumes seq 1 of the
-    /// session, so a later eviction can never leave a re-appliable *data*
-    /// write at the session's boundary (see [`ClientOp::Register`]). Unlike
-    /// classic Raft's leader-only door, the registration entry travels the
-    /// normal proposal path ([`FastRaftMessage::ProposeAt`] forwards whole
-    /// entries), so any gateway can register.
-    fn client_write(
-        &mut self,
-        session: SessionId,
-        seq: u64,
-        op: ClientOp,
-        gate: &mut dyn InsertGate,
-        out: &mut Actions<FastRaftMessage>,
-    ) {
-        let register = matches!(op, ClientOp::Register);
-        // Applied already? Answer without proposing (retry-safe).
-        if let Some(first_index) = self.core.applied.sessions().duplicate_of(session, seq) {
-            let outcome = replica::covered_outcome(register, session, first_index);
-            self.respond_client(self.core.id, session, seq, outcome, out);
-            return;
-        }
-        if let Some(id) = self.core.client_writes.get(&(session, seq)) {
-            if self.pending_proposals.contains_key(id) {
-                // Already in flight: the proposal-retry machinery keeps
-                // pushing it; just make sure the timer is armed.
-                out.set_timer(
-                    self.timers.map(TimerKind::ProposalRetry),
-                    self.core.timing.proposal_timeout,
-                );
-                return;
-            }
-        }
-        // Stale write from an expired (evicted) session: terminal refusal
-        // only when this gateway happens to be the leader with a provably
-        // current applied table (see `applied_session_state_current`) — on
-        // any other gateway the table may simply lag the commit sequence
-        // and "expired" can be a false positive for a live session. Those
-        // fall through: the op is placed and routed onward, and the leader
-        // door or the authoritative apply-time check rules, relayed back
-        // through the normal ClientReply path. Registrations have no such
-        // door: re-registering an evicted session is harmless by
-        // construction — the registration carries no value, so re-applying
-        // it merely re-opens an empty dedup window.
-        if !register
-            && self.core.applied.is_expired_retry(session, seq)
-            && self.core.applied_session_state_current()
-        {
-            self.respond_client(
-                self.core.id,
-                session,
-                seq,
-                ClientOutcome::SessionExpired,
-                out,
-            );
-            return;
-        }
-        let payload = match &op {
-            ClientOp::Write(data) => Payload::Write {
-                session,
-                seq,
-                data: data.clone(),
-            },
-            _ => Payload::Register { session },
-        };
-        self.client_pending.insert((session, seq), op);
-        let id = self.propose_payload(payload, gate, out);
-        self.core.client_writes.insert((session, seq), id);
-    }
-
-    /// Answers a client request (see [`Replica::respond_client`]); a request
-    /// answered at its own gateway leaves the gateway and proposer tables.
+    /// Answers a client request (see [`Replica::respond_client`]); a write
+    /// answered at its own gateway leaves the proposer table too.
     pub(super) fn respond_client(
         &mut self,
         to: NodeId,
@@ -127,48 +82,6 @@ impl FastRaftEngine {
     ) {
         if let Some(id) = self.core.respond_client(to, session, seq, outcome, out) {
             self.pending_proposals.remove(&id);
-        }
-        if to == self.core.id {
-            self.client_pending.remove(&(session, seq));
-        }
-    }
-
-    /// Gateway handling of a typed outcome arriving from another node.
-    pub(super) fn on_client_reply(
-        &mut self,
-        session: SessionId,
-        seq: u64,
-        outcome: ClientOutcome,
-        out: &mut Actions<FastRaftMessage>,
-    ) {
-        // A redirected write stays pending: the proposal machinery keeps
-        // retrying it (broadcast mode needs no hint at all).
-        if self.core.absorbs_redirect(session, seq, &outcome) {
-            return;
-        }
-        // The wire reply carries no op kind; the gateway knows it locally.
-        // A remote door answering a registration's (session, 1) with a
-        // commit/duplicate verdict is reporting the registration applied —
-        // surface it as `Registered`.
-        let outcome = match (&outcome, self.client_pending.get(&(session, seq))) {
-            (ClientOutcome::Committed { index }, Some(ClientOp::Register)) => {
-                ClientOutcome::Registered {
-                    session,
-                    index: *index,
-                }
-            }
-            (ClientOutcome::Duplicate { first_index }, Some(ClientOp::Register)) => {
-                ClientOutcome::Registered {
-                    session,
-                    index: *first_index,
-                }
-            }
-            _ => outcome,
-        };
-        if self.client_pending.contains_key(&(session, seq))
-            || self.core.reads.is_local(session, seq)
-        {
-            self.respond_client(self.core.id, session, seq, outcome, out);
         }
     }
 

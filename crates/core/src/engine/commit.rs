@@ -70,28 +70,6 @@ impl FastRaftEngine {
                     self.finish_joining(out);
                 }
             }
-            Payload::Write { .. } | Payload::Register { .. } => {
-                let (session, seq) = entry
-                    .payload
-                    .session_key()
-                    .expect("write has a session key");
-                let register = matches!(entry.payload, Payload::Register { .. });
-                let outcome = self
-                    .core
-                    .applied
-                    .apply_client_write(session, seq, register, k, out);
-                if entry.id.proposer == self.core.id {
-                    self.pending_proposals.remove(&entry.id);
-                }
-                if self.client_pending.contains_key(&(session, seq)) {
-                    // The gateway observes its own commit: answer here.
-                    self.respond_client(self.core.id, session, seq, outcome, out);
-                } else if self.core.role == Role::Leader && entry.id.proposer != self.core.id {
-                    // Covers gateways lagging behind the commit (they
-                    // ignore non-pending replies).
-                    self.respond_client(entry.id.proposer, session, seq, outcome, out);
-                }
-            }
             Payload::Batch(b) => {
                 // Item-wise exactly-once apply: a value whose item landed in
                 // two batches (successor re-batching, a batch retry racing
@@ -116,11 +94,17 @@ impl FastRaftEngine {
                 }
                 self.notify_proposer(k, entry.id, out);
             }
-            Payload::Noop | Payload::GlobalState(_) => {
-                // Internal entries; GlobalState commits are consumed by the
-                // C-Raft layer through the Actions::commits channel.
+            Payload::Write { .. }
+            | Payload::Register { .. }
+            | Payload::Noop
+            | Payload::GlobalState(_) => {
+                // GlobalState commits are consumed by the C-Raft layer
+                // through the Actions::commits channel.
                 if entry.id.proposer == self.core.id {
                     self.pending_proposals.remove(&entry.id);
+                }
+                if let Some(id) = self.core.apply_client_entry(k, &entry, out) {
+                    self.pending_proposals.remove(&id);
                 }
             }
         }

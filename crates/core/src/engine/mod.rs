@@ -41,7 +41,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use des::{IdMap, SimRng, SimTime};
-use raft::replica::{self, Replica, Reply};
+use raft::replica::{Door, Replica, Reply};
 use raft::{Role, Timing};
 use storage::ScopeState;
 use wire::{
@@ -199,10 +199,6 @@ pub struct FastRaftEngine {
     /// one stall triggers at most one proactive no-op broadcast.
     last_proactive_repair: LogIndex,
 
-    // ---- gateway (client-facing) ----
-    /// In-flight client writes and registrations submitted at this node.
-    client_pending: BTreeMap<(SessionId, u64), ClientOp>,
-
     // ---- proposer ----
     pending_proposals: BTreeMap<EntryId, PendingProposal>,
 
@@ -304,7 +300,6 @@ impl FastRaftEngine {
             reconfig_queue: VecDeque::new(),
             stalled_ticks: 0,
             last_proactive_repair: LogIndex::ZERO,
-            client_pending: BTreeMap::new(),
             pending_proposals: BTreeMap::new(),
             join_contacts,
             silent_elections: 0,
@@ -620,7 +615,11 @@ impl FastRaftEngine {
                 session,
                 seq,
                 outcome,
-            } => self.on_client_reply(session, seq, outcome, out),
+            } => {
+                if let Some(id) = self.core.on_client_reply(session, seq, outcome, out) {
+                    self.pending_proposals.remove(&id);
+                }
+            }
             FastRaftMessage::RequestVote {
                 term,
                 candidate,
@@ -796,5 +795,53 @@ mod tests {
         );
         assert!(e.is_joining());
         assert!(e.config().is_empty());
+    }
+
+    /// A one-site `LeaderForward` leader commits a forwarded proposal inside
+    /// the step that proposes it. The gateway record is admitted before the
+    /// proposal leaves, so that commit answers it and clears it; a record
+    /// admitted afterwards would outlive its answer.
+    #[test]
+    fn inline_commit_answers_and_clears_the_gateway_record() {
+        let mut e = FastRaftEngine::new(
+            NodeId(0),
+            [NodeId(0)].into_iter().collect(),
+            LogScope::Global,
+            TimerProfile::Base,
+            Timing::lan(),
+            SimRng::seed_from_u64(1),
+        );
+        e.set_proposal_mode(ProposalMode::LeaderForward);
+        let gate = &mut crate::gate::ProceedGate;
+        let mut out = Actions::new();
+        e.bootstrap(&mut out);
+        e.on_timer(TimerKind::Election, gate, &mut out);
+        assert!(e.is_leader());
+        out.clear();
+        e.on_client_request(
+            ClientRequest::register(SessionId::UNASSIGNED),
+            gate,
+            &mut out,
+        );
+        let session = match out.observations.as_slice() {
+            [.., Observation::ClientResponse {
+                outcome: ClientOutcome::Registered { session, .. },
+                ..
+            }] => *session,
+            other => panic!("registration not answered inline: {other:?}"),
+        };
+        out.clear();
+        let data = bytes::Bytes::from_static(b"w");
+        e.on_client_request(ClientRequest::write(session, 2, data), gate, &mut out);
+        assert!(out.observations.iter().any(|o| matches!(
+            o,
+            Observation::ClientResponse {
+                seq: 2,
+                outcome: ClientOutcome::Committed { .. },
+                ..
+            }
+        )));
+        assert_eq!(e.core.gateway.len(), 0, "an answered write left a record");
+        assert_eq!(e.pending_proposals(), 0);
     }
 }

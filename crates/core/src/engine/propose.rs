@@ -16,6 +16,19 @@ impl FastRaftEngine {
         out: &mut Actions<FastRaftMessage>,
     ) -> EntryId {
         let id = self.core.ids.fresh_id(out);
+        self.propose(id, payload, gate, out);
+        id
+    }
+
+    /// Proposes `payload` under the freshly minted `id` and tracks it for
+    /// retry.
+    pub(super) fn propose(
+        &mut self,
+        id: EntryId,
+        payload: Payload,
+        gate: &mut dyn InsertGate,
+        out: &mut Actions<FastRaftMessage>,
+    ) {
         match self.proposal_mode {
             ProposalMode::Broadcast => {
                 let index = self.pick_proposal_index();
@@ -43,7 +56,6 @@ impl FastRaftEngine {
             self.timers.map(TimerKind::ProposalRetry),
             self.core.timing.proposal_timeout,
         );
-        id
     }
 
     /// Sends a leader-forwarded proposal (index ZERO = "leader assigns").

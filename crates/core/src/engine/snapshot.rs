@@ -45,17 +45,8 @@ impl FastRaftEngine {
         self.possible.release_through(last_index);
         // Gateway sweep: writes submitted here whose application the
         // install fast-forwarded past must still be answered.
-        for (session, seq, _, first_index) in self
-            .core
-            .applied
-            .sweep_client_pending(&self.core.client_writes)
-        {
-            let register = matches!(
-                self.client_pending.get(&(session, seq)),
-                Some(ClientOp::Register)
-            );
-            let outcome = replica::covered_outcome(register, session, first_index);
-            self.respond_client(self.core.id, session, seq, outcome, out);
+        for id in self.core.answer_covered_writes(out) {
+            self.pending_proposals.remove(&id);
         }
         self.retarget_lost_proposals(out);
         out.send(

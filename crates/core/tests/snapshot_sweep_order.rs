@@ -1,9 +1,9 @@
 //! The Fast Raft gateway's post-install sweep answers in `(session, seq)`
 //! order, never in `HashMap` iteration order (ARCHITECTURE.md
 //! "Invariants"). Twin of the classic-Raft case in
-//! `crates/raft/tests/replica_core.rs`; the collect-and-sort is shared
-//! (`raft::replica::Applied::sweep_client_pending`), the answering loop is
-//! per engine.
+//! `crates/raft/tests/replica_core.rs`; the sweep is shared
+//! (`raft::replica::Replica::answer_covered_writes`), and each engine only
+//! decides when to run it.
 
 use bytes::Bytes;
 use consensus_core::{FastRaftMessage, FastRaftNode};

@@ -17,18 +17,15 @@
 //! roughly one heartbeat period — the ~100 ms classic-Raft baseline of
 //! Fig. 3.
 
-use std::collections::BTreeMap;
-
-use bytes::Bytes;
 use des::{SimRng, SimTime};
 use storage::StableState;
 use wire::{
     Actions, ClientOp, ClientOutcome, ClientRequest, Configuration, ConsensusProtocol, EntryId,
-    EntryList, LogEntry, LogIndex, LogScope, NodeId, Observation, Payload, PersistCmd, SessionId,
+    EntryList, LogEntry, LogIndex, LogScope, NodeId, Observation, PersistCmd, SessionId,
     SessionTable, Snapshot, SparseLog, Term, TimerKind,
 };
 
-use crate::replica::{self, Replica, Reply};
+use crate::replica::{self, Door, Replica, Reply};
 use crate::{RaftMessage, Timing};
 
 /// The role a site currently plays (§III-A).
@@ -57,19 +54,6 @@ impl std::fmt::Display for NotLeader {
 
 impl std::error::Error for NotLeader {}
 
-/// A session-tagged client write traveling through the gateway's retry
-/// machinery until its commit is observed.
-#[derive(Clone, Debug)]
-struct PendingWrite {
-    session: SessionId,
-    seq: u64,
-    data: Bytes,
-    /// `true` for an explicit session registration ([`ClientOp::Register`]):
-    /// leader-only (the `Propose` wire message carries no op kind), so a
-    /// non-leader routing answers with a redirect instead of forwarding.
-    register: bool,
-}
-
 /// The `(election, heartbeat)` timer kinds a classic Raft site arms.
 const TIMERS: (TimerKind, TimerKind) = (TimerKind::Election, TimerKind::Heartbeat);
 
@@ -77,11 +61,8 @@ const TIMERS: (TimerKind, TimerKind) = (TimerKind::Election, TimerKind::Heartbea
 #[derive(Debug)]
 pub struct RaftNode {
     /// Everything a Raft-family engine carries: term, vote, log, applied
-    /// image, role, configuration, replication cursors, read path.
+    /// image, role, configuration, replication cursors, the gateway.
     core: Replica,
-    /// In-flight session writes submitted at this node, by proposal id (the
-    /// gateway's retry table).
-    pending: BTreeMap<EntryId, PendingWrite>,
 }
 
 impl RaftNode {
@@ -101,7 +82,6 @@ impl RaftNode {
         );
         RaftNode {
             core: Replica::new(id, LogScope::Global, bootstrap, TIMERS, timing, rng),
-            pending: BTreeMap::new(),
         }
     }
 
@@ -163,7 +143,7 @@ impl RaftNode {
 
     /// Number of proposals issued here and not yet known committed.
     pub fn pending_proposals(&self) -> usize {
-        self.pending.len()
+        self.core.gateway.len()
     }
 
     /// The per-session exactly-once dedup table (applied state).
@@ -347,7 +327,7 @@ impl RaftNode {
                         members: entry.as_config().map(Configuration::len).unwrap_or(0),
                     });
                 }
-                self.apply_committed_entry(k, &entry, out);
+                self.core.apply_client_entry(k, &entry, out);
                 self.core.applied.evict_idle_sessions(k, out);
                 out.commit(LogScope::Global, k, entry);
             }
@@ -358,71 +338,26 @@ impl RaftNode {
         self.core.maybe_compact(out);
     }
 
-    /// Applies one committed entry to the (simulated) state machine: the
-    /// session table for writes, plus proposer/gateway notifications.
-    fn apply_committed_entry(
-        &mut self,
-        index: LogIndex,
-        entry: &LogEntry,
-        out: &mut Actions<RaftMessage>,
-    ) {
-        if entry.id.proposer == self.core.id {
-            self.pending.remove(&entry.id);
-        }
-        let Some((session, seq)) = entry.payload.session_key() else {
-            return;
-        };
-        let register = matches!(entry.payload, Payload::Register { .. });
-        let outcome = self
-            .core
-            .applied
-            .apply_client_write(session, seq, register, index, out);
-        if self.core.client_writes.contains_key(&(session, seq)) {
-            // The gateway observes its own commit: answer the client here.
-            self.respond_client(self.core.id, session, seq, outcome, out);
-        } else if self.core.role == Role::Leader && entry.id.proposer != self.core.id {
-            // "The leader then notifies the proposer" — covers gateways that
-            // lag behind the commit (they ignore non-pending replies).
-            self.respond_client(entry.id.proposer, session, seq, outcome, out);
-        }
-    }
-
-    /// Answers a client request (see [`Replica::respond_client`]); a write
-    /// answered at its own gateway leaves the retry table.
-    fn respond_client(
-        &mut self,
-        to: NodeId,
-        session: SessionId,
-        seq: u64,
-        outcome: ClientOutcome,
-        out: &mut Actions<RaftMessage>,
-    ) {
-        if let Some(id) = self.core.respond_client(to, session, seq, outcome, out) {
-            self.pending.remove(&id);
-        }
-    }
-
     /// Leader door for a session write or an explicit session registration
     /// (the committed [`Payload::Register`] consumes seq 1 of the session, so
     /// a later eviction can never leave a re-appliable *data* write at the
     /// session's boundary; see [`ClientOp::Register`]). Non-leaders redirect.
-    #[allow(clippy::too_many_arguments)]
     fn on_propose(
         &mut self,
         from: NodeId,
         id: EntryId,
         session: SessionId,
         seq: u64,
-        data: Bytes,
-        register: bool,
+        op: ClientOp,
         out: &mut Actions<RaftMessage>,
     ) {
+        let register = matches!(op, ClientOp::Register);
         if self.core.role != Role::Leader {
             if from != self.core.id {
                 let outcome = ClientOutcome::Redirect {
                     leader_hint: self.core.leader_hint,
                 };
-                self.respond_client(from, session, seq, outcome, out);
+                self.core.respond_client(from, session, seq, outcome, out);
             }
             return;
         }
@@ -432,7 +367,7 @@ impl RaftNode {
         // For a registration this is the idempotent re-register.
         if let Some(first_index) = self.core.applied.sessions().duplicate_of(session, seq) {
             let outcome = replica::covered_outcome(register, session, first_index);
-            self.respond_client(from, session, seq, outcome, out);
+            self.core.respond_client(from, session, seq, outcome, out);
             return;
         }
         if self.core.id_index.contains_key(&id) {
@@ -462,16 +397,17 @@ impl RaftNode {
             } else {
                 ClientOutcome::Retry
             };
-            self.respond_client(from, session, seq, outcome, out);
+            self.core.respond_client(from, session, seq, outcome, out);
             return;
         }
         // In-flight duplicate under a *different* proposal id (the gateway
         // restarted and re-submitted the same session seq): let it through —
         // apply-time dedup keeps the second commit a no-op.
-        let entry = if register {
-            LogEntry::register(self.core.current_term, id, session)
-        } else {
-            LogEntry::write(self.core.current_term, id, session, seq, data)
+        let entry = match op {
+            ClientOp::Write(data) => {
+                LogEntry::write(self.core.current_term, id, session, seq, data)
+            }
+            _ => LogEntry::register(self.core.current_term, id, session),
         };
         self.leader_append(entry, out);
         // Dispatch stays heartbeat-gated; the entry travels on the next tick.
@@ -495,7 +431,8 @@ impl RaftNode {
         // predecessor until the no-op of its own term commits (Raft §8):
         // until then the floor must not be served.
         if self.core.log.term_at(self.core.commit_index) != self.core.current_term {
-            self.respond_client(reply_to, session, seq, ClientOutcome::Retry, out);
+            self.core
+                .respond_client(reply_to, session, seq, ClientOutcome::Retry, out);
             return;
         }
         if self.core.register_read(session, seq, reply_to, out) {
@@ -615,15 +552,7 @@ impl RaftNode {
         }
         // Gateway sweep: writes submitted here whose application the
         // install fast-forwarded past must still be answered.
-        for (session, seq, id, first_index) in self
-            .core
-            .applied
-            .sweep_client_pending(&self.core.client_writes)
-        {
-            let register = self.pending.get(&id).is_some_and(|w| w.register);
-            let outcome = replica::covered_outcome(register, session, first_index);
-            self.respond_client(self.core.id, session, seq, outcome, out);
-        }
+        self.core.answer_covered_writes(out);
         out.send(
             from,
             RaftMessage::InstallSnapshotReply {
@@ -661,17 +590,13 @@ impl RaftNode {
         );
     }
 
+    /// Re-routes every write in flight here, in proposal-id order.
     fn resend_pending(&mut self, out: &mut Actions<RaftMessage>) {
-        if self.pending.is_empty() {
+        if self.core.gateway.is_empty() {
             return;
         }
-        let proposals: Vec<(EntryId, PendingWrite)> = self
-            .pending
-            .iter()
-            .map(|(id, w)| (*id, w.clone()))
-            .collect();
-        for (id, w) in proposals {
-            self.route_write(id, w, out);
+        for (id, session, seq, op) in self.core.gateway.by_id() {
+            self.route_write(id, session, seq, op, out);
         }
         out.set_timer(TimerKind::ProposalRetry, self.core.timing.proposal_timeout);
     }
@@ -679,105 +604,39 @@ impl RaftNode {
     /// Routes an in-flight session write: straight into the log at the
     /// leader, to the hinted leader otherwise, to every peer when no hint
     /// exists (non-leaders answer with a redirect).
-    fn route_write(&mut self, id: EntryId, w: PendingWrite, out: &mut Actions<RaftMessage>) {
+    fn route_write(
+        &mut self,
+        id: EntryId,
+        session: SessionId,
+        seq: u64,
+        op: ClientOp,
+        out: &mut Actions<RaftMessage>,
+    ) {
         if self.core.role == Role::Leader {
-            self.on_propose(self.core.id, id, w.session, w.seq, w.data, w.register, out);
+            self.on_propose(self.core.id, id, session, seq, op, out);
             return;
         }
-        if w.register {
+        let ClientOp::Write(data) = op else {
             // Registration is leader-only: the Propose message carries no op
             // kind, so a non-leader gateway surfaces a redirect and the
             // client re-targets the hinted leader itself.
             let outcome = ClientOutcome::Redirect {
                 leader_hint: self.core.leader_hint,
             };
-            self.respond_client(self.core.id, w.session, w.seq, outcome, out);
+            self.core
+                .respond_client(self.core.id, session, seq, outcome, out);
             return;
-        }
+        };
         let msg = RaftMessage::Propose {
             id,
-            session: w.session,
-            seq: w.seq,
-            data: w.data,
+            session,
+            seq,
+            data,
         };
         if let Some(leader) = self.core.leader_hint {
             out.send(leader, msg);
         } else {
             out.send_many(self.core.config.peers(self.core.id), msg);
-        }
-    }
-
-    /// Gateway door for a session write (or, with `register`, an explicit
-    /// session registration, which consumes seq 1): answer from applied
-    /// state when possible, otherwise place it in the retry machinery.
-    fn submit_write(
-        &mut self,
-        session: SessionId,
-        seq: u64,
-        data: Bytes,
-        register: bool,
-        out: &mut Actions<RaftMessage>,
-    ) {
-        // Applied already? Answer without proposing (retry-safe).
-        if let Some(first_index) = self.core.applied.sessions().duplicate_of(session, seq) {
-            let outcome = replica::covered_outcome(register, session, first_index);
-            self.respond_client(self.core.id, session, seq, outcome, out);
-            return;
-        }
-        if self.core.client_writes.contains_key(&(session, seq)) {
-            // Already in flight: the retry timer keeps pushing it.
-            out.set_timer(TimerKind::ProposalRetry, self.core.timing.proposal_timeout);
-            return;
-        }
-        // Stale write from an expired session: the terminal refusal is only
-        // exact when this gateway happens to be the leader with a provably
-        // current applied table (see `on_propose`). Any other gateway's
-        // table may simply lag the commit sequence, so it must not refuse —
-        // the write is placed and routed to the leader, whose door (or the
-        // authoritative apply-time check) rules, relayed back via
-        // ClientReply. Registrations have no such door: re-registering an
-        // evicted session merely re-opens an empty dedup window.
-        if !register
-            && self.core.applied.is_expired_retry(session, seq)
-            && self.core.applied_session_state_current()
-        {
-            self.respond_client(
-                self.core.id,
-                session,
-                seq,
-                ClientOutcome::SessionExpired,
-                out,
-            );
-            return;
-        }
-        let id = self.core.ids.fresh_id(out);
-        let w = PendingWrite {
-            session,
-            seq,
-            data,
-            register,
-        };
-        self.pending.insert(id, w.clone());
-        self.core.client_writes.insert((session, seq), id);
-        self.route_write(id, w, out);
-        out.set_timer(TimerKind::ProposalRetry, self.core.timing.proposal_timeout);
-    }
-
-    /// Gateway handling of a typed outcome arriving from another node.
-    fn on_client_reply(
-        &mut self,
-        session: SessionId,
-        seq: u64,
-        outcome: ClientOutcome,
-        out: &mut Actions<RaftMessage>,
-    ) {
-        if self.core.absorbs_redirect(session, seq, &outcome) {
-            return;
-        }
-        if self.core.client_writes.contains_key(&(session, seq))
-            || self.core.reads.is_local(session, seq)
-        {
-            self.respond_client(self.core.id, session, seq, outcome, out);
         }
     }
 }
@@ -816,7 +675,7 @@ impl ConsensusProtocol for RaftNode {
                 session,
                 seq,
                 data,
-            } => self.on_propose(from, id, session, seq, data, false, out),
+            } => self.on_propose(from, id, session, seq, ClientOp::Write(data), out),
             RaftMessage::ClientRead { session, seq } => {
                 if self.core.on_client_read(from, session, seq, out) {
                     self.register_read(session, seq, from, out);
@@ -826,7 +685,9 @@ impl ConsensusProtocol for RaftNode {
                 session,
                 seq,
                 outcome,
-            } => self.on_client_reply(session, seq, outcome, out),
+            } => {
+                self.core.on_client_reply(session, seq, outcome, out);
+            }
             RaftMessage::AppendEntries {
                 term,
                 leader,
@@ -917,24 +778,26 @@ impl ConsensusProtocol for RaftNode {
     fn on_client_request(&mut self, req: ClientRequest, out: &mut Actions<RaftMessage>) {
         let ClientRequest { session, seq, op } = req;
         match op {
-            ClientOp::Write(data) => self.submit_write(session, seq, data, false, out),
-            ClientOp::Register => {
-                // Server-assigned id on request: derived from this gateway's
-                // node id and proposal counter, so concurrent registrations
-                // at different gateways cannot collide. A *retry* of an
-                // unassigned registration may open a second (unused)
-                // session; the TTL reclaims it.
-                let session = if session.is_unassigned() {
-                    SessionId::assigned(self.core.id, self.core.ids.next_seq())
-                } else {
-                    session
-                };
-                self.submit_write(session, 1, Bytes::new(), true, out);
-            }
             ClientOp::Read(consistency) => {
                 if self.core.client_read(session, seq, consistency, out) {
                     self.register_read(session, seq, self.core.id, out);
                 }
+            }
+            // Gateway door for a session write or an explicit session
+            // registration: answered from applied state when possible,
+            // otherwise placed in the retry machinery.
+            op => {
+                let (session, seq) = self.core.write_key(session, seq, &op);
+                match self.core.client_door(session, seq, &op, out) {
+                    Door::Answer(outcome) => {
+                        self.core
+                            .respond_client(self.core.id, session, seq, outcome, out);
+                        return;
+                    }
+                    Door::InFlight(_) => {} // The retry timer keeps pushing it.
+                    Door::Admitted(id) => self.route_write(id, session, seq, op, out),
+                }
+                out.set_timer(TimerKind::ProposalRetry, self.core.timing.proposal_timeout);
             }
         }
     }

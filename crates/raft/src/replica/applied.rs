@@ -2,7 +2,6 @@
 
 use std::rc::Rc;
 
-use des::IdMap;
 use wire::{
     fold_commit_digest, fold_session_digest, fold_session_evicted, Actions, ClientOutcome,
     Configuration, EntryId, LogIndex, LogScope, Observation, PersistCmd, SessionApply, SessionId,
@@ -211,29 +210,6 @@ impl Applied {
     /// Last step of applying index `k`.
     pub fn mark_applied(&mut self, k: LogIndex) {
         self.applied_index = k;
-    }
-
-    /// Gateway sweep after a snapshot install: the locally pending writes
-    /// the session table now covers (the install can jump the commit floor
-    /// across their application), each with its proposal id and
-    /// first-application index. Sorted by `(session, seq)`: `client_writes`
-    /// is a hash table, and answering in its iteration order would let the
-    /// hasher (any change to it, or a seeded one) reach the embedding's
-    /// event order.
-    pub fn sweep_client_pending(
-        &self,
-        client_writes: &IdMap<(SessionId, u64), EntryId>,
-    ) -> Vec<(SessionId, u64, EntryId, LogIndex)> {
-        let mut covered: Vec<_> = client_writes
-            .iter()
-            .filter_map(|(&(session, seq), &id)| {
-                self.sessions
-                    .duplicate_of(session, seq)
-                    .map(|first_index| (session, seq, id, first_index))
-            })
-            .collect();
-        covered.sort_unstable_by_key(|&(session, seq, ..)| (session, seq));
-        covered
     }
 
     /// Where [`Applied::maybe_compact`] would compact `log` through now, if

@@ -14,8 +14,8 @@
 //!
 //! - [`Replica`] — the 21 fields both engines used to declare (term, vote,
 //!   log, commit index, role, leader hint, configuration, vote book,
-//!   `next_index`/`match_index`, learners, the gateway's id and read
-//!   tables, …) plus the consensus scope and the two timers its steps arm,
+//!   `next_index`/`match_index`, learners, the gateway's write, id and
+//!   read tables, …) plus the consensus scope and the two timers its steps arm,
 //!   and the protocol steps over them:
 //!
 //!   | step | `Replica` method(s) | what stays in the engine |
@@ -30,8 +30,9 @@
 //!   | log write | `insert_entry`, `insert_bound` | when to insert: truncate-on-conflict vs slot voting |
 //!   | ack bookkeeping | `on_ack` | what committing does, join completion, proactive repair, the rewind point |
 //!   | classic commit scan | `quorum_commit_point` | the upper bound (contiguous leader-approved reach) |
-//!   | snapshot receipt | `install_snapshot` | following the sender, membership effects of the adopted configuration, the gateway sweep, the ack |
-//!   | reply path | `respond_client`, `absorbs_redirect`, `client_read`, `on_client_read`, `register_read`, `applied_session_state_current` | which write table is cleared, `Registered` remap, the fresh-leader read floor |
+//!   | snapshot receipt | `install_snapshot` | following the sender, membership effects of the adopted configuration, when to run the gateway sweep, the ack |
+//!   | write gateway | `write_key`, `client_door`, `expiry_door`, `respond_client`, `apply_client_entry`, `on_client_reply`, `answer_covered_writes` | routing an admitted write, Fast Raft's narrower in-flight test, dropping answered ids from Fast Raft's `pending_proposals` |
+//!   | read path | `client_read`, `on_client_read`, `register_read`, `applied_session_state_current` | the fresh-leader read floor |
 //!
 //!   A step that may end in a step-down reports it ([`Reply::NewerTerm`],
 //!   the halves of vote handling) instead of performing it: stepping down
@@ -47,18 +48,25 @@
 //!   lease and its follower-side vote hold, the node's local clock, and the
 //!   reads submitted at this gateway.
 //! - [`ProposalIds`] — write-ahead-reserved proposal id minting.
+//! - [`Gateway`] — the writes and registrations in flight at this site, one
+//!   record per `(session, seq)`: its proposal id and its op. The door
+//!   admits a record before the write is proposed.
 //!
 //! Everything here is generic over the engine's message enum (monomorphised
 //! through [`wire::Actions`]); the variants shared code must construct are
 //! the ones both enums carry with the same payload, via
 //! [`ClientReplyMessage`].
 //!
-//! What stays per engine, deliberately: the propose/commit rule,
-//! AppendEntries *receipt* (truncate-on-conflict vs slot voting genuinely
-//! differ), applying a committed entry, membership, and the gateway's write
-//! tables (`pending` vs `client_pending`/`pending_proposals`).
+//! What stays per engine, deliberately: the propose/commit rule, the
+//! leader's door for a proposal (`on_propose` vs `leader_accept_forwarded`,
+//! which treat a not-yet-current leader facing an expired session
+//! differently), AppendEntries *receipt* (truncate-on-conflict vs slot
+//! voting genuinely differ), applying a committed entry other than a client
+//! write, membership, and Fast Raft's proposer table `pending_proposals`
+//! (every payload, no-ops and C-Raft batches included).
 
 mod applied;
+mod gateway;
 mod ids;
 mod reads;
 mod state;
@@ -68,6 +76,7 @@ use wire::{
 };
 
 pub use applied::Applied;
+pub use gateway::{Door, Gateway};
 pub use ids::ProposalIds;
 pub use reads::ReadPath;
 pub use state::{Replica, Reply};

@@ -11,7 +11,7 @@ use wire::{
     SparseLog, Term, TimerKind, MAX_INSERT_WINDOW,
 };
 
-use super::{reply, Applied, ClientReplyMessage, ProposalIds, ReadPath};
+use super::{Applied, ClientReplyMessage, Gateway, ProposalIds, ReadPath};
 use crate::{Role, Timing};
 
 /// What a reply handler on [`Replica`] made of the reply.
@@ -29,7 +29,7 @@ pub enum Reply {
 
 /// One consensus level's Raft replica: terms and votes, the log and its
 /// applied image, the leader's replication bookkeeping, and the gateway's
-/// read and id tables — everything [`crate::RaftNode`] and
+/// write, read and id tables — everything [`crate::RaftNode`] and
 /// `consensus_core::FastRaftEngine` hold in common, with the protocol steps
 /// that touch nothing else.
 ///
@@ -87,9 +87,8 @@ pub struct Replica {
     // ---- gateway (client-facing) ----
     /// Proposal id minting.
     pub ids: ProposalIds,
-    /// `(session, seq)` → proposal id for writes in flight at this gateway
-    /// (client retry idempotence).
-    pub client_writes: IdMap<(SessionId, u64), EntryId>,
+    /// The writes in flight at this gateway (client retry idempotence).
+    pub gateway: Gateway,
     /// Linearizable reads: ReadIndex, lease, vote hold, local clock.
     pub reads: ReadPath,
 
@@ -137,7 +136,7 @@ impl Replica {
             match_index: BTreeMap::new(),
             learners: BTreeSet::new(),
             ids: ProposalIds::new(id, scope),
-            client_writes: IdMap::default(),
+            gateway: Gateway::default(),
             reads: ReadPath::new(id, scope, &timing),
             id_index: IdMap::default(),
             append_scratch: Vec::new(),
@@ -629,29 +628,8 @@ impl Replica {
     }
 
     // ------------------------------------------------------------------
-    // The reply path
+    // The read path
     // ------------------------------------------------------------------
-
-    /// Answers a client request: as an observation when the gateway `to`
-    /// is this node, as a `ClientReply` message otherwise. A local answer
-    /// ends the request here; when it was a write, its proposal id is
-    /// returned so the engine can drop it from its own retry table.
-    pub fn respond_client<M: ClientReplyMessage>(
-        &mut self,
-        to: NodeId,
-        session: SessionId,
-        seq: u64,
-        outcome: ClientOutcome,
-        out: &mut Actions<M>,
-    ) -> Option<EntryId> {
-        let mut answered = None;
-        if to == self.id {
-            answered = self.client_writes.remove(&(session, seq));
-            self.reads.forget_local(session, seq);
-        }
-        reply(self.id, to, session, seq, outcome, out);
-        answered
-    }
 
     /// `true` when the applied session table provably covers every write
     /// the cluster has ever committed: this node is the leader and an entry
@@ -664,27 +642,6 @@ impl Replica {
     pub fn applied_session_state_current(&self) -> bool {
         self.role == Role::Leader
             && session_state_current(&self.log, self.commit_index, self.current_term)
-    }
-
-    /// Gateway side of a relayed `outcome`: adopts a redirect's leader
-    /// hint, and returns `true` when the redirect is for a write still in
-    /// flight here. Such a write stays pending — the engine's retry timer
-    /// resubmits it against the updated hint; re-routing synchronously
-    /// would ping-pong at network RTT against a deposed leader that still
-    /// hints itself. A redirected read surfaces to the caller instead.
-    pub fn absorbs_redirect(
-        &mut self,
-        session: SessionId,
-        seq: u64,
-        outcome: &ClientOutcome,
-    ) -> bool {
-        let ClientOutcome::Redirect { leader_hint } = outcome else {
-            return false;
-        };
-        if let Some(hint) = leader_hint {
-            self.leader_hint = Some(*hint);
-        }
-        self.client_writes.contains_key(&(session, seq))
     }
 
     /// Gateway door for a read. A stale one is served from this site's

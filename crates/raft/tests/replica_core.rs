@@ -9,12 +9,12 @@
 
 use bytes::Bytes;
 use des::{SimRng, SimTime};
-use raft::replica::{Applied, ProposalIds, ReadPath, Replica, Reply};
+use raft::replica::{Applied, Door, ProposalIds, ReadPath, Replica, Reply};
 use raft::{RaftMessage, RaftNode, Role, Timing};
 use wire::{
-    Actions, ClientOutcome, ClientRequest, Configuration, ConsensusProtocol, EntryId, LogEntry,
-    LogIndex, LogScope, NodeId, Observation, PersistCmd, SessionId, SessionTable, Snapshot,
-    SparseLog, Term, TimerCmd, TimerKind,
+    Actions, ClientOp, ClientOutcome, ClientRequest, Configuration, ConsensusProtocol, EntryId,
+    LogEntry, LogIndex, LogScope, NodeId, Observation, PersistCmd, SessionId, SessionTable,
+    Snapshot, SparseLog, Term, TimerCmd, TimerKind,
 };
 
 type Out = Actions<RaftMessage>;
@@ -711,4 +711,161 @@ fn fan_out_shares_one_entry_list_per_next_index_and_snapshots_below_the_horizon(
     );
     assert_eq!((idle.0, idle.1), (LogIndex(6), Term(1)));
     assert!(idle.2.is_empty(), "pure heartbeat");
+}
+
+// ----------------------------------------------------------------------
+// The gateway: one door and one table of in-flight writes for both engines
+// ----------------------------------------------------------------------
+
+fn write_op() -> ClientOp {
+    ClientOp::Write(Bytes::from_static(b"w"))
+}
+
+/// Passes `(session, seq)` through the door, which must admit it.
+fn admit(r: &mut Replica, session: SessionId, seq: u64, op: ClientOp, out: &mut Out) -> EntryId {
+    match r.client_door(session, seq, &op, out) {
+        Door::Admitted(id) => id,
+        other => panic!("({session}, {seq}) not admitted: {other:?}"),
+    }
+}
+
+fn responses(out: &Out) -> Vec<(SessionId, u64, ClientOutcome)> {
+    out.observations
+        .iter()
+        .filter_map(|o| match o {
+            Observation::ClientResponse {
+                session,
+                seq,
+                outcome,
+            } => Some((*session, *seq, outcome.clone())),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn door_answers_applied_writes_and_registrations_from_the_session_table() {
+    let mut r = replica(0, 0..3, Timing::lan());
+    let mut out = Out::new();
+    let s = SessionId::client(5);
+    r.applied
+        .apply_client_write(s, 1, false, LogIndex(7), &mut out);
+    out.clear();
+    assert_eq!(
+        r.client_door(s, 1, &write_op(), &mut out),
+        Door::Answer(ClientOutcome::Duplicate {
+            first_index: LogIndex(7)
+        })
+    );
+    assert_eq!(
+        r.client_door(s, 1, &ClientOp::Register, &mut out),
+        Door::Answer(ClientOutcome::Registered {
+            session: s,
+            index: LogIndex(7)
+        })
+    );
+    assert!(out.is_empty() && r.gateway.is_empty());
+}
+
+#[test]
+fn door_names_the_id_of_a_write_in_flight_and_emits_nothing() {
+    let mut r = replica(0, 0..3, Timing::lan());
+    let mut out = Out::new();
+    let s = SessionId::client(5);
+    let id = admit(&mut r, s, 3, write_op(), &mut out);
+    assert_eq!(r.gateway.in_flight(s, 3), Some(id));
+    out.clear();
+    // A retry under either op kind is the same request in flight.
+    let retry = r.client_door(s, 3, &write_op(), &mut out);
+    assert_eq!(retry, Door::InFlight(id));
+    let retry = r.client_door(s, 3, &ClientOp::Register, &mut out);
+    assert_eq!(retry, Door::InFlight(id));
+    assert_eq!(r.gateway.len(), 1);
+    assert!(out.is_empty());
+}
+
+#[test]
+fn door_refuses_an_expired_retry_only_when_the_applied_table_is_current() {
+    let mut timing = Timing::lan();
+    timing.session_ttl = 4;
+    let mut r = replica(0, 0..3, timing);
+    let mut out = Out::new();
+    let (idle, busy) = (SessionId::client(1), SessionId::client(2));
+    r.applied
+        .apply_client_write(idle, 1, false, LogIndex(1), &mut out);
+    for k in 2..=8u64 {
+        r.applied
+            .apply_client_write(busy, k - 1, false, LogIndex(k), &mut out);
+        r.applied.evict_idle_sessions(LogIndex(k), &mut out);
+    }
+    assert!(r.applied.is_expired_retry(idle, 2));
+
+    // A follower's table may lag: admit, and let the leader rule.
+    admit(&mut r, idle, 2, write_op(), &mut out);
+    // A leader before its first own-term commit: still admit.
+    elect(&mut r, &[1], &mut out);
+    assert!(!r.applied_session_state_current());
+    admit(&mut r, idle, 3, write_op(), &mut out);
+    // Once an entry of its term commits, the refusal is exact.
+    let noop = LogEntry::noop(r.current_term, EntryId::new(NodeId(0), 99));
+    r.insert_entry(LogIndex(9), noop, &mut out);
+    r.commit_index = LogIndex(9);
+    assert!(r.applied_session_state_current());
+    assert_eq!(
+        r.client_door(idle, 4, &write_op(), &mut out),
+        Door::Answer(ClientOutcome::SessionExpired)
+    );
+    assert_eq!(r.gateway.in_flight(idle, 4), None);
+    // A registration re-opens an evicted session: never refused.
+    admit(&mut r, idle, 1, ClientOp::Register, &mut out);
+}
+
+#[test]
+fn relayed_commit_of_a_registration_in_flight_surfaces_registered() {
+    let relayed = [
+        ClientOutcome::Committed { index: LogIndex(4) },
+        ClientOutcome::Duplicate {
+            first_index: LogIndex(4),
+        },
+    ];
+    for outcome in relayed {
+        let mut r = replica(2, 0..3, Timing::lan());
+        let mut out = Out::new();
+        let s = SessionId::client(9);
+        let id = admit(&mut r, s, 1, ClientOp::Register, &mut out);
+        out.clear();
+        assert_eq!(r.on_client_reply(s, 1, outcome, &mut out), Some(id));
+        let registered = ClientOutcome::Registered {
+            session: s,
+            index: LogIndex(4),
+        };
+        assert_eq!(responses(&out), vec![(s, 1, registered)]);
+        assert!(r.gateway.is_empty());
+    }
+}
+
+#[test]
+fn relayed_redirect_is_absorbed_for_a_write_in_flight_and_surfaced_for_a_read() {
+    let mut r = replica(2, 0..3, Timing::lan());
+    let mut out = Out::new();
+    let s = SessionId::client(9);
+    let id = admit(&mut r, s, 2, write_op(), &mut out);
+    out.clear();
+    let redirect = ClientOutcome::Redirect {
+        leader_hint: Some(NodeId(1)),
+    };
+    assert_eq!(r.on_client_reply(s, 2, redirect.clone(), &mut out), None);
+    assert!(out.is_empty(), "the retry timer resubmits it");
+    assert_eq!(r.leader_hint, Some(NodeId(1)));
+    assert_eq!(r.gateway.in_flight(s, 2), Some(id));
+
+    let read = wire::read_id(1);
+    r.reads.track_local(s, read);
+    assert_eq!(r.on_client_reply(s, read, redirect.clone(), &mut out), None);
+    assert_eq!(responses(&out), vec![(s, read, redirect.clone())]);
+    assert!(!r.reads.is_local(s, read));
+    // Nothing awaits a second copy: dropped.
+    out.clear();
+    r.on_client_reply(s, read, redirect, &mut out);
+    assert!(out.is_empty());
 }

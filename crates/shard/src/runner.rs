@@ -460,6 +460,11 @@ impl<P: ShardNode> ShardRunner<P> {
         self.driver.safety.violations()
     }
 
+    /// The safety checker: commit agreement and linearizability, per group.
+    pub fn safety(&self) -> &SafetyChecker {
+        &self.driver.safety
+    }
+
     /// Number of groups currently hosted (initial + split-created).
     pub fn group_count(&self) -> usize {
         self.groups.len()

@@ -117,11 +117,13 @@ fn run_cell(seed: u64, quick: bool, spec: &CellSpec) -> SweepCell {
         started.elapsed().as_secs_f64(),
         runner.metrics().events_total,
     );
+    let safety = runner.safety();
     assert!(
-        runner.violations().is_empty(),
-        "cell {}: commit agreement violated: {:?}",
+        safety.is_ok(),
+        "cell {}: safety violated: {:?} {:?}",
         spec.label,
-        runner.violations()
+        safety.violations(),
+        safety.lin_violations()
     );
     let m = runner.metrics();
     let secs = horizon.saturating_since(measure_from).as_secs_f64();

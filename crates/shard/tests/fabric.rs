@@ -45,7 +45,7 @@ fn same_session_is_independent_per_group() {
     runner.run_until(SimTime::from_secs(14));
 
     let m = runner.metrics().clone();
-    assert!(runner.violations().is_empty(), "{:?}", runner.violations());
+    assert!(runner.safety().is_ok(), "{:?}", runner.safety());
     assert_eq!(
         m.completed_total,
         m.per_group_completed.values().sum::<u64>(),
@@ -181,7 +181,7 @@ fn split_reroutes_new_traffic_end_to_end() {
     runner.run_until(SimTime::from_secs(20));
 
     let m = runner.metrics().clone();
-    assert!(runner.violations().is_empty(), "{:?}", runner.violations());
+    assert!(runner.safety().is_ok(), "{:?}", runner.safety());
     // Every proc applied the op at its own commit point.
     assert_eq!(m.reconfigs_applied, 3, "one apply per proc replica");
     for p in 0..3 {
@@ -223,7 +223,7 @@ fn parked_group_wakes_on_rerouted_traffic() {
     runner.run_until(SimTime::from_secs(20));
 
     let m = runner.metrics().clone();
-    assert!(runner.violations().is_empty(), "{:?}", runner.violations());
+    assert!(runner.safety().is_ok(), "{:?}", runner.safety());
     assert!(m.unparks >= 1, "rerouted traffic never woke group 1");
     assert!(
         m.per_group_completed.get(&1).copied().unwrap_or(0) > 0,
@@ -247,7 +247,7 @@ fn runs_are_deterministic_and_parked_fleet_is_cheap() {
         cfg.workload.target_group = Some(GroupId(0));
         let mut r = ShardRunner::new(cfg, Vec::new(), raft_factory(Timing::lan()));
         r.run_until(SimTime::from_secs(12));
-        assert!(r.violations().is_empty(), "{:?}", r.violations());
+        assert!(r.safety().is_ok(), "{:?}", r.safety());
         let m = r.metrics().clone();
         (
             m.events_total,
@@ -278,7 +278,7 @@ fn timer_structure_change_does_not_move_the_schedule() {
     let cfg = small_cfg(16, 8, SimDuration::from_millis(500));
     let mut r = ShardRunner::new(cfg, Vec::new(), raft_factory(Timing::lan()));
     r.run_until(SimTime::from_secs(12));
-    assert!(r.violations().is_empty(), "{:?}", r.violations());
+    assert!(r.safety().is_ok(), "{:?}", r.safety());
     let m = r.metrics();
     assert_eq!(
         (

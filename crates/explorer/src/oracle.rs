@@ -67,9 +67,10 @@ impl std::fmt::Display for Violation {
 /// books and keeps no table of its own.
 ///
 /// A book holds only the indices above its log's horizon, which rises only
-/// once every site of the log has snapshotted. An explorer run is a few
-/// thousand steps and a handful of client operations, far short of any
-/// log's snapshot threshold (1,024 entries under `Timing::lan()`), so the
+/// once every site of the log has snapshotted, less the down sites a
+/// committed configuration excluded. An explorer run is a few thousand
+/// steps and a handful of client operations, far short of any log's
+/// snapshot threshold (1,024 entries under `Timing::lan()`), so the
 /// horizon stays 0 and the scan sees every commit; the assertion keeps it
 /// so.
 pub fn lost_proposal(

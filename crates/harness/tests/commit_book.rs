@@ -1,29 +1,36 @@
 //! The safety checker's commit book stays bounded on a long run.
 //!
 //! A log's book keeps only the indices above its horizon: the least, over
-//! every site that committed into the log, of the last index that site's
-//! latest stable snapshot covers, with a down site counted as 0. This cell
-//! compacts over a hundred times and crashes the leader between them, so
-//! the horizon must hold while the leader is down and the recovered leader
-//! must re-report its stable log above its own snapshot without a
-//! violation. The book is sampled once per simulated second.
+//! the log's sites, of the last index each site's latest stable snapshot
+//! covers, with a down site counted as 0 until a committed configuration
+//! without it drops it from the log's sites. Both cells compact over a
+//! hundred times. The first crashes the leader: the horizon must hold
+//! while the leader is down and still a member, rise once the member
+//! timeout's configuration without it commits, and the recovered leader
+//! must rejoin by snapshot install without a violation. The second has a
+//! follower leave silently: once the configuration without it commits,
+//! the horizon must pass its last snapshot. The book is sampled every
+//! 100 ms of simulated time.
 
 use consensus_core::FastRaftNode;
 use des::{SimDuration, SimRng, SimTime};
 use harness::{FaultAction, Runner, RunnerConfig, SafetyChecker, Workload};
 use raft::Timing;
 use simnet::{BernoulliLoss, Network, Topology, UniformLatency};
-use wire::{Configuration, GroupId, LogScope, NodeId};
+use wire::{Configuration, GroupId, LogIndex, LogScope, NodeId};
 
 /// Entries each site retains before it compacts.
 const THRESHOLD: u64 = 64;
-/// Writes the run commits: well over a hundred thresholds.
+/// Writes each run commits: well over a hundred thresholds.
 const WRITES: u64 = 8_000;
 const CRASH_AT: SimTime = SimTime::from_secs(40);
 const RECOVER_AT: SimTime = SimTime::from_secs(60);
+/// The site the silent-leave cell loses, and when.
+const LEAVER: NodeId = NodeId(4);
+const LEAVE_AT: SimTime = SimTime::from_secs(40);
 
 /// LAN timing with a small snapshot threshold; node 0's election window
-/// sits below everyone else's so it is the leader the cell crashes.
+/// sits below everyone else's so it leads from the start.
 fn timing(id: NodeId) -> Timing {
     let mut t = Timing {
         snapshot_threshold: THRESHOLD,
@@ -36,8 +43,9 @@ fn timing(id: NodeId) -> Timing {
     t
 }
 
-#[test]
-fn fast_raft_commit_book_stays_bounded_through_crash_and_compaction() {
+/// Five LAN sites, three closed-loop writers and `faults`, with crashed
+/// sites recovering from stable storage.
+fn runner(faults: Vec<(SimTime, FaultAction)>) -> Runner<FastRaftNode> {
     let sites = 5u64;
     let cfg: Configuration = (0..sites).map(NodeId).collect();
     let root = SimRng::seed_from_u64(4301);
@@ -55,10 +63,6 @@ fn fast_raft_commit_book_stays_bounded_through_crash_and_compaction() {
     );
     let clients = vec![NodeId(1), NodeId(2), NodeId(3)];
     let writes = Workload::writes_only(clients, 64, Some(WRITES), SimTime::from_secs(3));
-    let faults = vec![
-        (CRASH_AT, FaultAction::Crash(NodeId(0))),
-        (RECOVER_AT, FaultAction::Recover(NodeId(0))),
-    ];
     let run_cfg = RunnerConfig {
         seed: 4301,
         ack_scope: LogScope::Global,
@@ -74,28 +78,56 @@ fn fast_raft_commit_book_stays_bounded_through_crash_and_compaction() {
         let rng = recover_rng.split_indexed("r", id.as_u64());
         FastRaftNode::recover(id, stable, cfg.clone(), timing(id), rng)
     });
+    runner
+}
 
-    let horizon =
-        |r: &Runner<FastRaftNode>| r.safety().horizon(GroupId(0), NodeId(0), LogScope::Global);
-    let (mut peak, mut held) = (0, None);
+/// Runs the workload to its end, calling `sample` every 100 ms.
+fn run_sampled(runner: &mut Runner<FastRaftNode>, mut sample: impl FnMut(&Runner<FastRaftNode>)) {
     let mut t = SimTime::ZERO;
     while !runner.workload_done() {
-        t += SimDuration::from_secs(1);
+        t += SimDuration::from_millis(100);
         assert!(t < SimTime::from_secs(3_600), "the workload never finished");
         runner.run_until(t);
-        peak = peak.max(runner.safety().retained());
-        // Node 0 is down for the whole of (CRASH_AT, RECOVER_AT]: it holds
-        // the horizon where the crash left it.
-        if t > CRASH_AT && t <= RECOVER_AT {
-            let h = horizon(&runner);
-            assert_eq!(
-                *held.get_or_insert(h),
-                h,
-                "the horizon rose past a down site at {t}"
-            );
-        }
+        sample(runner);
     }
+}
+
+fn horizon(r: &Runner<FastRaftNode>) -> LogIndex {
+    r.safety().horizon(GroupId(0), NodeId(0), LogScope::Global)
+}
+
+#[test]
+fn fast_raft_commit_book_stays_bounded_through_crash_and_compaction() {
+    let mut runner = runner(vec![
+        (CRASH_AT, FaultAction::Crash(NodeId(0))),
+        (RECOVER_AT, FaultAction::Recover(NodeId(0))),
+    ]);
+    let (mut peak, mut at_crash, mut removed, mut at_recovery) = (0, None, None, None);
+    run_sampled(&mut runner, |r| {
+        peak = peak.max(r.safety().retained());
+        let (t, configs) = (r.now(), r.metrics().config_commits);
+        if t <= CRASH_AT || t > RECOVER_AT {
+            return;
+        }
+        // Node 0 is down for the whole of (CRASH_AT, RECOVER_AT], and the
+        // only configuration the others can commit then is one without
+        // it: until that commits, node 0 holds the horizon where the crash
+        // left it; once it has, the horizon rises with the others'.
+        let (configs_then, held) = *at_crash.get_or_insert((configs, horizon(r)));
+        if configs == configs_then {
+            assert_eq!(held, horizon(r), "the horizon rose past a member at {t}");
+        } else {
+            removed.get_or_insert(t);
+        }
+        at_recovery = Some(horizon(r));
+    });
     runner.safety().assert_ok();
+    let removed = removed.expect("no configuration without the crashed leader committed");
+    let ((_, held), at_recovery) = (at_crash.unwrap(), at_recovery.unwrap());
+    assert!(
+        at_recovery > held,
+        "the horizon held at {held} after node 0's removal committed"
+    );
     let m = runner.metrics();
     assert!(
         m.compactions > 100,
@@ -104,26 +136,63 @@ fn fast_raft_commit_book_stays_bounded_through_crash_and_compaction() {
     );
     assert!(
         m.snapshot_installs > 0,
-        "the recovered leader must catch up by snapshot"
+        "the recovered leader must rejoin by snapshot install"
     );
     assert!(
         horizon(&runner).as_u64() > WRITES / 2,
         "the horizon never rose: {}",
         horizon(&runner)
     );
-    // What the book holds: the indices above the slowest site's snapshot,
-    // plus whatever the cluster committed while the leader was down.
-    let downtime = m
-        .samples
-        .iter()
-        .filter(|s| s.committed_at > CRASH_AT && s.committed_at <= RECOVER_AT);
-    let bound = downtime.count() + 4 * THRESHOLD as usize;
+    // Everything below was in force once the removal committed: the book
+    // holds the indices above the slowest live site's snapshot, and no
+    // down site pins it.
+    let bound = 2 * THRESHOLD as usize;
     println!(
-        "commit book: peak {peak} index slots, bound {bound}, horizon {}",
+        "commit book: peak {peak} index slots, bound {bound}; node 0 removed by {removed}, \
+         horizon {held} at the crash, {at_recovery} at its recovery, {} at the end",
         horizon(&runner)
     );
     assert!(
         peak <= bound,
         "the book held {peak} index slots, bound {bound}"
+    );
+}
+
+#[test]
+fn a_silently_departed_site_stops_pinning_the_commit_book() {
+    let mut runner = runner(vec![(LEAVE_AT, FaultAction::SilentLeave(LEAVER))]);
+    let (mut at_leave, mut removed, mut peak_after) = (None, false, 0);
+    run_sampled(&mut runner, |r| {
+        if r.now() <= LEAVE_AT {
+            return;
+        }
+        let configs = r.metrics().config_commits;
+        let configs_then = *at_leave.get_or_insert(configs);
+        removed |= configs > configs_then;
+        if removed {
+            peak_after = peak_after.max(r.safety().retained());
+        }
+    });
+    runner.safety().assert_ok();
+    assert!(removed, "no configuration without site 4 committed");
+    let stable = runner.disk().read(LEAVER).unwrap().scope(LogScope::Global);
+    let last = stable
+        .snapshot
+        .as_ref()
+        .map_or(LogIndex::ZERO, |s| s.last_index);
+    let bound = 2 * THRESHOLD as usize;
+    println!(
+        "commit book: site 4 left with its snapshot at {last}, horizon {} at the end, \
+         peak {peak_after} index slots after its removal, bound {bound}",
+        horizon(&runner)
+    );
+    assert!(
+        horizon(&runner) > last,
+        "the horizon {} stayed at site 4's last snapshot {last}",
+        horizon(&runner)
+    );
+    assert!(
+        peak_after <= bound,
+        "the book held {peak_after} index slots after the removal, bound {bound}"
     );
 }

@@ -76,8 +76,9 @@ where
     }
 
     /// Runs one handler on the node at `at` and records its commits, and
-    /// the stable snapshots it persists, in [`Driver::safety`] (a snapshot
-    /// may raise its log's horizon; see [`SafetyChecker`]).
+    /// the stable snapshots it persists, in [`Driver::safety`] (a snapshot,
+    /// or a committed configuration that excludes a down site, may raise
+    /// its log's horizon; see [`SafetyChecker`]).
     ///
     /// Returns `None` without running `f` if the node is down or unknown.
     /// Otherwise stamps the node's local clock with `clock` (`None` leaves
@@ -96,18 +97,20 @@ where
         let mut out = self.free.pop().unwrap_or_default();
         f(&mut slot.node, &mut out);
         let (group, node) = at.into();
+        let (slots, safety) = (&self.slots, &mut self.safety);
+        let up = |n| slots.iter().any(|(&k, s)| k.into() == (group, n) && s.up);
         for c in &out.commits {
-            self.safety
-                .record(group, node, c.scope, c.index, c.entry.id);
+            safety.record(group, node, c.scope, c.index, c.entry.id);
+            if let Some(config) = c.entry.as_config() {
+                safety.config_committed(group, node, c.scope, config, up);
+            }
         }
         // Every embedding applies a step's persists as it performs them,
         // so a snapshot seen here is the site's stable one.
         for p in &out.persists {
             if let PersistCmd::InstallSnapshot { snapshot } = p {
-                let slots = &self.slots;
-                let up = |n| slots.iter().any(|(&k, s)| k.into() == (group, n) && s.up);
                 let (scope, through) = (snapshot.scope, snapshot.last_index);
-                self.safety.snapshot_stable(group, node, scope, through, up);
+                safety.snapshot_stable(group, node, scope, through, up);
             }
         }
         Some(out)

@@ -11,16 +11,27 @@
 //! every run, including runs with crash/churn/partition schedules.
 //!
 //! A log's book keeps only the indices some site can still report. Its
-//! *horizon* is the least, over every site that has committed into or
-//! snapshotted the log, of the last index that site's latest stable
-//! snapshot covers — 0 for a site that never snapshotted and for one that
-//! is down or gone. No report can land at or below it: a live site
-//! reports only above its commit index, a recovering one only above its
-//! stable snapshot, and a joiner only above its leader's compaction point,
-//! which is at least the leader's own snapshot. So the book drops every
+//! *horizon* is the least, over the log's sites, of the last index each
+//! site's latest stable snapshot covers — 0 for a site that never
+//! snapshotted and for one that is down. The log's sites are those that
+//! committed into or snapshotted it, less those a committed configuration
+//! of the log dropped: a site that configuration excludes and that is down
+//! when some site reports the commit (a silent leave, or a crash the
+//! member timeout evicted). An excluded site that is up still counts, and
+//! a dropped site that reports again re-enters at 0, like a new one.
+//!
+//! No report can land at or below the horizon: a live site reports only
+//! above its commit index, a recovering one only above its stable
+//! snapshot, and a joiner only above its leader's compaction point, which
+//! is at least the leader's own snapshot. A dropped site comes back only
+//! as a joiner: it is no longer a member, so no leader replicates to it
+//! until it asks to join, and the leader then sends from index 1
+//! (`next_index` = `LogIndex::FIRST`), which a compacted leader answers
+//! with its snapshot, at or above the horizon. So the book drops every
 //! index at or below the horizon, and a run's record stops growing with
-//! its length. A commit reported there anyway is a violation, never
-//! skipped: a wrong horizon cannot hide a disagreement.
+//! its length, a departed site's included. A commit reported there anyway
+//! is a violation, never skipped: a wrong horizon can raise a false alarm
+//! but cannot hide a disagreement.
 //!
 //! The linearizability check works on real-time order at the client
 //! boundary: when a `Linearizable` read is **first submitted**, the checker
@@ -39,8 +50,8 @@ use std::collections::VecDeque;
 use des::IdMap;
 
 use crate::{
-    ClientOp, ClientOutcome, ClientRequest, Consistency, EntryId, GroupId, LogIndex, LogScope,
-    NodeId, SessionId,
+    ClientOp, ClientOutcome, ClientRequest, Configuration, Consistency, EntryId, GroupId, LogIndex,
+    LogScope, NodeId, SessionId,
 };
 
 /// A detected violation of the safety property.
@@ -101,7 +112,9 @@ impl std::fmt::Display for LinViolation {
 /// and its first committer as a 1-based position in `sites`; position 0
 /// marks an index nothing committed yet. That is 24 bytes per index, in
 /// one ring. `sites` holds every site that committed into or snapshotted
-/// this log, with the last index its latest stable snapshot covers.
+/// this log, with the last index its latest stable snapshot covers, or
+/// [`DROPPED`]; a dropped site keeps its position, so a slot still names
+/// its first committer.
 #[derive(Default)]
 struct CommitBook {
     sites: Vec<(NodeId, LogIndex)>,
@@ -109,15 +122,38 @@ struct CommitBook {
     slots: VecDeque<(u32, EntryId)>,
 }
 
+/// The stable snapshot a committed configuration leaves a site it dropped
+/// with: the site counts toward no horizon until it reports again.
+const DROPPED: LogIndex = LogIndex(u64::MAX);
+
 impl CommitBook {
-    /// `node`'s 1-based position in `sites`, entering it if new.
+    /// `node`'s 1-based position in `sites`, entering it at 0 if new or
+    /// dropped.
     fn site(&mut self, node: NodeId) -> u32 {
         let at = self.sites.iter().position(|&(n, _)| n == node);
         let at = at.unwrap_or_else(|| {
             self.sites.push((node, LogIndex::ZERO));
             self.sites.len() - 1
         });
+        let stable = &mut self.sites[at].1;
+        if *stable == DROPPED {
+            *stable = LogIndex::ZERO;
+        }
         at as u32 + 1
+    }
+
+    /// Raises the horizon to the least stable snapshot over the sites not
+    /// dropped, a down one (`!up`) counting 0, and drops the slots at or
+    /// below it.
+    fn rise(&mut self, up: impl Fn(NodeId) -> bool) {
+        let counted = self.sites.iter().filter(|&&(_, s)| s != DROPPED);
+        let stable = |&(n, s): &(NodeId, LogIndex)| if up(n) { s } else { LogIndex::ZERO };
+        let horizon = counted.map(stable).min().unwrap_or_default();
+        if horizon > self.horizon {
+            let drop = (horizon.as_u64() - self.horizon.as_u64()) as usize;
+            self.slots.drain(..drop.min(self.slots.len()));
+            self.horizon = horizon;
+        }
     }
 
     /// The slot of `index`, growing the ring to reach it; `None` at or
@@ -219,7 +255,8 @@ impl SafetyChecker {
     /// Records that `node`'s stable snapshot of its `scope` log of `group`
     /// now covers every index through `through`, and drops the book's
     /// indices at or below the log's new horizon. `up` says which sites are
-    /// up: one that is not holds the horizon at 0.
+    /// up: one that is not holds the horizon at 0 until a committed
+    /// configuration drops it (see the module docs).
     pub fn snapshot_stable(
         &mut self,
         group: GroupId,
@@ -232,13 +269,30 @@ impl SafetyChecker {
         let book = self.chosen.entry((group, domain, scope)).or_default();
         let at = book.site(node) as usize - 1;
         book.sites[at].1 = book.sites[at].1.max(through);
-        let stable = |&(n, s): &(NodeId, LogIndex)| if up(n) { s } else { LogIndex::ZERO };
-        let horizon = book.sites.iter().map(stable).min().unwrap_or_default();
-        if horizon > book.horizon {
-            let drop = (horizon.as_u64() - book.horizon.as_u64()) as usize;
-            book.slots.drain(..drop.min(book.slots.len()));
-            book.horizon = horizon;
+        book.rise(up);
+    }
+
+    /// Records that `node` committed `config` in its `scope` log of
+    /// `group`: every site of that log's book that `config` excludes and
+    /// that is down (`!up`) stops counting toward its horizon, and the book
+    /// drops the indices at or below the horizon over the sites left (see
+    /// the module docs for why no dropped site can report there again).
+    pub(crate) fn config_committed(
+        &mut self,
+        group: GroupId,
+        node: NodeId,
+        scope: LogScope,
+        config: &Configuration,
+        up: impl Fn(NodeId) -> bool,
+    ) {
+        let domain = self.domain(node, scope);
+        let book = self.chosen.entry((group, domain, scope)).or_default();
+        for (n, stable) in &mut book.sites {
+            if !config.contains(*n) && !up(*n) {
+                *stable = DROPPED;
+            }
         }
+        book.rise(up);
     }
 
     /// The horizon of the `scope` log `node` of `group` is judged in: the
@@ -556,6 +610,92 @@ mod tests {
         // Back up, C counts at its own stable snapshot again.
         snapshot(&mut c, A, 100, |_| true);
         assert_eq!((horizon(&c), c.retained()), (90, 30));
+    }
+
+    /// A commits a configuration of `members` while `up` holds.
+    fn config(c: &mut SafetyChecker, members: &[NodeId], up: impl Fn(NodeId) -> bool) {
+        let config = Configuration::new(members.iter().copied());
+        c.config_committed(G0, A, LogScope::Global, &config, up);
+    }
+
+    /// A, B and C commit 1..=120 and snapshot through 100, 110 and 50;
+    /// then C goes down, holding the horizon at 50.
+    fn c_down_at_50() -> SafetyChecker {
+        let mut c = SafetyChecker::new();
+        for node in [A, B, C] {
+            commit_range(&mut c, node, 1, 120);
+        }
+        for (node, through) in [(A, 100), (B, 110), (C, 50)] {
+            snapshot(&mut c, node, through, |_| true);
+        }
+        assert_eq!(horizon(&c), 50);
+        c
+    }
+
+    #[test]
+    fn an_excluded_down_site_stops_pinning_the_book() {
+        let mut c = c_down_at_50();
+        config(&mut c, &[A, B], |n| n != C);
+        assert_eq!((horizon(&c), c.retained()), (100, 20));
+        // The sites left raise it further as they compact.
+        snapshot(&mut c, A, 115, |n| n != C);
+        assert_eq!((horizon(&c), c.retained()), (110, 10));
+    }
+
+    #[test]
+    fn an_excluded_site_that_is_up_still_pins_the_book() {
+        // An evictee cut off by a partition can still report.
+        let mut c = c_down_at_50();
+        config(&mut c, &[A, B], |_| true);
+        snapshot(&mut c, A, 115, |_| true);
+        assert_eq!((horizon(&c), c.retained()), (50, 70));
+    }
+
+    #[test]
+    fn a_down_site_no_configuration_excludes_holds_the_horizon() {
+        let mut c = c_down_at_50();
+        config(&mut c, &[A, B, C], |n| n != C);
+        snapshot(&mut c, A, 115, |n| n != C);
+        assert_eq!((horizon(&c), c.retained()), (50, 70));
+    }
+
+    #[test]
+    fn a_dropped_site_that_reports_again_re_enters_at_0() {
+        let mut c = SafetyChecker::new();
+        for node in [A, B, C] {
+            commit_range(&mut c, node, 1, 150);
+        }
+        for (node, through) in [(A, 120), (B, 50), (C, 90)] {
+            snapshot(&mut c, node, through, |_| true);
+        }
+        // B holds the horizon at 50 below C's snapshot when C is dropped.
+        config(&mut c, &[A, B], |n| n != C);
+        assert_eq!(horizon(&c), 50);
+        // C rejoins and commits above the horizon: it counts from 0, not
+        // from the snapshot it left with, until it snapshots again.
+        c.record(G0, C, LogScope::Global, LogIndex(140), id(9, 140));
+        snapshot(&mut c, B, 110, |_| true);
+        assert_eq!(horizon(&c), 50);
+        snapshot(&mut c, C, 100, |_| true);
+        assert_eq!((horizon(&c), c.retained()), (100, 50));
+        assert!(c.is_ok(), "{:?}", c.violations());
+    }
+
+    #[test]
+    fn a_dropped_site_reporting_at_or_below_the_horizon_is_a_violation() {
+        let mut c = c_down_at_50();
+        config(&mut c, &[A, B], |n| n != C);
+        assert_eq!(horizon(&c), 100);
+        // Even an agreeing re-report there is one.
+        c.record(G0, C, LogScope::Global, LogIndex(80), id(9, 80));
+        let v = &c.violations()[0];
+        assert_eq!(
+            (v.index, v.first, v.second),
+            (LogIndex(80), None, (C, id(9, 80)))
+        );
+        // Back in the book at 0, C holds the horizon again.
+        snapshot(&mut c, A, 115, |_| true);
+        assert_eq!(horizon(&c), 100);
     }
 
     #[test]

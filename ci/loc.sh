@@ -75,10 +75,15 @@
 # the `CommitBook::rise` helper it shares with `snapshot_stable`, a dropped
 # site's re-entry at 0 and the call in `Driver::step`) raised it by its own
 # 28 lines, to 2,402.
+#
+# Stating each wire format once, in `Wire::encode` over a `Sink` (the
+# `encoded_len` arithmetic of `FastRaftMessage`, `CRaftMessage` and
+# `RaftMessage` went; ci/one_format.sh keeps it gone), and deleting the
+# server-assigned session ids set CEILING to 5,793.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-CEILING=5838
+CEILING=5793
 DES_CEILING=652
 EMBED_CEILING=2402
 LOG_CEILING=653

@@ -12,8 +12,9 @@
 //! calls per completed operation (`perf`'s rule: `alloc` + `realloc`).
 //!
 //! The `peak` mode prints instead the bytes each site holds live at the
-//! moment the run's live heap is highest (`perf`'s `peak_heap_mb`, measured
-//! from the run's start). Every block of [`EXACT_BYTES`] or more is tracked
+//! moment the run's live heap is highest, measured from the run's start as
+//! `perf` measures one seed's `peak_heap_mb` (`perf` reports the median over
+//! five seeds; this runs seed 4242 only). Every block of [`EXACT_BYTES`] or more is tracked
 //! with its backtrace, which is exact; a smaller block is tracked when its
 //! call is sampled and then stands for [`SAMPLE_EVERY`] blocks of its size.
 //! A tracked block records the call that made it and the one after which it

@@ -818,11 +818,7 @@ mod tests {
         e.on_timer(TimerKind::Election, gate, &mut out);
         assert!(e.is_leader());
         out.clear();
-        e.on_client_request(
-            ClientRequest::register(SessionId::UNASSIGNED),
-            gate,
-            &mut out,
-        );
+        e.on_client_request(ClientRequest::register(SessionId(7)), gate, &mut out);
         let session = match out.observations.as_slice() {
             [.., Observation::ClientResponse {
                 outcome: ClientOutcome::Registered { session, .. },

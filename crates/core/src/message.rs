@@ -2,8 +2,8 @@
 
 use des::SimTime;
 use wire::{
-    ClientOutcome, DecodeError, Decoder, Encoder, EntryId, EntryList, LogEntry, LogIndex, Message,
-    NodeId, SessionId, Snapshot, Term, Wire,
+    ClientOutcome, DecodeError, Decoder, EntryId, EntryList, LogEntry, LogIndex, Message, NodeId,
+    SessionId, Sink, Snapshot, Term, Wire,
 };
 
 /// Messages exchanged by Fast Raft sites (one consensus level).
@@ -195,7 +195,7 @@ impl FastRaftMessage {
 }
 
 impl Wire for FastRaftMessage {
-    fn encode(&self, e: &mut Encoder) {
+    fn encode(&self, e: &mut impl Sink) {
         match self {
             FastRaftMessage::ProposeAt { index, entry } => {
                 e.put_u8(0);
@@ -404,31 +404,6 @@ impl Wire for FastRaftMessage {
             }
         })
     }
-
-    /// Allocation-free size computation (overrides the encode-and-measure
-    /// default: the network layer charges `wire_size` on every send).
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            FastRaftMessage::ProposeAt { entry, .. } => 8 + entry.encoded_len(),
-            FastRaftMessage::Vote { entry, .. } => 8 + entry.encoded_len() + 8,
-            FastRaftMessage::ProposeReply { leader_hint, .. } => 16 + 1 + leader_hint.encoded_len(),
-            FastRaftMessage::AppendEntries { entries, .. } => {
-                8 + 8 + 8 + entries.encoded_len() + 8 + 8 + 8
-            }
-            FastRaftMessage::AppendEntriesReply { .. } => 8 + 1 + 8 + 8 + 8,
-            FastRaftMessage::ClientRead { .. } => 8 + 8,
-            FastRaftMessage::ClientReply { outcome, .. } => 8 + 8 + outcome.encoded_len(),
-            FastRaftMessage::RequestVote { .. } => 8 + 8 + 8 + 8,
-            FastRaftMessage::RequestVoteReply { self_approved, .. } => {
-                8 + 1 + self_approved.encoded_len()
-            }
-            FastRaftMessage::JoinRequest { .. } => 8,
-            FastRaftMessage::JoinReply { leader_hint, .. } => 1 + leader_hint.encoded_len(),
-            FastRaftMessage::LeaveRequest { .. } => 8,
-            FastRaftMessage::InstallSnapshot { snapshot, .. } => 8 + 8 + snapshot.encoded_len(),
-            FastRaftMessage::InstallSnapshotReply { .. } => 8 + 8,
-        }
-    }
 }
 
 impl Message for FastRaftMessage {
@@ -509,7 +484,7 @@ impl CRaftMessage {
 }
 
 impl Wire for CRaftMessage {
-    fn encode(&self, e: &mut Encoder) {
+    fn encode(&self, e: &mut impl Sink) {
         match self {
             CRaftMessage::Local(m) => {
                 e.put_u8(0);
@@ -533,12 +508,6 @@ impl Wire for CRaftMessage {
                 })
             }
         })
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            CRaftMessage::Local(m) | CRaftMessage::Global(m) => m.encoded_len(),
-        }
     }
 }
 

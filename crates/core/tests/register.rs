@@ -25,7 +25,7 @@ fn engine_register_commits_and_assigns_id() {
     net.fire(NodeId(0), TimerKind::Election);
     net.deliver_all();
     assert_eq!(net.node(NodeId(0)).role(), Role::Leader);
-    net.client_request(NodeId(0), ClientRequest::register(SessionId::UNASSIGNED));
+    net.client_request(NodeId(0), ClientRequest::register(SessionId(41)));
     net.deliver_all();
     net.fire(NodeId(0), TimerKind::LeaderTick);
     net.deliver_all();
@@ -43,7 +43,11 @@ fn engine_register_commits_and_assigns_id() {
         })
         .collect();
     assert_eq!(regs.len(), 1, "registration unanswered: {regs:?}");
-    assert!(!regs[0].is_unassigned(), "no server-assigned id");
+    assert_eq!(
+        regs[0],
+        SessionId(41),
+        "the registration opened another session"
+    );
     // Seq 1 is consumed: the session's first data write lands at seq 2.
     net.client_request(
         NodeId(0),
@@ -88,7 +92,7 @@ fn craft_register_propagates_in_global_batch() {
     net.deliver_all();
     assert!(net.node(NodeId(0)).is_global_leader());
 
-    net.client_request(NodeId(0), ClientRequest::register(SessionId::UNASSIGNED));
+    net.client_request(NodeId(0), ClientRequest::register(SessionId(41)));
     net.deliver_all();
     net.fire(NodeId(0), TimerKind::LeaderTick);
     net.deliver_all();

@@ -25,11 +25,9 @@ fn mass_reconnect_after_partition_heals_drains_completely() {
     let timing = Timing::lan();
     let cfg: Configuration = (0..sites).map(NodeId).collect();
 
-    // Session-first clients at every site but n0: the workload keys each
-    // client's session by its gateway's node id, and `SessionId(0)` is the
-    // reserved server-assign sentinel — a client there would mint a fresh
-    // server-assigned session on every retry instead of deduplicating.
-    // The registrations are what herd at heal time.
+    // Session-first clients at every site but n0 (the workload keys each
+    // client's session by its gateway's node id). The registrations are
+    // what herd at heal time.
     let mut workload = Workload::writes_only(
         (1..sites).map(NodeId).collect(),
         64,

@@ -4,8 +4,8 @@
 use bytes::Bytes;
 use des::SimTime;
 use wire::{
-    ClientOutcome, DecodeError, Decoder, Encoder, EntryId, EntryList, LogIndex, Message, NodeId,
-    SessionId, Snapshot, Term, Wire,
+    ClientOutcome, DecodeError, Decoder, EntryId, EntryList, LogIndex, Message, NodeId, SessionId,
+    Sink, Snapshot, Term, Wire,
 };
 
 /// Messages exchanged by classic Raft sites.
@@ -155,7 +155,7 @@ impl RaftMessage {
 }
 
 impl Wire for RaftMessage {
-    fn encode(&self, e: &mut Encoder) {
+    fn encode(&self, e: &mut impl Sink) {
         match self {
             RaftMessage::Propose {
                 id,
@@ -310,24 +310,6 @@ impl Wire for RaftMessage {
                 })
             }
         })
-    }
-
-    /// Allocation-free size computation (overrides the encode-and-measure
-    /// default: the network layer charges `wire_size` on every send).
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            RaftMessage::Propose { id, data, .. } => id.encoded_len() + 8 + 8 + data.encoded_len(),
-            RaftMessage::ClientRead { .. } => 8 + 8,
-            RaftMessage::ClientReply { outcome, .. } => 8 + 8 + outcome.encoded_len(),
-            RaftMessage::AppendEntries { entries, .. } => {
-                8 + 8 + 8 + 8 + entries.encoded_len() + 8 + 8
-            }
-            RaftMessage::AppendEntriesReply { .. } => 8 + 1 + 8 + 8 + 8,
-            RaftMessage::RequestVote { .. } => 8 + 8 + 8 + 8,
-            RaftMessage::RequestVoteReply { .. } => 8 + 1,
-            RaftMessage::InstallSnapshot { snapshot, .. } => 8 + 8 + snapshot.encoded_len(),
-            RaftMessage::InstallSnapshotReply { .. } => 8 + 8,
-        }
     }
 }
 

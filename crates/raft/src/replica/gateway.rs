@@ -60,16 +60,9 @@ impl Gateway {
 
 impl Replica {
     /// The `(session, seq)` a client write or registration is keyed by
-    /// here. A registration takes seq 1 and, when unassigned, a session id
-    /// derived from this site and its proposal counter, so concurrent
-    /// registrations at different gateways cannot collide. A *retry* of an
-    /// unassigned registration may open a second (unused) session; the TTL
-    /// reclaims it.
+    /// here: a registration takes seq 1 of the session the client chose.
     pub fn write_key(&self, session: SessionId, seq: u64, op: &ClientOp) -> (SessionId, u64) {
         match op {
-            ClientOp::Register if session.is_unassigned() => {
-                (SessionId::assigned(self.id, self.ids.next_seq()), 1)
-            }
             ClientOp::Register => (session, 1),
             _ => (session, seq),
         }

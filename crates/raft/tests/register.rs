@@ -1,8 +1,8 @@
-//! Explicit session registration ([`wire::ClientOp::Register`]): server-
-//! assigned ids, idempotent re-registration, redirect at followers, and —
-//! the point of the op — the closed seq-1 expiry window: a registered
-//! session's first *data* write is seq 2, so a post-eviction retry is
-//! always detectably stale and never silently re-applied.
+//! Explicit session registration ([`wire::ClientOp::Register`]):
+//! idempotent re-registration, redirect at followers, and — the point of
+//! the op — the closed seq-1 expiry window: a registered session's first
+//! *data* write is seq 2, so a post-eviction retry is always detectably
+//! stale and never silently re-applied.
 
 use des::SimRng;
 use raft::testkit::Lockstep;
@@ -13,6 +13,8 @@ use wire::{
 };
 
 const TTL: u64 = 8;
+/// The session every test registers (ids are the client's to choose).
+const SESSION: SessionId = SessionId(41);
 
 fn cluster(ttl: u64) -> Lockstep<RaftNode> {
     let cfg: Configuration = (0..3).map(NodeId).collect();
@@ -57,40 +59,16 @@ fn registered_at(net: &Lockstep<RaftNode>, at: NodeId) -> Vec<(SessionId, LogInd
 }
 
 #[test]
-fn unassigned_register_returns_server_assigned_id() {
-    let mut net = cluster(TTL);
-    let leader = elect(&mut net, NodeId(0));
-    net.client_request(leader, ClientRequest::register(SessionId::UNASSIGNED));
-    net.deliver_all();
-    commit_round(&mut net, leader);
-    let regs = registered_at(&net, leader);
-    assert_eq!(regs.len(), 1, "exactly one registration: {regs:?}");
-    let (session, _) = regs[0];
-    assert!(!session.is_unassigned(), "server never assigned an id");
-    assert_eq!(
-        session.as_u64() >> 63,
-        1,
-        "assigned ids live in the top-bit partition, got {session}"
-    );
-    // The registration consumed the session's seq 1 on every replica.
-    assert!(net
-        .observations()
-        .iter()
-        .any(|(_, o)| matches!(o, Observation::SessionApplied { session: s, seq: 1, .. } if *s == session)));
-    net.assert_exactly_once();
-    net.assert_safety();
-}
-
-#[test]
 fn reregister_is_idempotent_at_the_same_index() {
     let mut net = cluster(TTL);
     let leader = elect(&mut net, NodeId(0));
-    net.client_request(leader, ClientRequest::register(SessionId::UNASSIGNED));
+    net.client_request(leader, ClientRequest::register(SESSION));
     net.deliver_all();
     commit_round(&mut net, leader);
     let (session, index) = registered_at(&net, leader)[0];
-    // The client retries with the id it was handed (e.g. the first ack was
-    // lost): answered from the dedup table, same placement, no new entry.
+    assert_eq!(session, SESSION, "the registration opened another session");
+    // The client retries (e.g. the first ack was lost): answered from the
+    // dedup table, same placement, no new entry.
     net.client_request(leader, ClientRequest::register(session));
     net.deliver_all();
     commit_round(&mut net, leader);
@@ -101,7 +79,7 @@ fn reregister_is_idempotent_at_the_same_index() {
         .observations()
         .iter()
         .filter(
-            |(_, o)| matches!(o, Observation::SessionApplied { session: s, .. } if *s == session),
+            |(_, o)| matches!(o, Observation::SessionApplied { session: s, seq: 1, .. } if *s == session),
         )
         .count();
     assert_eq!(applies, 3, "one apply per replica, not per attempt");
@@ -116,7 +94,7 @@ fn register_at_follower_redirects_to_leader() {
     // A heartbeat teaches the followers who leads.
     net.fire(leader, TimerKind::Heartbeat);
     net.deliver_all();
-    net.client_request(NodeId(1), ClientRequest::register(SessionId::UNASSIGNED));
+    net.client_request(NodeId(1), ClientRequest::register(SESSION));
     net.deliver_all();
     let redirects: Vec<_> = net
         .observations()
@@ -150,7 +128,7 @@ fn registered_session_expiry_is_terminal_never_replayed() {
     // stale.
     let mut net = cluster(TTL);
     let leader = elect(&mut net, NodeId(0));
-    net.client_request(leader, ClientRequest::register(SessionId::UNASSIGNED));
+    net.client_request(leader, ClientRequest::register(SESSION));
     net.deliver_all();
     commit_round(&mut net, leader);
     let (session, _) = registered_at(&net, leader)[0];

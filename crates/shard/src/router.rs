@@ -17,7 +17,7 @@
 //! different ranges commute because their ranges are disjoint.
 
 use bytes::Bytes;
-use wire::{Decoder, Encoder, GroupId};
+use wire::{Decoder, Encoder, GroupId, Sink};
 
 /// Magic prefix marking a committed write payload as a routing reconfig
 /// op rather than application data. Client payloads are either empty or

@@ -61,7 +61,7 @@ use storage::StableState;
 use wire::{
     Actions, ClientLane, ClientOp, ClientOutcome, Configuration, ConsensusProtocol, Driver,
     GroupFrame, GroupId, LogScope, NodeId, Observation, Payload, SafetyChecker, SafetyViolation,
-    SessionId, Settled, ShardEnvelope, TimerCmd, TimerKind,
+    SessionId, Settled, ShardEnvelope, TimerCmd, TimerKind, Wire,
 };
 
 use crate::router::{ReconfigOp, ShardRouter};
@@ -98,8 +98,9 @@ fn decode_key(key: u64) -> (u32, Option<(u64, TimerKind)>) {
 
 /// Extra capabilities the sharded runner needs from an engine beyond the
 /// sans-IO [`ConsensusProtocol`] surface: the hibernation gate must see
-/// whether a replica is settled before parking its group.
-pub trait ShardNode: ConsensusProtocol {
+/// whether a replica is settled before parking its group. Its messages are
+/// [`Wire`] types: the fabric charges a frame's `encoded_len`.
+pub trait ShardNode: ConsensusProtocol<Message: Wire> {
     /// `true` when this replica is the group's current leader with no
     /// client work in flight (safe to stop heartbeating).
     fn is_settled_leader(&self) -> bool;

@@ -7,8 +7,7 @@
 //! - [`LatencyModel`]s: [`ConstantLatency`], [`UniformLatency`], and
 //!   region-aware [`RegionLatency`] with an [`RegionLatency::aws_global`]
 //!   preset matching the paper's 10–300 ms inter-region RTT envelope;
-//! - [`LossModel`]s: [`NoLoss`], [`BernoulliLoss`] (`tc`-style i.i.d.),
-//!   [`PerLinkLoss`], and bursty [`GilbertElliott`];
+//! - [`LossModel`]s: [`NoLoss`] and [`BernoulliLoss`] (`tc`-style i.i.d.);
 //! - [`PartitionSet`]: administratively blocked links, symmetric or
 //!   asymmetric (one-way cuts);
 //! - [`PersistStalls`]: seed-driven slow-disk persistence stalls;
@@ -44,7 +43,7 @@ mod topology;
 
 pub use chaos::PersistStalls;
 pub use latency::{ConstantLatency, LatencyModel, RegionLatency, UniformLatency};
-pub use loss::{BernoulliLoss, GilbertElliott, LossModel, NoLoss, PerLinkLoss};
+pub use loss::{BernoulliLoss, LossModel, NoLoss};
 pub use net::{Network, Verdict};
 pub use partition::PartitionSet;
 pub use stats::{DropReason, LinkStats, NetStats};

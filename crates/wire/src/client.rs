@@ -64,26 +64,9 @@ pub fn session_state_current(log: &SparseLog, commit_index: LogIndex, current_te
 pub struct SessionId(pub u64);
 
 impl SessionId {
-    /// The reserved "assign me one" id a [`ClientOp::Register`] carries when
-    /// the client wants the server to pick the session id.
-    pub const UNASSIGNED: SessionId = SessionId(0);
-
     /// A client session with the given raw id.
     pub const fn client(id: u64) -> Self {
         SessionId(id)
-    }
-
-    /// A server-assigned session id, derived at the registering gateway from
-    /// its node id and a local counter. The top bit partitions the space so
-    /// assigned ids can never collide with client-chosen ones (which would
-    /// silently merge two sessions' dedup windows).
-    pub const fn assigned(node: NodeId, counter: u64) -> Self {
-        SessionId((1 << 63) | (node.as_u64() << 32) | (counter & 0xffff_ffff))
-    }
-
-    /// `true` for the reserved server-assign sentinel.
-    pub const fn is_unassigned(self) -> bool {
-        self.0 == 0
     }
 
     /// The raw id.
@@ -141,18 +124,13 @@ pub enum ClientOp {
     /// the expiry boundary documented on
     /// [`SessionTable::is_expired_retry`]: every post-eviction retry of a
     /// registered session has `seq > 1` and is detectably stale, so no
-    /// write is ever silently re-applied. Requesting it with session id
-    /// **0** asks the server to assign one (returned in
-    /// [`ClientOutcome::Registered`]); a *retry* of an id-0 registration
-    /// cannot be deduplicated (the client has no identity yet) and may
-    /// open a second, unused session — harmless, and bounded by the
-    /// session TTL.
+    /// write is ever silently re-applied. The session id is the client's to
+    /// choose, so a retried registration is deduplicated like any write.
     Register,
 }
 
 /// The bit that marks a request id as a read id. Write seqs count up from
-/// 1 and stay below it; read ids always carry it — the same top-bit
-/// partition [`SessionId::assigned`] uses for session ids.
+/// 1 and stay below it; read ids always carry it.
 const READ_ID_BIT: u64 = 1 << 63;
 
 /// The request id of a session's `ordinal`-th read. Reads are numbered by
@@ -202,8 +180,7 @@ impl ClientRequest {
     }
 
     /// A session-registration request (always seq 1 — registration *is*
-    /// the session's first operation; session 0 asks the server to assign
-    /// an id).
+    /// the session's first operation).
     pub fn register(session: SessionId) -> Self {
         ClientRequest {
             session,
@@ -237,12 +214,10 @@ pub enum ClientOutcome {
         /// The commit floor the answer reflects.
         commit_floor: LogIndex,
     },
-    /// The session registration committed: the session named here (the
-    /// requested one, or the server-assigned id for requests with session
-    /// 0) is open with seq 1 consumed — its first write must use seq 2.
+    /// The session registration committed: the session the request named
+    /// is open with seq 1 consumed — its first write must use seq 2.
     Registered {
-        /// The open session (authoritative: may differ from the request's
-        /// when the server assigned it).
+        /// The open session.
         session: SessionId,
         /// Where the registration landed in the log.
         index: LogIndex,

@@ -2,9 +2,13 @@
 //!
 //! The simulator delivers messages as in-memory values, but realistic
 //! *bandwidth* accounting (one of C-Raft's motivations is reducing wide-area
-//! traffic) needs true encoded sizes. Every message type implements [`Wire`];
-//! the network layer charges `encoded_len()` bytes per send, and roundtrip
-//! property tests guarantee the encoding actually carries all information.
+//! traffic) needs true encoded sizes. Every message type implements [`Wire`]
+//! and states its format once, in [`Wire::encode`], over a [`Sink`]: an
+//! [`Encoder`] keeps the bytes and a `Counter` only counts them. The
+//! network layer charges [`Wire::encoded_len`] bytes per send, which is
+//! `encode` run into a `Counter`, so the charge cannot drift from the
+//! format. Roundtrip property tests guarantee the encoding carries all
+//! information.
 //!
 //! Format: little-endian fixed-width integers, `u32` length prefixes for
 //! variable-size data, one-byte tags for enums. No self-description — both
@@ -74,6 +78,23 @@ impl std::error::Error for DecodeError {}
 /// an enormous allocation.
 const MAX_LEN: usize = 64 * 1024 * 1024;
 
+/// Where [`Wire::encode`] writes. The format is stated once, in `encode`:
+/// an [`Encoder`] keeps the bytes it is given, and the private `Counter`
+/// behind [`Wire::encoded_len`] only counts them.
+pub trait Sink {
+    /// Appends a byte.
+    fn put_u8(&mut self, v: u8);
+
+    /// Appends a little-endian u32.
+    fn put_u32(&mut self, v: u32);
+
+    /// Appends a little-endian u64.
+    fn put_u64(&mut self, v: u64);
+
+    /// Appends length-prefixed bytes: a `u32` length, then the bytes.
+    fn put_bytes(&mut self, v: &[u8]);
+}
+
 /// Streaming encoder over a growable buffer.
 #[derive(Debug, Default)]
 pub struct Encoder {
@@ -84,32 +105,6 @@ impl Encoder {
     /// Creates an empty encoder.
     pub fn new() -> Self {
         Encoder::default()
-    }
-
-    /// Appends a byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.extend_from_slice(&[v]);
-    }
-
-    /// Appends a little-endian u32.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian u64.
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a bool as one byte.
-    pub fn put_bool(&mut self, v: bool) {
-        self.put_u8(v as u8);
-    }
-
-    /// Appends length-prefixed bytes.
-    pub fn put_bytes(&mut self, v: &[u8]) {
-        self.put_u32(u32::try_from(v.len()).expect("blob too large"));
-        self.buf.extend_from_slice(v);
     }
 
     /// Number of bytes written so far.
@@ -125,6 +120,51 @@ impl Encoder {
     /// Finishes encoding, yielding the buffer.
     pub fn finish(self) -> Bytes {
         self.buf.freeze()
+    }
+}
+
+impl Sink for Encoder {
+    fn put_u8(&mut self, v: u8) {
+        self.buf.extend_from_slice(&[v]);
+    }
+
+    fn put_u32(&mut self, v: u32) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn put_u64(&mut self, v: u64) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn put_bytes(&mut self, v: &[u8]) {
+        self.put_u32(u32::try_from(v.len()).expect("blob too large"));
+        self.buf.extend_from_slice(v);
+    }
+}
+
+/// A sink that keeps no bytes, only their number. Its `put_bytes` skips the
+/// `u32` length check: the [`Encoder`] that writes the prefix makes it.
+struct Counter(usize);
+
+impl Sink for Counter {
+    #[inline]
+    fn put_u8(&mut self, _: u8) {
+        self.0 += 1;
+    }
+
+    #[inline]
+    fn put_u32(&mut self, _: u32) {
+        self.0 += 4;
+    }
+
+    #[inline]
+    fn put_u64(&mut self, _: u64) {
+        self.0 += 8;
+    }
+
+    #[inline]
+    fn put_bytes(&mut self, v: &[u8]) {
+        self.0 += 4 + v.len();
     }
 }
 
@@ -206,8 +246,8 @@ impl<'a> Decoder<'a> {
 
 /// Types that can be written to and read from the wire.
 pub trait Wire: Sized {
-    /// Writes `self` to the encoder.
-    fn encode(&self, e: &mut Encoder);
+    /// Writes `self` to the sink: the one statement of its format.
+    fn encode(&self, e: &mut impl Sink);
 
     /// Reads a value from the decoder.
     ///
@@ -235,57 +275,46 @@ pub trait Wire: Sized {
         Ok(v)
     }
 
-    /// The exact number of bytes `encode` would produce.
-    ///
-    /// The default implementation encodes into a scratch buffer; every type
-    /// on a hot path overrides it with pure arithmetic, because the network
-    /// layer charges `encoded_len` bytes on **every** send and an encode
-    /// per send would dominate the allocation profile.
+    /// The exact number of bytes `encode` would produce: `encode` run into
+    /// a `Counter`, which allocates and copies nothing. The network layer
+    /// charges this on every send. No type overrides it, so a size can
+    /// never drift from the format.
     fn encoded_len(&self) -> usize {
-        let mut e = Encoder::new();
-        self.encode(&mut e);
-        e.len()
+        let mut c = Counter(0);
+        self.encode(&mut c);
+        c.0
     }
 }
 
 impl Wire for u64 {
-    fn encode(&self, e: &mut Encoder) {
+    fn encode(&self, e: &mut impl Sink) {
         e.put_u64(*self);
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         d.u64()
     }
-    fn encoded_len(&self) -> usize {
-        8
-    }
 }
 
 impl Wire for bool {
-    fn encode(&self, e: &mut Encoder) {
-        e.put_bool(*self);
+    fn encode(&self, e: &mut impl Sink) {
+        e.put_u8(u8::from(*self));
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         d.bool()
     }
-    fn encoded_len(&self) -> usize {
-        1
-    }
 }
 
 impl Wire for Bytes {
-    fn encode(&self, e: &mut Encoder) {
+    fn encode(&self, e: &mut impl Sink) {
         e.put_bytes(self);
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         d.bytes()
     }
-    fn encoded_len(&self) -> usize {
-        4 + self.len()
-    }
 }
 
 impl<T: Wire> Wire for Option<T> {
-    fn encode(&self, e: &mut Encoder) {
+    fn encode(&self, e: &mut impl Sink) {
         match self {
             None => e.put_u8(0),
             Some(v) => {
@@ -301,13 +330,10 @@ impl<T: Wire> Wire for Option<T> {
             tag => Err(DecodeError::InvalidTag { ty: "Option", tag }),
         }
     }
-    fn encoded_len(&self) -> usize {
-        1 + self.as_ref().map_or(0, Wire::encoded_len)
-    }
 }
 
 impl<T: Wire> Wire for Vec<T> {
-    fn encode(&self, e: &mut Encoder) {
+    fn encode(&self, e: &mut impl Sink) {
         e.put_u32(u32::try_from(self.len()).expect("vec too large"));
         for v in self {
             v.encode(e);
@@ -324,35 +350,26 @@ impl<T: Wire> Wire for Vec<T> {
         }
         Ok(out)
     }
-    fn encoded_len(&self) -> usize {
-        4 + self.iter().map(Wire::encoded_len).sum::<usize>()
-    }
 }
 
 impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn encode(&self, e: &mut Encoder) {
+    fn encode(&self, e: &mut impl Sink) {
         self.0.encode(e);
         self.1.encode(e);
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         Ok((A::decode(d)?, B::decode(d)?))
     }
-    fn encoded_len(&self) -> usize {
-        self.0.encoded_len() + self.1.encoded_len()
-    }
 }
 
 macro_rules! wire_newtype_u64 {
     ($ty:ident) => {
         impl Wire for $ty {
-            fn encode(&self, e: &mut Encoder) {
+            fn encode(&self, e: &mut impl Sink) {
                 e.put_u64(self.0);
             }
             fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
                 Ok($ty(d.u64()?))
-            }
-            fn encoded_len(&self) -> usize {
-                8
             }
         }
     };
@@ -365,7 +382,7 @@ wire_newtype_u64!(LogIndex);
 wire_newtype_u64!(SessionId);
 
 impl Wire for EntryId {
-    fn encode(&self, e: &mut Encoder) {
+    fn encode(&self, e: &mut impl Sink) {
         self.proposer.encode(e);
         e.put_u64(self.seq);
     }
@@ -375,13 +392,10 @@ impl Wire for EntryId {
             seq: d.u64()?,
         })
     }
-    fn encoded_len(&self) -> usize {
-        16
-    }
 }
 
 impl Wire for Configuration {
-    fn encode(&self, e: &mut Encoder) {
+    fn encode(&self, e: &mut impl Sink) {
         e.put_u32(u32::try_from(self.len()).expect("config too large"));
         for n in self.iter() {
             n.encode(e);
@@ -390,13 +404,10 @@ impl Wire for Configuration {
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         Ok(Configuration::new(Vec::<NodeId>::decode(d)?))
     }
-    fn encoded_len(&self) -> usize {
-        4 + 8 * self.len()
-    }
 }
 
 impl Wire for Approval {
-    fn encode(&self, e: &mut Encoder) {
+    fn encode(&self, e: &mut impl Sink) {
         e.put_u8(match self {
             Approval::SelfApproved => 0,
             Approval::LeaderApproved => 1,
@@ -412,13 +423,10 @@ impl Wire for Approval {
             }),
         }
     }
-    fn encoded_len(&self) -> usize {
-        1
-    }
 }
 
 impl Wire for BatchItem {
-    fn encode(&self, e: &mut Encoder) {
+    fn encode(&self, e: &mut impl Sink) {
         self.id.encode(e);
         self.key.encode(e);
         self.data.encode(e);
@@ -430,13 +438,10 @@ impl Wire for BatchItem {
             data: Bytes::decode(d)?,
         })
     }
-    fn encoded_len(&self) -> usize {
-        self.id.encoded_len() + self.key.encoded_len() + self.data.encoded_len()
-    }
 }
 
 impl Wire for Batch {
-    fn encode(&self, e: &mut Encoder) {
+    fn encode(&self, e: &mut impl Sink) {
         self.cluster.encode(e);
         e.put_u64(self.batch_seq);
         e.put_u32(u32::try_from(self.items.len()).expect("batch too large"));
@@ -451,13 +456,10 @@ impl Wire for Batch {
             items: Vec::<BatchItem>::decode(d)?.into(),
         })
     }
-    fn encoded_len(&self) -> usize {
-        8 + 8 + 4 + self.items.iter().map(Wire::encoded_len).sum::<usize>()
-    }
 }
 
 impl Wire for GlobalState {
-    fn encode(&self, e: &mut Encoder) {
+    fn encode(&self, e: &mut impl Sink) {
         self.index.encode(e);
         self.entry.encode(e);
         self.global_commit.encode(e);
@@ -469,13 +471,10 @@ impl Wire for GlobalState {
             global_commit: LogIndex::decode(d)?,
         })
     }
-    fn encoded_len(&self) -> usize {
-        8 + self.entry.encoded_len() + 8
-    }
 }
 
 impl Wire for LogScope {
-    fn encode(&self, e: &mut Encoder) {
+    fn encode(&self, e: &mut impl Sink) {
         e.put_u8(match self {
             LogScope::Local => 0,
             LogScope::Global => 1,
@@ -491,13 +490,10 @@ impl Wire for LogScope {
             }),
         }
     }
-    fn encoded_len(&self) -> usize {
-        1
-    }
 }
 
 impl Wire for Consistency {
-    fn encode(&self, e: &mut Encoder) {
+    fn encode(&self, e: &mut impl Sink) {
         e.put_u8(match self {
             Consistency::Linearizable => 0,
             Consistency::StaleLocal => 1,
@@ -515,13 +511,10 @@ impl Wire for Consistency {
             }),
         }
     }
-    fn encoded_len(&self) -> usize {
-        1
-    }
 }
 
 impl Wire for ClientOutcome {
-    fn encode(&self, e: &mut Encoder) {
+    fn encode(&self, e: &mut impl Sink) {
         match self {
             ClientOutcome::Committed { index } => {
                 e.put_u8(0);
@@ -581,19 +574,10 @@ impl Wire for ClientOutcome {
             }
         })
     }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            ClientOutcome::Committed { .. } | ClientOutcome::Duplicate { .. } => 8,
-            ClientOutcome::ReadOk { .. } => 1 + 8,
-            ClientOutcome::Registered { .. } => 8 + 8,
-            ClientOutcome::Redirect { leader_hint } => leader_hint.encoded_len(),
-            ClientOutcome::Retry | ClientOutcome::SessionExpired => 0,
-        }
-    }
 }
 
 impl Wire for SessionTable {
-    fn encode(&self, e: &mut Encoder) {
+    fn encode(&self, e: &mut impl Sink) {
         e.put_u32(u32::try_from(self.len()).expect("session table too large"));
         for (session, slot) in self.iter() {
             session.encode(e);
@@ -638,16 +622,10 @@ impl Wire for SessionTable {
         }
         Ok(table)
     }
-    fn encoded_len(&self) -> usize {
-        4 + self
-            .iter()
-            .map(|(_, slot)| 8 + 8 + 8 + 8 + 4 + 16 * slot.above.len())
-            .sum::<usize>()
-    }
 }
 
 impl Wire for Snapshot {
-    fn encode(&self, e: &mut Encoder) {
+    fn encode(&self, e: &mut impl Sink) {
         // Snapshots persist across builds (storage writes them to stable
         // state), so unlike every other message they carry an explicit
         // format version — see `SNAPSHOT_FORMAT_VERSION` for the history.
@@ -678,18 +656,10 @@ impl Wire for Snapshot {
             sessions: SessionTable::decode(d)?.into(),
         })
     }
-    fn encoded_len(&self) -> usize {
-        1 + 1
-            + 8
-            + 8
-            + self.config.encoded_len()
-            + self.state.encoded_len()
-            + self.sessions.encoded_len()
-    }
 }
 
 impl Wire for Payload {
-    fn encode(&self, e: &mut Encoder) {
+    fn encode(&self, e: &mut impl Sink) {
         match self {
             Payload::Noop => e.put_u8(0),
             Payload::Config(c) => {
@@ -733,20 +703,10 @@ impl Wire for Payload {
             tag => Err(DecodeError::InvalidTag { ty: "Payload", tag }),
         }
     }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            Payload::Noop => 0,
-            Payload::Config(c) => c.encoded_len(),
-            Payload::Batch(b) => b.encoded_len(),
-            Payload::GlobalState(g) => g.encoded_len(),
-            Payload::Write { data, .. } => 8 + 8 + data.encoded_len(),
-            Payload::Register { .. } => 8,
-        }
-    }
 }
 
 impl Wire for LogEntry {
-    fn encode(&self, e: &mut Encoder) {
+    fn encode(&self, e: &mut impl Sink) {
         self.term.encode(e);
         self.id.encode(e);
         self.payload.encode(e);
@@ -760,13 +720,10 @@ impl Wire for LogEntry {
             approval: Approval::decode(d)?,
         })
     }
-    fn encoded_len(&self) -> usize {
-        8 + 16 + self.payload.encoded_len() + 1
-    }
 }
 
 impl Wire for EntryList {
-    fn encode(&self, e: &mut Encoder) {
+    fn encode(&self, e: &mut impl Sink) {
         e.put_u32(u32::try_from(self.len()).expect("entry list too large"));
         for pair in self.iter() {
             pair.encode(e);
@@ -774,9 +731,6 @@ impl Wire for EntryList {
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         Ok(Vec::<(LogIndex, LogEntry)>::decode(d)?.into())
-    }
-    fn encoded_len(&self) -> usize {
-        4 + self.iter().map(Wire::encoded_len).sum::<usize>()
     }
 }
 

@@ -19,7 +19,8 @@
 //!   reads with a [`Consistency`] level), [`ClientOutcome`], the
 //!   exactly-once [`SessionTable`] carried inside snapshots, and the
 //!   [`ClientLane`] every host keeps a client session's side of it in;
-//! - a compact binary codec ([`Wire`], [`Encoder`], [`Decoder`]) used for
+//! - a compact binary codec ([`Wire`], written once per type against a
+//!   [`Sink`] such as the [`Encoder`]; [`Decoder`]) used for
 //!   exact bandwidth accounting and verified by roundtrip property tests.
 //!
 //! # Examples
@@ -59,7 +60,7 @@ pub use client::{
     is_read_id, read_id, session_state_current, ClientOp, ClientOutcome, ClientRequest,
     Consistency, SessionApply, SessionId, SessionSlot, SessionTable,
 };
-pub use codec::{DecodeError, Decoder, Encoder, Wire};
+pub use codec::{DecodeError, Decoder, Encoder, Sink, Wire};
 pub use config::{AppendBudget, Configuration, MAX_BYTES_PER_APPEND};
 /// `des`'s seedless id tables, re-exported for crates (`storage`) that key
 /// tables by the ids above without depending on `des` themselves.

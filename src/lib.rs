@@ -45,9 +45,8 @@ pub mod protocols {
 pub mod sim {
     pub use des::{EventId, EventQueue, Firing, SimDuration, SimRng, SimTime, Simulation};
     pub use simnet::{
-        BernoulliLoss, ConstantLatency, DropReason, GilbertElliott, LatencyModel, LinkStats,
-        LossModel, NetStats, Network, NoLoss, PartitionSet, PerLinkLoss, RegionId, RegionLatency,
-        Topology, UniformLatency, Verdict,
+        BernoulliLoss, ConstantLatency, DropReason, LatencyModel, LinkStats, LossModel, NetStats,
+        Network, NoLoss, PartitionSet, RegionId, RegionLatency, Topology, UniformLatency, Verdict,
     };
     pub use storage::{ScopeState, SimDisk, StableState};
 }
@@ -59,7 +58,7 @@ pub mod types {
         min_chosen_votes_in_classic_quorum, Actions, Approval, Batch, BatchItem, ClientOp,
         ClientOutcome, ClientRequest, ClusterId, Commit, Configuration, ConsensusProtocol,
         Consistency, DecodeError, Decoder, Encoder, EntryId, GlobalState, LogEntry, LogIndex,
-        LogScope, Message, NodeId, Observation, Payload, PersistCmd, SessionId, SessionTable,
+        LogScope, Message, NodeId, Observation, Payload, PersistCmd, SessionId, SessionTable, Sink,
         SparseLog, Term, TimerCmd, TimerKind, Wire, MAX_BYTES_PER_APPEND,
     };
 }

@@ -9,7 +9,8 @@
 #   - BENCH_commit.json, BENCH_shard.json: the full-length commit_path and
 #     shard_sweep runs (default parameters) that README cites;
 #   - perf_sim.json: sim_ops_per_s and commit_mean_ms of perf's four
-#     workloads at their default seeds.
+#     workloads at their default seeds, and commit_p50_ms / commit_p99_ms of
+#     the three harness workloads from perf's traced pass (`--trace 1`).
 # Then prints old -> new for every value that moved and exits non-zero when
 # any ledger file changed.
 #
@@ -30,16 +31,24 @@ cargo run -q --release -p bench --bin shard_sweep -- --json "$out/BENCH_shard.js
 
 # One value per seed (every repetition of a seed agrees), median over the
 # seeds: run length and host speed cannot move these, only the simulation.
+# The commit percentiles pool every seed's writes, each seed run once, so
+# they repeat exactly too. shard_zipf_g256 has no traced percentiles: its
+# traced pass records no commit latencies and reports 0.
 for w in fast_lan_write craft_geo_write fast_churn_rw shard_zipf_g256; do
     result=$(bash perf/run.sh --workload "$w" --seconds 2 | tail -n 1)
-    echo "$w $result"
+    echo "$w e2e $result"
+    if [[ $w != shard_zipf_g256 ]]; then
+        result=$(bash perf/run.sh --workload "$w" --seconds 1 --trace 1 | tail -n 1)
+        echo "$w trace $result"
+    fi
 done | python3 -c '
 import json, sys
+names = {"e2e": ("sim_ops_per_s", "commit_mean_ms"), "trace": ("commit_p50_ms", "commit_p99_ms")}
 series = {}
 for line in sys.stdin:
-    workload, result = line.split(" ", 1)
+    workload, kind, result = line.split(" ", 2)
     metrics = json.loads(result)["metrics"]
-    for name in ("sim_ops_per_s", "commit_mean_ms"):
+    for name in names[kind]:
         series[f"{workload}/{name}"] = metrics[name]["value"]
 print(json.dumps({"bench": "perf_sim", "series": series}, indent=2))
 ' >"$out/perf_sim.json"

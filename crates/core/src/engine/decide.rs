@@ -84,8 +84,7 @@ impl FastRaftEngine {
             {
                 break;
             }
-            self.update_fast_match(k, existing.id);
-            if self.fast_quorum_at(k) {
+            if self.fast_quorum_at(k, existing.id) {
                 self.commit_through(k, Some(true), out);
             } else {
                 break;
@@ -189,13 +188,12 @@ impl FastRaftEngine {
         }
         self.insert_leader_entry(k, chosen.clone(), out);
         self.possible.null_out_elsewhere(chosen.id, k);
-        self.update_fast_match(k, chosen.id);
         // The fast track only ever commits the index right above the commit
         // point (§IV-B "the fast track can only be taken here if the last
         // index was committed").
         if k == self.core.commit_index.next()
             && chosen.term == self.core.current_term
-            && self.fast_quorum_at(k)
+            && self.fast_quorum_at(k, chosen.id)
         {
             self.commit_through(k, Some(true), out);
             return true;
@@ -223,29 +221,17 @@ impl FastRaftEngine {
         self.core.ids.reserved_seqs()
     }
 
-    fn update_fast_match(&mut self, k: LogIndex, chosen: EntryId) {
-        for &voter in self.possible.voters_for(k, chosen) {
-            let fm = self.fast_match.entry(voter).or_insert(LogIndex::ZERO);
-            if k > *fm {
-                *fm = k;
-            }
-        }
-        // The leader holds the entry itself.
-        let fm = self
-            .fast_match
-            .entry(self.core.id)
-            .or_insert(LogIndex::ZERO);
-        if k > *fm {
-            *fm = k;
-        }
-    }
-
-    fn fast_quorum_at(&self, k: LogIndex) -> bool {
+    /// `true` when a fast quorum of the configuration holds entry `id` at
+    /// `k`: the sites whose vote *at k* names it, plus the leader, which
+    /// holds the entry it inserted there. A vote at any other index says
+    /// nothing about `k`.
+    fn fast_quorum_at(&self, k: LogIndex, id: EntryId) -> bool {
+        let voters = self.possible.voters_for(k, id);
         let count = self
             .core
             .config
             .iter()
-            .filter(|m| self.fast_match.get(m).copied().unwrap_or(LogIndex::ZERO) >= k)
+            .filter(|m| *m == self.core.id || voters.binary_search(m).is_ok())
             .count();
         count >= self.core.config.fast_quorum()
     }

@@ -173,7 +173,6 @@ impl FastRaftEngine {
         self.silent_elections = 0;
         // §IV-A: nextIndex initialized to last committed entry + 1.
         self.core.become_leader(self.core.commit_index.next(), out);
-        self.fast_match.clear();
         self.missed_beats.clear();
         self.core
             .match_index

@@ -187,7 +187,6 @@ pub struct FastRaftEngine {
 
     // ---- leader volatile ----
     possible: PossibleEntries,
-    fast_match: BTreeMap<NodeId, LogIndex>,
     last_leader_index: LogIndex,
     missed_beats: BTreeMap<NodeId, u32>,
     pending_config: Option<LogIndex>,
@@ -292,7 +291,6 @@ impl FastRaftEngine {
             recovery_votes: Vec::new(),
             verified: LogIndex::ZERO,
             possible: PossibleEntries::new(),
-            fast_match: BTreeMap::new(),
             last_leader_index: LogIndex::ZERO,
             missed_beats: BTreeMap::new(),
             pending_config: None,

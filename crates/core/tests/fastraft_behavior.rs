@@ -453,6 +453,36 @@ fn five_node_fast_quorum_is_four() {
     net.assert_safety();
 }
 
+/// The fast track counts votes *at the index it commits*. Entry A reaches
+/// only sites 0–2 at index 1 (a classic quorum, not a fast one); entry B
+/// reaches all five at index 2. Sites 3 and 4 voted at index 2 but hold
+/// nothing at index 1, so no tick may fast-commit index 1: only the
+/// classic track, after the heartbeat replicates A, may commit it.
+#[test]
+fn votes_at_a_later_index_do_not_fast_commit_an_earlier_one() {
+    let mut net = cluster(5);
+    let leader = elect(&mut net, NodeId(0));
+    net.set_link_filter(|from, to| !(from == NodeId(1) && to.as_u64() >= 3));
+    net.propose(NodeId(1), b"a");
+    net.deliver_all();
+    net.set_link_filter(|_, _| true);
+    net.propose(NodeId(2), b"b");
+    net.deliver_all();
+    tick(&mut net, leader);
+    tick(&mut net, leader);
+    assert!(
+        !net.observations().iter().any(|(_, o)| matches!(
+            o,
+            Observation::FastTrackCommit { index } if *index == LogIndex(1)
+        )),
+        "index 1 fast-committed on 3 of 5 votes"
+    );
+    assert_eq!(net.node(leader).commit_index(), LogIndex::ZERO);
+    beat(&mut net, leader);
+    assert!(net.node(leader).commit_index() >= LogIndex(2));
+    net.assert_safety();
+}
+
 #[test]
 fn wire_messages_used_by_engine_roundtrip() {
     // Smoke-check the protocol messages produced in a live run decode.

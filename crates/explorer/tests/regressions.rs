@@ -72,3 +72,23 @@ fn gated_hole_election_stays_fixed() {
         v.unwrap()
     );
 }
+
+/// The fast quorum counted the wrong index: the leader kept one
+/// `fast_match` per site, the highest decided index at which that site had
+/// voted for the decided entry, and fast-committed `k` once a fast quorum's
+/// maximum reached `k`. A site that voted for another entry at `k + 1`
+/// therefore counted as holding the decided entry at `k`, and a fast
+/// commit could rest on a classic quorum: `n1:1` committed at index 2 on
+/// one site while a later leader re-decided `n0:0` there. Found by
+/// `explore --proto fast --strategy hammer` at seed 75 in the explorer's
+/// default shape (3 sites, 3 ops); fixed by counting only the votes at `k`
+/// that name the leader's entry there.
+#[test]
+fn fast_quorum_counts_votes_at_its_index() {
+    let v = replay_checked_in("fast_quorum_at_index.trace");
+    assert!(
+        v.is_none(),
+        "fast quorum at index regressed: {}",
+        v.unwrap()
+    );
+}

@@ -130,6 +130,7 @@ impl FastRaftEngine {
                 FastRaftMessage::ProposeReply {
                     id,
                     committed: true,
+                    index: k,
                     leader_hint: Some(self.core.id),
                 },
             );

@@ -188,6 +188,7 @@ impl FastRaftEngine {
         }
         self.insert_leader_entry(k, chosen.clone(), out);
         self.possible.null_out_elsewhere(chosen.id, k);
+        self.notify_losers(k, chosen.id, out);
         // The fast track only ever commits the index right above the commit
         // point (§IV-B "the fast track can only be taken here if the last
         // index was committed").

@@ -565,15 +565,18 @@ impl FastRaftEngine {
             FastRaftMessage::ProposeReply {
                 id,
                 committed,
+                index,
                 leader_hint,
             } => {
                 if let Some(hint) = leader_hint {
                     self.core.leader_hint = Some(hint);
                 }
-                if committed && self.pending_proposals.remove(&id).is_some() {
+                if !committed {
+                    self.on_lost_index(id, index, out);
+                } else if self.pending_proposals.remove(&id).is_some() {
                     out.observe(Observation::ProposalCommitted {
                         id,
-                        index: LogIndex::ZERO,
+                        index,
                         scope: self.core.scope,
                     });
                 }

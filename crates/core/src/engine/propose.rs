@@ -112,12 +112,13 @@ impl FastRaftEngine {
         // commit notification flows from emit_commit_effects — and answered
         // only once their slot committed them.
         if self.core.id_index.contains_key(&entry.id) {
-            if self.core.is_committed(&entry.id) {
+            if let Some(index) = self.core.committed_index(&entry.id) {
                 out.send(
                     entry.id.proposer,
                     FastRaftMessage::ProposeReply {
                         id: entry.id,
                         committed: true,
+                        index,
                         leader_hint: Some(self.core.id),
                     },
                 );
@@ -320,7 +321,9 @@ impl FastRaftEngine {
     /// proposal's target index with a *different* entry, the proposal lost
     /// that slot — re-broadcast it at a fresh index immediately rather than
     /// waiting for the proposal timeout. Keeps throughput stable under
-    /// concurrent proposers (§IV-F's contention scenario).
+    /// concurrent proposers (§IV-F's contention scenario). The leader's
+    /// loss notice (`notify_losers`) usually comes first; this catches a
+    /// notice that was lost and a loser no vote at the slot named.
     pub(super) fn retarget_lost_proposals(&mut self, out: &mut Actions<FastRaftMessage>) {
         if self.pending_proposals.is_empty() {
             return;
@@ -341,6 +344,61 @@ impl FastRaftEngine {
             self.rebroadcast_proposal(id, payload, index, out);
         }
         self.proposal_scratch = lost;
+    }
+
+    /// The leader decided `chosen` at `k`: tells the proposer of every other
+    /// candidate voted at `k` that its proposal lost `k`. A remote proposer
+    /// gets a `ProposeReply { committed: false, index: k }`; the leader's
+    /// own losers re-propose here. Runs before `k` can commit, which
+    /// releases its votes. Re-proposing votes only at a fresh index, so the
+    /// candidates at `k` stay as they are while the loop walks them.
+    pub(super) fn notify_losers(
+        &mut self,
+        k: LogIndex,
+        chosen: EntryId,
+        out: &mut Actions<FastRaftMessage>,
+    ) {
+        let mut at = 0;
+        while let Some(id) = self.possible.nth_candidate(k, at) {
+            at += 1;
+            if id == chosen {
+                continue;
+            }
+            if id.proposer == self.core.id {
+                self.on_lost_index(id, k, out);
+            } else {
+                let notice = FastRaftMessage::ProposeReply {
+                    id,
+                    committed: false,
+                    index: k,
+                    leader_hint: Some(self.core.id),
+                };
+                out.send(id.proposer, notice);
+            }
+        }
+    }
+
+    /// The leader decided another entry at `index`: if proposal `id` still
+    /// targets it, re-broadcast it at a fresh index now. A notice for a
+    /// proposal that has moved on or committed, or a redirect (index ZERO),
+    /// changes nothing. Placing one id a second time is what
+    /// `retry_proposals` does too: null votes and session dedup at apply
+    /// absorb it.
+    pub(super) fn on_lost_index(
+        &mut self,
+        id: EntryId,
+        index: LogIndex,
+        out: &mut Actions<FastRaftMessage>,
+    ) {
+        let Some(p) = self.pending_proposals.get(&id) else {
+            return;
+        };
+        if index.is_zero() || p.index != index {
+            return;
+        }
+        let payload = p.payload.clone();
+        let fresh = self.pick_proposal_index().max(index.next());
+        self.rebroadcast_proposal(id, payload, fresh, out);
     }
 
     pub(super) fn retry_proposals(&mut self, out: &mut Actions<FastRaftMessage>) {
@@ -400,6 +458,7 @@ impl FastRaftEngine {
                     FastRaftMessage::ProposeReply {
                         id: entry.id,
                         committed: false,
+                        index: LogIndex::ZERO,
                         leader_hint: self.core.leader_hint,
                     },
                 );
@@ -413,12 +472,13 @@ impl FastRaftEngine {
             return;
         }
         // Duplicate already committed? Notify the proposer (§IV-B step 1).
-        if self.core.is_committed(&entry.id) {
+        if let Some(index) = self.core.committed_index(&entry.id) {
             out.send(
                 entry.id.proposer,
                 FastRaftMessage::ProposeReply {
                     id: entry.id,
                     committed: true,
+                    index,
                     leader_hint: self.core.leader_hint,
                 },
             );
@@ -532,6 +592,7 @@ impl FastRaftEngine {
                     FastRaftMessage::ProposeReply {
                         id: entry.id,
                         committed: true,
+                        index,
                         leader_hint: Some(self.core.id),
                     },
                 );
@@ -541,7 +602,7 @@ impl FastRaftEngine {
         // A vote for an entry that is already committed at a *different*
         // index (this one is above the commit index) is a null vote
         // (duplicate suppression).
-        if self.core.is_committed(&entry.id) {
+        if self.core.committed_index(&entry.id).is_some() {
             self.possible.record_null_vote(index, from);
             return;
         }

@@ -32,6 +32,10 @@ pub enum FastRaftMessage {
         id: EntryId,
         /// `true` once committed.
         committed: bool,
+        /// The index the reply is about: where the proposal committed, or,
+        /// when not committed, the index the leader decided for another
+        /// entry (the proposal lost it). ZERO in a redirect.
+        index: LogIndex,
         /// Current leader, for redirects.
         leader_hint: Option<NodeId>,
     },
@@ -215,11 +219,13 @@ impl Wire for FastRaftMessage {
             FastRaftMessage::ProposeReply {
                 id,
                 committed,
+                index,
                 leader_hint,
             } => {
                 e.put_u8(2);
                 id.encode(e);
                 committed.encode(e);
+                index.encode(e);
                 leader_hint.encode(e);
             }
             FastRaftMessage::AppendEntries {
@@ -339,6 +345,7 @@ impl Wire for FastRaftMessage {
             2 => FastRaftMessage::ProposeReply {
                 id: EntryId::decode(d)?,
                 committed: bool::decode(d)?,
+                index: LogIndex::decode(d)?,
                 leader_hint: Option::decode(d)?,
             },
             3 => FastRaftMessage::AppendEntries {
@@ -553,6 +560,7 @@ mod tests {
         roundtrip_fast(&FastRaftMessage::ProposeReply {
             id: EntryId::new(NodeId(3), 7),
             committed: true,
+            index: LogIndex(4),
             leader_hint: None,
         });
         roundtrip_fast(&FastRaftMessage::AppendEntries {

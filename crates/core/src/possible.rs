@@ -251,6 +251,12 @@ impl PossibleEntries {
             .map_or(&[], |c| c.voters.as_slice())
     }
 
+    /// The id of the `n`-th candidate voted at `index`, in ascending id
+    /// order.
+    pub fn nth_candidate(&self, index: LogIndex, n: usize) -> Option<EntryId> {
+        Some(self.slot(index)?.candidates.get(n)?.entry.id)
+    }
+
     /// Step (d) of the decision rule: after choosing `id` at `chosen_index`,
     /// convert its candidacies at **other** indices into null votes so the
     /// same proposal is not inserted twice.

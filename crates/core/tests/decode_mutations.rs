@@ -194,13 +194,14 @@ fn arb_fast() -> impl Strategy<Value = FastRaftMessage> {
             entry,
             commit_index: LogIndex(i / 2),
         }),
-        (arb_entry_id(), any::<bool>(), arb_hint()).prop_map(|(id, committed, hint)| {
-            FastRaftMessage::ProposeReply {
+        (arb_entry_id(), any::<bool>(), any::<u64>(), arb_hint()).prop_map(
+            |(id, committed, i, hint)| FastRaftMessage::ProposeReply {
                 id,
                 committed,
+                index: LogIndex(i),
                 leader_hint: hint,
             }
-        }),
+        ),
         (any::<u64>(), arb_entries()).prop_map(|(t, entries)| {
             FastRaftMessage::AppendEntries {
                 term: Term(t),

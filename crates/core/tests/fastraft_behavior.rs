@@ -4,7 +4,10 @@ use consensus_core::{FastRaftMessage, FastRaftNode};
 use des::SimRng;
 use raft::testkit::Lockstep;
 use raft::{Role, Timing};
-use wire::{ClientOutcome, Configuration, LogIndex, NodeId, Observation, Payload, TimerKind};
+use wire::{
+    Actions, ClientOutcome, Configuration, ConsensusProtocol, EntryId, LogIndex, NodeId,
+    Observation, Payload, SessionId, TimerKind,
+};
 
 /// `true` once the client at `node` got a terminal `Committed` answer for
 /// its request key.
@@ -542,4 +545,153 @@ fn recovered_gateway_never_reuses_proposal_ids() {
     );
     net.assert_exactly_once();
     net.assert_safety();
+}
+
+/// The id of the entry at `index` in `node`'s log.
+fn entry_at(net: &Lockstep<FastRaftNode>, node: NodeId, index: u64) -> Option<EntryId> {
+    net.node(node).log().get(LogIndex(index)).map(|e| e.id)
+}
+
+/// Runs one step of `node` and returns the `(recipient, index)` of every
+/// `ProposeAt` for proposal `id` that the step sent.
+fn proposes_in_step(
+    net: &mut Lockstep<FastRaftNode>,
+    node: NodeId,
+    id: EntryId,
+    step: impl FnOnce(&mut FastRaftNode, &mut Actions<FastRaftMessage>),
+) -> Vec<(NodeId, LogIndex)> {
+    let mut sent = Vec::new();
+    net.with_node(node, |n, out| {
+        step(n, out);
+        sent.extend(out.sends.iter().filter_map(|(to, m)| match m {
+            FastRaftMessage::ProposeAt { index, entry } if entry.id == id => Some((*to, *index)),
+            _ => None,
+        }));
+    });
+    sent
+}
+
+/// Hands `node` the leader's notice that proposal `id` lost `index`.
+fn lost_notice(
+    net: &mut Lockstep<FastRaftNode>,
+    node: NodeId,
+    id: EntryId,
+    index: LogIndex,
+) -> Vec<(NodeId, LogIndex)> {
+    proposes_in_step(net, node, id, |n, out| {
+        let notice = FastRaftMessage::ProposeReply {
+            id,
+            committed: false,
+            index,
+            leader_hint: Some(NodeId(0)),
+        };
+        n.on_message(NodeId(0), notice, out);
+    })
+}
+
+/// Every site of `net` but `me`, each paired with `index`.
+fn to_peers(net: &Lockstep<FastRaftNode>, me: NodeId, index: u64) -> Vec<(NodeId, LogIndex)> {
+    net.ids()
+        .into_iter()
+        .filter(|&n| n != me)
+        .map(|n| (n, LogIndex(index)))
+        .collect()
+}
+
+/// Nodes 1 and 2 both propose at index 1. Node 1's `ProposeAt` reaches
+/// every other site first, so its entry `a` holds a fast quorum there and
+/// node 2's `b` only node 2's own vote. Returns `(a, b)` and `b`'s key.
+fn collide(net: &mut Lockstep<FastRaftNode>) -> (EntryId, EntryId, (SessionId, u64)) {
+    net.propose(NodeId(1), b"a");
+    let key_b = net.propose(NodeId(2), b"b");
+    net.deliver_all();
+    let a = entry_at(net, NodeId(1), 1).expect("a at 1");
+    let b = entry_at(net, NodeId(2), 1).expect("b at 1");
+    (a, b, key_b)
+}
+
+/// A proposer whose entry loses its index learns it from the leader's
+/// decision and re-proposes at once: `b` is at index 2 on every site after
+/// the deciding tick's messages drain, and commits on the next tick. No
+/// `ProposalRetry` fires and no heartbeat tells node 2 of the commit.
+#[test]
+fn a_losing_proposer_re_proposes_on_the_leaders_notice() {
+    let mut net = cluster(5);
+    let leader = elect(&mut net, NodeId(0));
+    let (a, b, key_b) = collide(&mut net);
+    tick(&mut net, leader);
+    assert_eq!(entry_at(&net, leader, 1), Some(a));
+    for id in net.ids() {
+        assert_eq!(entry_at(&net, id, 2), Some(b), "{id} lacks b at index 2");
+    }
+    tick(&mut net, leader);
+    assert!(committed_response(&net, NodeId(2), key_b));
+    net.assert_exactly_once();
+    net.assert_safety();
+}
+
+/// The notice acts in the step that receives it: that one step
+/// re-broadcasts the proposal at a fresh index.
+#[test]
+fn the_notice_re_proposes_inside_its_own_step() {
+    let mut net = cluster(5);
+    elect(&mut net, NodeId(0));
+    let (_, b, _) = collide(&mut net);
+    let sent = lost_notice(&mut net, NodeId(2), b, LogIndex(1));
+    assert_eq!(sent, to_peers(&net, NodeId(2), 2));
+    assert_eq!(entry_at(&net, NodeId(2), 2), Some(b));
+}
+
+/// The leader's own losing proposal re-targets inside the decision step.
+/// Votes from sites 3 and 4 are lost, so the tick decides `a` at index 1
+/// on a classic quorum without committing it: nothing but the decision
+/// tells the leader that its own `l` lost.
+#[test]
+fn the_leaders_own_loser_re_proposes_inside_the_decision_step() {
+    let mut net = cluster(5);
+    let leader = elect(&mut net, NodeId(0));
+    net.set_link_filter(|from, to| !(to == NodeId(0) && from.as_u64() >= 3));
+    net.propose(NodeId(1), b"a");
+    net.propose(leader, b"l");
+    net.deliver_all();
+    let a = entry_at(&net, NodeId(1), 1).expect("a at 1");
+    let l = entry_at(&net, leader, 1).expect("l at 1");
+    let sent = proposes_in_step(&mut net, leader, l, |n, out| {
+        n.on_timer(TimerKind::LeaderTick, out)
+    });
+    assert_eq!(entry_at(&net, leader, 1), Some(a));
+    assert_eq!(net.node(leader).commit_index(), LogIndex::ZERO);
+    assert_eq!(sent, to_peers(&net, leader, 2));
+    assert_eq!(entry_at(&net, leader, 2), Some(l));
+}
+
+/// A notice for a proposal that has already left the named index changes
+/// nothing: no message, no new slot.
+#[test]
+fn a_stale_notice_changes_nothing() {
+    let mut net = cluster(5);
+    let leader = elect(&mut net, NodeId(0));
+    let (_, b, _) = collide(&mut net);
+    tick(&mut net, leader);
+    assert_eq!(entry_at(&net, NodeId(2), 2), Some(b));
+    let last = net.node(NodeId(2)).log().last_index();
+    assert!(lost_notice(&mut net, NodeId(2), b, LogIndex(1)).is_empty());
+    assert_eq!(net.node(NodeId(2)).log().last_index(), last);
+    assert_eq!(net.node(NodeId(2)).pending_proposals(), 1);
+}
+
+/// A redirect (`committed: false` at index ZERO) only updates the leader
+/// hint: the proposal keeps its index.
+#[test]
+fn a_redirect_does_not_retarget() {
+    let mut net = cluster(5);
+    elect(&mut net, NodeId(0));
+    let (_, b, _) = collide(&mut net);
+    assert!(lost_notice(&mut net, NodeId(2), b, LogIndex::ZERO).is_empty());
+    assert_eq!(entry_at(&net, NodeId(2), 2), None);
+    assert_eq!(
+        lost_notice(&mut net, NodeId(2), b, LogIndex(1)),
+        to_peers(&net, NodeId(2), 2),
+        "the same proposal does move on a real notice"
+    );
 }

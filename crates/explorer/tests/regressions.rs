@@ -27,7 +27,7 @@ fn replay_checked_in(name: &str) -> Option<explorer::Violation> {
 /// commits `n0:0`, and the stale reservation answered n1's retry
 /// `committed` — no log ever held `n1:0`. The lost-proposal oracle flags
 /// it; fixed by dropping the reservation with the insert in the same arm,
-/// and by `Replica::is_committed` checking that the log holds the id.
+/// and by `Replica::committed_index` checking that the log holds the id.
 #[test]
 fn gated_noop_wedge_stays_fixed() {
     let v = replay_checked_in("gated_noop_wedge.trace");

@@ -95,7 +95,7 @@ pub struct Replica {
     // ---- bookkeeping ----
     /// Where each proposal id placed above the compaction horizon sits in
     /// the log, gated slot reservations included (dedup + notification; see
-    /// [`Replica::is_committed`]). An id at or below the horizon is
+    /// [`Replica::committed_index`]). An id at or below the horizon is
     /// forgotten: its `(session, seq)` key dedups a retry of it.
     pub id_index: IdMap<EntryId, LogIndex>,
     /// Scratch for one AppendEntries dispatch's `(nextIndex, follower)`
@@ -183,14 +183,13 @@ impl Replica {
         }
     }
 
-    /// `true` when proposal `id` is committed here: its slot is at or below
-    /// the commit index and the log holds `id` there. The second half
-    /// matters: a gated reservation maps an id to a slot its insert may
+    /// The index at which proposal `id` is committed here: its slot is at
+    /// or below the commit index and the log holds `id` there. The second
+    /// half matters: a gated reservation maps an id to a slot its insert may
     /// never reach, and that slot can commit another entry.
-    pub fn is_committed(&self, id: &EntryId) -> bool {
-        self.id_index.get(id).is_some_and(|&k| {
-            k <= self.commit_index && self.log.get(k).is_some_and(|e| e.id == *id)
-        })
+    pub fn committed_index(&self, id: &EntryId) -> Option<LogIndex> {
+        let k = *self.id_index.get(id)?;
+        (k <= self.commit_index && self.log.get(k).is_some_and(|e| e.id == *id)).then_some(k)
     }
 
     /// Persists the term and vote (write-ahead: durable before any message

@@ -36,9 +36,12 @@
 #
 # A fourth ceiling, under the same rule, holds the log and its shared list
 # (crates/wire/src/log.rs and entry.rs): one slot tail holds every entry
-# above the compaction horizon and an `EntryList` is its shared slice, so a
+# above the compaction horizon and an `EntryList` is a buffer it recycles, so a
 # second log tier (deleting the sealed segments took them from 883 lines to
-# 658) cannot grow back unnoticed.
+# 658) cannot grow back unnoticed. Recycling each log's AppendEntries list
+# buffers paid for its own lines (the counting pass, the unused
+# `collect_range` and `EntryList`'s hand-written `Default` went) and set
+# LOG_CEILING to 648.
 #
 # Every ceiling counts rustfmt-formatted lines since the workspace was
 # formatted (CI checks `cargo fmt --all --check`). Formatting alone, with
@@ -92,7 +95,7 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 CEILING=5830
 DES_CEILING=652
 EMBED_CEILING=2402
-LOG_CEILING=653
+LOG_CEILING=648
 EMBED_FILES=(
     crates/harness/src/runner.rs
     crates/shard/src/runner.rs

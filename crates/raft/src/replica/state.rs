@@ -424,7 +424,8 @@ impl Replica {
     /// (voters, then learners) are grouped by `nextIndex`: one budgeted
     /// batch is assembled per distinct resume point and the Rc-shared
     /// [`EntryList`] handle is cloned per recipient, so the fan-out shares
-    /// a single allocation. A follower whose resume point fell below the
+    /// one buffer, which the log rewrites for a later batch once every copy
+    /// has dropped. A follower whose resume point fell below the
     /// first retained index cannot be served from the log anymore: it gets
     /// the compacted prefix as a snapshot instead (its ack moves
     /// `nextIndex` above the horizon and replication resumes normally).

@@ -13,6 +13,11 @@
 //! allocations, in the [`LogEntry`] value itself, so stamping a received
 //! entry's approval never touches the shared buffers.
 //!
+//! An [`EntryList`]'s buffer outlives its messages: the log that collected
+//! it keeps a handle and rewrites the buffer for a later dispatch, but only
+//! while that handle is the only one left (`Rc::get_mut`), so a list some
+//! message still holds never changes.
+//!
 //! The refcount is an [`Rc`], not an `Arc`: the protocol stack runs on one
 //! thread, so an atomic read-modify-write per clone and drop would buy
 //! nothing. Entries, payloads and the messages carrying them are therefore
@@ -302,10 +307,12 @@ impl fmt::Display for LogEntry {
 /// entries are frozen: consumers clone individual [`LogEntry`] values out of
 /// the list before mutating site-local fields such as `approval`.
 ///
-/// The list is its shared slice. `SparseLog::collect_range_budgeted`
-/// collects the admitted entries straight into it, in one allocation, and
-/// the empty list is no allocation at all. Equality, hashing, and iteration
-/// see only the entries, never which allocation holds them.
+/// The list is a shared handle to a reusable buffer.
+/// `SparseLog::collect_range_budgeted` keeps a handle to every buffer it
+/// hands out and rewrites one in place once no message holds it any more,
+/// so a log's steady-state replication allocates nothing; the empty list is
+/// no allocation at all. Equality, hashing, and iteration see only the
+/// entries, never which allocation holds them.
 ///
 /// # Examples
 ///
@@ -320,19 +327,18 @@ impl fmt::Display for LogEntry {
 /// assert_eq!(shared.len(), 1);
 /// assert_eq!(shared[0].0, LogIndex(3));
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct EntryList(
     /// The entries; `None` for the empty list, so a pure heartbeat carries
     /// (and decodes to) no allocation at all.
-    pub(crate) Option<Rc<[(LogIndex, LogEntry)]>>,
+    pub(crate) Option<Rc<Vec<(LogIndex, LogEntry)>>>,
 );
 
 impl EntryList {
-    /// Freezes a vector of indexed entries into a shareable list. Copies
-    /// the pairs once, into a new shared slice: only decoding and tests
-    /// build lists this way; the log collects straight into the slice.
+    /// Freezes a vector of indexed entries into a shareable list, wrapping
+    /// the vector as it is (an empty one becomes the empty list).
     pub fn from_vec(entries: Vec<(LogIndex, LogEntry)>) -> Self {
-        entries.into_iter().collect()
+        EntryList((!entries.is_empty()).then(|| Rc::new(entries)))
     }
 
     /// The empty list (pure heartbeat).
@@ -357,7 +363,7 @@ impl EntryList {
 
     /// The entries as a slice.
     pub fn as_slice(&self) -> &[(LogIndex, LogEntry)] {
-        self.0.as_deref().unwrap_or(&[])
+        self.0.as_deref().map_or(&[], Vec::as_slice)
     }
 }
 
@@ -383,12 +389,6 @@ impl core::hash::Hash for EntryList {
     }
 }
 
-impl Default for EntryList {
-    fn default() -> Self {
-        EntryList::empty()
-    }
-}
-
 impl core::ops::Deref for EntryList {
     type Target = [(LogIndex, LogEntry)];
     fn deref(&self) -> &Self::Target {
@@ -403,13 +403,8 @@ impl From<Vec<(LogIndex, LogEntry)>> for EntryList {
 }
 
 impl FromIterator<(LogIndex, LogEntry)> for EntryList {
-    /// One allocation for an exact-length iterator, none for an empty one.
     fn from_iter<I: IntoIterator<Item = (LogIndex, LogEntry)>>(iter: I) -> Self {
-        let mut iter = iter.into_iter().peekable();
-        if iter.peek().is_none() {
-            return EntryList::empty();
-        }
-        EntryList(Some(iter.collect()))
+        EntryList::from_vec(iter.into_iter().collect())
     }
 }
 

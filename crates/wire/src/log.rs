@@ -15,8 +15,8 @@
 //! from the compaction horizon + 1 to the last index, so slot `i` holds
 //! index `compacted_through + 1 + i`. The slots live in fixed blocks of
 //! [`BLOCK`] slots, kept in a deque of blocks. AppendEntries assembly
-//! ([`SparseLog::collect_range_budgeted`]) collects the admitted entries
-//! straight into an [`EntryList`]'s shared slice, in one allocation.
+//! ([`SparseLog::collect_range_budgeted`]) clones the admitted entries, in
+//! one budgeted pass, into an [`EntryList`] buffer the log recycles.
 //!
 //! Why fixed blocks rather than one growable ring of slots: a log that
 //! compacts at 1,024 retained entries peaks just above that, and a ring
@@ -30,17 +30,29 @@
 //! blocks as its tail ever needed at once. `Clone` copies the live blocks
 //! only.
 //!
+//! ## Recycled AppendEntries lists
+//!
+//! Each log also keeps a handle to every [`EntryList`] buffer it has handed
+//! out. The soundness rule: a collect rewrites a pooled buffer only while
+//! [`Rc::get_mut`] proves the log's handle is the only one, i.e. no
+//! message, copy or caller still holds the list; otherwise it allocates a
+//! new buffer and keeps that handle too. A list anyone can read is
+//! therefore never written, and a log whose sent lists drop before its next
+//! dispatch reuses the same few buffers and allocates nothing. Like the
+//! block pool, the list pool never shrinks; a clone starts with neither
+//! pool.
+//!
 //! `get`/`term_at` are O(1) loads (a shift and a mask, then one block
 //! lookup), appends/inserts fill slots, compaction and truncation are
 //! front/back drains, range walks step through whole block slices, and an
 //! occupancy count plus a cached [`SparseLog::first_gap`] cursor keep hole
 //! queries O(1) amortized.
 //!
-//! Where the tail's first slot sits in its first block, and what the pool
-//! holds, depend on the *order* of operations; `PartialEq` therefore
-//! compares observable content (horizon, boundary term, and the slots), so
-//! logs that went through different histories but hold the same entries
-//! still compare equal.
+//! Where the tail's first slot sits in its first block, and what the pools
+//! hold, depend on the *order* of operations; `PartialEq` and `Debug`
+//! therefore show observable content only (horizon, boundary term, and the
+//! slots), so logs that went through different histories but hold the same
+//! entries still compare equal.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -77,7 +89,7 @@ fn new_block() -> Box<Block> {
 }
 
 /// The log's slots: a deque of `len` slots stored in fixed [`BLOCK`]-slot
-/// blocks, plus a pool of emptied blocks.
+/// blocks, plus a pool of emptied blocks and the log's list buffers.
 ///
 /// Slot `i` lives at position `head + i` of the concatenated blocks.
 /// `blocks` holds exactly the blocks that contain a live slot, and every
@@ -93,6 +105,9 @@ struct SlotTail {
     len: usize,
     /// Emptied blocks, drawn from before a new one is allocated.
     pool: Vec<Box<Block>>,
+    /// Every AppendEntries buffer the log has handed out; one is rewritten
+    /// only while its handle here is unique.
+    lists: Vec<Rc<Vec<(LogIndex, LogEntry)>>>,
 }
 
 impl fmt::Debug for SlotTail {
@@ -103,13 +118,13 @@ impl fmt::Debug for SlotTail {
 }
 
 impl Clone for SlotTail {
-    /// Copies the live blocks; the copy starts with an empty pool.
+    /// Copies the live blocks; the copy starts with empty pools.
     fn clone(&self) -> Self {
         SlotTail {
             blocks: self.blocks.clone(),
             head: self.head,
             len: self.len,
-            pool: Vec::new(),
+            ..SlotTail::default()
         }
     }
 }
@@ -134,6 +149,13 @@ impl SlotTail {
     /// An empty block: a pooled one if any, else a new allocation.
     fn take_block(&mut self) -> Box<Block> {
         self.pool.pop().unwrap_or_else(new_block)
+    }
+
+    /// A list buffer out of the pool whose handle is unique, else a new
+    /// one. The caller puts a handle back once it has filled the buffer.
+    fn take_list(&mut self) -> Rc<Vec<(LogIndex, LogEntry)>> {
+        let free = self.lists.iter_mut().position(|l| Rc::get_mut(l).is_some());
+        free.map_or_else(Rc::default, |k| self.lists.swap_remove(k))
     }
 
     /// Adds `n` empty slots (holes) at the back.
@@ -542,14 +564,14 @@ impl SparseLog {
         self.range(self.first_index(), self.last_index())
     }
 
-    /// The slots of `[from, to]`, walked as whole block slices, plus the
-    /// absolute index of the first one. O(1) positioning — range walks
-    /// start at their offset instead of searching.
+    /// The slots of `[from, to]`, walked as whole block slices, plus their
+    /// absolute indices. O(1) positioning — range walks start at their
+    /// offset instead of searching.
     fn slot_run(
         &self,
         from: LogIndex,
         to: LogIndex,
-    ) -> (u64, impl Iterator<Item = &Option<LogEntry>>) {
+    ) -> (Range<u64>, impl Iterator<Item = &Option<LogEntry>>) {
         let base = self.compacted_through + 1;
         let end = base + self.slots.len() as u64; // exclusive
         let lo = from.as_u64().clamp(base, end);
@@ -557,7 +579,7 @@ impl SparseLog {
         let slots = self
             .slots
             .chunks((lo - base) as usize, (hi - base) as usize);
-        (lo, slots.flatten())
+        (lo..hi, slots.flatten())
     }
 
     /// Iterates occupied `(index, entry)` pairs within `[from, to]`.
@@ -566,10 +588,10 @@ impl SparseLog {
         from: LogIndex,
         to: LogIndex,
     ) -> impl Iterator<Item = (LogIndex, &LogEntry)> {
-        let (start, slots) = self.slot_run(from, to);
+        let (run, slots) = self.slot_run(from, to);
         slots
             .enumerate()
-            .filter_map(move |(i, s)| s.as_ref().map(|e| (LogIndex(start + i as u64), e)))
+            .filter_map(move |(i, s)| s.as_ref().map(|e| (LogIndex(run.start + i as u64), e)))
     }
 
     /// Iterates the **contiguous occupied run** starting at `from`: yields
@@ -580,17 +602,11 @@ impl SparseLog {
         // A start at or below the horizon holds no slot: the run rooted
         // there is empty.
         let valid = from.as_u64() > self.compacted_through;
-        let (start, slots) = self.slot_run(from, self.last_index());
+        let (run, slots) = self.slot_run(from, self.last_index());
         slots
             .take_while(move |s| valid && s.is_some())
             .enumerate()
-            .filter_map(move |(i, s)| s.as_ref().map(|e| (LogIndex(start + i as u64), e)))
-    }
-
-    /// Collects clones of entries in `[from, to]` that are present,
-    /// preserving order — the payload of an AppendEntries message.
-    pub fn collect_range(&self, from: LogIndex, to: LogIndex) -> Vec<(LogIndex, LogEntry)> {
-        self.range(from, to).map(|(i, e)| (i, e.clone())).collect()
+            .filter_map(move |(i, s)| s.as_ref().map(|e| (LogIndex(run.start + i as u64), e)))
     }
 
     /// Collects the occupied slots of `[from, to]` into an [`EntryList`]
@@ -601,33 +617,36 @@ impl SparseLog {
     /// The budget charges each entry its `(index, entry)` wire encoding, the
     /// exact bytes it occupies inside an AppendEntries message.
     ///
-    /// A first pass counts the admitted entries and a second clones them —
-    /// `Bytes` payloads by refcount — into a shared slice of exactly that
-    /// length: one allocation, dense or gapped, and none for an empty list.
+    /// One pass clones the admitted entries — `Bytes` payloads by refcount
+    /// — into a pooled buffer no earlier list still holds (see the module
+    /// docs), or else into a new one with room for the range's slots up to
+    /// the budget's entry cap. An empty range is the empty list and takes no
+    /// buffer.
     pub fn collect_range_budgeted(
-        &self,
+        &mut self,
         from: LogIndex,
         to: LogIndex,
         budget: AppendBudget,
     ) -> EntryList {
-        let (mut n, mut bytes) = (0usize, 0usize);
-        for (_, e) in self.range(from, to) {
+        let (run, slots) = self.slot_run(from, to);
+        if slots.flatten().next().is_none() {
+            return EntryList::empty();
+        }
+        let mut list = self.slots.take_list();
+        let buf = Rc::get_mut(&mut list).expect("a taken list is unique");
+        buf.clear();
+        buf.reserve(budget.max_entries.min((run.end - run.start) as usize));
+        let mut bytes = 0;
+        for (i, e) in self.range(from, to) {
             let sz = 8 + e.encoded_len();
-            if !budget.admits(n, bytes, sz) {
+            if !budget.admits(buf.len(), bytes, sz) {
                 break;
             }
             bytes += sz;
-            n += 1;
+            buf.push((i, e.clone()));
         }
-        if n == 0 {
-            return EntryList::empty();
-        }
-        // An exact-length iterator, so the slice is built in place.
-        let mut admitted = self.range(from, to).map(|(i, e)| (i, e.clone()));
-        let entries: Rc<[_]> = (0..n)
-            .map(|_| admitted.next().expect("the first pass counted this entry"))
-            .collect();
-        EntryList(Some(entries))
+        self.slots.lists.push(Rc::clone(&list));
+        EntryList(Some(list))
     }
 
     /// The slot tail from its last slot down, each slot with its index.
@@ -666,8 +685,8 @@ impl SparseLog {
 
 impl PartialEq for SparseLog {
     /// Observational equality: same horizon, same boundary term, and the
-    /// same slots. Where the slots sit in their blocks and what the pool
-    /// holds are history-dependent bookkeeping, excluded from identity — a
+    /// same slots. Where the slots sit in their blocks and what the pools
+    /// hold are history-dependent bookkeeping, excluded from identity — a
     /// recovered log rebuilt entry-by-entry compares equal to the live log
     /// it mirrors.
     fn eq(&self, other: &Self) -> bool {
@@ -785,18 +804,24 @@ mod tests {
         assert_eq!(log.term_at(LogIndex(3)), Term(4));
     }
 
+    /// A budget no range reaches.
+    const UNBOUNDED: AppendBudget = AppendBudget {
+        max_entries: usize::MAX,
+        max_bytes: usize::MAX,
+    };
+
     #[test]
     fn collect_range_skips_holes() {
         let mut log = SparseLog::new();
         log.insert(LogIndex(1), entry(1, 0));
         log.insert(LogIndex(3), entry(1, 1));
-        let got = log.collect_range(LogIndex(1), LogIndex(3));
+        let got = log.collect_range_budgeted(LogIndex(1), LogIndex(3), UNBOUNDED);
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].0, LogIndex(1));
         assert_eq!(got[1].0, LogIndex(3));
         // A range wholly past the end, even by many blocks, is empty.
         assert!(log
-            .collect_range(LogIndex(1_000), LogIndex(2_000))
+            .collect_range_budgeted(LogIndex(1_000), LogIndex(2_000), UNBOUNDED)
             .is_empty());
     }
 
@@ -825,7 +850,7 @@ mod tests {
 
     #[test]
     fn budgeted_collect_honors_entry_cap() {
-        let log: SparseLog = (0..10).map(|s| entry(1, s)).collect();
+        let mut log: SparseLog = (0..10).map(|s| entry(1, s)).collect();
         let got =
             log.collect_range_budgeted(LogIndex(1), LogIndex(10), AppendBudget::new(3, usize::MAX));
         assert_eq!(got.len(), 3);
@@ -834,7 +859,7 @@ mod tests {
 
     #[test]
     fn budgeted_collect_honors_byte_cap() {
-        let log: SparseLog = (0..10).map(|s| entry(1, s)).collect();
+        let mut log: SparseLog = (0..10).map(|s| entry(1, s)).collect();
         let per_entry = 8 + log.get(LogIndex(1)).unwrap().encoded_len();
         // Room for exactly two entries.
         let got = log.collect_range_budgeted(
@@ -847,7 +872,7 @@ mod tests {
 
     #[test]
     fn budgeted_collect_always_takes_one() {
-        let log: SparseLog = (0..3).map(|s| entry(1, s)).collect();
+        let mut log: SparseLog = (0..3).map(|s| entry(1, s)).collect();
         // A byte budget smaller than any entry still yields one entry.
         let got = log.collect_range_budgeted(LogIndex(1), LogIndex(3), AppendBudget::new(128, 1));
         assert_eq!(got.len(), 1);
@@ -865,6 +890,49 @@ mod tests {
         );
         assert_eq!(got.len(), 2);
         assert_eq!(got.as_slice()[1].0, LogIndex(4));
+    }
+
+    #[test]
+    fn a_list_buffer_is_rewritten_only_once_no_list_holds_it() {
+        let mut log: SparseLog = (0..9).map(|s| entry(1, s)).collect();
+        let first = log.collect_range_budgeted(LogIndex(1), LogIndex(3), UNBOUNDED);
+        let held = first.to_vec();
+        let buffer = first.as_ptr();
+        // Held: the next list gets a buffer of its own, and the held one is
+        // unchanged.
+        let second = log.collect_range_budgeted(LogIndex(4), LogIndex(6), UNBOUNDED);
+        assert_ne!(second.as_ptr(), buffer);
+        assert_eq!(first.as_slice(), held.as_slice());
+        assert_eq!(log.slots.lists.len(), 2);
+        // Every copy dropped: the buffer is rewritten in place.
+        let copy = first.clone();
+        drop(first);
+        let third = log.collect_range_budgeted(LogIndex(7), LogIndex(9), UNBOUNDED);
+        assert_ne!(third.as_ptr(), buffer, "a copy still holds it");
+        drop(copy);
+        drop(third);
+        let fourth = log.collect_range_budgeted(LogIndex(7), LogIndex(9), UNBOUNDED);
+        assert_eq!(fourth[0].0, LogIndex(7));
+        assert_eq!(fourth.as_ptr(), buffer, "the first free buffer is reused");
+        assert_eq!(log.slots.lists.len(), 3);
+        // An empty range takes no buffer.
+        assert!(log
+            .collect_range_budgeted(LogIndex(10), LogIndex(20), UNBOUNDED)
+            .is_empty());
+        assert_eq!(log.slots.lists.len(), 3);
+    }
+
+    #[test]
+    fn clone_debug_and_equality_ignore_the_list_pool() {
+        let mut log: SparseLog = (0..4).map(|s| entry(1, s)).collect();
+        let bare = log.clone();
+        let list = log.collect_range_budgeted(LogIndex(1), LogIndex(4), UNBOUNDED);
+        assert_eq!(log.slots.lists.len(), 1);
+        let copy = log.clone();
+        assert!(copy.slots.lists.is_empty(), "a clone starts with no lists");
+        assert_eq!(log, bare);
+        assert_eq!(format!("{log:?}"), format!("{bare:?}"));
+        assert_eq!(list.len(), 4);
     }
 
     #[test]
@@ -1097,7 +1165,7 @@ mod tests {
 
     #[test]
     fn budgeted_collect_window_clamped_by_range_end() {
-        let log = long_log(3 * BLOCK as u64);
+        let mut log = long_log(3 * BLOCK as u64);
         // `to` binds before the budget: exactly 5 entries.
         let got = log.collect_range_budgeted(
             LogIndex(10),

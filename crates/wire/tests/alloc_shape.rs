@@ -1,13 +1,17 @@
-//! Allocation shape: each shared buffer the replication path builds costs
-//! exactly one allocator call, an empty list costs none, and a log's slot
-//! tail allocates one block per block of slots it ever needs at once.
+//! Allocation shape: a log recycles the AppendEntries lists it builds, a
+//! client payload is one allocation, an empty list costs none, and a log's
+//! slot tail allocates one block per block of slots it ever needs at once.
 //!
-//! An AppendEntries list is its admitted entries collected straight into
-//! one shared slice, whether the range is dense or has holes, and however
-//! deep in the log it starts. A client payload collected from an exact-length iterator is one `Bytes`
-//! allocation. This test counts the calls of each construction exactly, so
-//! a second copy (a `Vec` built first, then copied behind the `Rc`) shows
-//! as a failure here rather than as a drift in `perf`'s per-op averages.
+//! An AppendEntries list is its admitted entries cloned into a buffer the
+//! log keeps a handle to. Once every earlier list has dropped, the next one
+//! is written into a pooled buffer and costs no allocator call, whether the
+//! range is dense or has holes; one collected while an earlier list is held
+//! gets a new buffer (its handle and its storage) and leaves the held list
+//! as it was. A client payload collected from an exact-length iterator is
+//! one `Bytes` allocation. This test counts the calls of each construction
+//! exactly, so a list that allocates in steady state, or a second copy,
+//! shows as a failure here rather than as a drift in `perf`'s per-op
+//! averages.
 //!
 //! The slot tail keeps its entries in fixed blocks of [`BLOCK`] slots and
 //! reuses the blocks compaction empties, so growing a log costs one call
@@ -87,7 +91,7 @@ fn entry(seq: u64) -> LogEntry {
 }
 
 #[test]
-fn each_shared_buffer_is_one_allocation() {
+fn a_list_buffer_is_recycled_once_no_list_holds_it() {
     // 2,000 contiguous entries, sixteen blocks of slots.
     let mut log = SparseLog::new();
     for seq in 1..=2_000 {
@@ -99,7 +103,12 @@ fn each_shared_buffer_is_one_allocation() {
     let (from, to) = at(1_500, 2_000);
     let (dense, calls) = counted(|| log.collect_range_budgeted(from, to, budget));
     assert_eq!(dense.len(), 64);
-    assert_eq!(calls, 1, "a dense list is one allocation");
+    assert_eq!(
+        calls, 3,
+        "the first list: its handle, its storage, the pool"
+    );
+    let buffer = dense.as_ptr();
+    drop(dense);
 
     for hole in [1_502, 1_510, 1_577] {
         log.remove(LogIndex(hole));
@@ -107,19 +116,44 @@ fn each_shared_buffer_is_one_allocation() {
     let (gapped, calls) = counted(|| log.collect_range_budgeted(from, to, budget));
     assert_eq!(gapped.len(), 64);
     assert_eq!(gapped[2].0, LogIndex(1_503), "holes are skipped");
-    assert_eq!(calls, 1, "a gapped list is one allocation");
+    assert_eq!(calls, 0, "with every earlier list dropped, a list is free");
+    assert_eq!(gapped.as_ptr(), buffer, "in the same buffer");
 
+    // Held: the next list takes a buffer of its own, and the held one keeps
+    // its contents and its allocation.
+    let held = gapped.to_vec();
     let (from, to) = at(10, 2_000);
     let (deep, calls) = counted(|| log.collect_range_budgeted(from, to, budget));
     assert_eq!((deep.len(), deep[0].0), (64, LogIndex(10)));
-    assert_eq!(calls, 1, "a deep dense list is one allocation");
+    assert_eq!(
+        calls, 2,
+        "a list beside a held one: its handle, its storage"
+    );
+    assert_eq!((gapped.as_slice(), gapped.as_ptr()), (&held[..], buffer));
+    assert_ne!(deep.as_ptr(), buffer);
 
     for (from, to) in [at(2_001, 3_000), at(1_502, 1_502), at(7, 6)] {
         let (empty, calls) = counted(|| log.collect_range_budgeted(from, to, budget));
         assert!(empty.is_empty());
         assert_eq!(calls, 0, "an empty list allocates nothing");
     }
+    drop((gapped, deep));
 
+    // A leader whose every dispatch is in flight until the next one: two
+    // buffers take turns, and no dispatch allocates.
+    let mut in_flight = log.collect_range_budgeted(from, to, budget);
+    for step in 0..100 {
+        let (from, to) = at(10 + step, 2_000);
+        let (next, calls) = counted(|| log.collect_range_budgeted(from, to, budget));
+        assert_eq!((next.len(), next[0].0), (64, from));
+        assert_eq!(calls, 0, "dispatch {step} reuses a buffer");
+        in_flight = next;
+    }
+    assert_eq!(in_flight[0].0, LogIndex(109));
+}
+
+#[test]
+fn an_exact_length_payload_is_one_allocation() {
     let key = 0x1234_5678_9abc_def0_u64.to_be_bytes();
     let (payload, calls) = counted(|| {
         key.into_iter()

@@ -15,8 +15,10 @@
 //! (`get_mut`, replacing inserts, removes and truncations, compaction and
 //! snapshots inside it).
 //! Every budgeted list collected along the way is kept: an `EntryList` is
-//! frozen once sent, so each must still hold exactly what it held when it
-//! was cut, whatever the log did since.
+//! frozen once sent, so each must still equal the model's list of its cut
+//! after every later op and every later collect, whatever the log did
+//! since. The log recycles a list's buffer once no list holds it, so the
+//! lists the tests drop are rewritten under the ones they keep.
 //!
 //! A second sequence family addresses the log relative to its last index,
 //! so it crosses the slot tail's block boundaries (blocks of 128 slots) in
@@ -24,8 +26,9 @@
 //! compactions and snapshots that drain the tail to empty or to mid-block,
 //! truncations and trailing removes that release blocks at the back,
 //! inserts that replace or fill entries up to 1,400 below the last index,
-//! and clones (which start without the pool). Every index of the
-//! log is probed after every step.
+//! and clones (which start without either pool). Every index of the
+//! log is probed after every step, and the lists of the step before are
+//! held across it.
 
 use std::collections::BTreeMap;
 
@@ -293,9 +296,12 @@ fn entry(term: u64, seq: u64, self_approved: bool) -> LogEntry {
     }
 }
 
+/// A collected list and the model's list for the same cut.
+type Sent = (EntryList, Vec<(LogIndex, LogEntry)>);
+
 /// Asserts every observable agrees between the dense log and the model, and
-/// returns the budgeted lists it collected.
-fn assert_equivalent(log: &SparseLog, model: &TreeModel, probe_to: u64) -> Vec<EntryList> {
+/// returns the budgeted lists it collected with the model's.
+fn assert_equivalent(log: &mut SparseLog, model: &TreeModel, probe_to: u64) -> Vec<Sent> {
     assert_eq!(log.last_index(), model.last_index(), "last_index");
     assert_eq!(log.first_gap(), model.first_gap(), "first_gap");
     assert_eq!(log.front_gap(), model.front_gap(), "front_gap");
@@ -332,9 +338,16 @@ fn assert_equivalent(log: &SparseLog, model: &TreeModel, probe_to: u64) -> Vec<E
         let got = log.collect_range_budgeted(LogIndex(from), LogIndex(to), budget);
         let want = model.collect_range_budgeted(LogIndex(from), LogIndex(to), budget);
         assert_eq!(got.as_slice(), want.as_slice(), "budgeted [{from},{to}]");
-        lists.push(got);
+        lists.push((got, want));
     }
     lists
+}
+
+/// Asserts that every held list still equals the model's list of its cut.
+fn assert_unchanged(sent: &[Sent]) {
+    for (list, want) in sent {
+        assert_eq!(list.as_slice(), want.as_slice(), "a sent list changed");
+    }
 }
 
 proptest! {
@@ -356,8 +369,8 @@ proptest! {
             let e = entry(1, seq, false);
             prop_assert_eq!(log.append(e.clone()), model.append(e));
         }
-        // Every list cut so far, with a deep copy of what it held then.
-        let mut sent: Vec<(EntryList, Vec<(LogIndex, LogEntry)>)> = Vec::new();
+        // Every list cut so far, with the model's list of the same cut.
+        let mut sent: Vec<Sent> = Vec::new();
         for op in ops {
             seq += 1;
             match op {
@@ -399,13 +412,9 @@ proptest! {
                     );
                 }
             }
-            for (list, held) in &sent {
-                prop_assert_eq!(list.as_slice(), held.as_slice(), "a sent list changed");
-            }
-            for list in assert_equivalent(&log, &model, 56) {
-                let held = list.to_vec();
-                sent.push((list, held));
-            }
+            assert_unchanged(&sent);
+            sent.extend(assert_equivalent(&mut log, &model, 56));
+            assert_unchanged(&sent);
         }
         // Observational equality implies structural equality of a rebuilt
         // twin: replaying the model's surviving state into a fresh dense
@@ -486,10 +495,15 @@ proptest! {
             let e = entry(1, seq, false);
             prop_assert_eq!(log.append(e.clone()), model.append(e));
         }
+        // The previous step's lists; older ones are dropped, so their
+        // buffers are rewritten while these are held.
+        let mut held: Vec<Sent> = Vec::new();
         for op in ops {
             seq += 1;
             apply_tail_op(&mut log, &mut model, op, seq);
-            assert_equivalent(&log, &model, model.last_index().as_u64() + 2);
+            let cut = assert_equivalent(&mut log, &model, model.last_index().as_u64() + 2);
+            assert_unchanged(&held);
+            held = cut;
             prop_assert_eq!(&log.clone(), &log);
         }
     }
@@ -513,7 +527,7 @@ fn regression_hole_at_compaction_boundary_clamps() {
     }
     assert_eq!(log.compact_to(LogIndex(4)), LogIndex(2));
     assert_eq!(model.compact_to(LogIndex(4)), LogIndex(2));
-    assert_equivalent(&log, &model, 8);
+    assert_equivalent(&mut log, &model, 8);
     assert_eq!(log.first_gap(), LogIndex(3), "the hole survives");
     assert!(
         log.get(LogIndex(4)).is_some(),
@@ -524,5 +538,5 @@ fn regression_hole_at_compaction_boundary_clamps() {
     model.insert(LogIndex(3), entry(2, 9, false));
     assert_eq!(log.compact_to(LogIndex(4)), LogIndex(4));
     assert_eq!(model.compact_to(LogIndex(4)), LogIndex(4));
-    assert_equivalent(&log, &model, 8);
+    assert_equivalent(&mut log, &model, 8);
 }

@@ -25,13 +25,15 @@
 //! a global join request (§V-C); the global leader's member timeout evicts
 //! the crashed predecessor.
 
+use std::rc::Rc;
+
 use des::{IdMap, IdSet, SimRng};
 use raft::{Role, Timing};
 use storage::StableState;
 use wire::{
     Actions, BatchItem, ClientOp, ClientOutcome, ClientRequest, ClusterId, Configuration,
     Consistency, EntryId, GlobalState, LogEntry, LogIndex, LogScope, NodeId, Observation, Payload,
-    SessionId, Term, TimerKind,
+    Recycler, SessionId, Term, TimerKind,
 };
 
 use crate::engine::{FastRaftEngine, ProposalMode, TimerProfile};
@@ -110,6 +112,10 @@ struct GlobalSide {
     /// Local proposal id of a pending global-state entry → the gate token
     /// to resume once it commits locally.
     waiting: IdMap<EntryId, GateToken>,
+    /// The global entries this leader wrapped in global-state entries,
+    /// reused oldest first once every log and stable state holding one has
+    /// compacted past it.
+    states: Recycler<LogEntry>,
 }
 
 /// A C-Raft site (§V).
@@ -444,6 +450,7 @@ impl CRaftNode {
             engine,
             gate: GateRecorder::default(),
             waiting: IdMap::default(),
+            states: Recycler::default(),
         });
         self.forward_global_actions(&mut ea, out);
         self.give_actions(ea);
@@ -741,11 +748,19 @@ impl CRaftNode {
         if let Some(side) = self.global.as_mut() {
             requests.extend(side.gate.drain());
         }
+        // A local log compacts once it holds this many entries past its
+        // snapshot, so a global-state entry older than that many later ones
+        // is held only by a lagging or crashed site: stop waiting for it.
+        let bound = self.cfg.local_timing.snapshot_threshold as usize;
         for req in requests.drain(..) {
             let gc = self.global_commit_seen();
+            let entry = match self.global.as_mut() {
+                Some(side) => side.states.share(req.entry, bound),
+                None => Rc::new(req.entry),
+            };
             let gs = GlobalState {
                 index: req.index,
-                entry: std::rc::Rc::new(req.entry),
+                entry,
                 global_commit: gc,
             };
             let mut la = self.take_actions();

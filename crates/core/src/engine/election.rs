@@ -151,25 +151,6 @@ impl FastRaftEngine {
     }
 
     fn become_leader(&mut self, out: &mut Actions<FastRaftMessage>) {
-        // Invariant (ROADMAP snapshot item b): a log grown through normal
-        // protocol operation is never front-gapped — compaction only ever
-        // consumes a contiguous occupied prefix. Only C-Raft's global-view
-        // reconstruction (from partially compacted global-state entries)
-        // can produce one; a leader election on such a view is legal (the
-        // gap region is protected by §IV-B slot voting and commits never
-        // cross it) but worth surfacing: the new leader serves the gap via
-        // hole repair + quorum re-votes instead of its own entries.
-        if let Some((horizon, first_retained)) = self.core.log.front_gap() {
-            debug_assert_eq!(
-                self.core.scope,
-                LogScope::Global,
-                "front-gapped log outside the C-Raft global reconstruction path"
-            );
-            out.observe(Observation::GlobalViewGap {
-                horizon,
-                first_retained,
-            });
-        }
         self.silent_elections = 0;
         // §IV-A: nextIndex initialized to last committed entry + 1.
         self.core.become_leader(self.core.commit_index.next(), out);

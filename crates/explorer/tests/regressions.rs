@@ -92,3 +92,20 @@ fn fast_quorum_counts_votes_at_its_index() {
         v.unwrap()
     );
 }
+
+/// A leading hole is not a front gap: a C-Raft site won its cluster's
+/// election holding local entries at 2..=5 above an empty index 1, with
+/// nothing committed and nothing compacted, an ordinary in-flight Fast
+/// Raft hole (§III-B). `become_leader` took any hole at the compaction
+/// horizon for a reconstructed global view: with debug assertions on it
+/// panicked ("front-gapped log outside the C-Raft global reconstruction
+/// path"), and release builds counted the hole as an
+/// `Observation::GlobalViewGap`. Found by `explore --proto craft --strategy
+/// random --seeds 59..60 --sites 4 --clusters 2` in a debug build; fixed by
+/// leaving the probe to the global reconstruction, the one path whose view
+/// can lack entries it once held.
+#[test]
+fn a_local_leading_hole_is_not_a_front_gap() {
+    let v = replay_checked_in("craft_local_front_hole.trace");
+    assert!(v.is_none(), "local leading hole regressed: {}", v.unwrap());
+}

@@ -16,7 +16,10 @@
 //! An [`EntryList`]'s buffer outlives its messages: the log that collected
 //! it keeps a handle and rewrites the buffer for a later dispatch, but only
 //! while that handle is the only one left (`Rc::get_mut`), so a list some
-//! message still holds never changes.
+//! message still holds never changes. A [`GlobalState`]'s inner entry
+//! follows the same rule (one [`crate::Recycler`] type serves both): the
+//! cluster leader that wrapped it rewrites it only once no log, stable
+//! state or message holds it.
 //!
 //! The refcount is an [`Rc`], not an `Arc`: the protocol stack runs on one
 //! thread, so an atomic read-modify-write per clone and drop would buy
@@ -80,7 +83,12 @@ pub struct BatchItem {
 pub struct Batch {
     /// The cluster whose local log produced this batch.
     pub cluster: ClusterId,
-    /// Sequence number of this batch within the cluster (for dedup).
+    /// Sequence number of this batch among those its proposing site has
+    /// cut. Nothing dedups by it: the global log applies a batch item by
+    /// item, by each [`BatchItem::key`]. Nor is it
+    /// unique within a cluster: each site counts from 0 when it is created
+    /// or recovers, so a successor or recovered cluster leader reuses
+    /// numbers an earlier leader used.
     pub batch_seq: u64,
     /// The batched values, in local-log order (immutable once built).
     pub items: Rc<[BatchItem]>,

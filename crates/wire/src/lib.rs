@@ -49,6 +49,7 @@ mod lease;
 mod log;
 mod quorum;
 mod read;
+mod recycle;
 mod safety;
 mod snapshot;
 
@@ -77,6 +78,7 @@ pub use quorum::{
     min_chosen_votes_in_classic_quorum,
 };
 pub use read::{PendingRead, ReadIndexQueue};
+pub use recycle::Recycler;
 pub use safety::{LinViolation, SafetyChecker, SafetyViolation};
 pub use snapshot::{
     fold_commit_digest, fold_session_digest, fold_session_evicted, Snapshot,

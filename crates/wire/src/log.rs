@@ -32,15 +32,16 @@
 //!
 //! ## Recycled AppendEntries lists
 //!
-//! Each log also keeps a handle to every [`EntryList`] buffer it has handed
-//! out. The soundness rule: a collect rewrites a pooled buffer only while
-//! [`Rc::get_mut`] proves the log's handle is the only one, i.e. no
+//! Each log also keeps handles to the [`EntryList`] buffers it has handed
+//! out, in a [`Recycler`]: a collect rewrites the oldest kept buffer only
+//! while [`Rc::get_mut`] proves the log's handle is the only one, i.e. no
 //! message, copy or caller still holds the list; otherwise it allocates a
 //! new buffer and keeps that handle too. A list anyone can read is
 //! therefore never written, and a log whose sent lists drop before its next
-//! dispatch reuses the same few buffers and allocates nothing. Like the
-//! block pool, the list pool never shrinks; a clone starts with neither
-//! pool.
+//! dispatch reuses the same few buffers and allocates nothing. A log keeps
+//! at most [`BLOCK`] list handles, far more than the recipients of the
+//! dispatches one message delay spans; a clone starts with no lists and no
+//! block pool.
 //!
 //! `get`/`term_at` are O(1) loads (a shift and a mask, then one block
 //! lookup), appends/inserts fill slots, compaction and truncation are
@@ -59,7 +60,7 @@ use std::fmt;
 use std::ops::Range;
 use std::rc::Rc;
 
-use crate::{AppendBudget, Approval, EntryList, LogEntry, LogIndex, Term, Wire};
+use crate::{AppendBudget, Approval, EntryList, LogEntry, LogIndex, Recycler, Term, Wire};
 
 /// Defensive ceiling on how far above a node's own log end (or commit
 /// floor) a remote-addressed insert may reach. The dense layout
@@ -105,9 +106,9 @@ struct SlotTail {
     len: usize,
     /// Emptied blocks, drawn from before a new one is allocated.
     pool: Vec<Box<Block>>,
-    /// Every AppendEntries buffer the log has handed out; one is rewritten
-    /// only while its handle here is unique.
-    lists: Vec<Rc<Vec<(LogIndex, LogEntry)>>>,
+    /// The AppendEntries buffers the log has handed out, rewritten oldest
+    /// first once unique.
+    lists: Recycler<Vec<(LogIndex, LogEntry)>>,
 }
 
 impl fmt::Debug for SlotTail {
@@ -149,13 +150,6 @@ impl SlotTail {
     /// An empty block: a pooled one if any, else a new allocation.
     fn take_block(&mut self) -> Box<Block> {
         self.pool.pop().unwrap_or_else(new_block)
-    }
-
-    /// A list buffer out of the pool whose handle is unique, else a new
-    /// one. The caller puts a handle back once it has filled the buffer.
-    fn take_list(&mut self) -> Rc<Vec<(LogIndex, LogEntry)>> {
-        let free = self.lists.iter_mut().position(|l| Rc::get_mut(l).is_some());
-        free.map_or_else(Rc::default, |k| self.lists.swap_remove(k))
     }
 
     /// Adds `n` empty slots (holes) at the back.
@@ -529,19 +523,24 @@ impl SparseLog {
 
     /// Detects a **front gap**: the log holds entries, but the lowest one
     /// sits above `compacted_through + 1`, i.e. a hole starts immediately
-    /// after the snapshot horizon. A log grown through normal protocol
-    /// operation never front-gaps (compaction only ever consumes a
-    /// contiguous occupied prefix); only externally reconstructed views —
-    /// C-Raft's global log rebuilt from partially compacted global-state
-    /// entries — can. Returns `(horizon, first_retained)` when gapped.
+    /// after the snapshot horizon. Returns `(horizon, first_retained)` when
+    /// gapped.
+    ///
+    /// A leading hole alone is no fault. Compaction only ever consumes a
+    /// contiguous occupied prefix and commits never cross a hole, so in a
+    /// log grown through protocol operation the hole lies above the commit
+    /// point: an in-flight Fast Raft hole (§III-B), which a later proposal
+    /// or the leader's hole repair fills. Only a view rebuilt from records
+    /// can lack entries it once held: C-Raft's global log, reconstructed
+    /// from global-state entries local compaction may have discarded, so
+    /// that reconstruction is the one caller that reports a front gap.
     pub fn front_gap(&self) -> Option<(LogIndex, LogIndex)> {
         // An empty log has no slots (the last slot is always occupied).
         if self.slots.iter().next()?.is_some() {
             return None;
         }
         // The leading run of holes is exactly the front gap; scanning it is
-        // proportional to the gap itself, which only the reconstruction
-        // path ever creates (and keeps small).
+        // proportional to the gap itself.
         let lead = self.slots.iter().take_while(|s| s.is_none()).count() as u64;
         Some((
             self.compacted_through(),
@@ -632,7 +631,7 @@ impl SparseLog {
         if slots.flatten().next().is_none() {
             return EntryList::empty();
         }
-        let mut list = self.slots.take_list();
+        let mut list = self.slots.lists.take(Vec::new);
         let buf = Rc::get_mut(&mut list).expect("a taken list is unique");
         buf.clear();
         buf.reserve(budget.max_entries.min((run.end - run.start) as usize));
@@ -645,7 +644,7 @@ impl SparseLog {
             bytes += sz;
             buf.push((i, e.clone()));
         }
-        self.slots.lists.push(Rc::clone(&list));
+        self.slots.lists.keep(&list, BLOCK);
         EntryList(Some(list))
     }
 
@@ -913,7 +912,7 @@ mod tests {
         drop(third);
         let fourth = log.collect_range_budgeted(LogIndex(7), LogIndex(9), UNBOUNDED);
         assert_eq!(fourth[0].0, LogIndex(7));
-        assert_eq!(fourth.as_ptr(), buffer, "the first free buffer is reused");
+        assert_eq!(fourth.as_ptr(), buffer, "the oldest free buffer is reused");
         assert_eq!(log.slots.lists.len(), 3);
         // An empty range takes no buffer.
         assert!(log
@@ -929,7 +928,7 @@ mod tests {
         let list = log.collect_range_budgeted(LogIndex(1), LogIndex(4), UNBOUNDED);
         assert_eq!(log.slots.lists.len(), 1);
         let copy = log.clone();
-        assert!(copy.slots.lists.is_empty(), "a clone starts with no lists");
+        assert_eq!(copy.slots.lists.len(), 0, "a clone starts with no lists");
         assert_eq!(log, bare);
         assert_eq!(format!("{log:?}"), format!("{bare:?}"));
         assert_eq!(list.len(), 4);

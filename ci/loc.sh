@@ -96,10 +96,16 @@
 # lines to craft.rs; dropping `become_leader`'s front-gap probe, which took
 # an ordinary in-flight Fast Raft hole for a reconstructed global view,
 # removed 11 from election.rs. That set CEILING to 5,827.
+#
+# Moving the insert gate into the engine (`InsertGate`, `ProceedGate`,
+# `GatePurpose`, every `gate` parameter and the three bypasses went),
+# landing gated inserts by one rule, and deleting `maybe_proactive_repair`,
+# which nothing reached once no site held a leader-approved suffix above a
+# hole, set CEILING to 5,725.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-CEILING=5827
+CEILING=5725
 DES_CEILING=652
 EMBED_CEILING=2402
 LOG_CEILING=644

@@ -37,7 +37,7 @@ use wire::{
 };
 
 use crate::engine::{FastRaftEngine, ProposalMode, TimerProfile};
-use crate::gate::{GateRecorder, GateRequest, GateToken, ProceedGate};
+use crate::gate::{GateRequest, GateToken};
 use crate::message::{CRaftMessage, FastRaftMessage};
 
 /// Tuning parameters for a C-Raft deployment.
@@ -108,7 +108,6 @@ impl CRaftConfig {
 #[derive(Debug)]
 struct GlobalSide {
     engine: FastRaftEngine,
-    gate: GateRecorder,
     /// Local proposal id of a pending global-state entry → the gate token
     /// to resume once it commits locally.
     waiting: IdMap<EntryId, GateToken>,
@@ -124,7 +123,6 @@ pub struct CRaftNode {
     id: NodeId,
     cfg: CRaftConfig,
     local: FastRaftEngine,
-    local_gate: ProceedGate,
     global: Option<GlobalSide>,
     /// Bootstrap membership of the global level (the designated initial
     /// leaders of each cluster).
@@ -198,7 +196,6 @@ impl CRaftNode {
                 cfg.local_timing,
                 local_rng,
             ),
-            local_gate: ProceedGate,
             global: None,
             global_bootstrap,
             global_term: Term::ZERO,
@@ -249,7 +246,6 @@ impl CRaftNode {
         CRaftNode {
             id,
             local,
-            local_gate: ProceedGate,
             global: None,
             global_bootstrap,
             global_term: stable.global.current_term,
@@ -343,8 +339,9 @@ impl CRaftNode {
     /// every pending gate wedges the global level permanently.
     pub fn global_gate_debt(&self) -> (usize, usize) {
         // `pending_gate_count` is token-accurate: every deferred insert
-        // parks its continuation at `begin` time, before the recorder drains
-        // or the waiting map fills, and both refer to the same tokens.
+        // parks its continuation when the gate defers it, before the
+        // requests drain or the waiting map fills, and both refer to the
+        // same tokens.
         self.global.as_ref().map_or((0, 0), |g| {
             (
                 g.engine.pending_gate_count(),
@@ -406,7 +403,8 @@ impl CRaftNode {
             self.cfg.effective_global_timing(),
             rng,
             self.global_seq_floor,
-        );
+        )
+        .gated();
         engine.set_proposal_mode(self.cfg.global_proposal_mode);
         let mut ea = self.take_actions();
         engine.bootstrap(&mut ea);
@@ -419,7 +417,10 @@ impl CRaftNode {
         // but the site must not pretend the gap region is known: surface
         // the condition and let the global leader's resend or snapshot
         // transfer repair it.
-        if let Some((horizon, first_retained)) = engine.log().front_gap() {
+        // A view rebuilt from a local log that never compacted lacks no
+        // record: a leading hole there is an ordinary in-flight one.
+        let compacted = !self.local.log().compacted_through().is_zero();
+        if let Some((horizon, first_retained)) = engine.log().front_gap().filter(|_| compacted) {
             ea.observe(Observation::GlobalViewGap {
                 horizon,
                 first_retained,
@@ -448,7 +449,6 @@ impl CRaftNode {
 
         self.global = Some(GlobalSide {
             engine,
-            gate: GateRecorder::default(),
             waiting: IdMap::default(),
             states: Recycler::default(),
         });
@@ -581,8 +581,8 @@ impl CRaftNode {
         let items = self.batch_buf.drain(..cut).map(|(_, item)| item);
         let batch = wire::Batch::new(self.cfg.cluster, self.batch_seq, items);
         self.batch_seq += 1;
-        self.step_global(out, |engine, gate, ea| {
-            engine.propose_payload(Payload::Batch(batch), gate, ea);
+        self.step_global(out, |engine, ea| {
+            engine.propose_payload(Payload::Batch(batch), ea);
         });
     }
 
@@ -605,10 +605,10 @@ impl CRaftNode {
     fn step_local(
         &mut self,
         out: &mut Actions<CRaftMessage>,
-        step: impl FnOnce(&mut FastRaftEngine, &mut ProceedGate, &mut Actions<FastRaftMessage>),
+        step: impl FnOnce(&mut FastRaftEngine, &mut Actions<FastRaftMessage>),
     ) {
         let mut ea = self.take_actions();
-        step(&mut self.local, &mut self.local_gate, &mut ea);
+        step(&mut self.local, &mut ea);
         self.forward_local_actions(&mut ea, out);
         self.give_actions(ea);
     }
@@ -618,14 +618,14 @@ impl CRaftNode {
     fn step_global(
         &mut self,
         out: &mut Actions<CRaftMessage>,
-        step: impl FnOnce(&mut FastRaftEngine, &mut GateRecorder, &mut Actions<FastRaftMessage>),
+        step: impl FnOnce(&mut FastRaftEngine, &mut Actions<FastRaftMessage>),
     ) {
         let Some(side) = self.global.as_mut() else {
             return;
         };
         // `take_actions`, spelled out: `side` holds a borrow of `self.global`.
         let mut ea = self.free_actions.pop().unwrap_or_default();
-        step(&mut side.engine, &mut side.gate, &mut ea);
+        step(&mut side.engine, &mut ea);
         self.forward_global_actions(&mut ea, out);
         self.give_actions(ea);
     }
@@ -696,7 +696,7 @@ impl CRaftNode {
                     .as_mut()
                     .and_then(|side| side.waiting.remove(&entry.id));
                 if let Some(token) = token {
-                    self.step_global(out, |engine, gate, ea| engine.gate_ready(token, gate, ea));
+                    self.step_global(out, |engine, ea| engine.gate_ready(token, ea));
                 }
             }
             _ => {}
@@ -746,7 +746,7 @@ impl CRaftNode {
         // Gate requests become local global-state proposals (§V-B).
         let mut requests = self.free_gate_reqs.pop().unwrap_or_default();
         if let Some(side) = self.global.as_mut() {
-            requests.extend(side.gate.drain());
+            requests.extend(side.engine.drain_gate_requests());
         }
         // A local log compacts once it holds this many entries past its
         // snapshot, so a global-state entry older than that many later ones
@@ -764,9 +764,9 @@ impl CRaftNode {
                 global_commit: gc,
             };
             let mut la = self.take_actions();
-            let local_id =
-                self.local
-                    .propose_payload(Payload::GlobalState(gs), &mut self.local_gate, &mut la);
+            let local_id = self
+                .local
+                .propose_payload(Payload::GlobalState(gs), &mut la);
             if let Some(side) = self.global.as_mut() {
                 side.waiting.insert(local_id, req.token);
             }
@@ -799,12 +799,12 @@ impl CRaftNode {
             return;
         }
         self.global_read_waiters.insert((session, seq), waiter);
-        self.step_global(out, |engine, gate, ea| {
+        self.step_global(out, |engine, ea| {
             // The gateway's read id passes through unchanged: the global
             // answer must come back under the key `global_read_waiters`
             // holds.
             let op = ClientOp::Read(Consistency::Linearizable);
-            engine.on_client_request(ClientRequest { session, seq, op }, gate, ea);
+            engine.on_client_request(ClientRequest { session, seq, op }, ea);
         });
     }
 
@@ -879,7 +879,7 @@ impl wire::ConsensusProtocol for CRaftNode {
                 if let FastRaftMessage::AppendEntries { global_commit, .. } = &m {
                     self.global_commit_seen = self.global_commit_seen.max(*global_commit);
                 }
-                self.step_local(out, |engine, gate, ea| engine.on_message(from, m, gate, ea));
+                self.step_local(out, |engine, ea| engine.on_message(from, m, ea));
             }
             CRaftMessage::Global(m) => {
                 if self.global.is_none() {
@@ -888,7 +888,7 @@ impl wire::ConsensusProtocol for CRaftNode {
                     });
                     return;
                 }
-                self.step_global(out, |engine, gate, ea| engine.on_message(from, m, gate, ea));
+                self.step_global(out, |engine, ea| engine.on_message(from, m, ea));
             }
         }
     }
@@ -899,11 +899,11 @@ impl wire::ConsensusProtocol for CRaftNode {
             return;
         }
         if let Some(base) = TimerProfile::Base.unmap(kind) {
-            self.step_local(out, |engine, gate, ea| engine.on_timer(base, gate, ea));
+            self.step_local(out, |engine, ea| engine.on_timer(base, ea));
             return;
         }
         if let Some(base) = TimerProfile::Global.unmap(kind) {
-            self.step_global(out, |engine, gate, ea| engine.on_timer(base, gate, ea));
+            self.step_global(out, |engine, ea| engine.on_timer(base, ea));
         }
     }
 
@@ -933,15 +933,13 @@ impl wire::ConsensusProtocol for CRaftNode {
             // Writes (acked at local commit, §V-A), stale-local reads,
             // registrations, and read forwarding all ride the local engine.
             _ => {
-                self.step_local(out, |engine, gate, ea| {
-                    engine.on_client_request(req, gate, ea)
-                });
+                self.step_local(out, |engine, ea| engine.on_client_request(req, ea));
             }
         }
     }
 
     fn bootstrap(&mut self, out: &mut Actions<CRaftMessage>) {
-        self.step_local(out, |engine, _, ea| engine.bootstrap(ea));
+        self.step_local(out, |engine, ea| engine.bootstrap(ea));
         if self.boost_first_election {
             // Overrides the randomized election timeout armed above (same
             // kind replaces): the designated leader stands first.

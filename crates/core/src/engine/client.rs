@@ -13,19 +13,14 @@ impl FastRaftEngine {
     /// from the commit floor (stale) or after a leader ReadIndex round
     /// (linearizable). All answers surface as
     /// [`Observation::ClientResponse`].
-    pub fn on_client_request(
-        &mut self,
-        req: ClientRequest,
-        gate: &mut dyn InsertGate,
-        out: &mut Actions<FastRaftMessage>,
-    ) {
+    pub fn on_client_request(&mut self, req: ClientRequest, out: &mut Actions<FastRaftMessage>) {
         let ClientRequest { session, seq, op } = req;
         match op {
             // (The C-Raft layer intercepts StaleGlobal above this point and
             // answers from its global-commit floor instead.)
             ClientOp::Read(consistency) => {
                 if self.core.client_read(session, seq, consistency, out) {
-                    self.register_read(session, seq, self.core.id, gate, out);
+                    self.register_read(session, seq, self.core.id, out);
                 }
             }
             // Gateway door for a session write or an explicit session
@@ -63,7 +58,7 @@ impl FastRaftEngine {
                             ClientOp::Write(data) => Payload::Write { session, seq, data },
                             _ => Payload::Register { session },
                         };
-                        self.propose(id, payload, gate, out);
+                        self.propose(id, payload, out);
                     }
                 }
             }
@@ -92,7 +87,6 @@ impl FastRaftEngine {
         session: SessionId,
         seq: u64,
         reply_to: NodeId,
-        gate: &mut dyn InsertGate,
         out: &mut Actions<FastRaftMessage>,
     ) {
         debug_assert_eq!(self.core.role, Role::Leader);
@@ -122,27 +116,9 @@ impl FastRaftEngine {
             if self.core.commit_index >= self.last_leader_index && self.leader_log_settled() {
                 let k = self.last_leader_index.next();
                 let noop = LogEntry::noop(self.core.current_term, self.core.ids.fresh_id(out));
-                match gate.begin(k, &noop, GatePurpose::DecisionInsert) {
-                    GateVerdict::Proceed => {
-                        self.insert_leader_entry(k, noop, out);
-                        self.advance_commit_classic(out);
-                        self.core
-                            .dispatch_append_entries(self.last_leader_index, out);
-                    }
-                    GateVerdict::Defer(token) => {
-                        // Park as a Decision continuation: its gate_ready
-                        // arm releases the `gated_decisions` reservation,
-                        // so a gated (C-Raft global) nudge cannot wedge
-                        // `leader_log_settled()`.
-                        self.gated_decisions.insert(k);
-                        self.pending_gates.insert(
-                            token,
-                            GateCont::Decision {
-                                index: k,
-                                entry: noop,
-                            },
-                        );
-                    }
+                if self.leader_insert(k, noop, false, out) {
+                    self.core
+                        .dispatch_append_entries(self.leader_coverage(), out);
                 }
             }
             return;
@@ -150,7 +126,7 @@ impl FastRaftEngine {
         if self.core.register_read(session, seq, reply_to, out) {
             // Confirm now rather than waiting out the heartbeat period.
             self.core
-                .dispatch_append_entries(self.last_leader_index, out);
+                .dispatch_append_entries(self.leader_coverage(), out);
         }
     }
 }

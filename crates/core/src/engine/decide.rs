@@ -16,7 +16,7 @@ impl FastRaftEngine {
     pub(super) fn leader_log_settled(&self) -> bool {
         self.possible.max_index() <= self.last_leader_index
             && self.core.log.last_index() <= self.last_leader_index
-            && self.gated_decisions.is_empty()
+            && self.reserved.is_empty()
     }
 
     /// The smallest index above the commit point not yet decided by a
@@ -64,11 +64,7 @@ impl FastRaftEngine {
         k
     }
 
-    pub(super) fn run_decision_loop(
-        &mut self,
-        gate: &mut dyn InsertGate,
-        out: &mut Actions<FastRaftMessage>,
-    ) {
+    pub(super) fn run_decision_loop(&mut self, out: &mut Actions<FastRaftMessage>) {
         if self.core.role != Role::Leader {
             return;
         }
@@ -97,7 +93,7 @@ impl FastRaftEngine {
         // reason classic Raft commits a new-term no-op on election).
         loop {
             let k = self.decision_point();
-            if self.gated_decisions.contains(&k) {
+            if self.reserved.contains_key(&k) {
                 break; // An insert for k is still replicating locally.
             }
             if self.possible.voters_at(k) < self.core.config.classic_quorum() {
@@ -114,24 +110,11 @@ impl FastRaftEngine {
             let chosen = chosen
                 .with_term(self.core.current_term)
                 .with_approval(Approval::LeaderApproved);
-            match gate.begin(k, &chosen, GatePurpose::DecisionInsert) {
-                GateVerdict::Proceed => {
-                    let _ = self.finish_decision_insert(k, chosen, out);
-                }
-                GateVerdict::Defer(token) => {
-                    self.gated_decisions.insert(k);
-                    self.pending_gates.insert(
-                        token,
-                        GateCont::Decision {
-                            index: k,
-                            entry: chosen,
-                        },
-                    );
-                    break;
-                }
+            if !self.leader_insert(k, chosen, true, out) {
+                break;
             }
         }
-        self.maybe_term_noop(gate, out);
+        self.maybe_term_noop(out);
     }
 
     /// Classic Raft commits a no-op at the start of every term so inherited
@@ -140,11 +123,11 @@ impl FastRaftEngine {
     /// i.e. above every recovered vote and every entry in our log. When the
     /// system is quiet (no votes pending beyond the log), that point is
     /// exactly `lastLeaderIndex + 1`.
-    fn maybe_term_noop(&mut self, gate: &mut dyn InsertGate, out: &mut Actions<FastRaftMessage>) {
+    fn maybe_term_noop(&mut self, out: &mut Actions<FastRaftMessage>) {
         if self.core.role != Role::Leader
             || self.core.commit_index >= self.last_leader_index
             || self.core.log.term_at(self.last_leader_index) == self.core.current_term
-            || !self.gated_decisions.is_empty()
+            || !self.reserved.is_empty()
         {
             return;
         }
@@ -155,47 +138,98 @@ impl FastRaftEngine {
         }
         let k = self.last_leader_index.next();
         let noop = LogEntry::noop(self.core.current_term, self.core.ids.fresh_id(out));
-        match gate.begin(k, &noop, GatePurpose::DecisionInsert) {
-            GateVerdict::Proceed => {
-                self.insert_leader_entry(k, noop, out);
-                self.advance_commit_classic(out);
+        self.leader_insert(k, noop, false, out);
+    }
+
+    /// Inserts the leader-approved `entry` at `index` through the gate: a
+    /// `decision` of the decision loop, or an entry appended above the log.
+    /// An ungated engine lands it now and returns `true`. A gated one
+    /// reserves the index, which holds `leader_log_settled()` false and
+    /// the decision loop below it, and returns `false`; the entry lands
+    /// when its gate and every lower reservation have released
+    /// ([`land_reserved`](Self::land_reserved)).
+    pub(super) fn leader_insert(
+        &mut self,
+        index: LogIndex,
+        entry: LogEntry,
+        decision: bool,
+        out: &mut Actions<FastRaftMessage>,
+    ) -> bool {
+        let Some(token) = self.gate.defer(index, &entry) else {
+            self.land_leader(index, entry, decision, out);
+            return true;
+        };
+        self.pending_gates.insert(token, GateCont::Leader(index));
+        let reserved = Reserved {
+            token,
+            entry,
+            decision,
+            released: false,
+        };
+        self.reserved.insert(index, reserved);
+        false
+    }
+
+    /// Lands released reservations in index order, stopping at the first
+    /// unreleased one. Returns `true` if a decision fast-committed.
+    pub(super) fn land_reserved(&mut self, out: &mut Actions<FastRaftMessage>) -> bool {
+        let mut committed = false;
+        while let Some(first) = self.reserved.first_entry() {
+            if !first.get().released {
+                break;
             }
-            GateVerdict::Defer(token) => {
-                self.gated_decisions.insert(k);
-                self.pending_gates.insert(
-                    token,
-                    GateCont::LeaderAppend {
-                        index: k,
-                        entry: noop,
-                    },
-                );
-            }
+            let (index, r) = first.remove_entry();
+            committed |= self.land_leader(index, r.entry, r.decision, out);
+        }
+        committed
+    }
+
+    /// Drops every reservation when leadership ends: none can land in a
+    /// later term. Their gates' releases are then no-ops.
+    pub(super) fn drop_reservations(&mut self) {
+        for (k, r) in std::mem::take(&mut self.reserved) {
+            self.unmap_unplaced(k, r.entry.id);
         }
     }
 
-    /// Inserts the chosen entry at `k`; returns `true` if it fast-committed.
-    pub(super) fn finish_decision_insert(
+    /// Forgets that `id` was assigned slot `k` unless the log holds it
+    /// there: a retry would otherwise be ignored as in flight, and answered
+    /// `committed` once another entry commits at that slot.
+    fn unmap_unplaced(&mut self, k: LogIndex, id: EntryId) {
+        if self.core.id_index.get(&id) == Some(&k)
+            && self.core.log.get(k).is_none_or(|e| e.id != id)
+        {
+            self.core.id_index.remove(&id);
+        }
+    }
+
+    /// The one landing path of a leader-approved insert. A decision then
+    /// tells the losers and fast-commits on a fast quorum (returning
+    /// `true`); an appended entry may commit on the classic track. A
+    /// decision whose slot was decided another way meanwhile is dropped.
+    fn land_leader(
         &mut self,
         k: LogIndex,
-        chosen: LogEntry,
+        entry: LogEntry,
+        decision: bool,
         out: &mut Actions<FastRaftMessage>,
     ) -> bool {
-        if k != self.decision_point() || self.core.role != Role::Leader {
-            // Stale continuation (the slot was decided another way or
-            // leadership was lost while the gate replicated). Drop it; the
-            // current machinery re-decides.
+        let id = entry.id;
+        if decision && k != self.decision_point() {
+            self.unmap_unplaced(k, id);
             return false;
         }
-        self.insert_leader_entry(k, chosen.clone(), out);
-        self.possible.null_out_elsewhere(chosen.id, k);
-        self.notify_losers(k, chosen.id, out);
+        self.insert_leader_entry(k, entry, out);
+        if !decision {
+            self.advance_commit_classic(out);
+            return false;
+        }
+        self.possible.null_out_elsewhere(id, k);
+        self.notify_losers(k, id, out);
         // The fast track only ever commits the index right above the commit
         // point (§IV-B "the fast track can only be taken here if the last
         // index was committed").
-        if k == self.core.commit_index.next()
-            && chosen.term == self.core.current_term
-            && self.fast_quorum_at(k, chosen.id)
-        {
+        if k == self.core.commit_index.next() && self.fast_quorum_at(k, id) {
             self.commit_through(k, Some(true), out);
             return true;
         }
@@ -249,7 +283,7 @@ impl FastRaftEngine {
                 .get(k)
                 .is_none_or(|e| e.approval == Approval::SelfApproved)
             && self.possible.voters_at(k) < self.core.config.classic_quorum()
-            && !self.gated_decisions.contains(&k);
+            && !self.reserved.contains_key(&k);
         if !blocked {
             self.stalled_ticks = 0;
             return;
@@ -262,35 +296,6 @@ impl FastRaftEngine {
         self.fire_hole_repair(k, out);
     }
 
-    /// Proactive hole repair: a successful append ack whose match stopped
-    /// exactly below the blocked decision point, while replicated suffix
-    /// exists above it, proves the classic track is stalled on that hole —
-    /// repair it immediately instead of waiting out `hole_fill_ticks`.
-    /// Fires at most once per index; the tick-based guard remains the
-    /// backstop if the repair proposal itself is lost.
-    pub(super) fn maybe_proactive_repair(
-        &mut self,
-        acked: LogIndex,
-        out: &mut Actions<FastRaftMessage>,
-    ) {
-        let k = self.decision_point();
-        if acked.next() != k
-            || self.last_leader_index <= k
-            || k <= self.last_proactive_repair
-            || self.gated_decisions.contains(&k)
-            || self
-                .core
-                .log
-                .get(k)
-                .is_some_and(|e| e.approval == Approval::LeaderApproved)
-            || self.possible.voters_at(k) >= self.core.config.classic_quorum()
-        {
-            return;
-        }
-        self.last_proactive_repair = k;
-        self.fire_hole_repair(k, out);
-    }
-
     /// Broadcasts a no-op proposal targeted at the blocked index. Sites
     /// holding an entry there keep it and re-vote for it, so any chosen
     /// entry still wins the decision rule — safety is untouched while the
@@ -298,7 +303,6 @@ impl FastRaftEngine {
     fn fire_hole_repair(&mut self, k: LogIndex, out: &mut Actions<FastRaftMessage>) {
         out.observe(Observation::HoleRepairTriggered { index: k });
         let id = self.core.ids.fresh_id(out);
-        let mut proceed = crate::gate::ProceedGate;
-        self.broadcast_proposal(id, Payload::Noop, k, &mut proceed, out);
+        self.broadcast_proposal(id, Payload::Noop, k, out);
     }
 }

@@ -19,6 +19,7 @@ impl FastRaftEngine {
         self.recovery_votes.clear();
         if self.core.become_follower(term, leader, out) {
             out.cancel_timer(self.timers.map(TimerKind::LeaderTick));
+            self.drop_reservations();
         }
         if self.join_contacts.is_none() {
             self.core.reset_election_timer(out);
@@ -127,7 +128,6 @@ impl FastRaftEngine {
         term: Term,
         granted: bool,
         self_approved: Vec<(LogIndex, LogEntry)>,
-        gate: &mut dyn InsertGate,
         out: &mut Actions<FastRaftMessage>,
     ) {
         match self.core.on_vote_reply(from, term, granted) {
@@ -137,7 +137,7 @@ impl FastRaftEngine {
                 self.maybe_win(out);
                 if self.core.role == Role::Leader {
                     // Run recovery + first decision pass immediately.
-                    self.run_decision_loop(gate, out);
+                    self.run_decision_loop(out);
                 }
             }
             Reply::Dropped | Reply::Rejected => {}
@@ -159,7 +159,6 @@ impl FastRaftEngine {
             .match_index
             .insert(self.core.id, self.last_leader_index);
         self.assign_cursor = self.last_leader_index;
-        self.last_proactive_repair = self.core.commit_index;
         // Recovery (§IV-C): replay every voter's self-approved entries into
         // possibleEntries so chosen entries are re-chosen.
         let recovered: usize = self.recovery_votes.iter().map(|(_, v)| v.len()).sum();
@@ -172,7 +171,7 @@ impl FastRaftEngine {
             }
         }
         out.observe(Observation::RecoveryCompleted { entries: recovered });
-        self.core.start_heartbeats(self.last_leader_index, out);
+        self.core.start_heartbeats(self.leader_coverage(), out);
         out.set_timer(
             self.timers.map(TimerKind::LeaderTick),
             self.core.timing.decision_tick,

@@ -202,8 +202,8 @@ impl FastRaftEngine {
             let k = self.last_leader_index.next();
             let id = self.core.ids.fresh_id(out);
             let entry = LogEntry::config(self.core.current_term, id, new_config);
-            self.insert_leader_entry(k, entry, out);
             self.pending_config = Some(k);
+            self.leader_insert(k, entry, false, out);
             self.pending_join_notify = notify;
             break;
         }

@@ -1,10 +1,10 @@
 //! The Fast Raft engine (§IV), reusable at both C-Raft levels.
 //!
 //! One engine instance runs one consensus level over one log. Plain Fast
-//! Raft wraps a single engine with the trivial [`ProceedGate`]; C-Raft runs
-//! a `Local`-scope engine inside each cluster and a `Global`-scope engine
-//! among cluster leaders whose inserts are deferred through a
-//! [`GateRecorder`] until a *global state entry* commits locally (§V-B).
+//! Raft wraps a single ungated engine; C-Raft runs a `Local`-scope engine
+//! inside each cluster and a `Global`-scope engine among cluster leaders,
+//! built [`gated`](FastRaftEngine::gated), whose inserts wait until a
+//! *global state entry* commits locally (§V-B; see the `gate` module).
 //!
 //! ## Protocol summary
 //!
@@ -38,7 +38,7 @@
 //! This guard is implied but not spelled out by the paper; see
 //! `docs/DEVIATIONS.md`, row 1.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use des::{IdMap, SimRng, SimTime};
 use raft::replica::{Door, Replica, Reply};
@@ -50,7 +50,7 @@ use wire::{
     Term, TimerKind,
 };
 
-use crate::gate::{GatePurpose, GateToken, GateVerdict, InsertGate};
+use crate::gate::{GateRecorder, GateRequest, GateToken};
 use crate::message::FastRaftMessage;
 use crate::possible::PossibleEntries;
 
@@ -142,28 +142,35 @@ struct PendingProposal {
     index: LogIndex,
 }
 
-/// Continuation parked while an insert is gated (C-Raft global level).
+/// Continuation parked while an insert is gated (see the `gate` module).
 #[derive(Clone, Debug)]
 enum GateCont {
-    /// Finish a proposer-broadcast insert, then vote.
-    ProposerVote { index: LogIndex, entry: LogEntry },
-    /// Finish a decision-loop insert, then run the fast-quorum check.
-    Decision { index: LogIndex, entry: LogEntry },
-    /// Finish an AppendEntries insert; ack when the whole batch landed.
-    Append {
-        index: LogIndex,
-        entry: LogEntry,
-        ack: u64,
-    },
-    /// Finish a leader-forwarded append (ProposalMode::LeaderForward).
-    LeaderAppend { index: LogIndex, entry: LogEntry },
+    /// Finish a proposer-broadcast insert (self-approved), then vote.
+    Proposer { index: LogIndex, entry: LogEntry },
+    /// Release the leader insert reserved at this index, if it still is.
+    Leader(LogIndex),
+    /// One slot of the deferred AppendEntries batch with this ack id.
+    Append(u64),
+}
+
+/// A gated leader-approved insert, reserved at its index until it lands.
+/// A reservation lives only while its leader leads in its term.
+#[derive(Clone, Debug)]
+struct Reserved {
+    token: GateToken,
+    entry: LogEntry,
+    /// Chosen by the decision loop (else appended above the log).
+    decision: bool,
+    /// Its gate released; it lands once every lower reservation has.
+    released: bool,
 }
 
 /// Accumulated acknowledgement for one gated AppendEntries message.
 #[derive(Clone, Debug)]
 struct AckState {
     from: NodeId,
-    /// Term the batch was verified under; the ack is dropped if it changed.
+    /// Term the batch was verified under; it neither lands nor acks if
+    /// the term changed.
     term: Term,
     match_index: LogIndex,
     leader_commit: LogIndex,
@@ -194,9 +201,6 @@ pub struct FastRaftEngine {
     pending_join_notify: Option<NodeId>,
     reconfig_queue: VecDeque<ReconfigOp>,
     stalled_ticks: u32,
-    /// Highest index already repaired proactively (from an append ack), so
-    /// one stall triggers at most one proactive no-op broadcast.
-    last_proactive_repair: LogIndex,
 
     // ---- proposer ----
     pending_proposals: BTreeMap<EntryId, PendingProposal>,
@@ -214,11 +218,16 @@ pub struct FastRaftEngine {
     /// Next index handed to a leader-forwarded proposal (grows past
     /// gate-pending assignments).
     assign_cursor: LogIndex,
+    /// The one insert door (see the `gate` module).
+    gate: GateRecorder,
     pending_gates: IdMap<GateToken, GateCont>,
-    /// Indices with an outstanding decision-insert gate.
-    gated_decisions: BTreeSet<LogIndex>,
+    /// Gated leader inserts by index; they land in index order.
+    reserved: BTreeMap<LogIndex, Reserved>,
     acks: IdMap<u64, AckState>,
     next_ack_id: u64,
+    /// Deferred AppendEntries slots, `(ack id, index, entry)`, in arrival
+    /// order; a batch lands whole when its last gate releases.
+    parked_appends: Vec<(u64, LogIndex, LogEntry)>,
 
     // ---- scratch (empty between steps, capacity retained) ----
     /// Pending proposals being re-sent by one retry or re-target pass.
@@ -297,16 +306,17 @@ impl FastRaftEngine {
             pending_join_notify: None,
             reconfig_queue: VecDeque::new(),
             stalled_ticks: 0,
-            last_proactive_repair: LogIndex::ZERO,
             pending_proposals: BTreeMap::new(),
             join_contacts,
             silent_elections: 0,
             proposal_mode: ProposalMode::default(),
             assign_cursor: LogIndex::ZERO,
+            gate: GateRecorder::new(false),
             pending_gates: IdMap::default(),
-            gated_decisions: BTreeSet::new(),
+            reserved: BTreeMap::new(),
             acks: IdMap::default(),
             next_ack_id: 0,
+            parked_appends: Vec::new(),
             proposal_scratch: Vec::new(),
         }
     }
@@ -350,6 +360,14 @@ impl FastRaftEngine {
             e.join_contacts = Some(e.core.config.to_vec());
         }
         e
+    }
+
+    /// Puts every log insert of this engine behind the insert gate (C-Raft's
+    /// global level): an insert waits until the embedding, having drained
+    /// its [`GateRequest`], calls [`gate_ready`](Self::gate_ready).
+    pub fn gated(mut self) -> Self {
+        self.gate = GateRecorder::new(true);
+        self
     }
 
     // ------------------------------------------------------------------
@@ -424,21 +442,27 @@ impl FastRaftEngine {
         self.pending_proposals.len()
     }
 
-    /// Inserts currently parked behind the [`InsertGate`]: continuations
-    /// awaiting a `gate_ready` call. Zero for ungated (plain Fast Raft)
-    /// engines. Liveness oracles assert this drains to zero at quiescence.
+    /// Inserts currently parked behind the gate: continuations awaiting a
+    /// `gate_ready` call. Zero for ungated (plain Fast Raft) engines.
+    /// Liveness oracles assert this drains to zero at quiescence.
     pub fn pending_gate_count(&self) -> usize {
         self.pending_gates.len()
     }
 
-    /// Indices holding an outstanding decision-insert reservation. Each
+    /// Indices holding an outstanding leader-insert reservation. Each
     /// reservation blocks `leader_log_settled()` (and with it reconfig,
     /// term no-ops, read nudges, and forwarded-proposal acceptance) until
-    /// its gate resolves — so a reservation that outlives every pending
+    /// it lands or drops — so a reservation that outlives every pending
     /// gate is a permanent liveness wedge, and oracles assert
     /// `gated_decision_count() == 0` whenever `pending_gate_count() == 0`.
     pub fn gated_decision_count(&self) -> usize {
-        self.gated_decisions.len()
+        self.reserved.len()
+    }
+
+    /// Drains the inserts deferred since the last call, in recording
+    /// order; always empty on an ungated engine.
+    pub fn drain_gate_requests(&mut self) -> std::vec::Drain<'_, GateRequest> {
+        self.gate.drain()
     }
 
     /// The per-session exactly-once dedup table (applied state).
@@ -492,12 +516,7 @@ impl FastRaftEngine {
 
     /// Handles a timer expressed in **base** kinds (the embedding unmaps
     /// profile-specific kinds first; [`TimerProfile::unmap`]).
-    pub fn on_timer(
-        &mut self,
-        base: TimerKind,
-        gate: &mut dyn InsertGate,
-        out: &mut Actions<FastRaftMessage>,
-    ) {
+    pub fn on_timer(&mut self, base: TimerKind, out: &mut Actions<FastRaftMessage>) {
         match base {
             TimerKind::Election
                 if self.core.role != Role::Leader && self.join_contacts.is_none() =>
@@ -506,12 +525,10 @@ impl FastRaftEngine {
             }
             TimerKind::Heartbeat if self.core.role == Role::Leader => {
                 self.note_missed_beats(out);
-                // §IV-B: AppendEntries carry entries from nextIndex through
-                // lastLeaderIndex — leader-approved entries only.
-                self.core.heartbeat(self.last_leader_index, out);
+                self.core.heartbeat(self.leader_coverage(), out);
             }
             TimerKind::LeaderTick if self.core.role == Role::Leader => {
-                self.run_decision_loop(gate, out);
+                self.run_decision_loop(out);
                 self.maybe_fill_hole(out);
                 self.start_next_reconfig(out);
                 out.set_timer(
@@ -536,7 +553,6 @@ impl FastRaftEngine {
         &mut self,
         from: NodeId,
         msg: FastRaftMessage,
-        gate: &mut dyn InsertGate,
         out: &mut Actions<FastRaftMessage>,
     ) {
         // Configuration filter (§III-A): consensus messages from sites
@@ -555,7 +571,7 @@ impl FastRaftEngine {
 
         match msg {
             FastRaftMessage::ProposeAt { index, entry } => {
-                self.on_propose_at(from, index, entry, gate, out)
+                self.on_propose_at(from, index, entry, out)
             }
             FastRaftMessage::Vote {
                 index,
@@ -597,7 +613,6 @@ impl FastRaftEngine {
                 entries,
                 leader_commit,
                 probe,
-                gate,
                 out,
             ),
             FastRaftMessage::AppendEntriesReply {
@@ -609,7 +624,7 @@ impl FastRaftEngine {
             } => self.on_append_reply(from, term, success, match_index, probe, lease_until, out),
             FastRaftMessage::ClientRead { session, seq } => {
                 if self.core.on_client_read(from, session, seq, out) {
-                    self.register_read(session, seq, from, gate, out);
+                    self.register_read(session, seq, from, out);
                 }
             }
             FastRaftMessage::ClientReply {
@@ -638,7 +653,7 @@ impl FastRaftEngine {
                 term,
                 granted,
                 self_approved,
-            } => self.on_vote_reply(from, term, granted, self_approved, gate, out),
+            } => self.on_vote_reply(from, term, granted, self_approved, out),
             FastRaftMessage::JoinRequest { node } => self.on_join_request(from, node, out),
             FastRaftMessage::JoinReply {
                 accepted,
@@ -667,64 +682,29 @@ impl FastRaftEngine {
 
     /// Completes a previously deferred insert (C-Raft: the global state
     /// entry committed locally).
-    pub fn gate_ready(
-        &mut self,
-        token: GateToken,
-        gate: &mut dyn InsertGate,
-        out: &mut Actions<FastRaftMessage>,
-    ) {
+    pub fn gate_ready(&mut self, token: GateToken, out: &mut Actions<FastRaftMessage>) {
         let Some(cont) = self.pending_gates.remove(&token) else {
             return;
         };
         match cont {
-            GateCont::ProposerVote { index, entry } => {
+            GateCont::Proposer { index, entry } => {
                 self.finish_proposer_insert(index, entry, out);
             }
-            GateCont::Decision { index, entry } => {
-                self.gated_decisions.remove(&index);
-                let committed = self.finish_decision_insert(index, entry, out);
-                if committed {
-                    // Commit advanced: the loop may continue.
-                    self.run_decision_loop(gate, out);
+            GateCont::Leader(index) => {
+                if let Some(r) = self.reserved.get_mut(&index).filter(|r| r.token == token) {
+                    r.released = true;
+                }
+                if self.land_reserved(out) {
+                    // A decision fast-committed: the loop may continue.
+                    self.run_decision_loop(out);
                 }
             }
-            GateCont::LeaderAppend { index, entry } => {
-                // The reservation drains whether or not the insert applies:
-                // leaving it would hold `leader_log_settled()` false forever,
-                // wedging reconfig, term no-ops, read nudges and (under
-                // LeaderForward) every forwarded proposal. A continuation
-                // from a superseded term must not insert — the slot may
-                // since hold (even have committed) a newer leader's entry.
-                // Its forwarded id's slot reservation goes with it, or a
-                // retry would be ignored as in flight, and answered
-                // `committed` once another entry commits at that slot.
-                self.gated_decisions.remove(&index);
-                if self.core.role == Role::Leader && entry.term == self.core.current_term {
-                    self.insert_leader_entry(index, entry, out);
-                    self.advance_commit_classic(out);
-                } else if self.core.id_index.get(&entry.id) == Some(&index)
-                    && self.core.log.get(index).is_none_or(|e| e.id != entry.id)
-                {
-                    self.core.id_index.remove(&entry.id);
-                }
-            }
-            GateCont::Append { index, entry, ack } => {
-                // A continuation from a superseded term must not apply: the
-                // slot may since hold (even have committed) a newer leader's
-                // entry. The batch's AckState records the term it was
-                // verified under; skip the insert when it is stale and let
-                // finish_append_ack drop the ack for the same reason.
-                let (stale, done) = {
-                    let st = self.acks.get_mut(&ack).expect("ack state");
-                    st.remaining -= 1;
-                    (st.term != self.core.current_term, st.remaining == 0)
-                };
-                if !stale {
-                    self.apply_append_insert(index, entry, out);
-                }
-                if done {
+            GateCont::Append(ack) => {
+                let st = self.acks.get_mut(&ack).expect("ack state");
+                st.remaining -= 1;
+                if st.remaining == 0 {
                     let st = self.acks.remove(&ack).expect("ack state");
-                    self.finish_append_ack(st, out);
+                    self.land_append(ack, st, out);
                 }
             }
         }
@@ -813,13 +793,12 @@ mod tests {
             SimRng::seed_from_u64(1),
         );
         e.set_proposal_mode(ProposalMode::LeaderForward);
-        let gate = &mut crate::gate::ProceedGate;
         let mut out = Actions::new();
         e.bootstrap(&mut out);
-        e.on_timer(TimerKind::Election, gate, &mut out);
+        e.on_timer(TimerKind::Election, &mut out);
         assert!(e.is_leader());
         out.clear();
-        e.on_client_request(ClientRequest::register(SessionId(7)), gate, &mut out);
+        e.on_client_request(ClientRequest::register(SessionId(7)), &mut out);
         let session = match out.observations.as_slice() {
             [.., Observation::ClientResponse {
                 outcome: ClientOutcome::Registered { session, .. },
@@ -829,7 +808,7 @@ mod tests {
         };
         out.clear();
         let data = bytes::Bytes::from_static(b"w");
-        e.on_client_request(ClientRequest::write(session, 2, data), gate, &mut out);
+        e.on_client_request(ClientRequest::write(session, 2, data), &mut out);
         assert!(out.observations.iter().any(|o| matches!(
             o,
             Observation::ClientResponse {

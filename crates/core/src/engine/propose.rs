@@ -12,11 +12,10 @@ impl FastRaftEngine {
     pub fn propose_payload(
         &mut self,
         payload: Payload,
-        gate: &mut dyn InsertGate,
         out: &mut Actions<FastRaftMessage>,
     ) -> EntryId {
         let id = self.core.ids.fresh_id(out);
-        self.propose(id, payload, gate, out);
+        self.propose(id, payload, out);
         id
     }
 
@@ -26,7 +25,6 @@ impl FastRaftEngine {
         &mut self,
         id: EntryId,
         payload: Payload,
-        gate: &mut dyn InsertGate,
         out: &mut Actions<FastRaftMessage>,
     ) {
         match self.proposal_mode {
@@ -39,7 +37,7 @@ impl FastRaftEngine {
                         index,
                     },
                 );
-                self.broadcast_proposal(id, payload, index, gate, out);
+                self.broadcast_proposal(id, payload, index, out);
             }
             ProposalMode::LeaderForward => {
                 self.pending_proposals.insert(
@@ -49,7 +47,7 @@ impl FastRaftEngine {
                         index: LogIndex::ZERO,
                     },
                 );
-                self.forward_proposal(id, payload, gate, out);
+                self.forward_proposal(id, payload, out);
             }
         }
         out.set_timer(
@@ -63,7 +61,6 @@ impl FastRaftEngine {
         &mut self,
         id: EntryId,
         payload: Payload,
-        gate: &mut dyn InsertGate,
         out: &mut Actions<FastRaftMessage>,
     ) {
         let entry = LogEntry {
@@ -73,7 +70,7 @@ impl FastRaftEngine {
             approval: Approval::SelfApproved,
         };
         if self.core.role == Role::Leader {
-            self.leader_accept_forwarded(entry, gate, out);
+            self.leader_accept_forwarded(entry, out);
         } else if let Some(leader) = self.core.leader_hint {
             out.send(
                 leader,
@@ -95,12 +92,7 @@ impl FastRaftEngine {
 
     /// Leader side of a forwarded proposal: assign the next index and run
     /// the (possibly gated) classic-track insert.
-    fn leader_accept_forwarded(
-        &mut self,
-        entry: LogEntry,
-        gate: &mut dyn InsertGate,
-        out: &mut Actions<FastRaftMessage>,
-    ) {
+    fn leader_accept_forwarded(&mut self, entry: LogEntry, out: &mut Actions<FastRaftMessage>) {
         // Session dedup at the door: a `(session, seq)` the applied state
         // already covers must not claim another slot — this is the check
         // that survives compaction and leader restarts (the table rides in
@@ -166,31 +158,12 @@ impl FastRaftEngine {
         let chosen = entry
             .with_term(self.core.current_term)
             .with_approval(Approval::LeaderApproved);
-        match gate.begin(k, &chosen, GatePurpose::DecisionInsert) {
-            GateVerdict::Proceed => {
-                self.insert_leader_entry(k, chosen, out);
-                self.advance_commit_classic(out);
-            }
-            GateVerdict::Defer(token) => {
-                // Mark the id as assigned so duplicate retries don't claim
-                // another slot while the gate replicates, and reserve the
-                // slot: without the reservation `leader_log_settled()`
-                // stays true while this insert is pending, letting the
-                // read nudge or a reconfig claim the same `k` — two
-                // same-term entries racing for one index, and whichever
-                // releases second silently overwrites the (possibly
-                // already replicated) first. The reservation drains in
-                // `gate_ready`'s LeaderAppend arm.
-                self.core.id_index.insert(chosen.id, k);
-                self.gated_decisions.insert(k);
-                self.pending_gates.insert(
-                    token,
-                    GateCont::LeaderAppend {
-                        index: k,
-                        entry: chosen,
-                    },
-                );
-            }
+        let id = chosen.id;
+        if !self.leader_insert(k, chosen, false, out) {
+            // Mark the id as assigned so duplicate retries don't claim
+            // another slot while the gate replicates; a dropped
+            // reservation takes the mark with it (`land_leader`).
+            self.core.id_index.insert(id, k);
         }
     }
 
@@ -284,18 +257,16 @@ impl FastRaftEngine {
         id: EntryId,
         payload: Payload,
         index: LogIndex,
-        gate: &mut dyn InsertGate,
         out: &mut Actions<FastRaftMessage>,
     ) {
         let entry = self.send_propose_at(id, payload, index, out);
         // The proposer is itself a site: run the follower insert+vote path
         // locally.
-        self.on_propose_at(self.core.id, index, entry, gate, out);
+        self.on_propose_at(self.core.id, index, entry, out);
     }
 
     /// Re-broadcasts pending proposal `id` at `index` and re-votes locally
-    /// (ungated: slot content was already gated when first inserted;
-    /// occupied slots vote without insert).
+    /// (occupied slots vote without insert).
     fn rebroadcast_proposal(
         &mut self,
         id: EntryId,
@@ -309,9 +280,8 @@ impl FastRaftEngine {
         let entry = self.send_propose_at(id, payload, index, out);
         if self.core.log.get(index).is_none() {
             // Rare on a retry: our slot was truncated. Reinsert through the
-            // normal path; a no-op gate race here simply re-runs the gate.
-            let mut proceed = crate::gate::ProceedGate;
-            self.on_propose_at(self.core.id, index, entry, &mut proceed, out);
+            // normal path.
+            self.on_propose_at(self.core.id, index, entry, out);
         } else {
             self.send_vote_for_slot(index, out);
         }
@@ -413,8 +383,7 @@ impl FastRaftEngine {
         );
         for (id, payload, old_index) in pendings.drain(..) {
             if self.proposal_mode == ProposalMode::LeaderForward {
-                let mut proceed = crate::gate::ProceedGate;
-                self.forward_proposal(id, payload, &mut proceed, out);
+                self.forward_proposal(id, payload, out);
                 continue;
             }
             // If our entry still occupies its slot, re-gather votes for the
@@ -444,14 +413,13 @@ impl FastRaftEngine {
         _from: NodeId,
         index: LogIndex,
         entry: LogEntry,
-        gate: &mut dyn InsertGate,
         out: &mut Actions<FastRaftMessage>,
     ) {
         // Index ZERO marks a leader-forwarded proposal: the leader assigns
         // the slot; non-leaders redirect.
         if index.is_zero() {
             if self.core.role == Role::Leader {
-                self.leader_accept_forwarded(entry, gate, out);
+                self.leader_accept_forwarded(entry, out);
             } else {
                 out.send(
                     entry.id.proposer,
@@ -496,12 +464,12 @@ impl FastRaftEngine {
             return;
         }
         if self.core.log.get(index).is_none() {
-            let e = entry.with_approval(Approval::SelfApproved);
-            match gate.begin(index, &e, GatePurpose::ProposerInsert) {
-                GateVerdict::Proceed => self.finish_proposer_insert(index, e, out),
-                GateVerdict::Defer(token) => {
-                    self.pending_gates
-                        .insert(token, GateCont::ProposerVote { index, entry: e });
+            let entry = entry.with_approval(Approval::SelfApproved);
+            match self.gate.defer(index, &entry) {
+                None => self.finish_proposer_insert(index, entry, out),
+                Some(token) => {
+                    let cont = GateCont::Proposer { index, entry };
+                    self.pending_gates.insert(token, cont);
                 }
             }
         } else {

@@ -18,7 +18,6 @@ impl FastRaftEngine {
         entries: EntryList,
         leader_commit: LogIndex,
         probe: u64,
-        gate: &mut dyn InsertGate,
         out: &mut Actions<FastRaftMessage>,
     ) {
         if term < self.core.current_term {
@@ -45,16 +44,12 @@ impl FastRaftEngine {
         // and overwriting stale entries.
         let _ = prev_index;
 
-        // Contiguity bookkeeping: entries arrive as an explicit ascending
-        // index range, but the range may contain interior holes — the leader
-        // collects the *occupied* slots of a sparse log, so a hole in the
-        // leader's log shows up as a skipped index here. matchIndex may only
-        // advance across indices this site verifies contiguously from its
-        // existing verified prefix; anything beyond the first skip is
-        // inserted (it is leader-approved data) but not counted as matched,
-        // so commits can never cross a hole. The hole itself is repaired by
-        // the leader's decision loop / hole filling, after which the resend
-        // from the acked matchIndex extends the prefix normally.
+        // Contiguity: entries arrive as an ascending index range, which a
+        // leader fills from its dense leader-approved prefix. Only the run
+        // contiguous with this site's verified prefix lands (and counts as
+        // matched); a range that starts above it, or skips an index, adds
+        // nothing past the gap, so neither a commit nor an insert can cross
+        // a hole. The leader rewinds nextIndex from the ack and resends.
         let anchor = self.verified.max(self.core.commit_index);
         let mut new_match = anchor;
         for (idx, _) in entries.iter() {
@@ -72,65 +67,43 @@ impl FastRaftEngine {
         // leader-approved), possibly gated. The list is Rc-shared with
         // every other recipient of this batch; entries that land are cloned
         // out of it so the per-site approval stamp never touches the shared
-        // allocation.
-        let insert_bound = self.core.insert_bound();
-        // One id per append that wrote anything, shared by its gated inserts.
-        let mut ack_id = None;
+        // allocation. Entries at or below the commit index are already
+        // decided (and possibly compacted away).
+        let mut ack = None;
         let mut remaining = 0usize;
         // The lowest deferred index above the anchor, if any insert deferred.
         let mut first_deferred: Option<LogIndex> = None;
         for (idx, entry) in entries.iter() {
             let idx = *idx;
-            // Entries at or below the commit index are already decided (and
-            // possibly compacted away); writing there is never needed and
-            // would violate the compaction horizon.
-            if idx <= self.core.commit_index {
-                continue;
+            if idx > new_match {
+                break;
             }
-            // Defensive: an index absurdly far above this log would force
-            // the dense layout to materialize the whole span as slots.
-            // Beyond the contiguity anchor it cannot advance matchIndex
-            // anyway, so dropping it costs nothing.
-            if idx.as_u64() > insert_bound {
-                continue;
-            }
-            let needs_write = match self.core.log.get(idx) {
-                None => true,
-                Some(existing) => {
+            let needs_write = idx > self.core.commit_index
+                && self.core.log.get(idx).is_none_or(|existing| {
                     existing.id != entry.id
                         || existing.approval != Approval::LeaderApproved
                         || existing.term != entry.term
-                }
-            };
+                });
             if !needs_write {
                 continue;
             }
-            let ack = *ack_id.get_or_insert_with(|| {
+            let entry = entry.with_approval(Approval::LeaderApproved);
+            let Some(token) = self.gate.defer(idx, &entry) else {
+                self.apply_append_insert(idx, entry, out);
+                continue;
+            };
+            let id = *ack.get_or_insert_with(|| {
                 self.next_ack_id += 1;
                 self.next_ack_id - 1
             });
-            // A write at one index changes no other index's `needs_write`,
-            // so each insert lands (or parks) as the scan reaches it.
-            let entry = entry.with_approval(Approval::LeaderApproved);
-            match gate.begin(idx, &entry, GatePurpose::AppendInsert) {
-                GateVerdict::Proceed => self.apply_append_insert(idx, entry, out),
-                GateVerdict::Defer(token) => {
-                    remaining += 1;
-                    if idx > anchor && first_deferred.is_none_or(|d| idx < d) {
-                        first_deferred = Some(idx);
-                    }
-                    self.pending_gates.insert(
-                        token,
-                        GateCont::Append {
-                            index: idx,
-                            entry,
-                            ack,
-                        },
-                    );
-                }
+            self.pending_gates.insert(token, GateCont::Append(id));
+            self.parked_appends.push((id, idx, entry));
+            remaining += 1;
+            if idx > anchor {
+                first_deferred.get_or_insert(idx);
             }
         }
-        let Some(ack_id) = ack_id else {
+        let Some(ack) = ack else {
             self.verified = new_match;
             self.complete_append(from, new_match, leader_commit, probe, out);
             return;
@@ -141,24 +114,39 @@ impl FastRaftEngine {
         // empty heartbeat acking `verified` while the gate is still open.
         // Otherwise the leader could count a non-durable replica toward a
         // classic quorum and a crash of this site could lose a committed
-        // entry. The full `new_match` is acked by `finish_append_ack` once
-        // the last gate of the batch resolves.
+        // entry. The full `new_match` is acked by `land_append` once the
+        // last gate of the batch resolves.
         self.verified = first_deferred.map_or(new_match, |d| new_match.min(d.prev()));
-        if remaining == 0 {
-            self.complete_append(from, new_match, leader_commit, probe, out);
-        } else {
-            self.acks.insert(
-                ack_id,
-                AckState {
-                    from,
-                    term: self.core.current_term,
-                    match_index: new_match,
-                    leader_commit,
-                    probe,
-                    remaining,
-                },
-            );
+        let st = AckState {
+            from,
+            term: self.core.current_term,
+            match_index: new_match,
+            leader_commit,
+            probe,
+            remaining,
+        };
+        self.acks.insert(ack, st);
+    }
+
+    /// Lands a deferred AppendEntries batch once its last gate released:
+    /// whole and in index order, so no slot lands above a stale one, and
+    /// only if the term it was verified under is still current — else the
+    /// slots may since belong to a newer leader. Then acks it.
+    pub(super) fn land_append(
+        &mut self,
+        ack: u64,
+        st: AckState,
+        out: &mut Actions<FastRaftMessage>,
+    ) {
+        let mut parked = std::mem::take(&mut self.parked_appends);
+        let current = st.term == self.core.current_term;
+        for (_, index, entry) in parked.extract_if(.., |p| p.0 == ack) {
+            if current {
+                self.apply_append_insert(index, entry, out);
+            }
         }
+        self.parked_appends = parked;
+        self.finish_append_ack(st, out);
     }
 
     pub(super) fn apply_append_insert(
@@ -225,16 +213,16 @@ impl FastRaftEngine {
         );
     }
 
-    pub(super) fn finish_append_ack(&mut self, st: AckState, out: &mut Actions<FastRaftMessage>) {
-        // Every insert of the batch has landed (and persisted write-ahead).
+    fn finish_append_ack(&mut self, st: AckState, out: &mut Actions<FastRaftMessage>) {
         // If the term changed while the gates were open, the verification is
-        // stale — entries at those slots may since belong to a newer leader;
-        // drop the ack and let the current leader re-establish the prefix.
+        // stale; drop the ack and let the current leader re-establish the
+        // prefix. Otherwise every insert of the batch has landed (and
+        // persisted write-ahead), and the log is insert-only, so the
+        // contiguous run this batch verified is still present: `verified`
+        // may now cover it.
         if st.term != self.core.current_term {
             return;
         }
-        // The log is insert-only, so the contiguous run this batch verified
-        // is still present: `verified` may now cover it.
         if st.match_index > self.verified {
             self.verified = st.match_index;
         }
@@ -260,7 +248,6 @@ impl FastRaftEngine {
             Reply::Counted => {
                 self.maybe_finish_join(from, out);
                 self.advance_commit_classic(out);
-                self.maybe_proactive_repair(match_index, out);
                 self.core
                     .reads
                     .note_read_ack(from, probe, &self.core.config, out);

@@ -13,7 +13,6 @@ use wire::{
 };
 
 use crate::engine::{FastRaftEngine, TimerProfile};
-use crate::gate::ProceedGate;
 use crate::message::FastRaftMessage;
 
 /// A Fast Raft site (§IV).
@@ -39,7 +38,6 @@ use crate::message::FastRaftMessage;
 #[derive(Debug)]
 pub struct FastRaftNode {
     engine: FastRaftEngine,
-    gate: ProceedGate,
 }
 
 impl FastRaftNode {
@@ -58,7 +56,6 @@ impl FastRaftNode {
                 timing,
                 rng,
             ),
-            gate: ProceedGate,
         }
     }
 
@@ -79,7 +76,6 @@ impl FastRaftNode {
                 timing,
                 rng,
             ),
-            gate: ProceedGate,
         }
     }
 
@@ -106,7 +102,6 @@ impl FastRaftNode {
                 rng,
                 stable.global.proposal_seq_floor,
             ),
-            gate: ProceedGate,
         }
     }
 
@@ -200,17 +195,17 @@ impl ConsensusProtocol for FastRaftNode {
         msg: FastRaftMessage,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        self.engine.on_message(from, msg, &mut self.gate, out);
+        self.engine.on_message(from, msg, out);
     }
 
     fn on_timer(&mut self, kind: TimerKind, out: &mut Actions<FastRaftMessage>) {
         if let Some(base) = TimerProfile::Base.unmap(kind) {
-            self.engine.on_timer(base, &mut self.gate, out);
+            self.engine.on_timer(base, out);
         }
     }
 
     fn on_client_request(&mut self, req: ClientRequest, out: &mut Actions<FastRaftMessage>) {
-        self.engine.on_client_request(req, &mut self.gate, out);
+        self.engine.on_client_request(req, out);
     }
 
     fn bootstrap(&mut self, out: &mut Actions<FastRaftMessage>) {

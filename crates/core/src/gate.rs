@@ -1,99 +1,87 @@
-//! Insert gating: the hook that lets C-Raft run intra-cluster consensus
-//! before a global-log insert takes effect (§V-B).
+//! The insert gate: how C-Raft runs intra-cluster consensus before a
+//! global-log insert takes effect (§V-B).
 //!
 //! Fast Raft inserts entries into the log at three points: when a site
-//! receives a proposer broadcast, when the leader's decision loop chooses an
-//! entry, and when a follower applies AppendEntries. In plain Fast Raft the
-//! insert happens immediately ([`ProceedGate`]). At C-Raft's global level,
-//! each insert must first be replicated within the cluster as a *global
-//! state entry*; the engine defers the insert ([`GateVerdict::Defer`]) and
-//! resumes when the embedding reports the local commit via
-//! `FastRaftEngine::gate_ready`.
+//! receives a proposer broadcast, when the leader inserts a leader-approved
+//! entry (a decision, a forwarded proposal, a term no-op, a configuration),
+//! and when a follower applies AppendEntries. Every one of them passes the
+//! engine's one gate, which the embedding turns on or off once, when it
+//! builds the engine (`FastRaftEngine::gated`); there is no other insert
+//! door, so no insert path can bypass it. An ungated engine (plain Fast
+//! Raft, C-Raft's local level) inserts at once. A gated engine (C-Raft's
+//! global level) records a [`GateRequest`] instead: the embedding drains the
+//! requests, replicates each within its cluster as a *global state entry*,
+//! and resumes the insert with `FastRaftEngine::gate_ready` once that entry
+//! commits locally.
+//!
+//! Gated inserts land by one rule, so a release order cannot leave a hole
+//! in the leader-approved prefix:
+//! - a leader's inserts land in index order: one released above an
+//!   unreleased reservation waits for it;
+//! - a follower's AppendEntries batch lands whole, in index order, when its
+//!   last gate releases, and only if its term is still current;
+//! - a follower inserts only the run contiguous with its verified prefix,
+//!   and a leader ships only its dense leader-approved prefix.
+//!
+//! A continuation from a superseded term never lands: the slot may since
+//! hold (even have committed) a newer leader's entry.
 
 use wire::{LogEntry, LogIndex};
-
-/// Why the engine wants to insert.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GatePurpose {
-    /// A proposer broadcast arrived: insert self-approved, then vote.
-    ProposerInsert,
-    /// The leader's decision loop chose this entry for the index.
-    DecisionInsert,
-    /// A follower applies a leader-approved entry from AppendEntries.
-    AppendInsert,
-}
 
 /// Token identifying a deferred insert, echoed back via `gate_ready`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GateToken(pub u64);
 
-/// The gate's decision for one insert.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GateVerdict {
-    /// Insert immediately (plain Fast Raft).
-    Proceed,
-    /// Park the insert; the embedding completes it later with this token.
-    Defer(GateToken),
-}
-
-/// Decides whether log inserts proceed immediately or await intra-cluster
-/// replication.
-pub trait InsertGate {
-    /// Judges one insert of `entry` at `index`.
-    fn begin(&mut self, index: LogIndex, entry: &LogEntry, purpose: GatePurpose) -> GateVerdict;
-}
-
-/// The trivial gate: every insert proceeds immediately.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ProceedGate;
-
-impl InsertGate for ProceedGate {
-    fn begin(&mut self, _index: LogIndex, _entry: &LogEntry, _purpose: GatePurpose) -> GateVerdict {
-        GateVerdict::Proceed
-    }
-}
-
-/// One recorded deferral, for the embedding to act on.
+/// One deferred insert, for the embedding to act on.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GateRequest {
     /// Token to echo back via `gate_ready`.
     pub token: GateToken,
-    /// Global-log index being written.
+    /// Log index being written.
     pub index: LogIndex,
     /// The entry being written.
     pub entry: LogEntry,
-    /// Why the engine is writing.
-    pub purpose: GatePurpose,
 }
 
-/// A deferring gate that records every request; used by C-Raft's global
-/// level. Tokens are unique for the lifetime of the recorder.
+/// The engine's gate: defers every insert while on, none while off. Tokens
+/// are unique for the lifetime of the gate.
 #[derive(Clone, Debug, Default)]
-pub struct GateRecorder {
+pub(crate) struct GateRecorder {
+    on: bool,
     requests: Vec<GateRequest>,
     next_token: u64,
 }
 
 impl GateRecorder {
-    /// Drains the requests recorded since the last call, in recording
-    /// order. The recorder keeps its buffer, so a warmed-up recorder
-    /// records and drains without allocating.
-    pub fn drain(&mut self) -> std::vec::Drain<'_, GateRequest> {
-        self.requests.drain(..)
+    /// A gate that defers every insert (`on`) or none.
+    pub(crate) fn new(on: bool) -> Self {
+        GateRecorder {
+            on,
+            ..Self::default()
+        }
     }
-}
 
-impl InsertGate for GateRecorder {
-    fn begin(&mut self, index: LogIndex, entry: &LogEntry, purpose: GatePurpose) -> GateVerdict {
+    /// Judges one insert of `entry` at `index`: `None` lets it land now, a
+    /// token parks it until `gate_ready` echoes the token.
+    pub(crate) fn defer(&mut self, index: LogIndex, entry: &LogEntry) -> Option<GateToken> {
+        if !self.on {
+            return None;
+        }
         let token = GateToken(self.next_token);
         self.next_token += 1;
         self.requests.push(GateRequest {
             token,
             index,
             entry: entry.clone(),
-            purpose,
         });
-        GateVerdict::Defer(token)
+        Some(token)
+    }
+
+    /// Drains the requests recorded since the last call, in recording
+    /// order. The gate keeps its buffer, so a warmed-up gate records and
+    /// drains without allocating.
+    pub(crate) fn drain(&mut self) -> std::vec::Drain<'_, GateRequest> {
+        self.requests.drain(..)
     }
 }
 
@@ -115,36 +103,34 @@ mod tests {
 
     #[test]
     fn proceed_gate_always_proceeds() {
-        let mut g = ProceedGate;
-        assert_eq!(
-            g.begin(LogIndex(1), &entry(), GatePurpose::ProposerInsert),
-            GateVerdict::Proceed
-        );
+        let mut g = GateRecorder::new(false);
+        assert_eq!(g.defer(LogIndex(1), &entry()), None);
+        assert_eq!(g.drain().count(), 0);
     }
 
     #[test]
     fn recorder_defers_with_unique_tokens() {
-        let mut g = GateRecorder::default();
-        let v1 = g.begin(LogIndex(1), &entry(), GatePurpose::DecisionInsert);
-        let v2 = g.begin(LogIndex(2), &entry(), GatePurpose::AppendInsert);
-        let (GateVerdict::Defer(t1), GateVerdict::Defer(t2)) = (v1, v2) else {
-            panic!("recorder must defer");
-        };
+        let mut g = GateRecorder::new(true);
+        let t1 = g
+            .defer(LogIndex(1), &entry())
+            .expect("a gated insert defers");
+        let t2 = g
+            .defer(LogIndex(2), &entry())
+            .expect("a gated insert defers");
         assert_ne!(t1, t2);
         let reqs: Vec<GateRequest> = g.drain().collect();
         assert_eq!(reqs.len(), 2);
         assert_eq!(reqs[0].token, t1);
-        assert_eq!(reqs[0].purpose, GatePurpose::DecisionInsert);
         assert_eq!(reqs[1].index, LogIndex(2));
         assert_eq!(g.drain().count(), 0);
     }
 
     #[test]
     fn tokens_remain_unique_across_drains() {
-        let mut g = GateRecorder::default();
-        g.begin(LogIndex(1), &entry(), GatePurpose::ProposerInsert);
+        let mut g = GateRecorder::new(true);
+        g.defer(LogIndex(1), &entry());
         let first = g.drain().next().expect("one request");
-        g.begin(LogIndex(1), &entry(), GatePurpose::ProposerInsert);
+        g.defer(LogIndex(1), &entry());
         let second = g.drain().next().expect("one request");
         assert_ne!(first.token, second.token);
     }

@@ -15,8 +15,8 @@
 //!   committed entries, gating every global-log insert on an intra-cluster
 //!   *global state entry* so successor leaders inherit inter-cluster state.
 //! - [`FastRaftEngine`] — the reusable single-level engine both are built
-//!   from, parameterized by log scope, timer profile, and an insert
-//!   [`gate`](InsertGate).
+//!   from, parameterized by log scope, timer profile, and whether its
+//!   inserts pass the insert gate ([`FastRaftEngine::gated`]).
 //!
 //! # Examples
 //!
@@ -50,8 +50,6 @@ mod possible;
 pub use craft::{build_deployment, CRaftConfig, CRaftNode};
 pub use engine::{FastRaftEngine, ProposalMode, TimerProfile};
 pub use fastraft::FastRaftNode;
-pub use gate::{
-    GatePurpose, GateRecorder, GateRequest, GateToken, GateVerdict, InsertGate, ProceedGate,
-};
+pub use gate::{GateRequest, GateToken};
 pub use message::{CRaftMessage, FastRaftMessage};
 pub use possible::PossibleEntries;

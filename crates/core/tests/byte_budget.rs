@@ -89,10 +89,11 @@ fn ack_stops_at_interior_gap() {
         node.commit_index() <= LogIndex(2),
         "no commit across the hole"
     );
-    // The entries above the gap still landed (they are leader-approved
-    // data), they just do not count as matched.
-    assert!(node.log().get(LogIndex(4)).is_some());
-    assert!(node.log().get(LogIndex(5)).is_some());
+    // Nothing above the gap lands either: a follower inserts only the run
+    // contiguous with its verified prefix, so its leader-approved entries
+    // never sit above a hole.
+    assert!(node.log().get(LogIndex(4)).is_none());
+    assert!(node.log().get(LogIndex(5)).is_none());
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! does take a second slot is skipped when it applies.
 
 use bytes::Bytes;
-use consensus_core::{FastRaftEngine, FastRaftMessage, ProceedGate, TimerProfile};
+use consensus_core::{FastRaftEngine, FastRaftMessage, TimerProfile};
 use des::SimRng;
 use raft::testkit::Lockstep;
 use raft::{RaftMessage, RaftNode, Role, Timing};
@@ -60,14 +60,10 @@ impl Net {
     fn step(
         &mut self,
         id: NodeId,
-        f: impl FnOnce(&mut FastRaftEngine, &mut ProceedGate, &mut Actions<FastRaftMessage>),
+        f: impl FnOnce(&mut FastRaftEngine, &mut Actions<FastRaftMessage>),
     ) -> Actions<FastRaftMessage> {
         let mut out = Actions::new();
-        f(
-            &mut self.engines[id.as_u64() as usize],
-            &mut ProceedGate,
-            &mut out,
-        );
+        f(&mut self.engines[id.as_u64() as usize], &mut out);
         out
     }
 
@@ -82,7 +78,7 @@ impl Net {
     fn with(
         &mut self,
         id: NodeId,
-        f: impl FnOnce(&mut FastRaftEngine, &mut ProceedGate, &mut Actions<FastRaftMessage>),
+        f: impl FnOnce(&mut FastRaftEngine, &mut Actions<FastRaftMessage>),
     ) {
         let out = self.step(id, f);
         self.route(id, out);
@@ -91,14 +87,14 @@ impl Net {
     fn deliver_all(&mut self) {
         let mut guard = 0;
         while let Some((from, to, msg)) = self.queue.pop_front() {
-            self.with(to, |e, g, out| e.on_message(from, msg, g, out));
+            self.with(to, |e, out| e.on_message(from, msg, out));
             guard += 1;
             assert!(guard < 100_000, "livelock");
         }
     }
 
     fn tick(&mut self, id: NodeId, kind: TimerKind) {
-        self.with(id, |e, g, out| e.on_timer(kind, g, out));
+        self.with(id, |e, out| e.on_timer(kind, out));
         self.deliver_all();
     }
 
@@ -110,7 +106,7 @@ impl Net {
 /// Proposes seq 1 of `session` at `proposer`, commits it everywhere, and
 /// returns the proposer's `ProposeAt` entry as it went out.
 fn commit_write(net: &mut Net, proposer: NodeId, session: SessionId) -> (LogIndex, LogEntry) {
-    let out = net.step(proposer, |e, g, out| {
+    let out = net.step(proposer, |e, out| {
         let data = Bytes::from_static(b"v");
         e.propose_payload(
             Payload::Write {
@@ -118,7 +114,6 @@ fn commit_write(net: &mut Net, proposer: NodeId, session: SessionId) -> (LogInde
                 seq: 1,
                 data,
             },
-            g,
             out,
         );
     });
@@ -143,7 +138,7 @@ fn commit_write(net: &mut Net, proposer: NodeId, session: SessionId) -> (LogInde
 fn compacted_write() -> (Net, LogIndex, LogEntry) {
     let mut net = Net::new(3);
     for i in 0..3 {
-        net.with(NodeId(i), |e, _, out| e.bootstrap(out));
+        net.with(NodeId(i), |e, out| e.bootstrap(out));
     }
     net.tick(NodeId(0), TimerKind::Election);
     assert_eq!(net.engine(NodeId(0)).role(), Role::Leader);
@@ -177,12 +172,12 @@ fn fast_raft_answers_a_retried_compacted_write_as_a_duplicate() {
         outcome: ClientOutcome::Duplicate { first_index: first },
     };
     for index in [first, fresh] {
-        let out = net.step(follower, |e, g, out| {
+        let out = net.step(follower, |e, out| {
             let msg = FastRaftMessage::ProposeAt {
                 index,
                 entry: entry.clone(),
             };
-            e.on_message(NodeId(1), msg, g, out);
+            e.on_message(NodeId(1), msg, out);
         });
         assert_eq!(out.sends, vec![(NodeId(1), duplicate.clone())]);
         assert!(out.persists.is_empty(), "re-delivery at {index} inserted");
@@ -198,18 +193,16 @@ fn fast_raft_applies_a_compacted_write_placed_again_once() {
     // second slot, and commits it.
     let k = net.engine(NodeId(0)).commit_index().next();
     for voter in [NodeId(1), NodeId(2)] {
-        net.with(NodeId(0), |e, g, out| {
+        net.with(NodeId(0), |e, out| {
             let msg = FastRaftMessage::Vote {
                 index: k,
                 entry: entry.clone(),
                 commit_index: k.prev(),
             };
-            e.on_message(voter, msg, g, out);
+            e.on_message(voter, msg, out);
         });
     }
-    let out = net.step(NodeId(0), |e, g, out| {
-        e.on_timer(TimerKind::LeaderTick, g, out)
-    });
+    let out = net.step(NodeId(0), |e, out| e.on_timer(TimerKind::LeaderTick, out));
     let leader = net.engine(NodeId(0));
     assert_eq!(leader.log().get(k).map(|e| e.id), Some(entry.id));
     assert!(leader.commit_index() >= k, "the second copy committed");

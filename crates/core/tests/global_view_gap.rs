@@ -6,7 +6,9 @@
 //! snapshot's horizon). The explicit invariant check must surface this via
 //! [`Observation::GlobalViewGap`], the view must stay safe (commit floor
 //! pinned at the horizon, nothing decided inside the gap), and the normal
-//! snapshot/resend path must remain able to repair it.
+//! snapshot/resend path must remain able to repair it. A leading hole in a
+//! view rebuilt from a local log that never compacted is an ordinary
+//! in-flight hole, and the check stays quiet on it.
 
 use std::rc::Rc;
 
@@ -30,56 +32,86 @@ fn global_entry(seq: u64) -> LogEntry {
 }
 
 /// Builds the flapped leader's stable state for the race: the global
-/// engine never compacted, so there is **no** persisted global snapshot —
-/// but local compaction discarded the gs records for global indices 1..=4
-/// while the leader was deactivated, leaving records only for 5..=7. The
-/// reconstruction therefore starts at 5 with no covering horizon: a front
-/// gap. (When a persisted snapshot exists, `FastRaftEngine::recover`
-/// installs it and *discards* any suffix not anchored at its boundary, so
-/// the no-snapshot flap is the one shape that reaches activation gapped.)
+/// engine never compacted, so there is **no** persisted global snapshot,
+/// and each gs record sits at the local index of its global index. With
+/// `first_gs > 1`, local compaction discarded the records for global
+/// indices `1..first_gs` while the leader was deactivated (a local snapshot
+/// covers them), leaving records only for `first_gs..=7`: the
+/// reconstruction then starts at `first_gs` with no covering horizon, a
+/// front gap. (When a persisted global snapshot exists,
+/// `FastRaftEngine::recover` installs it and *discards* any suffix not
+/// anchored at its boundary, so the no-snapshot flap is the one shape that
+/// reaches activation gapped.)
 fn flapped_state(first_gs: u64) -> StableState {
     let mut stable = StableState::new();
-    let mut li = 0u64;
-    for gi in first_gs..=7 {
-        li += 1;
-        stable.apply(&PersistCmd::Insert {
-            scope: LogScope::Local,
-            index: LogIndex(li),
-            entry: LogEntry {
-                term: Term(1),
-                id: EntryId::new(NodeId(0), 100 + li),
-                payload: Payload::GlobalState(wire::GlobalState {
-                    index: LogIndex(gi),
-                    entry: Rc::new(global_entry(gi)),
-                    global_commit: LogIndex::ZERO,
-                }),
-                approval: Approval::LeaderApproved,
+    if first_gs > 1 {
+        stable.apply(&PersistCmd::InstallSnapshot {
+            snapshot: Snapshot {
+                scope: LogScope::Local,
+                last_index: LogIndex(first_gs - 1),
+                last_term: Term(1),
+                config: Configuration::new([NodeId(0)]),
+                state: Snapshot::digest_state(first_gs - 1),
+                sessions: SessionTable::new().into(),
             },
         });
+    }
+    for gi in first_gs..=7 {
+        stable.apply(&gs_record(gi, gi));
     }
     stable
 }
 
-#[test]
-fn reactivation_with_compacted_gs_records_surfaces_the_front_gap() {
-    let stable = flapped_state(5);
-    let members = Configuration::new([NodeId(0)]);
-    let global_bootstrap = Configuration::new([NodeId(0), NodeId(3)]);
+/// The local log write of the gs record for global index `gi` at local
+/// index `li`.
+fn gs_record(li: u64, gi: u64) -> PersistCmd {
+    PersistCmd::Insert {
+        scope: LogScope::Local,
+        index: LogIndex(li),
+        entry: LogEntry {
+            term: Term(1),
+            id: EntryId::new(NodeId(0), 100 + li),
+            payload: Payload::GlobalState(wire::GlobalState {
+                index: LogIndex(gi),
+                entry: Rc::new(global_entry(gi)),
+                global_commit: LogIndex::ZERO,
+            }),
+            approval: Approval::LeaderApproved,
+        },
+    }
+}
+
+/// Recovers node 0 of a single-site cluster from `stable` and elects it,
+/// which activates its global side from the reconstruction.
+fn reactivate(stable: &StableState, seed: u64) -> Lockstep<CRaftNode> {
     let node = CRaftNode::recover(
         NodeId(0),
-        &stable,
-        members,
-        global_bootstrap,
+        stable,
+        Configuration::new([NodeId(0)]),
+        Configuration::new([NodeId(0), NodeId(3)]),
         CRaftConfig::paper(ClusterId(0)),
-        SimRng::seed_from_u64(5),
+        SimRng::seed_from_u64(seed),
     );
     let mut net = Lockstep::new([node]);
-    // Single-member cluster: the election wins instantly and reactivates
-    // the global side from the reconstruction — the race's reactivation
-    // step, before any eviction happened at the global level.
     net.fire(NodeId(0), TimerKind::Election);
     net.deliver_all();
     assert!(net.node(NodeId(0)).is_local_leader());
+    net
+}
+
+fn view_gaps(net: &Lockstep<CRaftNode>) -> usize {
+    net.observations()
+        .iter()
+        .filter(|(_, o)| matches!(o, Observation::GlobalViewGap { .. }))
+        .count()
+}
+
+#[test]
+fn reactivation_with_compacted_gs_records_surfaces_the_front_gap() {
+    // Single-member cluster: the election wins instantly and reactivates
+    // the global side from the reconstruction — the race's reactivation
+    // step, before any eviction happened at the global level.
+    let net = reactivate(&flapped_state(5), 5);
     let gap = net.observations().iter().find_map(|(n, o)| match o {
         Observation::GlobalViewGap {
             horizon,
@@ -107,44 +139,36 @@ fn reactivation_with_compacted_gs_records_surfaces_the_front_gap() {
 fn contiguous_reactivation_does_not_fire_the_probe() {
     // Same shape but nothing was compacted away: gs records cover the
     // whole global prefix 1..=7, so the reconstruction is contiguous.
-    let stable = flapped_state(1);
-    let node = CRaftNode::recover(
-        NodeId(0),
-        &stable,
-        Configuration::new([NodeId(0)]),
-        Configuration::new([NodeId(0), NodeId(3)]),
-        CRaftConfig::paper(ClusterId(0)),
-        SimRng::seed_from_u64(6),
-    );
-    let mut net = Lockstep::new([node]);
-    net.fire(NodeId(0), TimerKind::Election);
-    net.deliver_all();
-    assert!(net.node(NodeId(0)).is_local_leader());
-    assert!(
-        !net.observations()
-            .iter()
-            .any(|(_, o)| matches!(o, Observation::GlobalViewGap { .. })),
+    let net = reactivate(&flapped_state(1), 6);
+    assert_eq!(
+        view_gaps(&net),
+        0,
         "a contiguous reconstruction must not trip the invariant probe"
     );
     let engine = net.node(NodeId(0)).global_engine().expect("activated");
     assert_eq!(engine.log().first_gap(), LogIndex(8));
 }
 
+/// A leading hole in a view rebuilt from a local log that never compacted
+/// is an ordinary in-flight one: the records for global indices 5..=7 are
+/// all the cluster ever committed (at local indices 1..=3), so the view
+/// lacks nothing it once held.
+#[test]
+fn an_uncompacted_leading_hole_does_not_fire_the_probe() {
+    let mut stable = StableState::new();
+    for (li, gi) in [(1, 5), (2, 6), (3, 7)] {
+        stable.apply(&gs_record(li, gi));
+    }
+    let net = reactivate(&stable, 8);
+    assert_eq!(view_gaps(&net), 0, "an in-flight hole is not a front gap");
+    let engine = net.node(NodeId(0)).global_engine().expect("activated");
+    assert_eq!(engine.log().first_gap(), LogIndex(1));
+}
+
 #[test]
 fn gapped_leader_repairs_via_global_snapshot_install() {
     use consensus_core::FastRaftMessage;
-    let stable = flapped_state(5);
-    let node = CRaftNode::recover(
-        NodeId(0),
-        &stable,
-        Configuration::new([NodeId(0)]),
-        Configuration::new([NodeId(0), NodeId(3)]),
-        CRaftConfig::paper(ClusterId(0)),
-        SimRng::seed_from_u64(7),
-    );
-    let mut net = Lockstep::new([node]);
-    net.fire(NodeId(0), TimerKind::Election);
-    net.deliver_all();
+    let mut net = reactivate(&flapped_state(5), 7);
     // The global leader (node 3, simulated) repairs the gap the way the
     // live system does: a snapshot transfer covering past the hole.
     net.with_node(NodeId(0), |n, out| {

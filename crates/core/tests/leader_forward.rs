@@ -3,9 +3,7 @@
 //! the decision-loop mechanics around it.
 
 use bytes::Bytes;
-use consensus_core::{
-    FastRaftEngine, FastRaftMessage, GateRecorder, ProceedGate, ProposalMode, TimerProfile,
-};
+use consensus_core::{FastRaftEngine, FastRaftMessage, GateRequest, ProposalMode, TimerProfile};
 use des::SimRng;
 use raft::{Role, Timing};
 use wire::{Actions, Configuration, LogIndex, LogScope, NodeId, Payload, SessionId, TimerKind};
@@ -23,11 +21,13 @@ fn engine(id: u64, members: u64) -> FastRaftEngine {
 }
 
 /// Drives a set of engines synchronously (a minimal lockstep for raw
-/// engines, which `raft::testkit` cannot host because of the gate
-/// parameter).
+/// engines, which `raft::testkit` cannot host because their gated inserts
+/// wait for a release).
 struct Net {
     engines: Vec<FastRaftEngine>,
     queue: std::collections::VecDeque<(NodeId, NodeId, FastRaftMessage)>,
+    /// Inserts a gated engine deferred, released by `deliver_all`.
+    gates: Vec<(NodeId, GateRequest)>,
 }
 
 impl Net {
@@ -35,6 +35,7 @@ impl Net {
         Net {
             engines,
             queue: Default::default(),
+            gates: Vec::new(),
         }
     }
 
@@ -47,27 +48,36 @@ impl Net {
     fn with<R>(
         &mut self,
         id: NodeId,
-        f: impl FnOnce(&mut FastRaftEngine, &mut ProceedGate, &mut Actions<FastRaftMessage>) -> R,
+        f: impl FnOnce(&mut FastRaftEngine, &mut Actions<FastRaftMessage>) -> R,
     ) -> R {
         let mut out = Actions::new();
-        let mut gate = ProceedGate;
-        let idx = id.as_u64() as usize;
-        let r = f(&mut self.engines[idx], &mut gate, &mut out);
+        let engine = &mut self.engines[id.as_u64() as usize];
+        let r = f(engine, &mut out);
+        self.gates
+            .extend(engine.drain_gate_requests().map(|req| (id, req)));
         self.route(id, out);
         r
     }
 
+    /// Delivers every message and releases every gate, oldest first.
     fn deliver_all(&mut self) {
         let mut guard = 0;
-        while let Some((from, to, msg)) = self.queue.pop_front() {
-            self.with(to, |e, g, out| e.on_message(from, msg, g, out));
+        loop {
+            if let Some((from, to, msg)) = self.queue.pop_front() {
+                self.with(to, |e, out| e.on_message(from, msg, out));
+            } else if !self.gates.is_empty() {
+                let (id, req) = self.gates.remove(0);
+                self.with(id, |e, out| e.gate_ready(req.token, out));
+            } else {
+                break;
+            }
             guard += 1;
             assert!(guard < 100_000, "livelock");
         }
     }
 
     fn tick(&mut self, id: NodeId, kind: TimerKind) {
-        self.with(id, |e, g, out| e.on_timer(kind, g, out));
+        self.with(id, |e, out| e.on_timer(kind, out));
         self.deliver_all();
     }
 
@@ -86,18 +96,21 @@ fn write(session: u64, data: &'static [u8]) -> Payload {
 }
 
 fn forward_cluster(n: u64) -> Net {
-    let mut engines: Vec<FastRaftEngine> = (0..n).map(|i| engine(i, n)).collect();
+    forward_net((0..n).map(|i| engine(i, n)).collect())
+}
+
+/// A `LeaderForward` cluster of `engines` (ids 0, 1, ...) led by node 0.
+fn forward_net(mut engines: Vec<FastRaftEngine>) -> Net {
+    let n = engines.len() as u64;
     for e in &mut engines {
         e.set_proposal_mode(ProposalMode::LeaderForward);
     }
     let mut net = Net::new(engines);
     for i in 0..n {
-        net.with(NodeId(i), |e, _g, out| e.bootstrap(out));
+        net.with(NodeId(i), |e, out| e.bootstrap(out));
     }
     // Node 0 leads.
-    net.with(NodeId(0), |e, g, out| {
-        e.on_timer(TimerKind::Election, g, out)
-    });
+    net.with(NodeId(0), |e, out| e.on_timer(TimerKind::Election, out));
     net.deliver_all();
     assert_eq!(net.engine(NodeId(0)).role(), Role::Leader);
     net
@@ -108,12 +121,8 @@ fn forwarded_proposals_get_sequential_indices() {
     let mut net = forward_cluster(3);
     // Two proposals from different nodes, interleaved before any delivery:
     // the leader must assign distinct, sequential slots.
-    net.with(NodeId(1), |e, g, out| {
-        e.propose_payload(write(1, b"a"), g, out)
-    });
-    net.with(NodeId(2), |e, g, out| {
-        e.propose_payload(write(2, b"b"), g, out)
-    });
+    net.with(NodeId(1), |e, out| e.propose_payload(write(1, b"a"), out));
+    net.with(NodeId(2), |e, out| e.propose_payload(write(2, b"b"), out));
     net.deliver_all();
     let leader = net.engine(NodeId(0));
     assert_eq!(leader.log().len(), 2, "both proposals appended");
@@ -127,9 +136,7 @@ fn forwarded_proposals_get_sequential_indices() {
 #[test]
 fn forwarded_duplicate_is_appended_once() {
     let mut net = forward_cluster(3);
-    let id = net.with(NodeId(1), |e, g, out| {
-        e.propose_payload(write(3, b"dup"), g, out)
-    });
+    let id = net.with(NodeId(1), |e, out| e.propose_payload(write(3, b"dup"), out));
     net.deliver_all();
     // Retry fires before commit: same id forwarded again.
     net.tick(NodeId(1), TimerKind::ProposalRetry);
@@ -145,9 +152,7 @@ fn forwarded_proposal_redirects_to_leader() {
     // node 2 proposes; its hint is the leader already (heartbeats), so the
     // proposal goes straight there and commits; the proposer learns via
     // ProposeReply.
-    let id = net.with(NodeId(2), |e, g, out| {
-        e.propose_payload(write(4, b"c"), g, out)
-    });
+    let id = net.with(NodeId(2), |e, out| e.propose_payload(write(4, b"c"), out));
     net.deliver_all();
     net.tick(NodeId(0), TimerKind::Heartbeat);
     net.tick(NodeId(0), TimerKind::Heartbeat);
@@ -175,23 +180,21 @@ fn unsettled_leader_defers_forwarded_proposals() {
     // index 1 on nodes 1 and 2, then force a leader change to node 1 so it
     // inherits an undecided index.
     // (Simulated by switching node 1's mode to Broadcast for one proposal.)
-    net.with(NodeId(1), |e, g, out| {
+    net.with(NodeId(1), |e, out| {
         e.set_proposal_mode(ProposalMode::Broadcast);
-        e.propose_payload(write(5, b"chosen?"), g, out);
+        e.propose_payload(write(5, b"chosen?"), out);
         e.set_proposal_mode(ProposalMode::LeaderForward);
     });
     // Deliver the broadcast but NOT the votes to the old leader; then elect
     // node 1 (which holds the self-approved entry).
     net.deliver_all();
-    net.with(NodeId(1), |e, g, out| {
-        e.on_timer(TimerKind::Election, g, out)
-    });
+    net.with(NodeId(1), |e, out| e.on_timer(TimerKind::Election, out));
     net.deliver_all();
     if net.engine(NodeId(1)).role() == Role::Leader {
         // Recovery replays the self-approved entry; until the decision loop
         // settles it, forwarded proposals are deferred (not lost — retried).
-        net.with(NodeId(2), |e, g, out| {
-            e.propose_payload(write(6, b"later"), g, out)
+        net.with(NodeId(2), |e, out| {
+            e.propose_payload(write(6, b"later"), out)
         });
         net.deliver_all();
         // Decide the backlog, then the retry lands.
@@ -218,13 +221,11 @@ fn mixed_modes_interoperate() {
     // Followers in Broadcast mode while the leader is addressed via
     // forwarded proposals: the leader's log remains the single order.
     let mut net = forward_cluster(5);
-    net.with(NodeId(3), |e, g, out| {
+    net.with(NodeId(3), |e, out| {
         e.set_proposal_mode(ProposalMode::Broadcast);
-        e.propose_payload(write(7, b"bcast"), g, out);
+        e.propose_payload(write(7, b"bcast"), out);
     });
-    net.with(NodeId(1), |e, g, out| {
-        e.propose_payload(write(8, b"fwd"), g, out)
-    });
+    net.with(NodeId(1), |e, out| e.propose_payload(write(8, b"fwd"), out));
     net.deliver_all();
     for _ in 0..4 {
         net.tick(NodeId(0), TimerKind::LeaderTick);
@@ -254,17 +255,14 @@ fn a_dropped_gated_reservation_leaves_the_retry_to_be_placed() {
     // dropped. Node 0 leads again and slot 1 commits node 2's write. Node
     // 1's retry must then be placed: no log holds its write, so an answer
     // of `committed` would lose it.
-    let mut net = forward_cluster(3);
-    let lost = net.with(NodeId(1), |e, g, out| {
-        e.propose_payload(write(1, b"lost?"), g, out)
+    let mut net = forward_net(vec![engine(0, 3).gated(), engine(1, 3), engine(2, 3)]);
+    let lost = net.with(NodeId(1), |e, out| {
+        e.propose_payload(write(1, b"lost?"), out)
     });
     let (from, to, msg) = net.queue.pop_front().expect("the forward");
     assert_eq!((from, to), (NodeId(1), NodeId(0)));
-    let mut gate = GateRecorder::default();
-    let mut out = Actions::new();
-    net.engines[0].on_message(from, msg, &mut gate, &mut out);
-    net.route(NodeId(0), out);
-    let reserved: Vec<_> = gate.drain().collect();
+    net.with(NodeId(0), |e, out| e.on_message(from, msg, out));
+    let reserved: Vec<_> = net.gates.drain(..).map(|(_, req)| req).collect();
     assert_eq!(reserved.len(), 1);
     assert_eq!(
         (reserved[0].index, reserved[0].entry.id),
@@ -273,16 +271,14 @@ fn a_dropped_gated_reservation_leaves_the_retry_to_be_placed() {
 
     net.tick(NodeId(2), TimerKind::Election);
     assert_eq!(net.engine(NodeId(2)).role(), Role::Leader);
-    net.with(NodeId(0), |e, g, out| {
-        e.gate_ready(reserved[0].token, g, out)
-    });
+    net.with(NodeId(0), |e, out| e.gate_ready(reserved[0].token, out));
     net.deliver_all();
     assert_eq!(net.engine(NodeId(0)).log().get(LogIndex(1)), None);
 
     net.tick(NodeId(0), TimerKind::Election);
     assert_eq!(net.engine(NodeId(0)).role(), Role::Leader);
-    let other = net.with(NodeId(2), |e, g, out| {
-        e.propose_payload(write(2, b"other"), g, out)
+    let other = net.with(NodeId(2), |e, out| {
+        e.propose_payload(write(2, b"other"), out)
     });
     net.deliver_all();
     net.tick(NodeId(0), TimerKind::Heartbeat);

@@ -160,87 +160,3 @@ fn fresh_joiner_catches_up_via_snapshot() {
     );
     net.assert_safety();
 }
-
-#[test]
-fn proactive_repair_fires_on_ack_without_waiting_ticks() {
-    use consensus_core::FastRaftMessage;
-    use wire::{ConsensusProtocol, EntryId, EntryList, LogEntry, SessionId};
-
-    let (mut net, _) = cluster(5, 0);
-    let old_leader = elect(&mut net, NodeId(0));
-    pump(&mut net, old_leader, NodeId(2), 3);
-    assert_eq!(net.node(NodeId(1)).commit_index(), LogIndex(3));
-    let term = net.node(old_leader).current_term();
-    // The old leader replicates a batch to node 1 that skips index 4 (its
-    // own log had a hole there): node 1 inserts 5 and 6 leader-approved but
-    // its verified match stays at 3 (PR 2's contiguity invariant).
-    let skipped = EntryList::from_vec(vec![
-        (
-            LogIndex(5),
-            LogEntry::write(
-                term,
-                EntryId::new(old_leader, 500),
-                SessionId::client(1),
-                1,
-                b"five"[..].into(),
-            ),
-        ),
-        (
-            LogIndex(6),
-            LogEntry::write(
-                term,
-                EntryId::new(old_leader, 600),
-                SessionId::client(1),
-                1,
-                b"six"[..].into(),
-            ),
-        ),
-    ]);
-    net.with_node(NodeId(1), |n, out| {
-        n.on_message(
-            NodeId(0),
-            FastRaftMessage::AppendEntries {
-                term,
-                leader: NodeId(0),
-                prev_index: LogIndex(3),
-                entries: skipped,
-                leader_commit: LogIndex(3),
-                global_commit: LogIndex::ZERO,
-                probe: 0,
-            },
-            out,
-        );
-    });
-    net.deliver_all();
-    assert_eq!(net.node(NodeId(1)).last_leader_index(), LogIndex(6));
-    // The old leader dies; node 1 inherits the suffix-above-a-hole and wins
-    // (up-to-dateness counts leader-approved entries).
-    net.crash(old_leader);
-    let leader = elect(&mut net, NodeId(1));
-    // Becoming leader dispatches AppendEntries from commit+1 = 4; follower
-    // acks stop at match 3 because index 4 is a hole. That ack alone — with
-    // hole_fill_ticks = 8 and no decision tick fired yet — must trigger the
-    // proactive repair.
-    let repairs = net
-        .observations()
-        .iter()
-        .filter(|(n, o)| *n == leader && matches!(o, Observation::HoleRepairTriggered { .. }))
-        .count();
-    assert!(
-        repairs >= 1,
-        "append acks below a replicated suffix must trigger proactive repair"
-    );
-    // The repair restores liveness well before hole_fill_ticks elapse.
-    for _ in 0..4 {
-        net.fire(leader, TimerKind::LeaderTick);
-        net.deliver_all();
-        net.fire(leader, TimerKind::Heartbeat);
-        net.deliver_all();
-    }
-    assert!(
-        net.node(leader).commit_index() >= LogIndex(6),
-        "repair should unblock the inherited suffix (commit at {})",
-        net.node(leader).commit_index()
-    );
-    net.assert_safety();
-}

@@ -116,7 +116,12 @@ fn run_explore(args: &[String]) -> Result<ExitCode, String> {
                     report.commits_seen,
                     shrink_budget
                 );
+                // Replays that panic again would each print the panic;
+                // the first one already has.
+                let hook = std::panic::take_hook();
+                std::panic::set_hook(Box::new(|_| {}));
                 let shrunk = shrink_setup(&setup, &report.choices, shrink_budget);
+                std::panic::set_hook(hook);
                 println!(
                     "  minimized to {} choices in {} replays: {}",
                     shrunk.choices.len(),

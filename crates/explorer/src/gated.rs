@@ -2,17 +2,16 @@
 //!
 //! [`GatedFastRaftNode`] runs the shared [`FastRaftEngine`] exactly the way
 //! C-Raft's global level does — leader-forwarded proposals, every insert
-//! deferred through a [`GateRecorder`] — but hands the *release* of each
-//! deferred insert to the explorer instead of to intra-cluster consensus.
+//! deferred behind the engine's gate ([`FastRaftEngine::gated`]) — but hands
+//! the *release* of each deferred insert to the explorer instead of to
+//! intra-cluster consensus.
 //! In C-Raft the gate resolves when a cluster locally commits a global state
 //! entry; here it resolves when the schedule says so. That models the
 //! intra-cluster replication delay as a fully adversarial scheduler, which
 //! is precisely the setting where the gate-path liveness and double-assign
 //! bugs live.
 
-use consensus_core::{
-    FastRaftEngine, FastRaftMessage, GateRecorder, GateToken, ProposalMode, TimerProfile,
-};
+use consensus_core::{FastRaftEngine, FastRaftMessage, GateToken, ProposalMode, TimerProfile};
 use des::SimRng;
 use raft::{Role, Timing};
 use storage::StableState;
@@ -26,7 +25,6 @@ use std::collections::BTreeMap;
 #[derive(Debug)]
 pub struct GatedFastRaftNode {
     engine: FastRaftEngine,
-    gate: GateRecorder,
     /// Armed gate tokens, in token order (tokens are monotonically
     /// allocated, so token order is arming order).
     armed: BTreeMap<u64, ()>,
@@ -43,11 +41,11 @@ impl GatedFastRaftNode {
             TimerProfile::Base,
             timing,
             rng,
-        );
+        )
+        .gated();
         engine.set_proposal_mode(ProposalMode::LeaderForward);
         GatedFastRaftNode {
             engine,
-            gate: GateRecorder::default(),
             armed: BTreeMap::new(),
         }
     }
@@ -74,11 +72,11 @@ impl GatedFastRaftNode {
             timing,
             rng,
             stable.global.proposal_seq_floor,
-        );
+        )
+        .gated();
         engine.set_proposal_mode(ProposalMode::LeaderForward);
         GatedFastRaftNode {
             engine,
-            gate: GateRecorder::default(),
             armed: BTreeMap::new(),
         }
     }
@@ -110,8 +108,7 @@ impl GatedFastRaftNode {
         if self.armed.remove(&token).is_none() {
             return;
         }
-        self.engine
-            .gate_ready(GateToken(token), &mut self.gate, out);
+        self.engine.gate_ready(GateToken(token), out);
         self.sync_armed();
     }
 
@@ -127,7 +124,7 @@ impl GatedFastRaftNode {
     /// Moves freshly recorded deferrals into the armed set. Must run after
     /// every handler call (a release can itself defer further inserts).
     fn sync_armed(&mut self) {
-        for req in self.gate.drain() {
+        for req in self.engine.drain_gate_requests() {
             self.armed.insert(req.token.0, ());
         }
     }
@@ -146,19 +143,19 @@ impl ConsensusProtocol for GatedFastRaftNode {
         msg: FastRaftMessage,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        self.engine.on_message(from, msg, &mut self.gate, out);
+        self.engine.on_message(from, msg, out);
         self.sync_armed();
     }
 
     fn on_timer(&mut self, kind: TimerKind, out: &mut Actions<FastRaftMessage>) {
         if let Some(base) = TimerProfile::Base.unmap(kind) {
-            self.engine.on_timer(base, &mut self.gate, out);
+            self.engine.on_timer(base, out);
             self.sync_armed();
         }
     }
 
     fn on_client_request(&mut self, req: ClientRequest, out: &mut Actions<FastRaftMessage>) {
-        self.engine.on_client_request(req, &mut self.gate, out);
+        self.engine.on_client_request(req, out);
         self.sync_armed();
     }
 

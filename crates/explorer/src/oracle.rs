@@ -15,6 +15,10 @@
 //!   messages drained, timers fired to a horizon, clients retried), every
 //!   placed client operation must have resolved and every armed gate
 //!   continuation and decision reservation must have drained to zero.
+//!
+//! A step that panics — a protocol `debug_assert!` under the `explore`
+//! profile, say — ends the schedule with a [`Violation::Panic`], which
+//! shrinks and saves like any other.
 
 use wire::{EntryId, GroupId, LogScope, NodeId, SafetyChecker};
 
@@ -30,6 +34,8 @@ pub enum Violation {
     /// The system wedged: an operation or gate continuation never resolved
     /// although the schedule went quiescent.
     Liveness(String),
+    /// A step panicked; the message is the panic's.
+    Panic(String),
 }
 
 impl Violation {
@@ -41,6 +47,7 @@ impl Violation {
             Violation::Lin(_) => "lin",
             Violation::Lost(_) => "lost",
             Violation::Liveness(_) => "liveness",
+            Violation::Panic(_) => "panic",
         }
     }
 
@@ -50,7 +57,8 @@ impl Violation {
             Violation::Safety(m)
             | Violation::Lin(m)
             | Violation::Lost(m)
-            | Violation::Liveness(m) => m,
+            | Violation::Liveness(m)
+            | Violation::Panic(m) => m,
         }
     }
 }

@@ -32,9 +32,25 @@ pub struct RunReport {
     pub reads_checked: u64,
 }
 
+/// Runs one step against a world, turning a panic into
+/// [`Violation::Panic`]. The world is not stepped again after one.
+fn guarded<T>(step: impl FnOnce() -> T) -> Result<T, Violation> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(step)).map_err(|payload| {
+        let message = match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(payload) => payload
+                .downcast_ref::<&str>()
+                .map_or("a non-string panic payload", |s| s)
+                .to_string(),
+        };
+        Violation::Panic(message)
+    })
+}
+
 /// Drives `strategy` against `world` for up to `max_steps` applied choices,
 /// checking the safety oracle after every step, then runs the quiescence
-/// drain and the liveness oracle.
+/// drain and the liveness oracle. A panicking step ends the run with its
+/// choice recorded last.
 pub fn explore_world<P: Explorable>(
     world: &mut World<P>,
     strategy: &mut dyn Strategy,
@@ -52,15 +68,21 @@ pub fn explore_world<P: Explorable>(
         let Some(choice) = strategy.choose(&view) else {
             break;
         };
-        if world.apply(&choice) {
-            choices.push(choice);
+        match guarded(|| world.apply(&choice)) {
+            Ok(true) => choices.push(choice),
+            Ok(false) => {}
+            Err(panic) => {
+                choices.push(choice);
+                violation = Some(panic);
+                break;
+            }
         }
         if let Some(v) = world.check_safety() {
             violation = Some(v);
             break;
         }
     }
-    let violation = violation.or_else(|| world.quiesce());
+    let violation = violation.or_else(|| guarded(|| world.quiesce()).unwrap_or_else(Some));
     RunReport {
         choices,
         violation,
@@ -71,15 +93,18 @@ pub fn explore_world<P: Explorable>(
 
 /// Replays a schedule against `world`: applies each choice (silently
 /// skipping ones no longer enabled), checking safety after every step, then
-/// drains to quiescence under the liveness oracle.
+/// drains to quiescence under the liveness oracle. A panicking step ends
+/// the replay.
 pub fn replay_world<P: Explorable>(world: &mut World<P>, choices: &[Choice]) -> Option<Violation> {
     for choice in choices {
-        world.apply(choice);
+        if let Err(panic) = guarded(|| world.apply(choice)) {
+            return Some(panic);
+        }
         if let Some(v) = world.check_safety() {
             return Some(v);
         }
     }
-    world.quiesce()
+    guarded(|| world.quiesce()).unwrap_or_else(Some)
 }
 
 fn world_cfg(s: &Setup, ack_scope: LogScope) -> WorldConfig {

@@ -16,11 +16,13 @@ fn replay_checked_in(name: &str) -> Option<explorer::Violation> {
 }
 
 /// The gated-no-op liveness wedge: a re-elected leader's gated term no-op
-/// parked a `LeaderAppend` continuation whose release never drained its
-/// `gated_decisions` reservation, holding `leader_log_settled()` false
+/// parked a continuation whose release never drained its slot
+/// reservation, holding `leader_log_settled()` false
 /// forever — wedging reconfig, read nudges, and (under LeaderForward)
 /// every forwarded proposal. Found by `explore --proto gated --strategy
-/// hammer` at seed 1; fixed in `gate_ready`'s LeaderAppend arm.
+/// hammer` at seed 1; fixed in `gate_ready`'s arm for leader appends
+/// (since then, a reservation drains when it lands or when its leader
+/// steps down).
 ///
 /// The same schedule also loses a proposal: leader n2 reserves slot 1 for
 /// n1's forwarded `n1:0`, its term ends before the gate releases, slot 1
@@ -108,4 +110,36 @@ fn fast_quorum_counts_votes_at_its_index() {
 fn a_local_leading_hole_is_not_a_front_gap() {
     let v = replay_checked_in("craft_local_front_hole.trace");
     assert!(v.is_none(), "local leading hole regressed: {}", v.unwrap());
+}
+
+/// Gated inserts landing out of order: on the gated global level, two
+/// entries committed at one index ("n1 committed n2:1 but n0 committed
+/// n1:2" at index 2). Found by `explore --proto gated --strategy hammer`
+/// at seed 9 in the explorer's default shape, one of 20 failing seeds of
+/// 0..1000; with debug assertions on, the dispatch assertion that
+/// AppendEntries ship only leader-approved entries fired first. Fixed by
+/// giving gated inserts one landing rule (see `consensus_core`'s `gate`
+/// module): a leader's inserts land in index order, an AppendEntries batch
+/// lands whole in index order and only in its own term, a follower inserts
+/// only the run contiguous with its verified prefix, and a leader ships
+/// only its dense leader-approved prefix; and by putting every insert
+/// behind the engine's one gate.
+#[test]
+fn gated_inserts_land_in_index_order() {
+    let v = replay_checked_in("gated_landing_order.trace");
+    assert!(v.is_none(), "gated landing order regressed: {}", v.unwrap());
+}
+
+/// The same defect in full C-Raft: with 4 sites in 2 clusters, two
+/// entries committed at global index 1. Found by `explore --proto craft
+/// --strategy hammer --seeds 628..629 --sites 4 --clusters 2`; fixed with
+/// the gated global level above.
+#[test]
+fn craft_global_inserts_land_in_index_order() {
+    let v = replay_checked_in("craft_landing_order.trace");
+    assert!(
+        v.is_none(),
+        "C-Raft global landing order regressed: {}",
+        v.unwrap()
+    );
 }

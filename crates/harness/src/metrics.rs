@@ -136,7 +136,7 @@ pub struct Metrics {
     /// Configuration entries committed.
     pub config_commits: u64,
     /// Times a leader's liveness guard re-proposed a no-op at a blocked log
-    /// hole (tick-based stall or proactive ack-driven repair).
+    /// hole after its stalled decision ticks.
     pub hole_repairs: u64,
     /// Log-prefix compactions performed (all sites, both scopes).
     pub compactions: u64,

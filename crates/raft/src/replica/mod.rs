@@ -28,7 +28,7 @@
 //!   | leader init | `become_leader`, `start_heartbeats` | start index, term no-op vs vote recovery, `LeaderTick` |
 //!   | fan-out | `heartbeat`, `dispatch_append_entries` | the upper bound (`last_index` vs `last_leader_index`) |
 //!   | log write | `insert_entry`, `insert_bound` | when to insert: truncate-on-conflict vs slot voting |
-//!   | ack bookkeeping | `on_ack` | what committing does, join completion, proactive repair, the rewind point |
+//!   | ack bookkeeping | `on_ack` | what committing does, join completion, the rewind point |
 //!   | classic commit scan | `quorum_commit_point` | the upper bound (contiguous leader-approved reach) |
 //!   | snapshot receipt | `install_snapshot` | following the sender, membership effects of the adopted configuration, when to run the gateway sweep, the ack |
 //!   | write gateway | `write_key`, `client_door`, `expiry_door`, `respond_client`, `apply_client_entry`, `on_client_reply`, `answer_covered_writes` | routing an admitted write, Fast Raft's narrower in-flight test, dropping answered ids from Fast Raft's `pending_proposals` |

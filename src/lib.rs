@@ -35,8 +35,7 @@
 pub mod protocols {
     pub use consensus_core::{
         build_deployment, CRaftConfig, CRaftMessage, CRaftNode, FastRaftEngine, FastRaftMessage,
-        FastRaftNode, GatePurpose, GateRecorder, GateRequest, GateToken, GateVerdict, InsertGate,
-        PossibleEntries, ProceedGate, ProposalMode, TimerProfile,
+        FastRaftNode, GateRequest, GateToken, PossibleEntries, ProposalMode, TimerProfile,
     };
     pub use raft::{testkit, NotLeader, RaftMessage, RaftNode, Role, Timing};
 }

@@ -123,5 +123,5 @@ fn fast_raft_lease_reads_loss_crash_recover_schedule_is_pinned() {
     let (report, metrics) = run_fast_raft(&s);
     assert!(metrics.lease_reads > 0 && metrics.readindex_reads > 0);
     let got = fingerprint((report, metrics));
-    assert_eq!(got, [385, 3189, 381_762, 1271, 997, 12_000_000, 8]);
+    assert_eq!(got, [385, 3189, 381_762, 1269, 997, 12_000_000, 8]);
 }

@@ -219,7 +219,11 @@ impl FastRaftEngine {
             self.unmap_unplaced(k, id);
             return false;
         }
-        self.insert_leader_entry(k, entry, out);
+        debug_assert_eq!(entry.approval, Approval::LeaderApproved);
+        self.insert_approved(k, entry, out);
+        self.core
+            .match_index
+            .insert(self.core.id, self.last_leader_index);
         if !decision {
             self.advance_commit_classic(out);
             return false;
@@ -234,19 +238,6 @@ impl FastRaftEngine {
             return true;
         }
         false
-    }
-
-    pub(super) fn insert_leader_entry(
-        &mut self,
-        index: LogIndex,
-        entry: LogEntry,
-        out: &mut Actions<FastRaftMessage>,
-    ) {
-        debug_assert_eq!(entry.approval, Approval::LeaderApproved);
-        self.insert_approved(index, entry, out);
-        self.core
-            .match_index
-            .insert(self.core.id, self.last_leader_index);
     }
 
     /// Highest proposal-sequence ceiling this engine has persisted; used by

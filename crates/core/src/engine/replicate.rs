@@ -49,7 +49,9 @@ impl FastRaftEngine {
         // contiguous with this site's verified prefix lands (and counts as
         // matched); a range that starts above it, or skips an index, adds
         // nothing past the gap, so neither a commit nor an insert can cross
-        // a hole. The leader rewinds nextIndex from the ack and resends.
+        // a hole, and an index far above this log never makes the dense
+        // log materialize a span. The leader rewinds nextIndex from the ack
+        // and resends.
         let anchor = self.verified.max(self.core.commit_index);
         let mut new_match = anchor;
         for (idx, _) in entries.iter() {
@@ -149,7 +151,7 @@ impl FastRaftEngine {
         self.finish_append_ack(st, out);
     }
 
-    pub(super) fn apply_append_insert(
+    fn apply_append_insert(
         &mut self,
         index: LogIndex,
         entry: LogEntry,

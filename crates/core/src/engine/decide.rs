@@ -96,14 +96,15 @@ impl FastRaftEngine {
             if self.reserved.contains_key(&k) {
                 break; // An insert for k is still replicating locally.
             }
-            if self.possible.voters_at(k) < self.core.config.classic_quorum() {
+            if self.possible.voters_at(k, &self.core.config) < self.core.config.classic_quorum() {
                 break;
             }
-            let chosen = match self.possible.most_voted(k) {
-                Some((e, _)) => e.clone(),
+            let chosen = match self.possible.most_voted(k, &self.core.config) {
+                Some(e) => e.clone(),
                 None => {
-                    // Every vote was nulled: any entry may be inserted
-                    // (§IV-B); use a no-op.
+                    // No member's vote names a candidate (every one was
+                    // nulled): any entry may be inserted (§IV-B); use a
+                    // no-op.
                     LogEntry::noop(self.core.current_term, self.core.ids.fresh_id(out))
                 }
             };
@@ -273,7 +274,7 @@ impl FastRaftEngine {
                 .log
                 .get(k)
                 .is_none_or(|e| e.approval == Approval::SelfApproved)
-            && self.possible.voters_at(k) < self.core.config.classic_quorum()
+            && self.possible.voters_at(k, &self.core.config) < self.core.config.classic_quorum()
             && !self.reserved.contains_key(&k);
         if !blocked {
             self.stalled_ticks = 0;

@@ -20,6 +20,10 @@ impl FastRaftEngine {
         if self.core.become_follower(term, leader, out) {
             out.cancel_timer(self.timers.map(TimerKind::LeaderTick));
             self.drop_reservations();
+            // A later leader may commit another entry at the pending
+            // configuration's index; it must not block our next one.
+            self.pending_config = None;
+            self.pending_join_notify = None;
         }
         if self.join_contacts.is_none() {
             self.core.reset_election_timer(out);

@@ -175,7 +175,13 @@ impl FastRaftEngine {
     }
 
     pub(super) fn start_next_reconfig(&mut self, out: &mut Actions<FastRaftMessage>) {
-        if self.pending_config.is_some() || self.core.role != Role::Leader {
+        // One change at a time: the configuration obeyed must be committed
+        // first, an inherited one (which `pending_config` does not track)
+        // included.
+        if self.pending_config.is_some()
+            || self.core.role != Role::Leader
+            || self.core.config_index > self.core.commit_index
+        {
             return;
         }
         if !self.leader_log_settled() {

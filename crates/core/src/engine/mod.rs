@@ -555,18 +555,10 @@ impl FastRaftEngine {
         msg: FastRaftMessage,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        // Configuration filter (§III-A): consensus messages from sites
-        // outside the configuration are ignored. Exceptions: client-level
-        // traffic, and everything while we are not ourselves a member yet
-        // (joiners must accept catch-up AppendEntries).
-        let exempt = msg.is_client_traffic() || !self.core.config.contains(self.core.id);
-        if !exempt && !self.core.config.contains(from) && !self.core.learners.contains(&from) {
-            out.observe(Observation::MessageIgnored {
-                reason: "sender not in configuration",
-            });
-            return;
-        }
-        // Any message from a live member clears its missed-beat counter.
+        // No sender filter: a site follows the current leader whatever
+        // configuration it holds, and membership is checked only where a
+        // quorum is counted (see docs/DEVIATIONS.md).
+        // Any message from a live site clears its missed-beat counter.
         self.missed_beats.remove(&from);
 
         match msg {

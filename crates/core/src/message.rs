@@ -183,19 +183,6 @@ impl FastRaftMessage {
             FastRaftMessage::InstallSnapshotReply { .. } => "install_snapshot_reply",
         }
     }
-
-    /// `true` for client-level traffic exempt from the configuration filter.
-    pub fn is_client_traffic(&self) -> bool {
-        matches!(
-            self,
-            FastRaftMessage::ProposeReply { .. }
-                | FastRaftMessage::ClientRead { .. }
-                | FastRaftMessage::ClientReply { .. }
-                | FastRaftMessage::JoinRequest { .. }
-                | FastRaftMessage::JoinReply { .. }
-                | FastRaftMessage::LeaveRequest { .. }
-        )
-    }
 }
 
 impl Wire for FastRaftMessage {
@@ -639,17 +626,6 @@ mod tests {
             assert_eq!(&CRaftMessage::from_bytes(&b).unwrap(), &m);
         }
         assert!(CRaftMessage::Global(FastRaftMessage::JoinRequest { node: NodeId(1) }).is_global());
-    }
-
-    #[test]
-    fn client_traffic_classification() {
-        assert!(FastRaftMessage::JoinRequest { node: NodeId(1) }.is_client_traffic());
-        assert!(!FastRaftMessage::Vote {
-            index: LogIndex(1),
-            entry: entry(),
-            commit_index: LogIndex(0),
-        }
-        .is_client_traffic());
     }
 
     #[test]

@@ -10,6 +10,10 @@
 //! Null votes count toward "a classic quorum of votes has been received" but
 //! never win.
 //!
+//! The book records every vote it is given, election-recovery votes and
+//! votes from sites evicted since included; the counts that decide a slot
+//! take the configuration and count its members only.
+//!
 //! The book is flat: one slot per tracked index in a deque kept in index
 //! order, each slot holding its voters and its few candidates inline.
 //! Recording a vote and releasing committed indices touch the heap only
@@ -18,7 +22,7 @@
 
 use std::collections::VecDeque;
 
-use wire::{EntryId, LogEntry, LogIndex, NodeId};
+use wire::{Configuration, EntryId, LogEntry, LogIndex, NodeId};
 
 /// Sites a [`SiteSet`] holds before it spills to the heap: configurations
 /// are at most tens of sites, and a quorum of the paper's largest (§VI).
@@ -58,6 +62,14 @@ impl SiteSet {
 
     fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// How many of the sites are members of `config`.
+    fn members_of(&self, config: &Configuration) -> usize {
+        self.as_slice()
+            .iter()
+            .filter(|s| config.contains(**s))
+            .count()
     }
 
     fn insert(&mut self, site: NodeId) {
@@ -135,17 +147,18 @@ impl IndexVotes {
 /// ```
 /// use bytes::Bytes;
 /// use consensus_core::PossibleEntries;
-/// use wire::{EntryId, LogEntry, LogIndex, NodeId, SessionId, Term};
+/// use wire::{Configuration, EntryId, LogEntry, LogIndex, NodeId, SessionId, Term};
 ///
 /// let mut pe = PossibleEntries::new();
 /// let id = EntryId::new(NodeId(9), 0);
 /// let e = LogEntry::write(Term(1), id, SessionId::client(1), 1, Bytes::from_static(b"v"));
 /// pe.record_vote(LogIndex(1), e.clone(), NodeId(1));
 /// pe.record_vote(LogIndex(1), e.clone(), NodeId(2));
-/// assert_eq!(pe.voters_at(LogIndex(1)), 2);
-/// let (winner, voters) = pe.most_voted(LogIndex(1)).unwrap();
-/// assert_eq!(winner.id, e.id);
-/// assert_eq!(voters.len(), 2);
+/// pe.record_vote(LogIndex(1), e.clone(), NodeId(4));
+/// // Site 4 is no longer a member: its vote does not count.
+/// let config = Configuration::new([NodeId(1), NodeId(2), NodeId(3)]);
+/// assert_eq!(pe.voters_at(LogIndex(1), &config), 2);
+/// assert_eq!(pe.most_voted(LogIndex(1), &config).unwrap().id, e.id);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct PossibleEntries {
@@ -217,26 +230,24 @@ impl PossibleEntries {
         self.slot_mut(index).voters.insert(voter);
     }
 
-    /// Number of distinct sites that have voted for `index` (null included).
-    pub fn voters_at(&self, index: LogIndex) -> usize {
-        self.slot(index).map_or(0, |s| s.voters.len())
+    /// Number of members of `config` that have voted for `index` (null
+    /// included).
+    pub fn voters_at(&self, index: LogIndex, config: &Configuration) -> usize {
+        self.slot(index).map_or(0, |s| s.voters.members_of(config))
     }
 
-    /// The candidate with the most votes at `index` and its voters
-    /// (ascending), ties broken by the smallest proposal id (the paper
-    /// allows arbitrary tie-breaks; a deterministic one keeps simulations
-    /// reproducible).
-    pub fn most_voted(&self, index: LogIndex) -> Option<(&LogEntry, &[NodeId])> {
+    /// The candidate with the most votes from members of `config` at
+    /// `index`, ties broken by the smallest proposal id (the paper allows
+    /// arbitrary tie-breaks; a deterministic one keeps simulations
+    /// reproducible). A candidate no member voted for never wins.
+    pub fn most_voted(&self, index: LogIndex, config: &Configuration) -> Option<&LogEntry> {
         self.slot(index)?
             .candidates
             .iter()
-            .max_by(|a, b| {
-                a.voters
-                    .len()
-                    .cmp(&b.voters.len())
-                    .then_with(|| b.entry.id.cmp(&a.entry.id))
-            })
-            .map(|c| (&c.entry, c.voters.as_slice()))
+            .map(|c| (c.voters.members_of(config), c))
+            .filter(|(votes, _)| *votes > 0)
+            .max_by(|(a, ca), (b, cb)| a.cmp(b).then_with(|| cb.entry.id.cmp(&ca.entry.id)))
+            .map(|(_, c)| &c.entry)
     }
 
     /// Vote count for a specific candidate at `index`.
@@ -308,6 +319,11 @@ mod tests {
     use bytes::Bytes;
     use wire::{SessionId, Term};
 
+    /// The configuration the tests count in: sites 1..=5.
+    fn sites() -> Configuration {
+        Configuration::new((1..=5).map(NodeId))
+    }
+
     fn entry(seq: u64) -> LogEntry {
         LogEntry::write(
             Term(1),
@@ -327,10 +343,8 @@ mod tests {
             pe.record_vote(LogIndex(1), e.clone(), NodeId(v));
         }
         pe.record_vote(LogIndex(1), f.clone(), NodeId(4));
-        let (winner, voters) = pe.most_voted(LogIndex(1)).unwrap();
-        assert_eq!(winner.id, e.id);
-        assert_eq!(voters.len(), 3);
-        assert_eq!(pe.voters_at(LogIndex(1)), 4);
+        assert_eq!(pe.most_voted(LogIndex(1), &sites()).unwrap().id, e.id);
+        assert_eq!(pe.voters_at(LogIndex(1), &sites()), 4);
         assert_eq!(pe.votes_for(LogIndex(1), f.id), 1);
     }
 
@@ -341,7 +355,7 @@ mod tests {
         let f = entry(1);
         pe.record_vote(LogIndex(1), f.clone(), NodeId(1));
         pe.record_vote(LogIndex(1), e.clone(), NodeId(2));
-        let (winner, _) = pe.most_voted(LogIndex(1)).unwrap();
+        let winner = pe.most_voted(LogIndex(1), &sites()).unwrap();
         assert_eq!(winner.id, e.id, "smallest id wins ties");
     }
 
@@ -354,7 +368,11 @@ mod tests {
         pe.record_vote(LogIndex(1), f.clone(), NodeId(1));
         assert_eq!(pe.votes_for(LogIndex(1), e.id), 0);
         assert_eq!(pe.votes_for(LogIndex(1), f.id), 1);
-        assert_eq!(pe.voters_at(LogIndex(1)), 1, "one site, one voter slot");
+        assert_eq!(
+            pe.voters_at(LogIndex(1), &sites()),
+            1,
+            "one site, one voter slot"
+        );
     }
 
     #[test]
@@ -371,12 +389,12 @@ mod tests {
         let mut pe = PossibleEntries::new();
         pe.record_null_vote(LogIndex(2), NodeId(1));
         pe.record_null_vote(LogIndex(2), NodeId(2));
-        assert_eq!(pe.voters_at(LogIndex(2)), 2);
-        assert!(pe.most_voted(LogIndex(2)).is_none());
+        assert_eq!(pe.voters_at(LogIndex(2), &sites()), 2);
+        assert!(pe.most_voted(LogIndex(2), &sites()).is_none());
         let e = entry(0);
         pe.record_vote(LogIndex(2), e.clone(), NodeId(3));
-        assert_eq!(pe.most_voted(LogIndex(2)).unwrap().0.id, e.id);
-        assert_eq!(pe.voters_at(LogIndex(2)), 3);
+        assert_eq!(pe.most_voted(LogIndex(2), &sites()).unwrap().id, e.id);
+        assert_eq!(pe.voters_at(LogIndex(2), &sites()), 3);
     }
 
     #[test]
@@ -389,7 +407,7 @@ mod tests {
         assert_eq!(pe.votes_for(LogIndex(1), e.id), 1);
         assert_eq!(pe.votes_for(LogIndex(2), e.id), 0);
         // The voter at index 2 still counts as having responded.
-        assert_eq!(pe.voters_at(LogIndex(2)), 1);
+        assert_eq!(pe.voters_at(LogIndex(2), &sites()), 1);
     }
 
     #[test]
@@ -409,8 +427,8 @@ mod tests {
         let pe = PossibleEntries::new();
         assert!(pe.is_empty());
         assert_eq!(pe.max_index(), LogIndex::ZERO);
-        assert_eq!(pe.voters_at(LogIndex(1)), 0);
-        assert!(pe.most_voted(LogIndex(1)).is_none());
+        assert_eq!(pe.voters_at(LogIndex(1), &sites()), 0);
+        assert!(pe.most_voted(LogIndex(1), &sites()).is_none());
     }
 }
 
@@ -466,18 +484,20 @@ mod model {
             self.by_index.entry(index).or_default().voters.insert(voter);
         }
 
-        fn voters_at(&self, index: LogIndex) -> usize {
-            self.by_index.get(&index).map_or(0, |s| s.voters.len())
+        fn voters_at(&self, index: LogIndex, config: &Configuration) -> usize {
+            self.by_index.get(&index).map_or(0, |s| {
+                s.voters.iter().filter(|v| config.contains(**v)).count()
+            })
         }
 
-        fn most_voted(&self, index: LogIndex) -> Option<(&LogEntry, Vec<NodeId>)> {
+        fn most_voted(&self, index: LogIndex, config: &Configuration) -> Option<&LogEntry> {
             let slot = self.by_index.get(&index)?;
             slot.candidates
                 .iter()
-                .max_by(|(id_a, (_, va)), (id_b, (_, vb))| {
-                    va.len().cmp(&vb.len()).then_with(|| id_b.cmp(id_a))
-                })
-                .map(|(_, (e, v))| (e, v.iter().copied().collect()))
+                .map(|(id, (e, v))| (v.iter().filter(|v| config.contains(**v)).count(), id, e))
+                .filter(|(votes, _, _)| *votes > 0)
+                .max_by(|(a, id_a, _), (b, id_b, _)| a.cmp(b).then_with(|| id_b.cmp(id_a)))
+                .map(|(_, _, e)| e)
         }
 
         fn voters_for(&self, index: LogIndex, id: EntryId) -> Vec<NodeId> {
@@ -560,10 +580,20 @@ mod model {
         assert_eq!(book.max_index(), model.max_index(), "max_index");
         let indices: Vec<LogIndex> = model.by_index.keys().copied().collect();
         assert_eq!(book.indices(), indices, "indices");
+        // Every site, and a configuration without the upper third of them
+        // (the sites evicted since they voted).
+        let every = Configuration::new((0..20).map(NodeId));
+        let members = Configuration::new((0..13).map(NodeId));
         for index in (0..6).map(LogIndex) {
-            assert_eq!(book.voters_at(index), model.voters_at(index), "voters_at");
-            let got = book.most_voted(index).map(|(e, v)| (e, v.to_vec()));
-            assert_eq!(got, model.most_voted(index), "most_voted({index})");
+            for config in [&every, &members] {
+                let (got, want) = (
+                    book.voters_at(index, config),
+                    model.voters_at(index, config),
+                );
+                assert_eq!(got, want, "voters_at");
+                let got = book.most_voted(index, config);
+                assert_eq!(got, model.most_voted(index, config), "most_voted({index})");
+            }
             for seq in 0..4 {
                 let want = model.voters_for(index, id(seq));
                 assert_eq!(book.voters_for(index, id(seq)), want, "voters_for");

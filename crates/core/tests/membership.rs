@@ -1,11 +1,17 @@
 //! §IV-D membership scenarios: self-announced joins and leaves, one change
 //! at a time, catch-up, and eviction/rejoin edge cases.
 
-use consensus_core::FastRaftNode;
+use std::cell::Cell;
+use std::rc::Rc;
+
+use bytes::Bytes;
+use consensus_core::{FastRaftMessage, FastRaftNode};
 use des::SimRng;
 use raft::testkit::Lockstep;
 use raft::{Role, Timing};
-use wire::{Configuration, NodeId, Observation, TimerKind};
+use wire::{
+    Configuration, EntryId, LogEntry, LogIndex, NodeId, Observation, SessionId, Term, TimerKind,
+};
 
 fn cluster(n: u64) -> Lockstep<FastRaftNode> {
     let cfg: Configuration = (0..n).map(NodeId).collect();
@@ -245,5 +251,203 @@ fn join_request_to_full_member_is_acknowledged() {
         3,
         "no spurious reconfig"
     );
+    net.assert_safety();
+}
+
+#[test]
+fn reconfiguration_is_proposed_after_an_uncommitted_one_was_lost() {
+    // Node 0 leads, is cut off, and queues node 4's removal; node 1 is
+    // elected and commits a client write at that index. Re-elected, node 0
+    // must still propose the next reconfiguration: node 9's join.
+    let mut net = cluster(5);
+    elect(&mut net, NodeId(0));
+    settle(&mut net, NodeId(0), 1);
+    let cut = Rc::new(Cell::new(true));
+    let link = Rc::clone(&cut);
+    net.set_link_filter(move |from, to| {
+        !link.get() || (from != NodeId(0) && to != NodeId(0)) || from == NodeId(4)
+    });
+    net.with_node(NodeId(4), |n, out| n.request_leave(out));
+    net.deliver_all();
+    let k = net.node(NodeId(0)).log().last_index();
+    let queued = net.node(NodeId(0)).log().get(k).and_then(|e| e.as_config());
+    assert_eq!(queued.map(Configuration::len), Some(4), "removal queued");
+    elect(&mut net, NodeId(1));
+    net.propose(NodeId(2), b"x");
+    net.deliver_all();
+    settle(&mut net, NodeId(1), 2);
+    assert!(net.node(NodeId(1)).commit_index() >= k);
+    cut.set(false);
+    settle(&mut net, NodeId(1), 2);
+    assert_eq!(
+        net.node(NodeId(0)).commit_index(),
+        net.node(NodeId(1)).commit_index()
+    );
+    assert!(net
+        .node(NodeId(0))
+        .log()
+        .get(k)
+        .unwrap()
+        .as_config()
+        .is_none());
+    net.crash(NodeId(1));
+    elect(&mut net, NodeId(0));
+    settle(&mut net, NodeId(0), 2);
+    let joiner = FastRaftNode::joining(
+        NodeId(9),
+        vec![NodeId(0)],
+        Timing::lan(),
+        SimRng::seed_from_u64(9),
+    );
+    net.restart(joiner);
+    net.deliver_all();
+    settle(&mut net, NodeId(0), 6);
+    let cfg = net.node(NodeId(0)).config().clone();
+    assert!(cfg.contains(NodeId(9)), "join never proposed: {cfg:?}");
+    assert!(!net.node(NodeId(9)).is_joining());
+    net.assert_safety();
+}
+
+/// Cluster {0..5} shrunk to {0, 1, 2} by two announced leaves, led by node
+/// 0: a classic quorum is 2.
+fn shrunk_to_three() -> Lockstep<FastRaftNode> {
+    let mut net = cluster(5);
+    elect(&mut net, NodeId(0));
+    settle(&mut net, NodeId(0), 1);
+    for id in [NodeId(3), NodeId(4)] {
+        net.with_node(id, |n, out| n.request_leave(out));
+        net.deliver_all();
+        settle(&mut net, NodeId(0), 3);
+    }
+    assert_eq!(net.node(NodeId(0)).config().len(), 3);
+    net
+}
+
+/// A write proposed by `site`, as its log would hold it.
+fn proposal(site: u64, term: Term) -> LogEntry {
+    let id = EntryId::new(NodeId(site), 1_000);
+    LogEntry::write(
+        term,
+        id,
+        SessionId::client(site),
+        1,
+        Bytes::from_static(b"v"),
+    )
+}
+
+#[test]
+fn an_evicted_sites_vote_never_counts() {
+    // (M1)'s oracle at the decision rule (§IV-B): the votes of sites
+    // evicted since they voted neither meet the classic-quorum gate at k
+    // nor win the ranking there.
+    let mut net = shrunk_to_three();
+    let k = net.node(NodeId(0)).commit_index().next();
+    let term = net.node(NodeId(0)).current_term();
+    let stale = proposal(3, term);
+    for evicted in [NodeId(3), NodeId(4)] {
+        let vote = FastRaftMessage::Vote {
+            index: k,
+            entry: stale.clone(),
+            commit_index: LogIndex::ZERO,
+        };
+        net.with_node(evicted, |_, out| out.send(NodeId(0), vote));
+    }
+    net.deliver_all();
+    net.fire(NodeId(0), TimerKind::LeaderTick);
+    net.deliver_all();
+    assert!(
+        net.node(NodeId(0)).log().get(k).is_none(),
+        "no member voted"
+    );
+    // One member votes for another entry, one member's vote names none:
+    // the gate is met, and the member's entry outranks the evicted two.
+    let live = proposal(1, term);
+    let vote = FastRaftMessage::Vote {
+        index: k,
+        entry: live.clone(),
+        commit_index: LogIndex::ZERO,
+    };
+    net.with_node(NodeId(1), |_, out| out.send(NodeId(0), vote));
+    let committed = net.node(NodeId(0)).log().get(k.prev()).unwrap().clone();
+    let null = FastRaftMessage::Vote {
+        index: k,
+        entry: committed,
+        commit_index: LogIndex::ZERO,
+    };
+    net.with_node(NodeId(2), |_, out| out.send(NodeId(0), null));
+    net.deliver_all();
+    net.fire(NodeId(0), TimerKind::LeaderTick);
+    net.deliver_all();
+    assert_eq!(
+        net.node(NodeId(0)).log().get(k).map(|e| e.id),
+        Some(live.id)
+    );
+    net.assert_safety();
+}
+
+#[test]
+fn an_evicted_sites_recovery_vote_never_counts() {
+    // The same oracle for election-recovery votes (§IV-C): node 1 is
+    // elected in {0, 1, 2} while evicted nodes 3 and 4 grant it their vote
+    // and report an entry at k.
+    let mut net = shrunk_to_three();
+    let k = net.node(NodeId(1)).commit_index().next();
+    net.crash(NodeId(0));
+    net.fire(NodeId(1), TimerKind::Election);
+    let term = net.node(NodeId(1)).current_term();
+    for evicted in [NodeId(3), NodeId(4)] {
+        let reply = FastRaftMessage::RequestVoteReply {
+            term,
+            granted: true,
+            self_approved: vec![(k, proposal(3, term))],
+        };
+        net.with_node(evicted, |_, out| out.send(NodeId(1), reply));
+    }
+    // Node 2's grant queues behind the evicted two (the request to crashed
+    // node 0 is dropped).
+    for _ in 0..3 {
+        net.deliver_one();
+    }
+    assert_eq!(
+        net.node(NodeId(1)).role(),
+        Role::Candidate,
+        "no member's vote"
+    );
+    net.deliver_all();
+    assert_eq!(net.node(NodeId(1)).role(), Role::Leader);
+    assert_eq!(net.node(NodeId(1)).current_term(), term);
+    net.fire(NodeId(1), TimerKind::LeaderTick);
+    net.deliver_all();
+    assert!(
+        net.node(NodeId(1)).log().get(k).is_none(),
+        "no member voted at k"
+    );
+    net.assert_safety();
+}
+
+#[test]
+fn follower_outside_its_own_configuration_follows_the_leader() {
+    // Node 2's latest configuration, {1, 2, 3}, excludes node 0. Node 0 is
+    // elected by nodes 0 and 1, and node 2 still accepts its AppendEntries:
+    // configuration decides whose votes count, not whom a site follows.
+    let members: Configuration = (0..3).map(NodeId).collect();
+    let stale: Configuration = (1..4).map(NodeId).collect();
+    let mut net = Lockstep::new((0..3).map(|i| {
+        let cfg = if i == 2 { &stale } else { &members };
+        FastRaftNode::new(
+            NodeId(i),
+            cfg.clone(),
+            Timing::lan(),
+            SimRng::seed_from_u64(8000 + i),
+        )
+    }));
+    elect(&mut net, NodeId(0));
+    net.propose(NodeId(1), b"x");
+    net.deliver_all();
+    settle(&mut net, NodeId(0), 2);
+    let follower = net.node(NodeId(2));
+    assert_eq!(follower.leader_hint(), Some(NodeId(0)));
+    assert!(follower.commit_index().as_u64() >= 1);
+    assert_eq!(follower.commit_index(), net.node(NodeId(0)).commit_index());
     net.assert_safety();
 }

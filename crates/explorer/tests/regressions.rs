@@ -143,3 +143,58 @@ fn craft_global_inserts_land_in_index_order() {
         v.unwrap()
     );
 }
+
+/// The configuration-filter wedge: a site that obeyed a configuration
+/// excluding the current leader dropped that leader's messages as "sender
+/// not in configuration", was then evicted, and its join never landed, so
+/// client n2/0 waited forever at seq 2. Found by `explore --proto fast
+/// --strategy random --seeds 2315..2316`; fixed by deleting the sender
+/// filter in both engines. Membership now counts only where a quorum is
+/// counted: election votes, the decision rule's votes, replication and
+/// read acks, and leases.
+#[test]
+fn a_member_follows_a_leader_outside_its_configuration() {
+    let v = replay_checked_in("fast_config_filter_wedge.trace");
+    assert!(
+        v.is_none(),
+        "configuration filter wedge regressed: {}",
+        v.unwrap()
+    );
+}
+
+/// The same wedge on the gated global level: a leader cut off from a peer
+/// suspects it, the configuration entry removing it lands, and the leader
+/// then ignores the traffic of the leader elected next. Found by `explore
+/// --proto gated --strategy random --seeds 106..107`; fixed with the Fast
+/// Raft case above.
+#[test]
+fn a_gated_member_follows_a_leader_outside_its_configuration() {
+    let v = replay_checked_in("gated_config_filter_wedge_106.trace");
+    assert!(v.is_none(), "gated filter wedge regressed: {}", v.unwrap());
+}
+
+/// A second schedule of the gated wedge, found by the same sweep at
+/// `--seeds 753..754`.
+#[test]
+fn a_gated_member_follows_a_leader_outside_its_configuration_again() {
+    let v = replay_checked_in("gated_config_filter_wedge_753.trace");
+    assert!(v.is_none(), "gated filter wedge regressed: {}", v.unwrap());
+}
+
+/// Two configuration changes in flight: leader n0 queued the removal of
+/// n2 and of n1, stepped down before the first committed, and, elected
+/// again, proposed the second while its log still held the first
+/// uncommitted, then committed alone in the one-site configuration it
+/// obeyed. Found by `explore --proto fast --strategy random --seeds
+/// 605..606` once a step-down stopped leaving `pending_config` set (which
+/// had blocked every later change); fixed by proposing a change only once
+/// the configuration the leader obeys is committed.
+#[test]
+fn an_inherited_configuration_commits_before_the_next_change() {
+    let v = replay_checked_in("fast_inherited_config_change.trace");
+    assert!(
+        v.is_none(),
+        "two configuration changes in flight: {}",
+        v.unwrap()
+    );
+}

@@ -653,22 +653,8 @@ impl ConsensusProtocol for RaftNode {
     }
 
     fn on_message(&mut self, from: NodeId, msg: RaftMessage, out: &mut Actions<RaftMessage>) {
-        // Configuration filter: consensus messages from strangers are
-        // ignored (§III-A). Client traffic is exempt: gateways need not be
-        // voting members.
-        match &msg {
-            RaftMessage::Propose { .. }
-            | RaftMessage::ClientRead { .. }
-            | RaftMessage::ClientReply { .. } => {}
-            _ => {
-                if !self.core.config.contains(from) && !self.core.learners.contains(&from) {
-                    out.observe(Observation::MessageIgnored {
-                        reason: "sender not in configuration",
-                    });
-                    return;
-                }
-            }
-        }
+        // No sender filter: membership is checked only where a quorum is
+        // counted (see docs/DEVIATIONS.md).
         match msg {
             RaftMessage::Propose {
                 id,

@@ -555,10 +555,9 @@ impl FastRaftEngine {
         msg: FastRaftMessage,
         out: &mut Actions<FastRaftMessage>,
     ) {
-        // No sender filter: a site follows the current leader whatever
-        // configuration it holds, and membership is checked only where a
-        // quorum is counted (see docs/DEVIATIONS.md).
-        // Any message from a live site clears its missed-beat counter.
+        // Every sender is heard, member or not: membership counts only
+        // where a quorum is counted (docs/DEVIATIONS.md row 10). A message
+        // clears its sender's missed-beat counter.
         self.missed_beats.remove(&from);
 
         match msg {

@@ -653,8 +653,8 @@ impl ConsensusProtocol for RaftNode {
     }
 
     fn on_message(&mut self, from: NodeId, msg: RaftMessage, out: &mut Actions<RaftMessage>) {
-        // No sender filter: membership is checked only where a quorum is
-        // counted (see docs/DEVIATIONS.md).
+        // Every sender is heard, member or not: membership counts only
+        // where a quorum is counted (docs/DEVIATIONS.md row 10).
         match msg {
             RaftMessage::Propose {
                 id,

@@ -20,8 +20,8 @@ impl FastRaftEngine {
         if self.core.become_follower(term, leader, out) {
             out.cancel_timer(self.timers.map(TimerKind::LeaderTick));
             self.drop_reservations();
-            // A later leader may commit another entry at the pending
-            // configuration's index; it must not block our next one.
+            // Only the leader that proposed a configuration answers its
+            // joiner; a later leader may commit another entry there.
             self.pending_config = None;
             self.pending_join_notify = None;
         }
@@ -57,11 +57,11 @@ impl FastRaftEngine {
             return;
         }
         // Elections without an intervening leader contact suggest we may
-        // have been silently evicted (our consensus messages are being
-        // ignored); probe with a join request. A leader that still counts
-        // us as a member answers `accepted` harmlessly, while one that
-        // evicted us starts the §IV-D rejoin flow. The counter resets on
-        // any authenticated leader contact.
+        // have been silently evicted (members drop our vote requests, so
+        // our elections never succeed); probe with a join request. A
+        // leader that still counts us as a member answers `accepted`
+        // harmlessly, while one that evicted us starts the §IV-D rejoin
+        // flow. The counter resets on any authenticated leader contact.
         self.silent_elections += 1;
         if self.silent_elections >= 3 {
             let join = FastRaftMessage::JoinRequest { node: self.core.id };

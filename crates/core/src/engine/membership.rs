@@ -175,13 +175,10 @@ impl FastRaftEngine {
     }
 
     pub(super) fn start_next_reconfig(&mut self, out: &mut Actions<FastRaftMessage>) {
-        // One change at a time: the configuration obeyed must be committed
-        // first, an inherited one (which `pending_config` does not track)
-        // included.
-        if self.pending_config.is_some()
-            || self.core.role != Role::Leader
-            || self.core.config_index > self.core.commit_index
-        {
+        // One change at a time: the configuration obeyed, ours or an
+        // inherited one, must be committed first. Ours, while its gated
+        // insert is reserved, leaves the log unsettled below.
+        if self.core.role != Role::Leader || self.core.config_index > self.core.commit_index {
             return;
         }
         if !self.leader_log_settled() {

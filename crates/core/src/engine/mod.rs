@@ -196,6 +196,7 @@ pub struct FastRaftEngine {
     possible: PossibleEntries,
     last_leader_index: LogIndex,
     missed_beats: BTreeMap<NodeId, u32>,
+    /// Where this leader put its configuration entry, until it commits.
     pending_config: Option<LogIndex>,
     /// The site awaiting a JoinReply once `pending_config` commits.
     pending_join_notify: Option<NodeId>,

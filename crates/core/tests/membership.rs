@@ -257,8 +257,9 @@ fn join_request_to_full_member_is_acknowledged() {
 #[test]
 fn reconfiguration_is_proposed_after_an_uncommitted_one_was_lost() {
     // Node 0 leads, is cut off, and queues node 4's removal; node 1 is
-    // elected and commits a client write at that index. Re-elected, node 0
-    // must still propose the next reconfiguration: node 9's join.
+    // elected and commits a client write at that index. Node 0 then obeys
+    // the committed five-site configuration again and, re-elected, must
+    // still propose the next reconfiguration: node 9's join.
     let mut net = cluster(5);
     elect(&mut net, NodeId(0));
     settle(&mut net, NodeId(0), 1);
@@ -290,9 +291,13 @@ fn reconfiguration_is_proposed_after_an_uncommitted_one_was_lost() {
         .unwrap()
         .as_config()
         .is_none());
+    let ids = |v: &[u64]| v.iter().copied().map(NodeId).collect::<Vec<_>>();
+    let five = ids(&[0, 1, 2, 3, 4]);
+    assert_eq!(net.node(NodeId(0)).config().to_vec(), five);
     net.crash(NodeId(1));
     elect(&mut net, NodeId(0));
     settle(&mut net, NodeId(0), 2);
+    assert_eq!(net.node(NodeId(0)).config().to_vec(), five);
     let joiner = FastRaftNode::joining(
         NodeId(9),
         vec![NodeId(0)],
@@ -302,8 +307,15 @@ fn reconfiguration_is_proposed_after_an_uncommitted_one_was_lost() {
     net.restart(joiner);
     net.deliver_all();
     settle(&mut net, NodeId(0), 6);
-    let cfg = net.node(NodeId(0)).config().clone();
-    assert!(cfg.contains(NodeId(9)), "join never proposed: {cfg:?}");
+    // Each change is one member away from the committed configuration
+    // before it: node 9 joins, then the crashed node 1 is evicted.
+    let changes: Vec<Vec<NodeId>> = net
+        .node(NodeId(0))
+        .log()
+        .iter()
+        .filter_map(|(i, e)| e.as_config().filter(|_| i > k).map(Configuration::to_vec))
+        .collect();
+    assert_eq!(changes, [ids(&[0, 1, 2, 3, 4, 9]), ids(&[0, 2, 3, 4, 9])]);
     assert!(!net.node(NodeId(9)).is_joining());
     net.assert_safety();
 }

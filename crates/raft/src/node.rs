@@ -229,10 +229,7 @@ impl RaftNode {
         // A truncated config entry reverts the configuration to the latest
         // surviving one.
         if self.core.config_index >= from {
-            if let Some((idx, cfg)) = self.core.log.latest_config() {
-                self.core.config = cfg.clone();
-                self.core.config_index = idx;
-            }
+            self.core.readopt_config();
         }
     }
 

@@ -73,6 +73,9 @@ pub struct Replica {
     pub config: Configuration,
     /// Index of that configuration entry (ZERO for the bootstrap config).
     pub config_index: LogIndex,
+    /// The bootstrap configuration, kept while a configuration entry
+    /// replaces it, for when neither the log nor a snapshot holds one.
+    bootstrap: Option<Configuration>,
     /// Votes received while candidate.
     votes: BTreeSet<NodeId>,
 
@@ -131,6 +134,7 @@ impl Replica {
             leader_hint: None,
             config,
             config_index: LogIndex::ZERO,
+            bootstrap: None,
             votes: BTreeSet::new(),
             next_index: BTreeMap::new(),
             match_index: BTreeMap::new(),
@@ -163,8 +167,6 @@ impl Replica {
             // log rebuilt some other way (C-Raft's global reconstruction) it
             // establishes the horizon and drops covered entries.
             self.log.install_snapshot(snap.last_index, snap.last_term);
-            self.config = snap.config.clone();
-            self.config_index = snap.last_index;
         }
         self.commit_index = self.log.compacted_through();
         self.applied = Applied::recover(
@@ -173,14 +175,36 @@ impl Replica {
             persisted.snapshot,
             self.commit_index,
         );
-        if let Some((idx, cfg)) = self.log.latest_config() {
-            self.config = cfg.clone();
-            self.config_index = idx;
-        }
+        self.readopt_config();
         self.id_index = IdMap::default();
         for (index, entry) in self.log.iter() {
             self.id_index.insert(entry.id, index);
         }
+    }
+
+    /// Obeys the log's latest configuration entry, else the snapshot's,
+    /// else the bootstrap one: after a restore, and once the entry obeyed
+    /// so far is truncated or overwritten.
+    pub fn readopt_config(&mut self) {
+        let (index, config) = match (self.log.latest_config(), self.applied.snapshot()) {
+            (Some((index, cfg)), _) => (index, cfg.clone()),
+            (None, Some(snap)) => (snap.last_index, snap.config.clone()),
+            (None, None) => match self.bootstrap.take() {
+                Some(cfg) => (LogIndex::ZERO, cfg),
+                None => return,
+            },
+        };
+        self.obey(index, config);
+    }
+
+    /// Obeys `config`, whose entry sits at `index`, keeping the bootstrap
+    /// configuration while another one replaces it.
+    fn obey(&mut self, index: LogIndex, config: Configuration) {
+        let was = std::mem::replace(&mut self.config, config);
+        if self.config_index.is_zero() && !index.is_zero() {
+            self.bootstrap = Some(was);
+        }
+        self.config_index = index;
     }
 
     /// The index at which proposal `id` is committed here: its slot is at
@@ -398,7 +422,9 @@ impl Replica {
     /// make its retries look in flight. A leader-approved configuration entry at or above the one
     /// obeyed so far is obeyed from here on — "each site considers the last
     /// appended configuration entry to be its current configuration"
-    /// (§III-A); a merely proposed (self-approved) one is not.
+    /// (§III-A); a merely proposed (self-approved) one is not. Any other
+    /// entry written over the one obeyed so far reverts the configuration,
+    /// as a truncation does.
     pub fn insert_entry<M>(&mut self, index: LogIndex, entry: LogEntry, out: &mut Actions<M>) {
         if let Some(old) = self.log.get(index) {
             if old.id != entry.id {
@@ -406,18 +432,24 @@ impl Replica {
             }
         }
         self.id_index.insert(entry.id, index);
-        if let (Some(cfg), Approval::LeaderApproved) = (entry.as_config(), entry.approval) {
-            if index >= self.config_index {
-                self.config = cfg.clone();
-                self.config_index = index;
+        let readopt = match (entry.as_config(), entry.approval) {
+            (Some(cfg), Approval::LeaderApproved) => {
+                if index >= self.config_index {
+                    self.obey(index, cfg.clone());
+                }
+                false
             }
-        }
+            _ => index == self.config_index,
+        };
         out.persist(PersistCmd::Insert {
             scope: self.scope,
             index,
             entry: entry.clone(),
         });
         self.log.insert(index, entry);
+        if readopt {
+            self.readopt_config();
+        }
     }
 
     /// One AppendEntries round, carrying entries through `upper`. Followers
@@ -613,8 +645,7 @@ impl Replica {
         // entry above the horizon supersedes it; a config entry the install
         // discarded (conflicting suffix) must no longer be obeyed.
         if self.config_index <= last_index || self.log.get(self.config_index).is_none() {
-            self.config = snapshot.config.clone();
-            self.config_index = last_index;
+            self.obey(last_index, snapshot.config.clone());
         }
         // The snapshot's applied state covers strictly more commits than
         // ours (last_index > old commit).

@@ -416,6 +416,36 @@ fn a_removed_sites_vote_never_counts() {
 }
 
 #[test]
+fn a_truncated_configuration_reverts_to_the_bootstrap_one() {
+    // Cut off, leader 0 appends {0, 1}, its first configuration entry.
+    // Node 1 is elected by nodes 1 and 2 and commits a write at that index;
+    // once node 0 truncates its entry, it obeys {0, 1, 2} again.
+    let mut net = cluster(3);
+    let leader = elect_leader(&mut net);
+    net.set_link_filter(|from, to| from != NodeId(0) && to != NodeId(0));
+    let smaller = net.node(leader).config().without_member(NodeId(2));
+    net.with_node(leader, |n, out| {
+        n.admin_propose_config(smaller, out).unwrap();
+    });
+    net.deliver_all();
+    assert_eq!(net.node(leader).config().len(), 2);
+    net.fire(NodeId(1), TimerKind::Election);
+    net.deliver_all();
+    assert_eq!(net.node(NodeId(1)).role(), Role::Leader);
+    net.propose(NodeId(1), b"x");
+    net.deliver_all();
+    net.set_link_filter(|_, _| true);
+    for _ in 0..2 {
+        net.fire(NodeId(1), TimerKind::Heartbeat);
+        net.deliver_all();
+    }
+    let node0 = net.node(leader);
+    assert_eq!(node0.commit_index(), net.node(NodeId(1)).commit_index());
+    assert_eq!(node0.config().to_vec(), [NodeId(0), NodeId(1), NodeId(2)]);
+    net.assert_safety();
+}
+
+#[test]
 fn follower_outside_its_own_configuration_follows_the_leader() {
     // Node 2's latest configuration, {1, 2, 3}, excludes node 0. Node 0 is
     // elected by nodes 0 and 1, and node 2 still accepts its AppendEntries:

@@ -112,12 +112,25 @@
 # which restore and classic Raft's truncation now share, and the
 # `bootstrap` configuration it falls back to, all behind one `obey`) raised
 # it by its own 14 lines, to 5,708.
+#
+# One Fast Raft type: the `FastRaftNode` wrapper (core/src/fastraft.rs) and
+# `TimerProfile` went, the engine became `FastRaftNode` and implements
+# `ConsensusProtocol` itself, `Replica` and both engines arm only base timer
+# kinds (craft.rs renames its global engine's by one table), and one
+# scoped constructor replaced the eleven-argument `recover`. With the dead
+# surface that went alongside (`RaftMessage::{kind, term}`,
+# `FastRaftMessage::kind`, `CRaftMessage::kind`, `RecoveryCompleted`'s
+# emission, `decision_point`) and net of the inherited-batch fixes the
+# explorer's snapshot sweep called for, that set CEILING to 5,452. The
+# gated node's `Explorable` impl moved out of the explorer's world.rs into
+# gated.rs, and the world gained its compaction and install counts and
+# enters every site into the commit books up front: EMBED_CEILING 2,401.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-CEILING=5708
+CEILING=5452
 DES_CEILING=652
-EMBED_CEILING=2402
+EMBED_CEILING=2401
 LOG_CEILING=644
 EMBED_FILES=(
     crates/harness/src/runner.rs

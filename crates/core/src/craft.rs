@@ -29,16 +29,43 @@ use std::rc::Rc;
 
 use des::{IdMap, IdSet, SimRng};
 use raft::{Role, Timing};
-use storage::StableState;
+use storage::{ScopeState, StableState};
 use wire::{
     Actions, BatchItem, ClientOp, ClientOutcome, ClientRequest, ClusterId, Configuration,
-    Consistency, EntryId, GlobalState, LogEntry, LogIndex, LogScope, NodeId, Observation, Payload,
-    Recycler, SessionId, Term, TimerKind,
+    ConsensusProtocol, Consistency, EntryId, GlobalState, LogEntry, LogIndex, LogScope, NodeId,
+    Observation, Payload, Recycler, SessionId, Term, TimerCmd, TimerKind,
 };
 
-use crate::engine::{FastRaftEngine, ProposalMode, TimerProfile};
+use crate::engine::{FastRaftNode, ProposalMode};
 use crate::gate::{GateRequest, GateToken};
 use crate::message::{CRaftMessage, FastRaftMessage};
+
+/// The global engine's base timer kinds and the `Global*` names C-Raft arms
+/// them under, so one site's two levels never share a timer.
+const GLOBAL_TIMERS: [(TimerKind, TimerKind); 5] = [
+    (TimerKind::Election, TimerKind::GlobalElection),
+    (TimerKind::Heartbeat, TimerKind::GlobalHeartbeat),
+    (TimerKind::LeaderTick, TimerKind::GlobalLeaderTick),
+    (TimerKind::ProposalRetry, TimerKind::GlobalProposalRetry),
+    (TimerKind::JoinRetry, TimerKind::GlobalJoinRetry),
+];
+
+/// The `Global*` name of a timer the global engine arms.
+fn global_timer(base: TimerKind) -> TimerKind {
+    GLOBAL_TIMERS
+        .iter()
+        .find(|(b, _)| *b == base)
+        .map_or(base, |&(_, global)| global)
+}
+
+/// The global engine's base kind of a `Global*` timer; `None` for a timer
+/// of the local level.
+fn base_timer(kind: TimerKind) -> Option<TimerKind> {
+    GLOBAL_TIMERS
+        .iter()
+        .find(|(_, g)| *g == kind)
+        .map(|&(base, _)| base)
+}
 
 /// Tuning parameters for a C-Raft deployment.
 #[derive(Clone, Debug)]
@@ -107,7 +134,7 @@ impl CRaftConfig {
 /// The inter-cluster half of a cluster leader.
 #[derive(Debug)]
 struct GlobalSide {
-    engine: FastRaftEngine,
+    engine: FastRaftNode,
     /// Local proposal id of a pending global-state entry → the gate token
     /// to resume once it commits locally.
     waiting: IdMap<EntryId, GateToken>,
@@ -122,7 +149,7 @@ struct GlobalSide {
 pub struct CRaftNode {
     id: NodeId,
     cfg: CRaftConfig,
-    local: FastRaftEngine,
+    local: FastRaftNode,
     global: Option<GlobalSide>,
     /// Bootstrap membership of the global level (the designated initial
     /// leaders of each cluster).
@@ -184,15 +211,16 @@ impl CRaftNode {
             !global_bootstrap.is_empty(),
             "global bootstrap configuration is empty"
         );
+        assert!(local_members.contains(id), "node {id} not in bootstrap");
         let local_rng = rng.split("local");
         let boost_first_election = global_bootstrap.contains(id);
         CRaftNode {
             id,
-            local: FastRaftEngine::new(
+            local: FastRaftNode::scoped(
                 id,
-                local_members,
                 LogScope::Local,
-                TimerProfile::Base,
+                ScopeState::default(),
+                local_members,
                 cfg.local_timing,
                 local_rng,
             ),
@@ -226,18 +254,13 @@ impl CRaftNode {
         rng: SimRng,
     ) -> Self {
         let local_rng = rng.split("local");
-        let local = FastRaftEngine::recover(
+        let local = FastRaftNode::scoped(
             id,
-            stable.local.current_term,
-            stable.local.voted_for,
-            stable.local.log.clone(),
-            stable.local.snapshot.clone(),
-            local_bootstrap,
             LogScope::Local,
-            TimerProfile::Base,
+            stable.local.clone(),
+            local_bootstrap,
             cfg.local_timing,
             local_rng,
-            stable.local.proposal_seq_floor,
         );
         let global_snapshot = stable.global.snapshot.clone();
         let global_commit_seen = global_snapshot
@@ -317,12 +340,12 @@ impl CRaftNode {
     }
 
     /// The local consensus engine (read-only), for assertions.
-    pub fn local_engine(&self) -> &FastRaftEngine {
+    pub fn local_engine(&self) -> &FastRaftNode {
         &self.local
     }
 
     /// The global consensus engine while active (leaders only).
-    pub fn global_engine(&self) -> Option<&FastRaftEngine> {
+    pub fn global_engine(&self) -> Option<&FastRaftNode> {
         self.global.as_ref().map(|g| &g.engine)
     }
 
@@ -391,18 +414,20 @@ impl CRaftNode {
         // may have been compacted out of the local log; recovery installs it
         // on the reconstruction, establishing the commit floor and the
         // boundary term.
-        let mut engine = FastRaftEngine::recover(
+        let state = ScopeState {
+            current_term: self.global_term,
+            voted_for: self.global_voted_for,
+            log: global_log,
+            snapshot: self.global_snapshot.clone(),
+            proposal_seq_floor: self.global_seq_floor,
+        };
+        let mut engine = FastRaftNode::scoped(
             self.id,
-            self.global_term,
-            self.global_voted_for,
-            global_log,
-            self.global_snapshot.clone(),
-            self.global_bootstrap.clone(),
             LogScope::Global,
-            TimerProfile::Global,
+            state,
+            self.global_bootstrap.clone(),
             self.cfg.effective_global_timing(),
             rng,
-            self.global_seq_floor,
         )
         .gated();
         engine.set_proposal_mode(self.cfg.global_proposal_mode);
@@ -412,11 +437,12 @@ impl CRaftNode {
         // deactivated and reactivated before eviction, while local
         // compaction discarded interim global-state entries, can rebuild a
         // **front-gapped** view — entries above a hole right after the
-        // cached snapshot's horizon. The view is safe to hold (commits
-        // never cross the gap; §IV-B slot voting protects decided indices)
-        // but the site must not pretend the gap region is known: surface
-        // the condition and let the global leader's resend or snapshot
-        // transfer repair it.
+        // cached snapshot's horizon. The view is safe to hold while another
+        // global member still holds the missing entries (commits never
+        // cross the gap; §IV-B slot voting protects decided indices), and
+        // the global leader's resend or snapshot transfer repairs it. Once
+        // every member's cluster has compacted past a committed entry,
+        // nothing can: ROADMAP (T1) tracks that. Surface the condition.
         // A view rebuilt from a local log that never compacted lacks no
         // record: a leading hole there is an ordinary in-flight one.
         let compacted = !self.local.log().compacted_through().is_zero();
@@ -505,16 +531,10 @@ impl CRaftNode {
             }
         }
         self.batch_buf.clear();
-        for kind in [
-            TimerKind::GlobalElection,
-            TimerKind::GlobalHeartbeat,
-            TimerKind::GlobalLeaderTick,
-            TimerKind::GlobalProposalRetry,
-            TimerKind::GlobalJoinRetry,
-            TimerKind::BatchFlush,
-        ] {
+        for (_, kind) in GLOBAL_TIMERS {
             out.cancel_timer(kind);
         }
+        out.cancel_timer(TimerKind::BatchFlush);
     }
 
     // ------------------------------------------------------------------
@@ -605,7 +625,7 @@ impl CRaftNode {
     fn step_local(
         &mut self,
         out: &mut Actions<CRaftMessage>,
-        step: impl FnOnce(&mut FastRaftEngine, &mut Actions<FastRaftMessage>),
+        step: impl FnOnce(&mut FastRaftNode, &mut Actions<FastRaftMessage>),
     ) {
         let mut ea = self.take_actions();
         step(&mut self.local, &mut ea);
@@ -618,7 +638,7 @@ impl CRaftNode {
     fn step_global(
         &mut self,
         out: &mut Actions<CRaftMessage>,
-        step: impl FnOnce(&mut FastRaftEngine, &mut Actions<FastRaftMessage>),
+        step: impl FnOnce(&mut FastRaftNode, &mut Actions<FastRaftMessage>),
     ) {
         let Some(side) = self.global.as_mut() else {
             return;
@@ -704,7 +724,8 @@ impl CRaftNode {
     }
 
     /// Processes effects produced by the **global** engine, draining `ea`:
-    /// turns gate requests into local global-state proposals, wraps messages.
+    /// turns gate requests into local global-state proposals, wraps
+    /// messages, and renames timers to their `Global*` kinds.
     fn forward_global_actions(
         &mut self,
         ea: &mut Actions<FastRaftMessage>,
@@ -713,7 +734,11 @@ impl CRaftNode {
         for (to, msg) in ea.sends.drain(..) {
             out.send(to, CRaftMessage::Global(msg));
         }
-        out.timers.append(&mut ea.timers);
+        for mut cmd in ea.timers.drain(..) {
+            let (TimerCmd::Set { kind, .. } | TimerCmd::Cancel { kind }) = &mut cmd;
+            *kind = global_timer(*kind);
+            out.timers.push(cmd);
+        }
         out.persists.append(&mut ea.persists);
         for commit in ea.commits.drain(..) {
             debug_assert_eq!(commit.scope, LogScope::Global);
@@ -848,7 +873,7 @@ impl CRaftNode {
     }
 }
 
-impl wire::ConsensusProtocol for CRaftNode {
+impl ConsensusProtocol for CRaftNode {
     type Message = CRaftMessage;
 
     fn id(&self) -> NodeId {
@@ -898,12 +923,9 @@ impl wire::ConsensusProtocol for CRaftNode {
             self.flush_partial_batch(out);
             return;
         }
-        if let Some(base) = TimerProfile::Base.unmap(kind) {
-            self.step_local(out, |engine, ea| engine.on_timer(base, ea));
-            return;
-        }
-        if let Some(base) = TimerProfile::Global.unmap(kind) {
-            self.step_global(out, |engine, ea| engine.on_timer(base, ea));
+        match base_timer(kind) {
+            Some(base) => self.step_global(out, |engine, ea| engine.on_timer(base, ea)),
+            None => self.step_local(out, |engine, ea| engine.on_timer(kind, ea)),
         }
     }
 
@@ -1007,6 +1029,24 @@ pub fn build_deployment(
 mod tests {
     use super::*;
     use bytes::Bytes;
+
+    #[test]
+    fn global_timer_table_roundtrip() {
+        for base in [
+            TimerKind::Election,
+            TimerKind::Heartbeat,
+            TimerKind::LeaderTick,
+            TimerKind::ProposalRetry,
+            TimerKind::JoinRetry,
+        ] {
+            let g = global_timer(base);
+            assert_ne!(g, base, "the global level must rename {base:?}");
+            assert_eq!(base_timer(g), Some(base));
+            assert_eq!(base_timer(base), None);
+        }
+        assert_eq!(global_timer(TimerKind::BatchFlush), TimerKind::BatchFlush);
+        assert_eq!(base_timer(TimerKind::BatchFlush), None);
+    }
 
     #[test]
     fn deployment_builder_shapes() {

@@ -2,68 +2,10 @@
 
 use super::*;
 
-impl FastRaftEngine {
+impl FastRaftNode {
     // ------------------------------------------------------------------
     // The typed client surface (sessions, exactly-once writes, reads)
     // ------------------------------------------------------------------
-
-    /// Submits a typed client request at this node (the gateway). Writes
-    /// ride the normal proposal machinery as `Payload::Write` and are
-    /// answered when the gateway applies their commit; reads are answered
-    /// from the commit floor (stale) or after a leader ReadIndex round
-    /// (linearizable). All answers surface as
-    /// [`Observation::ClientResponse`].
-    pub fn on_client_request(&mut self, req: ClientRequest, out: &mut Actions<FastRaftMessage>) {
-        let ClientRequest { session, seq, op } = req;
-        match op {
-            // (The C-Raft layer intercepts StaleGlobal above this point and
-            // answers from its global-commit floor instead.)
-            ClientOp::Read(consistency) => {
-                if self.core.client_read(session, seq, consistency, out) {
-                    self.register_read(session, seq, self.core.id, out);
-                }
-            }
-            // Gateway door for a session write or an explicit session
-            // registration (see [`Replica::client_door`]). A committed
-            // [`Payload::Register`] consumes seq 1 of the session, so a
-            // later eviction can never leave a re-appliable *data* write at
-            // the session's boundary (see [`ClientOp::Register`]). Unlike
-            // classic Raft's leader-only door, the registration entry
-            // travels the normal proposal path ([`FastRaftMessage::ProposeAt`]
-            // forwards whole entries), so any gateway can register.
-            op => {
-                let (session, seq) = self.core.write_key(session, seq, &op);
-                let verdict = match self.core.client_door(session, seq, &op, out) {
-                    // In flight only while its proposal is live here: a
-                    // `ProposeReply { committed }` settles the proposal
-                    // before this gateway applies the commit, and a retry in
-                    // that window is re-proposed under a fresh id.
-                    Door::InFlight(id) if !self.pending_proposals.contains_key(&id) => {
-                        self.core.expiry_door(session, seq, &op, out)
-                    }
-                    verdict => verdict,
-                };
-                match verdict {
-                    Door::Answer(outcome) => {
-                        self.respond_client(self.core.id, session, seq, outcome, out)
-                    }
-                    // The proposal-retry machinery keeps pushing it; just
-                    // make sure the timer is armed.
-                    Door::InFlight(_) => out.set_timer(
-                        self.timers.map(TimerKind::ProposalRetry),
-                        self.core.timing.proposal_timeout,
-                    ),
-                    Door::Admitted(id) => {
-                        let payload = match op {
-                            ClientOp::Write(data) => Payload::Write { session, seq, data },
-                            _ => Payload::Register { session },
-                        };
-                        self.propose(id, payload, out);
-                    }
-                }
-            }
-        }
-    }
 
     /// Answers a client request (see [`Replica::respond_client`]); a write
     /// answered at its own gateway leaves the proposer table too.

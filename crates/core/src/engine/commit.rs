@@ -2,7 +2,7 @@
 
 use super::*;
 
-impl FastRaftEngine {
+impl FastRaftNode {
     // ------------------------------------------------------------------
     // Commit bookkeeping
     // ------------------------------------------------------------------
@@ -113,18 +113,17 @@ impl FastRaftEngine {
         out.commit(self.core.scope, k, entry);
     }
 
-    /// Tells the proposer of a committed global batch: an observation here,
-    /// a `ProposeReply` from the leader.
+    /// Tells the proposer of a committed global batch: an observation where
+    /// it is pending (its proposer's, or a C-Raft successor's that inherited
+    /// it), a `ProposeReply` from the leader.
     fn notify_proposer(&mut self, k: LogIndex, id: EntryId, out: &mut Actions<FastRaftMessage>) {
-        if id.proposer == self.core.id {
-            if self.pending_proposals.remove(&id).is_some() {
-                out.observe(Observation::ProposalCommitted {
-                    id,
-                    index: k,
-                    scope: self.core.scope,
-                });
-            }
-        } else if self.core.role == Role::Leader {
+        if self.pending_proposals.remove(&id).is_some() {
+            out.observe(Observation::ProposalCommitted {
+                id,
+                index: k,
+                scope: self.core.scope,
+            });
+        } else if id.proposer != self.core.id && self.core.role == Role::Leader {
             out.send(
                 id.proposer,
                 FastRaftMessage::ProposeReply {

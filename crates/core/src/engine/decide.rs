@@ -2,7 +2,7 @@
 
 use super::*;
 
-impl FastRaftEngine {
+impl FastRaftNode {
     // ------------------------------------------------------------------
     // The decision loop (§IV-B "Periodically run by the leader")
     // ------------------------------------------------------------------
@@ -19,28 +19,14 @@ impl FastRaftEngine {
             && self.reserved.is_empty()
     }
 
-    /// The smallest index above the commit point not yet decided by a
-    /// leader: the position the decision loop works on. Skips inherited
-    /// leader-approved entries (fixed decisions the classic track commits).
-    fn decision_point(&self) -> LogIndex {
-        // One slice pass over the contiguous run above the commit point —
-        // the run iterator stops at the first hole by construction, so only
-        // the approval needs checking per slot.
-        let mut k = self.core.commit_index.next();
-        for (i, e) in self.core.log.contiguous_from(k) {
-            if e.approval != Approval::LeaderApproved {
-                break;
-            }
-            k = i.next();
-        }
-        k
-    }
-
     /// The top of the *dense* leader-approved prefix: the highest index K
     /// with every slot in `(commitIndex, K]` holding a leader-approved
     /// entry (the committed prefix counts regardless of local approval
     /// stamps — fast-track copies below the commit point may still carry
-    /// their self-approved stamp).
+    /// their self-approved stamp). K + 1 is the decision point: the
+    /// smallest index not yet decided by a leader, where the decision loop
+    /// works (inherited leader-approved entries are fixed decisions the
+    /// classic track commits).
     ///
     /// Election up-to-dateness (§IV-C) compares THIS, not
     /// `lastLeaderIndex`. The two differ when leader-approved inserts
@@ -92,7 +78,7 @@ impl FastRaftEngine {
         // track once a current-term entry above them replicates (the same
         // reason classic Raft commits a new-term no-op on election).
         loop {
-            let k = self.decision_point();
+            let k = self.leader_coverage().next();
             if self.reserved.contains_key(&k) {
                 break; // An insert for k is still replicating locally.
             }
@@ -216,7 +202,7 @@ impl FastRaftEngine {
         out: &mut Actions<FastRaftMessage>,
     ) -> bool {
         let id = entry.id;
-        if decision && k != self.decision_point() {
+        if decision && k != self.leader_coverage().next() {
             self.unmap_unplaced(k, id);
             return false;
         }
@@ -266,7 +252,7 @@ impl FastRaftEngine {
     /// Liveness guard: re-propose a no-op at the blocked index after
     /// `hole_fill_ticks` stalled decision ticks (see module docs).
     pub(super) fn maybe_fill_hole(&mut self, out: &mut Actions<FastRaftMessage>) {
-        let k = self.decision_point();
+        let k = self.leader_coverage().next();
         let work_above = self.core.log.last_index() >= k || self.possible.max_index() >= k;
         let blocked = work_above
             && self

@@ -2,7 +2,7 @@
 
 use super::*;
 
-impl FastRaftEngine {
+impl FastRaftNode {
     // ------------------------------------------------------------------
     // Elections (§IV-C)
     // ------------------------------------------------------------------
@@ -18,7 +18,7 @@ impl FastRaftEngine {
         }
         self.recovery_votes.clear();
         if self.core.become_follower(term, leader, out) {
-            out.cancel_timer(self.timers.map(TimerKind::LeaderTick));
+            out.cancel_timer(TimerKind::LeaderTick);
             self.drop_reservations();
             // Only the leader that proposed a configuration answers its
             // joiner; a later leader may commit another entry there.
@@ -165,7 +165,6 @@ impl FastRaftEngine {
         self.assign_cursor = self.last_leader_index;
         // Recovery (§IV-C): replay every voter's self-approved entries into
         // possibleEntries so chosen entries are re-chosen.
-        let recovered: usize = self.recovery_votes.iter().map(|(_, v)| v.len()).sum();
         let votes = std::mem::take(&mut self.recovery_votes);
         for (voter, entries) in votes {
             for (idx, entry) in entries {
@@ -174,11 +173,7 @@ impl FastRaftEngine {
                 }
             }
         }
-        out.observe(Observation::RecoveryCompleted { entries: recovered });
         self.core.start_heartbeats(self.leader_coverage(), out);
-        out.set_timer(
-            self.timers.map(TimerKind::LeaderTick),
-            self.core.timing.decision_tick,
-        );
+        out.set_timer(TimerKind::LeaderTick, self.core.timing.decision_tick);
     }
 }

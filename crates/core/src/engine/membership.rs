@@ -2,7 +2,7 @@
 
 use super::*;
 
-impl FastRaftEngine {
+impl FastRaftNode {
     /// Announces departure (§IV-D): ask the leader to reconfigure us out.
     pub fn request_leave(&mut self, out: &mut Actions<FastRaftMessage>) {
         let msg = FastRaftMessage::LeaveRequest { node: self.core.id };
@@ -29,10 +29,7 @@ impl FastRaftEngine {
             }
         }
         out.send_many(targets, msg);
-        out.set_timer(
-            self.timers.map(TimerKind::JoinRetry),
-            self.core.timing.join_timeout,
-        );
+        out.set_timer(TimerKind::JoinRetry, self.core.timing.join_timeout);
     }
 
     pub(super) fn note_missed_beats(&mut self, out: &mut Actions<FastRaftMessage>) {
@@ -79,14 +76,14 @@ impl FastRaftEngine {
             // or crashed): stop campaigning and rejoin explicitly (§IV-D).
             self.core.role = Role::Follower;
             self.join_contacts = Some(self.core.config.to_vec());
-            out.cancel_timer(self.timers.map(TimerKind::Election));
+            out.cancel_timer(TimerKind::Election);
             self.send_join_request(out);
         }
     }
 
     pub(super) fn finish_joining(&mut self, out: &mut Actions<FastRaftMessage>) {
         if self.join_contacts.take().is_some() {
-            out.cancel_timer(self.timers.map(TimerKind::JoinRetry));
+            out.cancel_timer(TimerKind::JoinRetry);
             self.core.reset_election_timer(out);
         }
     }

@@ -1,10 +1,12 @@
 //! The Fast Raft engine (§IV), reusable at both C-Raft levels.
 //!
-//! One engine instance runs one consensus level over one log. Plain Fast
-//! Raft wraps a single ungated engine; C-Raft runs a `Local`-scope engine
-//! inside each cluster and a `Global`-scope engine among cluster leaders,
-//! built [`gated`](FastRaftEngine::gated), whose inserts wait until a
-//! *global state entry* commits locally (§V-B; see the `gate` module).
+//! One [`FastRaftNode`] runs one consensus level over one log. Plain Fast
+//! Raft is a single ungated node; C-Raft runs a `Local`-scope node inside
+//! each cluster and a `Global`-scope node among cluster leaders, built
+//! [`gated`](FastRaftNode::gated), whose inserts wait until a *global state
+//! entry* commits locally (§V-B; see the `gate` module). Every node arms the
+//! base timer kinds; C-Raft renames its global node's timers where it
+//! forwards that node's effects.
 //!
 //! ## Protocol summary
 //!
@@ -43,11 +45,11 @@ use std::collections::{BTreeMap, VecDeque};
 use des::{IdMap, SimRng, SimTime};
 use raft::replica::{Door, Replica, Reply};
 use raft::{Role, Timing};
-use storage::ScopeState;
+use storage::{ScopeState, StableState};
 use wire::{
-    Actions, Approval, ClientOp, ClientOutcome, ClientRequest, Configuration, EntryId, EntryList,
-    LogEntry, LogIndex, LogScope, NodeId, Observation, Payload, SessionId, SessionTable, Snapshot,
-    Term, TimerKind,
+    Actions, Approval, ClientOp, ClientOutcome, ClientRequest, Configuration, ConsensusProtocol,
+    EntryId, EntryList, LogEntry, LogIndex, LogScope, NodeId, Observation, Payload, SessionId,
+    SessionTable, Snapshot, Term, TimerKind,
 };
 
 use crate::gate::{GateRecorder, GateRequest, GateToken};
@@ -62,56 +64,6 @@ mod membership;
 mod propose;
 mod replicate;
 mod snapshot;
-
-/// Which set of timer kinds an engine arms — base names for single-level
-/// protocols and C-Raft's local level, `Global*` for C-Raft's global level.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TimerProfile {
-    /// Election / Heartbeat / LeaderTick / ProposalRetry / JoinRetry.
-    Base,
-    /// GlobalElection / GlobalHeartbeat / ... (§V inter-cluster level).
-    Global,
-}
-
-impl TimerProfile {
-    /// Maps a base timer kind to this profile's concrete kind.
-    pub fn map(self, base: TimerKind) -> TimerKind {
-        match self {
-            TimerProfile::Base => base,
-            TimerProfile::Global => match base {
-                TimerKind::Election => TimerKind::GlobalElection,
-                TimerKind::Heartbeat => TimerKind::GlobalHeartbeat,
-                TimerKind::LeaderTick => TimerKind::GlobalLeaderTick,
-                TimerKind::ProposalRetry => TimerKind::GlobalProposalRetry,
-                TimerKind::JoinRetry => TimerKind::GlobalJoinRetry,
-                other => other,
-            },
-        }
-    }
-
-    /// Maps a concrete timer kind back to the base kind, if it belongs to
-    /// this profile.
-    pub fn unmap(self, kind: TimerKind) -> Option<TimerKind> {
-        match self {
-            TimerProfile::Base => match kind {
-                TimerKind::Election
-                | TimerKind::Heartbeat
-                | TimerKind::LeaderTick
-                | TimerKind::ProposalRetry
-                | TimerKind::JoinRetry => Some(kind),
-                _ => None,
-            },
-            TimerProfile::Global => match kind {
-                TimerKind::GlobalElection => Some(TimerKind::Election),
-                TimerKind::GlobalHeartbeat => Some(TimerKind::Heartbeat),
-                TimerKind::GlobalLeaderTick => Some(TimerKind::LeaderTick),
-                TimerKind::GlobalProposalRetry => Some(TimerKind::ProposalRetry),
-                TimerKind::GlobalJoinRetry => Some(TimerKind::JoinRetry),
-                _ => None,
-            },
-        }
-    }
-}
 
 /// How proposals reach the log (§IV-B vs the contention note in §IV-F).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -179,13 +131,32 @@ struct AckState {
     remaining: usize,
 }
 
-/// One consensus level of Fast Raft: a sans-IO state machine.
+/// A Fast Raft site (§IV): one consensus level over one log, as a sans-IO
+/// state machine.
+///
+/// # Examples
+///
+/// ```
+/// use consensus_core::FastRaftNode;
+/// use des::SimRng;
+/// use raft::{Role, Timing};
+/// use raft::testkit::Lockstep;
+/// use wire::{Configuration, NodeId, TimerKind};
+///
+/// let cfg: Configuration = (0..5).map(NodeId).collect();
+/// let nodes = (0..5).map(|i| {
+///     FastRaftNode::new(NodeId(i), cfg.clone(), Timing::lan(), SimRng::seed_from_u64(i))
+/// });
+/// let mut net = Lockstep::new(nodes);
+/// net.fire(NodeId(0), TimerKind::Election);
+/// net.deliver_all();
+/// assert_eq!(net.node(NodeId(0)).role(), Role::Leader);
+/// ```
 #[derive(Debug)]
-pub struct FastRaftEngine {
+pub struct FastRaftNode {
     /// Everything a Raft-family engine carries: term, vote, log, applied
     /// image, role, configuration, replication cursors, read path.
     core: Replica,
-    timers: TimerProfile,
 
     /// Self-approved entries shipped by granters during the election.
     recovery_votes: Vec<(NodeId, Vec<(LogIndex, LogEntry)>)>,
@@ -235,51 +206,96 @@ pub struct FastRaftEngine {
     proposal_scratch: Vec<(EntryId, Payload, LogIndex)>,
 }
 
-impl FastRaftEngine {
-    /// Creates a member node with a bootstrap configuration.
+impl FastRaftNode {
+    /// Creates a member node of the global log with a bootstrap
+    /// configuration.
     ///
     /// # Panics
     ///
-    /// Panics if `bootstrap` is empty or omits `id`, or on invalid timing.
-    pub fn new(
-        id: NodeId,
-        bootstrap: Configuration,
-        scope: LogScope,
-        timers: TimerProfile,
-        timing: Timing,
-        rng: SimRng,
-    ) -> Self {
-        timing.validate();
-        assert!(!bootstrap.is_empty(), "bootstrap configuration is empty");
+    /// Panics if `bootstrap` omits `id`, or on invalid timing.
+    pub fn new(id: NodeId, bootstrap: Configuration, timing: Timing, rng: SimRng) -> Self {
         assert!(bootstrap.contains(id), "node {id} not in bootstrap");
-        Self::construct(id, bootstrap, None, scope, timers, timing, rng)
+        Self::scoped(
+            id,
+            LogScope::Global,
+            ScopeState::default(),
+            bootstrap,
+            timing,
+            rng,
+        )
     }
 
-    /// Creates a node that is **not yet a member**: it will send join
-    /// requests to `contacts` until accepted (§IV-D).
+    /// Creates a node that is **not yet a member**: it sends join requests
+    /// to `contacts` until accepted, catches up as a non-voting member, then
+    /// enters the configuration (§IV-D).
     ///
     /// # Panics
     ///
     /// Panics if `contacts` is empty or on invalid timing.
-    pub fn joining(
-        id: NodeId,
-        contacts: Vec<NodeId>,
-        scope: LogScope,
-        timers: TimerProfile,
-        timing: Timing,
-        rng: SimRng,
-    ) -> Self {
+    pub fn joining(id: NodeId, contacts: Vec<NodeId>, timing: Timing, rng: SimRng) -> Self {
         timing.validate();
         assert!(!contacts.is_empty(), "joining node needs contact sites");
         Self::construct(
             id,
             Configuration::empty(),
             Some(contacts),
-            scope,
-            timers,
+            LogScope::Global,
             timing,
             rng,
         )
+    }
+
+    /// Rebuilds a node of the global log from stable storage after a
+    /// crash: snapshot (if any) plus the retained log suffix.
+    pub fn recover(
+        id: NodeId,
+        stable: &StableState,
+        bootstrap: Configuration,
+        timing: Timing,
+        rng: SimRng,
+    ) -> Self {
+        Self::scoped(
+            id,
+            LogScope::Global,
+            stable.global.clone(),
+            bootstrap,
+            timing,
+            rng,
+        )
+    }
+
+    /// Builds a node at `scope` from its persisted `state` (the default
+    /// state for a fresh node). The commit index resumes at the compaction
+    /// horizon: everything the snapshot covers is known committed and
+    /// already applied. The configuration is taken from the log's latest
+    /// config entry, falling back to the snapshot's, then `bootstrap`; a
+    /// site that configuration omits must rejoin.
+    ///
+    /// # Panics
+    ///
+    /// Panics on invalid timing.
+    pub fn scoped(
+        id: NodeId,
+        scope: LogScope,
+        state: ScopeState,
+        bootstrap: Configuration,
+        timing: Timing,
+        rng: SimRng,
+    ) -> Self {
+        timing.validate();
+        let mut e = Self::construct(id, bootstrap, None, scope, timing, rng);
+        e.core.restore(state);
+        e.verified = e.core.commit_index;
+        e.last_leader_index = e
+            .core
+            .log
+            .last_leader_index()
+            .max(e.core.log.compacted_through());
+        if !e.core.config.contains(id) && !e.core.config.is_empty() {
+            // Removed while down: must rejoin explicitly.
+            e.join_contacts = Some(e.core.config.to_vec());
+        }
+        e
     }
 
     fn construct(
@@ -287,17 +303,11 @@ impl FastRaftEngine {
         config: Configuration,
         join_contacts: Option<Vec<NodeId>>,
         scope: LogScope,
-        timers: TimerProfile,
         timing: Timing,
         rng: SimRng,
     ) -> Self {
-        let replica_timers = (
-            timers.map(TimerKind::Election),
-            timers.map(TimerKind::Heartbeat),
-        );
-        FastRaftEngine {
-            core: Replica::new(id, scope, config, replica_timers, timing, rng),
-            timers,
+        FastRaftNode {
+            core: Replica::new(id, scope, config, timing, rng),
             recovery_votes: Vec::new(),
             verified: LogIndex::ZERO,
             possible: PossibleEntries::new(),
@@ -322,47 +332,6 @@ impl FastRaftEngine {
         }
     }
 
-    /// Rebuilds an engine from persisted state after a crash: snapshot (if
-    /// any) + retained log suffix. The commit index resumes at the
-    /// compaction horizon — everything the snapshot covers is known
-    /// committed and already applied. The configuration is taken from the
-    /// log's latest config entry, falling back to the snapshot's, then
-    /// `bootstrap`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn recover(
-        id: NodeId,
-        term: Term,
-        voted_for: Option<NodeId>,
-        log: wire::SparseLog,
-        snapshot: Option<Snapshot>,
-        bootstrap: Configuration,
-        scope: LogScope,
-        timers: TimerProfile,
-        timing: Timing,
-        rng: SimRng,
-        proposal_seq_floor: u64,
-    ) -> Self {
-        let mut e = Self::construct(id, bootstrap, None, scope, timers, timing, rng);
-        e.core.restore(ScopeState {
-            current_term: term,
-            voted_for,
-            log,
-            snapshot,
-            proposal_seq_floor,
-        });
-        e.verified = e.core.commit_index;
-        e.last_leader_index = e
-            .core
-            .log
-            .last_leader_index()
-            .max(e.core.log.compacted_through());
-        if !e.core.config.contains(id) && !e.core.config.is_empty() {
-            // Removed while down: must rejoin explicitly.
-            e.join_contacts = Some(e.core.config.to_vec());
-        }
-        e
-    }
-
     /// Puts every log insert of this engine behind the insert gate (C-Raft's
     /// global level): an insert waits until the embedding, having drained
     /// its [`GateRequest`], calls [`gate_ready`](Self::gate_ready).
@@ -374,18 +343,6 @@ impl FastRaftEngine {
     // ------------------------------------------------------------------
     // Accessors
     // ------------------------------------------------------------------
-
-    /// This node's id.
-    pub fn id(&self) -> NodeId {
-        self.core.id
-    }
-
-    /// Stamps this engine's view of "now" (an input like any message; see
-    /// [`wire::ConsensusProtocol::set_local_clock`]). Never stamping it
-    /// leaves the engine clockless and every lease path inert.
-    pub fn set_local_clock(&mut self, now: SimTime) {
-        self.core.reads.set_local_clock(now);
-    }
 
     /// Current role at this level.
     pub fn role(&self) -> Role {
@@ -498,12 +455,52 @@ impl FastRaftEngine {
         self.proposal_mode
     }
 
-    // ------------------------------------------------------------------
-    // Lifecycle
-    // ------------------------------------------------------------------
+    /// Completes a previously deferred insert (C-Raft: the global state
+    /// entry committed locally).
+    pub fn gate_ready(&mut self, token: GateToken, out: &mut Actions<FastRaftMessage>) {
+        let Some(cont) = self.pending_gates.remove(&token) else {
+            return;
+        };
+        match cont {
+            GateCont::Proposer { index, entry } => {
+                self.finish_proposer_insert(index, entry, out);
+            }
+            GateCont::Leader(index) => {
+                if let Some(r) = self.reserved.get_mut(&index).filter(|r| r.token == token) {
+                    r.released = true;
+                }
+                if self.land_reserved(out) {
+                    // A decision fast-committed: the loop may continue.
+                    self.run_decision_loop(out);
+                }
+            }
+            GateCont::Append(ack) => {
+                let st = self.acks.get_mut(&ack).expect("ack state");
+                st.remaining -= 1;
+                if st.remaining == 0 {
+                    let st = self.acks.remove(&ack).expect("ack state");
+                    self.land_append(ack, st, out);
+                }
+            }
+        }
+    }
+}
+
+impl ConsensusProtocol for FastRaftNode {
+    type Message = FastRaftMessage;
+
+    fn id(&self) -> NodeId {
+        self.core.id
+    }
+
+    /// Stamps this node's view of "now". Never stamping it leaves the node
+    /// clockless and every lease path inert.
+    fn set_local_clock(&mut self, now: SimTime) {
+        self.core.reads.set_local_clock(now);
+    }
 
     /// Arms initial timers; joiners start their join handshake instead.
-    pub fn bootstrap(&mut self, out: &mut Actions<FastRaftMessage>) {
+    fn bootstrap(&mut self, out: &mut Actions<FastRaftMessage>) {
         if self.join_contacts.is_some() {
             self.send_join_request(out);
         } else {
@@ -511,14 +508,9 @@ impl FastRaftEngine {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Timers
-    // ------------------------------------------------------------------
-
-    /// Handles a timer expressed in **base** kinds (the embedding unmaps
-    /// profile-specific kinds first; [`TimerProfile::unmap`]).
-    pub fn on_timer(&mut self, base: TimerKind, out: &mut Actions<FastRaftMessage>) {
-        match base {
+    /// Handles a base timer kind; any other kind is ignored.
+    fn on_timer(&mut self, kind: TimerKind, out: &mut Actions<FastRaftMessage>) {
+        match kind {
             TimerKind::Election
                 if self.core.role != Role::Leader && self.join_contacts.is_none() =>
             {
@@ -532,10 +524,7 @@ impl FastRaftEngine {
                 self.run_decision_loop(out);
                 self.maybe_fill_hole(out);
                 self.start_next_reconfig(out);
-                out.set_timer(
-                    self.timers.map(TimerKind::LeaderTick),
-                    self.core.timing.decision_tick,
-                );
+                out.set_timer(TimerKind::LeaderTick, self.core.timing.decision_tick);
             }
             TimerKind::ProposalRetry => self.retry_proposals(out),
             TimerKind::JoinRetry if self.join_contacts.is_some() => {
@@ -545,12 +534,8 @@ impl FastRaftEngine {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Message handling
-    // ------------------------------------------------------------------
-
     /// Handles one incoming message.
-    pub fn on_message(
+    fn on_message(
         &mut self,
         from: NodeId,
         msg: FastRaftMessage,
@@ -672,31 +657,58 @@ impl FastRaftEngine {
         }
     }
 
-    /// Completes a previously deferred insert (C-Raft: the global state
-    /// entry committed locally).
-    pub fn gate_ready(&mut self, token: GateToken, out: &mut Actions<FastRaftMessage>) {
-        let Some(cont) = self.pending_gates.remove(&token) else {
-            return;
-        };
-        match cont {
-            GateCont::Proposer { index, entry } => {
-                self.finish_proposer_insert(index, entry, out);
-            }
-            GateCont::Leader(index) => {
-                if let Some(r) = self.reserved.get_mut(&index).filter(|r| r.token == token) {
-                    r.released = true;
-                }
-                if self.land_reserved(out) {
-                    // A decision fast-committed: the loop may continue.
-                    self.run_decision_loop(out);
+    /// Submits a typed client request at this node (the gateway). Writes
+    /// ride the normal proposal machinery as `Payload::Write` and are
+    /// answered when the gateway applies their commit; reads are answered
+    /// from the commit floor (stale) or after a leader ReadIndex round
+    /// (linearizable). All answers surface as
+    /// [`Observation::ClientResponse`].
+    fn on_client_request(&mut self, req: ClientRequest, out: &mut Actions<FastRaftMessage>) {
+        let ClientRequest { session, seq, op } = req;
+        match op {
+            // (The C-Raft layer intercepts StaleGlobal above this point and
+            // answers from its global-commit floor instead.)
+            ClientOp::Read(consistency) => {
+                if self.core.client_read(session, seq, consistency, out) {
+                    self.register_read(session, seq, self.core.id, out);
                 }
             }
-            GateCont::Append(ack) => {
-                let st = self.acks.get_mut(&ack).expect("ack state");
-                st.remaining -= 1;
-                if st.remaining == 0 {
-                    let st = self.acks.remove(&ack).expect("ack state");
-                    self.land_append(ack, st, out);
+            // Gateway door for a session write or an explicit session
+            // registration (see [`Replica::client_door`]). A committed
+            // [`Payload::Register`] consumes seq 1 of the session, so a
+            // later eviction can never leave a re-appliable *data* write at
+            // the session's boundary (see [`ClientOp::Register`]). Unlike
+            // classic Raft's leader-only door, the registration entry
+            // travels the normal proposal path ([`FastRaftMessage::ProposeAt`]
+            // forwards whole entries), so any gateway can register.
+            op => {
+                let (session, seq) = self.core.write_key(session, seq, &op);
+                let verdict = match self.core.client_door(session, seq, &op, out) {
+                    // In flight only while its proposal is live here: a
+                    // `ProposeReply { committed }` settles the proposal
+                    // before this gateway applies the commit, and a retry in
+                    // that window is re-proposed under a fresh id.
+                    Door::InFlight(id) if !self.pending_proposals.contains_key(&id) => {
+                        self.core.expiry_door(session, seq, &op, out)
+                    }
+                    verdict => verdict,
+                };
+                match verdict {
+                    Door::Answer(outcome) => {
+                        self.respond_client(self.core.id, session, seq, outcome, out)
+                    }
+                    // The proposal-retry machinery keeps pushing it; just
+                    // make sure the timer is armed.
+                    Door::InFlight(_) => {
+                        out.set_timer(TimerKind::ProposalRetry, self.core.timing.proposal_timeout)
+                    }
+                    Door::Admitted(id) => {
+                        let payload = match op {
+                            ClientOp::Write(data) => Payload::Write { session, seq, data },
+                            _ => Payload::Register { session },
+                        };
+                        self.propose(id, payload, out);
+                    }
                 }
             }
         }
@@ -708,35 +720,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn timer_profile_roundtrip() {
-        for base in [
-            TimerKind::Election,
-            TimerKind::Heartbeat,
-            TimerKind::LeaderTick,
-            TimerKind::ProposalRetry,
-            TimerKind::JoinRetry,
-        ] {
-            let g = TimerProfile::Global.map(base);
-            assert_ne!(g, base, "global profile must rename {base:?}");
-            assert_eq!(TimerProfile::Global.unmap(g), Some(base));
-            assert_eq!(TimerProfile::Base.map(base), base);
-            assert_eq!(TimerProfile::Base.unmap(base), Some(base));
-        }
-        assert_eq!(TimerProfile::Base.unmap(TimerKind::GlobalElection), None);
-        assert_eq!(TimerProfile::Global.unmap(TimerKind::Election), None);
-    }
-
-    #[test]
     fn construction_validations() {
         let cfg: Configuration = (0..3).map(NodeId).collect();
-        let e = FastRaftEngine::new(
-            NodeId(0),
-            cfg,
-            LogScope::Global,
-            TimerProfile::Base,
-            Timing::lan(),
-            SimRng::seed_from_u64(1),
-        );
+        let e = FastRaftNode::new(NodeId(0), cfg, Timing::lan(), SimRng::seed_from_u64(1));
         assert_eq!(e.role(), Role::Follower);
         assert!(!e.is_joining());
         assert_eq!(e.commit_index(), LogIndex::ZERO);
@@ -746,23 +732,14 @@ mod tests {
     #[should_panic(expected = "not in bootstrap")]
     fn new_requires_membership() {
         let cfg: Configuration = (0..3).map(NodeId).collect();
-        FastRaftEngine::new(
-            NodeId(9),
-            cfg,
-            LogScope::Global,
-            TimerProfile::Base,
-            Timing::lan(),
-            SimRng::seed_from_u64(1),
-        );
+        FastRaftNode::new(NodeId(9), cfg, Timing::lan(), SimRng::seed_from_u64(1));
     }
 
     #[test]
     fn joining_node_has_no_config() {
-        let e = FastRaftEngine::joining(
+        let e = FastRaftNode::joining(
             NodeId(9),
             vec![NodeId(0), NodeId(1)],
-            LogScope::Global,
-            TimerProfile::Base,
             Timing::lan(),
             SimRng::seed_from_u64(1),
         );
@@ -776,11 +753,9 @@ mod tests {
     /// admitted afterwards would outlive its answer.
     #[test]
     fn inline_commit_answers_and_clears_the_gateway_record() {
-        let mut e = FastRaftEngine::new(
+        let mut e = FastRaftNode::new(
             NodeId(0),
             [NodeId(0)].into_iter().collect(),
-            LogScope::Global,
-            TimerProfile::Base,
             Timing::lan(),
             SimRng::seed_from_u64(1),
         );

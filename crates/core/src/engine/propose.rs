@@ -2,7 +2,7 @@
 
 use super::*;
 
-impl FastRaftEngine {
+impl FastRaftNode {
     // ------------------------------------------------------------------
     // Proposing (§IV-B "To propose an entry")
     // ------------------------------------------------------------------
@@ -50,10 +50,7 @@ impl FastRaftEngine {
                 self.forward_proposal(id, payload, out);
             }
         }
-        out.set_timer(
-            self.timers.map(TimerKind::ProposalRetry),
-            self.core.timing.proposal_timeout,
-        );
+        out.set_timer(TimerKind::ProposalRetry, self.core.timing.proposal_timeout);
     }
 
     /// Sends a leader-forwarded proposal (index ZERO = "leader assigns").
@@ -212,10 +209,7 @@ impl FastRaftEngine {
     ) {
         self.pending_proposals
             .insert(id, PendingProposal { payload, index });
-        out.set_timer(
-            self.timers.map(TimerKind::ProposalRetry),
-            self.core.timing.proposal_timeout,
-        );
+        out.set_timer(TimerKind::ProposalRetry, self.core.timing.proposal_timeout);
     }
 
     fn pick_proposal_index(&self) -> LogIndex {
@@ -397,10 +391,7 @@ impl FastRaftEngine {
             self.rebroadcast_proposal(id, payload, index, out);
         }
         self.proposal_scratch = pendings;
-        out.set_timer(
-            self.timers.map(TimerKind::ProposalRetry),
-            self.core.timing.proposal_timeout,
-        );
+        out.set_timer(TimerKind::ProposalRetry, self.core.timing.proposal_timeout);
     }
 
     // ------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 use super::*;
 
-impl FastRaftEngine {
+impl FastRaftNode {
     // ------------------------------------------------------------------
     // Classic track: AppendEntries
     // ------------------------------------------------------------------
@@ -266,12 +266,14 @@ impl FastRaftEngine {
     /// Classic-track commit rule: highest `k` with a classic quorum of
     /// matchIndex ≥ k and `log[k].term == currentTerm`.
     pub(super) fn advance_commit_classic(&mut self, out: &mut Actions<FastRaftMessage>) {
-        // The committed prefix must stay contiguous and leader-approved, but
-        // `lastLeaderIndex` can sit *above* a hole (a non-extending append
-        // still inserts its leader-approved entries). Cap the scan at the
-        // end of the contiguous leader-approved run above commitIndex; the
-        // decision loop / hole filling repairs the hole, after which the run
-        // extends and the suffix becomes committable.
+        // The committed prefix must stay contiguous and leader-approved.
+        // A follower inserts only the run contiguous with its verified
+        // prefix, but a C-Raft global view rebuilt from global-state entries
+        // (`activate_global`) can hold leader-approved entries above a hole,
+        // so `lastLeaderIndex` can sit above it. Cap the scan at the end of
+        // the contiguous leader-approved run above commitIndex; once the
+        // decision loop or hole filling repairs the hole, the run extends
+        // and the suffix becomes committable.
         let reach = self.leader_coverage();
         let k = self.core.quorum_commit_point(reach);
         self.commit_through(k, Some(false), out);

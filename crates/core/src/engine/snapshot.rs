@@ -2,7 +2,7 @@
 
 use super::*;
 
-impl FastRaftEngine {
+impl FastRaftNode {
     // ------------------------------------------------------------------
     // Snapshots + log compaction
     // ------------------------------------------------------------------
@@ -48,6 +48,16 @@ impl FastRaftEngine {
         for id in self.core.answer_covered_writes(out) {
             self.pending_proposals.remove(&id);
         }
+        // A batch whose every item the installed table holds committed, or
+        // a copy of it did: re-proposing it would only commit it again.
+        let sessions = self.core.applied.sessions();
+        self.pending_proposals.retain(|_, p| match &p.payload {
+            Payload::Batch(b) => !b.items.iter().all(|item| {
+                item.key
+                    .is_some_and(|(session, seq)| sessions.duplicate_of(session, seq).is_some())
+            }),
+            _ => true,
+        });
         self.retarget_lost_proposals(out);
         out.send(
             from,

@@ -6,12 +6,12 @@
 //! entry (a decision, a forwarded proposal, a term no-op, a configuration),
 //! and when a follower applies AppendEntries. Every one of them passes the
 //! engine's one gate, which the embedding turns on or off once, when it
-//! builds the engine (`FastRaftEngine::gated`); there is no other insert
+//! builds the engine (`FastRaftNode::gated`); there is no other insert
 //! door, so no insert path can bypass it. An ungated engine (plain Fast
 //! Raft, C-Raft's local level) inserts at once. A gated engine (C-Raft's
 //! global level) records a [`GateRequest`] instead: the embedding drains the
 //! requests, replicates each within its cluster as a *global state entry*,
-//! and resumes the insert with `FastRaftEngine::gate_ready` once that entry
+//! and resumes the insert with `FastRaftNode::gate_ready` once that entry
 //! commits locally.
 //!
 //! Gated inserts land by one rule, so a release order cannot leave a hole

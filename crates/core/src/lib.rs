@@ -14,9 +14,11 @@
 //!   form a global Fast Raft group replicating *batches* of locally
 //!   committed entries, gating every global-log insert on an intra-cluster
 //!   *global state entry* so successor leaders inherit inter-cluster state.
-//! - [`FastRaftEngine`] — the reusable single-level engine both are built
-//!   from, parameterized by log scope, timer profile, and whether its
-//!   inserts pass the insert gate ([`FastRaftEngine::gated`]).
+//!
+//! C-Raft uses Fast Raft as its building block: each level is a
+//! [`FastRaftNode`], built for its log scope ([`FastRaftNode::scoped`]) and,
+//! at the global level, with every insert behind the insert gate
+//! ([`FastRaftNode::gated`]).
 //!
 //! # Examples
 //!
@@ -42,14 +44,12 @@
 
 mod craft;
 mod engine;
-mod fastraft;
 mod gate;
 mod message;
 mod possible;
 
 pub use craft::{build_deployment, CRaftConfig, CRaftNode};
-pub use engine::{FastRaftEngine, ProposalMode, TimerProfile};
-pub use fastraft::FastRaftNode;
+pub use engine::{FastRaftNode, ProposalMode};
 pub use gate::{GateRequest, GateToken};
 pub use message::{CRaftMessage, FastRaftMessage};
 pub use possible::PossibleEntries;

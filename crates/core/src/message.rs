@@ -163,28 +163,6 @@ pub enum FastRaftMessage {
     },
 }
 
-impl FastRaftMessage {
-    /// Short tag for traces and metrics.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            FastRaftMessage::ProposeAt { .. } => "propose_at",
-            FastRaftMessage::Vote { .. } => "vote",
-            FastRaftMessage::ProposeReply { .. } => "propose_reply",
-            FastRaftMessage::AppendEntries { .. } => "append_entries",
-            FastRaftMessage::AppendEntriesReply { .. } => "append_entries_reply",
-            FastRaftMessage::ClientRead { .. } => "client_read",
-            FastRaftMessage::ClientReply { .. } => "client_reply",
-            FastRaftMessage::RequestVote { .. } => "request_vote",
-            FastRaftMessage::RequestVoteReply { .. } => "request_vote_reply",
-            FastRaftMessage::JoinRequest { .. } => "join_request",
-            FastRaftMessage::JoinReply { .. } => "join_reply",
-            FastRaftMessage::LeaveRequest { .. } => "leave_request",
-            FastRaftMessage::InstallSnapshot { .. } => "install_snapshot",
-            FastRaftMessage::InstallSnapshotReply { .. } => "install_snapshot_reply",
-        }
-    }
-}
-
 impl Wire for FastRaftMessage {
     fn encode(&self, e: &mut impl Sink) {
         match self {
@@ -463,14 +441,6 @@ pub enum CRaftMessage {
 }
 
 impl CRaftMessage {
-    /// Short tag for traces.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            CRaftMessage::Local(m) => m.kind(),
-            CRaftMessage::Global(m) => m.kind(),
-        }
-    }
-
     /// `true` for global-level traffic.
     pub fn is_global(&self) -> bool {
         matches!(self, CRaftMessage::Global(_))

@@ -8,12 +8,12 @@
 //! does take a second slot is skipped when it applies.
 
 use bytes::Bytes;
-use consensus_core::{FastRaftEngine, FastRaftMessage, TimerProfile};
+use consensus_core::{FastRaftMessage, FastRaftNode};
 use des::SimRng;
 use raft::testkit::Lockstep;
 use raft::{RaftMessage, RaftNode, Role, Timing};
 use wire::{
-    Actions, ClientOutcome, Configuration, ConsensusProtocol, LogEntry, LogIndex, LogScope, NodeId,
+    Actions, ClientOutcome, Configuration, ConsensusProtocol, LogEntry, LogIndex, NodeId,
     Observation, Payload, SessionId, TimerKind,
 };
 
@@ -31,7 +31,7 @@ fn snappy() -> Timing {
 /// Raw Fast Raft engines driven in lockstep, whose step outputs the test
 /// can read before they are routed.
 struct Net {
-    engines: Vec<FastRaftEngine>,
+    engines: Vec<FastRaftNode>,
     queue: std::collections::VecDeque<(NodeId, NodeId, FastRaftMessage)>,
 }
 
@@ -40,11 +40,9 @@ impl Net {
         let cfg: Configuration = (0..members).map(NodeId).collect();
         let engines = (0..members)
             .map(|i| {
-                FastRaftEngine::new(
+                FastRaftNode::new(
                     NodeId(i),
                     cfg.clone(),
-                    LogScope::Global,
-                    TimerProfile::Base,
                     snappy(),
                     SimRng::seed_from_u64(5100 + i),
                 )
@@ -60,7 +58,7 @@ impl Net {
     fn step(
         &mut self,
         id: NodeId,
-        f: impl FnOnce(&mut FastRaftEngine, &mut Actions<FastRaftMessage>),
+        f: impl FnOnce(&mut FastRaftNode, &mut Actions<FastRaftMessage>),
     ) -> Actions<FastRaftMessage> {
         let mut out = Actions::new();
         f(&mut self.engines[id.as_u64() as usize], &mut out);
@@ -78,7 +76,7 @@ impl Net {
     fn with(
         &mut self,
         id: NodeId,
-        f: impl FnOnce(&mut FastRaftEngine, &mut Actions<FastRaftMessage>),
+        f: impl FnOnce(&mut FastRaftNode, &mut Actions<FastRaftMessage>),
     ) {
         let out = self.step(id, f);
         self.route(id, out);
@@ -98,7 +96,7 @@ impl Net {
         self.deliver_all();
     }
 
-    fn engine(&self, id: NodeId) -> &FastRaftEngine {
+    fn engine(&self, id: NodeId) -> &FastRaftNode {
         &self.engines[id.as_u64() as usize]
     }
 }

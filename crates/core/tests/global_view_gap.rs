@@ -39,7 +39,7 @@ fn global_entry(seq: u64) -> LogEntry {
 /// covers them), leaving records only for `first_gs..=7`: the
 /// reconstruction then starts at `first_gs` with no covering horizon, a
 /// front gap. (When a persisted global snapshot exists,
-/// `FastRaftEngine::recover` installs it and *discards* any suffix not
+/// `FastRaftNode::scoped` installs it and *discards* any suffix not
 /// anchored at its boundary, so the no-snapshot flap is the one shape that
 /// reaches activation gapped.)
 fn flapped_state(first_gs: u64) -> StableState {

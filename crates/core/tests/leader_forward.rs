@@ -3,18 +3,18 @@
 //! the decision-loop mechanics around it.
 
 use bytes::Bytes;
-use consensus_core::{FastRaftEngine, FastRaftMessage, GateRequest, ProposalMode, TimerProfile};
+use consensus_core::{FastRaftMessage, FastRaftNode, GateRequest, ProposalMode};
 use des::SimRng;
 use raft::{Role, Timing};
-use wire::{Actions, Configuration, LogIndex, LogScope, NodeId, Payload, SessionId, TimerKind};
+use wire::{
+    Actions, Configuration, ConsensusProtocol, LogIndex, NodeId, Payload, SessionId, TimerKind,
+};
 
-fn engine(id: u64, members: u64) -> FastRaftEngine {
+fn engine(id: u64, members: u64) -> FastRaftNode {
     let cfg: Configuration = (0..members).map(NodeId).collect();
-    FastRaftEngine::new(
+    FastRaftNode::new(
         NodeId(id),
         cfg,
-        LogScope::Global,
-        TimerProfile::Base,
         Timing::lan(),
         SimRng::seed_from_u64(7000 + id),
     )
@@ -24,14 +24,14 @@ fn engine(id: u64, members: u64) -> FastRaftEngine {
 /// engines, which `raft::testkit` cannot host because their gated inserts
 /// wait for a release).
 struct Net {
-    engines: Vec<FastRaftEngine>,
+    engines: Vec<FastRaftNode>,
     queue: std::collections::VecDeque<(NodeId, NodeId, FastRaftMessage)>,
     /// Inserts a gated engine deferred, released by `deliver_all`.
     gates: Vec<(NodeId, GateRequest)>,
 }
 
 impl Net {
-    fn new(engines: Vec<FastRaftEngine>) -> Self {
+    fn new(engines: Vec<FastRaftNode>) -> Self {
         Net {
             engines,
             queue: Default::default(),
@@ -48,7 +48,7 @@ impl Net {
     fn with<R>(
         &mut self,
         id: NodeId,
-        f: impl FnOnce(&mut FastRaftEngine, &mut Actions<FastRaftMessage>) -> R,
+        f: impl FnOnce(&mut FastRaftNode, &mut Actions<FastRaftMessage>) -> R,
     ) -> R {
         let mut out = Actions::new();
         let engine = &mut self.engines[id.as_u64() as usize];
@@ -81,7 +81,7 @@ impl Net {
         self.deliver_all();
     }
 
-    fn engine(&self, id: NodeId) -> &FastRaftEngine {
+    fn engine(&self, id: NodeId) -> &FastRaftNode {
         &self.engines[id.as_u64() as usize]
     }
 }
@@ -100,7 +100,7 @@ fn forward_cluster(n: u64) -> Net {
 }
 
 /// A `LeaderForward` cluster of `engines` (ids 0, 1, ...) led by node 0.
-fn forward_net(mut engines: Vec<FastRaftEngine>) -> Net {
+fn forward_net(mut engines: Vec<FastRaftNode>) -> Net {
     let n = engines.len() as u64;
     for e in &mut engines {
         e.set_proposal_mode(ProposalMode::LeaderForward);

@@ -8,7 +8,7 @@
 //! history.
 
 use bytes::Bytes;
-use consensus_core::{FastRaftEngine, FastRaftNode, TimerProfile};
+use consensus_core::FastRaftNode;
 use des::SimRng;
 use proptest::prelude::*;
 use raft::{RaftNode, Timing};
@@ -28,20 +28,14 @@ fn entry(i: u64) -> LogEntry {
     )
 }
 
-fn recover_from(stable: &StableState, scope: LogScope) -> FastRaftEngine {
-    let s = stable.scope(scope);
-    FastRaftEngine::recover(
+fn recover_from(stable: &StableState, scope: LogScope) -> FastRaftNode {
+    FastRaftNode::scoped(
         NodeId(0),
-        s.current_term,
-        s.voted_for,
-        s.log.clone(),
-        s.snapshot.clone(),
-        Configuration::new([NodeId(0), NodeId(1), NodeId(2)]),
         scope,
-        TimerProfile::Base,
+        stable.scope(scope).clone(),
+        Configuration::new([NodeId(0), NodeId(1), NodeId(2)]),
         Timing::lan(),
         SimRng::seed_from_u64(1),
-        s.proposal_seq_floor,
     )
 }
 

@@ -31,7 +31,8 @@ const USAGE: &str = "usage:
   explorer explore [--proto raft|fast|gated|craft|all] [--seeds A..B]
                    [--steps N] [--strategy random|delay|hammer|all]
                    [--sites N] [--clusters N] [--ops N] [--read-every N]
-                   [--lanes N] [--register] [--shrink-budget N] [--out DIR]
+                   [--lanes N] [--register] [--snapshot N]
+                   [--shrink-budget N] [--out DIR]
   explorer replay FILE [--expect-pass|--expect-fail]";
 
 fn parse_flag(args: &[String], name: &str) -> Option<String> {
@@ -78,10 +79,14 @@ fn run_explore(args: &[String]) -> Result<ExitCode, String> {
     let read_every = parse_num(args, "--read-every", 3)? as u32;
     let lanes = parse_num(args, "--lanes", 1)? as u32;
     let register = args.iter().any(|a| a == "--register");
+    let snapshot = parse_flag(args, "--snapshot")
+        .map(|v| v.parse().map_err(|_| format!("bad --snapshot value {v:?}")))
+        .transpose()?;
     let shrink_budget = parse_num(args, "--shrink-budget", 3_000)? as u32;
     let out_dir = parse_flag(args, "--out");
 
     let mut explored = 0u64;
+    let (mut compactions, mut installs) = (0u64, 0u64);
     for proto in &protos {
         let setup_base = Setup {
             proto: *proto,
@@ -92,6 +97,7 @@ fn run_explore(args: &[String]) -> Result<ExitCode, String> {
             read_every,
             lanes,
             register_first: register,
+            snapshot,
         };
         for strat_name in &strategies {
             for seed in lo..hi {
@@ -103,6 +109,8 @@ fn run_explore(args: &[String]) -> Result<ExitCode, String> {
                     .ok_or_else(|| format!("unknown strategy {strat_name:?}"))?;
                 let report = explore_setup(&setup, strat.as_mut(), steps);
                 explored += 1;
+                compactions += report.snapshots.0;
+                installs += report.snapshots.1;
                 let Some(violation) = report.violation else {
                     continue;
                 };
@@ -151,7 +159,7 @@ fn run_explore(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     println!(
-        "clean: {explored} exploration(s) across {} proto(s) x {} strategy(ies), seeds {lo}..{hi}, {steps} steps each — no violations",
+        "clean: {explored} exploration(s) across {} proto(s) x {} strategy(ies), seeds {lo}..{hi}, {steps} steps each — no violations ({compactions} compactions, {installs} snapshot installs)",
         protos.len(),
         strategies.len()
     );

@@ -156,6 +156,9 @@ pub struct Setup {
     pub lanes: u32,
     /// Each lane's first op is an explicit session registration.
     pub register_first: bool,
+    /// Snapshot threshold of every log (C-Raft: both levels); `None` keeps
+    /// `Timing::lan()`'s and `CRaftConfig::paper`'s.
+    pub snapshot: Option<u64>,
 }
 
 impl Setup {
@@ -171,6 +174,7 @@ impl Setup {
             read_every: 0,
             lanes: 1,
             register_first: false,
+            snapshot: None,
         }
     }
 }
@@ -234,6 +238,9 @@ impl Trace {
             s.lanes,
             u8::from(s.register_first),
         );
+        if let Some(n) = s.snapshot {
+            text.insert_str(text.len() - 1, &format!(" snapshot={n}"));
+        }
         for c in &self.choices {
             let line = match c {
                 Choice::Deliver { slot } => format!("deliver {slot}"),
@@ -289,6 +296,7 @@ fn parse_setup(header: &str) -> Result<Setup, String> {
     let (mut sites, mut clusters, mut seed) = (0u64, 0u64, 0u64);
     let (mut ops, mut read_every, mut lanes) = (0u32, 0u32, 1u32);
     let mut register_first = false;
+    let mut snapshot = None;
     for kv in header.split_whitespace() {
         let (k, v) = kv
             .split_once('=')
@@ -303,6 +311,7 @@ fn parse_setup(header: &str) -> Result<Setup, String> {
             "read-every" => read_every = v.parse().map_err(|_| bad())?,
             "lanes" => lanes = v.parse().map_err(|_| bad())?,
             "register" => register_first = v == "1",
+            "snapshot" => snapshot = Some(v.parse().map_err(|_| bad())?),
             _ => return Err(format!("unknown header key {k:?}")),
         }
     }
@@ -315,6 +324,7 @@ fn parse_setup(header: &str) -> Result<Setup, String> {
         read_every,
         lanes,
         register_first,
+        snapshot,
     })
 }
 
@@ -386,6 +396,7 @@ mod tests {
                 read_every: 2,
                 lanes: 2,
                 register_first: true,
+                snapshot: Some(3),
             },
             choices: vec![
                 Choice::Client {

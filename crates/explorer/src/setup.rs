@@ -30,6 +30,8 @@ pub struct RunReport {
     pub commits_seen: u64,
     /// Linearizable reads the lin oracle checked.
     pub reads_checked: u64,
+    /// `(log compactions, snapshots installed from a transfer)`.
+    pub snapshots: (u64, u64),
 }
 
 /// Runs one step against a world, turning a panic into
@@ -88,6 +90,7 @@ pub fn explore_world<P: Explorable>(
         violation,
         commits_seen: world.safety().commits_seen(),
         reads_checked: world.safety().reads_checked(),
+        snapshots: world.snapshots(),
     }
 }
 
@@ -117,10 +120,32 @@ fn world_cfg(s: &Setup, ack_scope: LogScope) -> WorldConfig {
     }
 }
 
+/// `Timing::lan()`, with the setup's snapshot threshold if it names one.
+fn timing(s: &Setup) -> Timing {
+    let lan = Timing::lan();
+    Timing {
+        snapshot_threshold: s.snapshot.unwrap_or(lan.snapshot_threshold),
+        ..lan
+    }
+}
+
+/// `CRaftConfig::paper`, with the setup's snapshot threshold on both levels
+/// if it names one.
+fn craft_cfg(snapshot: Option<u64>) -> impl Fn(ClusterId) -> CRaftConfig + Clone {
+    move |cluster| {
+        let mut cfg = CRaftConfig::paper(cluster);
+        if let Some(n) = snapshot {
+            cfg.local_timing.snapshot_threshold = n;
+            cfg.global_snapshot_threshold = n;
+        }
+        cfg
+    }
+}
+
 fn build_raft(s: &Setup) -> World<RaftNode> {
     let cfg: Configuration = (0..s.sites).map(NodeId).collect();
     let root = SimRng::seed_from_u64(s.seed);
-    let timing = Timing::lan();
+    let timing = timing(s);
     let nodes: Vec<RaftNode> = (0..s.sites)
         .map(|i| {
             RaftNode::new(
@@ -151,7 +176,7 @@ fn build_raft(s: &Setup) -> World<RaftNode> {
 fn build_fast(s: &Setup) -> World<FastRaftNode> {
     let cfg: Configuration = (0..s.sites).map(NodeId).collect();
     let root = SimRng::seed_from_u64(s.seed);
-    let timing = Timing::lan();
+    let timing = timing(s);
     let nodes: Vec<FastRaftNode> = (0..s.sites)
         .map(|i| {
             FastRaftNode::new(
@@ -182,15 +207,15 @@ fn build_fast(s: &Setup) -> World<FastRaftNode> {
 fn build_gated(s: &Setup) -> World<GatedFastRaftNode> {
     let cfg: Configuration = (0..s.sites).map(NodeId).collect();
     let root = SimRng::seed_from_u64(s.seed);
-    let timing = Timing::lan();
+    let timing = timing(s);
     let nodes: Vec<GatedFastRaftNode> = (0..s.sites)
         .map(|i| {
-            GatedFastRaftNode::new(
+            GatedFastRaftNode::new(FastRaftNode::new(
                 NodeId(i),
                 cfg.clone(),
                 timing,
                 root.split_indexed("gated-node", i),
-            )
+            ))
         })
         .collect();
     let recover_rng = root.split("recover");
@@ -199,13 +224,13 @@ fn build_gated(s: &Setup) -> World<GatedFastRaftNode> {
         world_cfg(s, LogScope::Global),
         SafetyChecker::new(),
         Box::new(move |id, stable| {
-            GatedFastRaftNode::recover(
+            GatedFastRaftNode::new(FastRaftNode::recover(
                 id,
                 stable,
                 cfg.clone(),
                 timing,
                 recover_rng.split_indexed("r", id.as_u64()),
-            )
+            ))
         }),
     )
 }
@@ -218,8 +243,9 @@ fn build_craft(s: &Setup) -> World<CRaftNode> {
         "sites must divide evenly into clusters"
     );
     let per = s.sites / clusters;
+    let cfg_for = craft_cfg(s.snapshot);
     let (nodes, global_bootstrap) =
-        consensus_core::build_deployment(clusters, per, CRaftConfig::paper, s.seed);
+        consensus_core::build_deployment(clusters, per, cfg_for.clone(), s.seed);
     let seed = s.seed;
     World::new(
         nodes,
@@ -233,7 +259,7 @@ fn build_craft(s: &Setup) -> World<CRaftNode> {
                 stable,
                 members,
                 global_bootstrap.clone(),
-                CRaftConfig::paper(ClusterId(cluster)),
+                cfg_for(ClusterId(cluster)),
                 SimRng::seed_from_u64(seed).split_indexed("craft-recover", id.as_u64()),
             )
         }),

@@ -30,7 +30,7 @@ use des::{SimDuration, SimTime};
 use storage::{SimDisk, StableState};
 use wire::{
     Actions, ClientLane, ClientOp, ClientOutcome, ConsensusProtocol, Consistency, Driver, GroupId,
-    LogScope, NodeId, Observation, SafetyChecker, SessionId, TimerCmd, TimerKind,
+    LogIndex, LogScope, NodeId, Observation, SafetyChecker, SessionId, TimerCmd, TimerKind,
 };
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -113,22 +113,6 @@ impl Explorable for consensus_core::CRaftNode {
         live_seats > config.len() / 2
     }
 }
-
-impl Explorable for crate::gated::GatedFastRaftNode {
-    fn armed_gate_tokens(&self) -> Vec<u64> {
-        self.armed_tokens()
-    }
-
-    fn release_gate(&mut self, token: u64, out: &mut Actions<Self::Message>) {
-        GatedFastRaftNode::release_gate(self, token, out)
-    }
-
-    fn gate_debt(&self) -> (usize, usize) {
-        GatedFastRaftNode::gate_debt(self)
-    }
-}
-
-use crate::gated::GatedFastRaftNode;
 
 /// Rebuilds a crashed node from its stable state.
 pub type RecoveryFn<P> = Box<dyn FnMut(NodeId, &StableState) -> P>;
@@ -252,6 +236,8 @@ pub struct World<P: Explorable> {
     steps: u64,
     /// The first commit notice the lost-proposal oracle refuted.
     lost: Option<Violation>,
+    /// `(log compactions, snapshots installed from a transfer)` so far.
+    snapshots: (u64, u64),
 }
 
 impl<P: Explorable> World<P> {
@@ -277,6 +263,7 @@ impl<P: Explorable> World<P> {
             held: BTreeMap::new(),
             steps: 0,
             lost: None,
+            snapshots: (0, 0),
         };
         let total = world.cfg.ops + u32::from(world.cfg.register_first);
         let ids: Vec<NodeId> = nodes
@@ -284,6 +271,12 @@ impl<P: Explorable> World<P> {
             .map(|node| {
                 let id = node.id();
                 world.disk.provision(id);
+                // Every site counts toward both logs' horizons from the start:
+                // its stable snapshot covers nothing yet.
+                for scope in [LogScope::Local, LogScope::Global] {
+                    let safety = &mut world.driver.safety;
+                    safety.snapshot_stable(GROUP, id, scope, LogIndex::ZERO, |_| true);
+                }
                 world.driver.insert(id, node, Deadlines::new());
                 id
             })
@@ -320,6 +313,11 @@ impl<P: Explorable> World<P> {
     /// Borrow a node for assertions. `None` for unknown ids.
     pub fn node(&self, id: NodeId) -> Option<&P> {
         self.driver.slots.get(&id).map(|s| &s.node)
+    }
+
+    /// `(log compactions, snapshots installed from a transfer)` so far.
+    pub fn snapshots(&self) -> (u64, u64) {
+        self.snapshots
     }
 
     /// The safety checker (for end-of-run statistics).
@@ -525,9 +523,11 @@ impl<P: Explorable> World<P> {
                     seq,
                     outcome,
                 } => self.settle(from, session, seq, outcome),
-                Observation::ProposalCommitted { id, scope, .. } if self.lost.is_none() => {
-                    self.lost = oracle::lost_proposal(&self.driver.safety, from, scope, id);
+                Observation::ProposalCommitted { id, index, scope } if self.lost.is_none() => {
+                    self.lost = oracle::lost_proposal(&self.driver.safety, from, scope, id, index);
                 }
+                Observation::LogCompacted { .. } => self.snapshots.0 += 1,
+                Observation::SnapshotInstalled { .. } => self.snapshots.1 += 1,
                 _ => {}
             }
         }

@@ -59,6 +59,7 @@ fn herd_setup(proto: Proto, seed: u64) -> Setup {
         read_every: 0,
         lanes: 3,
         register_first: true,
+        snapshot: None,
     }
 }
 

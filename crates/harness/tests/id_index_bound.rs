@@ -9,7 +9,7 @@
 //! crash, and samples every replica once per simulated second against that
 //! bound.
 
-use consensus_core::{CRaftConfig, CRaftNode, FastRaftEngine, FastRaftNode, ProposalMode};
+use consensus_core::{CRaftConfig, CRaftNode, FastRaftNode, ProposalMode};
 use des::{SimDuration, SimRng, SimTime};
 use harness::{FaultAction, Runner, RunnerConfig, SafetyChecker, Workload};
 use raft::{RaftNode, Timing};
@@ -44,7 +44,7 @@ impl Sample {
         }
     }
 
-    fn of_engine(e: &FastRaftEngine) -> Self {
+    fn of_engine(e: &FastRaftNode) -> Self {
         Sample::of(e.id_index(), e.log(), e.gated_decision_count())
     }
 }

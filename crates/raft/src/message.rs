@@ -121,39 +121,6 @@ pub enum RaftMessage {
     },
 }
 
-impl RaftMessage {
-    /// Short tag for traces and metrics.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            RaftMessage::Propose { .. } => "propose",
-            RaftMessage::ClientRead { .. } => "client_read",
-            RaftMessage::ClientReply { .. } => "client_reply",
-            RaftMessage::AppendEntries { .. } => "append_entries",
-            RaftMessage::AppendEntriesReply { .. } => "append_entries_reply",
-            RaftMessage::RequestVote { .. } => "request_vote",
-            RaftMessage::RequestVoteReply { .. } => "request_vote_reply",
-            RaftMessage::InstallSnapshot { .. } => "install_snapshot",
-            RaftMessage::InstallSnapshotReply { .. } => "install_snapshot_reply",
-        }
-    }
-
-    /// The term carried by the message, if any (client traffic is
-    /// term-free).
-    pub fn term(&self) -> Option<Term> {
-        match self {
-            RaftMessage::AppendEntries { term, .. }
-            | RaftMessage::AppendEntriesReply { term, .. }
-            | RaftMessage::RequestVote { term, .. }
-            | RaftMessage::RequestVoteReply { term, .. }
-            | RaftMessage::InstallSnapshot { term, .. }
-            | RaftMessage::InstallSnapshotReply { term, .. } => Some(*term),
-            RaftMessage::Propose { .. }
-            | RaftMessage::ClientRead { .. }
-            | RaftMessage::ClientReply { .. } => None,
-        }
-    }
-}
-
 impl Wire for RaftMessage {
     fn encode(&self, e: &mut impl Sink) {
         match self {
@@ -454,31 +421,6 @@ mod tests {
             term: Term(5),
             last_index: LogIndex(128),
         });
-    }
-
-    #[test]
-    fn kind_and_term() {
-        let m = RaftMessage::RequestVoteReply {
-            term: Term(4),
-            granted: true,
-        };
-        assert_eq!(m.kind(), "request_vote_reply");
-        assert_eq!(m.term(), Some(Term(4)));
-        let p = RaftMessage::Propose {
-            id: EntryId::new(NodeId(1), 0),
-            session: SessionId::client(1),
-            seq: 1,
-            data: Bytes::new(),
-        };
-        assert_eq!(p.term(), None);
-        assert_eq!(
-            RaftMessage::ClientRead {
-                session: SessionId::client(1),
-                seq: 1
-            }
-            .term(),
-            None
-        );
     }
 
     #[test]

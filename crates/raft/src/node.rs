@@ -54,9 +54,6 @@ impl std::fmt::Display for NotLeader {
 
 impl std::error::Error for NotLeader {}
 
-/// The `(election, heartbeat)` timer kinds a classic Raft site arms.
-const TIMERS: (TimerKind, TimerKind) = (TimerKind::Election, TimerKind::Heartbeat);
-
 /// A classic Raft site.
 #[derive(Debug)]
 pub struct RaftNode {
@@ -81,7 +78,7 @@ impl RaftNode {
             "node {id} not in bootstrap configuration"
         );
         RaftNode {
-            core: Replica::new(id, LogScope::Global, bootstrap, TIMERS, timing, rng),
+            core: Replica::new(id, LogScope::Global, bootstrap, timing, rng),
         }
     }
 

@@ -6,7 +6,7 @@
 //! snapshot catch-up and the client/session surface are inherited; only the
 //! propose/decide rule, the election's up-to-dateness test and
 //! self-announced membership are new. This module is the inherited part,
-//! written once. [`crate::RaftNode`] and `consensus_core::FastRaftEngine`
+//! written once. [`crate::RaftNode`] and `consensus_core::FastRaftNode`
 //! each hold one [`Replica`] **by composition**, next to what is truly
 //! theirs, and do their own work as plain statements before and after the
 //! shared call — no trait object, no callback, no engine parameter, no mode
@@ -15,8 +15,8 @@
 //! - [`Replica`] — the 21 fields both engines used to declare (term, vote,
 //!   log, commit index, role, leader hint, configuration, vote book,
 //!   `next_index`/`match_index`, learners, the gateway's write, id and
-//!   read tables, …) plus the consensus scope and the two timers its steps arm,
-//!   and the protocol steps over them:
+//!   read tables, …) plus the consensus scope, and the protocol steps over
+//!   them:
 //!
 //!   | step | `Replica` method(s) | what stays in the engine |
 //!   |---|---|---|
@@ -56,6 +56,10 @@
 //! through [`wire::Actions`]); the variants shared code must construct are
 //! the ones both enums carry with the same payload, via
 //! [`ClientReplyMessage`].
+//!
+//! A replica arms only the base timer kinds ([`wire::TimerKind::Election`],
+//! [`wire::TimerKind::Heartbeat`]); C-Raft renames its global engine's
+//! timers where it forwards that engine's effects.
 //!
 //! What stays per engine, deliberately: the propose/commit rule, the
 //! leader's door for a proposal (`on_propose` vs `leader_accept_forwarded`,

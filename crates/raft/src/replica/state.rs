@@ -30,7 +30,7 @@ pub enum Reply {
 /// One consensus level's Raft replica: terms and votes, the log and its
 /// applied image, the leader's replication bookkeeping, and the gateway's
 /// write, read and id tables — everything [`crate::RaftNode`] and
-/// `consensus_core::FastRaftEngine` hold in common, with the protocol steps
+/// `consensus_core::FastRaftNode` hold in common, with the protocol steps
 /// that touch nothing else.
 ///
 /// Fields are public because the engines' own steps (the propose/commit
@@ -47,8 +47,6 @@ pub struct Replica {
     pub scope: LogScope,
     /// The protocol timing in force.
     pub timing: Timing,
-    election_timer: TimerKind,
-    heartbeat_timer: TimerKind,
     rng: SimRng,
 
     // ---- persistent (mirrored to stable storage via PersistCmd) ----
@@ -107,14 +105,11 @@ pub struct Replica {
 }
 
 impl Replica {
-    /// A fresh follower at term zero obeying `config`. `timers` names the
-    /// `(election, heartbeat)` kinds this replica arms — the base pair, or
-    /// the `Global*` pair at C-Raft's inter-cluster level.
+    /// A fresh follower at term zero obeying `config`.
     pub fn new(
         id: NodeId,
         scope: LogScope,
         config: Configuration,
-        timers: (TimerKind, TimerKind),
         timing: Timing,
         rng: SimRng,
     ) -> Self {
@@ -122,8 +117,6 @@ impl Replica {
             id,
             scope,
             timing,
-            election_timer: timers.0,
-            heartbeat_timer: timers.1,
             rng,
             current_term: Term::ZERO,
             voted_for: None,
@@ -230,7 +223,7 @@ impl Replica {
     /// one place a replica draws from its random stream.
     pub fn reset_election_timer<M>(&mut self, out: &mut Actions<M>) {
         out.set_timer(
-            self.election_timer,
+            TimerKind::Election,
             self.timing.election_timeout(&mut self.rng),
         );
     }
@@ -264,7 +257,7 @@ impl Replica {
         }
         self.votes.clear();
         if was_leader {
-            out.cancel_timer(self.heartbeat_timer);
+            out.cancel_timer(TimerKind::Heartbeat);
         }
         out.observe(Observation::BecameFollower {
             term: self.current_term,
@@ -395,7 +388,7 @@ impl Replica {
         upper: LogIndex,
         out: &mut Actions<M>,
     ) {
-        out.cancel_timer(self.election_timer);
+        out.cancel_timer(TimerKind::Election);
         self.heartbeat(upper, out);
     }
 
@@ -403,7 +396,7 @@ impl Replica {
     /// through `upper`, and the heartbeat timer re-armed.
     pub fn heartbeat<M: ClientReplyMessage>(&mut self, upper: LogIndex, out: &mut Actions<M>) {
         self.dispatch_append_entries(upper, out);
-        out.set_timer(self.heartbeat_timer, self.timing.heartbeat);
+        out.set_timer(TimerKind::Heartbeat, self.timing.heartbeat);
     }
 
     // ------------------------------------------------------------------

@@ -339,7 +339,6 @@ fn replica(id: u64, members: impl IntoIterator<Item = u64>, timing: Timing) -> R
         NodeId(id),
         LogScope::Global,
         cfg(members),
-        (TimerKind::Election, TimerKind::Heartbeat),
         timing,
         SimRng::seed_from_u64(id),
     )

@@ -223,11 +223,6 @@ pub enum Observation {
         /// The joining site.
         node: NodeId,
     },
-    /// New-leader recovery finished (self-approved entries replayed).
-    RecoveryCompleted {
-        /// Number of self-approved entries received from voters.
-        entries: usize,
-    },
     /// The leader's liveness guard fired: the classic track stalled for
     /// `hole_fill_ticks` decision ticks on a log hole and a no-op was
     /// re-proposed at the blocked index. Counted by the harness to measure

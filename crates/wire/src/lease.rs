@@ -182,14 +182,6 @@ impl VoteHold {
     pub fn blocks(&self, candidate: NodeId, now: SimTime) -> bool {
         now != SimTime::ZERO && now < self.until && self.leader.is_some_and(|l| l != candidate)
     }
-
-    /// Releases the hold (crash recovery: promises do not survive restarts
-    /// because the granted acks were stamped by the pre-crash process; the
-    /// election timeout the recovering node waits anyway dominates any
-    /// lease it could have granted).
-    pub fn clear(&mut self) {
-        *self = VoteHold::default();
-    }
 }
 
 #[cfg(test)]
@@ -326,7 +318,5 @@ mod tests {
         );
         assert!(!h.blocks(NodeId(2), t(400)), "expired");
         assert!(!h.blocks(NodeId(2), SimTime::ZERO), "frozen clock");
-        h.clear();
-        assert!(!h.blocks(NodeId(2), t(399)));
     }
 }

@@ -73,10 +73,7 @@ pub use ids::{ClusterId, EntryId, GroupId, LogIndex, NodeId, Term};
 pub use lane::{ClientLane, Settled};
 pub use lease::{LeaseState, VoteHold};
 pub use log::{SparseLog, MAX_INSERT_WINDOW};
-pub use quorum::{
-    classic_quorum, fast_quorum, is_classic_quorum, is_fast_quorum,
-    min_chosen_votes_in_classic_quorum,
-};
+pub use quorum::{classic_quorum, fast_quorum, min_chosen_votes_in_classic_quorum};
 pub use read::{PendingRead, ReadIndexQueue};
 pub use recycle::Recycler;
 pub use safety::{LinViolation, SafetyChecker, SafetyViolation};

@@ -53,16 +53,6 @@ pub fn fast_quorum(m: usize) -> usize {
     (3 * m).div_ceil(4)
 }
 
-/// `true` if `count` acknowledgements reach a classic quorum of `m` members.
-pub fn is_classic_quorum(count: usize, m: usize) -> bool {
-    m > 0 && count >= classic_quorum(m)
-}
-
-/// `true` if `count` identical votes reach a fast quorum of `m` members.
-pub fn is_fast_quorum(count: usize, m: usize) -> bool {
-    m > 0 && count >= fast_quorum(m)
-}
-
 /// The number of conflicting votes that can coexist with a fast-quorum vote
 /// inside a classic quorum: `m - fast_quorum(m)` sites can have voted for
 /// something else, so within a classic quorum `Q` the chosen entry holds at
@@ -106,16 +96,6 @@ mod tests {
             assert_eq!(classic_quorum(m), cq, "classic m={m}");
             assert_eq!(fast_quorum(m), fq, "fast m={m}");
         }
-    }
-
-    #[test]
-    fn predicates() {
-        assert!(is_classic_quorum(3, 5));
-        assert!(!is_classic_quorum(2, 5));
-        assert!(is_fast_quorum(4, 5));
-        assert!(!is_fast_quorum(3, 5));
-        assert!(!is_classic_quorum(0, 0));
-        assert!(!is_fast_quorum(0, 0));
     }
 
     #[test]

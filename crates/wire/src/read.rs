@@ -7,7 +7,7 @@
 //! fresh — proving it was still the leader *after* the read was issued, so
 //! the captured floor reflects every completed operation. This module holds
 //! the machinery that used to be duplicated (and slowly diverging) between
-//! `raft::RaftNode` and `consensus_core::FastRaftEngine`: the pending-read
+//! `raft::RaftNode` and `consensus_core::FastRaftNode`: the pending-read
 //! queue, the probe counter, retry-idempotent registration, and the
 //! quorum-counting ack sweep.
 //!

@@ -23,7 +23,12 @@
 //! No report can land at or below the horizon: a live site reports only
 //! above its commit index, a recovering one only above its stable
 //! snapshot, and a joiner only above its leader's compaction point, which
-//! is at least the leader's own snapshot. A dropped site comes back only
+//! is at least the leader's own snapshot. A member can learn its first
+//! commits after the other sites compacted past them (its commit index
+//! arrives late, or in a message sent before the leader compacted), so a
+//! host that knows a log's members enters each up front, with a stable
+//! snapshot through 0 ([`SafetyChecker::snapshot_stable`]); a site first
+//! seen in a report counts from then on. A dropped site comes back only
 //! as a joiner: it is no longer a member, so no leader replicates to it
 //! until it asks to join, and the leader then sends from index 1
 //! (`next_index` = `LogIndex::FIRST`), which a compacted leader answers

@@ -34,8 +34,8 @@
 /// The consensus protocols: Fast Raft, C-Raft, and the classic baseline.
 pub mod protocols {
     pub use consensus_core::{
-        build_deployment, CRaftConfig, CRaftMessage, CRaftNode, FastRaftEngine, FastRaftMessage,
-        FastRaftNode, GateRequest, GateToken, PossibleEntries, ProposalMode, TimerProfile,
+        build_deployment, CRaftConfig, CRaftMessage, CRaftNode, FastRaftMessage, FastRaftNode,
+        GateRequest, GateToken, PossibleEntries, ProposalMode,
     };
     pub use raft::{testkit, NotLeader, RaftMessage, RaftNode, Role, Timing};
 }
@@ -53,12 +53,11 @@ pub mod sim {
 /// Shared consensus types, the client contract, and the wire codec.
 pub mod types {
     pub use wire::{
-        classic_quorum, fast_quorum, is_classic_quorum, is_fast_quorum,
-        min_chosen_votes_in_classic_quorum, Actions, Approval, Batch, BatchItem, ClientOp,
-        ClientOutcome, ClientRequest, ClusterId, Commit, Configuration, ConsensusProtocol,
-        Consistency, DecodeError, Decoder, Encoder, EntryId, GlobalState, LogEntry, LogIndex,
-        LogScope, Message, NodeId, Observation, Payload, PersistCmd, SessionId, SessionTable, Sink,
-        SparseLog, Term, TimerCmd, TimerKind, Wire, MAX_BYTES_PER_APPEND,
+        classic_quorum, fast_quorum, min_chosen_votes_in_classic_quorum, Actions, Approval, Batch,
+        BatchItem, ClientOp, ClientOutcome, ClientRequest, ClusterId, Commit, Configuration,
+        ConsensusProtocol, Consistency, DecodeError, Decoder, Encoder, EntryId, GlobalState,
+        LogEntry, LogIndex, LogScope, Message, NodeId, Observation, Payload, PersistCmd, SessionId,
+        SessionTable, Sink, SparseLog, Term, TimerCmd, TimerKind, Wire, MAX_BYTES_PER_APPEND,
     };
 }
 
